@@ -404,7 +404,7 @@ fn bench_queues(n_events: u64, handicap: u64) -> Vec<EngineRow> {
 }
 
 /// The full engine loop (queue + dispatch + outbox recycling) on the
-/// chain model from the criterion bench, in events/second.
+/// self-rescheduling chain model, in events/second.
 fn bench_engine_loop(n_events: u64) -> f64 {
     struct Chains;
     struct ChainEv {

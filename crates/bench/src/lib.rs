@@ -1,12 +1,9 @@
-//! # bench — Criterion benchmark harness
+//! # bench — the perf gate
 //!
-//! Shared helpers for the benchmark targets:
-//!
-//! * `figures` — one benchmark per paper figure, timing a representative
-//!   simulation point of each system/workload pair.
-//! * `engine` — discrete-event engine throughput.
-//! * `wire` — frame build/parse and Toeplitz hashing hot paths.
-//! * `dispatcher` — scheduling-decision throughput per policy.
+//! Shared helpers for the `perf` binary, which times the event queue
+//! against the legacy heap on simulator-shaped traffic and gates CI on
+//! `BENCH_5.json`. Per-layer and end-to-end simulator costs are measured
+//! by the standalone `simbench` package at the repository root.
 
 #![forbid(unsafe_code)]
 

@@ -64,8 +64,9 @@ impl ContextCosts {
 /// assert the "at most one in-flight context per active request" invariant.
 #[derive(Debug, Default)]
 pub struct ContextPool {
-    // Ordered set: resident-context walks must not depend on hasher order.
-    saved: std::collections::BTreeSet<u64>,
+    // Dense request-id table: O(1) per begin/save/discard, and any
+    // resident-context walk is in request-id order.
+    saved: sim_core::IdTable<()>,
     /// Total contexts ever spawned.
     pub spawned: u64,
     /// Total save operations.
@@ -94,7 +95,7 @@ impl ContextPool {
     /// Begin executing `req_id`; tells the worker whether to spawn or
     /// restore, and updates bookkeeping.
     pub fn begin(&mut self, req_id: u64) -> ContextOp {
-        if self.saved.remove(&req_id) {
+        if self.saved.remove(req_id).is_some() {
             self.restores += 1;
             ContextOp::Restore
         } else {
@@ -109,15 +110,15 @@ impl ContextPool {
     /// Panics if a context for the same request is already saved — that
     /// would mean the request was running in two places at once.
     pub fn save(&mut self, req_id: u64) {
-        let inserted = self.saved.insert(req_id);
-        assert!(inserted, "request {req_id} already has a saved context");
+        let fresh = self.saved.insert(req_id, ()).is_none();
+        assert!(fresh, "request {req_id} already has a saved context");
         self.saves += 1;
         self.peak_resident = self.peak_resident.max(self.saved.len());
     }
 
     /// Drop the saved context of a finished/aborted request, if any.
     pub fn discard(&mut self, req_id: u64) {
-        self.saved.remove(&req_id);
+        self.saved.remove(req_id);
     }
 
     /// Whether `req_id` currently has a context saved in DRAM. Lets fault
@@ -125,7 +126,7 @@ impl ContextPool {
     /// "preempted, resumable" from "never started / already finished"
     /// without tripping the double-save panic.
     pub fn is_saved(&self, req_id: u64) -> bool {
-        self.saved.contains(&req_id)
+        self.saved.contains_key(req_id)
     }
 
     /// Number of contexts currently saved in DRAM.

@@ -8,6 +8,8 @@
 //! places (e.g. an RX ring and a latency tracer) is a refcount bump, not a
 //! copy.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use crate::addr::{Endpoint, EthernetAddress};
@@ -57,8 +59,11 @@ impl FrameSpec {
             ethertype: ethernet::EtherType::Ipv4,
         };
 
-        let mut buf = vec![0u8; self.frame_len()];
-        let mut frame = ethernet::Frame::new_unchecked(&mut buf[..]);
+        // One allocation: the frame is written straight into the shared
+        // buffer it is handed out in.
+        let mut buf: Arc<[u8]> = std::iter::repeat(0).take(self.frame_len()).collect();
+        let bytes = Arc::get_mut(&mut buf).expect("a fresh buffer is unshared");
+        let mut frame = ethernet::Frame::new_unchecked(bytes);
         eth_repr.emit(&mut frame);
 
         let mut ip = ipv4::Packet::new_unchecked(frame.payload_mut());

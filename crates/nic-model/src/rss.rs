@@ -18,32 +18,26 @@ pub const DEFAULT_KEY: [u8; 40] = [
 /// Compute the Toeplitz hash of `input` under `key`.
 ///
 /// For every set bit of the input (MSB-first), XOR in the 32-bit window of
-/// the key beginning at that bit position.
+/// the key beginning at that bit position. Works a byte at a time: a
+/// 64-bit window holds key bits `8i .. 8i + 64` while input byte `i` is
+/// hashed, so each of its 32-bit windows is a shift of one register.
 pub fn toeplitz_hash(key: &[u8; 40], input: &[u8]) -> u32 {
     assert!(input.len() <= 36, "RSS input exceeds key coverage");
     let mut result: u32 = 0;
-    // Current 32-bit window of the key, advanced one bit per input bit.
-    let mut window: u32 = u32::from_be_bytes([key[0], key[1], key[2], key[3]]);
-    let mut consumed_bits = 0;
-    for &byte in input {
-        for bit in (0..8).rev() {
-            if byte >> bit & 1 == 1 {
-                result ^= window;
+    let mut window = u64::from_be_bytes([
+        key[0], key[1], key[2], key[3], key[4], key[5], key[6], key[7],
+    ]);
+    for (i, &byte) in input.iter().enumerate() {
+        for bit in 0..8 {
+            if byte & (0x80 >> bit) != 0 {
+                result ^= (window >> (32 - bit)) as u32;
             }
-            window = advance(window, key, &mut consumed_bits);
         }
+        // Zeros shift in past the key's end and are never used: byte `i`
+        // reads key bits up to `8i + 39`, inside the key for `i < 36`.
+        window = window << 8 | u64::from(key.get(i + 8).copied().unwrap_or(0));
     }
     result
-}
-
-/// Shift the window left one bit, pulling the next key *bit* in at the LSB.
-/// `bit_index` counts key bits already consumed beyond the initial window.
-fn advance(window: u32, key: &[u8; 40], bit_index: &mut usize) -> u32 {
-    let abs_bit = 32 + *bit_index; // absolute bit position in the key
-    let byte = key[abs_bit / 8];
-    let bit = (byte >> (7 - (abs_bit % 8))) & 1;
-    *bit_index += 1;
-    (window << 1) | u32::from(bit)
 }
 
 /// The hash input for UDP/IPv4: src addr, dst addr, src port, dst port,
@@ -108,6 +102,61 @@ impl Rss {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bit-serial definition: the oracle the byte loop is checked
+    /// against.
+    fn toeplitz_bitwise(key: &[u8; 40], input: &[u8]) -> u32 {
+        let mut result: u32 = 0;
+        // Current 32-bit window of the key, advanced one bit per input bit.
+        let mut window: u32 = u32::from_be_bytes([key[0], key[1], key[2], key[3]]);
+        let mut next_bit = 32; // absolute position of the next key bit
+        for &byte in input {
+            for bit in (0..8).rev() {
+                if byte >> bit & 1 == 1 {
+                    result ^= window;
+                }
+                let key_bit = key[next_bit / 8] >> (7 - next_bit % 8) & 1;
+                window = window << 1 | u32::from(key_bit);
+                next_bit += 1;
+            }
+        }
+        result
+    }
+
+    #[test]
+    fn byte_loop_matches_bitwise_oracle() {
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x
+        };
+        for case in 0..100_000 {
+            let mut key = DEFAULT_KEY;
+            if case % 2 == 1 {
+                for b in key.iter_mut() {
+                    *b = next() as u8;
+                }
+            }
+            let input: Vec<u8> = (0..if case % 4 < 2 { 12 } else { 8 })
+                .map(|_| (next() >> 32) as u8)
+                .collect();
+            assert_eq!(
+                toeplitz_hash(&key, &input),
+                toeplitz_bitwise(&key, &input),
+                "key {key:?} input {input:?}"
+            );
+        }
+        // Every input length up to the key's coverage.
+        let input: Vec<u8> = (0..36).map(|_| next() as u8).collect();
+        for len in 0..=36 {
+            assert_eq!(
+                toeplitz_hash(&DEFAULT_KEY, &input[..len]),
+                toeplitz_bitwise(&DEFAULT_KEY, &input[..len])
+            );
+        }
+    }
 
     /// Microsoft's published IPv4 4-tuple verification suite.
     #[test]

@@ -37,7 +37,7 @@
 
 use std::collections::BTreeMap;
 
-use sim_core::{SimDuration, SimTime};
+use sim_core::{IdTable, SimDuration, SimTime};
 
 use crate::admission::{Admission, AdmissionPolicy};
 use crate::feedback::CoreFeedback;
@@ -144,8 +144,8 @@ pub struct Dispatcher<P, S> {
     // Workers quarantined from selection (crashed or silent too long).
     excluded: Vec<bool>,
     // Every dispatched request the dispatcher is waiting on, keyed by
-    // request id (deterministic iteration order for reclaims).
-    in_flight: BTreeMap<u64, InFlight>,
+    // request id; iterates in id order, so reclaims are deterministic.
+    in_flight: IdTable<InFlight>,
     // The failure detector; `None` (recovery off) is bit-identical to the
     // pre-recovery dispatcher.
     health: Option<HealthTracker>,
@@ -156,6 +156,12 @@ pub struct Dispatcher<P, S> {
     // same worker twice across a readmission, and from several workers
     // along a re-dispatch chain.
     reclaimed: BTreeMap<(u64, usize), u32>,
+    // The candidate workers of the current pick, kept between picks so
+    // `drain` does not allocate.
+    candidates: Vec<WorkerView>,
+    // An emptied assignment buffer handed back through `recycle`; the
+    // next batch of assignments is built in it instead of a fresh `Vec`.
+    spare: Vec<Assignment>,
     /// Exported counters.
     pub stats: DispatchStats,
 }
@@ -184,9 +190,11 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
             admission: AdmissionPolicy::Open,
             degraded: false,
             excluded: vec![false; n_workers],
-            in_flight: BTreeMap::new(),
+            in_flight: IdTable::new(),
             health: None,
             reclaimed: BTreeMap::new(),
+            candidates: Vec::with_capacity(n_workers),
+            spare: Vec::new(),
             stats: DispatchStats::default(),
         }
     }
@@ -280,7 +288,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         }
         let service = self
             .in_flight
-            .remove(&req_id)
+            .remove(req_id)
             .map(|e| e.task.service)
             .unwrap_or(SimDuration::ZERO);
         self.policy.feedback(
@@ -313,7 +321,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         if w.outstanding == 0 {
             w.idle_since = Some(now);
         }
-        self.in_flight.remove(&task.req_id);
+        self.in_flight.remove(task.req_id);
         self.policy.feedback(
             now,
             &FeedbackEvent::Preempted {
@@ -365,10 +373,10 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
             .in_flight
             .iter()
             .filter(|(_, e)| e.worker == worker)
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect();
         for id in ids {
-            let e = self.in_flight.remove(&id).expect("collected above");
+            let e = self.in_flight.remove(id).expect("collected above");
             let w = &mut self.workers[worker];
             w.outstanding = w.outstanding.saturating_sub(1);
             if w.outstanding == 0 {
@@ -410,7 +418,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
     /// in either arrival order.
     fn is_stale_report(&self, worker: usize, req_id: u64) -> bool {
         self.reclaimed.contains_key(&(req_id, worker))
-            && self.in_flight.get(&req_id).map(|e| e.worker) != Some(worker)
+            && self.in_flight.get(req_id).map(|e| e.worker) != Some(worker)
     }
 
     /// Absorb a stale report: count it in the recovery ledger, never
@@ -460,40 +468,52 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         self.drain(now)
     }
 
+    /// Hand back a batch of assignments once it has been consumed (e.g.
+    /// with `drain(..)`): the next batch reuses its allocation. Optional;
+    /// a dropped batch only costs the next one an allocation.
+    pub fn recycle(&mut self, mut spent: Vec<Assignment>) {
+        spent.clear();
+        if spent.capacity() > self.spare.capacity() {
+            self.spare = spent;
+        }
+    }
+
     /// Issue assignments while the queue is non-empty, a worker is below
     /// the outstanding cap, and the policy keeps picking.
     fn drain(&mut self, now: SimTime) -> Vec<Assignment> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.spare);
         loop {
             if self.policy.is_empty() {
                 break;
             }
             // Gather non-quarantined, health-selectable candidates below
-            // the cap.
-            let candidates: Vec<WorkerView> = self
-                .workers
-                .iter()
-                .enumerate()
-                .filter(|(i, w)| {
-                    !self.excluded[*i]
-                        && w.outstanding < self.outstanding_cap
-                        && self.health.as_ref().map_or(true, |h| h.selectable(*i))
-                })
-                .map(|(i, w)| WorkerView {
-                    worker: i,
-                    outstanding: w.outstanding,
-                    last_req: w.last_req,
-                    idle_since: w.idle_since,
-                    health: self
-                        .health
-                        .as_ref()
-                        .map_or(WorkerHealth::Healthy, |h| h.state_of(i)),
-                })
-                .collect();
+            // the cap, into the buffer kept from the last pick.
+            let (excluded, cap, health) = (&self.excluded, self.outstanding_cap, &self.health);
+            self.candidates.clear();
+            self.candidates.extend(
+                self.workers
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, w)| {
+                        !excluded[*i]
+                            && w.outstanding < cap
+                            && health.as_ref().map_or(true, |h| h.selectable(*i))
+                    })
+                    .map(|(i, w)| WorkerView {
+                        worker: i,
+                        outstanding: w.outstanding,
+                        last_req: w.last_req,
+                        idle_since: w.idle_since,
+                        health: health
+                            .as_ref()
+                            .map_or(WorkerHealth::Healthy, |h| h.state_of(i)),
+                    }),
+            );
+            let candidates = &self.candidates;
             if candidates.is_empty() {
                 break;
             }
-            let Some(pick) = self.policy.pick_next(now, &candidates) else {
+            let Some(pick) = self.policy.pick_next(now, candidates) else {
                 // The policy parks the queue: none of its queued work may
                 // run on any candidate (e.g. dFCFS with busy home cores).
                 break;
@@ -518,7 +538,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
                         (task.req_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize
                             % candidates.len()
                     } else {
-                        self.selector.select(&candidates, task.req_id)
+                        self.selector.select(candidates, task.req_id)
                     };
                     candidates[chosen].worker
                 }

@@ -49,6 +49,7 @@
 
 mod engine;
 pub mod faults;
+pub mod idtable;
 pub mod invariants;
 pub mod probe;
 pub mod queue;
@@ -59,6 +60,7 @@ mod wheel;
 
 pub use engine::{Ctx, Engine, Model, RunOutcome};
 pub use faults::{FaultConfig, FaultPlan, FaultStats, MAX_FAULT_EVENTS};
+pub use idtable::IdTable;
 pub use invariants::{InvariantChecker, InvariantConfig, Violation};
 pub use probe::{Probe, ProbeConfig, ProbeHandle, StageReport, TraceEvent};
 pub use queue::{EventQueue, LegacyHeap, TimerHandle};

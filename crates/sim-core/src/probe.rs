@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::stats::{BusyTracker, Histogram, TimeWeighted};
-use crate::{SimDuration, SimTime};
+use crate::{IdTable, SimDuration, SimTime};
 
 /// Hop-name prefix marking members of the per-request latency chain.
 ///
@@ -159,10 +159,10 @@ pub struct Probe {
     depths: BTreeMap<Key, DepthTrack>,
     busy: BTreeMap<Key, BusyTracker>,
     hops: BTreeMap<&'static str, Histogram>,
-    /// Per-request time of the most recent mark.
-    // Ordered map so a report that ever walks the in-flight set (e.g. to
-    // list stuck requests) does so in request-id order, not hasher order.
-    inflight: BTreeMap<u64, SimTime>,
+    /// Per-request time of the most recent mark. A dense request-id
+    /// table: O(1) per mark, and a report that ever walks the in-flight
+    /// set (e.g. to list stuck requests) does so in request-id order.
+    inflight: IdTable<SimTime>,
     trace: Vec<TraceEvent>,
     trace_dropped: u64,
 }
@@ -240,7 +240,7 @@ impl Probe {
 
     fn finish(&mut self, now: SimTime, req: u64, stage: &'static str) {
         self.trace_event(now, req, stage);
-        if let Some(prev) = self.inflight.remove(&req) {
+        if let Some(prev) = self.inflight.remove(req) {
             self.hop(stage, now.saturating_duration_since(prev));
         }
     }

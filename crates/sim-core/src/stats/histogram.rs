@@ -13,7 +13,8 @@
 pub struct Histogram {
     /// log2 of sub-buckets per magnitude; relative error is 2^-precision.
     precision: u32,
-    /// Counts, indexed by [`Histogram::index_of`].
+    /// Counts, indexed by [`Histogram::index_of`]. Grown on demand up to
+    /// the highest bucket recorded; buckets past the end are zero.
     counts: Vec<u64>,
     total: u64,
     min: u64,
@@ -24,15 +25,14 @@ pub struct Histogram {
 impl Histogram {
     /// Create a histogram with the given precision (sub-bucket bits).
     ///
-    /// `precision = 7` gives ≤0.8% relative error in ~1.2 KiB per magnitude,
-    /// plenty for p99 plots.
+    /// `precision = 7` gives ≤0.8% relative error in ~1.2 KiB per magnitude
+    /// recorded, plenty for p99 plots. Nothing is allocated until the first
+    /// record, and only the magnitudes recorded so far take memory.
     pub fn new(precision: u32) -> Self {
         assert!((1..=14).contains(&precision), "precision out of range");
-        // 64 magnitudes cover the whole u64 range.
-        let buckets = (64 - precision as usize + 1) * (1 << precision);
         Histogram {
             precision,
-            counts: vec![0; buckets],
+            counts: Vec::new(),
             total: 0,
             min: u64::MAX,
             max: 0,
@@ -76,10 +76,30 @@ impl Histogram {
         }
     }
 
+    /// Add `count` to bucket `idx`. One bounds check, as with a fixed
+    /// array: only a miss takes the growth path.
+    #[inline]
+    fn add(&mut self, idx: usize, count: u64) {
+        match self.counts.get_mut(idx) {
+            Some(c) => *c += count,
+            None => self.grow(idx, count),
+        }
+    }
+
+    /// Grow `counts` to hold bucket `idx`, which starts at `count`. Out of
+    /// line: once a run's highest magnitude is reached this never runs
+    /// again.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, idx: usize, count: u64) {
+        self.counts.resize(idx, 0);
+        self.counts.push(count);
+    }
+
     /// Record one value.
     pub fn record(&mut self, value: u64) {
         let idx = self.index_of(value);
-        self.counts[idx] += 1;
+        self.add(idx, 1);
         self.total += 1;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
@@ -92,7 +112,7 @@ impl Histogram {
             return;
         }
         let idx = self.index_of(value);
-        self.counts[idx] += count;
+        self.add(idx, count);
         self.total += count;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
@@ -178,6 +198,9 @@ impl Histogram {
         );
         if other.total == 0 {
             return;
+        }
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
         }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;

@@ -26,7 +26,7 @@
 //! `core` on none), so a model crate can never pull in a harness crate —
 //! the dependency direction that would let wall clocks, OS threads and
 //! ambient entropy leak into simulation state. Vendored stand-ins under
-//! `vendor/` (bytes, proptest, criterion) are third-party surface and
+//! `vendor/` (bytes, proptest, stats_alloc) are third-party surface and
 //! exempt, like any external dependency.
 //!
 //! This module parses each `Cargo.toml` with a small section-aware

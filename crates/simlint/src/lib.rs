@@ -6,7 +6,7 @@
 //! workspace dependency graph ([`graph`]), with a waiver lifecycle that
 //! detects its own dead entries ([`rules::waivers`]) and a checked-in
 //! findings baseline ([`report`]) gating CI the same way the perf gate
-//! (`BENCH_4.json`) does. The v1 line-oriented pass survives verbatim in
+//! (`BENCH_5.json`) does. The v1 line-oriented pass survives verbatim in
 //! [`legacy`] as an executable specification: a differential test keeps
 //! the token pass a strict superset of it modulo the known false
 //! positives the lexer removes.

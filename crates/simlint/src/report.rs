@@ -1,6 +1,6 @@
 //! Report assembly, JSON output, and the findings baseline gate.
 //!
-//! The gate mirrors the perf gate (`BENCH_4.json` + `perf --compare`):
+//! The gate mirrors the perf gate (`BENCH_5.json` + `perf --compare`):
 //! a checked-in `SIMLINT_BASELINE.json` records the accepted standing
 //! findings (normally none) and the per-(file, rule) waiver counts.
 //! `--compare` fails when a (file, rule) pair gains findings or waivers

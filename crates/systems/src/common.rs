@@ -3,14 +3,14 @@
 //! configuration every assembly accepts, the stale-feedback governor, and
 //! metric assembly.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use net_wire::{Endpoint, EthernetAddress, FrameSpec, Ipv4Address, MsgRepr, ParsedFrame};
 use nicsched::{
     AdmissionPolicy, CoreFeedback, CoreSelector, Dispatcher, FeedbackChannel, SchedPolicy,
 };
 use sim_core::faults::FaultConfig;
-use sim_core::{InvariantChecker, InvariantConfig, Rng, SimDuration, SimTime};
+use sim_core::{IdTable, InvariantChecker, InvariantConfig, Rng, SimDuration, SimTime};
 use workload::{
     ArrivalGen, ArrivalProcess, FaultMetrics, LatencyRecorder, ReqClass, RetryPolicy, RunMetrics,
     WorkloadSpec,
@@ -401,11 +401,13 @@ pub struct Client {
     /// Timeout/retry policy; `None` = fire-and-forget (requests are still
     /// tracked so the run ledger closes).
     retry: Option<RetryPolicy>,
-    /// Requests awaiting their first response. Ordered by request id so
-    /// any iteration (ledger dumps, horizon accounting) is deterministic.
-    outstanding: BTreeMap<u64, PendingReq>,
+    /// Requests awaiting their first response. Iterates in request-id
+    /// order, so any walk (ledger dumps, horizon accounting) is
+    /// deterministic.
+    outstanding: IdTable<PendingReq>,
     /// Requests whose response was recorded (including during warmup).
-    done: BTreeSet<u64>,
+    /// An issued id that is neither outstanding nor given up is done.
+    done: u64,
     /// Requests abandoned after the attempt budget.
     gave_up: BTreeSet<u64>,
     /// Retransmissions sent.
@@ -439,8 +441,8 @@ impl Client {
             port_cursor: 0,
             pacing: None,
             retry: None,
-            outstanding: BTreeMap::new(),
-            done: BTreeSet::new(),
+            outstanding: IdTable::new(),
+            done: 0,
             gave_up: BTreeSet::new(),
             retries: 0,
             timeouts: 0,
@@ -517,7 +519,7 @@ impl Client {
     /// generation-counter cancellation idiom).
     pub fn arm_timeout(&self, req_id: u64) -> Option<(u32, SimDuration)> {
         let policy = self.retry?;
-        let pending = self.outstanding.get(&req_id)?;
+        let pending = self.outstanding.get(req_id)?;
         Some((pending.attempt, policy.timeout_for(pending.attempt)))
     }
 
@@ -544,11 +546,11 @@ impl Client {
         let Some(policy) = self.retry else {
             return TimeoutOutcome::Stale;
         };
-        let Some(pending) = self.outstanding.get_mut(&req_id) else {
+        let Some(pending) = self.outstanding.get_mut(req_id) else {
             return TimeoutOutcome::Stale;
         };
         if !policy.may_retry(pending.attempt) {
-            self.outstanding.remove(&req_id);
+            self.outstanding.remove(req_id);
             self.gave_up.insert(req_id);
             self.abandoned += 1;
             return TimeoutOutcome::Abandoned;
@@ -566,7 +568,7 @@ impl Client {
 
     /// A timeout armed for (`req_id`, `attempt`) fired at `now`.
     pub fn on_timeout(&mut self, _now: SimTime, req_id: u64, attempt: u32) -> TimeoutOutcome {
-        match self.outstanding.get(&req_id) {
+        match self.outstanding.get(req_id) {
             Some(p) if p.attempt == attempt => {}
             _ => return TimeoutOutcome::Stale, // resolved or superseded
         }
@@ -578,7 +580,7 @@ impl Client {
     /// the current attempt, so resolve it immediately instead of waiting
     /// for the timeout.
     pub fn on_nack(&mut self, _now: SimTime, req_id: u64) -> TimeoutOutcome {
-        if !self.outstanding.contains_key(&req_id) {
+        if !self.outstanding.contains_key(req_id) {
             return TimeoutOutcome::Stale;
         }
         self.expire(req_id)
@@ -588,22 +590,23 @@ impl Client {
     /// `remaining_ns` field is repurposed as the NIC's load stamp (§5.2);
     /// when pacing is on, the client reacts to it. Duplicate responses
     /// (a retransmission raced the original) and orphans (the request was
-    /// already abandoned) are counted and suppressed, never recorded.
+    /// already abandoned, or was never issued) are counted and suppressed,
+    /// never recorded.
     pub fn on_response(&mut self, now: SimTime, frame: &ParsedFrame) -> ResponseOutcome {
         let msg = frame.msg;
         if let Some(p) = &mut self.pacing {
             p.observe(msg.remaining_ns);
         }
-        if self.done.contains(&msg.req_id) {
-            self.duplicates += 1;
-            return ResponseOutcome::Duplicate;
-        }
-        if self.gave_up.contains(&msg.req_id) {
+        if self.outstanding.remove(msg.req_id).is_none() {
+            let issued = (1..self.next_id).contains(&msg.req_id);
+            if issued && !self.gave_up.contains(&msg.req_id) {
+                self.duplicates += 1;
+                return ResponseOutcome::Duplicate;
+            }
             self.orphaned += 1;
             return ResponseOutcome::Orphaned;
         }
-        self.done.insert(msg.req_id);
-        self.outstanding.remove(&msg.req_id);
+        self.done += 1;
         let service = SimDuration::from_nanos(msg.service_ns);
         let sent_at = SimTime::from_nanos(msg.sent_at_ns);
         let class = self.spec.class_of(service);
@@ -620,7 +623,7 @@ impl Client {
             now,
             "client requests (sent = done + gave_up + outstanding)",
             self.sent,
-            (self.done.len() + self.gave_up.len() + self.outstanding.len()) as u64,
+            self.done + (self.gave_up.len() + self.outstanding.len()) as u64,
         );
     }
 
@@ -630,7 +633,7 @@ impl Client {
         FaultMetrics {
             attempts: self.sent + self.retries,
             launched: self.sent,
-            completed_all: self.done.len() as u64,
+            completed_all: self.done,
             retries: self.retries,
             timeouts: self.timeouts,
             duplicates: self.duplicates,
@@ -838,6 +841,59 @@ mod tests {
         assert_eq!(fm.duplicates, 1);
         assert_eq!(fm.orphaned, 1);
         assert_eq!(fm.unaccounted(), 0);
+    }
+
+    #[test]
+    fn responses_for_unissued_ids_are_orphans() {
+        let mut master = Rng::new(5);
+        let mut s = spec();
+        s.warmup = SimDuration::ZERO;
+        let mut client = Client::new(s, &mut master);
+        client.enable_retries(RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::paper_default()
+        });
+        let respond = |req: &FrameSpec, req_id: u64| {
+            let mut msg = req.msg.response();
+            msg.req_id = req_id;
+            ParsedFrame::parse(&FrameSpec { msg, ..*req }.build()).unwrap()
+        };
+        let done = client.make_request(SimTime::ZERO);
+        let lost = client.make_request(SimTime::ZERO);
+        let open = client.make_request(SimTime::ZERO);
+        assert_eq!(
+            client.on_timeout(SimTime::from_millis(1), lost.msg.req_id, 1),
+            TimeoutOutcome::Abandoned
+        );
+        let cases = [
+            (done.msg.req_id, ResponseOutcome::Recorded),
+            // Duplicate after done.
+            (done.msg.req_id, ResponseOutcome::Duplicate),
+            // Late after abandon.
+            (lost.msg.req_id, ResponseOutcome::Orphaned),
+            // Never issued: id 0, the next id, a hostile id.
+            (0, ResponseOutcome::Orphaned),
+            (open.msg.req_id + 1, ResponseOutcome::Orphaned),
+            (1 << 60, ResponseOutcome::Orphaned),
+        ];
+        for (at, (req_id, want)) in cases.into_iter().enumerate() {
+            let now = SimTime::from_millis(2 + at as u64);
+            assert_eq!(
+                client.on_response(now, &respond(&done, req_id)),
+                want,
+                "response for id {req_id}"
+            );
+        }
+        assert_eq!(client.recorder.completed, 1, "recorded exactly once");
+        let fm = client.fault_metrics();
+        assert_eq!(fm.completed_all, 1);
+        assert_eq!(fm.duplicates, 1);
+        assert_eq!(fm.orphaned, 4);
+        assert_eq!(fm.open_at_horizon, 1);
+        assert_eq!(fm.unaccounted(), 0, "sent = done + gave_up + outstanding");
+        let mut inv = InvariantChecker::new(InvariantConfig::enabled());
+        client.check_invariants(SimTime::from_millis(9), &mut inv);
+        assert!(inv.violations().is_empty());
     }
 
     #[test]

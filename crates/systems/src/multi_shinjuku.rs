@@ -543,7 +543,7 @@ impl Model for MultiShinjuku {
                 ctx.probe().busy_i("dispatcher", g, false);
                 if let Some(item) = self.groups[g].disp_queue.pop_front() {
                     let now = ctx.now();
-                    let assignments = match item {
+                    let mut assignments = match item {
                         DispItem::NewTask(task) => {
                             ctx.probe().mark(task.req_id, "path.2_dispatch");
                             match self.groups[g].dispatcher.offer(now, task) {
@@ -607,9 +607,11 @@ impl Model for MultiShinjuku {
                             self.groups[g].dispatcher.on_heartbeat(now, local_worker)
                         }
                     };
-                    for a in assignments.into_iter().rev() {
-                        self.groups[g].disp_queue.push_front(DispItem::Emit(a));
+                    let group = &mut self.groups[g];
+                    for a in assignments.drain(..).rev() {
+                        group.disp_queue.push_front(DispItem::Emit(a));
                     }
+                    group.dispatcher.recycle(assignments);
                     let central = self.groups[g].dispatcher.queue_len();
                     ctx.probe().depth_i("dispatcher.central", g, central);
                 }

@@ -219,9 +219,8 @@ struct Offload {
     dispatcher: Dispatcher<Box<dyn SchedPolicy>, Box<dyn CoreSelector>>,
     topology: Topology,
     /// First-arrival instants, so re-queued tasks keep their admission
-    /// time. Ordered by request id: iteration order can never depend on a
-    /// hasher seed.
-    task_meta: BTreeMap<u64, SimTime>,
+    /// time. O(1) per request; any walk is in request-id order.
+    task_meta: sim_core::IdTable<SimTime>,
 
     workers: Vec<Worker>,
     ctx_pool: ContextPool,
@@ -341,7 +340,7 @@ impl Offload {
             qm: Stage::new(),
             tx: Stage::new(),
             rx: Stage::new(),
-            task_meta: BTreeMap::new(),
+            task_meta: sim_core::IdTable::new(),
             workers,
             ctx_pool: ContextPool::new(),
             ctx_costs: ContextCosts::default(),
@@ -445,10 +444,11 @@ impl Offload {
     }
 
     /// Route a batch of dispatcher assignments toward the TX core.
-    fn emit_assignments(&mut self, assignments: Vec<Assignment>, ctx: &mut Ctx<'_, Ev>) {
-        for a in assignments {
+    fn emit_assignments(&mut self, mut assignments: Vec<Assignment>, ctx: &mut Ctx<'_, Ev>) {
+        for a in assignments.drain(..) {
             ctx.schedule_in(self.cfg.profile.stage_hop, Ev::TxPush(a));
         }
+        self.dispatcher.recycle(assignments);
     }
 
     // ---- worker helpers -------------------------------------------------
@@ -837,7 +837,7 @@ impl Model for Offload {
                         },
                         QmItem::Done { worker, req_id } => {
                             ctx.probe().count("qm.done");
-                            self.task_meta.remove(&req_id);
+                            self.task_meta.remove(req_id);
                             self.dispatcher.on_done(now, worker, req_id)
                         }
                         QmItem::Preempted { worker, task } => {
@@ -950,7 +950,7 @@ impl Model for Offload {
                                 MsgKind::Preempted => {
                                     let arrived = self
                                         .task_meta
-                                        .get(&msg.req_id)
+                                        .get(msg.req_id)
                                         .copied()
                                         .unwrap_or(ctx.now());
                                     Some(QmItem::Preempted {

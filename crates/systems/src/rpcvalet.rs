@@ -171,10 +171,11 @@ impl RpcValet {
         }
     }
 
-    fn emit(&mut self, assignments: Vec<nicsched::Assignment>, ctx: &mut Ctx<'_, Ev>) {
-        for a in assignments {
+    fn emit(&mut self, mut assignments: Vec<nicsched::Assignment>, ctx: &mut Ctx<'_, Ev>) {
+        for a in assignments.drain(..) {
             ctx.schedule_in(HW_DISPATCH + NI_TO_CORE, Ev::Deliver(a.worker, a.task));
         }
+        self.dispatcher.recycle(assignments);
     }
 }
 

@@ -275,6 +275,15 @@ impl Shinjuku {
         }
     }
 
+    /// Put `assignments` at the head of the dispatcher's inbox, in order,
+    /// and hand the emptied buffer back to the dispatcher.
+    fn queue_emits(&mut self, mut assignments: Vec<Assignment>) {
+        for a in assignments.drain(..).rev() {
+            self.disp_queue.push_front(DispItem::Emit(a));
+        }
+        self.dispatcher.recycle(assignments);
+    }
+
     fn worker_poll(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
         if self.workers[w].running.is_some() {
             return;
@@ -492,9 +501,7 @@ impl Model for Shinjuku {
                             AdmitOutcome::Admitted(assignments) => {
                                 ctx.probe().count("disp.enqueue");
                                 ctx.probe().mark(task.req_id, "path.2_dispatch");
-                                for a in assignments.into_iter().rev() {
-                                    self.disp_queue.push_front(DispItem::Emit(a));
-                                }
+                                self.queue_emits(assignments);
                             }
                             AdmitOutcome::Shed { nack } => {
                                 ctx.probe().count("disp.shed");
@@ -524,17 +531,13 @@ impl Model for Shinjuku {
                         DispItem::Done { worker, req_id } => {
                             ctx.probe().count("disp.done");
                             let assignments = self.dispatcher.on_done(now, worker, req_id);
-                            for a in assignments.into_iter().rev() {
-                                self.disp_queue.push_front(DispItem::Emit(a));
-                            }
+                            self.queue_emits(assignments);
                         }
                         DispItem::Preempted { worker, task } => {
                             ctx.probe().count("disp.preempt_requeue");
                             ctx.probe().mark(task.req_id, "path.2_dispatch");
                             let assignments = self.dispatcher.on_preempted(now, worker, task);
-                            for a in assignments.into_iter().rev() {
-                                self.disp_queue.push_front(DispItem::Emit(a));
-                            }
+                            self.queue_emits(assignments);
                         }
                         DispItem::Emit(a) => {
                             ctx.probe().count("disp.assign");
@@ -546,9 +549,7 @@ impl Model for Shinjuku {
                         DispItem::Heartbeat { worker } => {
                             ctx.probe().count("disp.heartbeat");
                             let assignments = self.dispatcher.on_heartbeat(now, worker);
-                            for a in assignments.into_iter().rev() {
-                                self.disp_queue.push_front(DispItem::Emit(a));
-                            }
+                            self.queue_emits(assignments);
                         }
                     }
                     ctx.probe()
