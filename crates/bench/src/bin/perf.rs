@@ -1,12 +1,11 @@
-//! Perf baseline: engine throughput, per-assembly simulation rate, and
-//! sweep parallelism, emitted as machine-readable JSON for the CI gate.
+//! Perf baseline: engine throughput and sweep parallelism, emitted as machine-readable JSON for the CI gate.
 //!
 //! ```text
 //! perf [--smoke] [--out PATH] [--compare PATH] [--tolerance F]
 //!      [--floor F] [--jobs N] [--handicap N]
 //! ```
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! * **engine** — events/second of the indexed [`EventQueue`] against the
 //!   pre-existing [`LegacyHeap`] (kept as the executable specification)
@@ -19,8 +18,6 @@
 //!   speedups (indexed / legacy, both *measured in the same process*),
 //!   so the number is comparable across machines of different speeds —
 //!   which is what lets CI gate on it.
-//! * **assemblies** — simulated seconds per wall second for each of the
-//!   five server assemblies at a fixed bench point.
 //! * **sweep** — wall-clock of one parallel grid at `--jobs 1` vs
 //!   `--jobs N`, asserting the results are identical either way.
 //!
@@ -37,12 +34,8 @@
 use std::time::Instant;
 
 use sim_core::{Ctx, Engine, EventQueue, LegacyHeap, Model, SimDuration, SimTime, TimerHandle};
-use systems::baseline::{BaselineConfig, BaselineKind};
-use systems::multi_shinjuku::MultiShinjukuConfig;
 use systems::offload::OffloadConfig;
-use systems::rpcvalet::RpcValetConfig;
-use systems::shinjuku::ShinjukuConfig;
-use systems::{ProbeConfig, ServerSystem, SystemConfig};
+use systems::{ProbeConfig, ServerSystem};
 use workload::ServiceDist;
 
 /// Realistically-sized event payload: models carry request ids, sizes and
@@ -447,46 +440,6 @@ fn bench_engine_loop(n_events: u64) -> f64 {
     best
 }
 
-struct AssemblyRow {
-    name: &'static str,
-    sim_per_wall: f64,
-    wall_ms: f64,
-}
-
-fn bench_assemblies(measure: SimDuration) -> Vec<AssemblyRow> {
-    let systems: Vec<SystemConfig> = vec![
-        SystemConfig::Offload(OffloadConfig::paper(4, 4)),
-        SystemConfig::Shinjuku(ShinjukuConfig::paper(4)),
-        SystemConfig::Baseline(BaselineConfig {
-            workers: 4,
-            kind: BaselineKind::Rss,
-        }),
-        SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
-        SystemConfig::MultiShinjuku(MultiShinjukuConfig::split(10, 2)),
-    ];
-    systems
-        .into_iter()
-        .map(|sys| {
-            let mut spec = bench::bench_spec(250_000.0, ServiceDist::paper_bimodal());
-            spec.measure = measure;
-            let t0 = Instant::now();
-            let m = sys.run(spec, ProbeConfig::disabled());
-            let secs = t0.elapsed().as_secs_f64();
-            assert!(
-                m.completed > 0,
-                "{}: bench run completed nothing",
-                sys.name()
-            );
-            let sim_secs = (spec.warmup + spec.measure).as_secs_f64();
-            AssemblyRow {
-                name: sys.name(),
-                sim_per_wall: sim_secs / secs,
-                wall_ms: secs * 1e3,
-            }
-        })
-        .collect()
-}
-
 struct SweepRow {
     points: usize,
     jobs_n: usize,
@@ -535,7 +488,6 @@ fn emit_json(
     smoke: bool,
     engine_rows: &[EngineRow],
     engine_loop_eps: f64,
-    assemblies: &[AssemblyRow],
     sweep: &SweepRow,
 ) -> String {
     use std::fmt::Write;
@@ -586,20 +538,6 @@ fn emit_json(
     );
     let _ = writeln!(out, "    \"normalized_throughput\": {geomean:.4}");
     let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"assemblies\": [");
-    for (i, a) in assemblies.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"sim_seconds_per_wall_second\": {:.4}, \"wall_ms\": {:.1}}}",
-            a.name, a.sim_per_wall, a.wall_ms
-        );
-        out.push_str(if i + 1 < assemblies.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = writeln!(out, "  ],");
     let _ = writeln!(out, "  \"sweep\": {{");
     let _ = writeln!(out, "    \"points\": {},", sweep.points);
     let _ = writeln!(out, "    \"jobs_n\": {},", sweep.jobs_n);
@@ -671,22 +609,20 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1.0);
 
-    let (queue_events, loop_events, measure, sweep_points) = if smoke {
-        (400_000, 400_000, SimDuration::from_millis(4), 4)
+    let (queue_events, loop_events, sweep_points) = if smoke {
+        (400_000, 400_000, 4)
     } else {
-        (4_000_000, 4_000_000, SimDuration::from_millis(8), 8)
+        (4_000_000, 4_000_000, 8)
     };
 
     eprintln!("perf: engine queue microbenchmarks ({queue_events} events/workload)...");
     let engine_rows = bench_queues(queue_events, handicap);
     eprintln!("perf: full engine loop...");
     let engine_loop_eps = bench_engine_loop(loop_events);
-    eprintln!("perf: assemblies...");
-    let assemblies = bench_assemblies(measure);
     eprintln!("perf: sweep parallelism...");
     let sweep = bench_sweep(sweep_points);
 
-    let json = emit_json(smoke, &engine_rows, engine_loop_eps, &assemblies, &sweep);
+    let json = emit_json(smoke, &engine_rows, engine_loop_eps, &sweep);
     println!("{json}");
     if let Some(path) = flag_value(&args, "--out") {
         std::fs::write(&path, format!("{json}\n")).expect("writing bench JSON");

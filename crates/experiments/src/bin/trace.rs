@@ -18,7 +18,6 @@ use std::fmt::Write as _;
 use nicsched::PolicySpec;
 use sim_core::{ProbeConfig, SimDuration, SimTime, TraceEvent};
 use systems::baseline::{BaselineConfig, BaselineKind};
-use systems::multi_shinjuku::MultiShinjukuConfig;
 use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
@@ -37,9 +36,9 @@ fn system_by_name(name: &str) -> Option<SystemConfig> {
             kind: BaselineKind::Rss,
         }),
         "rpcvalet" => SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
-        "multi" => SystemConfig::MultiShinjuku(MultiShinjukuConfig {
+        "multi" => SystemConfig::Shinjuku(ShinjukuConfig {
             groups: 2,
-            workers_per_group: 2,
+            workers: 2,
             time_slice: None,
             policy: PolicySpec::FCFS,
         }),
@@ -58,10 +57,6 @@ fn with_policy(sys: SystemConfig, policy: PolicySpec) -> SystemConfig {
         SystemConfig::Shinjuku(mut c) => {
             c.policy = policy;
             SystemConfig::Shinjuku(c)
-        }
-        SystemConfig::MultiShinjuku(mut c) => {
-            c.policy = policy;
-            SystemConfig::MultiShinjuku(c)
         }
         other => other,
     }

@@ -16,10 +16,9 @@
 use nicsched::PolicySpec;
 use sim_core::SimDuration;
 use systems::baseline::{BaselineConfig, BaselineKind};
-use systems::multi_shinjuku::{self, MultiShinjukuConfig};
 use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
-use systems::shinjuku::ShinjukuConfig;
+use systems::shinjuku::{self, ShinjukuConfig};
 use systems::{ProbeConfig, ServerSystem};
 use workload::{ServiceDist, WorkloadSpec};
 
@@ -61,15 +60,14 @@ pub fn multi_dispatcher(scale: Scale) -> Vec<MultiDispatchRow> {
     // so multi-group configurations stay distinguishable from the wire.
     let offered = 6_500_000.0;
     par_map(&[1usize, 2, 4, 8], |&groups| {
-        let cfg = MultiShinjukuConfig {
+        let cfg = ShinjukuConfig {
             time_slice: None,
-            ..MultiShinjukuConfig::split(32, groups)
+            ..ShinjukuConfig::split(32, groups)
         };
-        let out =
-            multi_shinjuku::run_probed(spec(scale, offered, dist), cfg, ProbeConfig::disabled());
+        let out = shinjuku::run_probed(spec(scale, offered, dist), cfg, ProbeConfig::disabled());
         MultiDispatchRow {
             groups,
-            workers_per_group: cfg.workers_per_group,
+            workers_per_group: cfg.workers,
             achieved_rps: out.metrics.achieved_rps,
             imbalance: out.imbalance,
             overhead: cfg.dispatch_overhead_fraction(),

@@ -17,7 +17,6 @@
 use nicsched::PolicySpec;
 use sim_core::{ProbeConfig, SimDuration};
 use systems::baseline::{BaselineConfig, BaselineKind};
-use systems::multi_shinjuku::MultiShinjukuConfig;
 use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
@@ -101,9 +100,9 @@ fn capable(policy: PolicySpec) -> Vec<SystemConfig> {
             policy,
             ..ShinjukuConfig::paper(4)
         }),
-        SystemConfig::MultiShinjuku(MultiShinjukuConfig {
+        SystemConfig::Shinjuku(ShinjukuConfig {
             policy,
-            ..MultiShinjukuConfig::split(10, 2)
+            ..ShinjukuConfig::split(10, 2)
         }),
     ]
 }

@@ -16,7 +16,6 @@
 
 use sim_core::{ProbeConfig, SimDuration, SimTime};
 use systems::baseline::{BaselineConfig, BaselineKind};
-use systems::multi_shinjuku::MultiShinjukuConfig;
 use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
@@ -117,9 +116,9 @@ fn systems_under_test_with(
             kind: BaselineKind::Rss,
         }),
         SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
-        SystemConfig::MultiShinjuku(MultiShinjukuConfig {
+        SystemConfig::Shinjuku(ShinjukuConfig {
             policy,
-            ..MultiShinjukuConfig::split(10, 2)
+            ..ShinjukuConfig::split(10, 2)
         }),
     ]
 }

@@ -9,7 +9,6 @@
 use experiments::sweep::{par_map, set_jobs};
 use experiments::Scale;
 use systems::baseline::{BaselineConfig, BaselineKind};
-use systems::multi_shinjuku::MultiShinjukuConfig;
 use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
@@ -25,7 +24,7 @@ fn assemblies() -> Vec<SystemConfig> {
             kind: BaselineKind::Rss,
         }),
         SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
-        SystemConfig::MultiShinjuku(MultiShinjukuConfig::split(10, 2)),
+        SystemConfig::Shinjuku(ShinjukuConfig::split(10, 2)),
     ]
 }
 

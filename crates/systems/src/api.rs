@@ -24,7 +24,6 @@ use workload::{RunMetrics, WorkloadSpec};
 
 use crate::baseline::BaselineConfig;
 use crate::common::ResilienceConfig;
-use crate::multi_shinjuku::MultiShinjukuConfig;
 use crate::offload::OffloadConfig;
 use crate::rpcvalet::RpcValetConfig;
 use crate::shinjuku::ShinjukuConfig;
@@ -52,7 +51,8 @@ pub trait ServerSystem {
     /// Each assembly honours the subset of `res` that is architecturally
     /// meaningful for it (e.g. baselines have no central dispatcher, so
     /// admission and staleness fallback are no-ops there); fault and
-    /// retry settings apply everywhere.
+    /// retry settings apply everywhere. A Shinjuku scale-out applies
+    /// admission, fallback and recovery in every dispatcher group.
     ///
     /// [`run`]: ServerSystem::run
     fn run_resilient(
@@ -80,7 +80,11 @@ impl ServerSystem for OffloadConfig {
 
 impl ServerSystem for ShinjukuConfig {
     fn name(&self) -> &'static str {
-        "shinjuku"
+        if self.groups == 1 {
+            "shinjuku"
+        } else {
+            "multi-shinjuku"
+        }
     }
 
     fn run_resilient(
@@ -89,7 +93,7 @@ impl ServerSystem for ShinjukuConfig {
         probe: ProbeConfig,
         res: ResilienceConfig,
     ) -> RunMetrics {
-        crate::shinjuku::run_resilient_probed(spec, *self, probe, res)
+        crate::shinjuku::run_resilient_probed(spec, *self, probe, res).metrics
     }
 }
 
@@ -128,21 +132,6 @@ impl ServerSystem for RpcValetConfig {
     }
 }
 
-impl ServerSystem for MultiShinjukuConfig {
-    fn name(&self) -> &'static str {
-        "multi-shinjuku"
-    }
-
-    fn run_resilient(
-        &self,
-        spec: WorkloadSpec,
-        probe: ProbeConfig,
-        res: ResilienceConfig,
-    ) -> RunMetrics {
-        crate::multi_shinjuku::run_resilient_probed(spec, *self, probe, res).metrics
-    }
-}
-
 /// Every assembly in the repository, behind one name.
 ///
 /// Lets experiment drivers hold heterogeneous systems in a single
@@ -151,25 +140,25 @@ impl ServerSystem for MultiShinjukuConfig {
 pub enum SystemConfig {
     /// Shinjuku-Offload: the paper's NIC-resident scheduler.
     Offload(OffloadConfig),
-    /// Vanilla host Shinjuku.
+    /// Host Shinjuku, with one dispatcher group or several.
     Shinjuku(ShinjukuConfig),
     /// A run-to-completion baseline (RSS / stealing / Flow Director /
     /// Elastic RSS).
     Baseline(BaselineConfig),
     /// RPCValet-style NI-integrated hardware queue.
     RpcValet(RpcValetConfig),
-    /// Multi-dispatcher Shinjuku scale-out.
-    MultiShinjuku(MultiShinjukuConfig),
+    /// The same assembly as [`SystemConfig::Shinjuku`]; kept so code that
+    /// names the scale-out this way (the benchmark among it) still builds.
+    MultiShinjuku(ShinjukuConfig),
 }
 
 impl ServerSystem for SystemConfig {
     fn name(&self) -> &'static str {
         match self {
             SystemConfig::Offload(c) => c.name(),
-            SystemConfig::Shinjuku(c) => c.name(),
+            SystemConfig::Shinjuku(c) | SystemConfig::MultiShinjuku(c) => c.name(),
             SystemConfig::Baseline(c) => c.name(),
             SystemConfig::RpcValet(c) => c.name(),
-            SystemConfig::MultiShinjuku(c) => c.name(),
         }
     }
 
@@ -181,10 +170,11 @@ impl ServerSystem for SystemConfig {
     ) -> RunMetrics {
         match self {
             SystemConfig::Offload(c) => c.run_resilient(spec, probe, res),
-            SystemConfig::Shinjuku(c) => c.run_resilient(spec, probe, res),
+            SystemConfig::Shinjuku(c) | SystemConfig::MultiShinjuku(c) => {
+                c.run_resilient(spec, probe, res)
+            }
             SystemConfig::Baseline(c) => c.run_resilient(spec, probe, res),
             SystemConfig::RpcValet(c) => c.run_resilient(spec, probe, res),
-            SystemConfig::MultiShinjuku(c) => c.run_resilient(spec, probe, res),
         }
     }
 }
@@ -217,9 +207,9 @@ mod tests {
                 kind: BaselineKind::Rss,
             }),
             SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
-            SystemConfig::MultiShinjuku(MultiShinjukuConfig {
+            SystemConfig::Shinjuku(ShinjukuConfig {
                 groups: 2,
-                workers_per_group: 2,
+                workers: 2,
                 time_slice: None,
                 policy: PolicySpec::FCFS,
             }),

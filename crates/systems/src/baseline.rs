@@ -18,13 +18,13 @@
 use bytes::Bytes;
 use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
 use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
-use nic_model::{FlowDirector, FlowKey, IfaceId, Link, NicDevice, QueueSteering, Rss};
+use nic_model::{FlowDirector, FlowKey, IfaceId, NicDevice, QueueSteering, Rss};
 use nicsched::params;
 use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, scale_duration, AddressPlan, Client, ResilienceConfig, TimeoutOutcome,
+    assemble_metrics, scale_duration, AddressPlan, Client, ResilienceConfig, TimeoutOutcome, Wire,
     FAULT_SEED_SALT,
 };
 
@@ -83,8 +83,7 @@ struct Baseline {
     cfg: BaselineConfig,
     client: Client,
     horizon: SimTime,
-    client_link: Link,
-    server_link: Link,
+    wire: Wire,
     nic: NicDevice,
     iface: IfaceId,
     workers: Vec<Worker>,
@@ -102,8 +101,6 @@ struct Baseline {
     /// Elastic RSS: time-weighted active-core count.
     active_tw: sim_core::stats::TimeWeighted,
 
-    req_lost: u64,
-    resp_lost: u64,
     stranded: u64,
 }
 
@@ -114,14 +111,7 @@ impl Baseline {
         if let Some(policy) = res.retry {
             client.enable_retries(policy);
         }
-        let (client_link, server_link) = if res.faults.wire_loss > 0.0 {
-            (
-                Link::ten_gbe().with_loss(res.faults.wire_loss, master.fork()),
-                Link::ten_gbe().with_loss(res.faults.wire_loss, master.fork()),
-            )
-        } else {
-            (Link::ten_gbe(), Link::ten_gbe())
-        };
+        let wire = Wire::new(&res, &mut master);
 
         let steering = match cfg.kind {
             BaselineKind::Rss | BaselineKind::RssStealing | BaselineKind::ElasticRss => {
@@ -163,8 +153,7 @@ impl Baseline {
             cfg,
             horizon: spec.horizon(),
             client,
-            client_link,
-            server_link,
+            wire,
             nic,
             iface,
             workers,
@@ -176,46 +165,7 @@ impl Baseline {
             active: cfg.workers,
             last_busy: vec![SimDuration::ZERO; cfg.workers],
             active_tw: sim_core::stats::TimeWeighted::new(t0, cfg.workers as f64),
-            req_lost: 0,
-            resp_lost: 0,
             stranded: 0,
-        }
-    }
-
-    /// Transmit a client→NIC frame over the (possibly lossy) request wire.
-    fn send_request(&mut self, spec: &FrameSpec, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        let now = ctx.now();
-        if ctx.faults().burst_frame_lost(now) {
-            self.req_lost += 1;
-            ctx.probe().count("wire.req_lost");
-            return;
-        }
-        match self.client_link.transmit_lossy(now, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::WireToNic(bytes)),
-            None => {
-                self.req_lost += 1;
-                ctx.probe().count("wire.req_lost");
-            }
-        }
-    }
-
-    /// Transmit a server→client response starting at `depart`.
-    fn send_response(&mut self, spec: &FrameSpec, depart: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        if ctx.faults().burst_frame_lost(depart) {
-            self.resp_lost += 1;
-            ctx.probe().count("wire.resp_lost");
-            return;
-        }
-        match self.server_link.transmit_lossy(depart, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
-            None => {
-                self.resp_lost += 1;
-                ctx.probe().count("wire.resp_lost");
-            }
         }
     }
 
@@ -359,7 +309,9 @@ impl Baseline {
         };
         let built = ctx.now() + params::WORKER_TX_COST;
         let depart = built + self.nic.dma_latency;
-        self.send_response(&resp, depart, ctx);
+        if let Some((at, bytes)) = self.wire.response(&resp, depart, ctx) {
+            ctx.schedule_at(at, Ev::ClientResp(bytes));
+        }
         self.ctx_pool.discard(msg.req_id);
         let worker = &mut self.workers[w];
         worker.busy = false;
@@ -386,7 +338,9 @@ impl Model for Baseline {
                 let req_id = spec.msg.req_id;
                 ctx.probe().count("client.sent");
                 ctx.probe().mark(req_id, "path.0_client_send");
-                self.send_request(&spec, ctx);
+                if let Some((at, bytes)) = self.wire.request(&spec, ctx) {
+                    ctx.schedule_at(at, Ev::WireToNic(bytes));
+                }
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
@@ -441,7 +395,9 @@ impl Model for Baseline {
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
                     ctx.probe().count("client.retries");
-                    self.send_request(&frame, ctx);
+                    if let Some((at, bytes)) = self.wire.request(&frame, ctx) {
+                        ctx.schedule_at(at, Ev::WireToNic(bytes));
+                    }
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
             }
@@ -519,8 +475,8 @@ fn run_inner(
     let ring_dropped = model.nic.total_drops();
     let mut metrics = assemble_metrics(&model.client, ring_dropped, 0, util);
     let fm = &mut metrics.faults;
-    fm.req_link_lost = model.req_lost;
-    fm.resp_link_lost = model.resp_lost;
+    fm.req_link_lost = model.wire.req_lost;
+    fm.resp_link_lost = model.wire.resp_lost;
     fm.ring_dropped = ring_dropped;
     fm.stranded = model.stranded;
     metrics.dropped = ring_dropped + fm.link_lost();
@@ -591,7 +547,8 @@ mod tests {
             spec,
             crate::shinjuku::ShinjukuConfig::paper(4),
             ProbeConfig::disabled(),
-        );
+        )
+        .metrics;
         assert!(
             rss.p99 > shinjuku.p99 * 2,
             "rss p99 {} should dwarf shinjuku p99 {}",

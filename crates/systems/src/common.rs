@@ -1,16 +1,18 @@
 //! Plumbing shared by every system assembly: addressing conventions, the
 //! open-loop client (with its reliability layer), the resilience
-//! configuration every assembly accepts, the stale-feedback governor, and
-//! metric assembly.
+//! configuration every assembly accepts, the stale-feedback governor, the
+//! lossy client↔server wire, and metric assembly.
 
 use std::collections::BTreeSet;
 
+use bytes::Bytes;
 use net_wire::{Endpoint, EthernetAddress, FrameSpec, Ipv4Address, MsgRepr, ParsedFrame};
+use nic_model::Link;
 use nicsched::{
     AdmissionPolicy, CoreFeedback, CoreSelector, Dispatcher, FeedbackChannel, SchedPolicy,
 };
 use sim_core::faults::FaultConfig;
-use sim_core::{IdTable, InvariantChecker, InvariantConfig, Rng, SimDuration, SimTime};
+use sim_core::{Ctx, IdTable, InvariantChecker, InvariantConfig, Rng, SimDuration, SimTime};
 use workload::{
     ArrivalGen, ArrivalProcess, FaultMetrics, LatencyRecorder, ReqClass, RetryPolicy, RunMetrics,
     WorkloadSpec,
@@ -263,6 +265,88 @@ impl FeedbackGovernor {
                 .map(|s| now.saturating_duration_since(s).as_nanos())
                 .unwrap_or(0)
     }
+}
+
+/// The client↔server Ethernet every assembly shares: a 10 GbE link each
+/// way, lossy at the fault plan's i.i.d. rate, plus the plan's burst loss.
+/// It counts what it drops; each caller schedules its own arrival event.
+#[derive(Debug)]
+pub struct Wire {
+    to_server: Link,
+    to_client: Link,
+    /// Request frames lost on the client→server wire (i.i.d. + burst).
+    pub req_lost: u64,
+    /// Response/NACK frames lost on the server→client wire.
+    pub resp_lost: u64,
+}
+
+impl Wire {
+    /// Both links, forking one loss stream per direction from `master`
+    /// (request side first) only when `res` sets a wire loss rate.
+    pub fn new(res: &ResilienceConfig, master: &mut Rng) -> Wire {
+        let loss = res.faults.wire_loss;
+        let link = |master: &mut Rng| {
+            if loss > 0.0 {
+                Link::ten_gbe().with_loss(loss, master.fork())
+            } else {
+                Link::ten_gbe()
+            }
+        };
+        Wire {
+            to_server: link(master),
+            to_client: link(master),
+            req_lost: 0,
+            resp_lost: 0,
+        }
+    }
+
+    /// Transmit a client→server frame now: its arrival time and bytes, or
+    /// `None` if the wire lost it.
+    pub fn request<E>(
+        &mut self,
+        spec: &FrameSpec,
+        ctx: &mut Ctx<'_, E>,
+    ) -> Option<(SimTime, Bytes)> {
+        let now = ctx.now();
+        let sent = transmit(&mut self.to_server, spec, now, ctx);
+        if sent.is_none() {
+            self.req_lost += 1;
+            ctx.probe().count("wire.req_lost");
+        }
+        sent
+    }
+
+    /// Transmit a server→client frame (response or NACK) leaving at
+    /// `depart`: its arrival time and bytes, or `None` if the wire lost it.
+    pub fn response<E>(
+        &mut self,
+        spec: &FrameSpec,
+        depart: SimTime,
+        ctx: &mut Ctx<'_, E>,
+    ) -> Option<(SimTime, Bytes)> {
+        let sent = transmit(&mut self.to_client, spec, depart, ctx);
+        if sent.is_none() {
+            self.resp_lost += 1;
+            ctx.probe().count("wire.resp_lost");
+        }
+        sent
+    }
+}
+
+/// Build the frame, then apply burst loss, then the link's own loss.
+fn transmit<E>(
+    link: &mut Link,
+    spec: &FrameSpec,
+    at: SimTime,
+    ctx: &mut Ctx<'_, E>,
+) -> Option<(SimTime, Bytes)> {
+    let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
+    let bytes = spec.build();
+    if ctx.faults().burst_frame_lost(at) {
+        return None;
+    }
+    link.transmit_lossy(at, payload_len)
+        .map(|arrive| (arrive, bytes))
 }
 
 /// Deterministic MAC/IP addressing plan for a simulated testbed.

@@ -31,7 +31,7 @@ use cpu_model::{
     CROSS_SOCKET_PENALTY,
 };
 use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
-use nic_model::{packet_lines, Ddio, IfaceId, Link, NicDevice, Placement, QueueSteering};
+use nic_model::{packet_lines, Ddio, IfaceId, NicDevice, Placement, QueueSteering};
 use nicsched::{
     params, AdmitOutcome, Assignment, CoreSelector, Dispatcher, LeastOutstanding, NicProfile,
     PolicySpec, PreemptDecision, RecoveryPolicy, SchedPolicy, SocketAffinity, Task,
@@ -41,7 +41,7 @@ use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
     assemble_metrics, scale_duration, AddressPlan, Client, FeedbackGovernor, ResilienceConfig,
-    TimeoutOutcome, FAULT_SEED_SALT,
+    TimeoutOutcome, Wire, FAULT_SEED_SALT,
 };
 
 /// Configuration of a Shinjuku-Offload instance.
@@ -204,8 +204,7 @@ struct Offload {
     cfg: OffloadConfig,
     client: Client,
     horizon: SimTime,
-    client_link: Link,
-    server_link: Link,
+    wire: Wire,
     nic: NicDevice,
     disp_iface: IfaceId,
     worker_iface: Vec<IfaceId>,
@@ -234,10 +233,6 @@ struct Offload {
     /// NIC-side failure-detection policy, when recovery is enabled. The
     /// dispatcher owns the tracker; this copy drives the heartbeat cadence.
     recovery: Option<RecoveryPolicy>,
-    /// Request frames lost on the client→NIC wire (i.i.d. + burst).
-    req_lost: u64,
-    /// Response/NACK frames lost on the server→client wire.
-    resp_lost: u64,
     /// Work that died with a crashed worker (running or in its ring).
     stranded: u64,
     /// Early NACK frames sent for shed requests.
@@ -258,19 +253,12 @@ impl Offload {
             client.enable_retries(policy);
         }
         // The resilience plan's loss rate overrides the per-config knob.
-        let wire_loss = if res.faults.wire_loss > 0.0 {
-            res.faults.wire_loss
+        let faults = if res.faults.wire_loss > 0.0 {
+            res.faults
         } else {
-            cfg.wire_loss
+            res.faults.with_wire_loss(cfg.wire_loss)
         };
-        let (client_link, server_link) = if wire_loss > 0.0 {
-            (
-                Link::ten_gbe().with_loss(wire_loss, master.fork()),
-                Link::ten_gbe().with_loss(wire_loss, master.fork()),
-            )
-        } else {
-            (Link::ten_gbe(), Link::ten_gbe())
-        };
+        let wire = Wire::new(&ResilienceConfig { faults, ..res }, &mut master);
 
         let mut nic = NicDevice::new(params::PCIE_DMA);
         let disp_iface = nic.add_iface(
@@ -330,8 +318,7 @@ impl Offload {
             cfg,
             horizon: spec.horizon(),
             client,
-            client_link,
-            server_link,
+            wire,
             nic,
             disp_iface,
             worker_iface,
@@ -353,50 +340,8 @@ impl Offload {
             preemptions: 0,
             governor,
             recovery: res.recovery,
-            req_lost: 0,
-            resp_lost: 0,
             stranded: 0,
             nacks: 0,
-        }
-    }
-
-    // ---- lossy wire helpers ---------------------------------------------
-
-    /// Transmit a client→NIC frame over the lossy request wire.
-    fn send_request(&mut self, spec: &FrameSpec, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        let now = ctx.now();
-        if ctx.faults().burst_frame_lost(now) {
-            self.req_lost += 1;
-            ctx.probe().count("wire.req_lost");
-            return;
-        }
-        match self.client_link.transmit_lossy(ctx.now(), payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::WireToNic(bytes)),
-            None => {
-                self.req_lost += 1;
-                ctx.probe().count("wire.req_lost");
-            }
-        }
-    }
-
-    /// Transmit a server→client frame (response or NACK) over the lossy
-    /// response wire, starting at `depart`.
-    fn send_response(&mut self, spec: &FrameSpec, depart: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        if ctx.faults().burst_frame_lost(depart) {
-            self.resp_lost += 1;
-            ctx.probe().count("wire.resp_lost");
-            return;
-        }
-        match self.server_link.transmit_lossy(depart, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
-            None => {
-                self.resp_lost += 1;
-                ctx.probe().count("wire.resp_lost");
-            }
         }
     }
 
@@ -635,7 +580,9 @@ impl Offload {
                 },
             };
             let depart = resp_built + self.nic.dma_latency;
-            self.send_response(&resp, depart, ctx);
+            if let Some((at, bytes)) = self.wire.response(&resp, depart, ctx) {
+                ctx.schedule_at(at, Ev::ClientResp(bytes));
+            }
 
             let notif_built = resp_built + params::WORKER_TX_COST;
             let done = self.notif_spec(
@@ -739,7 +686,9 @@ impl Model for Offload {
                 let req_id = spec.msg.req_id;
                 ctx.probe().count("client.sent");
                 ctx.probe().mark(req_id, "path.0_client_send");
-                self.send_request(&spec, ctx);
+                if let Some((at, bytes)) = self.wire.request(&spec, ctx) {
+                    ctx.schedule_at(at, Ev::WireToNic(bytes));
+                }
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
@@ -830,7 +779,11 @@ impl Model for Offload {
                                         },
                                     };
                                     let depart = now + self.nic.dma_latency;
-                                    self.send_response(&spec, depart, ctx);
+                                    if let Some((at, bytes)) =
+                                        self.wire.response(&spec, depart, ctx)
+                                    {
+                                        ctx.schedule_at(at, Ev::ClientResp(bytes));
+                                    }
                                 }
                                 Vec::new()
                             }
@@ -991,7 +944,9 @@ impl Model for Offload {
                         } = self.client.on_nack(ctx.now(), req_id)
                         {
                             ctx.probe().count("client.retries");
-                            self.send_request(&frame, ctx);
+                            if let Some((at, bytes)) = self.wire.request(&frame, ctx) {
+                                ctx.schedule_at(at, Ev::WireToNic(bytes));
+                            }
                             ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                         }
                         return;
@@ -1009,7 +964,9 @@ impl Model for Offload {
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
                     ctx.probe().count("client.retries");
-                    self.send_request(&frame, ctx);
+                    if let Some((at, bytes)) = self.wire.request(&frame, ctx) {
+                        ctx.schedule_at(at, Ev::WireToNic(bytes));
+                    }
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
             }
@@ -1118,8 +1075,8 @@ pub fn run_resilient_probed(
     let ring_dropped = model.nic.total_drops();
     let mut metrics = assemble_metrics(&model.client, ring_dropped, model.preemptions, util);
     let fm = &mut metrics.faults;
-    fm.req_link_lost = model.req_lost;
-    fm.resp_link_lost = model.resp_lost;
+    fm.req_link_lost = model.wire.req_lost;
+    fm.resp_link_lost = model.wire.resp_lost;
     fm.ring_dropped = ring_dropped;
     fm.stranded = model.stranded;
     fm.shed = model.dispatcher.stats.shed;

@@ -19,13 +19,12 @@
 use bytes::Bytes;
 use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
 use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
-use nic_model::Link;
 use nicsched::{params, Dispatcher, Fcfs, LeastOutstanding, RecoveryPolicy, Task};
 use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, scale_duration, AddressPlan, Client, ResilienceConfig, TimeoutOutcome,
+    assemble_metrics, scale_duration, AddressPlan, Client, ResilienceConfig, TimeoutOutcome, Wire,
     FAULT_SEED_SALT,
 };
 
@@ -74,8 +73,7 @@ struct Worker {
 struct RpcValet {
     client: Client,
     horizon: SimTime,
-    client_link: Link,
-    server_link: Link,
+    wire: Wire,
     dispatcher: Dispatcher<Fcfs, LeastOutstanding>,
     workers: Vec<Worker>,
     ctx_pool: ContextPool,
@@ -84,8 +82,6 @@ struct RpcValet {
 
     /// NIC-side failure-detection policy, when recovery is enabled.
     recovery: Option<RecoveryPolicy>,
-    req_lost: u64,
-    resp_lost: u64,
     stranded: u64,
 }
 
@@ -96,14 +92,7 @@ impl RpcValet {
         if let Some(policy) = res.retry {
             client.enable_retries(policy);
         }
-        let (client_link, server_link) = if res.faults.wire_loss > 0.0 {
-            (
-                Link::ten_gbe().with_loss(res.faults.wire_loss, master.fork()),
-                Link::ten_gbe().with_loss(res.faults.wire_loss, master.fork()),
-            )
-        } else {
-            (Link::ten_gbe(), Link::ten_gbe())
-        };
+        let wire = Wire::new(&res, &mut master);
         let t0 = SimTime::ZERO;
         // One request in flight per core: RPCValet's N=1 design point,
         // which its paper shows is optimal for its hardware queue.
@@ -115,8 +104,7 @@ impl RpcValet {
             dispatcher,
             horizon: spec.horizon(),
             client,
-            client_link,
-            server_link,
+            wire,
             workers: (0..cfg.workers)
                 .map(|w| Worker {
                     core: Core::new(CoreId(w as u32), CoreSpec::host_x86(), t0),
@@ -128,46 +116,7 @@ impl RpcValet {
             ctx_costs: ContextCosts::default(),
             host: CoreSpec::host_x86(),
             recovery: res.recovery,
-            req_lost: 0,
-            resp_lost: 0,
             stranded: 0,
-        }
-    }
-
-    /// Transmit a client→NI frame over the (possibly lossy) request wire.
-    fn send_request(&mut self, spec: &FrameSpec, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        let now = ctx.now();
-        if ctx.faults().burst_frame_lost(now) {
-            self.req_lost += 1;
-            ctx.probe().count("wire.req_lost");
-            return;
-        }
-        match self.client_link.transmit_lossy(now, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::NiArrive(bytes)),
-            None => {
-                self.req_lost += 1;
-                ctx.probe().count("wire.req_lost");
-            }
-        }
-    }
-
-    /// Transmit an NI→client response starting at `depart`.
-    fn send_response(&mut self, spec: &FrameSpec, depart: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        if ctx.faults().burst_frame_lost(depart) {
-            self.resp_lost += 1;
-            ctx.probe().count("wire.resp_lost");
-            return;
-        }
-        match self.server_link.transmit_lossy(depart, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
-            None => {
-                self.resp_lost += 1;
-                ctx.probe().count("wire.resp_lost");
-            }
         }
     }
 
@@ -207,7 +156,9 @@ impl Model for RpcValet {
                 ctx.probe().count("client.sent");
                 ctx.probe().mark(spec.msg.req_id, "path.0_client_send");
                 let req_id = spec.msg.req_id;
-                self.send_request(&spec, ctx);
+                if let Some((at, bytes)) = self.wire.request(&spec, ctx) {
+                    ctx.schedule_at(at, Ev::NiArrive(bytes));
+                }
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
@@ -322,7 +273,9 @@ impl Model for RpcValet {
                     },
                 };
                 // Integrated NI: the response departs without a PCIe hop.
-                self.send_response(&resp, resp_built, ctx);
+                if let Some((at, bytes)) = self.wire.response(&resp, resp_built, ctx) {
+                    ctx.schedule_at(at, Ev::ClientResp(bytes));
+                }
                 self.ctx_pool.discard(task.req_id);
                 let worker = &mut self.workers[w];
                 worker.core.requests_run += 1;
@@ -348,7 +301,9 @@ impl Model for RpcValet {
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
                     ctx.probe().count("client.retries");
-                    self.send_request(&frame, ctx);
+                    if let Some((at, bytes)) = self.wire.request(&frame, ctx) {
+                        ctx.schedule_at(at, Ev::NiArrive(bytes));
+                    }
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
             }
@@ -419,8 +374,8 @@ pub fn run_resilient_probed(
         / model.workers.len() as f64;
     let mut metrics = assemble_metrics(&model.client, 0, 0, util);
     let fm = &mut metrics.faults;
-    fm.req_link_lost = model.req_lost;
-    fm.resp_link_lost = model.resp_lost;
+    fm.req_link_lost = model.wire.req_lost;
+    fm.resp_link_lost = model.wire.resp_lost;
     fm.stranded = model.stranded;
     if let Some(h) = model.dispatcher.health() {
         fm.recovered = model.dispatcher.stats.recovered;
@@ -467,12 +422,12 @@ mod tests {
         let shinjuku = crate::shinjuku::run_probed(
             spec,
             crate::shinjuku::ShinjukuConfig {
-                workers: 16,
                 time_slice: None,
-                policy: nicsched::PolicySpec::FCFS,
+                ..crate::shinjuku::ShinjukuConfig::paper(16)
             },
             ProbeConfig::disabled(),
-        );
+        )
+        .metrics;
         assert!(
             valet.achieved_rps > shinjuku.achieved_rps * 1.4,
             "hardware queue {:.1}M vs software dispatcher {:.1}M",

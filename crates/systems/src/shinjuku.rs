@@ -1,5 +1,6 @@
-//! Vanilla Shinjuku: centralized preemptive scheduling on the host
-//! (Kaffes et al., NSDI '19 — the baseline the paper compares against).
+//! Shinjuku: centralized preemptive scheduling on the host (Kaffes et al.,
+//! NSDI '19 — the baseline the paper compares against), and its §2.2(3)
+//! scale-out to several dispatchers.
 //!
 //! The networking subsystem and the dispatcher run as two hyperthreads on
 //! one physical host core (§4.1), so a server with `n` cores gets `n - 1`
@@ -12,13 +13,25 @@
 //! re-enqueue at the tail — are byte-identical to the offloaded system:
 //! both embed [`nicsched::Dispatcher`]. Only placement and transport
 //! differ, which is the paper's point.
+//!
+//! "The dispatcher can only scale to 5M requests … so multiple dispatchers
+//! need to be instantiated. RSS can be used to route packets from the NIC
+//! to different dispatchers, but this can again result in load imbalance.
+//! Moreover, one physical core is dedicated to each dispatcher … 1/12 =
+//! 8.33% of execution resources is wasted" (§2.2). With `groups > 1` the
+//! server is partitioned into that many independent Shinjuku instances:
+//! the NIC RSS-hashes flows across the groups' networker queues, and each
+//! group has its own networker+dispatcher core pair, its own staleness
+//! governor and a private slice of the workers. Requests cannot cross
+//! groups — exactly the imbalance-vs-scalability trade the paper
+//! describes. One group is vanilla Shinjuku.
 
 use std::collections::VecDeque;
 
 use bytes::Bytes;
 use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec, OneShotTimer, TimerMode};
 use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
-use nic_model::{IfaceId, Link, NicDevice, QueueSteering};
+use nic_model::{IfaceId, NicDevice, QueueSteering, Rss};
 use nicsched::{
     params, AdmitOutcome, Assignment, Dispatcher, LeastOutstanding, PolicySpec, RecoveryPolicy,
     SchedPolicy, Task,
@@ -28,35 +41,60 @@ use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
     assemble_metrics, scale_duration, AddressPlan, Client, FeedbackGovernor, ResilienceConfig,
-    TimeoutOutcome, FAULT_SEED_SALT,
+    TimeoutOutcome, Wire, FAULT_SEED_SALT,
 };
 
-/// Configuration of a vanilla Shinjuku instance.
+/// Configuration of a Shinjuku server with one or more dispatcher groups.
 #[derive(Debug, Clone, Copy)]
 pub struct ShinjukuConfig {
-    /// Worker cores (the networker+dispatcher pair occupies one more
-    /// physical core, which is why the paper's figures give Shinjuku one
-    /// fewer worker than Shinjuku-Offload).
+    /// Independent networker+dispatcher groups: 1 is vanilla Shinjuku,
+    /// more is the §2.2(3) scale-out with RSS spreading flows across them.
+    pub groups: usize,
+    /// Worker cores per group (each group's networker+dispatcher pair
+    /// occupies one more physical core, which is why the paper's figures
+    /// give Shinjuku one fewer worker than Shinjuku-Offload).
     pub workers: usize,
     /// Preemption time slice; `None` disables preemption.
     pub time_slice: Option<SimDuration>,
-    /// Centralized queue policy (FCFS in the original system); a registry
-    /// spec such as `PolicySpec::parse("srpt")`.
+    /// Queue policy within each group (FCFS in the original system); a
+    /// registry spec such as `PolicySpec::parse("srpt")`.
     pub policy: PolicySpec,
 }
 
 impl ShinjukuConfig {
-    /// The paper's §4 configuration with the 10 µs slice.
+    /// The paper's §4 configuration: one group, the 10 µs slice.
     pub fn paper(workers: usize) -> ShinjukuConfig {
         ShinjukuConfig {
+            groups: 1,
             workers,
             time_slice: Some(params::TIME_SLICE),
             policy: PolicySpec::FCFS,
         }
     }
+
+    /// Split `total_cores` into `groups` dispatchers plus equal worker
+    /// slices (mirrors the paper's accounting: one physical core per
+    /// dispatcher pair).
+    pub fn split(total_cores: usize, groups: usize) -> ShinjukuConfig {
+        assert!(
+            groups >= 1 && total_cores > groups,
+            "need cores left for workers"
+        );
+        ShinjukuConfig {
+            groups,
+            ..ShinjukuConfig::paper((total_cores - groups) / groups)
+        }
+    }
+
+    /// Fraction of the machine spent on dispatching rather than work —
+    /// the §2.2 "8.33% wasted" figure for 1 dispatcher per 11 workers.
+    pub fn dispatch_overhead_fraction(&self) -> f64 {
+        self.groups as f64 / (self.groups * (1 + self.workers)) as f64
+    }
 }
 
-/// Items crossing into the dispatcher thread.
+/// Items crossing into a group's dispatcher thread. Worker indices are
+/// local to the group.
 #[derive(Debug, Clone, Copy)]
 enum DispItem {
     NewTask(Task),
@@ -77,16 +115,18 @@ enum DispItem {
     },
 }
 
+/// Events; `(group, worker)` pairs index a group and a worker within it.
 enum Ev {
     ClientSend,
     WireToNic(Bytes),
-    NetworkerDone,
-    DispPush(DispItem),
-    DispDone,
+    NetworkerDone(usize),
+    DispPush(usize, DispItem),
+    DispDone(usize),
     /// A task becomes visible in a worker's shared-memory inbox.
-    WorkerTask(usize, Task),
-    WorkerPoll(usize),
+    WorkerTask(usize, usize, Task),
+    WorkerPoll(usize, usize),
     WorkerRunEnd {
+        group: usize,
         worker: usize,
         gen: u64,
     },
@@ -96,8 +136,8 @@ enum Ev {
         req_id: u64,
         attempt: u32,
     },
-    /// A worker's periodic liveness heartbeat to the dispatcher governor.
-    Heartbeat(usize),
+    /// A worker's periodic liveness heartbeat to its group's dispatcher.
+    Heartbeat(usize, usize),
 }
 
 struct Worker {
@@ -107,31 +147,34 @@ struct Worker {
     running: Option<(Task, SimDuration)>,
 }
 
+/// One networker+dispatcher pair and the workers it owns.
+struct Group {
+    networker_busy: bool,
+    disp_queue: VecDeque<DispItem>,
+    disp_busy: bool,
+    dispatcher: Dispatcher<Box<dyn SchedPolicy>, LeastOutstanding>,
+    governor: Option<FeedbackGovernor>,
+    workers: Vec<Worker>,
+    /// Requests admitted by this group (imbalance statistics).
+    admitted: u64,
+}
+
 struct Shinjuku {
     cfg: ShinjukuConfig,
     client: Client,
     horizon: SimTime,
-    client_link: Link,
-    server_link: Link,
+    wire: Wire,
     nic: NicDevice,
     net_iface: IfaceId,
-
-    networker_busy: bool,
-    disp_queue: VecDeque<DispItem>,
-    disp_busy: bool,
-
-    dispatcher: Dispatcher<Box<dyn SchedPolicy>, LeastOutstanding>,
-    workers: Vec<Worker>,
+    groups: Vec<Group>,
     ctx_pool: ContextPool,
     ctx_costs: ContextCosts,
     host: CoreSpec,
     preemptions: u64,
 
-    governor: Option<FeedbackGovernor>,
-    /// NIC-side failure-detection policy, when recovery is enabled.
+    /// NIC-side failure-detection policy, when recovery is enabled. Each
+    /// group's dispatcher runs its own tracker over its own workers.
     recovery: Option<RecoveryPolicy>,
-    req_lost: u64,
-    resp_lost: u64,
     stranded: u64,
     nacks: u64,
 }
@@ -143,113 +186,83 @@ impl Shinjuku {
         if let Some(policy) = res.retry {
             client.enable_retries(policy);
         }
-        let (client_link, server_link) = if res.faults.wire_loss > 0.0 {
-            (
-                Link::ten_gbe().with_loss(res.faults.wire_loss, master.fork()),
-                Link::ten_gbe().with_loss(res.faults.wire_loss, master.fork()),
-            )
-        } else {
-            (Link::ten_gbe(), Link::ten_gbe())
-        };
+        let wire = Wire::new(&res, &mut master);
 
         let mut nic = NicDevice::new(params::PCIE_DMA);
-        let net_iface = nic.add_iface(
-            AddressPlan::dispatcher_mac(),
-            1,
-            1024,
-            QueueSteering::Single,
-        );
+        // One RX queue per group; several are fed by RSS (§2.2). A single
+        // queue skips RSS, whose Toeplitz hash would pick queue 0 anyway.
+        let steering = if cfg.groups == 1 {
+            QueueSteering::Single
+        } else {
+            QueueSteering::Rss(Rss::new(cfg.groups as u32))
+        };
+        let net_iface = nic.add_iface(AddressPlan::dispatcher_mac(), cfg.groups, 1024, steering);
 
         let t0 = SimTime::ZERO;
-        let workers = (0..cfg.workers)
-            .map(|w| Worker {
-                core: Core::new(CoreId(w as u32), CoreSpec::host_x86(), t0),
-                timer: OneShotTimer::new(),
-                inbox: VecDeque::new(),
-                running: None,
+        let groups = (0..cfg.groups)
+            .map(|g| {
+                // Shinjuku keeps exactly one request in flight per worker:
+                // the dispatcher assigns to *idle* workers only (§2.1).
+                let mut dispatcher =
+                    Dispatcher::new(cfg.workers, 1, cfg.policy.build(), LeastOutstanding);
+                dispatcher.set_admission(res.admission);
+                if let Some(policy) = res.recovery {
+                    dispatcher.enable_recovery(policy);
+                }
+                Group {
+                    networker_busy: false,
+                    disp_queue: VecDeque::new(),
+                    disp_busy: false,
+                    dispatcher,
+                    governor: res
+                        .fallback
+                        .map(|p| FeedbackGovernor::new(cfg.workers, params::HOST_QUEUE_HOP, p)),
+                    workers: (0..cfg.workers)
+                        .map(|w| Worker {
+                            core: Core::new(
+                                CoreId((g * cfg.workers + w) as u32),
+                                CoreSpec::host_x86(),
+                                t0,
+                            ),
+                            timer: OneShotTimer::new(),
+                            inbox: VecDeque::new(),
+                            running: None,
+                        })
+                        .collect(),
+                    admitted: 0,
+                }
             })
             .collect();
 
-        // Shinjuku keeps exactly one request in flight per worker: the
-        // dispatcher assigns to *idle* workers only (§2.1).
-        let mut dispatcher = Dispatcher::new(cfg.workers, 1, cfg.policy.build(), LeastOutstanding);
-        dispatcher.set_admission(res.admission);
-        if let Some(policy) = res.recovery {
-            dispatcher.enable_recovery(policy);
-        }
-        let governor = res
-            .fallback
-            .map(|p| FeedbackGovernor::new(cfg.workers, params::HOST_QUEUE_HOP, p));
-
         Shinjuku {
-            dispatcher,
             cfg,
             horizon: spec.horizon(),
             client,
-            client_link,
-            server_link,
+            wire,
             nic,
             net_iface,
-            networker_busy: false,
-            disp_queue: VecDeque::new(),
-            disp_busy: false,
-            workers,
+            groups,
             ctx_pool: ContextPool::new(),
             ctx_costs: ContextCosts::default(),
             host: CoreSpec::host_x86(),
             preemptions: 0,
-            governor,
             recovery: res.recovery,
-            req_lost: 0,
-            resp_lost: 0,
             stranded: 0,
             nacks: 0,
         }
     }
 
-    /// Transmit a client→NIC frame over the (possibly lossy) request wire.
-    fn send_request(&mut self, spec: &FrameSpec, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        let now = ctx.now();
-        if ctx.faults().burst_frame_lost(now) {
-            self.req_lost += 1;
-            ctx.probe().count("wire.req_lost");
-            return;
-        }
-        match self.client_link.transmit_lossy(now, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::WireToNic(bytes)),
-            None => {
-                self.req_lost += 1;
-                ctx.probe().count("wire.req_lost");
-            }
-        }
+    /// Machine-wide index of group `g`'s worker `w` (fault plans, core ids
+    /// and endpoints number workers across groups).
+    fn global(&self, g: usize, w: usize) -> usize {
+        g * self.cfg.workers + w
     }
 
-    /// Transmit a server→client frame (response or NACK) starting at
-    /// `depart`.
-    fn send_response(&mut self, spec: &FrameSpec, depart: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-        let bytes = spec.build();
-        if ctx.faults().burst_frame_lost(depart) {
-            self.resp_lost += 1;
-            ctx.probe().count("wire.resp_lost");
-            return;
-        }
-        match self.server_link.transmit_lossy(depart, payload_len) {
-            Some(arrive) => ctx.schedule_at(arrive, Ev::ClientResp(bytes)),
-            None => {
-                self.resp_lost += 1;
-                ctx.probe().count("wire.resp_lost");
-            }
-        }
-    }
-
-    fn start_networker(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        if !self.networker_busy && !self.nic.iface(self.net_iface).rx[0].is_empty() {
-            self.networker_busy = true;
-            ctx.probe().busy("networker", true);
-            ctx.schedule_in(params::HOST_NET_PER_PACKET, Ev::NetworkerDone);
+    fn start_networker(&mut self, g: usize, ctx: &mut Ctx<'_, Ev>) {
+        if !self.groups[g].networker_busy && !self.nic.iface(self.net_iface).rx[g].is_empty() {
+            self.groups[g].networker_busy = true;
+            ctx.probe().busy_i("networker", g, true);
+            ctx.schedule_in(params::HOST_NET_PER_PACKET, Ev::NetworkerDone(g));
         }
     }
 
@@ -264,47 +277,102 @@ impl Shinjuku {
         }
     }
 
-    fn start_dispatcher(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        if !self.disp_busy {
-            if let Some(item) = self.disp_queue.front() {
-                self.disp_busy = true;
+    fn start_dispatcher(&mut self, g: usize, ctx: &mut Ctx<'_, Ev>) {
+        let group = &mut self.groups[g];
+        if !group.disp_busy {
+            if let Some(item) = group.disp_queue.front() {
+                group.disp_busy = true;
                 let cost = Self::disp_item_cost(item);
-                ctx.probe().busy("dispatcher", true);
-                ctx.schedule_in(cost, Ev::DispDone);
+                ctx.probe().busy_i("dispatcher", g, true);
+                ctx.schedule_in(cost, Ev::DispDone(g));
             }
         }
     }
 
-    /// Put `assignments` at the head of the dispatcher's inbox, in order,
-    /// and hand the emptied buffer back to the dispatcher.
-    fn queue_emits(&mut self, mut assignments: Vec<Assignment>) {
-        for a in assignments.drain(..).rev() {
-            self.disp_queue.push_front(DispItem::Emit(a));
+    /// Run one dispatcher item of group `g`, returning the assignments it
+    /// decided.
+    fn dispatch(&mut self, g: usize, item: DispItem, ctx: &mut Ctx<'_, Ev>) -> Vec<Assignment> {
+        let now = ctx.now();
+        match item {
+            DispItem::NewTask(task) => match self.groups[g].dispatcher.offer(now, task) {
+                AdmitOutcome::Admitted(assignments) => {
+                    self.groups[g].admitted += 1;
+                    ctx.probe().count("disp.enqueue");
+                    ctx.probe().mark(task.req_id, "path.2_dispatch");
+                    assignments
+                }
+                AdmitOutcome::Shed { nack } => {
+                    ctx.probe().count("disp.shed");
+                    if nack {
+                        self.nacks += 1;
+                        ctx.probe().count("disp.nack");
+                        let spec = FrameSpec {
+                            src_mac: AddressPlan::dispatcher_mac(),
+                            dst_mac: AddressPlan::client_mac(),
+                            src: AddressPlan::dispatcher_ep(),
+                            dst: AddressPlan::client_ep(),
+                            msg: MsgRepr {
+                                kind: MsgKind::Nack,
+                                req_id: task.req_id,
+                                client_id: task.client_id,
+                                service_ns: 0,
+                                remaining_ns: 0,
+                                sent_at_ns: task.sent_at.as_nanos(),
+                                body_len: 0,
+                                grant_code: 0,
+                            },
+                        };
+                        let depart = now + self.nic.dma_latency;
+                        if let Some((at, bytes)) = self.wire.response(&spec, depart, ctx) {
+                            ctx.schedule_at(at, Ev::ClientResp(bytes));
+                        }
+                    }
+                    Vec::new()
+                }
+            },
+            DispItem::Done { worker, req_id } => {
+                ctx.probe().count("disp.done");
+                self.groups[g].dispatcher.on_done(now, worker, req_id)
+            }
+            DispItem::Preempted { worker, task } => {
+                ctx.probe().count("disp.preempt_requeue");
+                ctx.probe().mark(task.req_id, "path.2_dispatch");
+                self.groups[g].dispatcher.on_preempted(now, worker, task)
+            }
+            DispItem::Emit(a) => {
+                ctx.probe().count("disp.assign");
+                ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::WorkerTask(g, a.worker, a.task));
+                Vec::new()
+            }
+            DispItem::Heartbeat { worker } => {
+                ctx.probe().count("disp.heartbeat");
+                self.groups[g].dispatcher.on_heartbeat(now, worker)
+            }
         }
-        self.dispatcher.recycle(assignments);
     }
 
-    fn worker_poll(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
-        if self.workers[w].running.is_some() {
+    fn worker_poll(&mut self, g: usize, w: usize, ctx: &mut Ctx<'_, Ev>) {
+        if self.groups[g].workers[w].running.is_some() {
             return;
         }
+        let global = self.global(g, w);
         let now = ctx.now();
-        if ctx.faults().worker_crashed(w, now) {
+        if ctx.faults().worker_crashed(global, now) {
             return; // dead cores never poll again
         }
-        if let Some(resume) = ctx.faults().worker_stalled_until(w, now) {
-            ctx.schedule_at(resume, Ev::WorkerPoll(w));
+        if let Some(resume) = ctx.faults().worker_stalled_until(global, now) {
+            ctx.schedule_at(resume, Ev::WorkerPoll(g, w));
             return;
         }
-        let Some(task) = self.workers[w].inbox.pop_front() else {
-            self.workers[w].core.set_idle(ctx.now());
-            ctx.probe().busy_i("worker", w, false);
+        let Some(task) = self.groups[g].workers[w].inbox.pop_front() else {
+            self.groups[g].workers[w].core.set_idle(now);
+            ctx.probe().busy_i("worker", global, false);
             return;
         };
+        let depth = self.groups[g].workers[w].inbox.len();
         ctx.probe().mark(task.req_id, "path.3_worker_start");
-        ctx.probe().busy_i("worker", w, true);
-        ctx.probe()
-            .depth_i("worker.inbox", w, self.workers[w].inbox.len());
+        ctx.probe().busy_i("worker", global, true);
+        ctx.probe().depth_i("worker.inbox", global, depth);
         let ctx_op = self.ctx_pool.begin(task.req_id);
         let mut overhead = ContextPool::op_cost(ctx_op, &self.ctx_costs, &self.host);
         // The policy's per-dispatch grant (carried on the task — the
@@ -321,34 +389,41 @@ impl Shinjuku {
         };
         // A slowdown window stretches wall time; `run` stays in work
         // units so the finish/preempt decision at run end is unchanged.
-        let slow = {
-            let now = ctx.now();
-            ctx.faults().worker_slowdown(w, now)
-        };
+        let slow = ctx.faults().worker_slowdown(global, now);
         let wall = if slow > 1.0 {
             scale_duration(overhead + run, slow)
         } else {
             overhead + run
         };
-        let worker = &mut self.workers[w];
-        worker.core.set_busy(ctx.now());
-        let end = ctx.now() + wall;
+        let worker = &mut self.groups[g].workers[w];
+        worker.core.set_busy(now);
+        let end = now + wall;
         let gen = worker.timer.arm(end);
         worker.running = Some((task, run));
-        ctx.schedule_at(end, Ev::WorkerRunEnd { worker: w, gen });
+        ctx.schedule_at(
+            end,
+            Ev::WorkerRunEnd {
+                group: g,
+                worker: w,
+                gen,
+            },
+        );
     }
 
-    fn worker_run_end(&mut self, w: usize, gen: u64, ctx: &mut Ctx<'_, Ev>) {
-        if !self.workers[w].timer.accept(gen) {
+    fn worker_run_end(&mut self, g: usize, w: usize, gen: u64, ctx: &mut Ctx<'_, Ev>) {
+        if !self.groups[g].workers[w].timer.accept(gen) {
             return;
         }
-        let (task, run) = self.workers[w].running.take().expect("running task");
+        let (task, run) = self.groups[g].workers[w]
+            .running
+            .take()
+            .expect("running task");
         let now = ctx.now();
-        if ctx.faults().worker_crashed(w, now) {
-            // The worker died mid-request: no response, no Done.
-            self.ctx_pool.discard(task.req_id);
-            self.stranded += 1;
-            ctx.probe().count("worker.stranded");
+        let global = self.global(g, w);
+        if ctx.faults().worker_crashed(global, now) {
+            // The worker died mid-request: no response, and no Done ever
+            // reaches the dispatcher, so its cap-1 slot stays occupied.
+            self.strand(task, ctx);
             return;
         }
         if task.remaining <= run {
@@ -360,7 +435,7 @@ impl Shinjuku {
             let resp = FrameSpec {
                 src_mac: AddressPlan::dispatcher_mac(),
                 dst_mac: AddressPlan::client_mac(),
-                src: AddressPlan::worker_ep(w),
+                src: AddressPlan::worker_ep(global),
                 dst: AddressPlan::client_ep(),
                 msg: MsgRepr {
                     kind: MsgKind::Response,
@@ -374,51 +449,118 @@ impl Shinjuku {
                 },
             };
             let depart = resp_built + self.nic.dma_latency;
-            self.send_response(&resp, depart, ctx);
-
-            self.ctx_pool.discard(task.req_id);
-            self.workers[w].core.requests_run += 1;
-            ctx.schedule_in(
-                params::HOST_QUEUE_HOP,
-                Ev::DispPush(DispItem::Done {
-                    worker: w,
-                    req_id: task.req_id,
-                }),
-            );
-            ctx.schedule_at(resp_built, Ev::WorkerPoll(w));
-        } else {
-            // Slice expiry: posted interrupt, save, hand back via memory.
-            let after = task.after_preemption(run);
-            if self.ctx_pool.is_saved(after.req_id) {
-                // A retransmitted copy of this request is already suspended:
-                // kill this copy and free the worker slot via Done.
-                ctx.probe().count("worker.dup_killed");
-                let free_at = now + TimerMode::DuneMapped.deliver_cost(&self.host);
-                ctx.schedule_at(
-                    free_at + params::HOST_QUEUE_HOP,
-                    Ev::DispPush(DispItem::Done {
-                        worker: w,
-                        req_id: after.req_id,
-                    }),
-                );
-                ctx.schedule_at(free_at, Ev::WorkerPoll(w));
-                return;
+            if let Some((at, bytes)) = self.wire.response(&resp, depart, ctx) {
+                ctx.schedule_at(at, Ev::ClientResp(bytes));
             }
-            ctx.probe().count("worker.preempted");
+            self.ctx_pool.discard(task.req_id);
+            self.groups[g].workers[w].core.requests_run += 1;
+            let done = DispItem::Done {
+                worker: w,
+                req_id: task.req_id,
+            };
+            ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::DispPush(g, done));
+            ctx.schedule_at(resp_built, Ev::WorkerPoll(g, w));
+            return;
+        }
+        // Slice expiry: posted interrupt, save, hand back via memory.
+        let after = task.after_preemption(run);
+        let (item, free_at) = if self.ctx_pool.is_saved(after.req_id) {
+            // A retransmitted copy of this request is already suspended:
+            // kill this copy and free the worker slot via Done.
+            ctx.probe().count("worker.dup_killed");
+            let done = DispItem::Done {
+                worker: w,
+                req_id: after.req_id,
+            };
+            (done, now + TimerMode::DuneMapped.deliver_cost(&self.host))
+        } else {
             self.preemptions += 1;
-            self.workers[w].core.preemptions += 1;
+            ctx.probe().count("worker.preempted");
             self.ctx_pool.save(after.req_id);
             let free_at = now
                 + TimerMode::DuneMapped.deliver_cost(&self.host)
                 + self.ctx_costs.save(&self.host);
-            ctx.schedule_at(
-                free_at + params::HOST_QUEUE_HOP,
-                Ev::DispPush(DispItem::Preempted {
+            (
+                DispItem::Preempted {
                     worker: w,
                     task: after,
-                }),
-            );
-            ctx.schedule_at(free_at, Ev::WorkerPoll(w));
+                },
+                free_at,
+            )
+        };
+        ctx.schedule_at(free_at + params::HOST_QUEUE_HOP, Ev::DispPush(g, item));
+        ctx.schedule_at(free_at, Ev::WorkerPoll(g, w));
+    }
+
+    /// A task died with its worker: it never runs again here, so any saved
+    /// context goes too (a retransmitted copy must start fresh).
+    fn strand(&mut self, task: Task, ctx: &mut Ctx<'_, Ev>) {
+        self.ctx_pool.discard(task.req_id);
+        self.stranded += 1;
+        ctx.probe().count("worker.stranded");
+    }
+
+    /// A worker's heartbeat tick: feed the group's staleness governor and
+    /// health tracker, and emit whatever work that unparks.
+    fn heartbeat(&mut self, g: usize, w: usize, ctx: &mut Ctx<'_, Ev>) {
+        let now = ctx.now();
+        if now >= self.horizon {
+            return;
+        }
+        let global = self.global(g, w);
+        let silenced = ctx.faults().worker_down(global, now) || ctx.faults().feedback_blackout(now);
+        let group = &mut self.groups[g];
+        let mut assignments = Vec::new();
+        let mut next = None;
+        if let Some(gov) = group.governor.as_mut() {
+            if !silenced {
+                let occupancy = group.dispatcher.outstanding(w);
+                gov.report(now, w, occupancy, group.workers[w].running.is_some());
+            }
+            let was_degraded = gov.is_degraded();
+            gov.evaluate(now, &mut group.dispatcher);
+            if gov.is_degraded() != was_degraded {
+                ctx.probe().count("fallback.switch");
+            }
+            assignments = group.dispatcher.kick(now);
+            next = Some(gov.policy().heartbeat);
+        }
+        if let Some(policy) = self.recovery {
+            // Worker side: lease renewal crosses host shared memory like
+            // any other notification — a silenced worker (crashed,
+            // stalled, or blacked out) cannot renew.
+            if !silenced {
+                let beat = DispItem::Heartbeat { worker: w };
+                ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::DispPush(g, beat));
+            }
+            // Dispatcher side: expire leases and re-dispatch orphans on
+            // the same tick.
+            let recovered = group.dispatcher.check_health(now);
+            if !recovered.is_empty() {
+                ctx.probe().count("recovery.redispatch");
+            }
+            assignments.extend(recovered);
+            next = Some(next.map_or(policy.heartbeat, |n: SimDuration| n.min(policy.heartbeat)));
+        }
+        // Unparked work still pays the dispatcher's per-assignment cost
+        // like any other emission.
+        for a in assignments {
+            ctx.schedule_now(Ev::DispPush(g, DispItem::Emit(a)));
+        }
+        if let Some(interval) = next {
+            ctx.schedule_in(interval, Ev::Heartbeat(g, w));
+        }
+    }
+
+    /// Imbalance across groups: max/mean admitted requests.
+    fn imbalance(&self) -> f64 {
+        let max = self.groups.iter().map(|g| g.admitted).max().unwrap_or(0) as f64;
+        let mean =
+            self.groups.iter().map(|g| g.admitted).sum::<u64>() as f64 / self.groups.len() as f64;
+        if mean == 0.0 {
+            1.0
+        } else {
+            max / mean
         }
     }
 }
@@ -441,7 +583,9 @@ impl Model for Shinjuku {
                 let req_id = spec.msg.req_id;
                 ctx.probe().count("client.sent");
                 ctx.probe().mark(req_id, "path.0_client_send");
-                self.send_request(&spec, ctx);
+                if let Some((at, bytes)) = self.wire.request(&spec, ctx) {
+                    ctx.schedule_at(at, Ev::WireToNic(bytes));
+                }
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
@@ -453,18 +597,20 @@ impl Model for Shinjuku {
                     return;
                 };
                 if let Some(d) = self.nic.steer(&parsed) {
-                    // DMA into host memory, then the networker can see it.
+                    // DMA into host memory, then the group's networker can
+                    // see it.
+                    ctx.probe().count("nic.rx_frames");
                     self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), bytes);
-                    self.start_networker(ctx);
+                    let depth = self.nic.iface(d.iface).rx[d.queue].len();
+                    ctx.probe().depth_i("networker.ring", d.queue, depth);
+                    self.start_networker(d.queue, ctx);
                 }
             }
-            Ev::NetworkerDone => {
-                self.networker_busy = false;
-                ctx.probe().busy("networker", false);
+            Ev::NetworkerDone(g) => {
+                self.groups[g].networker_busy = false;
+                ctx.probe().busy_i("networker", g, false);
                 ctx.probe().count("networker.parsed");
-                if let Some(frame) = self.nic.iface_mut(self.net_iface).rx[0].pop() {
-                    let depth = self.nic.iface(self.net_iface).rx[0].len();
-                    ctx.probe().depth("networker.ring", depth);
+                if let Some(frame) = self.nic.iface_mut(self.net_iface).rx[g].pop() {
                     if let Ok(parsed) = ParsedFrame::parse(&frame.data) {
                         if parsed.msg.kind == MsgKind::Request {
                             let m = parsed.msg;
@@ -479,122 +625,78 @@ impl Model for Shinjuku {
                             );
                             ctx.schedule_in(
                                 params::HOST_QUEUE_HOP,
-                                Ev::DispPush(DispItem::NewTask(task)),
+                                Ev::DispPush(g, DispItem::NewTask(task)),
                             );
                         }
                     }
                 }
-                self.start_networker(ctx);
+                self.start_networker(g, ctx);
             }
-            Ev::DispPush(item) => {
-                self.disp_queue.push_back(item);
-                ctx.probe().depth("dispatcher.inbox", self.disp_queue.len());
-                self.start_dispatcher(ctx);
+            Ev::DispPush(g, item) => {
+                self.groups[g].disp_queue.push_back(item);
+                let depth = self.groups[g].disp_queue.len();
+                ctx.probe().depth_i("dispatcher.inbox", g, depth);
+                self.start_dispatcher(g, ctx);
             }
-            Ev::DispDone => {
-                self.disp_busy = false;
-                ctx.probe().busy("dispatcher", false);
-                if let Some(item) = self.disp_queue.pop_front() {
-                    let now = ctx.now();
-                    match item {
-                        DispItem::NewTask(task) => match self.dispatcher.offer(now, task) {
-                            AdmitOutcome::Admitted(assignments) => {
-                                ctx.probe().count("disp.enqueue");
-                                ctx.probe().mark(task.req_id, "path.2_dispatch");
-                                self.queue_emits(assignments);
-                            }
-                            AdmitOutcome::Shed { nack } => {
-                                ctx.probe().count("disp.shed");
-                                if nack {
-                                    self.nacks += 1;
-                                    let spec = FrameSpec {
-                                        src_mac: AddressPlan::dispatcher_mac(),
-                                        dst_mac: AddressPlan::client_mac(),
-                                        src: AddressPlan::dispatcher_ep(),
-                                        dst: AddressPlan::client_ep(),
-                                        msg: MsgRepr {
-                                            kind: MsgKind::Nack,
-                                            req_id: task.req_id,
-                                            client_id: task.client_id,
-                                            service_ns: 0,
-                                            remaining_ns: 0,
-                                            sent_at_ns: task.sent_at.as_nanos(),
-                                            body_len: 0,
-                                            grant_code: 0,
-                                        },
-                                    };
-                                    let depart = now + self.nic.dma_latency;
-                                    self.send_response(&spec, depart, ctx);
-                                }
-                            }
-                        },
-                        DispItem::Done { worker, req_id } => {
-                            ctx.probe().count("disp.done");
-                            let assignments = self.dispatcher.on_done(now, worker, req_id);
-                            self.queue_emits(assignments);
-                        }
-                        DispItem::Preempted { worker, task } => {
-                            ctx.probe().count("disp.preempt_requeue");
-                            ctx.probe().mark(task.req_id, "path.2_dispatch");
-                            let assignments = self.dispatcher.on_preempted(now, worker, task);
-                            self.queue_emits(assignments);
-                        }
-                        DispItem::Emit(a) => {
-                            ctx.probe().count("disp.assign");
-                            ctx.schedule_in(
-                                params::HOST_QUEUE_HOP,
-                                Ev::WorkerTask(a.worker, a.task),
-                            );
-                        }
-                        DispItem::Heartbeat { worker } => {
-                            ctx.probe().count("disp.heartbeat");
-                            let assignments = self.dispatcher.on_heartbeat(now, worker);
-                            self.queue_emits(assignments);
-                        }
+            Ev::DispDone(g) => {
+                self.groups[g].disp_busy = false;
+                ctx.probe().busy_i("dispatcher", g, false);
+                if let Some(item) = self.groups[g].disp_queue.pop_front() {
+                    let mut assignments = self.dispatch(g, item, ctx);
+                    // Decided assignments go to the head of the inbox, in
+                    // order; the emptied buffer goes back for reuse.
+                    let group = &mut self.groups[g];
+                    for a in assignments.drain(..).rev() {
+                        group.disp_queue.push_front(DispItem::Emit(a));
                     }
-                    ctx.probe()
-                        .depth("dispatcher.central", self.dispatcher.queue_len());
+                    group.dispatcher.recycle(assignments);
+                    let central = group.dispatcher.queue_len();
+                    ctx.probe().depth_i("dispatcher.central", g, central);
                 }
-                self.start_dispatcher(ctx);
+                self.start_dispatcher(g, ctx);
             }
-            Ev::WorkerTask(w, task) => {
+            Ev::WorkerTask(g, w, task) => {
                 let now = ctx.now();
-                if ctx.faults().worker_crashed(w, now) {
+                if ctx.faults().worker_crashed(self.global(g, w), now) {
                     // Delivered to a dead worker's inbox: never executed.
-                    self.stranded += 1;
-                    ctx.probe().count("worker.stranded");
+                    self.strand(task, ctx);
                     return;
                 }
-                self.workers[w].inbox.push_back(task);
+                let worker = &mut self.groups[g].workers[w];
+                worker.inbox.push_back(task);
+                let (depth, idle) = (worker.inbox.len(), worker.running.is_none());
                 ctx.probe()
-                    .depth_i("worker.inbox", w, self.workers[w].inbox.len());
-                if self.workers[w].running.is_none() {
-                    ctx.schedule_now(Ev::WorkerPoll(w));
+                    .depth_i("worker.inbox", self.global(g, w), depth);
+                if idle {
+                    ctx.schedule_now(Ev::WorkerPoll(g, w));
                 }
             }
-            Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
-            Ev::WorkerRunEnd { worker, gen } => self.worker_run_end(worker, gen, ctx),
+            Ev::WorkerPoll(g, w) => self.worker_poll(g, w, ctx),
+            Ev::WorkerRunEnd { group, worker, gen } => self.worker_run_end(group, worker, gen, ctx),
             Ev::ClientResp(bytes) => {
-                if let Ok(parsed) = ParsedFrame::parse(&bytes) {
-                    if parsed.msg.kind == MsgKind::Nack {
-                        ctx.probe().count("client.nacks");
-                        let req_id = parsed.msg.req_id;
-                        if let TimeoutOutcome::Retry {
-                            frame,
-                            attempt,
-                            timeout,
-                        } = self.client.on_nack(ctx.now(), req_id)
-                        {
-                            ctx.probe().count("client.retries");
-                            self.send_request(&frame, ctx);
-                            ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
+                let Ok(parsed) = ParsedFrame::parse(&bytes) else {
+                    return;
+                };
+                if parsed.msg.kind == MsgKind::Nack {
+                    ctx.probe().count("client.nacks");
+                    let req_id = parsed.msg.req_id;
+                    if let TimeoutOutcome::Retry {
+                        frame,
+                        attempt,
+                        timeout,
+                    } = self.client.on_nack(ctx.now(), req_id)
+                    {
+                        ctx.probe().count("client.retries");
+                        if let Some((at, bytes)) = self.wire.request(&frame, ctx) {
+                            ctx.schedule_at(at, Ev::WireToNic(bytes));
                         }
-                        return;
+                        ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                     }
-                    ctx.probe().count("client.responses");
-                    ctx.probe().finish(parsed.msg.req_id, "path.5_response");
-                    self.client.on_response(ctx.now(), &parsed);
+                    return;
                 }
+                ctx.probe().count("client.responses");
+                ctx.probe().finish(parsed.msg.req_id, "path.5_response");
+                self.client.on_response(ctx.now(), &parsed);
             }
             Ev::ClientTimeout { req_id, attempt } => {
                 if let TimeoutOutcome::Retry {
@@ -604,80 +706,42 @@ impl Model for Shinjuku {
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
                     ctx.probe().count("client.retries");
-                    self.send_request(&frame, ctx);
+                    if let Some((at, bytes)) = self.wire.request(&frame, ctx) {
+                        ctx.schedule_at(at, Ev::WireToNic(bytes));
+                    }
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
             }
-            Ev::Heartbeat(w) => {
-                let now = ctx.now();
-                if now >= self.horizon {
-                    return;
-                }
-                let silenced =
-                    ctx.faults().worker_down(w, now) || ctx.faults().feedback_blackout(now);
-                let occupancy = self.dispatcher.outstanding(w);
-                let busy = self.workers[w].running.is_some();
-                let mut assignments = Vec::new();
-                let mut next = None;
-                if let Some(gov) = self.governor.as_mut() {
-                    if !silenced {
-                        gov.report(now, w, occupancy, busy);
-                    }
-                    let was_degraded = gov.is_degraded();
-                    gov.evaluate(now, &mut self.dispatcher);
-                    if gov.is_degraded() != was_degraded {
-                        ctx.probe().count("fallback.switch");
-                    }
-                    assignments = self.dispatcher.kick(now);
-                    next = Some(gov.policy().heartbeat);
-                }
-                if let Some(policy) = self.recovery {
-                    // Worker side: lease renewal crosses host shared memory
-                    // like any other notification — a silenced worker
-                    // (crashed, stalled, or blacked out) cannot renew.
-                    if !silenced {
-                        ctx.schedule_in(
-                            params::HOST_QUEUE_HOP,
-                            Ev::DispPush(DispItem::Heartbeat { worker: w }),
-                        );
-                    }
-                    // Dispatcher side: expire leases and re-dispatch orphans
-                    // on the same tick.
-                    let recovered = self.dispatcher.check_health(now);
-                    if !recovered.is_empty() {
-                        ctx.probe().count("recovery.redispatch");
-                    }
-                    assignments.extend(recovered);
-                    next = Some(
-                        next.map_or(policy.heartbeat, |n: SimDuration| n.min(policy.heartbeat)),
-                    );
-                }
-                // Unparked work still pays the dispatcher's per-assignment
-                // cost like any other emission.
-                for a in assignments {
-                    ctx.schedule_now(Ev::DispPush(DispItem::Emit(a)));
-                }
-                if let Some(interval) = next {
-                    ctx.schedule_in(interval, Ev::Heartbeat(w));
-                }
-            }
+            Ev::Heartbeat(g, w) => self.heartbeat(g, w, ctx),
         }
     }
 }
 
-/// Run a vanilla Shinjuku simulation with stage-level observability.
-pub fn run_probed(spec: WorkloadSpec, cfg: ShinjukuConfig, probe: ProbeConfig) -> RunMetrics {
+/// Outcome of a Shinjuku run: standard metrics plus the group imbalance
+/// ratio (max/mean requests per group; 1.0 = perfectly even).
+#[derive(Debug, Clone)]
+pub struct ShinjukuMetrics {
+    /// Standard run metrics.
+    pub metrics: RunMetrics,
+    /// Max/mean admitted requests across groups.
+    pub imbalance: f64,
+}
+
+/// Run a Shinjuku simulation with stage-level observability (per-group
+/// stages are indexed, e.g. `dispatcher[1]`).
+pub fn run_probed(spec: WorkloadSpec, cfg: ShinjukuConfig, probe: ProbeConfig) -> ShinjukuMetrics {
     run_resilient_probed(spec, cfg, probe, ResilienceConfig::default())
 }
 
-/// Run a vanilla Shinjuku simulation with fault injection, client
-/// retries, admission control, and the stale-feedback governor.
+/// Run a Shinjuku simulation with fault injection, client retries, and
+/// per-group admission control, staleness governor and recovery.
+/// Degraded time, switches and quarantines are summed over the groups.
 pub fn run_resilient_probed(
     spec: WorkloadSpec,
     cfg: ShinjukuConfig,
     probe: ProbeConfig,
     res: ResilienceConfig,
-) -> RunMetrics {
+) -> ShinjukuMetrics {
     let mut engine = Engine::new(Shinjuku::new(spec, cfg, res));
     engine.set_probe(Probe::new(probe));
     engine.set_invariants(crate::common::checker_for(&res));
@@ -685,54 +749,63 @@ pub fn run_resilient_probed(
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
     }
     engine.schedule_at(SimTime::ZERO, Ev::ClientSend);
-    if engine.model().governor.is_some() || engine.model().recovery.is_some() {
-        for w in 0..cfg.workers {
-            engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(w));
+    if res.fallback.is_some() || res.recovery.is_some() {
+        for g in 0..cfg.groups {
+            for w in 0..cfg.workers {
+                engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(g, w));
+            }
         }
     }
     engine.run_until(spec.horizon());
     let horizon = spec.horizon();
     let model = engine.model();
     let util = model
-        .workers
+        .groups
         .iter()
+        .flat_map(|g| &g.workers)
         .map(|w| w.core.utilization(horizon))
         .sum::<f64>()
-        / model.workers.len() as f64;
+        / (cfg.groups * cfg.workers) as f64;
+    let imbalance = model.imbalance();
     let ring_dropped = model.nic.total_drops();
     let mut metrics = assemble_metrics(&model.client, ring_dropped, model.preemptions, util);
     let fm = &mut metrics.faults;
-    fm.req_link_lost = model.req_lost;
-    fm.resp_link_lost = model.resp_lost;
+    fm.req_link_lost = model.wire.req_lost;
+    fm.resp_link_lost = model.wire.resp_lost;
     fm.ring_dropped = ring_dropped;
     fm.stranded = model.stranded;
-    fm.shed = model.dispatcher.stats.shed;
     fm.nacks = model.nacks;
-    if let Some(gov) = &model.governor {
-        fm.fallback_switches = gov.switches;
-        fm.fallback_ns = gov.fallback_ns(horizon);
-        fm.quarantines = gov.quarantines;
-    }
-    if let Some(h) = model.dispatcher.health() {
-        fm.recovered = model.dispatcher.stats.recovered;
-        fm.recovery_duplicates = model.dispatcher.stats.late_duplicates;
-        fm.suspicions = h.stats.suspicions;
-        fm.readmissions = h.stats.readmissions;
+    for group in &model.groups {
+        fm.shed += group.dispatcher.stats.shed;
+        if let Some(gov) = &group.governor {
+            fm.fallback_switches += gov.switches;
+            fm.fallback_ns += gov.fallback_ns(horizon);
+            fm.quarantines += gov.quarantines;
+        }
+        if let Some(h) = group.dispatcher.health() {
+            fm.recovered += group.dispatcher.stats.recovered;
+            fm.recovery_duplicates += group.dispatcher.stats.late_duplicates;
+            fm.suspicions += h.stats.suspicions;
+            fm.readmissions += h.stats.readmissions;
+        }
     }
     metrics.dropped = ring_dropped + fm.link_lost() + fm.shed;
     if probe.enabled {
         metrics.stages = Some(engine.probe_mut().report(horizon));
     }
     crate::common::close_invariants(engine.take_invariants(), horizon, &metrics);
-    metrics
+    ShinjukuMetrics { metrics, imbalance }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workload::ServiceDist;
+    use sim_core::faults::FaultConfig;
+    use workload::{RetryPolicy, ServiceDist};
 
-    fn run(spec: WorkloadSpec, cfg: ShinjukuConfig) -> RunMetrics {
+    use crate::common::StalenessPolicy;
+
+    fn run(spec: WorkloadSpec, cfg: ShinjukuConfig) -> ShinjukuMetrics {
         run_probed(spec, cfg, ProbeConfig::disabled())
     }
 
@@ -747,10 +820,17 @@ mod tests {
         }
     }
 
+    fn unsliced(workers: usize) -> ShinjukuConfig {
+        ShinjukuConfig {
+            time_slice: None,
+            ..ShinjukuConfig::paper(workers)
+        }
+    }
+
     #[test]
     fn light_load_completes_everything() {
         let spec = quick_spec(50_000.0, ServiceDist::Fixed(SimDuration::from_micros(5)));
-        let m = run(spec, ShinjukuConfig::paper(3));
+        let m = run(spec, ShinjukuConfig::paper(3)).metrics;
         assert!(m.completed > 500);
         assert!(!m.saturated(0.05), "{}", m.row());
         assert_eq!(m.dropped, 0);
@@ -761,7 +841,7 @@ mod tests {
         // Without the 2.56us NIC round trips, host Shinjuku's unloaded
         // latency beats Shinjuku-Offload's.
         let spec = quick_spec(5_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
-        let host = run(spec, ShinjukuConfig::paper(2));
+        let host = run(spec, ShinjukuConfig::paper(2)).metrics;
         let offload = crate::offload::run_probed(
             spec,
             crate::offload::OffloadConfig::paper(2, 2),
@@ -779,14 +859,7 @@ mod tests {
     fn saturates_at_worker_capacity() {
         // 3 workers at 5us => 600k rps ceiling.
         let spec = quick_spec(900_000.0, ServiceDist::Fixed(SimDuration::from_micros(5)));
-        let m = run(
-            spec,
-            ShinjukuConfig {
-                workers: 3,
-                time_slice: None,
-                ..ShinjukuConfig::paper(3)
-            },
-        );
+        let m = run(spec, unsliced(3)).metrics;
         assert!(m.saturated(0.05), "{}", m.row());
         assert!(m.achieved_rps < 650_000.0, "achieved {:.0}", m.achieved_rps);
         // With one request in flight per worker, each completion costs a
@@ -804,14 +877,7 @@ mod tests {
         // 15 workers of 1us work could do 15M, but the dispatcher's 200ns
         // per request caps the system near 5M (§1) — the Figure 6 story.
         let spec = quick_spec(8_000_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
-        let m = run(
-            spec,
-            ShinjukuConfig {
-                workers: 15,
-                time_slice: None,
-                ..ShinjukuConfig::paper(15)
-            },
-        );
+        let m = run(spec, unsliced(15)).metrics;
         assert!(
             m.achieved_rps < 5_500_000.0,
             "achieved {:.0}",
@@ -825,17 +891,25 @@ mod tests {
     }
 
     #[test]
+    fn more_dispatchers_break_the_single_dispatcher_cap() {
+        // 1us requests, far beyond one dispatcher's ~4-5M/s: with four
+        // dispatcher groups the aggregate scales well past it.
+        let spec = quick_spec(9_000_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
+        let one = run(spec, ShinjukuConfig::split(32, 1)).metrics;
+        let four = run(spec, ShinjukuConfig::split(32, 4)).metrics;
+        assert!(
+            four.achieved_rps > one.achieved_rps * 1.3,
+            "4 dispatchers ({:.1}M) should outscale 1 ({:.1}M)",
+            four.achieved_rps / 1e6,
+            one.achieved_rps / 1e6
+        );
+    }
+
+    #[test]
     fn preemption_bounds_bimodal_tail() {
         let spec = quick_spec(400_000.0, ServiceDist::paper_bimodal());
-        let with = run(spec, ShinjukuConfig::paper(4));
-        let without = run(
-            spec,
-            ShinjukuConfig {
-                workers: 4,
-                time_slice: None,
-                ..ShinjukuConfig::paper(4)
-            },
-        );
+        let with = run(spec, ShinjukuConfig::paper(4)).metrics;
+        let without = run(spec, unsliced(4)).metrics;
         assert!(with.preemptions > 0);
         assert!(
             with.p99 < without.p99,
@@ -846,29 +920,126 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_runs() {
-        let spec = quick_spec(200_000.0, ServiceDist::paper_bimodal());
-        let a = run(spec, ShinjukuConfig::paper(3));
-        let b = run(spec, ShinjukuConfig::paper(3));
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.p99, b.p99);
+    fn rss_across_groups_creates_imbalance() {
+        let spec = quick_spec(500_000.0, ServiceDist::Fixed(SimDuration::from_micros(5)));
+        assert_eq!(run(spec, ShinjukuConfig::paper(3)).imbalance, 1.0);
+        let m = run(spec, ShinjukuConfig::split(16, 4));
+        assert!(
+            m.imbalance > 1.0,
+            "RSS group shares are never perfectly even"
+        );
+        assert!(
+            m.imbalance < 2.0,
+            "but not catastrophic at uniform flows: {}",
+            m.imbalance
+        );
+    }
+
+    #[test]
+    fn dispatch_overhead_fraction_matches_paper_accounting() {
+        // §2.2: 1 dispatcher + 11 workers -> 1/12 = 8.33% wasted, and 4
+        // groups of 11 still waste 8.33% of the machine.
+        for groups in [1, 4] {
+            let cfg = ShinjukuConfig::split(12 * groups, groups);
+            assert_eq!(cfg.workers, 11);
+            assert!((cfg.dispatch_overhead_fraction() - 1.0 / 12.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cores left for workers")]
+    fn split_needs_worker_cores() {
+        let _ = ShinjukuConfig::split(4, 4);
+    }
+
+    #[test]
+    fn deterministic() {
+        let spec = quick_spec(400_000.0, ServiceDist::paper_bimodal());
+        for cfg in [ShinjukuConfig::paper(3), ShinjukuConfig::split(16, 2)] {
+            let a = run(spec, cfg);
+            let b = run(spec, cfg);
+            assert_eq!(a.metrics, b.metrics, "{} groups", cfg.groups);
+            assert_eq!(a.imbalance, b.imbalance);
+        }
     }
 
     #[test]
     fn loss_and_crash_accounts_for_every_request() {
-        let spec = quick_spec(200_000.0, ServiceDist::Fixed(SimDuration::from_micros(5)));
-        let res = crate::common::ResilienceConfig::loss_and_crash(1, SimTime::from_millis(10));
-        let m = run_resilient_probed(spec, ShinjukuConfig::paper(4), ProbeConfig::disabled(), res);
+        let fixed = quick_spec(200_000.0, ServiceDist::Fixed(SimDuration::from_micros(5)));
+        let bimodal = quick_spec(400_000.0, ServiceDist::paper_bimodal());
+        // On the scale-out, crash the second group's first worker.
+        for (spec, cfg, crashed) in [
+            (fixed, ShinjukuConfig::paper(4), 1),
+            (bimodal, ShinjukuConfig::split(16, 2), 7),
+        ] {
+            let res = ResilienceConfig::loss_and_crash(crashed, SimTime::from_millis(10));
+            let m = run_resilient_probed(spec, cfg, ProbeConfig::disabled(), res).metrics;
+            let f = &m.faults;
+            assert_eq!(f.unaccounted(), 0, "request ledger must close: {f:?}");
+            assert!(f.in_pipe() >= 0, "attempt ledger went negative: {f:?}");
+            assert!(f.in_pipe() < 200, "attempt residue too large: {f:?}");
+            assert!(f.retries > 0, "1% loss must trigger retries");
+            assert!(f.stranded >= 1, "crash stranded nothing: {f:?}");
+            assert!(f.quarantines >= 1, "crashed worker must be quarantined");
+            assert!(m.completed > 1000, "completed {}", m.completed);
+            // Deterministic under faults.
+            let again = run_resilient_probed(spec, cfg, ProbeConfig::disabled(), res).metrics;
+            assert_eq!(m, again, "{} groups", cfg.groups);
+        }
+    }
+
+    #[test]
+    fn scale_out_honours_the_staleness_fallback() {
+        let spec = quick_spec(300_000.0, ServiceDist::paper_bimodal());
+        let res = ResilienceConfig {
+            faults: FaultConfig::default()
+                .with_blackout(SimTime::from_millis(8), SimTime::from_millis(14)),
+            retry: Some(RetryPolicy::paper_default()),
+            fallback: Some(StalenessPolicy::paper_default()),
+            ..ResilienceConfig::default()
+        };
+        let m = run_resilient_probed(
+            spec,
+            ShinjukuConfig::split(10, 2),
+            ProbeConfig::disabled(),
+            res,
+        )
+        .metrics;
         let f = &m.faults;
-        assert_eq!(f.unaccounted(), 0, "request ledger must close: {f:?}");
-        assert!(f.in_pipe() >= 0, "attempt ledger went negative: {f:?}");
-        assert!(f.in_pipe() < 200, "attempt residue too large: {f:?}");
-        assert!(f.retries > 0, "1% loss must trigger retries");
-        assert!(f.quarantines >= 1, "crashed worker must be quarantined");
-        assert!(m.completed > 1000, "completed {}", m.completed);
-        // Deterministic under faults.
-        let m2 = run_resilient_probed(spec, ShinjukuConfig::paper(4), ProbeConfig::disabled(), res);
-        assert_eq!(m.faults, m2.faults);
-        assert_eq!(m.p99, m2.p99);
+        assert!(f.fallback_ns > 0, "blackout never degraded a group: {f:?}");
+        assert!(
+            f.quarantines > 0,
+            "blackout never quarantined a worker: {f:?}"
+        );
+        assert_eq!(f.unaccounted(), 0, "{f:?}");
+    }
+
+    #[test]
+    fn a_task_stranded_on_a_crashed_worker_drops_its_saved_context() {
+        // Worker 0 is dead from the start. A preempted request whose
+        // context is saved gets delivered to it: the context must go, or a
+        // retransmitted copy would be charged a restore (and killed as a
+        // duplicate if preempted).
+        let spec = quick_spec(100_000.0, ServiceDist::paper_bimodal());
+        let res = ResilienceConfig {
+            faults: FaultConfig::default().with_crash(0, SimTime::ZERO),
+            ..ResilienceConfig::default()
+        };
+        let mut engine = Engine::new(Shinjuku::new(spec, ShinjukuConfig::paper(2), res));
+        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
+        let req_id = 7;
+        engine.model_mut().ctx_pool.save(req_id);
+        let task = Task::new(
+            req_id,
+            1,
+            SimDuration::from_micros(100),
+            SimTime::ZERO,
+            SimTime::ZERO,
+            64,
+        );
+        engine.schedule_at(SimTime::from_micros(1), Ev::WorkerTask(0, 0, task));
+        engine.run_until(SimTime::from_micros(2));
+        assert_eq!(engine.model().stranded, 1);
+        assert!(!engine.model().ctx_pool.is_saved(req_id));
     }
 }

@@ -17,7 +17,6 @@ use std::alloc::System;
 use sim_core::{ProbeConfig, SimDuration};
 use stats_alloc::{Region, StatsAlloc, INSTRUMENTED_SYSTEM};
 use systems::baseline::{BaselineConfig, BaselineKind};
-use systems::multi_shinjuku::MultiShinjukuConfig;
 use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
@@ -55,7 +54,7 @@ fn assemblies() -> [SystemConfig; 5] {
             kind: BaselineKind::Rss,
         }),
         SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
-        SystemConfig::MultiShinjuku(MultiShinjukuConfig::split(10, 2)),
+        SystemConfig::Shinjuku(ShinjukuConfig::split(10, 2)),
     ]
 }
 

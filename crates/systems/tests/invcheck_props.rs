@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 use sim_core::{FaultConfig, ProbeConfig, SimDuration};
 use systems::baseline::{BaselineConfig, BaselineKind};
-use systems::multi_shinjuku::MultiShinjukuConfig;
 use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
@@ -35,7 +34,7 @@ fn all_assemblies() -> Vec<SystemConfig> {
             kind: BaselineKind::Rss,
         }),
         SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
-        SystemConfig::MultiShinjuku(MultiShinjukuConfig::split(8, 2)),
+        SystemConfig::Shinjuku(ShinjukuConfig::split(8, 2)),
     ]
 }
 

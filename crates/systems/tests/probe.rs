@@ -10,7 +10,6 @@
 use nicsched::PolicySpec;
 use sim_core::{ProbeConfig, SimDuration};
 use systems::baseline::{BaselineConfig, BaselineKind};
-use systems::multi_shinjuku::MultiShinjukuConfig;
 use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
@@ -68,9 +67,9 @@ fn disabled_probe_is_bit_identical_to_the_free_functions() {
             kind: BaselineKind::Rss,
         }),
         SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
-        SystemConfig::MultiShinjuku(MultiShinjukuConfig {
+        SystemConfig::Shinjuku(ShinjukuConfig {
             groups: 2,
-            workers_per_group: 2,
+            workers: 2,
             time_slice: None,
             policy: PolicySpec::FCFS,
         }),
@@ -80,12 +79,11 @@ fn disabled_probe_is_bit_identical_to_the_free_functions() {
 
         let direct = match sys {
             SystemConfig::Offload(c) => systems::offload::run_probed(spec, c, probe),
-            SystemConfig::Shinjuku(c) => systems::shinjuku::run_probed(spec, c, probe),
+            SystemConfig::Shinjuku(c) | SystemConfig::MultiShinjuku(c) => {
+                systems::shinjuku::run_probed(spec, c, probe).metrics
+            }
             SystemConfig::Baseline(c) => systems::baseline::run_probed(spec, c, probe),
             SystemConfig::RpcValet(c) => systems::rpcvalet::run_probed(spec, c, probe),
-            SystemConfig::MultiShinjuku(c) => {
-                systems::multi_shinjuku::run_probed(spec, c, probe).metrics
-            }
         };
         assert_eq!(
             disabled,
