@@ -1,10 +1,9 @@
-//! Forward determinism-taint analysis, intraprocedural with same-file
-//! call summaries.
+//! Forward determinism-taint facts, per function.
 //!
-//! The v2 token pass flags *mentions* of nondeterminism (`HashMap` in a
+//! The token pass flags *mentions* of nondeterminism (`HashMap` in a
 //! type, `Instant::now()` in model code). This pass flags *flows*: a
 //! nondeterministic value produced at a source reaching an
-//! ordering-sensitive sink within one function body. Sources:
+//! ordering-sensitive sink. Sources:
 //!
 //! * iteration over an unordered container (`HashMap`/`HashSet` locals,
 //!   fields, or parameters — `.iter()`, `.keys()`, `.drain()`, or a
@@ -14,11 +13,11 @@
 //! * float-keyed comparisons (`partial_cmp`, `total_cmp`) — NaN-order
 //!   hazards in keys,
 //! * unseeded RNG (`thread_rng`, `from_entropy`, `OsRng`,
-//!   `rand::random`).
+//!   `rand::random`),
+//! * the return value of a call, tainted iff the callee's summary is.
 //!
-//! Taint propagates through `let` bindings, assignments, `for`/`if let`
-//! patterns, and same-file function returns (summaries iterated to a
-//! small fixpoint). Sinks:
+//! Taint propagates through `let` bindings, assignments, and `for`/`if
+//! let` patterns. Sinks:
 //!
 //! * comparator-driven ordering (`sort_by*`, `binary_search_by*`),
 //! * event-queue scheduling (`schedule`, `schedule_at`, `schedule_in`,
@@ -27,6 +26,10 @@
 //!   key construction, `push` on a heap/queue/events receiver),
 //! * probe/CSV emission (`record`/`emit`/`observe` methods, `writeln!`
 //!   and friends).
+//!
+//! Nothing here looks at other functions: calls are recorded unresolved,
+//! and [`crate::interproc`] resolves them against the workspace call
+//! graph to decide which sinks fire.
 //!
 //! This is a lint, not a verifier: it is flow-insensitive within a
 //! statement, field-insensitive beyond name matching, and its precision
@@ -37,15 +40,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::items::FileItems;
 use crate::lexer::{TokKind, Token};
-
-/// One taint flow: a source reaching a sink.
-#[derive(Debug, Clone)]
-pub struct TaintFinding {
-    /// 1-based line of the sink statement.
-    pub line: usize,
-    /// Human-readable source → sink description.
-    pub message: String,
-}
 
 const UNORDERED_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet", "IndexMap"];
 const ORDERED_TYPES: &[&str] = &["BTreeMap", "BTreeSet", "BinaryHeap", "VecDeque"];
@@ -75,166 +69,19 @@ const EMIT_SINKS: &[&str] = &["record", "emit", "observe", "probe"];
 const EMIT_MACROS: &[&str] = &["writeln", "write", "println", "print", "eprintln", "format"];
 const RNG_SOURCES: &[&str] = &["thread_rng", "from_entropy", "OsRng"];
 
-/// Analyze every function body in the file; return taint flows.
-/// `extra_sched` extends [`SCHED_SINKS`] with crate-declared scheduling
-/// entry points (`sched_sinks` manifest metadata) — a crate that grows
-/// its own queue lanes names them there and they become sinks here.
-pub fn analyze_taint(
-    toks: &[Token],
-    items: &FileItems,
-    extra_sched: &[String],
-) -> Vec<TaintFinding> {
-    // Struct fields seed container shape knowledge file-wide.
-    let mut field_unordered: BTreeSet<String> = BTreeSet::new();
-    let mut field_ordered: BTreeSet<String> = BTreeSet::new();
-    for st in &items.structs {
-        for f in &st.fields {
-            if f.type_idents
-                .iter()
-                .any(|t| UNORDERED_TYPES.contains(&t.as_str()))
-            {
-                field_unordered.insert(f.name.clone());
-            }
-            if f.type_idents
-                .iter()
-                .any(|t| ORDERED_TYPES.contains(&t.as_str()))
-            {
-                field_ordered.insert(f.name.clone());
-            }
-        }
-    }
+/// Primitive type names: they show up in annotations (`let v: Vec<u64>`)
+/// and must not become phantom bindings.
+const PRIMITIVES: &[&str] = &[
+    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
+    "f64", "bool", "char", "str", "dyn",
+];
 
-    // Same-file call summaries: fn name → origin label of its tainted
-    // return, iterated to a small fixpoint so helper chains resolve.
-    let mut summaries: BTreeMap<String, String> = BTreeMap::new();
-    for _round in 0..4 {
-        let mut changed = false;
-        for f in &items.fns {
-            if summaries.contains_key(&f.name) {
-                continue;
-            }
-            let (_, ret) = scan_fn(
-                toks,
-                f.body,
-                &field_unordered,
-                &field_ordered,
-                &summaries,
-                extra_sched,
-            );
-            if let Some(origin) = ret {
-                summaries.insert(f.name.clone(), origin);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut seen: BTreeSet<(usize, String)> = BTreeSet::new();
-    for f in &items.fns {
-        let (findings, _) = scan_fn(
-            toks,
-            f.body,
-            &field_unordered,
-            &field_ordered,
-            &summaries,
-            extra_sched,
-        );
-        for tf in findings {
-            if seen.insert((tf.line, tf.message.clone())) {
-                out.push(tf);
-            }
-        }
-    }
-    out.sort_by_key(|f| f.line);
-    out
-}
-
-/// Scan one function body: returns (sink findings, tainted-return origin).
-fn scan_fn(
-    toks: &[Token],
-    body: (usize, usize),
-    field_unordered: &BTreeSet<String>,
-    field_ordered: &BTreeSet<String>,
-    summaries: &BTreeMap<String, String>,
-    extra_sched: &[String],
-) -> (Vec<TaintFinding>, Option<String>) {
-    let stmts = split_statements(toks, body.0, body.1);
-    let mut tainted: BTreeMap<String, String> = BTreeMap::new();
-    let mut unordered: BTreeSet<String> = field_unordered.clone();
-    let mut ordered: BTreeSet<String> = field_ordered.clone();
-    let mut findings = Vec::new();
-    let mut ret_origin: Option<String> = None;
-
-    // Two forward passes: loop bodies can use bindings that are only
-    // re-tainted on a later statement of the same body.
-    for pass in 0..2 {
-        let emit = pass == 1;
-        for &(s, e) in &stmts {
-            let stmt = &toks[s..e];
-            if stmt.is_empty() {
-                continue;
-            }
-            let origin = stmt_taint(stmt, &tainted, &unordered, summaries);
-
-            // Propagation: bind lhs names when the statement binds.
-            if let Some((lhs, rhs_at)) = binding_split(stmt) {
-                let rhs = &stmt[rhs_at..];
-                let rhs_origin = stmt_taint(rhs, &tainted, &unordered, summaries);
-                // Shape flows through type annotations too (`let m2:
-                // &HashMap<..> = m;`), so scan the whole statement.
-                let rhs_unordered = stmt.iter().any(|t| {
-                    t.kind
-                        .ident()
-                        .is_some_and(|s| UNORDERED_TYPES.contains(&s) || unordered.contains(s))
-                });
-                let rhs_ordered = stmt.iter().any(|t| {
-                    t.kind
-                        .ident()
-                        .is_some_and(|s| ORDERED_TYPES.contains(&s) || ordered.contains(s))
-                });
-                for name in lhs {
-                    if let Some(o) = &rhs_origin {
-                        tainted.insert(name.clone(), o.clone());
-                    }
-                    if rhs_unordered && rhs_origin.is_none() {
-                        // Alias of a container, not yet an iterated value.
-                        unordered.insert(name.clone());
-                    }
-                    if rhs_ordered {
-                        ordered.insert(name.clone());
-                    }
-                }
-            }
-
-            if !emit {
-                continue;
-            }
-            let Some(origin) = origin else {
-                continue;
-            };
-            let line = stmt[0].line;
-            for sink in stmt_sinks(stmt, &ordered, extra_sched) {
-                findings.push(TaintFinding {
-                    line,
-                    message: format!("{origin} flows into {sink}"),
-                });
-            }
-            if stmt.iter().any(|t| t.kind.ident() == Some("return")) {
-                ret_origin.get_or_insert(origin.clone());
-            }
-        }
-        // Tail expression: the last fragment taints the return value.
-        if let Some(&(s, e)) = stmts.last() {
-            if let Some(o) = stmt_taint(&toks[s..e], &tainted, &unordered, summaries) {
-                ret_origin.get_or_insert(o);
-            }
-        }
-    }
-    (findings, ret_origin)
-}
+/// Keywords that can precede `(` syntactically but never name a call.
+const NOT_CALLABLE: &[&str] = &[
+    "if", "while", "for", "match", "loop", "return", "in", "as", "move", "let", "fn", "else",
+    "unsafe", "await", "ref", "mut", "impl", "dyn", "where", "use", "pub", "mod", "const",
+    "static", "enum", "struct", "trait", "type", "self",
+];
 
 /// Split a body token range into statement fragments at `;`, `{`, `}`
 /// (any depth — blocks become their own fragment sequence).
@@ -340,28 +187,7 @@ fn pattern_names(pat: &[Token]) -> Vec<String> {
             if matches!(s, "mut" | "ref" | "let" | "if" | "while" | "self" | "_") {
                 continue;
             }
-            // Primitive type names show up in annotations (`let v: Vec<u64>`)
-            // and must not become phantom bindings.
-            if matches!(
-                s,
-                "u8" | "u16"
-                    | "u32"
-                    | "u64"
-                    | "u128"
-                    | "usize"
-                    | "i8"
-                    | "i16"
-                    | "i32"
-                    | "i64"
-                    | "i128"
-                    | "isize"
-                    | "f32"
-                    | "f64"
-                    | "bool"
-                    | "char"
-                    | "str"
-                    | "dyn"
-            ) {
+            if PRIMITIVES.contains(&s) {
                 continue;
             }
             if s.starts_with(|c: char| c.is_lowercase() || c == '_') {
@@ -370,79 +196,6 @@ fn pattern_names(pat: &[Token]) -> Vec<String> {
         }
     }
     out
-}
-
-/// Does this expression fragment carry taint? Returns the origin label.
-fn stmt_taint(
-    stmt: &[Token],
-    tainted: &BTreeMap<String, String>,
-    unordered: &BTreeSet<String>,
-    summaries: &BTreeMap<String, String>,
-) -> Option<String> {
-    for (k, t) in stmt.iter().enumerate() {
-        let Some(s) = t.kind.ident() else {
-            // `addr_of!` path handled via ident below; nothing here.
-            continue;
-        };
-        // Pointer/address casts.
-        if s == "as"
-            && stmt.get(k + 1).map(|t| &t.kind) == Some(&TokKind::Punct('*'))
-            && matches!(
-                stmt.get(k + 2).and_then(|t| t.kind.ident()),
-                Some("const" | "mut")
-            )
-        {
-            return Some("address-cast value".to_string());
-        }
-        if matches!(s, "as_ptr" | "as_mut_ptr" | "addr_of" | "addr_of_mut") {
-            return Some("address-cast value".to_string());
-        }
-        // Float-keyed comparisons.
-        if matches!(s, "partial_cmp" | "total_cmp") {
-            return Some("float-keyed comparison".to_string());
-        }
-        // Unseeded RNG.
-        if RNG_SOURCES.contains(&s) {
-            return Some(format!("unseeded RNG (`{s}`)"));
-        }
-        if s == "random"
-            && k >= 3
-            && stmt[k - 1].kind == TokKind::Punct(':')
-            && stmt[k - 2].kind == TokKind::Punct(':')
-            && stmt[k - 3].kind.ident() == Some("rand")
-        {
-            return Some("unseeded RNG (`rand::random`)".to_string());
-        }
-        // Iteration over an unordered container local/field: either an
-        // iter-family method on it, or it as the subject of `for … in`.
-        if unordered.contains(s) {
-            let method_after = stmt.get(k + 1).map(|t| &t.kind) == Some(&TokKind::Punct('.'))
-                && stmt
-                    .get(k + 2)
-                    .and_then(|t| t.kind.ident())
-                    .is_some_and(|m| ITER_METHODS.contains(&m));
-            let for_subject = k > 0
-                && stmt[..k]
-                    .iter()
-                    .rev()
-                    .find_map(|t| t.kind.ident())
-                    .is_some_and(|p| p == "in");
-            if method_after || for_subject {
-                return Some(format!("iteration over unordered container `{s}`"));
-            }
-        }
-        // Tainted local referenced.
-        if let Some(origin) = tainted.get(s) {
-            return Some(origin.clone());
-        }
-        // Call of a same-file fn with a tainted return.
-        if let Some(origin) = summaries.get(s) {
-            if stmt.get(k + 1).map(|t| &t.kind) == Some(&TokKind::Punct('(')) {
-                return Some(format!("{origin} (via `{s}()`)"));
-            }
-        }
-    }
-    None
 }
 
 /// Ordering-sensitive sinks present in this statement.
@@ -483,47 +236,32 @@ fn stmt_sinks(stmt: &[Token], ordered: &BTreeSet<String>, extra_sched: &[String]
     out
 }
 
-// ---------------------------------------------------------------------------
-// v4: compositional per-function taint facts
-// ---------------------------------------------------------------------------
-//
-// The v3 pass above resolves same-file helper calls with an in-file
-// summary fixpoint; it survives verbatim as the executable spec (the
-// differential test keeps v4 a superset of it). The collector below is
-// what the workspace-level interprocedural engine consumes instead: a
-// *pure* function of one file's tokens, producing serializable facts —
-// which calls each function makes, which call-carried values reach
-// which sinks, and which origins its return value may carry. Nothing
-// here looks at other functions, so the facts can be cached per file
-// and resolved globally against the whole-workspace call graph.
-
 /// One taint origin as recorded in per-function facts.
 ///
-/// `call: None` is a local source (`label` is the v3 origin label,
-/// `line` its source line). `call: Some(name)` is a value obtained from
-/// a call to `name`, tainted iff the resolved callee's summary is — the
+/// `call: None` is a local source (`label` is its origin label, `line`
+/// its source line). `call: Some(name)` is a value obtained from a call
+/// to `name`, tainted iff the resolved callee's summary is — the
 /// interprocedural engine decides that, not this file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OriginFact {
     /// Callee name for call-carried origins; `None` for local sources.
     pub call: Option<String>,
-    /// v3-compatible origin label (empty for call-carried origins).
+    /// Origin label (empty for call-carried origins).
     pub label: String,
     /// 1-based line of the originating token.
     pub line: usize,
 }
 
-/// An ordering-sensitive sink statement that consumes at least one
-/// call-carried value. (Sinks fed only by local sources are fully
-/// handled by the v3 pass and are not recorded here.)
+/// An ordering-sensitive sink statement that at least one origin
+/// reaches.
 #[derive(Debug, Clone)]
 pub struct SinkFact {
     /// 1-based line of the sink statement.
     pub line: usize,
-    /// v3-compatible sink label (`event-queue sink `.push(..)``, …).
+    /// Sink label (`event-queue sink `.push(..)``, …).
     pub label: String,
-    /// Callee names whose return values reach this sink.
-    pub callees: Vec<String>,
+    /// Origins reaching this sink, in token order.
+    pub origins: Vec<OriginFact>,
 }
 
 /// One call site, for the workspace call graph.
@@ -541,9 +279,9 @@ pub struct CallFact {
 /// The taint-relevant facts of one function body.
 #[derive(Debug, Clone, Default)]
 pub struct FnTaintFacts {
-    /// Sinks consuming call-carried values.
+    /// Sinks some origin reaches.
     pub sinks: Vec<SinkFact>,
-    /// Origins the return value may carry, in v3 priority order.
+    /// Origins the return value may carry, in token order.
     pub ret: Vec<OriginFact>,
     /// Distinct call sites in the body.
     pub calls: Vec<CallFact>,
@@ -551,8 +289,12 @@ pub struct FnTaintFacts {
     pub rng_lines: Vec<usize>,
 }
 
-const VAR_ORIGIN_CAP: usize = 6;
-const STMT_ORIGIN_CAP: usize = 12;
+/// Append `o` to an origin list kept in token order, once.
+fn push_origin(list: &mut Vec<OriginFact>, o: &OriginFact) {
+    if !list.contains(o) {
+        list.push(o.clone());
+    }
+}
 
 /// Collect per-function taint facts for every function in the file,
 /// parallel to `items.fns`.
@@ -652,10 +394,9 @@ fn param_shapes(toks: &[Token], sig: (usize, usize)) -> (BTreeSet<String>, BTree
     (un, ord)
 }
 
-/// The v4 analogue of [`scan_fn`]: same two-pass statement walk and the
-/// same propagation shape, but origins are multi-valued and calls are
-/// recorded unresolved instead of being looked up in same-file
-/// summaries.
+/// Scan one function body: returns (sinks some origin reaches, origins
+/// of the return value). Origins are multi-valued and calls are recorded
+/// unresolved.
 fn scan_fn_facts(
     toks: &[Token],
     body: (usize, usize),
@@ -671,12 +412,12 @@ fn scan_fn_facts(
     let mut ret: Vec<OriginFact> = Vec::new();
     let push_ret = |ret: &mut Vec<OriginFact>, os: &[OriginFact]| {
         for o in os {
-            if ret.len() < STMT_ORIGIN_CAP && !ret.contains(o) {
-                ret.push(o.clone());
-            }
+            push_origin(ret, o);
         }
     };
 
+    // Two forward passes: loop bodies can use bindings that are only
+    // re-tainted on a later statement of the same body.
     for pass in 0..2 {
         let emit = pass == 1;
         for &(s, e) in &stmts {
@@ -686,9 +427,12 @@ fn scan_fn_facts(
             }
             let origins = stmt_origins(stmt, &tainted, &unordered);
 
+            // Propagation: bind lhs names when the statement binds.
             if let Some((lhs, rhs_at)) = binding_split(stmt) {
                 let rhs = &stmt[rhs_at..];
                 let rhs_origins = stmt_origins(rhs, &tainted, &unordered);
+                // Shape flows through type annotations too (`let m2:
+                // &HashMap<..> = m;`), so scan the whole statement.
                 let rhs_unordered = stmt.iter().any(|t| {
                     t.kind
                         .ident()
@@ -702,11 +446,19 @@ fn scan_fn_facts(
                 let has_local = rhs_origins.iter().any(|o| o.call.is_none());
                 for name in lhs {
                     if !rhs_origins.is_empty() {
+                        // A local source always taints the new value. A
+                        // right-hand side of calls alone may resolve clean,
+                        // so the binding keeps its earlier origins after them.
                         let mut v = rhs_origins.clone();
-                        v.truncate(VAR_ORIGIN_CAP);
+                        if !has_local {
+                            for o in tainted.get(&name).into_iter().flatten() {
+                                push_origin(&mut v, o);
+                            }
+                        }
                         tainted.insert(name.clone(), v);
                     }
                     if rhs_unordered && !has_local {
+                        // Alias of a container, not yet an iterated value.
                         unordered.insert(name.clone());
                     }
                     if rhs_ordered {
@@ -718,19 +470,13 @@ fn scan_fn_facts(
             if !emit {
                 continue;
             }
-            let callees: Vec<String> = {
-                let mut names: Vec<String> =
-                    origins.iter().filter_map(|o| o.call.clone()).collect();
-                names.dedup();
-                names
-            };
-            if !callees.is_empty() {
+            if !origins.is_empty() {
                 let line = stmt[0].line;
                 for label in stmt_sinks(stmt, &ordered, extra_sched) {
                     sinks.push(SinkFact {
                         line,
                         label,
-                        callees: callees.clone(),
+                        origins: origins.clone(),
                     });
                 }
             }
@@ -738,6 +484,7 @@ fn scan_fn_facts(
                 push_ret(&mut ret, &origins);
             }
         }
+        // Tail expression: the last fragment taints the return value.
         if let Some(&(s, e)) = stmts.last() {
             let os = stmt_origins(&toks[s..e], &tainted, &unordered);
             push_ret(&mut ret, &os);
@@ -746,20 +493,15 @@ fn scan_fn_facts(
     (sinks, ret)
 }
 
-/// Every origin a statement fragment carries, in token order — the v3
-/// single-origin check (`stmt_taint`) generalized to collect all of
-/// them, with unresolved calls as first-class origins.
+/// Every origin a statement fragment carries, in token order, with
+/// unresolved calls as first-class origins.
 fn stmt_origins(
     stmt: &[Token],
     tainted: &BTreeMap<String, Vec<OriginFact>>,
     unordered: &BTreeSet<String>,
 ) -> Vec<OriginFact> {
     let mut out: Vec<OriginFact> = Vec::new();
-    let push = |out: &mut Vec<OriginFact>, o: OriginFact| {
-        if out.len() < STMT_ORIGIN_CAP && !out.contains(&o) {
-            out.push(o);
-        }
-    };
+    let push = |out: &mut Vec<OriginFact>, o: OriginFact| push_origin(out, &o);
     for (k, t) in stmt.iter().enumerate() {
         let Some(s) = t.kind.ident() else { continue };
         let line = t.line;
@@ -840,40 +582,7 @@ fn stmt_origins(
 /// Is this identifier plausibly a callable name? Lowercase-initial and
 /// not a control-flow keyword (which can precede `(` syntactically).
 fn is_call_name(s: &str) -> bool {
-    if !s.starts_with(|c: char| c.is_lowercase() || c == '_') {
-        return false;
-    }
-    !matches!(
-        s,
-        "if" | "while"
-            | "for"
-            | "match"
-            | "loop"
-            | "return"
-            | "in"
-            | "as"
-            | "move"
-            | "let"
-            | "fn"
-            | "else"
-            | "unsafe"
-            | "await"
-            | "ref"
-            | "mut"
-            | "impl"
-            | "dyn"
-            | "where"
-            | "use"
-            | "pub"
-            | "mod"
-            | "const"
-            | "static"
-            | "enum"
-            | "struct"
-            | "trait"
-            | "type"
-            | "self"
-    )
+    s.starts_with(|c: char| c.is_lowercase() || c == '_') && !NOT_CALLABLE.contains(&s)
 }
 
 /// Distinct call sites in a body: `name(..)`, `recv.name(..)`, and
@@ -946,14 +655,26 @@ fn collect_rng_lines(toks: &[Token], body: (usize, usize)) -> Vec<usize> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::items::parse_items;
-    use crate::lexer::lex;
+    use crate::interproc::Workspace;
 
-    fn taint(src: &str) -> Vec<TaintFinding> {
-        let lexed = lex(src);
-        let items = parse_items(&lexed.tokens);
-        analyze_taint(&lexed.tokens, &items, &[])
+    /// Taint finding messages of `src` linted as the only file of a
+    /// model-layer workspace.
+    fn flows(src: &str, extra_sched: &[String]) -> Vec<String> {
+        let files = [crate::model_facts(
+            "m",
+            "crates/m/src/lib.rs",
+            src,
+            extra_sched,
+        )];
+        let ws = Workspace::new(&files);
+        ws.interproc_findings(&ws.summaries())
+            .into_iter()
+            .map(|f| f.message)
+            .collect()
+    }
+
+    fn taint(src: &str) -> Vec<String> {
+        flows(src, &[])
     }
 
     #[test]
@@ -965,19 +686,14 @@ fn arm(q: &mut EventQueue<u64>, m: &HashMap<u64, u64>) {
     q.push_handle(SimTime::from_nanos(first), first);
 }
 ";
-        let lexed = lex(src);
-        let items = parse_items(&lexed.tokens);
         // Not a sink by default...
-        assert!(analyze_taint(&lexed.tokens, &items, &[]).is_empty());
+        assert!(taint(src).is_empty());
         // ...but declared via manifest metadata, the same flow fires.
-        let flows = analyze_taint(&lexed.tokens, &items, &["push_handle".to_string()]);
-        assert_eq!(flows.len(), 1);
+        let fs = flows(src, &["push_handle".to_string()]);
+        assert_eq!(fs.len(), 1, "{fs:?}");
         assert!(
-            flows[0]
-                .message
-                .contains("event-queue sink `.push_handle(..)`"),
-            "unexpected message: {}",
-            flows[0].message
+            fs[0].contains("event-queue sink `.push_handle(..)`"),
+            "{fs:?}"
         );
     }
 
@@ -993,8 +709,8 @@ fn order(m: &HashMap<u64, u64>) -> Vec<u64> {
 ";
         let fs = taint(src);
         assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].message.contains("unordered container"), "{fs:?}");
-        assert!(fs[0].message.contains("comparator sink"), "{fs:?}");
+        assert!(fs[0].contains("unordered container"), "{fs:?}");
+        assert!(fs[0].contains("comparator sink"), "{fs:?}");
     }
 
     #[test]
@@ -1020,8 +736,8 @@ fn go(&mut self, task: &Task) {
 ";
         let fs = taint(src);
         assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].message.contains("address-cast"), "{fs:?}");
-        assert!(fs[0].message.contains("event-queue sink"), "{fs:?}");
+        assert!(fs[0].contains("address-cast"), "{fs:?}");
+        assert!(fs[0].contains("event-queue sink"), "{fs:?}");
     }
 
     #[test]
@@ -1039,8 +755,8 @@ fn drive(&mut self) {
 ";
         let fs = taint(src);
         assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].message.contains("via `pick()`"), "{fs:?}");
-        assert!(fs[0].message.contains("ordered-insert sink"), "{fs:?}");
+        assert!(fs[0].contains("via `pick()`"), "{fs:?}");
+        assert!(fs[0].contains("ordered-insert sink"), "{fs:?}");
     }
 
     #[test]
@@ -1057,8 +773,60 @@ impl Reg {
 ";
         let fs = taint(src);
         assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].message.contains("`live`"), "{fs:?}");
-        assert!(fs[0].message.contains("writeln!"), "{fs:?}");
+        assert!(fs[0].contains("`live`"), "{fs:?}");
+        assert!(fs[0].contains("writeln!"), "{fs:?}");
+    }
+
+    #[test]
+    fn a_long_call_chain_does_not_crowd_out_a_local_source() {
+        let src = "\
+fn go(&mut self, v: &[u8]) {
+    let key = v.c1().c2().c3().c4().c5().c6().c7().c8().c9().c10().c11().c12().c13().as_ptr() as u64;
+    self.eq.schedule(SimTime::ZERO, key);
+}
+";
+        let fs = taint(src);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert!(fs[0].starts_with("address-cast value flows"), "{fs:?}");
+    }
+
+    #[test]
+    fn a_tainted_helper_after_many_calls_still_fires() {
+        let src = "\
+fn pick(m: &Slot) -> u64 {
+    m as *const Slot as u64
+}
+fn go(&mut self, m: &Slot) {
+    let k = a(1).min(b(2)).max(c(3)).pow(d(4)) + pick(m);
+    self.q.schedule(k);
+}
+";
+        let fs = taint(src);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert!(
+            fs[0].starts_with("address-cast value (via `pick()`) flows"),
+            "{fs:?}"
+        );
+    }
+
+    #[test]
+    fn a_clean_call_rebinding_keeps_the_earlier_taint() {
+        let src = "\
+struct Reg {
+    live: HashMap<u64, u64>,
+}
+fn go(&mut self) {
+    let mut k = self.live.keys().copied().next().unwrap_or(0);
+    k = fresh();
+    self.q.schedule(k);
+}
+fn fresh() -> u64 {
+    7
+}
+";
+        let fs = taint(src);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert!(fs[0].contains("unordered container `live`"), "{fs:?}");
     }
 
     #[test]
@@ -1083,6 +851,6 @@ fn shuffle(v: &mut Vec<u64>) {
 ";
         let fs = taint(src);
         assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].message.contains("unseeded RNG"), "{fs:?}");
+        assert!(fs[0].contains("unseeded RNG"), "{fs:?}");
     }
 }

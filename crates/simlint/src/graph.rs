@@ -186,20 +186,6 @@ impl WorkspaceGraph {
         Ok(graph)
     }
 
-    /// The layer of the crate owning `rel_path` (workspace-relative with
-    /// forward slashes), if the path belongs to a known crate.
-    pub fn layer_of_file(&self, rel_path: &str) -> Option<Layer> {
-        let dir = rel_path
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .map(|c| format!("crates/{c}"))
-            .unwrap_or_default();
-        self.crates
-            .values()
-            .find(|c| c.dir == dir)
-            .and_then(|c| c.layer)
-    }
-
     /// Evaluate the `layer-violation` rule over the whole graph.
     pub fn check(&self) -> Vec<Finding> {
         let mut findings = Vec::new();
@@ -639,19 +625,5 @@ mod tests {
             mk("simlint", "crates/simlint", "tool", &[]),
         ]);
         assert!(g.check().is_empty(), "{:?}", g.check());
-    }
-
-    #[test]
-    fn layer_of_file_maps_paths_to_crates() {
-        let g = graph(vec![
-            mk("sim-core", "crates/sim-core", "core", &[]),
-            mk("mindgap", "", "app", &[]),
-        ]);
-        assert_eq!(
-            g.layer_of_file("crates/sim-core/src/engine.rs"),
-            Some(Layer::Core)
-        );
-        assert_eq!(g.layer_of_file("src/lib.rs"), Some(Layer::App));
-        assert_eq!(g.layer_of_file("crates/unknown/src/x.rs"), None);
     }
 }

@@ -1,26 +1,23 @@
 //! Workspace-level interprocedural analysis: the cross-file, cross-crate
 //! call graph, SCC condensation, and bottom-up taint summaries.
 //!
-//! The v3 dataflow pass resolves helper calls with a *same-file* summary
-//! fixpoint; everything beyond one file was invisible. This module lifts
-//! that to the workspace. The per-file half is [`FileFacts`]: a pure,
-//! serializable function of one file's source (so it can be cached
-//! content-hashed — see [`crate::cache`]), holding the pre-waiver lint
+//! The per-file half is [`FileFacts`]: a pure function of one file's
+//! source and its crate's manifest metadata, holding the pre-waiver lint
 //! candidates alongside call/taint/static facts. The global half is
 //! [`Workspace`]: an index over every file's facts that
 //!
-//! 1. resolves each [`CallFact`] to candidate definitions — same-file
-//!    first (the v3 contract), then through `use`-alias bindings (the v2
-//!    alias machinery), then by name within the owning crate; method
-//!    calls resolve to every workspace `impl` fn of that name, and
-//!    `Type::method` forms narrow to impls of `Type`;
+//! 1. resolves each [`CallFact`] to candidate definitions — same file
+//!    first, then through `use`-alias bindings, then by name within the
+//!    owning crate; method calls resolve to every workspace `impl` fn of
+//!    that name, `Type::method` forms narrow to impls of `Type`, and
+//!    `Self::method` to the caller's impl type;
 //! 2. condenses the call graph into SCCs (iterative Tarjan) and computes
 //!    bottom-up per-function taint summaries in callees-first order,
 //!    iterating each SCC to a fixpoint (a summary is never overwritten
 //!    once resolved, so cycles terminate);
-//! 3. emits interprocedural determinism-taint findings for sinks fed by
-//!    call-carried values, with the *source* location attached when the
-//!    chain crosses files.
+//! 3. emits determinism-taint findings for sinks fed by a local source
+//!    or a call whose summary is tainted, with the *source* location
+//!    attached when the chain crosses files.
 //!
 //! Resolution is deliberately over-approximate (a lint, not a linker):
 //! an unresolvable call simply has no edges, and a name collision adds
@@ -30,11 +27,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::dataflow::{CallFact, FnTaintFacts};
+use crate::dataflow::{CallFact, FnTaintFacts, OriginFact};
 use crate::items::FileItems;
 use crate::lexer::{TokKind, Token};
 use crate::rules::semantic::{LedgerSites, INTERIOR_MUTABLE};
-use crate::rules::waivers::Waiver;
+use crate::rules::waivers::WaiverSet;
 use crate::Finding;
 
 /// A mention of an all-caps (static-shaped) identifier in a fn body.
@@ -82,22 +79,18 @@ pub struct FnFact {
 }
 
 /// Everything the global passes need from one file — a pure function of
-/// the file's source plus its crate's manifest metadata, which is what
-/// makes it cacheable.
-#[derive(Debug, Clone, Default)]
+/// the file's source plus its crate's manifest metadata.
+#[derive(Debug, Default)]
 pub struct FileFacts {
     /// Workspace-relative path.
     pub rel: String,
     /// Owning crate name.
     pub crate_name: String,
-    /// Pre-waiver candidates from the per-file passes (token rules,
-    /// semantic rules, v3-local taint).
+    /// Pre-waiver candidates from the per-file passes (token rules and
+    /// semantic rules).
     pub candidates: Vec<Finding>,
-    /// Parsed waivers, to be replayed through a fresh
-    /// [`crate::rules::waivers::WaiverSet`] at finalize time.
-    pub waivers: Vec<Waiver>,
-    /// Malformed-waiver sites as (line, message).
-    pub bad_waivers: Vec<(usize, String)>,
+    /// The file's parsed waivers, applied once at finalize time.
+    pub wset: WaiverSet,
     /// Per declared ledger field: this file's non-test sites.
     pub ledger: Vec<(String, LedgerSites)>,
     /// `use`-alias bindings: visible name → full path segments.
@@ -106,8 +99,8 @@ pub struct FileFacts {
     pub fns: Vec<FnFact>,
     /// Classified statics.
     pub statics: Vec<StaticFact>,
-    /// True when interprocedural taint findings may be emitted for this
-    /// file (core/model layer, not a tests dir).
+    /// True when taint findings may be emitted for this file
+    /// (core/model layer, not a tests dir).
     pub taint_scope: bool,
     /// File contains `#![forbid(unsafe_code)]` (the missing-forbid input
     /// for crate roots).
@@ -263,7 +256,7 @@ pub struct FnRef {
 /// reporting.
 #[derive(Debug, Clone)]
 pub struct Summary {
-    /// v3-format origin label, `(via ..)` clauses included.
+    /// Origin label, `(via ..)` clauses included.
     pub label: String,
     /// File index of the chain-root local source.
     pub file: usize,
@@ -271,18 +264,18 @@ pub struct Summary {
     pub line: usize,
 }
 
-/// One interprocedural determinism-taint finding, pre-formatting.
+/// One determinism-taint finding, pre-formatting.
 #[derive(Debug, Clone)]
 pub struct InterFinding {
     /// File index of the sink.
     pub file: usize,
     /// 1-based sink line.
     pub line: usize,
-    /// `{origin} flows into {sink}` in the v3 message format.
+    /// `{origin} flows into {sink}`.
     pub message: String,
-    /// `(file index, line)` of the local source when it lives in a
-    /// different file than the sink.
-    pub source: Option<(usize, usize)>,
+    /// Chain-root `(file index, line)` of every live origin reaching the
+    /// sink, the reported one first.
+    pub sources: Vec<(usize, usize)>,
 }
 
 /// The workspace call-graph index over every file's facts.
@@ -387,14 +380,15 @@ impl<'a> Workspace<'a> {
             .collect()
     }
 
-    /// Resolve a call site in `file` to candidate definitions.
-    pub fn resolve(&self, file: usize, call: &CallFact) -> Vec<FnRef> {
+    /// Resolve a call site in `at`'s body to candidate definitions.
+    pub fn resolve(&self, at: FnRef, call: &CallFact) -> Vec<FnRef> {
+        let file = at.file;
         let facts = &self.files[file];
         let own = facts.crate_name.as_str();
         let mut out: Vec<FnRef>;
         if call.method {
-            // `recv.m(..)`: any same-file fn named m (the v3 contract),
-            // plus every workspace impl-owned fn of that name.
+            // `recv.m(..)`: any same-file fn named m, plus every
+            // workspace impl-owned fn of that name.
             out = self.same_file(file, &call.name);
             if let Some(v) = self.methods.get(&call.name) {
                 out.extend(v.iter().copied());
@@ -407,13 +401,20 @@ impl<'a> Workspace<'a> {
                 .and_then(|p| p.last())
                 .map(String::as_str)
                 .unwrap_or(seg);
-            if seg.starts_with(|c: char| c.is_ascii_uppercase()) {
-                // `Type::m(..)`.
-                out = self
-                    .by_type
-                    .get(&(seg.to_string(), call.name.clone()))
-                    .cloned()
+            if seg == "Self" {
+                // `Self::m(..)`: the caller's impl type, else any
+                // same-file fn of that name (a trait's default body).
+                out = facts.fns[at.idx]
+                    .impl_type
+                    .as_ref()
+                    .map(|ty| self.fns_of_type(ty, &call.name))
                     .unwrap_or_default();
+                if out.is_empty() {
+                    out = self.same_file(file, &call.name);
+                }
+            } else if seg.starts_with(|c: char| c.is_ascii_uppercase()) {
+                // `Type::m(..)`.
+                out = self.fns_of_type(seg, &call.name);
             } else {
                 // Module path: the first segment picks the crate.
                 let first = call.path.first().map(String::as_str).unwrap_or(seg);
@@ -483,7 +484,7 @@ impl<'a> Workspace<'a> {
                 .taint
                 .calls
                 .iter()
-                .flat_map(|c| self.resolve(r.file, c))
+                .flat_map(|c| self.resolve(*r, c))
                 .filter_map(|t| index.get(&t).copied())
                 .collect();
             outs.sort_unstable();
@@ -500,8 +501,8 @@ impl<'a> Workspace<'a> {
     /// iterates to a fixpoint. A function's summary is its *first*
     /// return origin that resolves live — a local source always does, a
     /// call-carried origin does once its callee has a summary — and a
-    /// summary is never overwritten, which both matches the v3
-    /// first-origin contract and guarantees termination on cycles.
+    /// summary is never overwritten, which guarantees termination on
+    /// cycles.
     pub fn summaries(&self) -> Vec<Vec<Option<Summary>>> {
         let (nodes, adj) = self.call_graph();
         let index: BTreeMap<FnRef, usize> =
@@ -519,27 +520,9 @@ impl<'a> Workspace<'a> {
                     let r = nodes[ni];
                     let fun = &self.files[r.file].fns[r.idx];
                     for o in &fun.taint.ret {
-                        let resolved = match &o.call {
-                            None => Some(Summary {
-                                label: o.label.clone(),
-                                file: r.file,
-                                line: o.line,
-                            }),
-                            Some(callee) => fun
-                                .taint
-                                .calls
-                                .iter()
-                                .find(|c| c.name == *callee)
-                                .map(|c| self.resolve(r.file, c))
-                                .unwrap_or_default()
-                                .iter()
-                                .find_map(|t| index.get(t).and_then(|&ti| sums[ti].clone()))
-                                .map(|s| Summary {
-                                    label: format!("{} (via `{}()`)", s.label, callee),
-                                    file: s.file,
-                                    line: s.line,
-                                }),
-                        };
+                        let resolved = self.resolve_origin(r, o, |t| {
+                            index.get(&t).and_then(|&ti| sums[ti].clone())
+                        });
                         if let Some(s) = resolved {
                             sums[ni] = Some(s);
                             changed = true;
@@ -561,41 +544,59 @@ impl<'a> Workspace<'a> {
         out
     }
 
-    /// Interprocedural determinism-taint findings: every sink fed by a
-    /// call whose resolved summary is tainted, in files where taint
-    /// findings are in scope. Same-file chains the v3 pass already
-    /// reports produce byte-identical messages here and are deduplicated
-    /// by the caller.
+    /// The summary an origin in `at`'s body resolves to: a local source
+    /// is its own summary; a call-carried origin takes the first resolved
+    /// callee's summary (looked up through `summary_of`), labelled with
+    /// a `(via `f()`)` suffix.
+    fn resolve_origin(
+        &self,
+        at: FnRef,
+        o: &OriginFact,
+        summary_of: impl Fn(FnRef) -> Option<Summary>,
+    ) -> Option<Summary> {
+        let Some(callee) = &o.call else {
+            return Some(Summary {
+                label: o.label.clone(),
+                file: at.file,
+                line: o.line,
+            });
+        };
+        let fun = &self.files[at.file].fns[at.idx];
+        let call = fun.taint.calls.iter().find(|c| c.name == *callee)?;
+        let s = self.resolve(at, call).into_iter().find_map(summary_of)?;
+        Some(Summary {
+            label: format!("{} (via `{}()`)", s.label, callee),
+            ..s
+        })
+    }
+
+    /// Determinism-taint findings: every sink with a live origin — a
+    /// local source, or a call whose resolved summary is tainted — is
+    /// reported once, from its first live origin, in files where taint
+    /// findings are in scope.
     pub fn interproc_findings(&self, sums: &[Vec<Option<Summary>>]) -> Vec<InterFinding> {
         let mut out = Vec::new();
         for (fi, f) in self.files.iter().enumerate() {
             if !f.taint_scope {
                 continue;
             }
-            for fun in &f.fns {
+            for (xi, fun) in f.fns.iter().enumerate() {
+                let at = FnRef { file: fi, idx: xi };
                 for sink in &fun.taint.sinks {
-                    let hit = sink.callees.iter().find_map(|callee| {
-                        fun.taint
-                            .calls
-                            .iter()
-                            .find(|c| c.name == *callee)
-                            .map(|c| self.resolve(fi, c))
-                            .unwrap_or_default()
-                            .iter()
-                            .find_map(|t| sums[t.file][t.idx].clone())
-                            .map(|s| (callee, s))
+                    let live: Vec<Summary> = sink
+                        .origins
+                        .iter()
+                        .filter_map(|o| self.resolve_origin(at, o, |t| sums[t.file][t.idx].clone()))
+                        .collect();
+                    let Some(s) = live.first() else {
+                        continue;
+                    };
+                    out.push(InterFinding {
+                        file: fi,
+                        line: sink.line,
+                        message: format!("{} flows into {}", s.label, sink.label),
+                        sources: live.iter().map(|l| (l.file, l.line)).collect(),
                     });
-                    if let Some((callee, s)) = hit {
-                        out.push(InterFinding {
-                            file: fi,
-                            line: sink.line,
-                            message: format!(
-                                "{} (via `{}()`) flows into {}",
-                                s.label, callee, sink.label
-                            ),
-                            source: (s.file != fi).then_some((s.file, s.line)),
-                        });
-                    }
                 }
             }
         }
@@ -667,35 +668,12 @@ pub fn tarjan_sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataflow::{collect_fn_facts, OriginFact, SinkFact};
+    use crate::dataflow::{collect_fn_facts, SinkFact};
     use crate::items::parse_items;
     use crate::lexer::lex;
 
     fn facts_for(crate_name: &str, rel: &str, src: &str) -> FileFacts {
-        let lexed = lex(src);
-        let items = parse_items(&lexed.tokens);
-        let taint = collect_fn_facts(&lexed.tokens, &items, &[]);
-        let fns = items
-            .fns
-            .iter()
-            .zip(taint)
-            .map(|(f, t)| FnFact {
-                name: f.name.clone(),
-                line: f.line,
-                impl_type: f.owner.map(|o| items.impls[o].type_name.clone()),
-                taint: t,
-                global_refs: collect_global_refs(&lexed.tokens, f.body),
-            })
-            .collect();
-        FileFacts {
-            rel: rel.to_string(),
-            crate_name: crate_name.to_string(),
-            bindings: crate::rules::tokens::collect_bindings(&lexed.tokens),
-            fns,
-            statics: collect_statics(&lexed.tokens, &items),
-            taint_scope: true,
-            ..FileFacts::default()
-        }
+        crate::model_facts(crate_name, rel, src, &[])
     }
 
     #[test]
@@ -736,7 +714,7 @@ mod tests {
             "{}",
             found[0].message
         );
-        assert_eq!(found[0].source, Some((0, 2)), "{found:?}");
+        assert_eq!(found[0].sources, vec![(0, 2)], "{found:?}");
     }
 
     #[test]
@@ -811,7 +789,10 @@ mod tests {
         // recorded too — it resolves to nothing and is harmless); what
         // matters is that the value-carrying call is present.
         assert!(
-            sinks[0].callees.contains(&"helper".to_string()),
+            sinks[0]
+                .origins
+                .iter()
+                .any(|o| o.call.as_deref() == Some("helper")),
             "{sinks:?}"
         );
         // A clean helper must not leak a *local* origin — call-carried

@@ -1,6 +1,6 @@
-//! The v3 item parser: structure on top of the token stream.
+//! The item parser: structure on top of the token stream.
 //!
-//! The v2 pass sees tokens; the semantic rules ([`crate::rules::semantic`])
+//! The token pass sees tokens; the semantic rules ([`crate::rules::semantic`])
 //! and the taint pass ([`crate::dataflow`]) need *items* — which tokens
 //! form a function body, which `impl` block implements which trait for
 //! which type, which fields a struct declares, which `static`s exist.

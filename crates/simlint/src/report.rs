@@ -325,12 +325,6 @@ impl Value {
             _ => None,
         }
     }
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// Parse a JSON document.

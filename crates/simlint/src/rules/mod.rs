@@ -164,7 +164,7 @@ pub const TABLE: &[RuleSpec] = &[
                  patterns, and function returns, into sinks where ordering \
                  escapes into simulation state or output: comparator sorts, \
                  event-queue schedule calls, inserts into ordered or \
-                 queue-shaped receivers, and probe/CSV emission. Since v4 the \
+                 queue-shaped receivers, and probe/CSV emission. The \
                  pass is interprocedural across the whole workspace: a \
                  cross-file, cross-crate call graph with SCC condensation and \
                  bottom-up summaries resolves taint through any call chain \

@@ -53,13 +53,6 @@ pub struct WaiverSet {
 }
 
 impl WaiverSet {
-    /// Rebuild a set from previously parsed parts (the incremental-cache
-    /// path, where waivers were parsed in an earlier run and serialized).
-    pub fn from_parts(waivers: Vec<Waiver>, bad: Vec<(usize, String)>) -> WaiverSet {
-        let used = vec![BTreeSet::new(); waivers.len()];
-        WaiverSet { waivers, bad, used }
-    }
-
     /// Parse waivers from per-line plain-comment text (0-based index =
     /// line - 1), as produced by [`crate::lexer::lex`].
     pub fn parse(comments: &[String]) -> WaiverSet {

@@ -427,36 +427,10 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataflow::collect_fn_facts;
-    use crate::interproc::{collect_global_refs, collect_statics, FileFacts, FnFact};
-    use crate::items::parse_items;
-    use crate::lexer::lex;
+    use crate::interproc::FileFacts;
 
     fn facts_for(crate_name: &str, rel: &str, src: &str) -> FileFacts {
-        let lexed = lex(src);
-        let items = parse_items(&lexed.tokens);
-        let taint = collect_fn_facts(&lexed.tokens, &items, &[]);
-        let fns = items
-            .fns
-            .iter()
-            .zip(taint)
-            .map(|(f, t)| FnFact {
-                name: f.name.clone(),
-                line: f.line,
-                impl_type: f.owner.map(|o| items.impls[o].type_name.clone()),
-                taint: t,
-                global_refs: collect_global_refs(&lexed.tokens, f.body),
-            })
-            .collect();
-        FileFacts {
-            rel: rel.to_string(),
-            crate_name: crate_name.to_string(),
-            bindings: crate::rules::tokens::collect_bindings(&lexed.tokens),
-            fns,
-            statics: collect_statics(&lexed.tokens, &items),
-            taint_scope: true,
-            ..FileFacts::default()
-        }
+        crate::model_facts(crate_name, rel, src, &[])
     }
 
     fn spec(name: &str, roots: &[&str]) -> RootSpec {

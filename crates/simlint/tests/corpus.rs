@@ -1,94 +1,77 @@
-//! Exact-findings assertions over the lexer edge-case fixture corpus.
+//! Expected-findings goldens over the single-file fixture corpus.
 //!
-//! Each fixture is analyzed as if it lived in a model-layer crate
-//! (`crates/systems/src/<fixture>`), and the test pins the *complete*
-//! (line, rule) finding set — not just presence — so a lexer regression
-//! that adds or drops a finding anywhere in a fixture fails loudly.
+//! Each `tests/fixtures/corpus/<name>.rs` is linted by the full
+//! [`lint_workspace`] pipeline as the only file of a one-crate
+//! `layer = "model"` workspace (`ledger_*` fixtures also declare
+//! `ledger = ["reclaimed"]`). The rendered findings must equal
+//! `<name>.expected` line for line; an empty golden means the fixture is
+//! clean. The goldens pin every finding's line, rule and message, so a
+//! regression that adds, drops or rewords one anywhere fails loudly.
+
+mod common;
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use simlint::graph::Layer;
-use simlint::rules::tokens::{analyze_source, FileCtx};
+use simlint::lint_workspace;
 
-fn fixture(name: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/corpus")
-        .join(name);
-    fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+fn corpus_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/corpus")
 }
 
-fn token_findings(name: &str) -> Vec<(usize, &'static str)> {
-    let rel = format!("crates/systems/src/{name}");
-    let source = fixture(name);
-    analyze_source(FileCtx::new(Layer::Model, &rel), &rel, &source)
-        .findings
-        .iter()
-        .map(|f| (f.line, f.rule))
-        .collect()
+fn fixtures() -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(corpus_dir())
+        .expect("corpus dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".rs"))
+        .collect();
+    names.sort();
+    names
 }
 
 #[test]
-fn raw_strings_with_embedded_quotes_never_fire() {
-    assert_eq!(token_findings("raw_strings.rs"), vec![]);
+fn every_fixture_matches_its_expected_findings() {
+    let names = fixtures();
+    assert!(names.len() >= 21, "corpus shrank: {names:?}");
+    let mut mismatches = Vec::new();
+    for name in &names {
+        let stem = name.trim_end_matches(".rs");
+        let source = fs::read_to_string(corpus_dir().join(name)).unwrap();
+        let extra = if stem.starts_with("ledger_") {
+            "ledger = [\"reclaimed\"]\n"
+        } else {
+            ""
+        };
+        let files = [(name.as_str(), source.as_str())];
+        let ws = common::scratch_ws(
+            &format!("corpus-{stem}"),
+            &[("corpus", "model", extra, &files)],
+        );
+        let outcome = lint_workspace(&ws).expect("lint fixture workspace");
+        fs::remove_dir_all(&ws).ok();
+        let actual: String = outcome
+            .report
+            .findings
+            .iter()
+            .map(|f| f.render() + "\n")
+            .collect();
+        let expected =
+            fs::read_to_string(corpus_dir().join(format!("{stem}.expected"))).unwrap_or_default();
+        if actual != expected {
+            mismatches.push(format!(
+                "{name}:\n--- expected\n{expected}--- actual\n{actual}"
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
 
 #[test]
-fn nested_block_comments_never_fire() {
-    assert_eq!(token_findings("nested_comments.rs"), vec![]);
-}
-
-#[test]
-fn lifetimes_do_not_hide_the_real_hazard() {
-    assert_eq!(
-        token_findings("chars_lifetimes.rs"),
-        vec![(13, "wall-clock")]
-    );
-}
-
-#[test]
-fn cfg_test_gated_wall_clock_is_exempt() {
-    assert_eq!(token_findings("cfg_test_wallclock.rs"), vec![]);
-}
-
-#[test]
-fn aliased_hashmap_fires_at_import_and_every_use() {
-    assert_eq!(
-        token_findings("alias_unordered.rs"),
-        vec![(3, "unordered"), (5, "unordered"), (6, "unordered")]
-    );
-}
-
-#[test]
-fn local_instant_type_is_not_a_wall_clock() {
-    assert_eq!(token_findings("local_shadow_instant.rs"), vec![]);
-}
-
-#[test]
-fn multiline_float_sort_fires_once_at_the_call() {
-    assert_eq!(
-        token_findings("multiline_float_sort.rs"),
-        vec![(4, "float-sort")]
-    );
-}
-
-#[test]
-fn aliased_thread_fires_at_import_and_spawn() {
-    assert_eq!(
-        token_findings("alias_thread.rs"),
-        vec![(2, "host-thread"), (5, "host-thread")]
-    );
-}
-
-#[test]
-fn unused_waiver_is_itself_a_finding() {
-    assert_eq!(token_findings("stale_waiver.rs"), vec![(3, "stale-waiver")]);
-}
-
-#[test]
-fn allow_block_covers_its_span_and_no_more() {
-    assert_eq!(
-        token_findings("allow_block.rs"),
-        vec![(10, "unordered"), (11, "unordered")]
-    );
+fn every_fixture_has_an_expected_file() {
+    let missing: Vec<String> = fixtures()
+        .into_iter()
+        .map(|n| n.trim_end_matches(".rs").to_string() + ".expected")
+        .filter(|e| !corpus_dir().join(e).is_file())
+        .collect();
+    assert!(missing.is_empty(), "fixtures without a golden: {missing:?}");
 }

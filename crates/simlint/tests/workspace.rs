@@ -3,15 +3,13 @@
 //! must fail a workspace whose model crate depends on a harness crate,
 //! stale waivers must fail the build, and the baseline gate must hold.
 
+mod common;
+
 use std::fs;
-use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use simlint::{find_workspace_root, lint_workspace};
-
-fn repo_root() -> PathBuf {
-    find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root")
-}
+use common::{repo_root, scratch_ws};
+use simlint::lint_workspace;
 
 fn run_cli(args: &[&str]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
@@ -25,45 +23,9 @@ fn run_cli(args: &[&str]) -> (i32, String, String) {
     )
 }
 
-/// Build a throwaway workspace under the target dir (inside the repo, so
-/// no sandbox issues) and return its root.
-fn scratch_ws(name: &str, crates: &[(&str, &str, &str, &str)]) -> PathBuf {
-    // crates: (dir_name, layer, extra_manifest, lib_source)
-    let root = repo_root()
-        .join("target/simlint-scratch")
-        .join(format!("{name}-{}", std::process::id()));
-    if root.exists() {
-        fs::remove_dir_all(&root).unwrap();
-    }
-    fs::create_dir_all(root.join("crates")).unwrap();
-    fs::write(
-        root.join("Cargo.toml"),
-        "[workspace]\nmembers = [\"crates/*\"]\nresolver = \"2\"\n",
-    )
-    .unwrap();
-    for (dir, layer, extra, lib) in crates {
-        let cdir = root.join("crates").join(dir);
-        fs::create_dir_all(cdir.join("src")).unwrap();
-        fs::write(
-            cdir.join("Cargo.toml"),
-            format!(
-                "[package]\nname = \"{dir}\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n\
-                 [package.metadata.simlint]\nlayer = \"{layer}\"\n\n{extra}"
-            ),
-        )
-        .unwrap();
-        fs::write(
-            cdir.join("src/lib.rs"),
-            format!("#![forbid(unsafe_code)]\n{lib}"),
-        )
-        .unwrap();
-    }
-    root
-}
-
 #[test]
 fn merged_tree_is_clean_with_a_bounded_waiver_ledger() {
-    let report = lint_workspace(&repo_root()).expect("lint workspace");
+    let report = lint_workspace(&repo_root()).expect("lint workspace").report;
     assert!(
         report.files_scanned > 50,
         "suspiciously few files scanned: {}",
@@ -121,9 +83,14 @@ fn model_crate_depending_on_harness_crate_fails_the_build() {
                 "modelcrate",
                 "model",
                 "[dependencies]\nharnesscrate = { path = \"../harnesscrate\" }\n",
-                "pub fn step() {}\n",
+                &[("lib.rs", "#![forbid(unsafe_code)]\npub fn step() {}\n")],
             ),
-            ("harnesscrate", "harness", "", "pub fn drive() {}\n"),
+            (
+                "harnesscrate",
+                "harness",
+                "",
+                &[("lib.rs", "#![forbid(unsafe_code)]\npub fn drive() {}\n")],
+            ),
         ],
     );
     let (code, out, _err) = run_cli(&["--deny-all", "--root", ws.to_str().unwrap()]);
@@ -135,7 +102,15 @@ fn model_crate_depending_on_harness_crate_fails_the_build() {
 
 #[test]
 fn crate_without_layer_metadata_fails_the_build() {
-    let ws = scratch_ws("nolayer", &[("plain", "model", "", "pub fn ok() {}\n")]);
+    let ws = scratch_ws(
+        "nolayer",
+        &[(
+            "plain",
+            "model",
+            "",
+            &[("lib.rs", "#![forbid(unsafe_code)]\npub fn ok() {}\n")],
+        )],
+    );
     // Strip the metadata table the helper wrote.
     let manifest = ws.join("crates/plain/Cargo.toml");
     let text = fs::read_to_string(&manifest)
@@ -156,7 +131,11 @@ fn stale_waiver_fails_the_build() {
             "modelcrate",
             "model",
             "",
-            "// simlint: allow(unordered, reason=was needed once)\npub fn clean() {}\n",
+            &[(
+                "lib.rs",
+                "#![forbid(unsafe_code)]\n\
+                 // simlint: allow(unordered, reason=was needed once)\npub fn clean() {}\n",
+            )],
         )],
     );
     let (code, out, _err) = run_cli(&["--deny-all", "--root", ws.to_str().unwrap()]);
@@ -173,7 +152,11 @@ fn hazardous_model_crate_fails_with_alias_resolution() {
             "modelcrate",
             "model",
             "",
-            "use std::collections::HashMap as Fast;\npub fn t() -> Fast<u8, u8> { Fast::new() }\n",
+            &[(
+                "lib.rs",
+                "#![forbid(unsafe_code)]\nuse std::collections::HashMap as Fast;\n\
+                 pub fn t() -> Fast<u8, u8> { Fast::new() }\n",
+            )],
         )],
     );
     let (code, out, _err) = run_cli(&["--deny-all", "--root", ws.to_str().unwrap()]);
