@@ -1,12 +1,14 @@
 //! Whole-frame assembly and disassembly.
 //!
-//! Every hop in the simulated system exchanges complete
-//! Ethernet → IPv4 → UDP → message frames, built and verified byte-for-byte,
-//! exactly as the Stingray prototype does. [`FrameSpec::build`] produces the
-//! wire bytes (checksums filled); [`ParsedFrame::parse`] validates all four
-//! layers. Buffers are [`bytes::Bytes`], so queuing a frame at several
-//! places (e.g. an RX ring and a latency tracer) is a refcount bump, not a
-//! copy.
+//! A hop in the simulated system carries a typed [`FrameSpec`]: every
+//! field of the Ethernet → IPv4 → UDP → message frame the Stingray
+//! prototype would put on the wire, and its exact length, without the
+//! bytes. [`FrameSpec::build`] produces those bytes (checksums filled) and
+//! [`ParsedFrame::parse`] validates all four layers; the simulator runs
+//! them only at the codec's edge (tests, and every frame of an
+//! invariant-checked run), where `parse(build(spec))` must give back the
+//! spec. [`FrameHeader`] is what steering and the client read, from
+//! either form.
 
 use std::sync::Arc;
 
@@ -15,6 +17,25 @@ use bytes::Bytes;
 use crate::addr::{Endpoint, EthernetAddress};
 use crate::message::MsgRepr;
 use crate::{ethernet, ipv4, udp, WireError};
+
+/// The header fields the NIC steers on and the client reads, on a typed
+/// frame ([`FrameSpec`]) and a parsed one ([`ParsedFrame`]) alike.
+pub trait FrameHeader {
+    /// Destination MAC.
+    fn dst_mac(&self) -> EthernetAddress;
+    /// Source UDP/IPv4 endpoint.
+    fn src(&self) -> Endpoint;
+    /// Destination UDP/IPv4 endpoint.
+    fn dst(&self) -> Endpoint;
+    /// The application message.
+    fn msg(&self) -> &MsgRepr;
+
+    /// The 4-tuple RSS hash input: (src ip, dst ip, src port, dst port).
+    fn four_tuple(&self) -> ([u8; 4], [u8; 4], u16, u16) {
+        let (src, dst) = (self.src(), self.dst());
+        (src.addr.0, dst.addr.0, src.port, dst.port)
+    }
+}
 
 /// Everything needed to build one request/response/control frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,12 +54,18 @@ pub struct FrameSpec {
 }
 
 impl FrameSpec {
-    /// Total frame length in bytes (headers + message).
+    /// Total frame length in bytes (headers + message): the length
+    /// [`FrameSpec::build`] returns, without building.
     pub fn frame_len(&self) -> usize {
         ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN + self.msg.buffer_len()
     }
 
     /// Build the complete frame, all checksums computed.
+    ///
+    /// # Panics
+    /// Panics if the message body is longer than
+    /// [`MAX_BODY_LEN`](crate::MAX_BODY_LEN), which the IPv4 and UDP
+    /// length fields cannot carry.
     pub fn build(&self) -> Bytes {
         let msg_len = self.msg.buffer_len();
         let udp_repr = udp::Repr {
@@ -110,26 +137,6 @@ impl ParsedFrame {
         Ok(ParsedFrame { eth, ip, udp, msg })
     }
 
-    /// Source endpoint of the frame.
-    pub fn src(&self) -> Endpoint {
-        Endpoint::new(self.ip.src_addr, self.udp.src_port)
-    }
-
-    /// Destination endpoint of the frame.
-    pub fn dst(&self) -> Endpoint {
-        Endpoint::new(self.ip.dst_addr, self.udp.dst_port)
-    }
-
-    /// The 4-tuple RSS hash input: (src ip, dst ip, src port, dst port).
-    pub fn four_tuple(&self) -> ([u8; 4], [u8; 4], u16, u16) {
-        (
-            self.ip.src_addr.0,
-            self.ip.dst_addr.0,
-            self.udp.src_port,
-            self.udp.dst_port,
-        )
-    }
-
     /// Build the spec that would regenerate this frame (e.g. to bounce a
     /// message back with modified fields).
     pub fn to_spec(&self) -> FrameSpec {
@@ -140,6 +147,36 @@ impl ParsedFrame {
             dst: self.dst(),
             msg: self.msg,
         }
+    }
+}
+
+impl FrameHeader for FrameSpec {
+    fn dst_mac(&self) -> EthernetAddress {
+        self.dst_mac
+    }
+    fn src(&self) -> Endpoint {
+        self.src
+    }
+    fn dst(&self) -> Endpoint {
+        self.dst
+    }
+    fn msg(&self) -> &MsgRepr {
+        &self.msg
+    }
+}
+
+impl FrameHeader for ParsedFrame {
+    fn dst_mac(&self) -> EthernetAddress {
+        self.eth.dst_addr
+    }
+    fn src(&self) -> Endpoint {
+        Endpoint::new(self.ip.src_addr, self.udp.src_port)
+    }
+    fn dst(&self) -> Endpoint {
+        Endpoint::new(self.ip.dst_addr, self.udp.dst_port)
+    }
+    fn msg(&self) -> &MsgRepr {
+        &self.msg
     }
 }
 
@@ -217,6 +254,23 @@ mod tests {
     }
 
     #[test]
+    fn the_longest_body_fits_the_length_fields() {
+        let mut s = spec();
+        s.msg.body_len = crate::MAX_BODY_LEN;
+        let bytes = s.build();
+        assert_eq!(bytes.len() - ethernet::HEADER_LEN, usize::from(u16::MAX));
+        assert_eq!(ParsedFrame::parse(&bytes).unwrap().to_spec(), s);
+    }
+
+    #[test]
+    #[should_panic(expected = "length exceeds 65535")]
+    fn a_longer_body_fails_to_build() {
+        let mut s = spec();
+        s.msg.body_len = crate::MAX_BODY_LEN + 1;
+        s.build();
+    }
+
+    #[test]
     fn four_tuple_extraction() {
         let parsed = ParsedFrame::parse(&spec().build()).unwrap();
         let (sip, dip, sp, dp) = parsed.four_tuple();
@@ -231,32 +285,96 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::addr::Ipv4Address;
+    use crate::message::MsgKind;
+    use crate::MAX_BODY_LEN;
     use proptest::prelude::*;
 
+    fn arb_kind() -> impl Strategy<Value = MsgKind> {
+        prop_oneof![
+            Just(MsgKind::Request),
+            Just(MsgKind::Response),
+            Just(MsgKind::Assign),
+            Just(MsgKind::Done),
+            Just(MsgKind::Preempted),
+            Just(MsgKind::Feedback),
+            Just(MsgKind::Nack),
+            Just(MsgKind::Heartbeat),
+        ]
+    }
+
+    /// Any frame the simulator could put on a hop: every kind, any grant
+    /// byte, bodies from empty to the largest the length fields carry.
+    fn arb_spec() -> impl Strategy<Value = FrameSpec> {
+        let body = prop_oneof![0u16..2048, (MAX_BODY_LEN - 64)..=MAX_BODY_LEN];
+        (
+            (
+                any::<[u8; 6]>(),
+                any::<[u8; 6]>(),
+                any::<[u8; 4]>(),
+                any::<[u8; 4]>(),
+            ),
+            (any::<u16>(), any::<u16>(), arb_kind(), any::<u8>(), body),
+            (
+                any::<u64>(),
+                any::<u32>(),
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+            ),
+        )
+            .prop_map(
+                |((smac, dmac, sip, dip), (sport, dport, kind, grant_code, body_len), ids)| {
+                    let (req_id, client_id, service_ns, remaining_ns, sent_at_ns) = ids;
+                    FrameSpec {
+                        src_mac: EthernetAddress(smac),
+                        dst_mac: EthernetAddress(dmac),
+                        src: Endpoint::new(Ipv4Address(sip), sport),
+                        dst: Endpoint::new(Ipv4Address(dip), dport),
+                        msg: MsgRepr {
+                            kind,
+                            req_id,
+                            client_id,
+                            service_ns,
+                            remaining_ns,
+                            sent_at_ns,
+                            body_len,
+                            grant_code,
+                        },
+                    }
+                },
+            )
+    }
+
     proptest! {
+        /// The contract typed frames rest on: a spec's bytes parse back to
+        /// the spec, and `frame_len` is their length.
         #[test]
-        fn arbitrary_specs_round_trip(
-            smac in any::<[u8; 6]>(), dmac in any::<[u8; 6]>(),
-            sip in any::<[u8; 4]>(), dip in any::<[u8; 4]>(),
-            sport in any::<u16>(), dport in any::<u16>(),
-            req_id in any::<u64>(), service in any::<u64>(), body in 0u16..1024,
-        ) {
-            let s = FrameSpec {
-                src_mac: EthernetAddress(smac),
-                dst_mac: EthernetAddress(dmac),
-                src: Endpoint::new(Ipv4Address(sip), sport),
-                dst: Endpoint::new(Ipv4Address(dip), dport),
-                msg: MsgRepr::request(req_id, 1, service, 0, body),
-            };
-            let parsed = ParsedFrame::parse(&s.build()).unwrap();
-            prop_assert_eq!(parsed.msg.req_id, req_id);
-            prop_assert_eq!(parsed.src().port, sport);
-            prop_assert_eq!(parsed.eth.dst_addr, EthernetAddress(dmac));
+        fn arbitrary_specs_round_trip(s in arb_spec()) {
+            let bytes = s.build();
+            prop_assert_eq!(bytes.len(), s.frame_len());
+            prop_assert_eq!(ParsedFrame::parse(&bytes).unwrap().to_spec(), s);
         }
 
         #[test]
         fn random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = ParsedFrame::parse(&data);
+        }
+
+        /// A valid frame with bytes flipped at random offsets, then cut at a
+        /// random length, is rejected or misread but never panics.
+        #[test]
+        fn damaged_frames_never_panic(
+            s in arb_spec(),
+            flips in proptest::collection::vec((any::<u32>(), 1u8..=255), 0..8),
+            cut in any::<u32>(),
+        ) {
+            let mut raw = s.build().to_vec();
+            for (at, mask) in flips {
+                let i = at as usize % raw.len();
+                raw[i] ^= mask;
+            }
+            raw.truncate(cut as usize % (raw.len() + 1));
+            let _ = ParsedFrame::parse(&raw);
         }
     }
 }

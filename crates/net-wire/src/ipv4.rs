@@ -235,10 +235,15 @@ impl Repr {
     }
 
     /// Write this header into a packet buffer and fill the checksum.
+    ///
+    /// # Panics
+    /// Panics if header plus payload exceed the 16-bit total-length field.
     pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, packet: &mut Packet<T>) {
         packet.set_version_ihl();
         packet.buffer.as_mut()[field::DSCP_ECN] = 0;
-        packet.set_total_len((HEADER_LEN + self.payload_len) as u16);
+        let total_len = u16::try_from(HEADER_LEN + self.payload_len)
+            .expect("IPv4 total length exceeds 65535 bytes");
+        packet.set_total_len(total_len);
         packet.buffer.as_mut()[field::IDENT].copy_from_slice(&[0, 0]);
         packet.buffer.as_mut()[field::FLG_OFF].copy_from_slice(&[0x40, 0]); // DF
         packet.set_ttl(self.ttl);
@@ -330,6 +335,17 @@ mod tests {
         p.fill_checksum();
         let p = Packet::new_checked(&buf).unwrap();
         assert_eq!(Repr::parse(&p).unwrap_err(), WireError::Malformed);
+    }
+
+    #[test]
+    #[should_panic(expected = "IPv4 total length exceeds")]
+    fn oversized_payload_fails_loudly() {
+        let r = Repr {
+            payload_len: 65_535 - HEADER_LEN + 1,
+            ..repr()
+        };
+        let mut buf = vec![0u8; HEADER_LEN];
+        r.emit(&mut Packet::new_unchecked(&mut buf));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! # net-wire — byte-accurate wire formats
 //!
 //! The packet layer of the `mindgap` reproduction. Requests, responses and
-//! dispatcher↔worker control traffic are real Ethernet II / IPv4 / UDP
-//! frames carrying the [`message`] application header, built and parsed
-//! byte-for-byte with checksum verification — the same framing the paper's
-//! Stingray prototype uses (§3.4.2), so header overheads, packet sizes and
-//! MAC-based SR-IOV steering behave honestly in the simulation.
+//! dispatcher↔worker control traffic are Ethernet II / IPv4 / UDP frames
+//! carrying the [`message`] application header — the same framing the
+//! paper's Stingray prototype uses (§3.4.2), so header overheads, packet
+//! sizes and MAC-based SR-IOV steering behave honestly in the simulation.
+//! Hops carry the typed [`FrameSpec`]; this crate is the codec that turns
+//! it into bytes and back, byte-for-byte with checksum verification, and
+//! `parse(build(spec)) == spec` is its contract.
 //!
 //! The API follows the smoltcp idiom: a typed *view* (`Frame`, `Packet`,
 //! `Datagram`) wraps any `AsRef<[u8]>` buffer with checked accessors, and a
@@ -41,8 +43,14 @@ pub mod message;
 pub mod udp;
 
 pub use addr::{Endpoint, EthernetAddress, Ipv4Address};
-pub use frame::{FrameSpec, ParsedFrame};
+pub use frame::{FrameHeader, FrameSpec, ParsedFrame};
 pub use message::{MsgKind, MsgRepr};
+
+/// The longest message body a frame can carry: the IPv4 total length and
+/// the UDP length are 16-bit fields, and both count the UDP header and the
+/// message header as well.
+pub const MAX_BODY_LEN: u16 =
+    (u16::MAX as usize - ipv4::HEADER_LEN - udp::HEADER_LEN - message::HEADER_LEN) as u16;
 
 /// Errors surfaced while parsing or validating wire data.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -181,10 +181,15 @@ impl Repr {
 
     /// Write this header; call [`Datagram::fill_checksum`] after writing the
     /// payload (the checksum covers it).
+    ///
+    /// # Panics
+    /// Panics if header plus payload exceed the 16-bit length field.
     pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, dgram: &mut Datagram<T>) {
         dgram.set_src_port(self.src_port);
         dgram.set_dst_port(self.dst_port);
-        dgram.set_len((HEADER_LEN + self.payload_len) as u16);
+        let len =
+            u16::try_from(HEADER_LEN + self.payload_len).expect("UDP length exceeds 65535 bytes");
+        dgram.set_len(len);
     }
 }
 
@@ -213,6 +218,18 @@ mod tests {
         assert_eq!(Repr::parse(&d, SRC, DST).unwrap(), r);
         assert_eq!(d.payload(), b"salut");
         assert!(!d.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "UDP length exceeds")]
+    fn oversized_payload_fails_loudly() {
+        let r = Repr {
+            src_port: 5000,
+            dst_port: 6000,
+            payload_len: 65_535 - HEADER_LEN + 1,
+        };
+        let mut buf = vec![0u8; HEADER_LEN];
+        r.emit(&mut Datagram::new_unchecked(&mut buf));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use net_wire::{EthernetAddress, ParsedFrame};
+use net_wire::{EthernetAddress, FrameHeader};
 use sim_core::SimDuration;
 
 use crate::flow_director::{FlowDirector, FlowKey};
@@ -52,7 +52,7 @@ pub struct Iface {
 
 impl Iface {
     /// Queue index this frame steers to.
-    fn select_queue(&mut self, frame: &ParsedFrame) -> usize {
+    fn select_queue(&mut self, frame: &impl FrameHeader) -> usize {
         match &mut self.steering {
             QueueSteering::Single => 0,
             QueueSteering::Rss(rss) => {
@@ -135,11 +135,11 @@ impl NicDevice {
         id
     }
 
-    /// Steer a parsed frame by destination MAC (and intra-interface
-    /// steering). `None` means no interface owns the MAC; the frame is
-    /// dropped and counted.
-    pub fn steer(&mut self, frame: &ParsedFrame) -> Option<SteerDecision> {
-        match self.mac_table.get(&frame.eth.dst_addr) {
+    /// Steer a frame, typed or parsed, by destination MAC (and
+    /// intra-interface steering). `None` means no interface owns the MAC;
+    /// the frame is dropped and counted.
+    pub fn steer(&mut self, frame: &impl FrameHeader) -> Option<SteerDecision> {
+        match self.mac_table.get(&frame.dst_mac()) {
             Some(&id) => {
                 let queue = self.ifaces[id.0 as usize].select_queue(frame);
                 Some(SteerDecision { iface: id, queue })
@@ -159,11 +159,6 @@ impl NicDevice {
     /// Mutable access to an interface (to push/pop its rings).
     pub fn iface_mut(&mut self, id: IfaceId) -> &mut Iface {
         &mut self.ifaces[id.0 as usize]
-    }
-
-    /// Look up an interface by MAC.
-    pub fn iface_by_mac(&self, mac: EthernetAddress) -> Option<IfaceId> {
-        self.mac_table.get(&mac).copied()
     }
 
     /// Number of interfaces.
@@ -199,7 +194,7 @@ impl NicDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use net_wire::{Endpoint, FrameSpec, Ipv4Address, MsgRepr};
+    use net_wire::{Endpoint, FrameSpec, Ipv4Address, MsgRepr, ParsedFrame};
 
     fn mac(n: u8) -> EthernetAddress {
         EthernetAddress::new(2, 0, 0, 0, 0, n)
@@ -223,7 +218,6 @@ mod tests {
         let b = dev.add_iface(mac(2), 1, 64, QueueSteering::Single);
         assert_eq!(dev.steer(&frame_to(mac(1), 5)).unwrap().iface, a);
         assert_eq!(dev.steer(&frame_to(mac(2), 5)).unwrap().iface, b);
-        assert_eq!(dev.iface_by_mac(mac(2)), Some(b));
         assert_eq!(dev.iface_count(), 2);
     }
 
@@ -290,10 +284,68 @@ mod tests {
     fn ring_drops_count_in_totals() {
         let mut dev = NicDevice::new(SimDuration::ZERO);
         let id = dev.add_iface(mac(1), 1, 1, QueueSteering::Single);
-        let data = bytes::Bytes::from_static(b"x");
+        let spec = frame_to(mac(1), 5).to_spec();
         let now = sim_core::SimTime::ZERO;
-        assert!(dev.iface_mut(id).rx[0].push(now, data.clone()));
-        assert!(!dev.iface_mut(id).rx[0].push(now, data));
+        assert!(dev.iface_mut(id).rx[0].push(now, spec));
+        assert!(!dev.iface_mut(id).rx[0].push(now, spec));
         assert_eq!(dev.total_drops(), 1);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use net_wire::{Endpoint, FrameSpec, Ipv4Address, MsgRepr, ParsedFrame};
+    use proptest::prelude::*;
+
+    fn mac(n: u8) -> EthernetAddress {
+        EthernetAddress::new(2, 0, 0, 0, 0, n)
+    }
+
+    /// One interface of each steering mode, four queues where there are
+    /// queues to choose from, behind distinct MACs 1–3.
+    fn device() -> NicDevice {
+        let mut dev = NicDevice::new(SimDuration::ZERO);
+        dev.add_iface(mac(1), 1, 8, QueueSteering::Single);
+        dev.add_iface(mac(2), 4, 8, QueueSteering::Rss(Rss::new(4)));
+        let mut table = FlowDirector::new(64);
+        for port in 0..32u16 {
+            let key = FlowKey {
+                src: Endpoint::new(Ipv4Address::new(10, 0, 0, 1), 7000 + port),
+                dst: Endpoint::new(Ipv4Address::new(10, 0, 1, 0), 6000),
+            };
+            table.install(key, u32::from(port) % 4);
+        }
+        let fallback = Rss::new(4);
+        dev.add_iface(
+            mac(3),
+            4,
+            8,
+            QueueSteering::FlowDirector { table, fallback },
+        );
+        dev
+    }
+
+    proptest! {
+        /// Steering reads only header fields, so a typed frame and its
+        /// parsed bytes go to the same interface and queue on every
+        /// steering mode, including frames no interface owns.
+        #[test]
+        fn typed_and_parsed_frames_steer_alike(
+            dst in 0u8..5, sip in prop_oneof![Just([10u8, 0, 0, 1]), any::<[u8; 4]>()],
+            sport in 7000u16..7064,
+            dport in prop_oneof![Just(6000u16), any::<u16>()], body in 0u16..1024,
+        ) {
+            let spec = FrameSpec {
+                src_mac: mac(99),
+                dst_mac: mac(dst),
+                src: Endpoint::new(Ipv4Address(sip), sport),
+                dst: Endpoint::new(Ipv4Address::new(10, 0, 1, 0), dport),
+                msg: MsgRepr::request(1, 1, 1_000, 0, body),
+            };
+            let parsed = ParsedFrame::parse(&spec.build()).unwrap();
+            let mut dev = device();
+            prop_assert_eq!(dev.steer(&spec), dev.steer(&parsed));
+        }
     }
 }

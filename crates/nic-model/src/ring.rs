@@ -8,18 +8,21 @@
 //! only a bounded number of outstanding requests in each worker's RX ring.
 //!
 //! The ring records an enqueue timestamp per frame so consumers can account
-//! HW-queueing delay separately from software processing.
+//! HW-queueing delay separately from software processing. Slots hold the
+//! typed frame, not its bytes, and grow with the ring's occupancy instead
+//! of being allocated for every descriptor up front: a 1,024-descriptor
+//! ring that never holds more than a few frames costs a few slots.
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
-use sim_core::{SimDuration, SimTime};
+use net_wire::FrameSpec;
+use sim_core::SimTime;
 
 /// One queued frame with its hardware arrival timestamp.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct RxFrame {
-    /// The frame bytes (refcounted; cloning is cheap).
-    pub data: Bytes,
+    /// The frame.
+    pub spec: FrameSpec,
     /// When the NIC placed the frame in the ring.
     pub enqueued_at: SimTime,
 }
@@ -44,7 +47,7 @@ impl Ring {
     pub fn new(capacity: usize) -> Ring {
         assert!(capacity > 0, "ring capacity must be positive");
         Ring {
-            frames: VecDeque::with_capacity(capacity),
+            frames: VecDeque::new(),
             capacity,
             enqueued: 0,
             popped: 0,
@@ -78,13 +81,13 @@ impl Ring {
     }
 
     /// Hardware-side enqueue. Returns `false` (and counts a drop) when full.
-    pub fn push(&mut self, now: SimTime, data: Bytes) -> bool {
+    pub fn push(&mut self, now: SimTime, spec: FrameSpec) -> bool {
         if self.frames.len() >= self.capacity {
             self.dropped += 1;
             return false;
         }
         self.frames.push_back(RxFrame {
-            data,
+            spec,
             enqueued_at: now,
         });
         self.enqueued += 1;
@@ -99,13 +102,6 @@ impl Ring {
         frame
     }
 
-    /// Burst dequeue of up to `max` frames (DPDK `rx_burst`).
-    pub fn pop_burst(&mut self, max: usize) -> Vec<RxFrame> {
-        let n = max.min(self.frames.len());
-        self.popped += n as u64;
-        self.frames.drain(..n).collect()
-    }
-
     /// Frames currently queued.
     pub fn len(&self) -> usize {
         self.frames.len()
@@ -115,26 +111,25 @@ impl Ring {
     pub fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
-
-    /// Free descriptors.
-    pub fn free(&self) -> usize {
-        self.capacity - self.frames.len()
-    }
-
-    /// Queueing delay the head frame has experienced by `now`.
-    pub fn head_wait(&self, now: SimTime) -> Option<SimDuration> {
-        self.frames
-            .front()
-            .map(|f| now.saturating_duration_since(f.enqueued_at))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use net_wire::{Endpoint, EthernetAddress, Ipv4Address, MsgRepr};
 
-    fn frame(n: u8) -> Bytes {
-        Bytes::from(vec![n; 4])
+    fn frame(n: u8) -> FrameSpec {
+        FrameSpec {
+            src_mac: EthernetAddress::new(2, 0, 0, 0, 0, 1),
+            dst_mac: EthernetAddress::new(2, 0, 0, 0, 0, 2),
+            src: Endpoint::new(Ipv4Address::new(10, 0, 0, 1), 7000),
+            dst: Endpoint::new(Ipv4Address::new(10, 0, 0, 2), 6000),
+            msg: MsgRepr::request(u64::from(n), 1, 1_000, 0, 0),
+        }
+    }
+
+    fn id(f: RxFrame) -> u64 {
+        f.spec.msg.req_id
     }
 
     fn us(n: u64) -> SimTime {
@@ -147,9 +142,10 @@ mod tests {
         for i in 0..3 {
             assert!(r.push(us(i as u64), frame(i)));
         }
-        assert_eq!(r.pop().unwrap().data[0], 0);
-        assert_eq!(r.pop().unwrap().data[0], 1);
-        assert_eq!(r.pop().unwrap().data[0], 2);
+        assert_eq!(id(r.pop().unwrap()), 0);
+        assert_eq!(id(r.pop().unwrap()), 1);
+        let last = r.pop().unwrap();
+        assert_eq!((id(last), last.enqueued_at), (2, us(2)));
         assert!(r.pop().is_none());
     }
 
@@ -163,30 +159,19 @@ mod tests {
         assert_eq!(r.enqueued, 2);
         assert_eq!(r.len(), 2);
         // The queued frames are the first two, not the dropped one.
-        assert_eq!(r.pop().unwrap().data[0], 0);
+        assert_eq!(id(r.pop().unwrap()), 0);
     }
 
     #[test]
-    fn burst_dequeue() {
-        let mut r = Ring::new(8);
-        for i in 0..5 {
-            r.push(us(0), frame(i));
-        }
-        let burst = r.pop_burst(3);
-        assert_eq!(burst.len(), 3);
-        assert_eq!(burst[0].data[0], 0);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.pop_burst(10).len(), 2);
-        assert!(r.pop_burst(10).is_empty());
-    }
-
-    #[test]
-    fn head_wait_measures_hw_queueing() {
-        let mut r = Ring::new(4);
-        r.push(us(10), frame(0));
-        assert_eq!(r.head_wait(us(25)), Some(SimDuration::from_micros(15)));
-        r.pop();
-        assert_eq!(r.head_wait(us(25)), None);
+    fn slots_grow_with_occupancy_not_capacity() {
+        let mut r = Ring::new(1024);
+        assert_eq!(
+            r.frames.capacity(),
+            0,
+            "no descriptor is allocated up front"
+        );
+        r.push(us(0), frame(0));
+        assert!(r.frames.capacity() < 1024);
     }
 
     #[test]
@@ -197,7 +182,7 @@ mod tests {
         r.pop();
         r.push(us(0), frame(2));
         assert_eq!(r.peak, 2);
-        assert_eq!(r.free(), 2);
+        assert_eq!(r.len(), 2);
         assert_eq!(r.popped, 1);
         assert_eq!(r.capacity(), 4);
     }
@@ -209,7 +194,7 @@ mod tests {
         r.push(us(0), frame(0));
         r.push(us(0), frame(1));
         r.push(us(0), frame(2)); // dropped
-        r.pop_burst(1);
+        r.pop();
         let mut inv = InvariantChecker::new(InvariantConfig::enabled());
         r.check_invariants(us(1), &mut inv);
         inv.assert_clean();

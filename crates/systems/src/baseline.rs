@@ -15,9 +15,8 @@
 //! stealing option — which is exactly the paper's framing: they delegate
 //! scheduling to steering hardware and give up load awareness.
 
-use bytes::Bytes;
 use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
-use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
+use net_wire::{FrameSpec, MsgKind, MsgRepr};
 use nic_model::{FlowDirector, FlowKey, IfaceId, NicDevice, QueueSteering, Rss};
 use nicsched::params;
 use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
@@ -59,10 +58,10 @@ pub struct BaselineConfig {
 
 enum Ev {
     ClientSend,
-    WireToNic(Bytes),
+    WireToNic(FrameSpec),
     WorkerPoll(usize),
     WorkerRunEnd(usize),
-    ClientResp(Bytes),
+    ClientResp(FrameSpec),
     /// Elastic-RSS controller tick: re-provision the active core set.
     ErssTick,
     /// A client retransmit timer fires for one attempt of one request.
@@ -200,10 +199,10 @@ impl Baseline {
 
     /// Pop work for worker `w`: own queue first, then (if stealing) the
     /// longest peer queue. Returns the frame and the steal overhead.
-    fn take_work(&mut self, w: usize) -> Option<(Bytes, SimDuration)> {
+    fn take_work(&mut self, w: usize) -> Option<(FrameSpec, SimDuration)> {
         let iface = self.nic.iface_mut(self.iface);
         if let Some(frame) = iface.rx[w].pop() {
-            return Some((frame.data, SimDuration::ZERO));
+            return Some((frame.spec, SimDuration::ZERO));
         }
         if self.cfg.kind != BaselineKind::RssStealing {
             return None;
@@ -214,7 +213,7 @@ impl Baseline {
             .max_by_key(|&q| iface.rx[q].len())?;
         let frame = iface.rx[victim].pop()?;
         self.steals += 1;
-        Some((frame.data, params::WORK_STEAL_COST))
+        Some((frame.spec, params::WORK_STEAL_COST))
     }
 
     fn worker_poll(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
@@ -229,7 +228,7 @@ impl Baseline {
             ctx.schedule_at(resume, Ev::WorkerPoll(w));
             return;
         }
-        let Some((data, steal_cost)) = self.take_work(w) else {
+        let Some((spec, steal_cost)) = self.take_work(w) else {
             self.workers[w].core.set_idle(ctx.now());
             ctx.probe().busy_i("worker", w, false);
             if self.workers[w].idle_since.is_none() {
@@ -240,15 +239,11 @@ impl Baseline {
         if steal_cost > SimDuration::ZERO {
             ctx.probe().count("worker.steals");
         }
-        let Ok(parsed) = ParsedFrame::parse(&data) else {
-            ctx.schedule_now(Ev::WorkerPoll(w));
-            return;
-        };
-        if parsed.msg.kind != MsgKind::Request {
+        let msg = spec.msg;
+        if msg.kind != MsgKind::Request {
             ctx.schedule_now(Ev::WorkerPoll(w));
             return;
         }
-        let msg = parsed.msg;
         if let Some(idle_at) = self.workers[w].idle_since.take() {
             let gap = ctx.now().saturating_duration_since(idle_at);
             ctx.probe().hop("worker.idle_gap", gap);
@@ -273,9 +268,6 @@ impl Baseline {
         let worker = &mut self.workers[w];
         worker.busy = true;
         worker.core.set_busy(ctx.now());
-        // Stash the response identity in the event via a rebuilt frame at
-        // completion time; carry the parsed message through worker state
-        // instead of re-parsing.
         self.pending[w] = Some(msg);
         ctx.schedule_in(wall, Ev::WorkerRunEnd(w));
     }
@@ -309,8 +301,8 @@ impl Baseline {
         };
         let built = ctx.now() + params::WORKER_TX_COST;
         let depart = built + self.nic.dma_latency;
-        if let Some((at, bytes)) = self.wire.response(&resp, depart, ctx) {
-            ctx.schedule_at(at, Ev::ClientResp(bytes));
+        if let Some((at, resp)) = self.wire.response(resp, depart, ctx) {
+            ctx.schedule_at(at, Ev::ClientResp(resp));
         }
         self.ctx_pool.discard(msg.req_id);
         let worker = &mut self.workers[w];
@@ -326,6 +318,7 @@ impl Model for Baseline {
     fn check_invariants(&self, now: SimTime, inv: &mut sim_core::InvariantChecker) {
         self.nic.check_invariants(now, inv);
         self.client.check_invariants(now, inv);
+        self.wire.codec.check_invariants(now, inv);
     }
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
@@ -338,8 +331,8 @@ impl Model for Baseline {
                 let req_id = spec.msg.req_id;
                 ctx.probe().count("client.sent");
                 ctx.probe().mark(req_id, "path.0_client_send");
-                if let Some((at, bytes)) = self.wire.request(&spec, ctx) {
-                    ctx.schedule_at(at, Ev::WireToNic(bytes));
+                if let Some((at, spec)) = self.wire.request(spec, ctx) {
+                    ctx.schedule_at(at, Ev::WireToNic(spec));
                 }
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
@@ -347,11 +340,8 @@ impl Model for Baseline {
                 let gap = self.client.next_gap();
                 ctx.schedule_in(gap, Ev::ClientSend);
             }
-            Ev::WireToNic(bytes) => {
-                let Ok(parsed) = ParsedFrame::parse(&bytes) else {
-                    return;
-                };
-                if let Some(d) = self.nic.steer(&parsed) {
+            Ev::WireToNic(spec) => {
+                if let Some(d) = self.nic.steer(&spec) {
                     ctx.probe().count("nic.rx_frames");
                     let now = ctx.now();
                     if self.cfg.kind != BaselineKind::RssStealing
@@ -363,7 +353,7 @@ impl Model for Baseline {
                         ctx.probe().count("worker.stranded");
                         return;
                     }
-                    self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), bytes);
+                    self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), spec);
                     let depth = self.nic.iface(d.iface).rx[d.queue].len();
                     ctx.probe().depth_i("worker.ring", d.queue, depth);
                     if !self.workers[d.queue].busy {
@@ -380,12 +370,10 @@ impl Model for Baseline {
             Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
             Ev::WorkerRunEnd(w) => self.finish(w, ctx),
             Ev::ErssTick => self.erss_tick(ctx),
-            Ev::ClientResp(bytes) => {
-                if let Ok(parsed) = ParsedFrame::parse(&bytes) {
-                    ctx.probe().count("client.responses");
-                    ctx.probe().finish(parsed.msg.req_id, "path.3_response");
-                    self.client.on_response(ctx.now(), &parsed);
-                }
+            Ev::ClientResp(spec) => {
+                ctx.probe().count("client.responses");
+                ctx.probe().finish(spec.msg.req_id, "path.3_response");
+                self.client.on_response(ctx.now(), &spec);
             }
             Ev::ClientTimeout { req_id, attempt } => {
                 if let TimeoutOutcome::Retry {
@@ -395,8 +383,8 @@ impl Model for Baseline {
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
                     ctx.probe().count("client.retries");
-                    if let Some((at, bytes)) = self.wire.request(&frame, ctx) {
-                        ctx.schedule_at(at, Ev::WireToNic(bytes));
+                    if let Some((at, frame)) = self.wire.request(frame, ctx) {
+                        ctx.schedule_at(at, Ev::WireToNic(frame));
                     }
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }

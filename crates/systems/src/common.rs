@@ -1,12 +1,14 @@
 //! Plumbing shared by every system assembly: addressing conventions, the
 //! open-loop client (with its reliability layer), the resilience
 //! configuration every assembly accepts, the stale-feedback governor, the
-//! lossy client↔server wire, and metric assembly.
+//! lossy client↔server wire with the codec check every frame passes, and
+//! metric assembly.
 
 use std::collections::BTreeSet;
 
-use bytes::Bytes;
-use net_wire::{Endpoint, EthernetAddress, FrameSpec, Ipv4Address, MsgRepr, ParsedFrame};
+use net_wire::{
+    Endpoint, EthernetAddress, FrameHeader, FrameSpec, Ipv4Address, MsgRepr, ParsedFrame,
+};
 use nic_model::Link;
 use nicsched::{
     AdmissionPolicy, CoreFeedback, CoreSelector, Dispatcher, FeedbackChannel, SchedPolicy,
@@ -267,13 +269,63 @@ impl FeedbackGovernor {
     }
 }
 
+/// The codec edge of an assembly's request path. Hops carry typed
+/// [`FrameSpec`]s, and with invariants off this only hands each one on.
+/// With them on, [`FrameCodec::build`] also encodes every frame through
+/// `net-wire`, parses the bytes back and compares the result with the spec
+/// it came from; [`FrameCodec::check_invariants`] reports any difference.
+/// Pure observation: no event, draw or output depends on it.
+#[derive(Debug, Default)]
+pub(crate) struct FrameCodec {
+    enabled: bool,
+    /// Frames encoded and parsed back.
+    built: u64,
+    /// Frames whose bytes parsed back equal to their spec.
+    intact: u64,
+}
+
+impl FrameCodec {
+    /// A codec that round-trips frames only when `res` turns invariants on.
+    pub fn new(res: &ResilienceConfig) -> FrameCodec {
+        FrameCodec {
+            enabled: res.invariants.enabled,
+            ..FrameCodec::default()
+        }
+    }
+
+    /// The frame a hop carries: `spec` itself, after its byte round trip
+    /// when checking.
+    pub fn build(&mut self, spec: FrameSpec) -> FrameSpec {
+        if self.enabled {
+            let back = ParsedFrame::parse(&spec.build()).map(|p| p.to_spec());
+            self.built += 1;
+            self.intact += u64::from(back == Ok(spec));
+        }
+        spec
+    }
+
+    /// Report frames whose bytes did not parse back to their spec.
+    pub fn check_invariants(&self, now: SimTime, inv: &mut InvariantChecker) {
+        inv.check_conservation(
+            now,
+            "frames (built = parsed back unchanged)",
+            self.built,
+            self.intact,
+        );
+    }
+}
+
 /// The client↔server Ethernet every assembly shares: a 10 GbE link each
 /// way, lossy at the fault plan's i.i.d. rate, plus the plan's burst loss.
 /// It counts what it drops; each caller schedules its own arrival event.
+/// Its codec check covers every frame of the assembly: the wire's own,
+/// and the in-machine hops' through `codec`.
 #[derive(Debug)]
 pub struct Wire {
     to_server: Link,
     to_client: Link,
+    /// The codec check of the assembly's frames.
+    pub(crate) codec: FrameCodec,
     /// Request frames lost on the client→server wire (i.i.d. + burst).
     pub req_lost: u64,
     /// Response/NACK frames lost on the server→client wire.
@@ -295,19 +347,21 @@ impl Wire {
         Wire {
             to_server: link(master),
             to_client: link(master),
+            codec: FrameCodec::new(res),
             req_lost: 0,
             resp_lost: 0,
         }
     }
 
-    /// Transmit a client→server frame now: its arrival time and bytes, or
-    /// `None` if the wire lost it.
+    /// Transmit a client→server frame now: its arrival time and the frame,
+    /// or `None` if the wire lost it.
     pub fn request<E>(
         &mut self,
-        spec: &FrameSpec,
+        spec: FrameSpec,
         ctx: &mut Ctx<'_, E>,
-    ) -> Option<(SimTime, Bytes)> {
+    ) -> Option<(SimTime, FrameSpec)> {
         let now = ctx.now();
+        let spec = self.codec.build(spec);
         let sent = transmit(&mut self.to_server, spec, now, ctx);
         if sent.is_none() {
             self.req_lost += 1;
@@ -317,13 +371,15 @@ impl Wire {
     }
 
     /// Transmit a server→client frame (response or NACK) leaving at
-    /// `depart`: its arrival time and bytes, or `None` if the wire lost it.
+    /// `depart`: its arrival time and the frame, or `None` if the wire
+    /// lost it.
     pub fn response<E>(
         &mut self,
-        spec: &FrameSpec,
+        spec: FrameSpec,
         depart: SimTime,
         ctx: &mut Ctx<'_, E>,
-    ) -> Option<(SimTime, Bytes)> {
+    ) -> Option<(SimTime, FrameSpec)> {
+        let spec = self.codec.build(spec);
         let sent = transmit(&mut self.to_client, spec, depart, ctx);
         if sent.is_none() {
             self.resp_lost += 1;
@@ -333,20 +389,20 @@ impl Wire {
     }
 }
 
-/// Build the frame, then apply burst loss, then the link's own loss.
+/// Apply burst loss, then the link's own loss, to a frame of the spec's
+/// wire length.
 fn transmit<E>(
     link: &mut Link,
-    spec: &FrameSpec,
+    spec: FrameSpec,
     at: SimTime,
     ctx: &mut Ctx<'_, E>,
-) -> Option<(SimTime, Bytes)> {
-    let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-    let bytes = spec.build();
+) -> Option<(SimTime, FrameSpec)> {
     if ctx.faults().burst_frame_lost(at) {
         return None;
     }
+    let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
     link.transmit_lossy(at, payload_len)
-        .map(|arrive| (arrive, bytes))
+        .map(|arrive| (arrive, spec))
 }
 
 /// Deterministic MAC/IP addressing plan for a simulated testbed.
@@ -508,7 +564,17 @@ pub struct Client {
 
 impl Client {
     /// Build a client for `spec`, forking its streams from `master`.
+    ///
+    /// # Panics
+    /// Panics if `spec.body_len` exceeds [`net_wire::MAX_BODY_LEN`]: no
+    /// frame could carry such a request.
     pub fn new(spec: WorkloadSpec, master: &mut Rng) -> Client {
+        assert!(
+            spec.body_len <= net_wire::MAX_BODY_LEN,
+            "request body of {} bytes exceeds the {}-byte frame limit",
+            spec.body_len,
+            net_wire::MAX_BODY_LEN
+        );
         Client {
             arrivals: ArrivalGen::new(
                 ArrivalProcess::Poisson {
@@ -676,8 +742,8 @@ impl Client {
     /// (a retransmission raced the original) and orphans (the request was
     /// already abandoned, or was never issued) are counted and suppressed,
     /// never recorded.
-    pub fn on_response(&mut self, now: SimTime, frame: &ParsedFrame) -> ResponseOutcome {
-        let msg = frame.msg;
+    pub fn on_response(&mut self, now: SimTime, frame: &impl FrameHeader) -> ResponseOutcome {
+        let msg = *frame.msg();
         if let Some(p) = &mut self.pacing {
             p.observe(msg.remaining_ns);
         }
@@ -794,6 +860,41 @@ mod tests {
         assert_eq!(parsed.msg.sent_at_ns, 3_000);
         assert_eq!(parsed.eth.dst_addr, AddressPlan::dispatcher_mac());
         assert_eq!(client.sent, 1);
+    }
+
+    #[test]
+    fn the_longest_frame_body_is_accepted() {
+        let mut s = spec();
+        s.body_len = net_wire::MAX_BODY_LEN;
+        let mut client = Client::new(s, &mut Rng::new(7));
+        let f = client.make_request(SimTime::ZERO);
+        assert_eq!(ParsedFrame::parse(&f.build()).unwrap().to_spec(), f);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 65465-byte frame limit")]
+    fn a_body_no_frame_can_carry_is_rejected() {
+        let mut s = spec();
+        s.body_len = net_wire::MAX_BODY_LEN + 1;
+        Client::new(s, &mut Rng::new(7));
+    }
+
+    #[test]
+    fn the_codec_checks_frames_only_under_invariants() {
+        let frame = Client::new(spec(), &mut Rng::new(7)).make_request(SimTime::ZERO);
+        let mut off = FrameCodec::new(&ResilienceConfig::default());
+        assert_eq!(off.build(frame), frame);
+        assert_eq!(off.built, 0, "a plain run never touches the bytes");
+        let mut on = FrameCodec::new(&ResilienceConfig::default().with_invariants());
+        assert_eq!(on.build(frame), frame);
+        assert_eq!((on.built, on.intact), (1, 1));
+        let mut inv = InvariantChecker::new(InvariantConfig::enabled());
+        on.check_invariants(SimTime::ZERO, &mut inv);
+        inv.assert_clean();
+        // A frame whose bytes came back different is a violation.
+        on.built += 1;
+        on.check_invariants(SimTime::ZERO, &mut inv);
+        assert_eq!(inv.violations().len(), 1);
     }
 
     #[test]

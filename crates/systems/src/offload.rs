@@ -19,18 +19,19 @@
 //!    `Preempted` with remaining work. Either way the **RX** core parses
 //!    the notification and feeds it back to the queue manager.
 //!
-//! Every hop exchanges real Ethernet/IPv4/UDP frames built and parsed by
-//! `net-wire`. The system is generic over [`NicProfile`], which is how the
-//! CXL / ideal-NIC ablations reuse this assembly unchanged.
+//! Every hop carries a typed Ethernet/IPv4/UDP frame (`net_wire::FrameSpec`)
+//! whose length sets link time and DDIO footprint; under invariant checking
+//! each one is also built into bytes and parsed back by `net-wire`. The
+//! system is generic over [`NicProfile`], which is how the CXL /
+//! ideal-NIC ablations reuse this assembly unchanged.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use bytes::Bytes;
 use cpu_model::{
     ContextCosts, ContextPool, Core, CoreId, CoreSpec, InterruptPath, OneShotTimer, Topology,
     CROSS_SOCKET_PENALTY,
 };
-use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
+use net_wire::{FrameSpec, MsgKind, MsgRepr};
 use nic_model::{packet_lines, Ddio, IfaceId, NicDevice, Placement, QueueSteering};
 use nicsched::{
     params, AdmitOutcome, Assignment, CoreSelector, Dispatcher, LeastOutstanding, NicProfile,
@@ -107,7 +108,7 @@ enum Ev {
     /// Client emits its next request.
     ClientSend,
     /// A frame from the client link reaches the NIC.
-    WireToNic(Bytes),
+    WireToNic(FrameSpec),
     /// The networker stage finished parsing one frame.
     NetworkerDone,
     /// An item crosses ARM shared memory into the queue manager.
@@ -119,7 +120,7 @@ enum Ev {
     /// The TX stage finished building one worker frame.
     TxDone,
     /// An assignment frame lands in a worker's VF RX ring.
-    WorkerFrame(usize, Bytes),
+    WorkerFrame(usize, FrameSpec),
     /// A worker polls its ring for work.
     WorkerPoll(usize),
     /// A worker's current execution ends (finish or slice expiry).
@@ -130,11 +131,11 @@ enum Ev {
         gen: u64,
     },
     /// A worker notification frame reaches the ARM RX core.
-    RxNotif(Bytes),
+    RxNotif(FrameSpec),
     /// The RX stage finished parsing one notification.
     RxDone,
     /// A response frame reaches the client.
-    ClientResp(Bytes),
+    ClientResp(FrameSpec),
     /// A client retransmit timer fires for one attempt of one request.
     ClientTimeout {
         /// Request id the timer guards.
@@ -213,7 +214,7 @@ struct Offload {
     networker: Stage<()>,
     qm: Stage<QmItem>,
     tx: Stage<Assignment>,
-    rx: Stage<Bytes>,
+    rx: Stage<FrameSpec>,
 
     dispatcher: Dispatcher<Box<dyn SchedPolicy>, Box<dyn CoreSelector>>,
     topology: Topology,
@@ -428,21 +429,19 @@ impl Offload {
             let gap = ctx.now().saturating_duration_since(idle_at);
             ctx.probe().hop("worker.idle_gap", gap);
         }
-        let parsed = match ParsedFrame::parse(&frame.data) {
-            Ok(p) if p.msg.kind == MsgKind::Assign => p,
-            _ => {
-                // Malformed or unexpected frame: drop and keep polling.
-                self.workers[w].pending_placement.pop_front();
-                ctx.schedule_now(Ev::WorkerPoll(w));
-                return;
-            }
-        };
+        let msg = frame.spec.msg;
+        if msg.kind != MsgKind::Assign {
+            // Only the TX core addresses this VF, and only with Assign
+            // frames; anything else is dropped and the worker keeps polling.
+            self.workers[w].pending_placement.pop_front();
+            ctx.schedule_now(Ev::WorkerPoll(w));
+            return;
+        }
         let placement = self.workers[w]
             .pending_placement
             .pop_front()
             .unwrap_or(Placement::Dram);
 
-        let msg = parsed.msg;
         let task = Task {
             req_id: msg.req_id,
             client_id: msg.client_id,
@@ -580,8 +579,8 @@ impl Offload {
                 },
             };
             let depart = resp_built + self.nic.dma_latency;
-            if let Some((at, bytes)) = self.wire.response(&resp, depart, ctx) {
-                ctx.schedule_at(at, Ev::ClientResp(bytes));
+            if let Some((at, resp)) = self.wire.response(resp, depart, ctx) {
+                ctx.schedule_at(at, Ev::ClientResp(resp));
             }
 
             let notif_built = resp_built + params::WORKER_TX_COST;
@@ -600,7 +599,7 @@ impl Offload {
             );
             ctx.schedule_at(
                 notif_built + self.cfg.profile.from_worker,
-                Ev::RxNotif(done.build()),
+                Ev::RxNotif(self.wire.codec.build(done)),
             );
 
             self.ctx_pool.discard(task.req_id);
@@ -633,7 +632,7 @@ impl Offload {
                 );
                 ctx.schedule_at(
                     free_at + self.cfg.profile.from_worker,
-                    Ev::RxNotif(done.build()),
+                    Ev::RxNotif(self.wire.codec.build(done)),
                 );
                 ctx.schedule_at(free_at, Ev::WorkerPoll(w));
                 return;
@@ -661,7 +660,7 @@ impl Offload {
             );
             ctx.schedule_at(
                 free_at + self.cfg.profile.from_worker,
-                Ev::RxNotif(notif.build()),
+                Ev::RxNotif(self.wire.codec.build(notif)),
             );
             ctx.schedule_at(free_at, Ev::WorkerPoll(w));
         }
@@ -674,6 +673,7 @@ impl Model for Offload {
     fn check_invariants(&self, now: SimTime, inv: &mut sim_core::InvariantChecker) {
         self.nic.check_invariants(now, inv);
         self.client.check_invariants(now, inv);
+        self.wire.codec.check_invariants(now, inv);
     }
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
@@ -686,8 +686,8 @@ impl Model for Offload {
                 let req_id = spec.msg.req_id;
                 ctx.probe().count("client.sent");
                 ctx.probe().mark(req_id, "path.0_client_send");
-                if let Some((at, bytes)) = self.wire.request(&spec, ctx) {
-                    ctx.schedule_at(at, Ev::WireToNic(bytes));
+                if let Some((at, spec)) = self.wire.request(spec, ctx) {
+                    ctx.schedule_at(at, Ev::WireToNic(spec));
                 }
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
@@ -695,12 +695,9 @@ impl Model for Offload {
                 let gap = self.client.next_gap();
                 ctx.schedule_in(gap, Ev::ClientSend);
             }
-            Ev::WireToNic(bytes) => {
-                let Ok(parsed) = ParsedFrame::parse(&bytes) else {
-                    return;
-                };
-                if let Some(d) = self.nic.steer(&parsed) {
-                    self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), bytes);
+            Ev::WireToNic(spec) => {
+                if let Some(d) = self.nic.steer(&spec) {
+                    self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), spec);
                     if d.iface == self.disp_iface {
                         ctx.probe().count("nic.rx_frames");
                         let depth = self.nic.iface(self.disp_iface).rx[0].len();
@@ -717,23 +714,21 @@ impl Model for Offload {
                 if let Some(frame) = self.nic.iface_mut(self.disp_iface).rx[0].pop() {
                     let depth = self.nic.iface(self.disp_iface).rx[0].len();
                     ctx.probe().depth("networker.ring", depth);
-                    if let Ok(parsed) = ParsedFrame::parse(&frame.data) {
-                        if parsed.msg.kind == MsgKind::Request {
-                            let msg = parsed.msg;
-                            ctx.probe().mark(msg.req_id, "path.1_nic_parse");
-                            let task = Task::new(
-                                msg.req_id,
-                                msg.client_id,
-                                SimDuration::from_nanos(msg.service_ns),
-                                SimTime::from_nanos(msg.sent_at_ns),
-                                ctx.now(),
-                                msg.body_len,
-                            );
-                            ctx.schedule_in(
-                                self.cfg.profile.stage_hop,
-                                Ev::QmPush(QmItem::NewTask(task)),
-                            );
-                        }
+                    let msg = frame.spec.msg;
+                    if msg.kind == MsgKind::Request {
+                        ctx.probe().mark(msg.req_id, "path.1_nic_parse");
+                        let task = Task::new(
+                            msg.req_id,
+                            msg.client_id,
+                            SimDuration::from_nanos(msg.service_ns),
+                            SimTime::from_nanos(msg.sent_at_ns),
+                            ctx.now(),
+                            msg.body_len,
+                        );
+                        ctx.schedule_in(
+                            self.cfg.profile.stage_hop,
+                            Ev::QmPush(QmItem::NewTask(task)),
+                        );
                     }
                 }
                 self.start_networker(ctx);
@@ -779,10 +774,9 @@ impl Model for Offload {
                                         },
                                     };
                                     let depart = now + self.nic.dma_latency;
-                                    if let Some((at, bytes)) =
-                                        self.wire.response(&spec, depart, ctx)
+                                    if let Some((at, spec)) = self.wire.response(spec, depart, ctx)
                                     {
-                                        ctx.schedule_at(at, Ev::ClientResp(bytes));
+                                        ctx.schedule_at(at, Ev::ClientResp(spec));
                                     }
                                 }
                                 Vec::new()
@@ -842,12 +836,12 @@ impl Model for Offload {
                     };
                     ctx.schedule_in(
                         self.cfg.profile.to_worker,
-                        Ev::WorkerFrame(a.worker, spec.build()),
+                        Ev::WorkerFrame(a.worker, self.wire.codec.build(spec)),
                     );
                 }
                 self.start_tx(ctx);
             }
-            Ev::WorkerFrame(w, bytes) => {
+            Ev::WorkerFrame(w, spec) => {
                 let now = ctx.now();
                 if ctx.faults().worker_crashed(w, now) {
                     // Delivered to a dead worker's ring: nobody will ever
@@ -857,7 +851,7 @@ impl Model for Offload {
                     return;
                 }
                 // DDIO placement happens at DMA time.
-                let lines = packet_lines(bytes.len());
+                let lines = packet_lines(spec.frame_len());
                 let resident: usize = self.workers[w]
                     .pending_placement
                     .iter()
@@ -866,7 +860,7 @@ impl Model for Offload {
                     * lines;
                 let placement = self.ddio.place(lines, resident);
                 let iface = self.worker_iface[w];
-                if self.nic.iface_mut(iface).rx[0].push(ctx.now(), bytes) {
+                if self.nic.iface_mut(iface).rx[0].push(ctx.now(), spec) {
                     let depth = self.nic.iface(iface).rx[0].len();
                     ctx.probe().depth_i("worker.ring", w, depth);
                     self.workers[w].pending_placement.push_back(placement);
@@ -880,8 +874,8 @@ impl Model for Offload {
             }
             Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
             Ev::WorkerRunEnd { worker, gen } => self.worker_run_end(worker, gen, ctx),
-            Ev::RxNotif(bytes) => {
-                self.rx.queue.push_back(bytes);
+            Ev::RxNotif(spec) => {
+                self.rx.queue.push_back(spec);
                 ctx.probe().depth("rx.queue", self.rx.queue.len());
                 self.start_rx(ctx);
             }
@@ -890,71 +884,64 @@ impl Model for Offload {
                 self.rx.processed += 1;
                 ctx.probe().busy("rx", false);
                 ctx.probe().count("rx.notifs");
-                if let Some(bytes) = self.rx.queue.pop_front() {
+                if let Some(spec) = self.rx.queue.pop_front() {
                     ctx.probe().depth("rx.queue", self.rx.queue.len());
-                    if let Ok(parsed) = ParsedFrame::parse(&bytes) {
-                        if let Some(&w) = self.worker_by_mac.get(&parsed.eth.src_addr) {
-                            let msg = parsed.msg;
-                            let item = match msg.kind {
-                                MsgKind::Done => Some(QmItem::Done {
+                    if let Some(&w) = self.worker_by_mac.get(&spec.src_mac) {
+                        let msg = spec.msg;
+                        let item = match msg.kind {
+                            MsgKind::Done => Some(QmItem::Done {
+                                worker: w,
+                                req_id: msg.req_id,
+                            }),
+                            MsgKind::Preempted => {
+                                let arrived =
+                                    self.task_meta.get(msg.req_id).copied().unwrap_or(ctx.now());
+                                Some(QmItem::Preempted {
                                     worker: w,
-                                    req_id: msg.req_id,
-                                }),
-                                MsgKind::Preempted => {
-                                    let arrived = self
-                                        .task_meta
-                                        .get(msg.req_id)
-                                        .copied()
-                                        .unwrap_or(ctx.now());
-                                    Some(QmItem::Preempted {
-                                        worker: w,
-                                        task: Task {
-                                            req_id: msg.req_id,
-                                            client_id: msg.client_id,
-                                            service: SimDuration::from_nanos(msg.service_ns),
-                                            remaining: SimDuration::from_nanos(msg.remaining_ns),
-                                            sent_at: SimTime::from_nanos(msg.sent_at_ns),
-                                            arrived_at: arrived,
-                                            body_len: msg.body_len,
-                                            preemptions: 0,
-                                            preempt: PreemptDecision::Inherit,
-                                        },
-                                    })
-                                }
-                                MsgKind::Heartbeat => Some(QmItem::Heartbeat { worker: w }),
-                                _ => None,
-                            };
-                            if let Some(item) = item {
-                                ctx.schedule_in(self.cfg.profile.stage_hop, Ev::QmPush(item));
+                                    task: Task {
+                                        req_id: msg.req_id,
+                                        client_id: msg.client_id,
+                                        service: SimDuration::from_nanos(msg.service_ns),
+                                        remaining: SimDuration::from_nanos(msg.remaining_ns),
+                                        sent_at: SimTime::from_nanos(msg.sent_at_ns),
+                                        arrived_at: arrived,
+                                        body_len: msg.body_len,
+                                        preemptions: 0,
+                                        preempt: PreemptDecision::Inherit,
+                                    },
+                                })
                             }
+                            MsgKind::Heartbeat => Some(QmItem::Heartbeat { worker: w }),
+                            _ => None,
+                        };
+                        if let Some(item) = item {
+                            ctx.schedule_in(self.cfg.profile.stage_hop, Ev::QmPush(item));
                         }
                     }
                 }
                 self.start_rx(ctx);
             }
-            Ev::ClientResp(bytes) => {
-                if let Ok(parsed) = ParsedFrame::parse(&bytes) {
-                    if parsed.msg.kind == MsgKind::Nack {
-                        ctx.probe().count("client.nacks");
-                        let req_id = parsed.msg.req_id;
-                        if let TimeoutOutcome::Retry {
-                            frame,
-                            attempt,
-                            timeout,
-                        } = self.client.on_nack(ctx.now(), req_id)
-                        {
-                            ctx.probe().count("client.retries");
-                            if let Some((at, bytes)) = self.wire.request(&frame, ctx) {
-                                ctx.schedule_at(at, Ev::WireToNic(bytes));
-                            }
-                            ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
+            Ev::ClientResp(spec) => {
+                if spec.msg.kind == MsgKind::Nack {
+                    ctx.probe().count("client.nacks");
+                    let req_id = spec.msg.req_id;
+                    if let TimeoutOutcome::Retry {
+                        frame,
+                        attempt,
+                        timeout,
+                    } = self.client.on_nack(ctx.now(), req_id)
+                    {
+                        ctx.probe().count("client.retries");
+                        if let Some((at, frame)) = self.wire.request(frame, ctx) {
+                            ctx.schedule_at(at, Ev::WireToNic(frame));
                         }
-                        return;
+                        ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                     }
-                    ctx.probe().count("client.responses");
-                    ctx.probe().finish(parsed.msg.req_id, "path.6_response");
-                    self.client.on_response(ctx.now(), &parsed);
+                    return;
                 }
+                ctx.probe().count("client.responses");
+                ctx.probe().finish(spec.msg.req_id, "path.6_response");
+                self.client.on_response(ctx.now(), &spec);
             }
             Ev::ClientTimeout { req_id, attempt } => {
                 if let TimeoutOutcome::Retry {
@@ -964,8 +951,8 @@ impl Model for Offload {
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
                     ctx.probe().count("client.retries");
-                    if let Some((at, bytes)) = self.wire.request(&frame, ctx) {
-                        ctx.schedule_at(at, Ev::WireToNic(bytes));
+                    if let Some((at, frame)) = self.wire.request(frame, ctx) {
+                        ctx.schedule_at(at, Ev::WireToNic(frame));
                     }
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }
@@ -1013,7 +1000,7 @@ impl Model for Offload {
                         );
                         ctx.schedule_at(
                             now + self.cfg.profile.from_worker,
-                            Ev::RxNotif(hb.build()),
+                            Ev::RxNotif(self.wire.codec.build(hb)),
                         );
                     }
                     // NIC side: expire leases and re-dispatch orphans on the

@@ -16,9 +16,8 @@
 //! semantics, configured with cap 1; the "hardware" is a compute model
 //! with near-zero stage costs.
 
-use bytes::Bytes;
 use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
-use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
+use net_wire::{FrameSpec, MsgKind, MsgRepr};
 use nicsched::{params, Dispatcher, Fcfs, LeastOutstanding, RecoveryPolicy, Task};
 use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
@@ -47,11 +46,11 @@ const NI_TO_CORE: SimDuration = SimDuration::from_nanos(40);
 enum Ev {
     ClientSend,
     /// A request frame arrives at the integrated NI fabric.
-    NiArrive(Bytes),
+    NiArrive(FrameSpec),
     /// The hardware queue issues a task to a core.
     Deliver(usize, Task),
     WorkerRunEnd(usize),
-    ClientResp(Bytes),
+    ClientResp(FrameSpec),
     /// A client retransmit timer fires for one attempt of one request.
     ClientTimeout {
         req_id: u64,
@@ -133,6 +132,7 @@ impl Model for RpcValet {
 
     fn check_invariants(&self, now: SimTime, inv: &mut sim_core::InvariantChecker) {
         self.client.check_invariants(now, inv);
+        self.wire.codec.check_invariants(now, inv);
         // Cap-1 hardware dispatch: a worker running a task must not also
         // be marked idle, or the idle-gap accounting double-books time.
         for (w, worker) in self.workers.iter().enumerate() {
@@ -156,8 +156,8 @@ impl Model for RpcValet {
                 ctx.probe().count("client.sent");
                 ctx.probe().mark(spec.msg.req_id, "path.0_client_send");
                 let req_id = spec.msg.req_id;
-                if let Some((at, bytes)) = self.wire.request(&spec, ctx) {
-                    ctx.schedule_at(at, Ev::NiArrive(bytes));
+                if let Some((at, spec)) = self.wire.request(spec, ctx) {
+                    ctx.schedule_at(at, Ev::NiArrive(spec));
                 }
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
@@ -165,14 +165,11 @@ impl Model for RpcValet {
                 let gap = self.client.next_gap();
                 ctx.schedule_in(gap, Ev::ClientSend);
             }
-            Ev::NiArrive(bytes) => {
-                let Ok(parsed) = ParsedFrame::parse(&bytes) else {
-                    return;
-                };
-                if parsed.msg.kind != MsgKind::Request {
+            Ev::NiArrive(spec) => {
+                let m = spec.msg;
+                if m.kind != MsgKind::Request {
                     return;
                 }
-                let m = parsed.msg;
                 ctx.probe().count("ni.requests");
                 ctx.probe().mark(m.req_id, "path.1_ni_dispatch");
                 let task = Task::new(
@@ -273,8 +270,8 @@ impl Model for RpcValet {
                     },
                 };
                 // Integrated NI: the response departs without a PCIe hop.
-                if let Some((at, bytes)) = self.wire.response(&resp, resp_built, ctx) {
-                    ctx.schedule_at(at, Ev::ClientResp(bytes));
+                if let Some((at, resp)) = self.wire.response(resp, resp_built, ctx) {
+                    ctx.schedule_at(at, Ev::ClientResp(resp));
                 }
                 self.ctx_pool.discard(task.req_id);
                 let worker = &mut self.workers[w];
@@ -286,12 +283,10 @@ impl Model for RpcValet {
                 let assignments = self.dispatcher.on_done(now, w, task.req_id);
                 self.emit(assignments, ctx);
             }
-            Ev::ClientResp(bytes) => {
-                if let Ok(parsed) = ParsedFrame::parse(&bytes) {
-                    ctx.probe().count("client.responses");
-                    ctx.probe().finish(parsed.msg.req_id, "path.4_response");
-                    self.client.on_response(ctx.now(), &parsed);
-                }
+            Ev::ClientResp(spec) => {
+                ctx.probe().count("client.responses");
+                ctx.probe().finish(spec.msg.req_id, "path.4_response");
+                self.client.on_response(ctx.now(), &spec);
             }
             Ev::ClientTimeout { req_id, attempt } => {
                 if let TimeoutOutcome::Retry {
@@ -301,8 +296,8 @@ impl Model for RpcValet {
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
                     ctx.probe().count("client.retries");
-                    if let Some((at, bytes)) = self.wire.request(&frame, ctx) {
-                        ctx.schedule_at(at, Ev::NiArrive(bytes));
+                    if let Some((at, frame)) = self.wire.request(frame, ctx) {
+                        ctx.schedule_at(at, Ev::NiArrive(frame));
                     }
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }

@@ -28,9 +28,8 @@
 
 use std::collections::VecDeque;
 
-use bytes::Bytes;
 use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec, OneShotTimer, TimerMode};
-use net_wire::{FrameSpec, MsgKind, MsgRepr, ParsedFrame};
+use net_wire::{FrameSpec, MsgKind, MsgRepr};
 use nic_model::{IfaceId, NicDevice, QueueSteering, Rss};
 use nicsched::{
     params, AdmitOutcome, Assignment, Dispatcher, LeastOutstanding, PolicySpec, RecoveryPolicy,
@@ -118,7 +117,7 @@ enum DispItem {
 /// Events; `(group, worker)` pairs index a group and a worker within it.
 enum Ev {
     ClientSend,
-    WireToNic(Bytes),
+    WireToNic(FrameSpec),
     NetworkerDone(usize),
     DispPush(usize, DispItem),
     DispDone(usize),
@@ -130,7 +129,7 @@ enum Ev {
         worker: usize,
         gen: u64,
     },
-    ClientResp(Bytes),
+    ClientResp(FrameSpec),
     /// A client retransmit timer fires for one attempt of one request.
     ClientTimeout {
         req_id: u64,
@@ -323,8 +322,8 @@ impl Shinjuku {
                             },
                         };
                         let depart = now + self.nic.dma_latency;
-                        if let Some((at, bytes)) = self.wire.response(&spec, depart, ctx) {
-                            ctx.schedule_at(at, Ev::ClientResp(bytes));
+                        if let Some((at, spec)) = self.wire.response(spec, depart, ctx) {
+                            ctx.schedule_at(at, Ev::ClientResp(spec));
                         }
                     }
                     Vec::new()
@@ -449,8 +448,8 @@ impl Shinjuku {
                 },
             };
             let depart = resp_built + self.nic.dma_latency;
-            if let Some((at, bytes)) = self.wire.response(&resp, depart, ctx) {
-                ctx.schedule_at(at, Ev::ClientResp(bytes));
+            if let Some((at, resp)) = self.wire.response(resp, depart, ctx) {
+                ctx.schedule_at(at, Ev::ClientResp(resp));
             }
             self.ctx_pool.discard(task.req_id);
             self.groups[g].workers[w].core.requests_run += 1;
@@ -571,6 +570,7 @@ impl Model for Shinjuku {
     fn check_invariants(&self, now: SimTime, inv: &mut sim_core::InvariantChecker) {
         self.nic.check_invariants(now, inv);
         self.client.check_invariants(now, inv);
+        self.wire.codec.check_invariants(now, inv);
     }
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
@@ -583,8 +583,8 @@ impl Model for Shinjuku {
                 let req_id = spec.msg.req_id;
                 ctx.probe().count("client.sent");
                 ctx.probe().mark(req_id, "path.0_client_send");
-                if let Some((at, bytes)) = self.wire.request(&spec, ctx) {
-                    ctx.schedule_at(at, Ev::WireToNic(bytes));
+                if let Some((at, spec)) = self.wire.request(spec, ctx) {
+                    ctx.schedule_at(at, Ev::WireToNic(spec));
                 }
                 if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
@@ -592,15 +592,12 @@ impl Model for Shinjuku {
                 let gap = self.client.next_gap();
                 ctx.schedule_in(gap, Ev::ClientSend);
             }
-            Ev::WireToNic(bytes) => {
-                let Ok(parsed) = ParsedFrame::parse(&bytes) else {
-                    return;
-                };
-                if let Some(d) = self.nic.steer(&parsed) {
+            Ev::WireToNic(spec) => {
+                if let Some(d) = self.nic.steer(&spec) {
                     // DMA into host memory, then the group's networker can
                     // see it.
                     ctx.probe().count("nic.rx_frames");
-                    self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), bytes);
+                    self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), spec);
                     let depth = self.nic.iface(d.iface).rx[d.queue].len();
                     ctx.probe().depth_i("networker.ring", d.queue, depth);
                     self.start_networker(d.queue, ctx);
@@ -611,23 +608,21 @@ impl Model for Shinjuku {
                 ctx.probe().busy_i("networker", g, false);
                 ctx.probe().count("networker.parsed");
                 if let Some(frame) = self.nic.iface_mut(self.net_iface).rx[g].pop() {
-                    if let Ok(parsed) = ParsedFrame::parse(&frame.data) {
-                        if parsed.msg.kind == MsgKind::Request {
-                            let m = parsed.msg;
-                            ctx.probe().mark(m.req_id, "path.1_host_net");
-                            let task = Task::new(
-                                m.req_id,
-                                m.client_id,
-                                SimDuration::from_nanos(m.service_ns),
-                                SimTime::from_nanos(m.sent_at_ns),
-                                ctx.now(),
-                                m.body_len,
-                            );
-                            ctx.schedule_in(
-                                params::HOST_QUEUE_HOP,
-                                Ev::DispPush(g, DispItem::NewTask(task)),
-                            );
-                        }
+                    let m = frame.spec.msg;
+                    if m.kind == MsgKind::Request {
+                        ctx.probe().mark(m.req_id, "path.1_host_net");
+                        let task = Task::new(
+                            m.req_id,
+                            m.client_id,
+                            SimDuration::from_nanos(m.service_ns),
+                            SimTime::from_nanos(m.sent_at_ns),
+                            ctx.now(),
+                            m.body_len,
+                        );
+                        ctx.schedule_in(
+                            params::HOST_QUEUE_HOP,
+                            Ev::DispPush(g, DispItem::NewTask(task)),
+                        );
                     }
                 }
                 self.start_networker(g, ctx);
@@ -673,13 +668,10 @@ impl Model for Shinjuku {
             }
             Ev::WorkerPoll(g, w) => self.worker_poll(g, w, ctx),
             Ev::WorkerRunEnd { group, worker, gen } => self.worker_run_end(group, worker, gen, ctx),
-            Ev::ClientResp(bytes) => {
-                let Ok(parsed) = ParsedFrame::parse(&bytes) else {
-                    return;
-                };
-                if parsed.msg.kind == MsgKind::Nack {
+            Ev::ClientResp(spec) => {
+                if spec.msg.kind == MsgKind::Nack {
                     ctx.probe().count("client.nacks");
-                    let req_id = parsed.msg.req_id;
+                    let req_id = spec.msg.req_id;
                     if let TimeoutOutcome::Retry {
                         frame,
                         attempt,
@@ -687,16 +679,16 @@ impl Model for Shinjuku {
                     } = self.client.on_nack(ctx.now(), req_id)
                     {
                         ctx.probe().count("client.retries");
-                        if let Some((at, bytes)) = self.wire.request(&frame, ctx) {
-                            ctx.schedule_at(at, Ev::WireToNic(bytes));
+                        if let Some((at, frame)) = self.wire.request(frame, ctx) {
+                            ctx.schedule_at(at, Ev::WireToNic(frame));
                         }
                         ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                     }
                     return;
                 }
                 ctx.probe().count("client.responses");
-                ctx.probe().finish(parsed.msg.req_id, "path.5_response");
-                self.client.on_response(ctx.now(), &parsed);
+                ctx.probe().finish(spec.msg.req_id, "path.5_response");
+                self.client.on_response(ctx.now(), &spec);
             }
             Ev::ClientTimeout { req_id, attempt } => {
                 if let TimeoutOutcome::Retry {
@@ -706,8 +698,8 @@ impl Model for Shinjuku {
                 } = self.client.on_timeout(ctx.now(), req_id, attempt)
                 {
                     ctx.probe().count("client.retries");
-                    if let Some((at, bytes)) = self.wire.request(&frame, ctx) {
-                        ctx.schedule_at(at, Ev::WireToNic(bytes));
+                    if let Some((at, frame)) = self.wire.request(frame, ctx) {
+                        ctx.schedule_at(at, Ev::WireToNic(frame));
                     }
                     ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
                 }

@@ -89,13 +89,17 @@ fn frames_survive_ring_transit_byte_for_byte() {
 
     let spec = c.make_request(SimTime::from_micros(1));
     let bytes = spec.build();
-    let parsed = ParsedFrame::parse(&bytes).unwrap();
-    nic.steer(&parsed).unwrap();
-    assert!(nic.iface_mut(disp).rx[0].push(SimTime::from_micros(1), bytes.clone()));
+    nic.steer(&spec).unwrap();
+    assert!(nic.iface_mut(disp).rx[0].push(SimTime::from_micros(1), spec));
 
     let out = nic.iface_mut(disp).rx[0].pop().unwrap();
-    assert_eq!(&out.data[..], &bytes[..], "ring must not mutate frames");
-    let reparsed = ParsedFrame::parse(&out.data).unwrap();
+    assert_eq!(
+        &out.spec.build()[..],
+        &bytes[..],
+        "ring must not mutate frames"
+    );
+    let reparsed = ParsedFrame::parse(&bytes).unwrap();
+    assert_eq!(reparsed.to_spec(), out.spec);
     assert_eq!(reparsed.msg.kind, MsgKind::Request);
     assert_eq!(reparsed.msg.req_id, spec.msg.req_id);
 }
