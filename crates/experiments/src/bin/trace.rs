@@ -6,11 +6,12 @@
 //! trace [system] [rps] [--json] [--policy <spec>]
 //! ```
 //!
-//! `system` is one of `offload` (default), `shinjuku`, `rss`, `rpcvalet`,
-//! `multi`; `rps` the offered load (default 200000). `--json` emits the
-//! timelines as a JSON array instead of tables. `--policy` swaps the
-//! scheduler on policy-capable assemblies (registry grammar, e.g.
-//! `srpt` or `edf:deadline=50us`).
+//! `system` is an assembly's name (`shinjuku-offload`, the default,
+//! `shinjuku`, `rss`, `rpcvalet`, `multi-shinjuku`) or a short alias
+//! (`offload`, `multi`); any other word is an error. `rps` is the offered
+//! load (default 200000). `--json` emits the timelines as a JSON array
+//! instead of tables. `--policy` swaps the scheduler on policy-capable
+//! assemblies (registry grammar, e.g. `srpt` or `edf:deadline=50us`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -27,23 +28,68 @@ use workload::{ServiceDist, WorkloadSpec};
 /// How many requests to show in table mode.
 const SHOWN: usize = 8;
 
-fn system_by_name(name: &str) -> Option<SystemConfig> {
-    Some(match name {
-        "offload" => SystemConfig::Offload(OffloadConfig::paper(4, 4)),
-        "shinjuku" => SystemConfig::Shinjuku(ShinjukuConfig::paper(4)),
-        "rss" => SystemConfig::Baseline(BaselineConfig {
-            workers: 4,
-            kind: BaselineKind::Rss,
-        }),
-        "rpcvalet" => SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
-        "multi" => SystemConfig::Shinjuku(ShinjukuConfig {
-            groups: 2,
-            workers: 2,
-            time_slice: None,
-            policy: PolicySpec::FCFS,
-        }),
-        _ => return None,
-    })
+/// The assemblies `trace` runs, each with its short alias; the first is
+/// the default.
+fn systems() -> [(&'static str, SystemConfig); 5] {
+    [
+        ("offload", SystemConfig::Offload(OffloadConfig::paper(4, 4))),
+        ("shinjuku", SystemConfig::Shinjuku(ShinjukuConfig::paper(4))),
+        (
+            "rss",
+            SystemConfig::Baseline(BaselineConfig {
+                workers: 4,
+                kind: BaselineKind::Rss,
+            }),
+        ),
+        (
+            "rpcvalet",
+            SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
+        ),
+        (
+            "multi",
+            SystemConfig::Shinjuku(ShinjukuConfig {
+                groups: 2,
+                workers: 2,
+                time_slice: None,
+                policy: PolicySpec::FCFS,
+            }),
+        ),
+    ]
+}
+
+/// The system a command line names: the one positional argument that is
+/// neither the rps number nor the `--policy` value, matched against each
+/// assembly's name and alias. Exits with status 2 on an unknown name.
+fn system_from_args(args: &[String]) -> SystemConfig {
+    let mut words = args.iter();
+    let mut chosen = systems()[0].1;
+    while let Some(a) = words.next() {
+        if a == "--policy" {
+            words.next();
+            continue;
+        }
+        if a.starts_with("--") || a.parse::<f64>().is_ok() {
+            continue;
+        }
+        match systems()
+            .into_iter()
+            .find(|(alias, sys)| a == alias || a == sys.name())
+        {
+            Some((_, sys)) => chosen = sys,
+            None => {
+                let names: Vec<String> = systems()
+                    .iter()
+                    .map(|(alias, sys)| match sys.name() {
+                        name if name == *alias => name.to_string(),
+                        name => format!("{name} (or {alias})"),
+                    })
+                    .collect();
+                eprintln!("unknown system {a:?}; known systems: {}", names.join(", "));
+                std::process::exit(2);
+            }
+        }
+    }
+    chosen
 }
 
 /// Swap the scheduling policy on assemblies that have one; baselines and
@@ -134,10 +180,7 @@ fn render_json(by_req: &BTreeMap<u64, Vec<&TraceEvent>>) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    let mut sys = args
-        .iter()
-        .find_map(|a| system_by_name(a))
-        .unwrap_or(SystemConfig::Offload(OffloadConfig::paper(4, 4)));
+    let mut sys = system_from_args(&args);
     if let Some(spec) = experiments::sweep::policy_from_args(&args) {
         sys = with_policy(sys, spec);
     }

@@ -23,8 +23,8 @@ use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDurati
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, scale_duration, AddressPlan, Client, ResilienceConfig, TimeoutOutcome, Wire,
-    FAULT_SEED_SALT,
+    assemble_metrics, mean_utilization, scale_duration, AddressPlan, Client, ClientEdge, ClientEv,
+    ResilienceConfig, Wire, FAULT_SEED_SALT,
 };
 
 /// Elastic-RSS controller period: "provisions cores for applications on
@@ -57,18 +57,22 @@ pub struct BaselineConfig {
 }
 
 enum Ev {
-    ClientSend,
+    Client(ClientEv),
     WireToNic(FrameSpec),
     WorkerPoll(usize),
     WorkerRunEnd(usize),
-    ClientResp(FrameSpec),
     /// Elastic-RSS controller tick: re-provision the active core set.
     ErssTick,
-    /// A client retransmit timer fires for one attempt of one request.
-    ClientTimeout {
-        req_id: u64,
-        attempt: u32,
-    },
+}
+
+impl ClientEdge for Ev {
+    const RESPONSE_MARK: &'static str = "path.3_response";
+    fn client(ev: ClientEv) -> Ev {
+        Ev::Client(ev)
+    }
+    fn at_server(spec: FrameSpec) -> Ev {
+        Ev::WireToNic(spec)
+    }
 }
 
 struct Worker {
@@ -199,21 +203,23 @@ impl Baseline {
 
     /// Pop work for worker `w`: own queue first, then (if stealing) the
     /// longest peer queue. Returns the frame and the steal overhead.
-    fn take_work(&mut self, w: usize) -> Option<(FrameSpec, SimDuration)> {
+    fn take_work(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) -> Option<(FrameSpec, SimDuration)> {
         let iface = self.nic.iface_mut(self.iface);
-        if let Some(frame) = iface.rx[w].pop() {
-            return Some((frame.spec, SimDuration::ZERO));
-        }
-        if self.cfg.kind != BaselineKind::RssStealing {
+        let (q, cost) = if !iface.rx[w].is_empty() {
+            (w, SimDuration::ZERO)
+        } else if self.cfg.kind == BaselineKind::RssStealing {
+            // Steal from the longest peer queue.
+            let victim = (0..iface.rx.len())
+                .filter(|&q| q != w && !iface.rx[q].is_empty())
+                .max_by_key(|&q| iface.rx[q].len())?;
+            self.steals += 1;
+            (victim, params::WORK_STEAL_COST)
+        } else {
             return None;
-        }
-        // Steal from the longest peer queue.
-        let victim = (0..iface.rx.len())
-            .filter(|&q| q != w && !iface.rx[q].is_empty())
-            .max_by_key(|&q| iface.rx[q].len())?;
-        let frame = iface.rx[victim].pop()?;
-        self.steals += 1;
-        Some((frame.spec, params::WORK_STEAL_COST))
+        };
+        let frame = iface.rx[q].pop()?;
+        ctx.probe().depth_i("worker.ring", q, iface.rx[q].len());
+        Some((frame.spec, cost))
     }
 
     fn worker_poll(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
@@ -228,7 +234,7 @@ impl Baseline {
             ctx.schedule_at(resume, Ev::WorkerPoll(w));
             return;
         }
-        let Some((spec, steal_cost)) = self.take_work(w) else {
+        let Some((spec, steal_cost)) = self.take_work(w, ctx) else {
             self.workers[w].core.set_idle(ctx.now());
             ctx.probe().busy_i("worker", w, false);
             if self.workers[w].idle_since.is_none() {
@@ -300,10 +306,7 @@ impl Baseline {
             },
         };
         let built = ctx.now() + params::WORKER_TX_COST;
-        let depart = built + self.nic.dma_latency;
-        if let Some((at, resp)) = self.wire.response(resp, depart, ctx) {
-            ctx.schedule_at(at, Ev::ClientResp(resp));
-        }
+        self.wire.response(resp, built + self.nic.dma_latency, ctx);
         self.ctx_pool.discard(msg.req_id);
         let worker = &mut self.workers[w];
         worker.busy = false;
@@ -323,23 +326,7 @@ impl Model for Baseline {
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
         match event {
-            Ev::ClientSend => {
-                if ctx.now() >= self.horizon {
-                    return;
-                }
-                let spec = self.client.make_request(ctx.now());
-                let req_id = spec.msg.req_id;
-                ctx.probe().count("client.sent");
-                ctx.probe().mark(req_id, "path.0_client_send");
-                if let Some((at, spec)) = self.wire.request(spec, ctx) {
-                    ctx.schedule_at(at, Ev::WireToNic(spec));
-                }
-                if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-                let gap = self.client.next_gap();
-                ctx.schedule_in(gap, Ev::ClientSend);
-            }
+            Ev::Client(ev) => self.client.on_event(ev, &mut self.wire, ctx),
             Ev::WireToNic(spec) => {
                 if let Some(d) = self.nic.steer(&spec) {
                     ctx.probe().count("nic.rx_frames");
@@ -370,32 +357,13 @@ impl Model for Baseline {
             Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
             Ev::WorkerRunEnd(w) => self.finish(w, ctx),
             Ev::ErssTick => self.erss_tick(ctx),
-            Ev::ClientResp(spec) => {
-                ctx.probe().count("client.responses");
-                ctx.probe().finish(spec.msg.req_id, "path.3_response");
-                self.client.on_response(ctx.now(), &spec);
-            }
-            Ev::ClientTimeout { req_id, attempt } => {
-                if let TimeoutOutcome::Retry {
-                    frame,
-                    attempt,
-                    timeout,
-                } = self.client.on_timeout(ctx.now(), req_id, attempt)
-                {
-                    ctx.probe().count("client.retries");
-                    if let Some((at, frame)) = self.wire.request(frame, ctx) {
-                        ctx.schedule_at(at, Ev::WireToNic(frame));
-                    }
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-            }
         }
     }
 }
 
 /// Run a run-to-completion baseline with stage-level observability.
 pub fn run_probed(spec: WorkloadSpec, cfg: BaselineConfig, probe: ProbeConfig) -> RunMetrics {
-    run_with_elastic_probed(spec, cfg, probe).0
+    run_inner(spec, cfg, probe, ResilienceConfig::default()).0
 }
 
 /// Run a baseline with fault injection and client retries. Baselines
@@ -421,17 +389,12 @@ pub fn run_resilient_probed(
 /// time-weighted mean number of provisioned cores (equal to
 /// `cfg.workers` for the static kinds).
 pub fn run_with_elastic(spec: WorkloadSpec, cfg: BaselineConfig) -> (RunMetrics, f64) {
-    run_with_elastic_probed(spec, cfg, ProbeConfig::disabled())
-}
-
-/// Full-fat entry point: observability plus the elastic-provisioning
-/// side channel.
-pub fn run_with_elastic_probed(
-    spec: WorkloadSpec,
-    cfg: BaselineConfig,
-    probe: ProbeConfig,
-) -> (RunMetrics, f64) {
-    run_inner(spec, cfg, probe, ResilienceConfig::default())
+    run_inner(
+        spec,
+        cfg,
+        ProbeConfig::disabled(),
+        ResilienceConfig::default(),
+    )
 }
 
 fn run_inner(
@@ -446,28 +409,20 @@ fn run_inner(
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
     }
-    engine.schedule_at(SimTime::ZERO, Ev::ClientSend);
+    engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
     if cfg.kind == BaselineKind::ElasticRss {
         engine.schedule_at(SimTime::ZERO + ERSS_INTERVAL, Ev::ErssTick);
     }
     engine.run_until(spec.horizon());
     let horizon = spec.horizon();
     let model = engine.model();
-    let util = model
-        .workers
-        .iter()
-        .map(|w| w.core.utilization(horizon))
-        .sum::<f64>()
-        / model.workers.len() as f64;
+    let util = mean_utilization(model.workers.iter().map(|w| &w.core), horizon);
     let mean_active = model.active_tw.mean_until(horizon).max(1.0);
-    let ring_dropped = model.nic.total_drops();
-    let mut metrics = assemble_metrics(&model.client, ring_dropped, 0, util);
+    let mut metrics = assemble_metrics(&model.client, &model.wire, 0, util);
     let fm = &mut metrics.faults;
-    fm.req_link_lost = model.wire.req_lost;
-    fm.resp_link_lost = model.wire.resp_lost;
-    fm.ring_dropped = ring_dropped;
+    fm.ring_dropped = model.nic.total_drops();
     fm.stranded = model.stranded;
-    metrics.dropped = ring_dropped + fm.link_lost();
+    metrics.dropped += fm.ring_dropped;
     if probe.enabled {
         metrics.stages = Some(engine.probe_mut().report(horizon));
     }

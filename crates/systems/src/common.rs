@@ -1,17 +1,19 @@
 //! Plumbing shared by every system assembly: addressing conventions, the
 //! open-loop client (with its reliability layer), the resilience
 //! configuration every assembly accepts, the stale-feedback governor, the
-//! lossy client↔server wire with the codec check every frame passes, and
-//! metric assembly.
+//! lossy client↔server wire with the codec check every frame passes, the
+//! serial [`Stage`] every dispatcher core is built from, the client's side
+//! of every assembly's event loop, and metric assembly.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
+use cpu_model::Core;
 use net_wire::{
-    Endpoint, EthernetAddress, FrameHeader, FrameSpec, Ipv4Address, MsgRepr, ParsedFrame,
+    Endpoint, EthernetAddress, FrameHeader, FrameSpec, Ipv4Address, MsgKind, MsgRepr, ParsedFrame,
 };
-use nic_model::Link;
+use nic_model::{Link, Ring};
 use nicsched::{
-    AdmissionPolicy, CoreFeedback, CoreSelector, Dispatcher, FeedbackChannel, SchedPolicy,
+    AdmissionPolicy, CoreFeedback, CoreSelector, Dispatcher, FeedbackChannel, SchedPolicy, Task,
 };
 use sim_core::faults::FaultConfig;
 use sim_core::{Ctx, IdTable, InvariantChecker, InvariantConfig, Rng, SimDuration, SimTime};
@@ -317,7 +319,7 @@ impl FrameCodec {
 
 /// The client↔server Ethernet every assembly shares: a 10 GbE link each
 /// way, lossy at the fault plan's i.i.d. rate, plus the plan's burst loss.
-/// It counts what it drops; each caller schedules its own arrival event.
+/// It counts what it drops and schedules the arrival of what it carries.
 /// Its codec check covers every frame of the assembly: the wire's own,
 /// and the in-machine hops' through `codec`.
 #[derive(Debug)]
@@ -330,6 +332,8 @@ pub struct Wire {
     pub req_lost: u64,
     /// Response/NACK frames lost on the server→client wire.
     pub resp_lost: u64,
+    /// Early NACK frames sent for shed requests.
+    pub nacks: u64,
 }
 
 impl Wire {
@@ -350,59 +354,207 @@ impl Wire {
             codec: FrameCodec::new(res),
             req_lost: 0,
             resp_lost: 0,
+            nacks: 0,
         }
     }
 
-    /// Transmit a client→server frame now: its arrival time and the frame,
-    /// or `None` if the wire lost it.
-    pub fn request<E>(
-        &mut self,
-        spec: FrameSpec,
-        ctx: &mut Ctx<'_, E>,
-    ) -> Option<(SimTime, FrameSpec)> {
-        let now = ctx.now();
+    /// Transmit a client→server frame now and schedule its arrival at the
+    /// server, unless the wire loses it.
+    pub(crate) fn request<E: ClientEdge>(&mut self, spec: FrameSpec, ctx: &mut Ctx<'_, E>) {
         let spec = self.codec.build(spec);
-        let sent = transmit(&mut self.to_server, spec, now, ctx);
-        if sent.is_none() {
-            self.req_lost += 1;
-            ctx.probe().count("wire.req_lost");
+        match transmit(&mut self.to_server, spec, ctx.now(), ctx) {
+            Some(at) => ctx.schedule_at(at, E::at_server(spec)),
+            None => {
+                self.req_lost += 1;
+                ctx.probe().count("wire.req_lost");
+            }
         }
-        sent
     }
 
     /// Transmit a server→client frame (response or NACK) leaving at
-    /// `depart`: its arrival time and the frame, or `None` if the wire
-    /// lost it.
-    pub fn response<E>(
+    /// `depart` and schedule its arrival at the client, unless the wire
+    /// loses it.
+    pub(crate) fn response<E: ClientEdge>(
         &mut self,
         spec: FrameSpec,
         depart: SimTime,
         ctx: &mut Ctx<'_, E>,
-    ) -> Option<(SimTime, FrameSpec)> {
+    ) {
         let spec = self.codec.build(spec);
-        let sent = transmit(&mut self.to_client, spec, depart, ctx);
-        if sent.is_none() {
-            self.resp_lost += 1;
-            ctx.probe().count("wire.resp_lost");
+        match transmit(&mut self.to_client, spec, depart, ctx) {
+            Some(at) => ctx.schedule_at(at, E::client(ClientEv::Response(spec))),
+            None => {
+                self.resp_lost += 1;
+                ctx.probe().count("wire.resp_lost");
+            }
         }
-        sent
+    }
+
+    /// Tell the client, by a NACK frame leaving at `depart`, that the
+    /// dispatcher shed `task`, so it retries without waiting for its
+    /// timeout.
+    pub(crate) fn nack<E: ClientEdge>(
+        &mut self,
+        task: &Task,
+        depart: SimTime,
+        ctx: &mut Ctx<'_, E>,
+    ) {
+        self.nacks += 1;
+        let spec = FrameSpec {
+            src_mac: AddressPlan::dispatcher_mac(),
+            dst_mac: AddressPlan::client_mac(),
+            src: AddressPlan::dispatcher_ep(),
+            dst: AddressPlan::client_ep(),
+            msg: MsgRepr {
+                service_ns: 0,
+                ..task_msg(MsgKind::Nack, task)
+            },
+        };
+        self.response(spec, depart, ctx);
     }
 }
 
+/// A serial core: one of the offload's networker, queue-manager, TX and RX
+/// ARM cores (§3.4.1), or a Shinjuku group's networker or dispatcher
+/// thread. It serves one item at a time from its FIFO inbox, each for
+/// `cost` (or `price` of the item, when set), and reports its busy time and
+/// its queue's depth (on every push and every finished item) to the probe
+/// as `name` and `gauge`, per instance when `index` is set. A networker is
+/// fed by a NIC RX ring instead, because ring occupancy decides tail drops:
+/// it leaves its inbox empty and hands the ring to [`Stage::poll`].
+pub(crate) struct Stage<T> {
+    inbox: VecDeque<T>,
+    busy: bool,
+    cost: SimDuration,
+    price: Option<fn(&T) -> SimDuration>,
+    name: &'static str,
+    gauge: &'static str,
+    index: Option<usize>,
+}
+
+impl<T> Stage<T> {
+    /// An idle stage with an empty inbox whose items each take `cost`.
+    pub fn new(name: &'static str, gauge: &'static str, cost: SimDuration) -> Stage<T> {
+        Stage {
+            inbox: VecDeque::new(),
+            busy: false,
+            cost,
+            price: None,
+            name,
+            gauge,
+            index: None,
+        }
+    }
+
+    /// This stage as instance `index` of its kind (a dispatcher group).
+    pub fn at(self, index: usize) -> Stage<T> {
+        Stage {
+            index: Some(index),
+            ..self
+        }
+    }
+
+    /// This stage, charging `price(item)` for each item instead.
+    pub fn priced(self, price: fn(&T) -> SimDuration) -> Stage<T> {
+        Stage {
+            price: Some(price),
+            ..self
+        }
+    }
+
+    /// `item` joins the back of the inbox, then [`Stage::resume`].
+    pub fn enqueue<E>(&mut self, item: T, done: E, ctx: &mut Ctx<'_, E>) {
+        self.inbox.push_back(item);
+        self.resume(done, ctx);
+    }
+
+    /// `item` goes to the head of the inbox, to be served next.
+    pub fn push_front(&mut self, item: T) {
+        self.inbox.push_front(item);
+    }
+
+    /// The item in service finished: the stage goes idle and hands it back
+    /// (`None` for a stage [`Stage::poll`] feeds). Call [`Stage::resume`]
+    /// or [`Stage::poll`] once its work is done.
+    pub fn complete<E>(&mut self, ctx: &mut Ctx<'_, E>) -> Option<T> {
+        self.set_busy(false, ctx);
+        self.inbox.pop_front()
+    }
+
+    /// Sample the inbox; an idle stage then starts on its head item and
+    /// schedules `done` for when it finishes.
+    pub fn resume<E>(&mut self, done: E, ctx: &mut Ctx<'_, E>) {
+        let cost = match (self.price, self.inbox.front()) {
+            (Some(price), Some(item)) => price(item),
+            _ => self.cost,
+        };
+        self.serve(self.inbox.len(), cost, done, ctx);
+    }
+
+    /// [`Stage::resume`] for a stage fed by `ring`.
+    pub fn poll<E>(&mut self, ring: &Ring, done: E, ctx: &mut Ctx<'_, E>) {
+        self.serve(ring.len(), self.cost, done, ctx);
+    }
+
+    fn serve<E>(&mut self, waiting: usize, cost: SimDuration, done: E, ctx: &mut Ctx<'_, E>) {
+        match self.index {
+            Some(i) => ctx.probe().depth_i(self.gauge, i, waiting),
+            None => ctx.probe().depth(self.gauge, waiting),
+        }
+        if !self.busy && waiting > 0 {
+            self.set_busy(true, ctx);
+            ctx.schedule_in(cost, done);
+        }
+    }
+
+    fn set_busy<E>(&mut self, busy: bool, ctx: &mut Ctx<'_, E>) {
+        self.busy = busy;
+        match self.index {
+            Some(i) => ctx.probe().busy_i(self.name, i, busy),
+            None => ctx.probe().busy(self.name, busy),
+        }
+    }
+}
+
+/// The client's three events, the same in every assembly.
+pub(crate) enum ClientEv {
+    /// The client emits its next request.
+    Send,
+    /// A response or NACK frame reaches the client.
+    Response(FrameSpec),
+    /// A retransmit timer fires for one attempt of one request.
+    Timeout {
+        /// Request id the timer guards.
+        req_id: u64,
+        /// Attempt number the timer was armed for (stale if superseded).
+        attempt: u32,
+    },
+}
+
+/// How an assembly's event type carries the client edge: it wraps
+/// [`ClientEv`], names the event a request frame arriving at the server
+/// becomes, and the chain mark a response closes at the client.
+pub(crate) trait ClientEdge: Sized {
+    /// The final `path.N_response` mark of the assembly's chain.
+    const RESPONSE_MARK: &'static str;
+    /// Wrap a client event.
+    fn client(ev: ClientEv) -> Self;
+    /// A request frame reaching the server.
+    fn at_server(spec: FrameSpec) -> Self;
+}
+
 /// Apply burst loss, then the link's own loss, to a frame of the spec's
-/// wire length.
+/// wire length: its arrival time, or `None` if it was lost.
 fn transmit<E>(
     link: &mut Link,
     spec: FrameSpec,
     at: SimTime,
     ctx: &mut Ctx<'_, E>,
-) -> Option<(SimTime, FrameSpec)> {
+) -> Option<SimTime> {
     if ctx.faults().burst_frame_lost(at) {
         return None;
     }
-    let payload_len = spec.frame_len() - net_wire::ethernet::HEADER_LEN;
-    link.transmit_lossy(at, payload_len)
-        .map(|arrive| (arrive, spec))
+    link.transmit_lossy(at, spec.frame_len() - net_wire::ethernet::HEADER_LEN)
 }
 
 /// Deterministic MAC/IP addressing plan for a simulated testbed.
@@ -444,6 +596,22 @@ impl AddressPlan {
     pub fn worker_ep(i: usize) -> Endpoint {
         assert!(i < 256, "worker index out of addressing range");
         Endpoint::new(Ipv4Address::new(10, 0, 2, i as u8), 6000)
+    }
+}
+
+/// The `kind` message about `task`: its id, client, service time and send
+/// stamp, with no remaining work, body or slice grant (a hop that carries
+/// those sets them).
+pub(crate) fn task_msg(kind: MsgKind, task: &Task) -> MsgRepr {
+    MsgRepr {
+        kind,
+        req_id: task.req_id,
+        client_id: task.client_id,
+        service_ns: task.service.as_nanos(),
+        remaining_ns: 0,
+        sent_at_ns: task.sent_at.as_nanos(),
+        body_len: 0,
+        grant_code: 0,
     }
 }
 
@@ -764,6 +932,57 @@ impl Client {
         ResponseOutcome::Recorded
     }
 
+    /// Handle one client event: send the next request (until the horizon),
+    /// record a response, or retransmit after a NACK or a timeout.
+    pub(crate) fn on_event<E: ClientEdge>(
+        &mut self,
+        ev: ClientEv,
+        wire: &mut Wire,
+        ctx: &mut Ctx<'_, E>,
+    ) {
+        let now = ctx.now();
+        let outcome = match ev {
+            ClientEv::Send => {
+                if now >= self.spec.horizon() {
+                    return;
+                }
+                let spec = self.make_request(now);
+                let req_id = spec.msg.req_id;
+                ctx.probe().count("client.sent");
+                ctx.probe().mark(req_id, "path.0_client_send");
+                wire.request(spec, ctx);
+                if let Some((attempt, timeout)) = self.arm_timeout(req_id) {
+                    ctx.schedule_in(timeout, E::client(ClientEv::Timeout { req_id, attempt }));
+                }
+                let gap = self.next_gap();
+                ctx.schedule_in(gap, E::client(ClientEv::Send));
+                return;
+            }
+            ClientEv::Response(spec) if spec.msg.kind == MsgKind::Nack => {
+                ctx.probe().count("client.nacks");
+                self.on_nack(now, spec.msg.req_id)
+            }
+            ClientEv::Response(spec) => {
+                ctx.probe().count("client.responses");
+                ctx.probe().finish(spec.msg.req_id, E::RESPONSE_MARK);
+                self.on_response(now, &spec);
+                return;
+            }
+            ClientEv::Timeout { req_id, attempt } => self.on_timeout(now, req_id, attempt),
+        };
+        if let TimeoutOutcome::Retry {
+            frame,
+            attempt,
+            timeout,
+        } = outcome
+        {
+            ctx.probe().count("client.retries");
+            let req_id = frame.msg.req_id;
+            wire.request(frame, ctx);
+            ctx.schedule_in(timeout, E::client(ClientEv::Timeout { req_id, attempt }));
+        }
+    }
+
     /// Audit client bookkeeping: every issued request id lives in exactly
     /// one of `outstanding` / `done` / `gave_up`, so their sizes must sum
     /// to the number of requests sent. O(1), called per event on invcheck
@@ -795,10 +1014,19 @@ impl Client {
     }
 }
 
-/// Assemble [`RunMetrics`] from a client and system counters at `now`.
+/// Mean utilization of `cores` over a run ending at `horizon`.
+pub(crate) fn mean_utilization<'a>(
+    cores: impl Iterator<Item = &'a Core> + Clone,
+    horizon: SimTime,
+) -> f64 {
+    cores.clone().map(|c| c.utilization(horizon)).sum::<f64>() / cores.count() as f64
+}
+
+/// Assemble [`RunMetrics`] from a client, its wire and system counters;
+/// `dropped` counts the wire's losses, to which an assembly adds its own.
 pub fn assemble_metrics(
     client: &Client,
-    dropped: u64,
+    wire: &Wire,
     preemptions: u64,
     worker_utilization: f64,
 ) -> RunMetrics {
@@ -821,11 +1049,16 @@ pub fn assemble_metrics(
             .unwrap_or(SimDuration::ZERO),
         mean: rec.mean().unwrap_or(SimDuration::ZERO),
         completed: rec.completed,
-        dropped,
+        dropped: wire.req_lost + wire.resp_lost,
         preemptions,
         worker_utilization,
         stages: None,
-        faults: client.fault_metrics(),
+        faults: FaultMetrics {
+            req_link_lost: wire.req_lost,
+            resp_link_lost: wire.resp_lost,
+            nacks: wire.nacks,
+            ..client.fault_metrics()
+        },
     }
 }
 
@@ -1154,9 +1387,10 @@ mod tests {
         )
         .unwrap();
         client.on_response(SimTime::from_micros(15), &resp);
-        let m = assemble_metrics(&client, 2, 3, 0.5);
+        let wire = Wire::new(&ResilienceConfig::default(), &mut master);
+        let m = assemble_metrics(&client, &wire, 3, 0.5);
         assert_eq!(m.completed, 1);
-        assert_eq!(m.dropped, 2);
+        assert_eq!(m.dropped, 0);
         assert_eq!(m.preemptions, 3);
         assert_eq!(m.p99, SimDuration::from_micros(15));
     }

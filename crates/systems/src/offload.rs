@@ -41,8 +41,8 @@ use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDurati
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, scale_duration, AddressPlan, Client, FeedbackGovernor, ResilienceConfig,
-    TimeoutOutcome, Wire, FAULT_SEED_SALT,
+    assemble_metrics, mean_utilization, scale_duration, task_msg, AddressPlan, Client, ClientEdge,
+    ClientEv, FeedbackGovernor, ResilienceConfig, Stage, Wire, FAULT_SEED_SALT,
 };
 
 /// Configuration of a Shinjuku-Offload instance.
@@ -105,8 +105,8 @@ impl OffloadConfig {
 
 /// Events of the offload model.
 enum Ev {
-    /// Client emits its next request.
-    ClientSend,
+    /// The client sends, receives, or times out.
+    Client(ClientEv),
     /// A frame from the client link reaches the NIC.
     WireToNic(FrameSpec),
     /// The networker stage finished parsing one frame.
@@ -134,17 +134,18 @@ enum Ev {
     RxNotif(FrameSpec),
     /// The RX stage finished parsing one notification.
     RxDone,
-    /// A response frame reaches the client.
-    ClientResp(FrameSpec),
-    /// A client retransmit timer fires for one attempt of one request.
-    ClientTimeout {
-        /// Request id the timer guards.
-        req_id: u64,
-        /// Attempt number the timer was armed for (stale if superseded).
-        attempt: u32,
-    },
     /// A worker's periodic liveness heartbeat to the NIC-side governor.
     Heartbeat(usize),
+}
+
+impl ClientEdge for Ev {
+    const RESPONSE_MARK: &'static str = "path.6_response";
+    fn client(ev: ClientEv) -> Ev {
+        Ev::Client(ev)
+    }
+    fn at_server(spec: FrameSpec) -> Ev {
+        Ev::WireToNic(spec)
+    }
 }
 
 /// Items crossing into the queue-manager core.
@@ -163,24 +164,6 @@ enum QmItem {
     Heartbeat {
         worker: usize,
     },
-}
-
-/// A serially-processed pipeline stage on an ARM core.
-struct Stage<T> {
-    queue: VecDeque<T>,
-    busy: bool,
-    /// Items processed (for stage-throughput assertions).
-    processed: u64,
-}
-
-impl<T> Stage<T> {
-    fn new() -> Stage<T> {
-        Stage {
-            queue: VecDeque::new(),
-            busy: false,
-            processed: 0,
-        }
-    }
 }
 
 /// Per-worker state.
@@ -236,8 +219,6 @@ struct Offload {
     recovery: Option<RecoveryPolicy>,
     /// Work that died with a crashed worker (running or in its ring).
     stranded: u64,
-    /// Early NACK frames sent for shed requests.
-    nacks: u64,
 }
 
 impl Offload {
@@ -312,6 +293,8 @@ impl Offload {
         let governor = res
             .fallback
             .map(|p| FeedbackGovernor::new(cfg.workers, cfg.profile.from_worker, p));
+        // Each ARM stage's per-item compute cost under the profile.
+        let arm = |host_cycles| cfg.profile.compute.stage_cost(host_cycles);
 
         Offload {
             dispatcher,
@@ -324,10 +307,14 @@ impl Offload {
             disp_iface,
             worker_iface,
             worker_by_mac,
-            networker: Stage::new(),
-            qm: Stage::new(),
-            tx: Stage::new(),
-            rx: Stage::new(),
+            networker: Stage::new(
+                "networker",
+                "networker.ring",
+                arm(params::ARM_NET_PARSE_CYCLES),
+            ),
+            qm: Stage::new("qm", "qm.inbox", arm(params::ARM_QUEUE_OP_CYCLES)),
+            tx: Stage::new("tx", "tx.queue", arm(params::ARM_TX_BUILD_CYCLES)),
+            rx: Stage::new("rx", "rx.queue", arm(params::ARM_RX_PARSE_CYCLES)),
             task_meta: sim_core::IdTable::new(),
             workers,
             ctx_pool: ContextPool::new(),
@@ -342,50 +329,6 @@ impl Offload {
             governor,
             recovery: res.recovery,
             stranded: 0,
-            nacks: 0,
-        }
-    }
-
-    /// Per-stage compute cost under the configured profile.
-    fn stage_cost(&self, host_cycles: u64) -> SimDuration {
-        self.cfg.profile.compute.stage_cost(host_cycles)
-    }
-
-    // ---- stage starters -------------------------------------------------
-
-    fn start_networker(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let ring = &self.nic.iface(self.disp_iface).rx[0];
-        if !self.networker.busy && !ring.is_empty() {
-            self.networker.busy = true;
-            ctx.probe().busy("networker", true);
-            ctx.schedule_in(
-                self.stage_cost(params::ARM_NET_PARSE_CYCLES),
-                Ev::NetworkerDone,
-            );
-        }
-    }
-
-    fn start_qm(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        if !self.qm.busy && !self.qm.queue.is_empty() {
-            self.qm.busy = true;
-            ctx.probe().busy("qm", true);
-            ctx.schedule_in(self.stage_cost(params::ARM_QUEUE_OP_CYCLES), Ev::QmDone);
-        }
-    }
-
-    fn start_tx(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        if !self.tx.busy && !self.tx.queue.is_empty() {
-            self.tx.busy = true;
-            ctx.probe().busy("tx", true);
-            ctx.schedule_in(self.stage_cost(params::ARM_TX_BUILD_CYCLES), Ev::TxDone);
-        }
-    }
-
-    fn start_rx(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        if !self.rx.busy && !self.rx.queue.is_empty() {
-            self.rx.busy = true;
-            ctx.probe().busy("rx", true);
-            ctx.schedule_in(self.stage_cost(params::ARM_RX_PARSE_CYCLES), Ev::RxDone);
         }
     }
 
@@ -564,39 +507,20 @@ impl Offload {
                 src: AddressPlan::worker_ep(w),
                 dst: AddressPlan::client_ep(),
                 msg: MsgRepr {
-                    kind: MsgKind::Response,
-                    req_id: task.req_id,
-                    client_id: task.client_id,
-                    service_ns: task.service.as_nanos(),
                     // The NIC sees every departing response; in the §5.2
                     // co-design it stamps its instantaneous scheduler load
                     // (queued + in flight) for the client's pacer.
                     remaining_ns: self.dispatcher.queue_len() as u64
                         + self.dispatcher.total_outstanding() as u64,
-                    sent_at_ns: task.sent_at.as_nanos(),
                     body_len: task.body_len,
-                    grant_code: 0,
+                    ..task_msg(MsgKind::Response, &task)
                 },
             };
             let depart = resp_built + self.nic.dma_latency;
-            if let Some((at, resp)) = self.wire.response(resp, depart, ctx) {
-                ctx.schedule_at(at, Ev::ClientResp(resp));
-            }
+            self.wire.response(resp, depart, ctx);
 
             let notif_built = resp_built + params::WORKER_TX_COST;
-            let done = self.notif_spec(
-                w,
-                MsgRepr {
-                    kind: MsgKind::Done,
-                    req_id: task.req_id,
-                    client_id: task.client_id,
-                    service_ns: task.service.as_nanos(),
-                    remaining_ns: 0,
-                    sent_at_ns: task.sent_at.as_nanos(),
-                    body_len: 0,
-                    grant_code: 0,
-                },
-            );
+            let done = self.notif_spec(w, task_msg(MsgKind::Done, &task));
             ctx.schedule_at(
                 notif_built + self.cfg.profile.from_worker,
                 Ev::RxNotif(self.wire.codec.build(done)),
@@ -617,19 +541,7 @@ impl Offload {
                 // release the worker slot with a Done notification.
                 ctx.probe().count("worker.dup_killed");
                 let free_at = now + self.preempt_receive_cost() + params::WORKER_TX_COST;
-                let done = self.notif_spec(
-                    w,
-                    MsgRepr {
-                        kind: MsgKind::Done,
-                        req_id: after.req_id,
-                        client_id: after.client_id,
-                        service_ns: after.service.as_nanos(),
-                        remaining_ns: 0,
-                        sent_at_ns: after.sent_at.as_nanos(),
-                        body_len: 0,
-                        grant_code: 0,
-                    },
-                );
+                let done = self.notif_spec(w, task_msg(MsgKind::Done, &after));
                 ctx.schedule_at(
                     free_at + self.cfg.profile.from_worker,
                     Ev::RxNotif(self.wire.codec.build(done)),
@@ -648,14 +560,9 @@ impl Offload {
             let notif = self.notif_spec(
                 w,
                 MsgRepr {
-                    kind: MsgKind::Preempted,
-                    req_id: after.req_id,
-                    client_id: after.client_id,
-                    service_ns: after.service.as_nanos(),
                     remaining_ns: after.remaining.as_nanos(),
-                    sent_at_ns: after.sent_at.as_nanos(),
                     body_len: after.body_len,
-                    grant_code: 0,
+                    ..task_msg(MsgKind::Preempted, &after)
                 },
             );
             ctx.schedule_at(
@@ -678,42 +585,21 @@ impl Model for Offload {
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
         match event {
-            Ev::ClientSend => {
-                if ctx.now() >= self.horizon {
-                    return;
-                }
-                let spec = self.client.make_request(ctx.now());
-                let req_id = spec.msg.req_id;
-                ctx.probe().count("client.sent");
-                ctx.probe().mark(req_id, "path.0_client_send");
-                if let Some((at, spec)) = self.wire.request(spec, ctx) {
-                    ctx.schedule_at(at, Ev::WireToNic(spec));
-                }
-                if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-                let gap = self.client.next_gap();
-                ctx.schedule_in(gap, Ev::ClientSend);
-            }
+            Ev::Client(ev) => self.client.on_event(ev, &mut self.wire, ctx),
             Ev::WireToNic(spec) => {
                 if let Some(d) = self.nic.steer(&spec) {
                     self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), spec);
                     if d.iface == self.disp_iface {
                         ctx.probe().count("nic.rx_frames");
-                        let depth = self.nic.iface(self.disp_iface).rx[0].len();
-                        ctx.probe().depth("networker.ring", depth);
-                        self.start_networker(ctx);
+                        self.networker
+                            .poll(&self.nic.iface(d.iface).rx[0], Ev::NetworkerDone, ctx);
                     }
                 }
             }
             Ev::NetworkerDone => {
-                self.networker.busy = false;
-                self.networker.processed += 1;
-                ctx.probe().busy("networker", false);
+                self.networker.complete(ctx);
                 ctx.probe().count("networker.parsed");
                 if let Some(frame) = self.nic.iface_mut(self.disp_iface).rx[0].pop() {
-                    let depth = self.nic.iface(self.disp_iface).rx[0].len();
-                    ctx.probe().depth("networker.ring", depth);
                     let msg = frame.spec.msg;
                     if msg.kind == MsgKind::Request {
                         ctx.probe().mark(msg.req_id, "path.1_nic_parse");
@@ -731,19 +617,12 @@ impl Model for Offload {
                         );
                     }
                 }
-                self.start_networker(ctx);
+                let ring = &self.nic.iface(self.disp_iface).rx[0];
+                self.networker.poll(ring, Ev::NetworkerDone, ctx);
             }
-            Ev::QmPush(item) => {
-                self.qm.queue.push_back(item);
-                ctx.probe().depth("qm.inbox", self.qm.queue.len());
-                self.start_qm(ctx);
-            }
+            Ev::QmPush(item) => self.qm.enqueue(item, Ev::QmDone, ctx),
             Ev::QmDone => {
-                self.qm.busy = false;
-                self.qm.processed += 1;
-                ctx.probe().busy("qm", false);
-                if let Some(item) = self.qm.queue.pop_front() {
-                    ctx.probe().depth("qm.inbox", self.qm.queue.len());
+                if let Some(item) = self.qm.complete(ctx) {
                     let now = ctx.now();
                     let assignments = match item {
                         QmItem::NewTask(task) => match self.dispatcher.offer(now, task) {
@@ -756,28 +635,7 @@ impl Model for Offload {
                             AdmitOutcome::Shed { nack } => {
                                 ctx.probe().count("qm.shed");
                                 if nack {
-                                    self.nacks += 1;
-                                    let spec = FrameSpec {
-                                        src_mac: AddressPlan::dispatcher_mac(),
-                                        dst_mac: AddressPlan::client_mac(),
-                                        src: AddressPlan::dispatcher_ep(),
-                                        dst: AddressPlan::client_ep(),
-                                        msg: MsgRepr {
-                                            kind: MsgKind::Nack,
-                                            req_id: task.req_id,
-                                            client_id: task.client_id,
-                                            service_ns: 0,
-                                            remaining_ns: 0,
-                                            sent_at_ns: task.sent_at.as_nanos(),
-                                            body_len: 0,
-                                            grant_code: 0,
-                                        },
-                                    };
-                                    let depart = now + self.nic.dma_latency;
-                                    if let Some((at, spec)) = self.wire.response(spec, depart, ctx)
-                                    {
-                                        ctx.schedule_at(at, Ev::ClientResp(spec));
-                                    }
+                                    self.wire.nack(&task, now + self.nic.dma_latency, ctx);
                                 }
                                 Vec::new()
                             }
@@ -800,20 +658,12 @@ impl Model for Offload {
                     ctx.probe().depth("qm.central", self.dispatcher.queue_len());
                     self.emit_assignments(assignments, ctx);
                 }
-                self.start_qm(ctx);
+                self.qm.resume(Ev::QmDone, ctx);
             }
-            Ev::TxPush(a) => {
-                self.tx.queue.push_back(a);
-                ctx.probe().depth("tx.queue", self.tx.queue.len());
-                self.start_tx(ctx);
-            }
+            Ev::TxPush(a) => self.tx.enqueue(a, Ev::TxDone, ctx),
             Ev::TxDone => {
-                self.tx.busy = false;
-                self.tx.processed += 1;
-                ctx.probe().busy("tx", false);
                 ctx.probe().count("tx.built");
-                if let Some(a) = self.tx.queue.pop_front() {
-                    ctx.probe().depth("tx.queue", self.tx.queue.len());
+                if let Some(a) = self.tx.complete(ctx) {
                     ctx.probe().mark(a.task.req_id, "path.3_tx_build");
                     let t = a.task;
                     let spec = FrameSpec {
@@ -822,16 +672,12 @@ impl Model for Offload {
                         src: AddressPlan::dispatcher_ep(),
                         dst: AddressPlan::worker_ep(a.worker),
                         msg: MsgRepr {
-                            kind: MsgKind::Assign,
-                            req_id: t.req_id,
-                            client_id: t.client_id,
-                            service_ns: t.service.as_nanos(),
                             remaining_ns: t.remaining.as_nanos(),
-                            sent_at_ns: t.sent_at.as_nanos(),
                             body_len: t.body_len,
                             // The slice grant must survive the wire: the
                             // worker rebuilds its Task from this frame.
                             grant_code: t.preempt.grant_code(),
+                            ..task_msg(MsgKind::Assign, &t)
                         },
                     };
                     ctx.schedule_in(
@@ -839,7 +685,7 @@ impl Model for Offload {
                         Ev::WorkerFrame(a.worker, self.wire.codec.build(spec)),
                     );
                 }
-                self.start_tx(ctx);
+                self.tx.resume(Ev::TxDone, ctx);
             }
             Ev::WorkerFrame(w, spec) => {
                 let now = ctx.now();
@@ -874,18 +720,10 @@ impl Model for Offload {
             }
             Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
             Ev::WorkerRunEnd { worker, gen } => self.worker_run_end(worker, gen, ctx),
-            Ev::RxNotif(spec) => {
-                self.rx.queue.push_back(spec);
-                ctx.probe().depth("rx.queue", self.rx.queue.len());
-                self.start_rx(ctx);
-            }
+            Ev::RxNotif(spec) => self.rx.enqueue(spec, Ev::RxDone, ctx),
             Ev::RxDone => {
-                self.rx.busy = false;
-                self.rx.processed += 1;
-                ctx.probe().busy("rx", false);
                 ctx.probe().count("rx.notifs");
-                if let Some(spec) = self.rx.queue.pop_front() {
-                    ctx.probe().depth("rx.queue", self.rx.queue.len());
+                if let Some(spec) = self.rx.complete(ctx) {
                     if let Some(&w) = self.worker_by_mac.get(&spec.src_mac) {
                         let msg = spec.msg;
                         let item = match msg.kind {
@@ -919,43 +757,7 @@ impl Model for Offload {
                         }
                     }
                 }
-                self.start_rx(ctx);
-            }
-            Ev::ClientResp(spec) => {
-                if spec.msg.kind == MsgKind::Nack {
-                    ctx.probe().count("client.nacks");
-                    let req_id = spec.msg.req_id;
-                    if let TimeoutOutcome::Retry {
-                        frame,
-                        attempt,
-                        timeout,
-                    } = self.client.on_nack(ctx.now(), req_id)
-                    {
-                        ctx.probe().count("client.retries");
-                        if let Some((at, frame)) = self.wire.request(frame, ctx) {
-                            ctx.schedule_at(at, Ev::WireToNic(frame));
-                        }
-                        ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                    }
-                    return;
-                }
-                ctx.probe().count("client.responses");
-                ctx.probe().finish(spec.msg.req_id, "path.6_response");
-                self.client.on_response(ctx.now(), &spec);
-            }
-            Ev::ClientTimeout { req_id, attempt } => {
-                if let TimeoutOutcome::Retry {
-                    frame,
-                    attempt,
-                    timeout,
-                } = self.client.on_timeout(ctx.now(), req_id, attempt)
-                {
-                    ctx.probe().count("client.retries");
-                    if let Some((at, frame)) = self.wire.request(frame, ctx) {
-                        ctx.schedule_at(at, Ev::WireToNic(frame));
-                    }
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
+                self.rx.resume(Ev::RxDone, ctx);
             }
             Ev::Heartbeat(w) => {
                 let now = ctx.now();
@@ -1044,7 +846,7 @@ pub fn run_resilient_probed(
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
     }
-    engine.schedule_at(SimTime::ZERO, Ev::ClientSend);
+    engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
     if engine.model().governor.is_some() || engine.model().recovery.is_some() {
         for w in 0..cfg.workers {
             engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(w));
@@ -1053,21 +855,12 @@ pub fn run_resilient_probed(
     engine.run_until(spec.horizon());
     let horizon = spec.horizon();
     let model = engine.model();
-    let util = model
-        .workers
-        .iter()
-        .map(|w| w.core.utilization(horizon))
-        .sum::<f64>()
-        / model.workers.len() as f64;
-    let ring_dropped = model.nic.total_drops();
-    let mut metrics = assemble_metrics(&model.client, ring_dropped, model.preemptions, util);
+    let util = mean_utilization(model.workers.iter().map(|w| &w.core), horizon);
+    let mut metrics = assemble_metrics(&model.client, &model.wire, model.preemptions, util);
     let fm = &mut metrics.faults;
-    fm.req_link_lost = model.wire.req_lost;
-    fm.resp_link_lost = model.wire.resp_lost;
-    fm.ring_dropped = ring_dropped;
+    fm.ring_dropped = model.nic.total_drops();
     fm.stranded = model.stranded;
     fm.shed = model.dispatcher.stats.shed;
-    fm.nacks = model.nacks;
     if let Some(gov) = &model.governor {
         fm.fallback_switches = gov.switches;
         fm.fallback_ns = gov.fallback_ns(horizon);
@@ -1079,7 +872,7 @@ pub fn run_resilient_probed(
         fm.suspicions = h.stats.suspicions;
         fm.readmissions = h.stats.readmissions;
     }
-    metrics.dropped = ring_dropped + fm.link_lost() + fm.shed;
+    metrics.dropped += fm.ring_dropped + fm.shed;
     if probe.enabled {
         metrics.stages = Some(engine.probe_mut().report(horizon));
     }

@@ -23,8 +23,8 @@ use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDurati
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, scale_duration, AddressPlan, Client, ResilienceConfig, TimeoutOutcome, Wire,
-    FAULT_SEED_SALT,
+    assemble_metrics, mean_utilization, scale_duration, task_msg, AddressPlan, Client, ClientEdge,
+    ClientEv, ResilienceConfig, Wire, FAULT_SEED_SALT,
 };
 
 /// Configuration of an RPCValet-style system.
@@ -44,22 +44,26 @@ const HW_DISPATCH: SimDuration = SimDuration::from_nanos(8);
 const NI_TO_CORE: SimDuration = SimDuration::from_nanos(40);
 
 enum Ev {
-    ClientSend,
+    Client(ClientEv),
     /// A request frame arrives at the integrated NI fabric.
     NiArrive(FrameSpec),
     /// The hardware queue issues a task to a core.
     Deliver(usize, Task),
     WorkerRunEnd(usize),
-    ClientResp(FrameSpec),
-    /// A client retransmit timer fires for one attempt of one request.
-    ClientTimeout {
-        req_id: u64,
-        attempt: u32,
-    },
     /// The integrated NI's periodic failure-detector sweep (recovery
     /// only). Lease renewal is hardware-observed core liveness — no
     /// heartbeat frames cross a wire in this design.
     HealthTick,
+}
+
+impl ClientEdge for Ev {
+    const RESPONSE_MARK: &'static str = "path.4_response";
+    fn client(ev: ClientEv) -> Ev {
+        Ev::Client(ev)
+    }
+    fn at_server(spec: FrameSpec) -> Ev {
+        Ev::NiArrive(spec)
+    }
 }
 
 struct Worker {
@@ -119,7 +123,10 @@ impl RpcValet {
         }
     }
 
+    /// Sample the hardware queue after a dispatcher call, and deliver
+    /// the assignments it decided.
     fn emit(&mut self, mut assignments: Vec<nicsched::Assignment>, ctx: &mut Ctx<'_, Ev>) {
+        ctx.probe().depth("ni.queue", self.dispatcher.queue_len());
         for a in assignments.drain(..) {
             ctx.schedule_in(HW_DISPATCH + NI_TO_CORE, Ev::Deliver(a.worker, a.task));
         }
@@ -148,23 +155,7 @@ impl Model for RpcValet {
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
         match event {
-            Ev::ClientSend => {
-                if ctx.now() >= self.horizon {
-                    return;
-                }
-                let spec = self.client.make_request(ctx.now());
-                ctx.probe().count("client.sent");
-                ctx.probe().mark(spec.msg.req_id, "path.0_client_send");
-                let req_id = spec.msg.req_id;
-                if let Some((at, spec)) = self.wire.request(spec, ctx) {
-                    ctx.schedule_at(at, Ev::NiArrive(spec));
-                }
-                if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-                let gap = self.client.next_gap();
-                ctx.schedule_in(gap, Ev::ClientSend);
-            }
+            Ev::Client(ev) => self.client.on_event(ev, &mut self.wire, ctx),
             Ev::NiArrive(spec) => {
                 let m = spec.msg;
                 if m.kind != MsgKind::Request {
@@ -181,8 +172,6 @@ impl Model for RpcValet {
                     m.body_len,
                 );
                 let assignments = self.dispatcher.on_request(ctx.now(), task);
-                let depth = self.dispatcher.queue_len();
-                ctx.probe().depth("ni.queue", depth);
                 self.emit(assignments, ctx);
             }
             Ev::Deliver(w, task) => {
@@ -259,20 +248,12 @@ impl Model for RpcValet {
                     src: AddressPlan::worker_ep(w),
                     dst: AddressPlan::client_ep(),
                     msg: MsgRepr {
-                        kind: MsgKind::Response,
-                        req_id: task.req_id,
-                        client_id: task.client_id,
-                        service_ns: task.service.as_nanos(),
-                        remaining_ns: 0,
-                        sent_at_ns: task.sent_at.as_nanos(),
                         body_len: task.body_len,
-                        grant_code: 0,
+                        ..task_msg(MsgKind::Response, &task)
                     },
                 };
                 // Integrated NI: the response departs without a PCIe hop.
-                if let Some((at, resp)) = self.wire.response(resp, resp_built, ctx) {
-                    ctx.schedule_at(at, Ev::ClientResp(resp));
-                }
+                self.wire.response(resp, resp_built, ctx);
                 self.ctx_pool.discard(task.req_id);
                 let worker = &mut self.workers[w];
                 worker.core.requests_run += 1;
@@ -282,25 +263,6 @@ impl Model for RpcValet {
                 // of the load on each core" of §2.1.
                 let assignments = self.dispatcher.on_done(now, w, task.req_id);
                 self.emit(assignments, ctx);
-            }
-            Ev::ClientResp(spec) => {
-                ctx.probe().count("client.responses");
-                ctx.probe().finish(spec.msg.req_id, "path.4_response");
-                self.client.on_response(ctx.now(), &spec);
-            }
-            Ev::ClientTimeout { req_id, attempt } => {
-                if let TimeoutOutcome::Retry {
-                    frame,
-                    attempt,
-                    timeout,
-                } = self.client.on_timeout(ctx.now(), req_id, attempt)
-                {
-                    ctx.probe().count("client.retries");
-                    if let Some((at, frame)) = self.wire.request(frame, ctx) {
-                        ctx.schedule_at(at, Ev::NiArrive(frame));
-                    }
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
             }
             Ev::HealthTick => {
                 let now = ctx.now();
@@ -354,23 +316,16 @@ pub fn run_resilient_probed(
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
     }
-    engine.schedule_at(SimTime::ZERO, Ev::ClientSend);
+    engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
     if engine.model().recovery.is_some() {
         engine.schedule_at(SimTime::ZERO, Ev::HealthTick);
     }
     engine.run_until(spec.horizon());
     let horizon = spec.horizon();
     let model = engine.model();
-    let util = model
-        .workers
-        .iter()
-        .map(|w| w.core.utilization(horizon))
-        .sum::<f64>()
-        / model.workers.len() as f64;
-    let mut metrics = assemble_metrics(&model.client, 0, 0, util);
+    let util = mean_utilization(model.workers.iter().map(|w| &w.core), horizon);
+    let mut metrics = assemble_metrics(&model.client, &model.wire, 0, util);
     let fm = &mut metrics.faults;
-    fm.req_link_lost = model.wire.req_lost;
-    fm.resp_link_lost = model.wire.resp_lost;
     fm.stranded = model.stranded;
     if let Some(h) = model.dispatcher.health() {
         fm.recovered = model.dispatcher.stats.recovered;
@@ -378,7 +333,6 @@ pub fn run_resilient_probed(
         fm.suspicions = h.stats.suspicions;
         fm.readmissions = h.stats.readmissions;
     }
-    metrics.dropped = fm.link_lost();
     if probe.enabled {
         metrics.stages = Some(engine.probe_mut().report(horizon));
     }

@@ -39,8 +39,8 @@ use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDurati
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, scale_duration, AddressPlan, Client, FeedbackGovernor, ResilienceConfig,
-    TimeoutOutcome, Wire, FAULT_SEED_SALT,
+    assemble_metrics, mean_utilization, scale_duration, task_msg, AddressPlan, Client, ClientEdge,
+    ClientEv, FeedbackGovernor, ResilienceConfig, Stage, Wire, FAULT_SEED_SALT,
 };
 
 /// Configuration of a Shinjuku server with one or more dispatcher groups.
@@ -116,7 +116,7 @@ enum DispItem {
 
 /// Events; `(group, worker)` pairs index a group and a worker within it.
 enum Ev {
-    ClientSend,
+    Client(ClientEv),
     WireToNic(FrameSpec),
     NetworkerDone(usize),
     DispPush(usize, DispItem),
@@ -129,14 +129,18 @@ enum Ev {
         worker: usize,
         gen: u64,
     },
-    ClientResp(FrameSpec),
-    /// A client retransmit timer fires for one attempt of one request.
-    ClientTimeout {
-        req_id: u64,
-        attempt: u32,
-    },
     /// A worker's periodic liveness heartbeat to its group's dispatcher.
     Heartbeat(usize, usize),
+}
+
+impl ClientEdge for Ev {
+    const RESPONSE_MARK: &'static str = "path.5_response";
+    fn client(ev: ClientEv) -> Ev {
+        Ev::Client(ev)
+    }
+    fn at_server(spec: FrameSpec) -> Ev {
+        Ev::WireToNic(spec)
+    }
 }
 
 struct Worker {
@@ -148,9 +152,10 @@ struct Worker {
 
 /// One networker+dispatcher pair and the workers it owns.
 struct Group {
-    networker_busy: bool,
-    disp_queue: VecDeque<DispItem>,
-    disp_busy: bool,
+    /// The networker thread; its queue is the group's NIC RX ring.
+    networker: Stage<()>,
+    /// The dispatcher thread and its shared-memory inbox.
+    disp_thread: Stage<DispItem>,
     dispatcher: Dispatcher<Box<dyn SchedPolicy>, LeastOutstanding>,
     governor: Option<FeedbackGovernor>,
     workers: Vec<Worker>,
@@ -175,7 +180,6 @@ struct Shinjuku {
     /// group's dispatcher runs its own tracker over its own workers.
     recovery: Option<RecoveryPolicy>,
     stranded: u64,
-    nacks: u64,
 }
 
 impl Shinjuku {
@@ -209,9 +213,15 @@ impl Shinjuku {
                     dispatcher.enable_recovery(policy);
                 }
                 Group {
-                    networker_busy: false,
-                    disp_queue: VecDeque::new(),
-                    disp_busy: false,
+                    networker: Stage::new(
+                        "networker",
+                        "networker.ring",
+                        params::HOST_NET_PER_PACKET,
+                    )
+                    .at(g),
+                    disp_thread: Stage::new("dispatcher", "dispatcher.inbox", SimDuration::ZERO)
+                        .at(g)
+                        .priced(Shinjuku::disp_item_cost),
                     dispatcher,
                     governor: res
                         .fallback
@@ -247,7 +257,6 @@ impl Shinjuku {
             preemptions: 0,
             recovery: res.recovery,
             stranded: 0,
-            nacks: 0,
         }
     }
 
@@ -257,12 +266,13 @@ impl Shinjuku {
         g * self.cfg.workers + w
     }
 
-    fn start_networker(&mut self, g: usize, ctx: &mut Ctx<'_, Ev>) {
-        if !self.groups[g].networker_busy && !self.nic.iface(self.net_iface).rx[g].is_empty() {
-            self.groups[g].networker_busy = true;
-            ctx.probe().busy_i("networker", g, true);
-            ctx.schedule_in(params::HOST_NET_PER_PACKET, Ev::NetworkerDone(g));
-        }
+    /// Sample group `g`'s RX ring and start its networker on the head
+    /// frame if it is idle.
+    fn poll_networker(&mut self, g: usize, ctx: &mut Ctx<'_, Ev>) {
+        let ring = &self.nic.iface(self.net_iface).rx[g];
+        self.groups[g]
+            .networker
+            .poll(ring, Ev::NetworkerDone(g), ctx);
     }
 
     fn disp_item_cost(item: &DispItem) -> SimDuration {
@@ -273,18 +283,6 @@ impl Shinjuku {
             // A heartbeat is a single timestamp store on the tracker: charge
             // it like a completion notification (queue-op scale).
             DispItem::Heartbeat { .. } => params::HOST_DISPATCH_COMPLETE,
-        }
-    }
-
-    fn start_dispatcher(&mut self, g: usize, ctx: &mut Ctx<'_, Ev>) {
-        let group = &mut self.groups[g];
-        if !group.disp_busy {
-            if let Some(item) = group.disp_queue.front() {
-                group.disp_busy = true;
-                let cost = Self::disp_item_cost(item);
-                ctx.probe().busy_i("dispatcher", g, true);
-                ctx.schedule_in(cost, Ev::DispDone(g));
-            }
         }
     }
 
@@ -303,28 +301,8 @@ impl Shinjuku {
                 AdmitOutcome::Shed { nack } => {
                     ctx.probe().count("disp.shed");
                     if nack {
-                        self.nacks += 1;
                         ctx.probe().count("disp.nack");
-                        let spec = FrameSpec {
-                            src_mac: AddressPlan::dispatcher_mac(),
-                            dst_mac: AddressPlan::client_mac(),
-                            src: AddressPlan::dispatcher_ep(),
-                            dst: AddressPlan::client_ep(),
-                            msg: MsgRepr {
-                                kind: MsgKind::Nack,
-                                req_id: task.req_id,
-                                client_id: task.client_id,
-                                service_ns: 0,
-                                remaining_ns: 0,
-                                sent_at_ns: task.sent_at.as_nanos(),
-                                body_len: 0,
-                                grant_code: 0,
-                            },
-                        };
-                        let depart = now + self.nic.dma_latency;
-                        if let Some((at, spec)) = self.wire.response(spec, depart, ctx) {
-                            ctx.schedule_at(at, Ev::ClientResp(spec));
-                        }
+                        self.wire.nack(&task, now + self.nic.dma_latency, ctx);
                     }
                     Vec::new()
                 }
@@ -437,20 +415,12 @@ impl Shinjuku {
                 src: AddressPlan::worker_ep(global),
                 dst: AddressPlan::client_ep(),
                 msg: MsgRepr {
-                    kind: MsgKind::Response,
-                    req_id: task.req_id,
-                    client_id: task.client_id,
-                    service_ns: task.service.as_nanos(),
-                    remaining_ns: 0,
-                    sent_at_ns: task.sent_at.as_nanos(),
                     body_len: task.body_len,
-                    grant_code: 0,
+                    ..task_msg(MsgKind::Response, &task)
                 },
             };
-            let depart = resp_built + self.nic.dma_latency;
-            if let Some((at, resp)) = self.wire.response(resp, depart, ctx) {
-                ctx.schedule_at(at, Ev::ClientResp(resp));
-            }
+            self.wire
+                .response(resp, resp_built + self.nic.dma_latency, ctx);
             self.ctx_pool.discard(task.req_id);
             self.groups[g].workers[w].core.requests_run += 1;
             let done = DispItem::Done {
@@ -575,37 +545,18 @@ impl Model for Shinjuku {
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
         match event {
-            Ev::ClientSend => {
-                if ctx.now() >= self.horizon {
-                    return;
-                }
-                let spec = self.client.make_request(ctx.now());
-                let req_id = spec.msg.req_id;
-                ctx.probe().count("client.sent");
-                ctx.probe().mark(req_id, "path.0_client_send");
-                if let Some((at, spec)) = self.wire.request(spec, ctx) {
-                    ctx.schedule_at(at, Ev::WireToNic(spec));
-                }
-                if let Some((attempt, timeout)) = self.client.arm_timeout(req_id) {
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-                let gap = self.client.next_gap();
-                ctx.schedule_in(gap, Ev::ClientSend);
-            }
+            Ev::Client(ev) => self.client.on_event(ev, &mut self.wire, ctx),
             Ev::WireToNic(spec) => {
                 if let Some(d) = self.nic.steer(&spec) {
                     // DMA into host memory, then the group's networker can
                     // see it.
                     ctx.probe().count("nic.rx_frames");
                     self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), spec);
-                    let depth = self.nic.iface(d.iface).rx[d.queue].len();
-                    ctx.probe().depth_i("networker.ring", d.queue, depth);
-                    self.start_networker(d.queue, ctx);
+                    self.poll_networker(d.queue, ctx);
                 }
             }
             Ev::NetworkerDone(g) => {
-                self.groups[g].networker_busy = false;
-                ctx.probe().busy_i("networker", g, false);
+                self.groups[g].networker.complete(ctx);
                 ctx.probe().count("networker.parsed");
                 if let Some(frame) = self.nic.iface_mut(self.net_iface).rx[g].pop() {
                     let m = frame.spec.msg;
@@ -625,30 +576,25 @@ impl Model for Shinjuku {
                         );
                     }
                 }
-                self.start_networker(g, ctx);
+                self.poll_networker(g, ctx);
             }
-            Ev::DispPush(g, item) => {
-                self.groups[g].disp_queue.push_back(item);
-                let depth = self.groups[g].disp_queue.len();
-                ctx.probe().depth_i("dispatcher.inbox", g, depth);
-                self.start_dispatcher(g, ctx);
-            }
+            Ev::DispPush(g, item) => self.groups[g]
+                .disp_thread
+                .enqueue(item, Ev::DispDone(g), ctx),
             Ev::DispDone(g) => {
-                self.groups[g].disp_busy = false;
-                ctx.probe().busy_i("dispatcher", g, false);
-                if let Some(item) = self.groups[g].disp_queue.pop_front() {
+                if let Some(item) = self.groups[g].disp_thread.complete(ctx) {
                     let mut assignments = self.dispatch(g, item, ctx);
                     // Decided assignments go to the head of the inbox, in
                     // order; the emptied buffer goes back for reuse.
                     let group = &mut self.groups[g];
                     for a in assignments.drain(..).rev() {
-                        group.disp_queue.push_front(DispItem::Emit(a));
+                        group.disp_thread.push_front(DispItem::Emit(a));
                     }
                     group.dispatcher.recycle(assignments);
                     let central = group.dispatcher.queue_len();
                     ctx.probe().depth_i("dispatcher.central", g, central);
                 }
-                self.start_dispatcher(g, ctx);
+                self.groups[g].disp_thread.resume(Ev::DispDone(g), ctx);
             }
             Ev::WorkerTask(g, w, task) => {
                 let now = ctx.now();
@@ -668,42 +614,6 @@ impl Model for Shinjuku {
             }
             Ev::WorkerPoll(g, w) => self.worker_poll(g, w, ctx),
             Ev::WorkerRunEnd { group, worker, gen } => self.worker_run_end(group, worker, gen, ctx),
-            Ev::ClientResp(spec) => {
-                if spec.msg.kind == MsgKind::Nack {
-                    ctx.probe().count("client.nacks");
-                    let req_id = spec.msg.req_id;
-                    if let TimeoutOutcome::Retry {
-                        frame,
-                        attempt,
-                        timeout,
-                    } = self.client.on_nack(ctx.now(), req_id)
-                    {
-                        ctx.probe().count("client.retries");
-                        if let Some((at, frame)) = self.wire.request(frame, ctx) {
-                            ctx.schedule_at(at, Ev::WireToNic(frame));
-                        }
-                        ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                    }
-                    return;
-                }
-                ctx.probe().count("client.responses");
-                ctx.probe().finish(spec.msg.req_id, "path.5_response");
-                self.client.on_response(ctx.now(), &spec);
-            }
-            Ev::ClientTimeout { req_id, attempt } => {
-                if let TimeoutOutcome::Retry {
-                    frame,
-                    attempt,
-                    timeout,
-                } = self.client.on_timeout(ctx.now(), req_id, attempt)
-                {
-                    ctx.probe().count("client.retries");
-                    if let Some((at, frame)) = self.wire.request(frame, ctx) {
-                        ctx.schedule_at(at, Ev::WireToNic(frame));
-                    }
-                    ctx.schedule_in(timeout, Ev::ClientTimeout { req_id, attempt });
-                }
-            }
             Ev::Heartbeat(g, w) => self.heartbeat(g, w, ctx),
         }
     }
@@ -740,7 +650,7 @@ pub fn run_resilient_probed(
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
     }
-    engine.schedule_at(SimTime::ZERO, Ev::ClientSend);
+    engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
     if res.fallback.is_some() || res.recovery.is_some() {
         for g in 0..cfg.groups {
             for w in 0..cfg.workers {
@@ -751,22 +661,13 @@ pub fn run_resilient_probed(
     engine.run_until(spec.horizon());
     let horizon = spec.horizon();
     let model = engine.model();
-    let util = model
-        .groups
-        .iter()
-        .flat_map(|g| &g.workers)
-        .map(|w| w.core.utilization(horizon))
-        .sum::<f64>()
-        / (cfg.groups * cfg.workers) as f64;
+    let workers = model.groups.iter().flat_map(|g| &g.workers);
+    let util = mean_utilization(workers.map(|w| &w.core), horizon);
     let imbalance = model.imbalance();
-    let ring_dropped = model.nic.total_drops();
-    let mut metrics = assemble_metrics(&model.client, ring_dropped, model.preemptions, util);
+    let mut metrics = assemble_metrics(&model.client, &model.wire, model.preemptions, util);
     let fm = &mut metrics.faults;
-    fm.req_link_lost = model.wire.req_lost;
-    fm.resp_link_lost = model.wire.resp_lost;
-    fm.ring_dropped = ring_dropped;
+    fm.ring_dropped = model.nic.total_drops();
     fm.stranded = model.stranded;
-    fm.nacks = model.nacks;
     for group in &model.groups {
         fm.shed += group.dispatcher.stats.shed;
         if let Some(gov) = &group.governor {
@@ -781,7 +682,7 @@ pub fn run_resilient_probed(
             fm.readmissions += h.stats.readmissions;
         }
     }
-    metrics.dropped = ring_dropped + fm.link_lost() + fm.shed;
+    metrics.dropped += fm.ring_dropped + fm.shed;
     if probe.enabled {
         metrics.stages = Some(engine.probe_mut().report(horizon));
     }

@@ -6,6 +6,8 @@
 //! 2. Probing never perturbs the simulation: metrics with the probe
 //!    enabled equal metrics with it disabled, and the disabled path is
 //!    bit-identical to the direct free-function API.
+//! 3. Queue gauges see every pop as well as every push, so an idle queue
+//!    reads empty.
 
 use nicsched::PolicySpec;
 use sim_core::{ProbeConfig, SimDuration};
@@ -29,6 +31,25 @@ fn uniform_chain_spec() -> WorkloadSpec {
         measure: SimDuration::from_millis(20),
         seed: 7,
     }
+}
+
+/// The five assemblies `trace` shows, with the scale-out as two groups.
+fn five_assemblies() -> [SystemConfig; 5] {
+    [
+        SystemConfig::Offload(OffloadConfig::paper(4, 4)),
+        SystemConfig::Shinjuku(ShinjukuConfig::paper(4)),
+        SystemConfig::Baseline(BaselineConfig {
+            workers: 4,
+            kind: BaselineKind::Rss,
+        }),
+        SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
+        SystemConfig::Shinjuku(ShinjukuConfig {
+            groups: 2,
+            workers: 2,
+            time_slice: None,
+            policy: PolicySpec::FCFS,
+        }),
+    ]
 }
 
 #[test]
@@ -59,21 +80,7 @@ fn offload_hop_breakdown_reconciles_with_client_sojourn() {
 fn disabled_probe_is_bit_identical_to_the_free_functions() {
     let spec = uniform_chain_spec();
     let probe = ProbeConfig::disabled();
-    for sys in [
-        SystemConfig::Offload(OffloadConfig::paper(4, 4)),
-        SystemConfig::Shinjuku(ShinjukuConfig::paper(4)),
-        SystemConfig::Baseline(BaselineConfig {
-            workers: 4,
-            kind: BaselineKind::Rss,
-        }),
-        SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
-        SystemConfig::Shinjuku(ShinjukuConfig {
-            groups: 2,
-            workers: 2,
-            time_slice: None,
-            policy: PolicySpec::FCFS,
-        }),
-    ] {
+    for sys in five_assemblies() {
         let disabled = sys.run(spec, probe);
         assert!(disabled.stages.is_none());
 
@@ -92,6 +99,28 @@ fn disabled_probe_is_bit_identical_to_the_free_functions() {
             sys.name()
         );
     }
+}
+
+#[test]
+fn every_queue_gauge_reads_near_empty_at_light_load() {
+    // At 20k requests/s on 4 workers nothing waits long, so every queue is
+    // empty nearly all the time. A gauge sampled only when something
+    // arrives would hold its last push-time depth (1 or more) between
+    // arrivals and read ~1 here.
+    let spec = WorkloadSpec {
+        offered_rps: 20_000.0,
+        ..uniform_chain_spec()
+    };
+    let mut full = Vec::new();
+    for sys in five_assemblies() {
+        let m = sys.run(spec, ProbeConfig::enabled());
+        let stages = m.stages.expect("probed run must report stages");
+        assert!(!stages.stages.is_empty(), "{}: no stages", sys.name());
+        for s in stages.stages.iter().filter(|s| s.mean_depth >= 0.1) {
+            full.push(format!("{} {} {:.3}", sys.name(), s.name, s.mean_depth));
+        }
+    }
+    assert!(full.is_empty(), "mean depths at light load: {full:#?}");
 }
 
 #[test]
