@@ -1,9 +1,12 @@
 //! Regenerate every experiment in the repository: Figures 2-6, the
 //! microbenchmark table, the ablations and the baseline comparison.
+
+use experiments::outln;
+
 fn main() {
     experiments::sweep::init_jobs_from_args();
-    println!("=== microbenchmarks ===");
-    println!(
+    outln!("=== microbenchmarks ===");
+    outln!(
         "{}",
         experiments::microbench::table(&experiments::microbench::run())
     );
@@ -21,15 +24,15 @@ fn main() {
         experiments::emit(&figure);
     }
 
-    println!("=== extensions ===");
+    outln!("=== extensions ===");
     let gap_rows = experiments::feedback_gap::run(experiments::Scale::Full);
-    println!("{}", experiments::feedback_gap::table(&gap_rows));
+    outln!("{}", experiments::feedback_gap::table(&gap_rows));
 
     let rows = experiments::extensions::multi_dispatcher(experiments::Scale::Full);
-    println!("{}", experiments::extensions::multi_dispatcher_table(&rows));
+    outln!("{}", experiments::extensions::multi_dispatcher_table(&rows));
     let (fig, active) = experiments::extensions::elastic_rss(experiments::Scale::Full);
     experiments::emit(&fig);
-    println!("mean provisioned cores per load point: {active:?}\n");
+    outln!("mean provisioned cores per load point: {active:?}\n");
     for fig in [
         experiments::extensions::slice_sweep(experiments::Scale::Full),
         experiments::extensions::policies(experiments::Scale::Full),

@@ -1,5 +1,8 @@
 //! Reproduce the paper's inline microbenchmark numbers.
+
+use experiments::outln;
+
 fn main() {
     let rows = experiments::microbench::run();
-    println!("{}", experiments::microbench::table(&rows));
+    outln!("{}", experiments::microbench::table(&rows));
 }

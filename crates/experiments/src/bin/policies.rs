@@ -5,6 +5,9 @@
 //! diffs across `--jobs` values; `--json` prints rows as JSON instead of
 //! the aligned table (and skips the CSV); `--jobs N` fans independent
 //! cells over N threads without perturbing a byte of output.
+
+use experiments::outln;
+
 fn main() {
     experiments::sweep::init_jobs_from_args();
     let args: Vec<String> = std::env::args().collect();
@@ -16,11 +19,11 @@ fn main() {
     };
     let rows = experiments::policies::run(scale);
     if as_json {
-        println!("{}", experiments::policies::json(&rows));
+        outln!("{}", experiments::policies::json(&rows));
     } else {
-        println!("{}", experiments::policies::table(&rows));
+        outln!("{}", experiments::policies::table(&rows));
         let path = experiments::policies::write_csv(&rows, &experiments::results_dir())
             .expect("writing policies CSV");
-        println!("wrote {}", path.display());
+        outln!("wrote {}", path.display());
     }
 }

@@ -9,6 +9,9 @@
 //! JSON instead of the aligned table; `--quick` shrinks the grid;
 //! `--policy <spec>` replaces the policy list (registry grammar, e.g.
 //! `srpt` or `edf:deadline=50us`).
+
+use experiments::outln;
+
 fn main() {
     experiments::sweep::init_jobs_from_args();
     let args: Vec<String> = std::env::args().collect();
@@ -26,11 +29,11 @@ fn main() {
         experiments::recovery::run_with(scale, policy)
     };
     if as_json {
-        println!("{}", experiments::recovery::json(&rows));
+        outln!("{}", experiments::recovery::json(&rows));
     } else {
-        println!("{}", experiments::recovery::table(&rows));
+        outln!("{}", experiments::recovery::table(&rows));
         let path = experiments::recovery::write_csv(&rows, &experiments::results_dir())
             .expect("writing recovery CSV");
-        println!("wrote {}", path.display());
+        outln!("wrote {}", path.display());
     }
 }

@@ -7,6 +7,9 @@
 //! rows as JSON instead of the aligned table; `--quick` shrinks the grid;
 //! `--policy <spec>` swaps the scheduler on every policy-capable assembly
 //! (registry grammar, e.g. `srpt` or `edf:deadline=50us`).
+
+use experiments::outln;
+
 fn main() {
     experiments::sweep::init_jobs_from_args();
     let args: Vec<String> = std::env::args().collect();
@@ -24,11 +27,11 @@ fn main() {
         experiments::resilience::run_with(scale, policy)
     };
     if as_json {
-        println!("{}", experiments::resilience::json(&rows));
+        outln!("{}", experiments::resilience::json(&rows));
     } else {
-        println!("{}", experiments::resilience::table(&rows));
+        outln!("{}", experiments::resilience::table(&rows));
         let path = experiments::resilience::write_csv(&rows, &experiments::results_dir())
             .expect("writing resilience CSV");
-        println!("wrote {}", path.display());
+        outln!("wrote {}", path.display());
     }
 }

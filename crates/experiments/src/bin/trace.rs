@@ -16,6 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use experiments::outln;
 use nicsched::PolicySpec;
 use sim_core::{ProbeConfig, SimDuration, SimTime, TraceEvent};
 use systems::baseline::{BaselineConfig, BaselineKind};
@@ -202,34 +203,38 @@ fn main() {
     let by_req = timelines(&stages.trace);
 
     if json {
-        println!("{}", render_json(&by_req));
+        outln!("{}", render_json(&by_req));
         return;
     }
 
-    println!("# {} @ {:.0} rps, seed {}\n", sys.name(), rps, spec.seed);
-    println!("{stages}");
+    outln!("# {} @ {:.0} rps, seed {}\n", sys.name(), rps, spec.seed);
+    outln!("{stages}");
     if stages.trace_dropped > 0 {
-        println!(
+        outln!(
             "(trace buffer full: {} later events dropped; raise the capacity for longer runs)\n",
             stages.trace_dropped
         );
     }
-    println!(
+    outln!(
         "## per-request timelines (first {SHOWN} of {})\n",
         by_req.len()
     );
-    println!("{}", render_tables(&by_req));
+    outln!("{}", render_tables(&by_req));
     if let Some(gap) = stages.hop("worker.idle_gap") {
-        println!(
+        outln!(
             "## the feedback gap, measured\n\
              workers sat idle waiting for the scheduler to notice them {} times;\n\
              mean idle gap {} (p99 {}) — the interval the paper argues a\n\
              NIC-resident scheduler with fresh core feedback can close.",
-            gap.count, gap.mean, gap.p99
+            gap.count,
+            gap.mean,
+            gap.p99
         );
     }
-    println!(
+    outln!(
         "\nclient view: mean {} p99 {} over {} completed requests",
-        m.mean, m.p99, m.completed
+        m.mean,
+        m.p99,
+        m.completed
     );
 }

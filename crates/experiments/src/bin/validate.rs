@@ -2,6 +2,7 @@
 //! quick scale and print PASS/FAIL per claim. Exits non-zero on any
 //! failure — suitable as a CI smoke test for the whole reproduction.
 
+use experiments::outln;
 use experiments::sweep::{knee_throughput, peak_throughput};
 use experiments::Scale;
 use sim_core::SimDuration;
@@ -100,7 +101,7 @@ fn main() {
     }
 
     let mut failed = 0;
-    println!(
+    outln!(
         "mindgap reproduction self-check ({} claims)\n",
         checks.len()
     );
@@ -109,12 +110,12 @@ fn main() {
         if !c.pass {
             failed += 1;
         }
-        println!("[{status}] {}\n       {}", c.name, c.detail);
+        outln!("[{status}] {}\n       {}", c.name, c.detail);
     }
-    println!();
+    outln!();
     if failed > 0 {
-        println!("{failed} claim(s) FAILED");
+        outln!("{failed} claim(s) FAILED");
         std::process::exit(1);
     }
-    println!("all claims reproduced");
+    outln!("all claims reproduced");
 }

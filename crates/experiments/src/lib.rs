@@ -50,13 +50,39 @@ pub fn results_dir() -> std::path::PathBuf {
 /// Print a figure's table and persist its CSV, returning the CSV path.
 /// With `--plot` in the process arguments, also renders an ASCII chart.
 pub fn emit(figure: &Figure) -> std::path::PathBuf {
-    println!("{}", figure.table());
+    outln!("{}", figure.table());
     if std::env::args().any(|a| a == "--plot") {
-        println!("{}", plot::ascii(figure, 64, 16));
+        outln!("{}", plot::ascii(figure, 64, 16));
     }
     let path = figure
         .write_csv(&results_dir())
         .expect("writing results CSV");
-    println!("wrote {}\n", path.display());
+    outln!("wrote {}\n", path.display());
     path
+}
+
+/// Write `args` and a newline to stdout. When the reader has closed the
+/// pipe (`trace | head -1`), the program ends quietly with status 0
+/// instead of panicking the way `println!` does; any other write error
+/// still panics.
+pub fn print_line(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(args).and_then(|()| out.write_all(b"\n")) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
+/// `println!` for the experiment binaries, ending quietly on a closed
+/// pipe (see [`print_line`]).
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::print_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::print_line(format_args!($($arg)*))
+    };
 }

@@ -11,14 +11,30 @@
 //!
 //! * A [`Probe`] lives inside the [`Engine`](crate::Engine) and is swapped
 //!   into the [`Ctx`](crate::Ctx) for the duration of each event, so any
-//!   [`Model`](crate::Model) can call `ctx.probe().count("qm.enqueue")`
+//!   [`Model`](crate::Model) can call `ctx.probe().count(&self.enqueued)`
 //!   without a change to its `handle` signature.
 //! * Every recording method is a no-op returning immediately when the
 //!   probe is disabled — a disabled run is behaviourally and numerically
 //!   identical to a run compiled without any instrumentation.
-//! * All keys are `&'static str` (optionally paired with an instance
-//!   index such as a worker id), so the hot path never allocates and
-//!   report ordering is deterministic (`BTreeMap` iteration).
+//! * A model registers its keys once, at construction: [`Probe::counter`],
+//!   [`Probe::gauge`], [`Probe::busy`] and [`Probe::hop`] hand out small
+//!   `Copy` handles ([`Counter`], [`Gauge`], [`Busy`], [`Hop`]) that carry
+//!   a `&'static str` name and a dense id. An indexed family
+//!   (`worker.ring[i]`, `worker[i]`) is one registration, a base id plus an
+//!   index ([`Probe::gauge_family`], [`Family::at`]). Registering only
+//!   counts ids: it allocates nothing and creates no row.
+//! * Each kind of record lives in one table of rows. A handle's first
+//!   record finds or creates the row of its `(name, instance)` and
+//!   remembers it under its id, so every later record is a vector index:
+//!   the hot path neither allocates nor compares strings.
+//! * Recording methods take a handle by reference (`count(&self.sent)`),
+//!   a family instance (`depth(self.ring.at(w), n)`), or a bare
+//!   `&'static str`, so ad-hoc callers still write `count("x")` or
+//!   `depth_i("q", 3, n)` (see [`IntoHandle`]). A bare name is looked up
+//!   on every call, in the same table: a handle and a name (or two
+//!   handles) that say the same `(name, instance)` record into one row.
+//! * The report lists rows by `(name, instance)`, so it depends neither on
+//!   registration order nor on the order in which rows were first used.
 //!
 //! # The mark chain
 //!
@@ -31,6 +47,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 
 use crate::stats::{BusyTracker, Histogram, TimeWeighted};
 use crate::{IdTable, SimDuration, SimTime};
@@ -98,14 +115,235 @@ pub struct TraceEvent {
     pub stage: &'static str,
 }
 
-/// Gauge key: a static name plus an optional instance index (worker id,
-/// group id, RX queue id, ...).
-type Key = (&'static str, Option<u32>);
+/// The name a row reports under: a static name plus an optional instance
+/// index (worker id, group id, RX queue id, ...).
+type Name = (&'static str, Option<u32>);
 
-fn key_label(key: &Key) -> String {
-    match key.1 {
-        Some(i) => format!("{}[{}]", key.0, i),
-        None => key.0.to_string(),
+fn label(name: &Name) -> String {
+    match name.1 {
+        Some(i) => format!("{}[{}]", name.0, i),
+        None => name.0.to_string(),
+    }
+}
+
+/// The id of a key made from a bare name: it has no route and is looked
+/// up by name on every record.
+const UNROUTED: u32 = u32::MAX;
+
+/// What every handle carries: its row's name and the id it was registered
+/// under ([`UNROUTED`] when it was made from a bare name).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Key {
+    name: Name,
+    id: u32,
+}
+
+impl Key {
+    fn named(name: &'static str, instance: Option<u32>) -> Key {
+        Key {
+            name: (name, instance),
+            id: UNROUTED,
+        }
+    }
+}
+
+/// A registered event counter (see [`Probe::counter`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counter(Key);
+
+/// A registered queue-depth gauge (see [`Probe::gauge`] and
+/// [`Probe::gauge_family`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Gauge(Key);
+
+/// A registered busy/idle tracker (see [`Probe::busy`] and
+/// [`Probe::busy_family`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Busy(Key);
+
+/// A registered latency hop, recorded directly or by the mark chain (see
+/// [`Probe::hop`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Hop(Key);
+
+/// What a [`ProbeHandle`] method records under: a registered handle `&H`,
+/// a family instance ([`Family::at`]), or a bare `&'static str` name for
+/// ad-hoc callers, looked up by name on every call.
+///
+/// Handles are taken by reference, not by value, so that a model's call
+/// site reads the 32-byte key only inside the probe-on branch: passed by
+/// value, the key was copied before the branch at every site, which
+/// slowed probe-off runs measurably.
+pub trait IntoHandle<H> {
+    /// The handle to record under.
+    fn into_handle(self) -> H;
+}
+
+macro_rules! handle_conversions {
+    ($($handle:ident),*) => {$(
+        impl IntoHandle<$handle> for &$handle {
+            #[inline]
+            fn into_handle(self) -> $handle {
+                *self
+            }
+        }
+
+        impl IntoHandle<$handle> for &'static str {
+            #[inline]
+            fn into_handle(self) -> $handle {
+                $handle(Key::named(self, None))
+            }
+        }
+    )*};
+}
+
+handle_conversions!(Counter, Gauge, Busy, Hop);
+
+/// Instance `index` of a [`Family`] (see [`Family::at`]), made into its
+/// handle only when the probe records.
+#[derive(Clone, Copy, Debug)]
+pub struct At<'a, H> {
+    family: &'a Family<H>,
+    index: u32,
+}
+
+impl<H> At<'_, H> {
+    fn key(&self) -> Key {
+        Key {
+            name: (self.family.name, Some(self.index)),
+            id: self.family.base + self.index,
+        }
+    }
+}
+
+impl IntoHandle<Gauge> for At<'_, Gauge> {
+    #[inline]
+    fn into_handle(self) -> Gauge {
+        Gauge(self.key())
+    }
+}
+
+impl IntoHandle<Busy> for At<'_, Busy> {
+    #[inline]
+    fn into_handle(self) -> Busy {
+        Busy(self.key())
+    }
+}
+
+/// `len` gauges or busy trackers sharing one name, one per instance, that
+/// report as `name[i]`: a base id plus an index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Family<H> {
+    name: &'static str,
+    base: u32,
+    len: u32,
+    kind: PhantomData<H>,
+}
+
+impl<H> Family<H> {
+    /// Instance `index`, which reports as `name[index]`.
+    #[inline]
+    pub fn at(&self, index: usize) -> At<'_, H> {
+        debug_assert!(
+            index < self.len as usize,
+            "{}[{index}] is outside its family of {}",
+            self.name,
+            self.len
+        );
+        At {
+            family: self,
+            index: index as u32,
+        }
+    }
+}
+
+/// One kind of record (counters, gauges, busy trackers or hops): a row per
+/// distinct name, created the first time the name is recorded.
+#[derive(Debug)]
+struct Rows<T> {
+    /// Each row's record, in first-use order.
+    rows: Vec<T>,
+    /// The row of every name recorded so far, in report order.
+    by_name: BTreeMap<Name, u32>,
+    /// The row of every registered id that has recorded, [`UNROUTED`]
+    /// for the others; grows on first use, never at registration.
+    route: Vec<u32>,
+    /// Ids handed out so far.
+    ids: u32,
+}
+
+impl<T> Default for Rows<T> {
+    fn default() -> Rows<T> {
+        Rows {
+            rows: Vec::new(),
+            by_name: BTreeMap::new(),
+            route: Vec::new(),
+            ids: 0,
+        }
+    }
+}
+
+impl<T> Rows<T> {
+    /// Hand out `n` consecutive ids, returning the first.
+    fn reserve(&mut self, n: usize) -> u32 {
+        let base = self.ids;
+        self.ids = u32::try_from(n)
+            .ok()
+            .and_then(|n| base.checked_add(n))
+            .filter(|&end| end < UNROUTED)
+            .expect("probe key ids exhausted");
+        base
+    }
+
+    /// The record of `key`, created by `new` on the name's first use.
+    #[inline]
+    fn get(&mut self, key: Key, new: fn() -> T) -> &mut T {
+        let row = match self.route.get(key.id as usize) {
+            Some(&row) if row != UNROUTED => row,
+            _ => self.resolve(key, new),
+        };
+        debug_assert_eq!(
+            self.by_name.get(&key.name),
+            Some(&row),
+            "probe key id {} routes to another name: was it registered on another probe?",
+            key.id
+        );
+        &mut self.rows[row as usize]
+    }
+
+    /// Find or create the row of `key`'s name, and route a registered id
+    /// to it.
+    fn resolve(&mut self, key: Key, new: fn() -> T) -> u32 {
+        let row = match self.by_name.get(&key.name) {
+            Some(&row) => row,
+            None => {
+                let row = self.rows.len() as u32;
+                self.rows.push(new());
+                self.by_name.insert(key.name, row);
+                row
+            }
+        };
+        if key.id != UNROUTED {
+            let id = key.id as usize;
+            if self.route.len() <= id {
+                self.route.resize(id + 1, UNROUTED);
+            }
+            self.route[id] = row;
+        }
+        row
+    }
+
+    /// The record of `name`, if it was ever recorded.
+    fn find(&mut self, name: &Name) -> Option<&mut T> {
+        let row = *self.by_name.get(name)?;
+        Some(&mut self.rows[row as usize])
+    }
+
+    /// Every row in report order: by name, then instance.
+    fn sorted(&self) -> impl Iterator<Item = (&Name, &T)> {
+        self.by_name
+            .iter()
+            .map(|(name, &row)| (name, &self.rows[row as usize]))
     }
 }
 
@@ -155,10 +393,10 @@ impl DepthTrack {
 #[derive(Debug, Default)]
 pub struct Probe {
     cfg: ProbeConfig,
-    counters: BTreeMap<&'static str, u64>,
-    depths: BTreeMap<Key, DepthTrack>,
-    busy: BTreeMap<Key, BusyTracker>,
-    hops: BTreeMap<&'static str, Histogram>,
+    counters: Rows<u64>,
+    depths: Rows<DepthTrack>,
+    busy: Rows<BusyTracker>,
+    hops: Rows<Histogram>,
     /// Per-request time of the most recent mark. A dense request-id
     /// table: O(1) per mark, and a report that ever walks the in-flight
     /// set (e.g. to list stuck requests) does so in request-id order.
@@ -186,34 +424,84 @@ impl Probe {
         self.cfg
     }
 
-    fn count_n(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+    /// Register counter `name`. Its row appears on its first count.
+    pub fn counter(&mut self, name: &'static str) -> Counter {
+        Counter(Key {
+            name: (name, None),
+            id: self.counters.reserve(1),
+        })
     }
 
-    fn hop(&mut self, name: &'static str, dt: SimDuration) {
-        self.hops
-            .entry(name)
-            .or_insert_with(Histogram::latency)
-            .record(dt.as_nanos());
+    /// Register queue-depth gauge `name`.
+    pub fn gauge(&mut self, name: &'static str) -> Gauge {
+        Gauge(Key {
+            name: (name, None),
+            id: self.depths.reserve(1),
+        })
     }
 
-    fn depth(&mut self, key: Key, now: SimTime, depth: u64) {
-        self.depths
-            .entry(key)
-            .or_insert_with(DepthTrack::new)
-            .set(now, depth);
+    /// Register gauges `name[0]` to `name[len - 1]`, one per instance.
+    pub fn gauge_family(&mut self, name: &'static str, len: usize) -> Family<Gauge> {
+        Family {
+            name,
+            base: self.depths.reserve(len),
+            len: len as u32,
+            kind: PhantomData,
+        }
     }
 
-    fn busy(&mut self, key: Key, now: SimTime, busy: bool) {
-        let tracker = self
-            .busy
-            .entry(key)
-            .or_insert_with(|| BusyTracker::new(SimTime::ZERO));
-        if busy {
+    /// Register busy tracker `name`.
+    pub fn busy(&mut self, name: &'static str) -> Busy {
+        Busy(Key {
+            name: (name, None),
+            id: self.busy.reserve(1),
+        })
+    }
+
+    /// Register busy trackers `name[0]` to `name[len - 1]`, one per
+    /// instance.
+    pub fn busy_family(&mut self, name: &'static str, len: usize) -> Family<Busy> {
+        Family {
+            name,
+            base: self.busy.reserve(len),
+            len: len as u32,
+            kind: PhantomData,
+        }
+    }
+
+    /// Register hop `name`, for direct samples or for the mark chain.
+    pub fn hop(&mut self, name: &'static str) -> Hop {
+        Hop(Key {
+            name: (name, None),
+            id: self.hops.reserve(1),
+        })
+    }
+
+    // The recorders stay out of line (not generic, not `#[inline]`), so a
+    // model's handler carries one call per probe site, not the recording
+    // code: a disabled probe costs only the branch around the call.
+
+    fn record_count(&mut self, counter: Counter, n: u64) {
+        *self.counters.get(counter.0, || 0) += n;
+    }
+
+    fn record_depth(&mut self, gauge: Gauge, now: SimTime, depth: u64) {
+        self.depths.get(gauge.0, DepthTrack::new).set(now, depth);
+    }
+
+    fn record_busy(&mut self, busy: Busy, now: SimTime, is_busy: bool) {
+        let tracker = self.busy.get(busy.0, || BusyTracker::new(SimTime::ZERO));
+        if is_busy {
             tracker.set_busy(now);
         } else {
             tracker.set_idle(now);
         }
+    }
+
+    fn record_hop(&mut self, hop: Hop, dt: SimDuration) {
+        self.hops
+            .get(hop.0, Histogram::latency)
+            .record(dt.as_nanos());
     }
 
     fn trace_event(&mut self, now: SimTime, req: u64, stage: &'static str) {
@@ -231,17 +519,17 @@ impl Probe {
         }
     }
 
-    fn mark(&mut self, now: SimTime, req: u64, stage: &'static str) {
-        self.trace_event(now, req, stage);
+    fn mark(&mut self, now: SimTime, req: u64, stage: Hop) {
+        self.trace_event(now, req, stage.0.name.0);
         if let Some(prev) = self.inflight.insert(req, now) {
-            self.hop(stage, now.saturating_duration_since(prev));
+            self.record_hop(stage, now.saturating_duration_since(prev));
         }
     }
 
-    fn finish(&mut self, now: SimTime, req: u64, stage: &'static str) {
-        self.trace_event(now, req, stage);
+    fn finish(&mut self, now: SimTime, req: u64, stage: Hop) {
+        self.trace_event(now, req, stage.0.name.0);
         if let Some(prev) = self.inflight.remove(req) {
-            self.hop(stage, now.saturating_duration_since(prev));
+            self.record_hop(stage, now.saturating_duration_since(prev));
         }
     }
 
@@ -251,32 +539,33 @@ impl Probe {
     /// horizon). The trace buffer is drained into the report.
     pub fn report(&mut self, now: SimTime) -> StageReport {
         let window = now.saturating_duration_since(SimTime::ZERO);
-        let mut names: Vec<Key> = self
+        let mut names: Vec<Name> = self
             .busy
+            .by_name
             .keys()
-            .chain(self.depths.keys())
+            .chain(self.depths.by_name.keys())
             .copied()
             .collect();
         names.sort_unstable();
         names.dedup();
         let stages = names
             .into_iter()
-            .map(|key| {
+            .map(|name| {
                 let (utilization, transitions) = self
                     .busy
-                    .get(&key)
+                    .find(&name)
                     .map(|b| (b.utilization(now), b.transitions()))
                     .unwrap_or((0.0, 0));
                 let (mean_depth, p99_depth, peak_depth) = self
                     .depths
-                    .get_mut(&key)
+                    .find(&name)
                     .map(|d| {
                         d.flush(now);
                         (d.tw.mean_until(now), d.hist.p99().unwrap_or(0), d.tw.peak())
                     })
                     .unwrap_or((0.0, 0, 0.0));
                 StageStat {
-                    name: key_label(&key),
+                    name: label(&name),
                     utilization,
                     busy_transitions: transitions,
                     mean_depth,
@@ -287,9 +576,9 @@ impl Probe {
             .collect();
         let hops = self
             .hops
-            .iter()
+            .sorted()
             .map(|(name, h)| HopStat {
-                name: (*name).to_string(),
+                name: name.0.to_string(),
                 count: h.count(),
                 mean: SimDuration::from_nanos_f64(h.mean()),
                 p50: SimDuration::from_nanos(h.p50().unwrap_or(0)),
@@ -299,8 +588,8 @@ impl Probe {
             .collect();
         let counters = self
             .counters
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), *v))
+            .sorted()
+            .map(|(name, v)| (name.0.to_string(), *v))
             .collect();
         let mut trace = std::mem::take(&mut self.trace);
         trace.sort_by_key(|e| (e.at, e.req));
@@ -318,7 +607,8 @@ impl Probe {
 
 /// The per-event recording surface handed to models by
 /// [`Ctx::probe`](crate::Ctx::probe). Every method is a no-op when the
-/// probe is disabled.
+/// probe is disabled. Each takes a registered handle or, for ad-hoc
+/// callers, a bare `&'static str` name.
 pub struct ProbeHandle<'a> {
     now: SimTime,
     probe: Option<&'a mut Probe>,
@@ -337,78 +627,74 @@ impl<'a> ProbeHandle<'a> {
         self.probe.is_some()
     }
 
-    /// Increment counter `name` by one.
+    /// Increment `counter` by one.
     #[inline]
-    pub fn count(&mut self, name: &'static str) {
-        self.count_n(name, 1);
+    pub fn count(&mut self, counter: impl IntoHandle<Counter>) {
+        self.count_n(counter, 1);
     }
 
-    /// Increment counter `name` by `n`.
+    /// Increment `counter` by `n`.
     #[inline]
-    pub fn count_n(&mut self, name: &'static str, n: u64) {
+    pub fn count_n(&mut self, counter: impl IntoHandle<Counter>, n: u64) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.count_n(name, n);
+            p.record_count(counter.into_handle(), n);
         }
     }
 
-    /// Record one latency sample for hop `name`.
+    /// Record one latency sample for `hop`.
     #[inline]
-    pub fn hop(&mut self, name: &'static str, dt: SimDuration) {
+    pub fn hop(&mut self, hop: impl IntoHandle<Hop>, dt: SimDuration) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.hop(name, dt);
+            p.record_hop(hop.into_handle(), dt);
         }
     }
 
-    /// Record the instantaneous depth of queue `name`.
+    /// Record the instantaneous depth of the queue `gauge` watches.
     #[inline]
-    pub fn depth(&mut self, name: &'static str, depth: usize) {
+    pub fn depth(&mut self, gauge: impl IntoHandle<Gauge>, depth: usize) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.depth((name, None), self.now, depth as u64);
+            p.record_depth(gauge.into_handle(), self.now, depth as u64);
         }
     }
 
-    /// Record the depth of instance `index` of queue `name`
-    /// (e.g. worker 3's VF ring: `depth_i("worker.ring", 3, n)`).
+    /// Record the depth of instance `index` of queue `name`, looked up by
+    /// name (e.g. worker 3's VF ring: `depth_i("worker.ring", 3, n)`).
     #[inline]
     pub fn depth_i(&mut self, name: &'static str, index: usize, depth: usize) {
+        self.depth(&Gauge(Key::named(name, Some(index as u32))), depth);
+    }
+
+    /// Record the stage `busy` tracks entering (`true`) or leaving
+    /// (`false`) its busy state. Transitions are idempotent.
+    #[inline]
+    pub fn busy(&mut self, busy: impl IntoHandle<Busy>, is_busy: bool) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.depth((name, Some(index as u32)), self.now, depth as u64);
+            p.record_busy(busy.into_handle(), self.now, is_busy);
         }
     }
 
-    /// Record stage `name` entering (`true`) or leaving (`false`) its
-    /// busy state. Transitions are idempotent.
+    /// Per-instance variant of [`busy`](Self::busy), looked up by name.
     #[inline]
-    pub fn busy(&mut self, name: &'static str, busy: bool) {
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.busy((name, None), self.now, busy);
-        }
-    }
-
-    /// Per-instance variant of [`busy`](Self::busy).
-    #[inline]
-    pub fn busy_i(&mut self, name: &'static str, index: usize, busy: bool) {
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.busy((name, Some(index as u32)), self.now, busy);
-        }
+    pub fn busy_i(&mut self, name: &'static str, index: usize, is_busy: bool) {
+        self.busy(&Busy(Key::named(name, Some(index as u32))), is_busy);
     }
 
     /// Mark request `req` crossing into `stage`, recording the time since
     /// its previous mark as one sample of hop `stage`. The first mark of
     /// a request starts its chain without recording a hop.
     #[inline]
-    pub fn mark(&mut self, req: u64, stage: &'static str) {
+    pub fn mark(&mut self, req: u64, stage: impl IntoHandle<Hop>) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.mark(self.now, req, stage);
+            p.mark(self.now, req, stage.into_handle());
         }
     }
 
     /// Final mark of a request's chain; records the last hop and forgets
     /// the request.
     #[inline]
-    pub fn finish(&mut self, req: u64, stage: &'static str) {
+    pub fn finish(&mut self, req: u64, stage: impl IntoHandle<Hop>) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.finish(self.now, req, stage);
+            p.finish(self.now, req, stage.into_handle());
         }
     }
 }
@@ -673,5 +959,163 @@ mod tests {
         assert!(text.contains("net.frames"));
         assert!(text.contains("path.1_done"));
         assert!(text.contains("chain sum"));
+    }
+
+    #[test]
+    fn a_handle_and_its_name_share_one_row() {
+        let mut p = Probe::new(ProbeConfig::enabled());
+        let sent = p.counter("client.sent");
+        let ring = p.gauge_family("worker.ring", 4);
+        let worker = p.busy_family("worker", 4);
+        let parse = p.hop("path.1_parse");
+        {
+            let mut h = ProbeHandle::new(us(0), Some(&mut p));
+            h.count(&sent);
+            h.count("client.sent");
+            h.depth(ring.at(3), 2);
+            h.busy(worker.at(1), true);
+            h.mark(9, "path.0_send");
+        }
+        {
+            let mut h = ProbeHandle::new(us(4), Some(&mut p));
+            h.depth_i("worker.ring", 3, 0);
+            h.busy_i("worker", 1, false);
+            h.mark(9, &parse);
+            h.mark(10, "path.0_send");
+        }
+        ProbeHandle::new(us(6), Some(&mut p)).mark(10, "path.1_parse");
+        let r = p.report(us(8));
+        assert_eq!(r.counters, vec![("client.sent".to_string(), 2)]);
+        let names: Vec<&str> = r.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["worker[1]", "worker.ring[3]"]);
+        assert_eq!(r.stage("worker[1]").unwrap().busy_transitions, 2);
+        assert_eq!(r.stage("worker.ring[3]").unwrap().peak_depth, 2.0);
+        assert_eq!(r.hops.len(), 1);
+        assert_eq!(r.hop("path.1_parse").unwrap().count, 2);
+    }
+
+    /// Record the same things on a probe that registers its keys in
+    /// `order` and first uses them in the reverse order.
+    fn recorded(order: &[&'static str]) -> StageReport {
+        let mut p = Probe::new(ProbeConfig::enabled());
+        let keys: Vec<(Counter, Gauge, Busy, Hop)> = order
+            .iter()
+            .map(|&n| (p.counter(n), p.gauge(n), p.busy(n), p.hop(n)))
+            .collect();
+        for (&name, &(c, g, b, hop)) in order.iter().zip(&keys).rev() {
+            // What a name records depends on the name alone.
+            let v = u64::from(name.as_bytes()[0] - b'a') + 1;
+            let mut h = ProbeHandle::new(us(v), Some(&mut p));
+            h.count_n(&c, v);
+            h.depth(&g, v as usize);
+            h.busy(&b, true);
+            h.hop(&hop, SimDuration::from_micros(v));
+        }
+        p.report(us(10))
+    }
+
+    #[test]
+    fn report_order_ignores_registration_and_first_use_order() {
+        let forward = recorded(&["c", "a", "b"]);
+        assert_eq!(forward, recorded(&["b", "c", "a"]));
+        let names: Vec<&str> = forward.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+        let hops: Vec<&str> = forward.hops.iter().map(|h| h.name.as_str()).collect();
+        assert_eq!(hops, ["a", "b", "c"]);
+        let counters: Vec<&str> = forward.counters.iter().map(|c| c.0.as_str()).collect();
+        assert_eq!(counters, ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn instances_sort_after_the_bare_name_and_by_index() {
+        let mut p = Probe::new(ProbeConfig::enabled());
+        let q = p.gauge_family("q", 12);
+        let bare = p.gauge("q");
+        let mut h = ProbeHandle::new(us(1), Some(&mut p));
+        h.depth(q.at(10), 1);
+        h.depth(q.at(2), 1);
+        h.depth(&bare, 1);
+        let names: Vec<String> = p.report(us(2)).stages.into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["q", "q[2]", "q[10]"]);
+    }
+
+    #[test]
+    fn registering_on_a_disabled_probe_records_and_allocates_nothing() {
+        let mut p = Probe::new(ProbeConfig::disabled());
+        let c = p.counter("a");
+        let g = p.gauge_family("q", 64);
+        let b = p.busy("net");
+        let hop = p.hop("path.1");
+        {
+            // A disabled engine hands models a probe handle without a probe.
+            let mut h = ProbeHandle::new(us(1), None);
+            h.count(&c);
+            h.depth(g.at(63), 3);
+            h.busy(&b, true);
+            h.mark(1, &hop);
+        }
+        for (rows, routes) in [
+            (p.counters.rows.capacity(), p.counters.route.capacity()),
+            (p.depths.rows.capacity(), p.depths.route.capacity()),
+            (p.busy.rows.capacity(), p.busy.route.capacity()),
+            (p.hops.rows.capacity(), p.hops.route.capacity()),
+        ] {
+            assert_eq!((rows, routes), (0, 0), "registration allocated");
+        }
+        let r = p.report(us(10));
+        assert!(r.stages.is_empty() && r.hops.is_empty() && r.counters.is_empty());
+    }
+
+    #[test]
+    fn registration_creates_no_row_until_first_use() {
+        let mut p = Probe::new(ProbeConfig::enabled());
+        let used = p.counter("used");
+        p.counter("never");
+        p.busy_family("idle", 8);
+        ProbeHandle::new(us(1), Some(&mut p)).count(&used);
+        let r = p.report(us(2));
+        assert_eq!(r.counters, vec![("used".to_string(), 1)]);
+        assert!(r.stages.is_empty());
+    }
+
+    #[test]
+    fn two_handles_claiming_one_name_share_one_row() {
+        let mut p = Probe::new(ProbeConfig::enabled());
+        let (a, b) = (p.counter("x"), p.counter("x"));
+        let (f, g) = (p.busy_family("w", 2), p.busy_family("w", 4));
+        {
+            let mut h = ProbeHandle::new(us(1), Some(&mut p));
+            h.count(&a);
+            h.count(&b);
+            h.busy(f.at(1), true);
+        }
+        ProbeHandle::new(us(3), Some(&mut p)).busy(g.at(1), false);
+        let r = p.report(us(4));
+        assert_eq!(r.counters, vec![("x".to_string(), 2)]);
+        assert_eq!(r.stages.len(), 1, "w[1] is one row, not two");
+        let w1 = r.stage("w[1]").unwrap();
+        assert_eq!(w1.busy_transitions, 2);
+        assert!((w1.utilization - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "registered on another probe")]
+    fn a_handle_from_another_probe_is_caught() {
+        let mut other = Probe::new(ProbeConfig::enabled());
+        let stray = other.counter("stray");
+        let mut p = Probe::new(ProbeConfig::enabled());
+        let own = p.counter("own");
+        let mut h = ProbeHandle::new(us(1), Some(&mut p));
+        h.count(&own);
+        h.count(&stray); // the same id as `own`, under another name
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside its family")]
+    fn an_instance_outside_its_family_is_caught() {
+        let mut p = Probe::new(ProbeConfig::enabled());
+        p.gauge_family("q", 2).at(2);
     }
 }

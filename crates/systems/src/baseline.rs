@@ -19,6 +19,7 @@ use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
 use net_wire::{FrameSpec, MsgKind, MsgRepr};
 use nic_model::{FlowDirector, FlowKey, IfaceId, NicDevice, QueueSteering, Rss};
 use nicsched::params;
+use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
 use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
@@ -66,7 +67,6 @@ enum Ev {
 }
 
 impl ClientEdge for Ev {
-    const RESPONSE_MARK: &'static str = "path.3_response";
     fn client(ev: ClientEv) -> Ev {
         Ev::Client(ev)
     }
@@ -80,6 +80,36 @@ struct Worker {
     busy: bool,
     /// When the worker last went idle (for feedback-gap measurement).
     idle_since: Option<SimTime>,
+}
+
+/// A baseline's probe keys beyond its client edge, registered once at
+/// construction.
+struct Keys {
+    rx_frames: Counter,
+    steals: Counter,
+    completed: Counter,
+    stranded: Counter,
+    ring: Family<Gauge>,
+    worker: Family<Busy>,
+    idle_gap: Hop,
+    worker_start: Hop,
+    worker_done: Hop,
+}
+
+impl Keys {
+    fn new(probe: &mut Probe, workers: usize) -> Keys {
+        Keys {
+            rx_frames: probe.counter("nic.rx_frames"),
+            steals: probe.counter("worker.steals"),
+            completed: probe.counter("worker.completed"),
+            stranded: probe.counter("worker.stranded"),
+            ring: probe.gauge_family("worker.ring", workers),
+            worker: probe.busy_family("worker", workers),
+            idle_gap: probe.hop("worker.idle_gap"),
+            worker_start: probe.hop("path.1_worker_start"),
+            worker_done: probe.hop("path.2_worker_done"),
+        }
+    }
 }
 
 struct Baseline {
@@ -105,16 +135,22 @@ struct Baseline {
     active_tw: sim_core::stats::TimeWeighted,
 
     stranded: u64,
+    keys: Keys,
 }
 
 impl Baseline {
-    fn new(spec: WorkloadSpec, cfg: BaselineConfig, res: ResilienceConfig) -> Baseline {
+    fn new(
+        spec: WorkloadSpec,
+        cfg: BaselineConfig,
+        res: ResilienceConfig,
+        probe: &mut Probe,
+    ) -> Baseline {
         let mut master = Rng::new(spec.seed);
         let mut client = Client::new(spec, &mut master);
         if let Some(policy) = res.retry {
             client.enable_retries(policy);
         }
-        let wire = Wire::new(&res, &mut master);
+        let wire = Wire::new(&res, &mut master, probe, "path.3_response");
 
         let steering = match cfg.kind {
             BaselineKind::Rss | BaselineKind::RssStealing | BaselineKind::ElasticRss => {
@@ -169,6 +205,7 @@ impl Baseline {
             last_busy: vec![SimDuration::ZERO; cfg.workers],
             active_tw: sim_core::stats::TimeWeighted::new(t0, cfg.workers as f64),
             stranded: 0,
+            keys: Keys::new(probe, cfg.workers),
         }
     }
 
@@ -218,7 +255,7 @@ impl Baseline {
             return None;
         };
         let frame = iface.rx[q].pop()?;
-        ctx.probe().depth_i("worker.ring", q, iface.rx[q].len());
+        ctx.probe().depth(self.keys.ring.at(q), iface.rx[q].len());
         Some((frame.spec, cost))
     }
 
@@ -236,14 +273,14 @@ impl Baseline {
         }
         let Some((spec, steal_cost)) = self.take_work(w, ctx) else {
             self.workers[w].core.set_idle(ctx.now());
-            ctx.probe().busy_i("worker", w, false);
+            ctx.probe().busy(self.keys.worker.at(w), false);
             if self.workers[w].idle_since.is_none() {
                 self.workers[w].idle_since = Some(ctx.now());
             }
             return;
         };
         if steal_cost > SimDuration::ZERO {
-            ctx.probe().count("worker.steals");
+            ctx.probe().count(&self.keys.steals);
         }
         let msg = spec.msg;
         if msg.kind != MsgKind::Request {
@@ -252,10 +289,10 @@ impl Baseline {
         }
         if let Some(idle_at) = self.workers[w].idle_since.take() {
             let gap = ctx.now().saturating_duration_since(idle_at);
-            ctx.probe().hop("worker.idle_gap", gap);
+            ctx.probe().hop(&self.keys.idle_gap, gap);
         }
-        ctx.probe().mark(msg.req_id, "path.1_worker_start");
-        ctx.probe().busy_i("worker", w, true);
+        ctx.probe().mark(msg.req_id, &self.keys.worker_start);
+        ctx.probe().busy(self.keys.worker.at(w), true);
         // Run-to-completion: the worker is its own networking subsystem.
         let overhead = steal_cost
             + params::HOST_NET_PER_PACKET
@@ -288,12 +325,12 @@ impl Baseline {
                 // Died mid-request: no response ever leaves this core.
                 self.ctx_pool.discard(msg.req_id);
                 self.stranded += 1;
-                ctx.probe().count("worker.stranded");
+                ctx.probe().count(&self.keys.stranded);
                 return;
             }
         }
-        ctx.probe().count("worker.completed");
-        ctx.probe().mark(msg.req_id, "path.2_worker_done");
+        ctx.probe().count(&self.keys.completed);
+        ctx.probe().mark(msg.req_id, &self.keys.worker_done);
         let resp = FrameSpec {
             src_mac: AddressPlan::dispatcher_mac(),
             dst_mac: AddressPlan::client_mac(),
@@ -329,7 +366,7 @@ impl Model for Baseline {
             Ev::Client(ev) => self.client.on_event(ev, &mut self.wire, ctx),
             Ev::WireToNic(spec) => {
                 if let Some(d) = self.nic.steer(&spec) {
-                    ctx.probe().count("nic.rx_frames");
+                    ctx.probe().count(&self.keys.rx_frames);
                     let now = ctx.now();
                     if self.cfg.kind != BaselineKind::RssStealing
                         && ctx.faults().worker_crashed(d.queue, now)
@@ -337,12 +374,12 @@ impl Model for Baseline {
                         // Hash-steered to a dead core with nobody to steal
                         // it: the request is stranded in silicon.
                         self.stranded += 1;
-                        ctx.probe().count("worker.stranded");
+                        ctx.probe().count(&self.keys.stranded);
                         return;
                     }
                     self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), spec);
                     let depth = self.nic.iface(d.iface).rx[d.queue].len();
-                    ctx.probe().depth_i("worker.ring", d.queue, depth);
+                    ctx.probe().depth(self.keys.ring.at(d.queue), depth);
                     if !self.workers[d.queue].busy {
                         ctx.schedule_now(Ev::WorkerPoll(d.queue));
                     } else if self.cfg.kind == BaselineKind::RssStealing {
@@ -403,8 +440,9 @@ fn run_inner(
     probe: ProbeConfig,
     res: ResilienceConfig,
 ) -> (RunMetrics, f64) {
-    let mut engine = Engine::new(Baseline::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe));
+    let mut recorder = Probe::new(probe);
+    let mut engine = Engine::new(Baseline::new(spec, cfg, res, &mut recorder));
+    engine.set_probe(recorder);
     engine.set_invariants(crate::common::checker_for(&res));
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));

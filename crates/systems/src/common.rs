@@ -16,7 +16,8 @@ use nicsched::{
     AdmissionPolicy, CoreFeedback, CoreSelector, Dispatcher, FeedbackChannel, SchedPolicy, Task,
 };
 use sim_core::faults::FaultConfig;
-use sim_core::{Ctx, IdTable, InvariantChecker, InvariantConfig, Rng, SimDuration, SimTime};
+use sim_core::probe::{Busy, Counter, Gauge, Hop};
+use sim_core::{Ctx, IdTable, InvariantChecker, InvariantConfig, Probe, Rng, SimDuration, SimTime};
 use workload::{
     ArrivalGen, ArrivalProcess, FaultMetrics, LatencyRecorder, ReqClass, RetryPolicy, RunMetrics,
     WorkloadSpec,
@@ -321,13 +322,16 @@ impl FrameCodec {
 /// way, lossy at the fault plan's i.i.d. rate, plus the plan's burst loss.
 /// It counts what it drops and schedules the arrival of what it carries.
 /// Its codec check covers every frame of the assembly: the wire's own,
-/// and the in-machine hops' through `codec`.
+/// and the in-machine hops' through `codec`. It also holds the probe keys
+/// of the whole client edge, since [`Client::on_event`] records through
+/// the wire it sends on.
 #[derive(Debug)]
 pub struct Wire {
     to_server: Link,
     to_client: Link,
     /// The codec check of the assembly's frames.
     pub(crate) codec: FrameCodec,
+    keys: EdgeKeys,
     /// Request frames lost on the client→server wire (i.i.d. + burst).
     pub req_lost: u64,
     /// Response/NACK frames lost on the server→client wire.
@@ -336,10 +340,31 @@ pub struct Wire {
     pub nacks: u64,
 }
 
+/// The client edge's probe keys: the client's and the wire's counters,
+/// and the marks that open and close every request's chain.
+#[derive(Debug)]
+struct EdgeKeys {
+    sent: Counter,
+    nacks: Counter,
+    responses: Counter,
+    retries: Counter,
+    req_lost: Counter,
+    resp_lost: Counter,
+    send: Hop,
+    response: Hop,
+}
+
 impl Wire {
     /// Both links, forking one loss stream per direction from `master`
-    /// (request side first) only when `res` sets a wire loss rate.
-    pub fn new(res: &ResilienceConfig, master: &mut Rng) -> Wire {
+    /// (request side first) only when `res` sets a wire loss rate. The
+    /// client edge's keys go on `probe`; `response` names the assembly's
+    /// final `path.N_response` mark.
+    pub fn new(
+        res: &ResilienceConfig,
+        master: &mut Rng,
+        probe: &mut Probe,
+        response: &'static str,
+    ) -> Wire {
         let loss = res.faults.wire_loss;
         let link = |master: &mut Rng| {
             if loss > 0.0 {
@@ -352,6 +377,16 @@ impl Wire {
             to_server: link(master),
             to_client: link(master),
             codec: FrameCodec::new(res),
+            keys: EdgeKeys {
+                sent: probe.counter("client.sent"),
+                nacks: probe.counter("client.nacks"),
+                responses: probe.counter("client.responses"),
+                retries: probe.counter("client.retries"),
+                req_lost: probe.counter("wire.req_lost"),
+                resp_lost: probe.counter("wire.resp_lost"),
+                send: probe.hop("path.0_client_send"),
+                response: probe.hop(response),
+            },
             req_lost: 0,
             resp_lost: 0,
             nacks: 0,
@@ -366,7 +401,7 @@ impl Wire {
             Some(at) => ctx.schedule_at(at, E::at_server(spec)),
             None => {
                 self.req_lost += 1;
-                ctx.probe().count("wire.req_lost");
+                ctx.probe().count(&self.keys.req_lost);
             }
         }
     }
@@ -385,7 +420,7 @@ impl Wire {
             Some(at) => ctx.schedule_at(at, E::client(ClientEv::Response(spec))),
             None => {
                 self.resp_lost += 1;
-                ctx.probe().count("wire.resp_lost");
+                ctx.probe().count(&self.keys.resp_lost);
             }
         }
     }
@@ -419,7 +454,7 @@ impl Wire {
 /// thread. It serves one item at a time from its FIFO inbox, each for
 /// `cost` (or `price` of the item, when set), and reports its busy time and
 /// its queue's depth (on every push and every finished item) to the probe
-/// as `name` and `gauge`, per instance when `index` is set. A networker is
+/// under `name` and `gauge`. A networker is
 /// fed by a NIC RX ring instead, because ring occupancy decides tail drops:
 /// it leaves its inbox empty and hands the ring to [`Stage::poll`].
 pub(crate) struct Stage<T> {
@@ -427,14 +462,13 @@ pub(crate) struct Stage<T> {
     busy: bool,
     cost: SimDuration,
     price: Option<fn(&T) -> SimDuration>,
-    name: &'static str,
-    gauge: &'static str,
-    index: Option<usize>,
+    name: Busy,
+    gauge: Gauge,
 }
 
 impl<T> Stage<T> {
     /// An idle stage with an empty inbox whose items each take `cost`.
-    pub fn new(name: &'static str, gauge: &'static str, cost: SimDuration) -> Stage<T> {
+    pub fn new(name: Busy, gauge: Gauge, cost: SimDuration) -> Stage<T> {
         Stage {
             inbox: VecDeque::new(),
             busy: false,
@@ -442,15 +476,6 @@ impl<T> Stage<T> {
             price: None,
             name,
             gauge,
-            index: None,
-        }
-    }
-
-    /// This stage as instance `index` of its kind (a dispatcher group).
-    pub fn at(self, index: usize) -> Stage<T> {
-        Stage {
-            index: Some(index),
-            ..self
         }
     }
 
@@ -497,10 +522,7 @@ impl<T> Stage<T> {
     }
 
     fn serve<E>(&mut self, waiting: usize, cost: SimDuration, done: E, ctx: &mut Ctx<'_, E>) {
-        match self.index {
-            Some(i) => ctx.probe().depth_i(self.gauge, i, waiting),
-            None => ctx.probe().depth(self.gauge, waiting),
-        }
+        ctx.probe().depth(&self.gauge, waiting);
         if !self.busy && waiting > 0 {
             self.set_busy(true, ctx);
             ctx.schedule_in(cost, done);
@@ -509,10 +531,7 @@ impl<T> Stage<T> {
 
     fn set_busy<E>(&mut self, busy: bool, ctx: &mut Ctx<'_, E>) {
         self.busy = busy;
-        match self.index {
-            Some(i) => ctx.probe().busy_i(self.name, i, busy),
-            None => ctx.probe().busy(self.name, busy),
-        }
+        ctx.probe().busy(&self.name, busy);
     }
 }
 
@@ -532,11 +551,9 @@ pub(crate) enum ClientEv {
 }
 
 /// How an assembly's event type carries the client edge: it wraps
-/// [`ClientEv`], names the event a request frame arriving at the server
-/// becomes, and the chain mark a response closes at the client.
+/// [`ClientEv`] and names the event a request frame arriving at the server
+/// becomes.
 pub(crate) trait ClientEdge: Sized {
-    /// The final `path.N_response` mark of the assembly's chain.
-    const RESPONSE_MARK: &'static str;
     /// Wrap a client event.
     fn client(ev: ClientEv) -> Self;
     /// A request frame reaching the server.
@@ -948,8 +965,8 @@ impl Client {
                 }
                 let spec = self.make_request(now);
                 let req_id = spec.msg.req_id;
-                ctx.probe().count("client.sent");
-                ctx.probe().mark(req_id, "path.0_client_send");
+                ctx.probe().count(&wire.keys.sent);
+                ctx.probe().mark(req_id, &wire.keys.send);
                 wire.request(spec, ctx);
                 if let Some((attempt, timeout)) = self.arm_timeout(req_id) {
                     ctx.schedule_in(timeout, E::client(ClientEv::Timeout { req_id, attempt }));
@@ -959,12 +976,12 @@ impl Client {
                 return;
             }
             ClientEv::Response(spec) if spec.msg.kind == MsgKind::Nack => {
-                ctx.probe().count("client.nacks");
+                ctx.probe().count(&wire.keys.nacks);
                 self.on_nack(now, spec.msg.req_id)
             }
             ClientEv::Response(spec) => {
-                ctx.probe().count("client.responses");
-                ctx.probe().finish(spec.msg.req_id, E::RESPONSE_MARK);
+                ctx.probe().count(&wire.keys.responses);
+                ctx.probe().finish(spec.msg.req_id, &wire.keys.response);
                 self.on_response(now, &spec);
                 return;
             }
@@ -976,7 +993,7 @@ impl Client {
             timeout,
         } = outcome
         {
-            ctx.probe().count("client.retries");
+            ctx.probe().count(&wire.keys.retries);
             let req_id = frame.msg.req_id;
             wire.request(frame, ctx);
             ctx.schedule_in(timeout, E::client(ClientEv::Timeout { req_id, attempt }));
@@ -1387,7 +1404,12 @@ mod tests {
         )
         .unwrap();
         client.on_response(SimTime::from_micros(15), &resp);
-        let wire = Wire::new(&ResilienceConfig::default(), &mut master);
+        let wire = Wire::new(
+            &ResilienceConfig::default(),
+            &mut master,
+            &mut Probe::default(),
+            "path.1_response",
+        );
         let m = assemble_metrics(&client, &wire, 3, 0.5);
         assert_eq!(m.completed, 1);
         assert_eq!(m.dropped, 0);

@@ -37,6 +37,7 @@ use nicsched::{
     params, AdmitOutcome, Assignment, CoreSelector, Dispatcher, LeastOutstanding, NicProfile,
     PolicySpec, PreemptDecision, RecoveryPolicy, SchedPolicy, SocketAffinity, Task,
 };
+use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
 use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
@@ -139,7 +140,6 @@ enum Ev {
 }
 
 impl ClientEdge for Ev {
-    const RESPONSE_MARK: &'static str = "path.6_response";
     fn client(ev: ClientEv) -> Ev {
         Ev::Client(ev)
     }
@@ -184,6 +184,68 @@ struct Running {
     run: SimDuration,
 }
 
+/// The offload's probe keys beyond its stages and client edge, registered
+/// once at construction.
+struct Keys {
+    rx_frames: Counter,
+    parsed: Counter,
+    enqueued: Counter,
+    shed: Counter,
+    done: Counter,
+    requeued: Counter,
+    heartbeats: Counter,
+    tx_built: Counter,
+    notifs: Counter,
+    stranded: Counter,
+    completed: Counter,
+    dup_killed: Counter,
+    preempted: Counter,
+    ring_drops: Counter,
+    fallback_switch: Counter,
+    redispatch: Counter,
+    central: Gauge,
+    ring: Family<Gauge>,
+    worker: Family<Busy>,
+    idle_gap: Hop,
+    nic_parse: Hop,
+    qm_admit: Hop,
+    tx_build: Hop,
+    worker_start: Hop,
+    worker_done: Hop,
+}
+
+impl Keys {
+    fn new(probe: &mut Probe, workers: usize) -> Keys {
+        Keys {
+            rx_frames: probe.counter("nic.rx_frames"),
+            parsed: probe.counter("networker.parsed"),
+            enqueued: probe.counter("qm.enqueue"),
+            shed: probe.counter("qm.shed"),
+            done: probe.counter("qm.done"),
+            requeued: probe.counter("qm.preempt_requeue"),
+            heartbeats: probe.counter("qm.heartbeat"),
+            tx_built: probe.counter("tx.built"),
+            notifs: probe.counter("rx.notifs"),
+            stranded: probe.counter("worker.stranded"),
+            completed: probe.counter("worker.completed"),
+            dup_killed: probe.counter("worker.dup_killed"),
+            preempted: probe.counter("worker.preempted"),
+            ring_drops: probe.counter("worker.ring_drops"),
+            fallback_switch: probe.counter("fallback.switch"),
+            redispatch: probe.counter("recovery.redispatch"),
+            central: probe.gauge("qm.central"),
+            ring: probe.gauge_family("worker.ring", workers),
+            worker: probe.busy_family("worker", workers),
+            idle_gap: probe.hop("worker.idle_gap"),
+            nic_parse: probe.hop("path.1_nic_parse"),
+            qm_admit: probe.hop("path.2_qm_admit"),
+            tx_build: probe.hop("path.3_tx_build"),
+            worker_start: probe.hop("path.4_worker_start"),
+            worker_done: probe.hop("path.5_worker_done"),
+        }
+    }
+}
+
 struct Offload {
     cfg: OffloadConfig,
     client: Client,
@@ -219,10 +281,16 @@ struct Offload {
     recovery: Option<RecoveryPolicy>,
     /// Work that died with a crashed worker (running or in its ring).
     stranded: u64,
+    keys: Keys,
 }
 
 impl Offload {
-    fn new(spec: WorkloadSpec, cfg: OffloadConfig, res: ResilienceConfig) -> Offload {
+    fn new(
+        spec: WorkloadSpec,
+        cfg: OffloadConfig,
+        res: ResilienceConfig,
+        probe: &mut Probe,
+    ) -> Offload {
         let mut master = Rng::new(spec.seed);
         let mut client = Client::new(spec, &mut master);
         if let Some(target) = cfg.jit_target_depth {
@@ -240,7 +308,12 @@ impl Offload {
         } else {
             res.faults.with_wire_loss(cfg.wire_loss)
         };
-        let wire = Wire::new(&ResilienceConfig { faults, ..res }, &mut master);
+        let wire = Wire::new(
+            &ResilienceConfig { faults, ..res },
+            &mut master,
+            probe,
+            "path.6_response",
+        );
 
         let mut nic = NicDevice::new(params::PCIE_DMA);
         let disp_iface = nic.add_iface(
@@ -308,13 +381,25 @@ impl Offload {
             worker_iface,
             worker_by_mac,
             networker: Stage::new(
-                "networker",
-                "networker.ring",
+                probe.busy("networker"),
+                probe.gauge("networker.ring"),
                 arm(params::ARM_NET_PARSE_CYCLES),
             ),
-            qm: Stage::new("qm", "qm.inbox", arm(params::ARM_QUEUE_OP_CYCLES)),
-            tx: Stage::new("tx", "tx.queue", arm(params::ARM_TX_BUILD_CYCLES)),
-            rx: Stage::new("rx", "rx.queue", arm(params::ARM_RX_PARSE_CYCLES)),
+            qm: Stage::new(
+                probe.busy("qm"),
+                probe.gauge("qm.inbox"),
+                arm(params::ARM_QUEUE_OP_CYCLES),
+            ),
+            tx: Stage::new(
+                probe.busy("tx"),
+                probe.gauge("tx.queue"),
+                arm(params::ARM_TX_BUILD_CYCLES),
+            ),
+            rx: Stage::new(
+                probe.busy("rx"),
+                probe.gauge("rx.queue"),
+                arm(params::ARM_RX_PARSE_CYCLES),
+            ),
             task_meta: sim_core::IdTable::new(),
             workers,
             ctx_pool: ContextPool::new(),
@@ -329,6 +414,7 @@ impl Offload {
             governor,
             recovery: res.recovery,
             stranded: 0,
+            keys: Keys::new(probe, cfg.workers),
         }
     }
 
@@ -358,19 +444,19 @@ impl Offload {
         let iface = self.worker_iface[w];
         let Some(frame) = self.nic.iface_mut(iface).rx[0].pop() else {
             self.workers[w].core.set_idle(ctx.now());
-            ctx.probe().busy_i("worker", w, false);
+            ctx.probe().busy(self.keys.worker.at(w), false);
             if self.workers[w].idle_since.is_none() {
                 self.workers[w].idle_since = Some(ctx.now());
             }
             return;
         };
         let ring_depth = self.nic.iface(iface).rx[0].len();
-        ctx.probe().depth_i("worker.ring", w, ring_depth);
+        ctx.probe().depth(self.keys.ring.at(w), ring_depth);
         // The measured feedback gap: how long this worker sat idle before
         // the NIC's (stale) view caught up and delivered more work.
         if let Some(idle_at) = self.workers[w].idle_since.take() {
             let gap = ctx.now().saturating_duration_since(idle_at);
-            ctx.probe().hop("worker.idle_gap", gap);
+            ctx.probe().hop(&self.keys.idle_gap, gap);
         }
         let msg = frame.spec.msg;
         if msg.kind != MsgKind::Assign {
@@ -434,8 +520,8 @@ impl Offload {
             None => task.remaining,
         };
 
-        ctx.probe().mark(task.req_id, "path.4_worker_start");
-        ctx.probe().busy_i("worker", w, true);
+        ctx.probe().mark(task.req_id, &self.keys.worker_start);
+        ctx.probe().busy(self.keys.worker.at(w), true);
         // A slowdown window stretches wall time; `run` stays in work units
         // so the finish/preempt decision at run end is unchanged.
         let slow = {
@@ -490,14 +576,14 @@ impl Offload {
             // feeding the corpse.
             self.ctx_pool.discard(task.req_id);
             self.stranded += 1;
-            ctx.probe().count("worker.stranded");
+            ctx.probe().count(&self.keys.stranded);
             return;
         }
         let finished = task.remaining <= run;
 
         if finished {
-            ctx.probe().count("worker.completed");
-            ctx.probe().mark(task.req_id, "path.5_worker_done");
+            ctx.probe().count(&self.keys.completed);
+            ctx.probe().mark(task.req_id, &self.keys.worker_done);
             // Response to the client and Done to the dispatcher: two
             // packets, built back to back (§3.4.3).
             let resp_built = now + params::WORKER_TX_COST;
@@ -539,7 +625,7 @@ impl Offload {
                 // in DRAM: saving a second context would fork the request.
                 // Kill this copy — the saved context owns the request — and
                 // release the worker slot with a Done notification.
-                ctx.probe().count("worker.dup_killed");
+                ctx.probe().count(&self.keys.dup_killed);
                 let free_at = now + self.preempt_receive_cost() + params::WORKER_TX_COST;
                 let done = self.notif_spec(w, task_msg(MsgKind::Done, &after));
                 ctx.schedule_at(
@@ -549,7 +635,7 @@ impl Offload {
                 ctx.schedule_at(free_at, Ev::WorkerPoll(w));
                 return;
             }
-            ctx.probe().count("worker.preempted");
+            ctx.probe().count(&self.keys.preempted);
             self.preemptions += 1;
             self.workers[w].core.preemptions += 1;
             self.ctx_pool.save(after.req_id);
@@ -590,7 +676,7 @@ impl Model for Offload {
                 if let Some(d) = self.nic.steer(&spec) {
                     self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), spec);
                     if d.iface == self.disp_iface {
-                        ctx.probe().count("nic.rx_frames");
+                        ctx.probe().count(&self.keys.rx_frames);
                         self.networker
                             .poll(&self.nic.iface(d.iface).rx[0], Ev::NetworkerDone, ctx);
                     }
@@ -598,11 +684,11 @@ impl Model for Offload {
             }
             Ev::NetworkerDone => {
                 self.networker.complete(ctx);
-                ctx.probe().count("networker.parsed");
+                ctx.probe().count(&self.keys.parsed);
                 if let Some(frame) = self.nic.iface_mut(self.disp_iface).rx[0].pop() {
                     let msg = frame.spec.msg;
                     if msg.kind == MsgKind::Request {
-                        ctx.probe().mark(msg.req_id, "path.1_nic_parse");
+                        ctx.probe().mark(msg.req_id, &self.keys.nic_parse);
                         let task = Task::new(
                             msg.req_id,
                             msg.client_id,
@@ -627,13 +713,13 @@ impl Model for Offload {
                     let assignments = match item {
                         QmItem::NewTask(task) => match self.dispatcher.offer(now, task) {
                             AdmitOutcome::Admitted(assignments) => {
-                                ctx.probe().count("qm.enqueue");
-                                ctx.probe().mark(task.req_id, "path.2_qm_admit");
+                                ctx.probe().count(&self.keys.enqueued);
+                                ctx.probe().mark(task.req_id, &self.keys.qm_admit);
                                 self.task_meta.insert(task.req_id, task.arrived_at);
                                 assignments
                             }
                             AdmitOutcome::Shed { nack } => {
-                                ctx.probe().count("qm.shed");
+                                ctx.probe().count(&self.keys.shed);
                                 if nack {
                                     self.wire.nack(&task, now + self.nic.dma_latency, ctx);
                                 }
@@ -641,30 +727,31 @@ impl Model for Offload {
                             }
                         },
                         QmItem::Done { worker, req_id } => {
-                            ctx.probe().count("qm.done");
+                            ctx.probe().count(&self.keys.done);
                             self.task_meta.remove(req_id);
                             self.dispatcher.on_done(now, worker, req_id)
                         }
                         QmItem::Preempted { worker, task } => {
-                            ctx.probe().count("qm.preempt_requeue");
-                            ctx.probe().mark(task.req_id, "path.2_qm_admit");
+                            ctx.probe().count(&self.keys.requeued);
+                            ctx.probe().mark(task.req_id, &self.keys.qm_admit);
                             self.dispatcher.on_preempted(now, worker, task)
                         }
                         QmItem::Heartbeat { worker } => {
-                            ctx.probe().count("qm.heartbeat");
+                            ctx.probe().count(&self.keys.heartbeats);
                             self.dispatcher.on_heartbeat(now, worker)
                         }
                     };
-                    ctx.probe().depth("qm.central", self.dispatcher.queue_len());
+                    ctx.probe()
+                        .depth(&self.keys.central, self.dispatcher.queue_len());
                     self.emit_assignments(assignments, ctx);
                 }
                 self.qm.resume(Ev::QmDone, ctx);
             }
             Ev::TxPush(a) => self.tx.enqueue(a, Ev::TxDone, ctx),
             Ev::TxDone => {
-                ctx.probe().count("tx.built");
+                ctx.probe().count(&self.keys.tx_built);
                 if let Some(a) = self.tx.complete(ctx) {
-                    ctx.probe().mark(a.task.req_id, "path.3_tx_build");
+                    ctx.probe().mark(a.task.req_id, &self.keys.tx_build);
                     let t = a.task;
                     let spec = FrameSpec {
                         src_mac: AddressPlan::dispatcher_mac(),
@@ -693,7 +780,7 @@ impl Model for Offload {
                     // Delivered to a dead worker's ring: nobody will ever
                     // poll it out.
                     self.stranded += 1;
-                    ctx.probe().count("worker.stranded");
+                    ctx.probe().count(&self.keys.stranded);
                     return;
                 }
                 // DDIO placement happens at DMA time.
@@ -708,13 +795,13 @@ impl Model for Offload {
                 let iface = self.worker_iface[w];
                 if self.nic.iface_mut(iface).rx[0].push(ctx.now(), spec) {
                     let depth = self.nic.iface(iface).rx[0].len();
-                    ctx.probe().depth_i("worker.ring", w, depth);
+                    ctx.probe().depth(self.keys.ring.at(w), depth);
                     self.workers[w].pending_placement.push_back(placement);
                     if self.workers[w].running.is_none() {
                         ctx.schedule_now(Ev::WorkerPoll(w));
                     }
                 } else {
-                    ctx.probe().count("worker.ring_drops");
+                    ctx.probe().count(&self.keys.ring_drops);
                     self.ddio.release(placement, lines);
                 }
             }
@@ -722,7 +809,7 @@ impl Model for Offload {
             Ev::WorkerRunEnd { worker, gen } => self.worker_run_end(worker, gen, ctx),
             Ev::RxNotif(spec) => self.rx.enqueue(spec, Ev::RxDone, ctx),
             Ev::RxDone => {
-                ctx.probe().count("rx.notifs");
+                ctx.probe().count(&self.keys.notifs);
                 if let Some(spec) = self.rx.complete(ctx) {
                     if let Some(&w) = self.worker_by_mac.get(&spec.src_mac) {
                         let msg = spec.msg;
@@ -777,7 +864,7 @@ impl Model for Offload {
                     let was_degraded = gov.is_degraded();
                     gov.evaluate(now, &mut self.dispatcher);
                     if gov.is_degraded() != was_degraded {
-                        ctx.probe().count("fallback.switch");
+                        ctx.probe().count(&self.keys.fallback_switch);
                     }
                     assignments = self.dispatcher.kick(now);
                     next = Some(gov.policy().heartbeat);
@@ -810,7 +897,7 @@ impl Model for Offload {
                     // with everything else (no wall clocks).
                     let recovered = self.dispatcher.check_health(now);
                     if !recovered.is_empty() {
-                        ctx.probe().count("recovery.redispatch");
+                        ctx.probe().count(&self.keys.redispatch);
                     }
                     assignments.extend(recovered);
                     next = Some(
@@ -840,8 +927,9 @@ pub fn run_resilient_probed(
     probe: ProbeConfig,
     res: ResilienceConfig,
 ) -> RunMetrics {
-    let mut engine = Engine::new(Offload::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe));
+    let mut recorder = Probe::new(probe);
+    let mut engine = Engine::new(Offload::new(spec, cfg, res, &mut recorder));
+    engine.set_probe(recorder);
     engine.set_invariants(crate::common::checker_for(&res));
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));

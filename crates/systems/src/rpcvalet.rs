@@ -19,6 +19,7 @@
 use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
 use net_wire::{FrameSpec, MsgKind, MsgRepr};
 use nicsched::{params, Dispatcher, Fcfs, LeastOutstanding, RecoveryPolicy, Task};
+use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
 use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
@@ -57,7 +58,6 @@ enum Ev {
 }
 
 impl ClientEdge for Ev {
-    const RESPONSE_MARK: &'static str = "path.4_response";
     fn client(ev: ClientEv) -> Ev {
         Ev::Client(ev)
     }
@@ -73,6 +73,40 @@ struct Worker {
     idle_since: Option<SimTime>,
 }
 
+/// RPCValet's probe keys beyond its client edge, registered once at
+/// construction.
+struct Keys {
+    requests: Counter,
+    zombies: Counter,
+    stranded: Counter,
+    completed: Counter,
+    redispatch: Counter,
+    queue: Gauge,
+    worker: Family<Busy>,
+    idle_gap: Hop,
+    ni_dispatch: Hop,
+    worker_start: Hop,
+    worker_done: Hop,
+}
+
+impl Keys {
+    fn new(probe: &mut Probe, workers: usize) -> Keys {
+        Keys {
+            requests: probe.counter("ni.requests"),
+            zombies: probe.counter("worker.zombie_dropped"),
+            stranded: probe.counter("worker.stranded"),
+            completed: probe.counter("worker.completed"),
+            redispatch: probe.counter("recovery.redispatch"),
+            queue: probe.gauge("ni.queue"),
+            worker: probe.busy_family("worker", workers),
+            idle_gap: probe.hop("worker.idle_gap"),
+            ni_dispatch: probe.hop("path.1_ni_dispatch"),
+            worker_start: probe.hop("path.2_worker_start"),
+            worker_done: probe.hop("path.3_worker_done"),
+        }
+    }
+}
+
 struct RpcValet {
     client: Client,
     horizon: SimTime,
@@ -86,16 +120,22 @@ struct RpcValet {
     /// NIC-side failure-detection policy, when recovery is enabled.
     recovery: Option<RecoveryPolicy>,
     stranded: u64,
+    keys: Keys,
 }
 
 impl RpcValet {
-    fn new(spec: WorkloadSpec, cfg: RpcValetConfig, res: ResilienceConfig) -> RpcValet {
+    fn new(
+        spec: WorkloadSpec,
+        cfg: RpcValetConfig,
+        res: ResilienceConfig,
+        probe: &mut Probe,
+    ) -> RpcValet {
         let mut master = Rng::new(spec.seed);
         let mut client = Client::new(spec, &mut master);
         if let Some(policy) = res.retry {
             client.enable_retries(policy);
         }
-        let wire = Wire::new(&res, &mut master);
+        let wire = Wire::new(&res, &mut master, probe, "path.4_response");
         let t0 = SimTime::ZERO;
         // One request in flight per core: RPCValet's N=1 design point,
         // which its paper shows is optimal for its hardware queue.
@@ -120,13 +160,15 @@ impl RpcValet {
             host: CoreSpec::host_x86(),
             recovery: res.recovery,
             stranded: 0,
+            keys: Keys::new(probe, cfg.workers),
         }
     }
 
     /// Sample the hardware queue after a dispatcher call, and deliver
     /// the assignments it decided.
     fn emit(&mut self, mut assignments: Vec<nicsched::Assignment>, ctx: &mut Ctx<'_, Ev>) {
-        ctx.probe().depth("ni.queue", self.dispatcher.queue_len());
+        ctx.probe()
+            .depth(&self.keys.queue, self.dispatcher.queue_len());
         for a in assignments.drain(..) {
             ctx.schedule_in(HW_DISPATCH + NI_TO_CORE, Ev::Deliver(a.worker, a.task));
         }
@@ -161,8 +203,8 @@ impl Model for RpcValet {
                 if m.kind != MsgKind::Request {
                     return;
                 }
-                ctx.probe().count("ni.requests");
-                ctx.probe().mark(m.req_id, "path.1_ni_dispatch");
+                ctx.probe().count(&self.keys.requests);
+                ctx.probe().mark(m.req_id, &self.keys.ni_dispatch);
                 let task = Task::new(
                     m.req_id,
                     m.client_id,
@@ -181,7 +223,7 @@ impl Model for RpcValet {
                     // re-dispatched the request, so the hardware drops the
                     // zombie instead of double-running it.
                     self.ctx_pool.discard(task.req_id);
-                    ctx.probe().count("worker.zombie_dropped");
+                    ctx.probe().count(&self.keys.zombies);
                     return;
                 }
                 {
@@ -192,7 +234,7 @@ impl Model for RpcValet {
                         // occupied and no further work lands here.
                         self.ctx_pool.discard(task.req_id);
                         self.stranded += 1;
-                        ctx.probe().count("worker.stranded");
+                        ctx.probe().count(&self.keys.stranded);
                         return;
                     }
                     if let Some(resume) = ctx.faults().worker_stalled_until(w, now) {
@@ -203,10 +245,10 @@ impl Model for RpcValet {
                 debug_assert!(self.workers[w].running.is_none(), "cap-1 violated");
                 if let Some(idle_at) = self.workers[w].idle_since.take() {
                     let gap = ctx.now().saturating_duration_since(idle_at);
-                    ctx.probe().hop("worker.idle_gap", gap);
+                    ctx.probe().hop(&self.keys.idle_gap, gap);
                 }
-                ctx.probe().mark(task.req_id, "path.2_worker_start");
-                ctx.probe().busy_i("worker", w, true);
+                ctx.probe().mark(task.req_id, &self.keys.worker_start);
+                ctx.probe().busy(self.keys.worker.at(w), true);
                 let overhead = ContextPool::op_cost(
                     self.ctx_pool.begin(task.req_id),
                     &self.ctx_costs,
@@ -234,12 +276,12 @@ impl Model for RpcValet {
                     // Died mid-request: no response, no completion signal.
                     self.ctx_pool.discard(task.req_id);
                     self.stranded += 1;
-                    ctx.probe().count("worker.stranded");
+                    ctx.probe().count(&self.keys.stranded);
                     return;
                 }
-                ctx.probe().count("worker.completed");
-                ctx.probe().mark(task.req_id, "path.3_worker_done");
-                ctx.probe().busy_i("worker", w, false);
+                ctx.probe().count(&self.keys.completed);
+                ctx.probe().mark(task.req_id, &self.keys.worker_done);
+                ctx.probe().busy(self.keys.worker.at(w), false);
                 self.workers[w].idle_since = Some(now);
                 let resp_built = now + params::WORKER_TX_COST;
                 let resp = FrameSpec {
@@ -284,7 +326,7 @@ impl Model for RpcValet {
                 }
                 let recovered = self.dispatcher.check_health(now);
                 if !recovered.is_empty() {
-                    ctx.probe().count("recovery.redispatch");
+                    ctx.probe().count(&self.keys.redispatch);
                 }
                 assignments.extend(recovered);
                 self.emit(assignments, ctx);
@@ -310,8 +352,9 @@ pub fn run_resilient_probed(
     probe: ProbeConfig,
     res: ResilienceConfig,
 ) -> RunMetrics {
-    let mut engine = Engine::new(RpcValet::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe));
+    let mut recorder = Probe::new(probe);
+    let mut engine = Engine::new(RpcValet::new(spec, cfg, res, &mut recorder));
+    engine.set_probe(recorder);
     engine.set_invariants(crate::common::checker_for(&res));
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));

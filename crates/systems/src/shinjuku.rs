@@ -35,6 +35,7 @@ use nicsched::{
     params, AdmitOutcome, Assignment, Dispatcher, LeastOutstanding, PolicySpec, RecoveryPolicy,
     SchedPolicy, Task,
 };
+use sim_core::probe::{Busy, Counter, Family, Gauge, Hop, IntoHandle};
 use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
@@ -134,7 +135,6 @@ enum Ev {
 }
 
 impl ClientEdge for Ev {
-    const RESPONSE_MARK: &'static str = "path.5_response";
     fn client(ev: ClientEv) -> Ev {
         Ev::Client(ev)
     }
@@ -148,6 +148,64 @@ struct Worker {
     timer: OneShotTimer,
     inbox: VecDeque<Task>,
     running: Option<(Task, SimDuration)>,
+}
+
+/// Shinjuku's probe keys beyond its stages and client edge, registered
+/// once at construction. Workers are indexed machine-wide, groups by
+/// group.
+struct Keys {
+    rx_frames: Counter,
+    parsed: Counter,
+    enqueued: Counter,
+    shed: Counter,
+    nacks: Counter,
+    done: Counter,
+    requeued: Counter,
+    assigned: Counter,
+    heartbeats: Counter,
+    completed: Counter,
+    dup_killed: Counter,
+    preempted: Counter,
+    stranded: Counter,
+    fallback_switch: Counter,
+    redispatch: Counter,
+    central: Family<Gauge>,
+    inbox: Family<Gauge>,
+    worker: Family<Busy>,
+    host_net: Hop,
+    dispatched: Hop,
+    worker_start: Hop,
+    worker_done: Hop,
+}
+
+impl Keys {
+    fn new(probe: &mut Probe, cfg: &ShinjukuConfig) -> Keys {
+        let workers = cfg.groups * cfg.workers;
+        Keys {
+            rx_frames: probe.counter("nic.rx_frames"),
+            parsed: probe.counter("networker.parsed"),
+            enqueued: probe.counter("disp.enqueue"),
+            shed: probe.counter("disp.shed"),
+            nacks: probe.counter("disp.nack"),
+            done: probe.counter("disp.done"),
+            requeued: probe.counter("disp.preempt_requeue"),
+            assigned: probe.counter("disp.assign"),
+            heartbeats: probe.counter("disp.heartbeat"),
+            completed: probe.counter("worker.completed"),
+            dup_killed: probe.counter("worker.dup_killed"),
+            preempted: probe.counter("worker.preempted"),
+            stranded: probe.counter("worker.stranded"),
+            fallback_switch: probe.counter("fallback.switch"),
+            redispatch: probe.counter("recovery.redispatch"),
+            central: probe.gauge_family("dispatcher.central", cfg.groups),
+            inbox: probe.gauge_family("worker.inbox", workers),
+            worker: probe.busy_family("worker", workers),
+            host_net: probe.hop("path.1_host_net"),
+            dispatched: probe.hop("path.2_dispatch"),
+            worker_start: probe.hop("path.3_worker_start"),
+            worker_done: probe.hop("path.4_worker_done"),
+        }
+    }
 }
 
 /// One networker+dispatcher pair and the workers it owns.
@@ -180,16 +238,22 @@ struct Shinjuku {
     /// group's dispatcher runs its own tracker over its own workers.
     recovery: Option<RecoveryPolicy>,
     stranded: u64,
+    keys: Keys,
 }
 
 impl Shinjuku {
-    fn new(spec: WorkloadSpec, cfg: ShinjukuConfig, res: ResilienceConfig) -> Shinjuku {
+    fn new(
+        spec: WorkloadSpec,
+        cfg: ShinjukuConfig,
+        res: ResilienceConfig,
+        probe: &mut Probe,
+    ) -> Shinjuku {
         let mut master = Rng::new(spec.seed);
         let mut client = Client::new(spec, &mut master);
         if let Some(policy) = res.retry {
             client.enable_retries(policy);
         }
-        let wire = Wire::new(&res, &mut master);
+        let wire = Wire::new(&res, &mut master, probe, "path.5_response");
 
         let mut nic = NicDevice::new(params::PCIE_DMA);
         // One RX queue per group; several are fed by RSS (§2.2). A single
@@ -202,6 +266,10 @@ impl Shinjuku {
         let net_iface = nic.add_iface(AddressPlan::dispatcher_mac(), cfg.groups, 1024, steering);
 
         let t0 = SimTime::ZERO;
+        let net_busy = probe.busy_family("networker", cfg.groups);
+        let net_ring = probe.gauge_family("networker.ring", cfg.groups);
+        let disp_busy = probe.busy_family("dispatcher", cfg.groups);
+        let disp_inbox = probe.gauge_family("dispatcher.inbox", cfg.groups);
         let groups = (0..cfg.groups)
             .map(|g| {
                 // Shinjuku keeps exactly one request in flight per worker:
@@ -214,14 +282,16 @@ impl Shinjuku {
                 }
                 Group {
                     networker: Stage::new(
-                        "networker",
-                        "networker.ring",
+                        net_busy.at(g).into_handle(),
+                        net_ring.at(g).into_handle(),
                         params::HOST_NET_PER_PACKET,
+                    ),
+                    disp_thread: Stage::new(
+                        disp_busy.at(g).into_handle(),
+                        disp_inbox.at(g).into_handle(),
+                        SimDuration::ZERO,
                     )
-                    .at(g),
-                    disp_thread: Stage::new("dispatcher", "dispatcher.inbox", SimDuration::ZERO)
-                        .at(g)
-                        .priced(Shinjuku::disp_item_cost),
+                    .priced(Shinjuku::disp_item_cost),
                     dispatcher,
                     governor: res
                         .fallback
@@ -257,6 +327,7 @@ impl Shinjuku {
             preemptions: 0,
             recovery: res.recovery,
             stranded: 0,
+            keys: Keys::new(probe, &cfg),
         }
     }
 
@@ -294,35 +365,35 @@ impl Shinjuku {
             DispItem::NewTask(task) => match self.groups[g].dispatcher.offer(now, task) {
                 AdmitOutcome::Admitted(assignments) => {
                     self.groups[g].admitted += 1;
-                    ctx.probe().count("disp.enqueue");
-                    ctx.probe().mark(task.req_id, "path.2_dispatch");
+                    ctx.probe().count(&self.keys.enqueued);
+                    ctx.probe().mark(task.req_id, &self.keys.dispatched);
                     assignments
                 }
                 AdmitOutcome::Shed { nack } => {
-                    ctx.probe().count("disp.shed");
+                    ctx.probe().count(&self.keys.shed);
                     if nack {
-                        ctx.probe().count("disp.nack");
+                        ctx.probe().count(&self.keys.nacks);
                         self.wire.nack(&task, now + self.nic.dma_latency, ctx);
                     }
                     Vec::new()
                 }
             },
             DispItem::Done { worker, req_id } => {
-                ctx.probe().count("disp.done");
+                ctx.probe().count(&self.keys.done);
                 self.groups[g].dispatcher.on_done(now, worker, req_id)
             }
             DispItem::Preempted { worker, task } => {
-                ctx.probe().count("disp.preempt_requeue");
-                ctx.probe().mark(task.req_id, "path.2_dispatch");
+                ctx.probe().count(&self.keys.requeued);
+                ctx.probe().mark(task.req_id, &self.keys.dispatched);
                 self.groups[g].dispatcher.on_preempted(now, worker, task)
             }
             DispItem::Emit(a) => {
-                ctx.probe().count("disp.assign");
+                ctx.probe().count(&self.keys.assigned);
                 ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::WorkerTask(g, a.worker, a.task));
                 Vec::new()
             }
             DispItem::Heartbeat { worker } => {
-                ctx.probe().count("disp.heartbeat");
+                ctx.probe().count(&self.keys.heartbeats);
                 self.groups[g].dispatcher.on_heartbeat(now, worker)
             }
         }
@@ -343,13 +414,13 @@ impl Shinjuku {
         }
         let Some(task) = self.groups[g].workers[w].inbox.pop_front() else {
             self.groups[g].workers[w].core.set_idle(now);
-            ctx.probe().busy_i("worker", global, false);
+            ctx.probe().busy(self.keys.worker.at(global), false);
             return;
         };
         let depth = self.groups[g].workers[w].inbox.len();
-        ctx.probe().mark(task.req_id, "path.3_worker_start");
-        ctx.probe().busy_i("worker", global, true);
-        ctx.probe().depth_i("worker.inbox", global, depth);
+        ctx.probe().mark(task.req_id, &self.keys.worker_start);
+        ctx.probe().busy(self.keys.worker.at(global), true);
+        ctx.probe().depth(self.keys.inbox.at(global), depth);
         let ctx_op = self.ctx_pool.begin(task.req_id);
         let mut overhead = ContextPool::op_cost(ctx_op, &self.ctx_costs, &self.host);
         // The policy's per-dispatch grant (carried on the task — the
@@ -404,8 +475,8 @@ impl Shinjuku {
             return;
         }
         if task.remaining <= run {
-            ctx.probe().count("worker.completed");
-            ctx.probe().mark(task.req_id, "path.4_worker_done");
+            ctx.probe().count(&self.keys.completed);
+            ctx.probe().mark(task.req_id, &self.keys.worker_done);
             // Finished: response straight out the NIC; Done notification is
             // a shared-memory write visible one queue hop later.
             let resp_built = now + params::WORKER_TX_COST;
@@ -436,7 +507,7 @@ impl Shinjuku {
         let (item, free_at) = if self.ctx_pool.is_saved(after.req_id) {
             // A retransmitted copy of this request is already suspended:
             // kill this copy and free the worker slot via Done.
-            ctx.probe().count("worker.dup_killed");
+            ctx.probe().count(&self.keys.dup_killed);
             let done = DispItem::Done {
                 worker: w,
                 req_id: after.req_id,
@@ -444,7 +515,7 @@ impl Shinjuku {
             (done, now + TimerMode::DuneMapped.deliver_cost(&self.host))
         } else {
             self.preemptions += 1;
-            ctx.probe().count("worker.preempted");
+            ctx.probe().count(&self.keys.preempted);
             self.ctx_pool.save(after.req_id);
             let free_at = now
                 + TimerMode::DuneMapped.deliver_cost(&self.host)
@@ -466,7 +537,7 @@ impl Shinjuku {
     fn strand(&mut self, task: Task, ctx: &mut Ctx<'_, Ev>) {
         self.ctx_pool.discard(task.req_id);
         self.stranded += 1;
-        ctx.probe().count("worker.stranded");
+        ctx.probe().count(&self.keys.stranded);
     }
 
     /// A worker's heartbeat tick: feed the group's staleness governor and
@@ -489,7 +560,7 @@ impl Shinjuku {
             let was_degraded = gov.is_degraded();
             gov.evaluate(now, &mut group.dispatcher);
             if gov.is_degraded() != was_degraded {
-                ctx.probe().count("fallback.switch");
+                ctx.probe().count(&self.keys.fallback_switch);
             }
             assignments = group.dispatcher.kick(now);
             next = Some(gov.policy().heartbeat);
@@ -506,7 +577,7 @@ impl Shinjuku {
             // the same tick.
             let recovered = group.dispatcher.check_health(now);
             if !recovered.is_empty() {
-                ctx.probe().count("recovery.redispatch");
+                ctx.probe().count(&self.keys.redispatch);
             }
             assignments.extend(recovered);
             next = Some(next.map_or(policy.heartbeat, |n: SimDuration| n.min(policy.heartbeat)));
@@ -550,18 +621,18 @@ impl Model for Shinjuku {
                 if let Some(d) = self.nic.steer(&spec) {
                     // DMA into host memory, then the group's networker can
                     // see it.
-                    ctx.probe().count("nic.rx_frames");
+                    ctx.probe().count(&self.keys.rx_frames);
                     self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), spec);
                     self.poll_networker(d.queue, ctx);
                 }
             }
             Ev::NetworkerDone(g) => {
                 self.groups[g].networker.complete(ctx);
-                ctx.probe().count("networker.parsed");
+                ctx.probe().count(&self.keys.parsed);
                 if let Some(frame) = self.nic.iface_mut(self.net_iface).rx[g].pop() {
                     let m = frame.spec.msg;
                     if m.kind == MsgKind::Request {
-                        ctx.probe().mark(m.req_id, "path.1_host_net");
+                        ctx.probe().mark(m.req_id, &self.keys.host_net);
                         let task = Task::new(
                             m.req_id,
                             m.client_id,
@@ -592,7 +663,7 @@ impl Model for Shinjuku {
                     }
                     group.dispatcher.recycle(assignments);
                     let central = group.dispatcher.queue_len();
-                    ctx.probe().depth_i("dispatcher.central", g, central);
+                    ctx.probe().depth(self.keys.central.at(g), central);
                 }
                 self.groups[g].disp_thread.resume(Ev::DispDone(g), ctx);
             }
@@ -607,7 +678,7 @@ impl Model for Shinjuku {
                 worker.inbox.push_back(task);
                 let (depth, idle) = (worker.inbox.len(), worker.running.is_none());
                 ctx.probe()
-                    .depth_i("worker.inbox", self.global(g, w), depth);
+                    .depth(self.keys.inbox.at(self.global(g, w)), depth);
                 if idle {
                     ctx.schedule_now(Ev::WorkerPoll(g, w));
                 }
@@ -644,8 +715,9 @@ pub fn run_resilient_probed(
     probe: ProbeConfig,
     res: ResilienceConfig,
 ) -> ShinjukuMetrics {
-    let mut engine = Engine::new(Shinjuku::new(spec, cfg, res));
-    engine.set_probe(Probe::new(probe));
+    let mut recorder = Probe::new(probe);
+    let mut engine = Engine::new(Shinjuku::new(spec, cfg, res, &mut recorder));
+    engine.set_probe(recorder);
     engine.set_invariants(crate::common::checker_for(&res));
     if res.is_active() {
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
@@ -918,7 +990,8 @@ mod tests {
             faults: FaultConfig::default().with_crash(0, SimTime::ZERO),
             ..ResilienceConfig::default()
         };
-        let mut engine = Engine::new(Shinjuku::new(spec, ShinjukuConfig::paper(2), res));
+        let model = Shinjuku::new(spec, ShinjukuConfig::paper(2), res, &mut Probe::default());
+        let mut engine = Engine::new(model);
         engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
         let req_id = 7;
         engine.model_mut().ctx_pool.save(req_id);
