@@ -5,9 +5,7 @@
 //! accounting ([`CoreSpec`]), request execution contexts with
 //! spawn/save/restore costs ([`ContextPool`]), the local-APIC preemption
 //! timer in both its Linux and Dune cost modes ([`TimerMode`],
-//! [`OneShotTimer`]), interrupt delivery paths ([`InterruptPath`]), and the
-//! inter-core shared-memory queues whose coherence latency the paper
-//! charges against host-side scheduling ([`MemQueue`]).
+//! [`OneShotTimer`]), and interrupt delivery paths ([`InterruptPath`]).
 //!
 //! All cycle numbers taken from the paper are documented at their
 //! definition site with the section they come from.
@@ -18,13 +16,11 @@
 mod context;
 mod core;
 mod interrupt;
-mod memqueue;
 mod timer;
 mod topology;
 
 pub use crate::core::{Core, CoreId, CoreKind, CoreSpec};
 pub use context::{ContextCosts, ContextOp, ContextPool};
 pub use interrupt::InterruptPath;
-pub use memqueue::MemQueue;
 pub use timer::{OneShotTimer, TimerMode};
 pub use topology::{Topology, CROSS_SOCKET_PENALTY};

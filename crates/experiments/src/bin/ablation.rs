@@ -1,5 +1,5 @@
 //! The §5.1/§5.2 ablations: comm path, preemption path, DDIO placement.
-//! `--policy <spec>` swaps the offload scheduler (registry grammar).
+//! `--policy <spec>` swaps the offload scheduler (policy spec grammar).
 fn main() {
     experiments::sweep::init_jobs_from_args();
     let policy = experiments::sweep::init_policy_from_args();

@@ -1,5 +1,5 @@
 //! Regenerate the paper's Fig3 (see experiments::figures). `--policy
-//! <spec>` swaps the offload scheduler (registry grammar).
+//! <spec>` swaps the offload scheduler (policy spec grammar).
 fn main() {
     experiments::sweep::init_jobs_from_args();
     let policy = experiments::sweep::init_policy_from_args();

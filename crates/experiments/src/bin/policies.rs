@@ -1,4 +1,4 @@
-//! Policy-registry sweep: every registered scheduling policy crossed
+//! Policy sweep: every shipped scheduling policy crossed
 //! with the Fig. 2/3 workloads on every assembly.
 //!
 //! `--smoke` (alias `--quick`) runs the short deterministic grid CI

@@ -7,7 +7,7 @@
 //! `--invariants` layers the runtime invariant checker over the smoke run
 //! (bit-identical output, panics on violations); `--json` prints rows as
 //! JSON instead of the aligned table; `--quick` shrinks the grid;
-//! `--policy <spec>` replaces the policy list (registry grammar, e.g.
+//! `--policy <spec>` replaces the policy list (policy spec grammar, e.g.
 //! `srpt` or `edf:deadline=50us`).
 
 use experiments::outln;

@@ -6,7 +6,7 @@
 //! panics on any causality/conservation violation); `--json` prints the
 //! rows as JSON instead of the aligned table; `--quick` shrinks the grid;
 //! `--policy <spec>` swaps the scheduler on every policy-capable assembly
-//! (registry grammar, e.g. `srpt` or `edf:deadline=50us`).
+//! (policy spec grammar, e.g. `srpt` or `edf:deadline=50us`).
 
 use experiments::outln;
 

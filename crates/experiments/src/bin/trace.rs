@@ -11,7 +11,7 @@
 //! (`offload`, `multi`); any other word is an error. `rps` is the offered
 //! load (default 200000). `--json` emits the timelines as a JSON array
 //! instead of tables. `--policy` swaps the scheduler on policy-capable
-//! assemblies (registry grammar, e.g. `srpt` or `edf:deadline=50us`).
+//! assemblies (policy spec grammar, e.g. `srpt` or `edf:deadline=50us`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -212,8 +212,13 @@ pub fn policies(scale: Scale) -> Figure {
             base,
             vec![
                 with("FCFS", PolicySpec::FCFS),
-                with("SRF", PolicySpec::named("srf")),
-                with("ClassPrio", PolicySpec::named("class-priority:cutoff=10us")),
+                with("SRF", PolicySpec::Srf),
+                with(
+                    "ClassPrio",
+                    PolicySpec::ClassPriority {
+                        cutoff: SimDuration::from_micros(10),
+                    },
+                ),
             ],
         ),
     }

@@ -14,7 +14,7 @@
 //!   quality as a pure function of feedback-path latency.
 //! * [`resilience`] — the fault-injection grid: loss rate × fault type
 //!   across every assembly, with request-ledger reconciliation.
-//! * [`policies`] — the registry sweep: every pluggable scheduling
+//! * [`policies`] — the policy sweep: every shipped scheduling
 //!   policy × the Fig. 2/3 workloads × every assembly.
 //! * [`sweep`] / [`report`] — the load-sweep driver and table/CSV output.
 //!

@@ -1,10 +1,10 @@
-//! The `policies` sweep: every scheduling policy in the registry crossed
-//! with the paper's Figure 2/3 workloads on every assembly.
+//! The `policies` sweep: every shipped scheduling policy crossed with the
+//! paper's Figure 2/3 workloads on every assembly.
 //!
 //! §5.1(4) argues a NIC-resident scheduler should expose *programmable*
-//! policies. The registry (`nicsched::PolicyRegistry`) makes the policy a
-//! string-keyed plug-in; this experiment is the corresponding sweep
-//! driver: each registered policy runs the bimodal Figure 2 workload and
+//! policies. `nicsched::PolicySpec` names each shipped policy with its
+//! parameters; this experiment is the corresponding sweep driver: each
+//! policy runs the bimodal Figure 2 workload and
 //! the saturating fixed-1 µs Figure 3 workload through the three
 //! policy-capable assemblies (Shinjuku-Offload, host Shinjuku,
 //! multi-dispatcher Shinjuku). The policy-oblivious designs (RSS baseline
@@ -29,7 +29,7 @@ use crate::report::csv_field;
 /// One cell of the policy sweep.
 #[derive(Debug, Clone)]
 pub struct PolicyRow {
-    /// Registry spec of the policy under test (`-` for the
+    /// Spec of the policy under test (`-` for the
     /// policy-oblivious controls).
     pub policy: String,
     /// System label (from [`ServerSystem::name`]).
@@ -52,9 +52,9 @@ pub struct PolicyRow {
     pub preemptions: u64,
 }
 
-/// The registry entries the sweep exercises — every policy shipped in
-/// [`nicsched::PolicyRegistry::standard`], with parameterised grammar
-/// where the defaults would be degenerate.
+/// The specs the sweep exercises — every name in
+/// [`PolicySpec::NAMES`], with parameters spelled out where the defaults
+/// would be degenerate.
 pub fn sweep_specs() -> Vec<PolicySpec> {
     [
         "fcfs",
@@ -259,14 +259,14 @@ mod tests {
     use std::collections::BTreeSet;
 
     #[test]
-    fn sweep_covers_the_registry_and_every_assembly() {
+    fn sweep_covers_every_policy_and_every_assembly() {
         let rows = run(Scale::Quick);
         let policies: BTreeSet<&str> = rows.iter().map(|r| r.policy.as_str()).collect();
         let systems: BTreeSet<&str> = rows.iter().map(|r| r.system).collect();
         let workloads: BTreeSet<&str> = rows.iter().map(|r| r.workload).collect();
         assert!(
             policies.len() >= 7, // 8 specs + the "-" control marker
-            "expected the full registry in the sweep: {policies:?}"
+            "expected every policy in the sweep: {policies:?}"
         );
         for must in [
             "fcfs",
@@ -284,6 +284,8 @@ mod tests {
             "all five assemblies must appear: {systems:?}"
         );
         assert_eq!(workloads.len(), 2, "{workloads:?}");
+        let names: Vec<&str> = sweep_specs().iter().map(PolicySpec::name).collect();
+        assert_eq!(names, PolicySpec::NAMES, "one sweep spec per policy");
         for r in &rows {
             assert!(
                 r.completed > 0,
@@ -306,7 +308,7 @@ mod tests {
     #[test]
     fn rows_are_byte_identical_at_any_job_count() {
         // The satellite guarantee behind CI's `--jobs` diff: every
-        // registry entry's cells are independent seeded sims, so the
+        // policy's cells are independent seeded sims, so the
         // fan-out width cannot perturb a single byte of output.
         crate::sweep::set_jobs(1);
         let serial = json(&run(Scale::Quick));

@@ -26,13 +26,14 @@
 //! headline result: NIC recovery strictly beats retry-only p99 for both
 //! fault types.
 
-use nicsched::RecoveryPolicy;
+use nicsched::{PolicySpec, RecoveryPolicy};
 use sim_core::{FaultConfig, ProbeConfig, SimDuration, SimTime};
 use systems::offload::OffloadConfig;
 use systems::{ResilienceConfig, ServerSystem, SystemConfig};
 use workload::{RetryPolicy, RunMetrics, ServiceDist, WorkloadSpec};
 
 use crate::figures::Scale;
+use crate::report::csv_field;
 
 /// Fault type applied to the worker pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,8 +88,8 @@ impl Fault {
 /// One cell of the recovery grid.
 #[derive(Debug, Clone)]
 pub struct RecoveryRow {
-    /// Scheduling policy spec driving the dispatcher.
-    pub policy: &'static str,
+    /// Scheduling policy driving the dispatcher.
+    pub policy: PolicySpec,
     /// Fault type label.
     pub fault: &'static str,
     /// Recovery arm: `"retry-only"` or `"nic-recovery"`.
@@ -134,10 +135,10 @@ fn spec_for(scale: Scale) -> WorkloadSpec {
     }
 }
 
-fn policies(scale: Scale) -> Vec<&'static str> {
+fn policies(scale: Scale) -> Vec<PolicySpec> {
     match scale {
-        Scale::Quick => vec!["fcfs"],
-        Scale::Full => vec!["fcfs", "srpt"],
+        Scale::Quick => vec![PolicySpec::FCFS],
+        Scale::Full => vec![PolicySpec::FCFS, PolicySpec::parse("srpt").expect("srpt")],
     }
 }
 
@@ -151,7 +152,7 @@ fn windows(scale: Scale) -> Vec<u64> {
 /// The two arms share everything — workload, seed, fault schedule, retry
 /// policy — except the `recovery` field.
 fn cell(
-    policy: &'static str,
+    policy: PolicySpec,
     fault: Fault,
     window_us: Option<u64>,
     spec: WorkloadSpec,
@@ -164,15 +165,16 @@ fn cell(
     if let Some(us) = window_us {
         res = res.with_recovery(RecoveryPolicy::with_suspicion(SimDuration::from_micros(us)));
     }
-    let mut cfg = OffloadConfig::paper(WORKERS, 4);
-    cfg.policy = nicsched::PolicySpec::parse(policy).expect("valid policy spec");
-    let sys = SystemConfig::Offload(cfg);
+    let sys = SystemConfig::Offload(OffloadConfig {
+        policy,
+        ..OffloadConfig::paper(WORKERS, 4)
+    });
     let m = sys.run_resilient(spec, ProbeConfig::disabled(), res);
     row_from(policy, fault, window_us, &m)
 }
 
 fn row_from(
-    policy: &'static str,
+    policy: PolicySpec,
     fault: Fault,
     window_us: Option<u64>,
     m: &RunMetrics,
@@ -209,14 +211,13 @@ pub fn run(scale: Scale) -> Vec<RecoveryRow> {
 
 /// [`run`] with an optional policy override replacing the default policy
 /// list (`--policy`); `None` matches [`run`] exactly.
-pub fn run_with(scale: Scale, policy: Option<nicsched::PolicySpec>) -> Vec<RecoveryRow> {
+pub fn run_with(scale: Scale, policy: Option<PolicySpec>) -> Vec<RecoveryRow> {
     let spec = spec_for(scale);
-    let policy_list: Vec<&'static str> = match policy {
-        // Spec strings are interned, so the label is already 'static.
-        Some(p) => vec![p.as_str()],
+    let policy_list = match policy {
+        Some(p) => vec![p],
         None => policies(scale),
     };
-    let mut cells: Vec<(&'static str, Fault, Option<u64>)> = Vec::new();
+    let mut cells: Vec<(PolicySpec, Fault, Option<u64>)> = Vec::new();
     for &p in &policy_list {
         for fault in [Fault::Crash, Fault::Stall] {
             cells.push((p, fault, None));
@@ -258,7 +259,7 @@ pub fn smoke_checked(invariants: bool) -> Vec<RecoveryRow> {
             }
             let sys = SystemConfig::Offload(OffloadConfig::paper(WORKERS, 4));
             let m = sys.run_resilient(spec, ProbeConfig::enabled(), res);
-            let row = row_from("fcfs", fault, window, &m);
+            let row = row_from(PolicySpec::FCFS, fault, window, &m);
             assert_eq!(
                 row.unaccounted, 0,
                 "{} {}: request ledger leaks: {:?}",
@@ -312,7 +313,7 @@ pub fn table(rows: &[RecoveryRow]) -> String {
         let _ = writeln!(
             out,
             "{:<6} {:<6} {:<13} {:>7} {:>8.4} {:>10} {:>8} {:>7} {:>6} {:>6} {:>5} {:>5} {:>6} {:>6}",
-            r.policy,
+            r.policy.to_string(),
             r.fault,
             r.mode,
             r.window_us,
@@ -374,7 +375,7 @@ pub fn write_csv(
         let _ = writeln!(
             out,
             "{},{},{},{},{:.6},{:.3},{},{},{},{},{},{},{},{}",
-            r.policy,
+            csv_field(&r.policy.to_string()),
             r.fault,
             r.mode,
             r.window_us,

@@ -64,7 +64,7 @@ pub fn init_jobs_from_args() -> usize {
 }
 
 /// Parse `--policy <spec>` / `--policy=<spec>` from `args` using the
-/// scheduler registry grammar (`srpt`, `edf:deadline=50us`,
+/// policy spec grammar (`srpt`, `edf:deadline=50us`,
 /// `wfq:w=4,1,1`, ...). Returns `None` when the flag is absent. Unlike
 /// `--jobs`, a malformed spec aborts the process: silently sweeping the
 /// default policy when the user asked for another would corrupt results.
@@ -82,10 +82,7 @@ pub fn policy_from_args(args: &[String]) -> Option<nicsched::PolicySpec> {
                 Ok(spec) => found = Some(spec),
                 Err(e) => {
                     eprintln!("invalid --policy {v:?}: {e}");
-                    eprintln!(
-                        "known policies: {}",
-                        nicsched::PolicyRegistry::standard().names().join(", ")
-                    );
+                    eprintln!("known policies: {}", nicsched::PolicySpec::NAMES.join(", "));
                     std::process::exit(2);
                 }
             }

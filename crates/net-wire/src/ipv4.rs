@@ -355,3 +355,73 @@ mod tests {
         assert_eq!(Protocol::from(6), Protocol::Unknown(6));
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    //! Hostile bytes: whatever arrives, checking and parsing return an
+    //! error or a representation that fits the buffer, never a panic.
+
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A valid packet carrying `payload_len` bytes of payload.
+    fn valid(payload_len: usize) -> Vec<u8> {
+        let r = Repr {
+            src_addr: Ipv4Address::new(10, 0, 0, 1),
+            dst_addr: Ipv4Address::new(10, 0, 0, 2),
+            protocol: Protocol::Udp,
+            payload_len,
+            ttl: Repr::DEFAULT_TTL,
+        };
+        let mut buf = vec![0x5au8; r.buffer_len()];
+        r.emit(&mut Packet::new_unchecked(&mut buf));
+        buf
+    }
+
+    /// Check and parse `data`; an accepted packet must fit its buffer.
+    fn parse_fits(data: &[u8]) -> Result<(), TestCaseError> {
+        let _ = Repr::parse(&Packet::new_unchecked(data));
+        if let Ok(packet) = Packet::new_checked(data) {
+            if let Ok(repr) = Repr::parse(&packet) {
+                prop_assert!(repr.buffer_len() <= data.len());
+                prop_assert_eq!(packet.payload().len(), repr.payload_len);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..96)) {
+            parse_fits(&data)?;
+        }
+
+        #[test]
+        fn truncated_packets_are_rejected(payload_len in 0usize..64, cut in any::<u16>()) {
+            let buf = valid(payload_len);
+            let cut = cut as usize % buf.len();
+            prop_assert_eq!(Packet::new_checked(&buf[..cut]).unwrap_err(), WireError::Truncated);
+            prop_assert!(Repr::parse(&Packet::new_unchecked(&buf[..cut])).is_err());
+        }
+
+        #[test]
+        fn lying_length_fields_never_panic(
+            payload_len in 0usize..64,
+            // Mostly lies near the real length, where off-by-ones live.
+            total_len in prop_oneof![0u16..128, any::<u16>()],
+            ihl in any::<u8>(),
+            rechecksum in any::<bool>(),
+        ) {
+            let mut buf = valid(payload_len);
+            buf[field::VER_IHL] = 0x40 | (ihl & 0x0f);
+            buf[field::LENGTH].copy_from_slice(&total_len.to_be_bytes());
+            if rechecksum {
+                // Reach the checks past the checksum, where a lie would bite.
+                Packet::new_unchecked(&mut buf).fill_checksum();
+            }
+            parse_fits(&buf)?;
+        }
+    }
+}

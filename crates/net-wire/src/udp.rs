@@ -298,3 +298,79 @@ mod tests {
         assert!(Datagram::new_checked(&buf[..4]).is_err());
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    //! Hostile bytes: whatever arrives, checking and parsing return an
+    //! error or a representation that fits the buffer, never a panic.
+
+    use super::*;
+    use proptest::prelude::*;
+
+    const SRC: Ipv4Address = Ipv4Address::new(10, 0, 0, 1);
+    const DST: Ipv4Address = Ipv4Address::new(10, 0, 0, 2);
+
+    /// A valid, checksummed datagram carrying `payload_len` bytes.
+    fn valid(payload_len: usize) -> Vec<u8> {
+        let r = Repr {
+            src_port: 5000,
+            dst_port: 6000,
+            payload_len,
+        };
+        let mut buf = vec![0x5au8; r.buffer_len()];
+        let mut d = Datagram::new_unchecked(&mut buf);
+        r.emit(&mut d);
+        d.fill_checksum(SRC, DST);
+        buf
+    }
+
+    /// Check and parse `data`; an accepted datagram must fit its buffer.
+    fn parse_fits(data: &[u8]) -> Result<(), TestCaseError> {
+        let _ = Repr::parse(&Datagram::new_unchecked(data), SRC, DST);
+        if let Ok(dgram) = Datagram::new_checked(data) {
+            if let Ok(repr) = Repr::parse(&dgram, SRC, DST) {
+                prop_assert!(repr.buffer_len() <= data.len());
+                prop_assert_eq!(dgram.payload().len(), repr.payload_len);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..64)) {
+            parse_fits(&data)?;
+        }
+
+        #[test]
+        fn truncated_datagrams_are_rejected(payload_len in 0usize..64, cut in any::<u16>()) {
+            let buf = valid(payload_len);
+            let cut = cut as usize % buf.len();
+            prop_assert_eq!(Datagram::new_checked(&buf[..cut]).unwrap_err(), WireError::Truncated);
+            prop_assert!(Repr::parse(&Datagram::new_unchecked(&buf[..cut]), SRC, DST).is_err());
+        }
+
+        #[test]
+        fn lying_length_fields_never_panic(
+            payload_len in 0usize..64,
+            // Mostly lies near the real length, where off-by-ones live.
+            len in prop_oneof![0u16..96, any::<u16>()],
+            checksum in 0u8..3,
+        ) {
+            let mut buf = valid(payload_len);
+            buf[field::LENGTH].copy_from_slice(&len.to_be_bytes());
+            // Get past the checksum check, where a lie would bite: with a
+            // checksum consistent with the lie, or with none (zero).
+            match checksum {
+                0 if usize::from(len) <= buf.len() => {
+                    Datagram::new_unchecked(&mut buf).fill_checksum(SRC, DST)
+                }
+                1 => buf[field::CHECKSUM].copy_from_slice(&[0, 0]),
+                _ => {}
+            }
+            parse_fits(&buf)?;
+        }
+    }
+}

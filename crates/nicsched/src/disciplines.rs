@@ -1,8 +1,8 @@
-//! Policies built on the grown hook set: explicit queue disciplines
-//! (cFCFS vs dFCFS, after the carvalhof simulator's `QueueDiscipline`
-//! split), feedback-driven SRPT, earliest-deadline-first, and
-//! weighted-fair queueing across tenants (after SuperNIC's per-tenant
-//! arbitration).
+//! Policies built on the grown hook set: distributed FCFS (the dFCFS
+//! side of the carvalhof simulator's `QueueDiscipline` split; its cFCFS
+//! side is [`Fcfs`](crate::Fcfs)), feedback-driven SRPT,
+//! earliest-deadline-first, and weighted-fair queueing across tenants
+//! (after SuperNIC's per-tenant arbitration).
 //!
 //! Everything here is deterministic: ties break on arrival sequence
 //! numbers, worker choices derive from request ids, and virtual time is
@@ -12,10 +12,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use sim_core::{SimDuration, SimTime};
 
-use crate::policy::{
-    DepthStats, Fcfs, FeedbackEvent, Pick, PreemptDecision, RunningTask, SchedPolicy,
-};
-use crate::registry::fmt_duration;
+use crate::policy::{DepthStats, FeedbackEvent, Pick, PreemptDecision, RunningTask, SchedPolicy};
 use crate::select::WorkerView;
 use crate::task::Task;
 
@@ -27,58 +24,11 @@ fn rss_home(req_id: u64, n: usize) -> usize {
     (req_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % n
 }
 
-/// Centralized FCFS (`cFCFS`): a single shared FIFO, any worker may serve
-/// any request. Behaviourally identical to [`Fcfs`]; it exists so sweeps
-/// can name the discipline split explicitly (carvalhof's
-/// `QueueDiscipline::cFCFS`).
-#[derive(Debug, Default)]
-pub struct Cfcfs(Fcfs);
-
-impl Cfcfs {
-    /// An empty centralized FIFO.
-    pub fn new() -> Cfcfs {
-        Cfcfs(Fcfs::new())
-    }
-}
-
-impl SchedPolicy for Cfcfs {
-    fn enqueue(&mut self, now: SimTime, task: Task) {
-        self.0.enqueue(now, task)
-    }
-    fn requeue(&mut self, now: SimTime, task: Task) {
-        self.0.requeue(now, task)
-    }
-    fn dequeue(&mut self, now: SimTime) -> Option<Task> {
-        self.0.dequeue(now)
-    }
-    fn worker_down(&mut self, now: SimTime, worker: usize) {
-        self.0.worker_down(now, worker)
-    }
-    fn worker_up(&mut self, now: SimTime, worker: usize) {
-        self.0.worker_up(now, worker)
-    }
-    fn feedback(&mut self, now: SimTime, event: &FeedbackEvent) {
-        self.0.feedback(now, event)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn label(&self) -> String {
-        "cfcfs".to_string()
-    }
-    fn mean_depth(&self, now: SimTime) -> f64 {
-        self.0.mean_depth(now)
-    }
-    fn peak_depth(&self) -> usize {
-        self.0.peak_depth()
-    }
-}
-
 /// Distributed FCFS (`dFCFS`): each request is hashed to a home worker at
 /// admission (NIC RSS, §2.1) and only that worker may serve it. The
-/// partitioned queues live inside the policy; [`pick_next`]
-/// (SchedPolicy::pick_next) dispatches the globally-oldest request whose
-/// home worker is among the candidates.
+/// partitioned queues live inside the policy;
+/// [`pick_next`](SchedPolicy::pick_next) dispatches the globally-oldest
+/// request whose home worker is among the candidates.
 #[derive(Debug)]
 pub struct Dfcfs {
     queues: Vec<VecDeque<(u64, Task)>>,
@@ -232,10 +182,6 @@ impl SchedPolicy for Dfcfs {
 
     fn len(&self) -> usize {
         self.queued
-    }
-
-    fn label(&self) -> String {
-        "dfcfs".to_string()
     }
 
     fn mean_depth(&self, now: SimTime) -> f64 {
@@ -435,26 +381,6 @@ impl SchedPolicy for Srpt {
         self.queue.heap.len()
     }
 
-    fn label(&self) -> String {
-        let mut s = String::from("srpt");
-        let defaults = Srpt::new();
-        let mut params = Vec::new();
-        if self.gain != defaults.gain {
-            params.push(format!("gain={}", self.gain));
-        }
-        if self.boost != defaults.boost {
-            params.push(format!("boost={}", self.boost));
-        }
-        if self.floor != defaults.floor {
-            params.push(format!("floor={}", fmt_duration(self.floor)));
-        }
-        if !params.is_empty() {
-            s.push(':');
-            s.push_str(&params.join(","));
-        }
-        s
-    }
-
     fn mean_depth(&self, now: SimTime) -> f64 {
         self.queue.depth.tw.mean_until(now)
     }
@@ -517,18 +443,6 @@ impl SchedPolicy for Edf {
 
     fn len(&self) -> usize {
         self.queue.heap.len()
-    }
-
-    fn label(&self) -> String {
-        if self.stretch == 0 {
-            format!("edf:deadline={}", fmt_duration(self.deadline))
-        } else {
-            format!(
-                "edf:deadline={},stretch={}",
-                fmt_duration(self.deadline),
-                self.stretch
-            )
-        }
     }
 
     fn mean_depth(&self, now: SimTime) -> f64 {
@@ -667,11 +581,6 @@ impl SchedPolicy for WeightedFair {
         self.queued
     }
 
-    fn label(&self) -> String {
-        let ws: Vec<String> = self.weights.iter().map(|w| w.to_string()).collect();
-        format!("wfq:w={}", ws.join(","))
-    }
-
     fn mean_depth(&self, now: SimTime) -> f64 {
         self.depth.tw.mean_until(now)
     }
@@ -725,15 +634,6 @@ mod tests {
             idle_since: Some(SimTime::ZERO),
             health: crate::WorkerHealth::Healthy,
         }
-    }
-
-    #[test]
-    fn cfcfs_is_fifo_with_its_own_label() {
-        let mut q = Cfcfs::new();
-        q.enqueue(us(0), task(1, 50));
-        q.enqueue(us(0), task(2, 1));
-        assert_eq!(drain(&mut q, us(1)), vec![1, 2]);
-        assert_eq!(q.label(), "cfcfs");
     }
 
     #[test]
@@ -916,7 +816,6 @@ mod tests {
         let mut all = order.clone();
         all.sort_unstable();
         assert_eq!(all, (0..12).collect::<Vec<u64>>());
-        assert_eq!(q.label(), "wfq:w=3,1");
     }
 
     #[test]
@@ -1016,21 +915,15 @@ mod tests {
 
     #[test]
     fn disciplines_conserve_work() {
-        let policies: Vec<Box<dyn SchedPolicy>> = vec![
-            Box::new(Cfcfs::new()),
-            Box::new(Dfcfs::new()),
-            Box::new(Srpt::new()),
-            Box::new(Edf::new(SimDuration::from_micros(50))),
-            Box::new(WeightedFair::new(vec![4, 1, 1])),
-        ];
-        for mut p in policies {
+        for spec in ["dfcfs", "srpt", "edf:deadline=50us", "wfq:w=4,1,1"] {
+            let mut p = crate::PolicySpec::parse(spec).unwrap().build();
             p.init(4);
             for id in 0..40 {
                 p.enqueue(us(id), task(id, 1 + id % 7));
             }
             let mut out = drain(p.as_mut(), us(100));
             out.sort_unstable();
-            assert_eq!(out, (0..40).collect::<Vec<u64>>(), "{}", p.label());
+            assert_eq!(out, (0..40).collect::<Vec<u64>>(), "{spec}");
             assert!(p.is_empty());
             assert_eq!(p.peak_depth(), 40);
         }

@@ -4,8 +4,9 @@
 //! request selection, core selection, and the outstanding-requests cap of
 //! the queuing optimization (§3.4.5). `systems::shinjuku` runs it on a
 //! host core behind shared-memory queues; `systems::offload` runs it on
-//! the SmartNIC ARM cores behind packet I/O; `systems::ideal_nic` runs it
-//! in a line-rate ASIC model. The scheduling *semantics* are identical —
+//! the SmartNIC ARM cores behind packet I/O, and, with
+//! [`NicProfile::ideal`](crate::NicProfile::ideal) as its profile, in a
+//! line-rate ASIC model. The scheduling *semantics* are identical —
 //! which is precisely the paper's claim that only the placement and the
 //! feedback path change.
 //!
@@ -1026,8 +1027,8 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::policy::{Fcfs, ShortestRemaining};
-    use crate::registry::PolicyRegistry;
     use crate::select::{LeastOutstanding, RoundRobin};
+    use crate::spec::PolicySpec;
     use proptest::prelude::*;
     use sim_core::{SimDuration, SimTime};
 
@@ -1129,10 +1130,10 @@ mod proptests {
         }
     }
 
-    /// Same invariant run for every standard-registry policy, via the
-    /// boxed path experiments actually use.
+    /// Same invariant run for every shipped policy, via the boxed path
+    /// experiments actually use.
     fn drive_spec(ops: Vec<u8>, workers: usize, cap: u32, spec: &str) -> Result<(), TestCaseError> {
-        let policy = PolicyRegistry::standard().build(spec).expect(spec);
+        let policy = PolicySpec::parse(spec).expect(spec).build();
         let mut d = Dispatcher::new(workers, cap, policy, LeastOutstanding);
         // dFCFS may park work while its home cores are busy.
         let work_conserving = spec != "dfcfs";
@@ -1159,7 +1160,7 @@ mod proptests {
         }
 
         #[test]
-        fn every_registry_policy_holds_the_ledger_invariants(
+        fn every_shipped_policy_holds_the_ledger_invariants(
             ops in proptest::collection::vec(any::<u8>(), 1..200),
             workers in 1usize..6,
             cap in 1u32..5,
@@ -1199,7 +1200,7 @@ mod proptests {
                 "class-priority:cutoff=10us",
                 "wfq:w=4,1,1",
             ];
-            let policy = PolicyRegistry::standard().build(specs[which]).unwrap();
+            let policy = PolicySpec::parse(specs[which]).unwrap().build();
             let mut d = Dispatcher::new(workers, cap, policy, LeastOutstanding);
             d.enable_recovery(crate::RecoveryPolicy::with_suspicion(
                 SimDuration::from_micros(5),

@@ -10,12 +10,12 @@
 //!   [`pick_next`](SchedPolicy::pick_next) worker binding,
 //!   [`feedback`](SchedPolicy::feedback) consumption, and
 //!   [`should_preempt`](SchedPolicy::should_preempt) slice grants.
-//!   Implementations: [`Fcfs`], [`Cfcfs`], [`Dfcfs`],
-//!   [`ShortestRemaining`], [`Srpt`], [`Edf`], [`ClassPriority`],
-//!   [`WeightedFair`].
-//! * [`PolicyRegistry`] / [`PolicySpec`] — string-keyed policy lookup with
-//!   a spec grammar (`"fcfs"`, `"edf:deadline=50us"`, `"wfq:w=4,1,1"`), so
-//!   configs and CLIs name policies without a closed enum.
+//!   Implementations: [`Fcfs`], [`Dfcfs`], [`ShortestRemaining`],
+//!   [`Srpt`], [`Edf`], [`ClassPriority`], [`WeightedFair`].
+//! * [`PolicySpec`] — the closed table of shipped policies as a `Copy`
+//!   value that owns its parameters, with a spec grammar (`"fcfs"`,
+//!   `"edf:deadline=50us"`, `"wfq:w=4,1,1"`) that configs and CLIs name
+//!   policies by; [`PolicySpec::NAMES`] lists the accepted names.
 //! * [`CoreSelector`] — programmable worker selection
 //!   ([`LeastOutstanding`], [`RoundRobin`], [`Affinity`],
 //!   [`MostRecentlyIdle`]).
@@ -23,7 +23,8 @@
 //!   selection, and the §3.4.5 outstanding-requests cap ("queuing
 //!   optimization"). The same state machine runs on a host core
 //!   (`systems::shinjuku`), on SmartNIC ARM cores (`systems::offload`),
-//!   or in a line-rate ASIC model (`systems::ideal_nic`).
+//!   or in a line-rate ASIC model (the same offload assembly with
+//!   [`NicProfile::ideal`] as its profile).
 //! * [`FeedbackChannel`] — the fine-grained core-status feedback path
 //!   whose latency is the "gap" of the title.
 //! * [`HealthTracker`] / [`RecoveryPolicy`] — NIC-side failure detection:
@@ -48,12 +49,12 @@ pub mod params;
 mod policy;
 mod profile;
 mod recovery;
-mod registry;
 mod select;
+mod spec;
 mod task;
 
 pub use admission::{Admission, AdmissionPolicy};
-pub use disciplines::{Cfcfs, Dfcfs, Edf, Srpt, WeightedFair};
+pub use disciplines::{Dfcfs, Edf, Srpt, WeightedFair};
 pub use dispatcher::{AdmitOutcome, Assignment, DispatchStats, Dispatcher};
 pub use feedback::{CoreFeedback, FeedbackChannel};
 pub use policy::{
@@ -62,12 +63,9 @@ pub use policy::{
 };
 pub use profile::{NicProfile, SchedCompute};
 pub use recovery::{HealthTracker, RecoveryPolicy, RecoveryStats, WorkerHealth};
-pub use registry::{
-    fmt_duration, parse_duration, PolicyBuilder, PolicyError, PolicyParams, PolicyRegistry,
-    PolicySpec,
-};
 pub use select::{
     Affinity, CoreSelector, LeastOutstanding, MostRecentlyIdle, RoundRobin, SocketAffinity,
     WorkerView,
 };
+pub use spec::{fmt_duration, parse_duration, LaneWeights, PolicyError, PolicySpec};
 pub use task::Task;

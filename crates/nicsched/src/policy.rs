@@ -163,7 +163,7 @@ impl Pick {
 ///
 /// Only the queue methods ([`enqueue`](SchedPolicy::enqueue),
 /// [`requeue`](SchedPolicy::requeue), [`dequeue`](SchedPolicy::dequeue),
-/// [`len`](SchedPolicy::len), [`label`](SchedPolicy::label), depth stats)
+/// [`len`](SchedPolicy::len), depth stats)
 /// are mandatory; the scheduling hooks default to the paper's behaviour —
 /// [`pick_next`](SchedPolicy::pick_next) pops the queue and lets the core
 /// selector place it, [`should_preempt`](SchedPolicy::should_preempt)
@@ -222,10 +222,6 @@ pub trait SchedPolicy {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Policy label for tables and CSV, including parameters (so
-    /// `class-priority:cutoff=10us` and `class-priority:cutoff=50us` stay
-    /// distinguishable in reports).
-    fn label(&self) -> String;
     /// Time-weighted mean queue depth since creation.
     fn mean_depth(&self, now: SimTime) -> f64;
     /// Peak queue depth.
@@ -269,9 +265,6 @@ impl SchedPolicy for Box<dyn SchedPolicy> {
     }
     fn is_empty(&self) -> bool {
         (**self).is_empty()
-    }
-    fn label(&self) -> String {
-        (**self).label()
     }
     fn mean_depth(&self, now: SimTime) -> f64 {
         (**self).mean_depth(now)
@@ -347,10 +340,6 @@ impl SchedPolicy for Fcfs {
 
     fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    fn label(&self) -> String {
-        "fcfs".to_string()
     }
 
     fn mean_depth(&self, now: SimTime) -> f64 {
@@ -450,10 +439,6 @@ impl SchedPolicy for ShortestRemaining {
         self.heap.len()
     }
 
-    fn label(&self) -> String {
-        "srf".to_string()
-    }
-
     fn mean_depth(&self, now: SimTime) -> f64 {
         self.depth.tw.mean_until(now)
     }
@@ -521,13 +506,6 @@ impl SchedPolicy for ClassPriority {
 
     fn len(&self) -> usize {
         self.short.len() + self.long.len()
-    }
-
-    fn label(&self) -> String {
-        format!(
-            "class-priority:cutoff={}",
-            crate::registry::fmt_duration(self.cutoff)
-        )
     }
 
     fn mean_depth(&self, now: SimTime) -> f64 {
@@ -646,20 +624,6 @@ mod tests {
         // Depth: 1 on [0,10), 2 on [10,20), 1 on [20,30) -> mean 4/3 over 30us.
         let mean = q.mean_depth(us(30));
         assert!((mean - 4.0 / 3.0).abs() < 1e-9, "mean depth {mean}");
-    }
-
-    #[test]
-    fn labels_distinct_and_parameterized() {
-        assert_ne!(Fcfs::new().label(), ShortestRemaining::new().label());
-        assert_eq!(
-            ClassPriority::new(SimDuration::from_micros(10)).label(),
-            "class-priority:cutoff=10us"
-        );
-        assert_eq!(
-            ClassPriority::new(SimDuration::from_micros(50)).label(),
-            "class-priority:cutoff=50us",
-            "parameterized policies must not collapse to one label"
-        );
     }
 
     #[test]

@@ -26,8 +26,11 @@
 //! The preferred entry point is the [`ServerSystem`] trait (see [`api`]):
 //! `cfg.run(spec, ProbeConfig::disabled())` works uniformly across every
 //! assembly, and `ProbeConfig::enabled()` attaches a per-stage
-//! [`sim_core::StageReport`] to the returned metrics. The per-module free
-//! `run` functions are deprecated shims over the same code.
+//! [`sim_core::StageReport`] to the returned metrics. Each module's free
+//! `run_probed` and `run_resilient_probed` functions are the assembly's
+//! own entry points, which the trait implementations call; they also
+//! return assembly-specific metrics (e.g. Shinjuku's per-group
+//! imbalance).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -61,8 +61,8 @@ pub struct OffloadConfig {
     /// DDIO cache-placement configuration.
     pub ddio_l1: bool,
     /// Centralized queue policy (the paper's prototype uses FCFS, §3.4.1;
-    /// the framework makes it programmable, §5.1(4)). A registry spec —
-    /// e.g. `PolicySpec::parse("edf:deadline=50us")`.
+    /// the framework makes it programmable, §5.1(4)). Any shipped policy
+    /// with its parameters, e.g. `PolicySpec::parse("edf:deadline=50us")`.
     pub policy: PolicySpec,
     /// Model the dual-socket host (§1/§4): workers split across two
     /// sockets; DDIO pre-loads into socket 0's LLC (where the NIC hangs),

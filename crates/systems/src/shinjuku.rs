@@ -56,8 +56,8 @@ pub struct ShinjukuConfig {
     pub workers: usize,
     /// Preemption time slice; `None` disables preemption.
     pub time_slice: Option<SimDuration>,
-    /// Queue policy within each group (FCFS in the original system); a
-    /// registry spec such as `PolicySpec::parse("srpt")`.
+    /// Queue policy within each group (FCFS in the original system), e.g.
+    /// `PolicySpec::parse("srpt")`.
     pub policy: PolicySpec,
 }
 

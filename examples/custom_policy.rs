@@ -84,9 +84,6 @@ impl SchedPolicy for Edf {
     fn len(&self) -> usize {
         self.heap.len()
     }
-    fn label(&self) -> String {
-        "edf:budget=10x".to_string()
-    }
     fn mean_depth(&self, _now: SimTime) -> f64 {
         f64::NAN // not tracked in this example
     }
