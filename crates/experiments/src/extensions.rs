@@ -15,11 +15,12 @@
 
 use nicsched::PolicySpec;
 use sim_core::SimDuration;
-use systems::baseline::{BaselineConfig, BaselineKind};
+use systems::baseline::{Baseline, BaselineConfig, BaselineKind};
+use systems::common::run;
 use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
-use systems::shinjuku::{self, ShinjukuConfig};
-use systems::{ProbeConfig, ServerSystem};
+use systems::shinjuku::{Shinjuku, ShinjukuConfig};
+use systems::{ProbeConfig, ResilienceConfig, ServerSystem};
 use workload::{ServiceDist, WorkloadSpec};
 
 use crate::figures::Scale;
@@ -64,12 +65,17 @@ pub fn multi_dispatcher(scale: Scale) -> Vec<MultiDispatchRow> {
             time_slice: None,
             ..ShinjukuConfig::split(32, groups)
         };
-        let out = shinjuku::run_probed(spec(scale, offered, dist), cfg, ProbeConfig::disabled());
+        let (m, imbalance) = run::<Shinjuku>(
+            spec(scale, offered, dist),
+            cfg,
+            ProbeConfig::disabled(),
+            ResilienceConfig::default(),
+        );
         MultiDispatchRow {
             groups,
             workers_per_group: cfg.workers,
-            achieved_rps: out.metrics.achieved_rps,
-            imbalance: out.imbalance,
+            achieved_rps: m.achieved_rps,
+            imbalance,
             overhead: cfg.dispatch_overhead_fraction(),
         }
     })
@@ -119,12 +125,14 @@ pub fn elastic_rss(scale: Scale) -> (Figure, Vec<f64>) {
         .run(spec(scale, rps, dist), ProbeConfig::disabled())
     });
     let (elastic, mean_active): (Vec<_>, Vec<_>) = par_map(&loads, |&rps| {
-        systems::baseline::run_with_elastic(
+        run::<Baseline>(
             spec(scale, rps, dist),
             BaselineConfig {
                 workers: 8,
                 kind: BaselineKind::ElasticRss,
             },
+            ProbeConfig::disabled(),
+            ResilienceConfig::default(),
         )
     })
     .into_iter()

@@ -69,14 +69,15 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ok(packet)
     }
 
-    /// Validate that the buffer is consistent with its length fields.
+    /// Validate that the buffer is consistent with its length fields: it
+    /// holds the total length, which holds the header (IHL).
     pub fn check_len(&self) -> Result<(), WireError> {
         let data = self.buffer.as_ref();
         if data.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
         let total = self.total_len() as usize;
-        if total < HEADER_LEN || data.len() < total {
+        if total < HEADER_LEN || data.len() < total || self.header_len() > total {
             return Err(WireError::Truncated);
         }
         Ok(())
@@ -309,6 +310,14 @@ mod tests {
             Packet::new_checked(&buf[..10]).unwrap_err(),
             WireError::Truncated
         );
+        // A header (IHL 15: 60 bytes) longer than the 20-byte total length:
+        let mut bare = buf[..HEADER_LEN].to_vec();
+        bare[field::VER_IHL] = 0x4f;
+        bare[field::LENGTH].copy_from_slice(&20u16.to_be_bytes());
+        assert_eq!(
+            Packet::new_checked(&bare).unwrap_err(),
+            WireError::Truncated
+        );
     }
 
     #[test]
@@ -378,10 +387,19 @@ mod proptests {
         buf
     }
 
-    /// Check and parse `data`; an accepted packet must fit its buffer.
+    /// Check and parse `data`. Every accessor of an accepted packet must
+    /// stay inside the buffer, and a parsed one must fit it.
     fn parse_fits(data: &[u8]) -> Result<(), TestCaseError> {
         let _ = Repr::parse(&Packet::new_unchecked(data));
         if let Ok(packet) = Packet::new_checked(data) {
+            let _ = (packet.version(), packet.ttl(), packet.protocol());
+            let _ = (packet.header_checksum(), packet.verify_checksum());
+            let _ = (packet.src_addr(), packet.dst_addr());
+            let payload = packet.payload().len();
+            prop_assert_eq!(packet.header_len() + payload, packet.total_len() as usize);
+            let mut owned = data.to_vec();
+            let mut writable = Packet::new_checked(&mut owned[..]).expect("same bytes");
+            prop_assert_eq!(writable.payload_mut().len(), payload);
             if let Ok(repr) = Repr::parse(&packet) {
                 prop_assert!(repr.buffer_len() <= data.len());
                 prop_assert_eq!(packet.payload().len(), repr.payload_len);

@@ -481,13 +481,10 @@ pub struct WeightedFair {
 }
 
 impl WeightedFair {
-    /// WFQ over `weights.len()` lanes; zero weights are bumped to one.
+    /// WFQ over `weights.len()` lanes, each weight at least 1 (as a
+    /// [`LaneWeights`](crate::LaneWeights) guarantees).
     pub fn new(weights: Vec<u64>) -> WeightedFair {
-        let weights: Vec<u64> = if weights.is_empty() {
-            vec![1]
-        } else {
-            weights.iter().map(|&w| w.max(1)).collect()
-        };
+        let weights = if weights.is_empty() { vec![1] } else { weights };
         let n = weights.len();
         WeightedFair {
             lanes: (0..n).map(|_| VecDeque::new()).collect(),

@@ -161,15 +161,19 @@ impl Pick {
 
 /// A request-selection policy over the centralized task queue.
 ///
-/// Only the queue methods ([`enqueue`](SchedPolicy::enqueue),
+/// The queue methods ([`enqueue`](SchedPolicy::enqueue),
 /// [`requeue`](SchedPolicy::requeue), [`dequeue`](SchedPolicy::dequeue),
-/// [`len`](SchedPolicy::len), depth stats)
-/// are mandatory; the scheduling hooks default to the paper's behaviour —
-/// [`pick_next`](SchedPolicy::pick_next) pops the queue and lets the core
-/// selector place it, [`should_preempt`](SchedPolicy::should_preempt)
-/// inherits the embedding's slice, [`feedback`](SchedPolicy::feedback) is
-/// ignored — so a policy that implements nothing extra schedules exactly
-/// like the pre-hook dispatcher.
+/// [`len`](SchedPolicy::len), depth stats) and the three failure hooks
+/// ([`feedback`](SchedPolicy::feedback),
+/// [`worker_down`](SchedPolicy::worker_down),
+/// [`worker_up`](SchedPolicy::worker_up)) are mandatory: a policy that
+/// ignores failure signals says so with an empty body, so none can keep
+/// dispatching to dead workers by omission. The scheduling hooks default
+/// to the paper's behaviour — [`pick_next`](SchedPolicy::pick_next) pops
+/// the queue and lets the core selector place it, and
+/// [`should_preempt`](SchedPolicy::should_preempt) inherits the
+/// embedding's slice — so a policy that implements nothing extra
+/// schedules exactly like the pre-hook dispatcher.
 pub trait SchedPolicy {
     /// Called once when a dispatcher adopts the policy, with the number of
     /// workers it will schedule over. Policies with per-worker structure
@@ -194,9 +198,7 @@ pub trait SchedPolicy {
         self.dequeue(now).map(Pick::any)
     }
     /// A worker-side event arrived (completion, preemption, core status).
-    fn feedback(&mut self, now: SimTime, event: &FeedbackEvent) {
-        let _ = (now, event);
-    }
+    fn feedback(&mut self, now: SimTime, event: &FeedbackEvent);
     /// Rule on the slice budget for a dispatch about to start.
     fn should_preempt(&mut self, now: SimTime, running: &RunningTask<'_>) -> PreemptDecision {
         let _ = (now, running);
@@ -206,16 +208,11 @@ pub trait SchedPolicy {
     /// candidate set and its in-flight requests have been reclaimed for
     /// re-dispatch (they arrive back through
     /// [`requeue`](SchedPolicy::requeue) immediately after this call).
-    /// Default: no reaction — correct for policies without per-worker
-    /// state.
-    fn worker_down(&mut self, now: SimTime, worker: usize) {
-        let _ = (now, worker);
-    }
+    /// An empty body is correct for policies without per-worker state.
+    fn worker_down(&mut self, now: SimTime, worker: usize);
     /// A suspected/dead worker produced late activity and was readmitted
-    /// to the candidate set. Default: no reaction.
-    fn worker_up(&mut self, now: SimTime, worker: usize) {
-        let _ = (now, worker);
-    }
+    /// to the candidate set.
+    fn worker_up(&mut self, now: SimTime, worker: usize);
     /// Requests currently queued.
     fn len(&self) -> usize;
     /// True when no requests are queued.

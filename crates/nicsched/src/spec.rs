@@ -203,7 +203,7 @@ const CLASS_CUTOFF: SimDuration = SimDuration::from_micros(10);
 const WFQ_WEIGHTS: [u64; 2] = [1, 1];
 
 /// The per-lane weights of a `wfq` spec: one to [`LaneWeights::MAX`]
-/// lanes, stored inline so [`PolicySpec`] stays `Copy`. SuperNIC-style
+/// lanes, each at least 1, stored inline so [`PolicySpec`] stays `Copy`. SuperNIC-style
 /// per-tenant arbitration is the only shipped policy with a list
 /// parameter, and this is its bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -217,11 +217,14 @@ impl LaneWeights {
     /// Most lanes a `wfq` spec may weigh.
     pub const MAX: usize = 8;
 
-    /// Weights for `weights.len()` lanes; an empty list or one longer
-    /// than [`MAX`](LaneWeights::MAX) is an error.
+    /// Weights for `weights.len()` lanes; an empty list, one longer than
+    /// [`MAX`](LaneWeights::MAX), or a zero weight is an error.
     pub fn new(weights: &[u64]) -> Result<LaneWeights, PolicyError> {
         if weights.is_empty() {
             return Err(PolicyError::new("`w` needs at least one weight"));
+        }
+        if weights.contains(&0) {
+            return Err(PolicyError::new("`w` weights must be >= 1"));
         }
         if weights.len() > LaneWeights::MAX {
             return Err(PolicyError::new(format!(
@@ -512,6 +515,7 @@ mod tests {
             ("wfq:1,2", "bare value without a key"),
             ("srpt:gain=4,gain=4", "duplicate key"),
             ("srpt:gain=4,5", "list for a single-valued key"),
+            ("wfq:w=0,1", "zero weight"),
         ] {
             assert!(PolicySpec::parse(spec).is_err(), "{why}: `{spec}`");
         }
@@ -593,7 +597,7 @@ mod tests {
         let a = PolicySpec::parse("wfq:w=2,1").unwrap();
         let b = PolicySpec::parse("wfq: w=2, 1").unwrap();
         assert_eq!(a, b);
-        assert_ne!(a, PolicySpec::parse("wfq:w=2,1,0").unwrap());
+        assert_ne!(a, PolicySpec::parse("wfq:w=2,1,1").unwrap());
     }
 
     /// Characters the grammar gives meaning to, plus digits, letters of
@@ -699,6 +703,12 @@ mod tests {
             d in duration(),
             lanes in proptest::collection::vec(small_or_any(), 1..9),
         ) {
+            // A zero weight is rejected, by the grammar and the type alike.
+            let listed: Vec<String> = lanes.iter().map(u64::to_string).collect();
+            let wfq = PolicySpec::parse(&format!("wfq:w={}", listed.join(",")));
+            let weights = LaneWeights::new(&lanes);
+            prop_assert_eq!(lanes.contains(&0), wfq.is_err());
+            prop_assert_eq!(lanes.contains(&0), weights.is_err());
             for spec in [
                 PolicySpec::Fcfs,
                 PolicySpec::Cfcfs,
@@ -707,8 +717,10 @@ mod tests {
                 PolicySpec::Srpt { gain: gain.max(1), boost, floor: d },
                 PolicySpec::Edf { deadline: d, stretch },
                 PolicySpec::ClassPriority { cutoff: d },
-                PolicySpec::Wfq { weights: LaneWeights::new(&lanes).unwrap() },
-            ] {
+            ]
+            .into_iter()
+            .chain(weights.map(|weights| PolicySpec::Wfq { weights }))
+            {
                 prop_assert_eq!(PolicySpec::parse(&spec.to_string()), Ok(spec));
             }
         }

@@ -36,10 +36,10 @@
 //!   comparator indirection, and the population stays tiny because
 //!   everything farther out lives in the wheel.
 //! * **Far wheel.** Events beyond the horizon land in a hierarchical
-//!   timer wheel ([`crate::wheel`]): O(1) insert into a time bucket. When
-//!   the near lanes drain, the next occupied bucket is promoted as a
-//!   *sorted run* — sorted once, served off its tail in O(1) per pop —
-//!   so a promoted key never pays heap sifts at all. A standing backlog
+//!   timer wheel (the private `wheel` module): O(1) insert into a time
+//!   bucket. When the near lanes drain, the next occupied bucket is
+//!   promoted as a *sorted run* — sorted once, served off its tail in
+//!   O(1) per pop — so a promoted key never pays heap sifts at all. A standing backlog
 //!   of 100k retransmit timers costs the hot path nothing — it is not in
 //!   the heap being sifted over.
 //!

@@ -39,16 +39,9 @@ pub struct FnItem {
 /// One `impl` block.
 #[derive(Debug, Clone)]
 pub struct ImplItem {
-    /// 1-based line of the `impl` keyword.
-    pub line: usize,
-    /// Last path segment of the implemented trait (`impl a::B for T` →
-    /// `B`); `None` for inherent impls.
-    pub trait_name: Option<String>,
     /// Last path segment of the first type chain after `for` (or after
     /// `impl` for inherent impls). `impl T for Box<dyn T>` yields `Box`.
     pub type_name: String,
-    /// Names of the `fn`s defined directly in this impl's body.
-    pub fns: Vec<String>,
 }
 
 /// One named struct field (or tuple field with an empty name).
@@ -176,7 +169,6 @@ fn parse_fn(
     let line = toks[at].line;
     if j < end && toks[j].kind == TokKind::Punct('{') {
         let close = match_brace(toks, j, end).unwrap_or(end);
-        let idx = items.fns.len();
         items.fns.push(FnItem {
             name: name.clone(),
             line,
@@ -184,12 +176,8 @@ fn parse_fn(
             sig: (at, j),
             owner,
         });
-        if let Some(o) = owner {
-            items.impls[o].fns.push(name.clone());
-        }
         // Nested fns inside the body are free fns, not impl members.
         parse_range(toks, j + 1, close.min(end), None, items);
-        let _ = idx;
         close + 1
     } else {
         items.fns.push(FnItem {
@@ -199,9 +187,6 @@ fn parse_fn(
             sig: (at, j),
             owner,
         });
-        if let Some(o) = owner {
-            items.impls[o].fns.push(name.clone());
-        }
         j + 1
     }
 }
@@ -211,8 +196,8 @@ fn parse_impl(toks: &[Token], at: usize, end: usize, items: &mut FileItems) -> u
     // standalone `for` keyword and stopping chain collection at `where`.
     let mut j = at + 1;
     let mut angle = 0i32;
-    let mut before_for: Vec<String> = Vec::new(); // last segment per chain
-    let mut after_for: Vec<String> = Vec::new();
+    let mut before_for: Option<String> = None; // last segment of the first chain
+    let mut after_for: Option<String> = None;
     let mut saw_for = false;
     let mut saw_where = false;
     while j < end {
@@ -234,11 +219,12 @@ fn parse_impl(toks: &[Token], at: usize, end: usize, items: &mut FileItems) -> u
                         last = seg.clone();
                     }
                 }
-                if saw_for {
-                    after_for.push(last);
+                let side = if saw_for {
+                    &mut after_for
                 } else {
-                    before_for.push(last);
-                }
+                    &mut before_for
+                };
+                side.get_or_insert(last);
             }
             _ => {}
         }
@@ -248,17 +234,10 @@ fn parse_impl(toks: &[Token], at: usize, end: usize, items: &mut FileItems) -> u
         return at + 1;
     }
     let close = match_brace(toks, j, end).unwrap_or(end);
-    let (trait_name, type_name) = if saw_for {
-        (before_for.last().cloned(), after_for.first().cloned())
-    } else {
-        (None, before_for.first().cloned())
-    };
+    let type_name = if saw_for { after_for } else { before_for };
     let idx = items.impls.len();
     items.impls.push(ImplItem {
-        line: toks[at].line,
-        trait_name,
         type_name: type_name.unwrap_or_default(),
-        fns: Vec::new(),
     });
     parse_range(toks, j + 1, close.min(end), Some(idx), items);
     close + 1
@@ -500,11 +479,10 @@ impl S {
         assert!(it.fns[0].owner.is_none());
         assert_eq!(it.fns[1].owner, Some(0));
         assert!(it.fns[0].body.1 > it.fns[0].body.0);
-        assert_eq!(it.impls[0].fns, vec!["method"]);
     }
 
     #[test]
-    fn trait_impls_record_trait_and_type() {
+    fn impls_record_their_type() {
         let src = "\
 impl super::SchedPolicy for Fcfs {
     fn init(&mut self) {}
@@ -516,12 +494,8 @@ impl<T: Clone> Wrapper<T> {
 impl SchedPolicy for Box<dyn SchedPolicy> {}
 ";
         let it = items(src);
-        assert_eq!(it.impls[0].trait_name.as_deref(), Some("SchedPolicy"));
         assert_eq!(it.impls[0].type_name, "Fcfs");
-        assert_eq!(it.impls[0].fns, vec!["init", "pick_next"]);
-        assert_eq!(it.impls[1].trait_name, None);
         assert_eq!(it.impls[1].type_name, "Wrapper");
-        assert_eq!(it.impls[2].trait_name.as_deref(), Some("SchedPolicy"));
         assert_eq!(it.impls[2].type_name, "Box");
     }
 

@@ -152,13 +152,6 @@ pub(crate) fn collect_file_facts(
                 .map(|(line, message)| (line, "shard-isolation", message)),
         );
     }
-    if ctx.layer == graph::Layer::Model && !ctx.tests_dir {
-        semantic.extend(
-            rules::semantic::hook_conformance(&lexed.tokens, &parsed)
-                .into_iter()
-                .map(|(line, message)| (line, "hook-conformance", message)),
-        );
-    }
     candidates.extend(
         semantic
             .into_iter()

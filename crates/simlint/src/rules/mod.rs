@@ -178,22 +178,6 @@ pub const TABLE: &[RuleSpec] = &[
         waivable: true,
     },
     RuleSpec {
-        name: "hook-conformance",
-        scope: "model crates, non-test code",
-        fires_on: "an `impl SchedPolicy` leaning on default no-op failure \
-                   hooks, or a resilient assembly missing its wiring",
-        detail: "SchedPolicy's `worker_down` / `worker_up` / `feedback` \
-                 default to no-ops, so a policy can silently ignore failure \
-                 signals and keep dispatching to dead workers. Every impl \
-                 must define all three — an explicit empty body documents \
-                 the decision — or carry a waiver saying why not. Files \
-                 assembling a resilient system (`fn run_resilient_probed`) \
-                 must also wire invariant checking (`checker_for` + \
-                 `close_invariants`) and a failure-detection entry point \
-                 (`check_health` / heartbeat), or waive the gap.",
-        waivable: true,
-    },
-    RuleSpec {
         name: "shard-isolation",
         scope: "core + model crates, non-test code",
         fires_on: "`static` items with interior mutability, `static mut`, \
@@ -259,7 +243,6 @@ pub const RULES: &[&str] = &[
     "bad-waiver",
     "stale-waiver",
     "determinism-taint",
-    "hook-conformance",
     "shard-isolation",
     "ledger-pairing",
     "shard-cert",

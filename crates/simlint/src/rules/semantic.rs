@@ -1,5 +1,4 @@
-//! Item-graph semantic rules: hook-conformance, shard-isolation, and
-//! ledger-pairing.
+//! Item-graph semantic rules: shard-isolation and ledger-pairing.
 //!
 //! These rules need structure the token pass cannot see — which `fn`s an
 //! `impl` defines, what type a `static` holds, where a struct field is
@@ -8,8 +7,6 @@
 //! caller). Scope filtering (layer, `#[cfg(test)]` extents) is the
 //! caller's job; everything here is per-file and layer-blind.
 
-use std::collections::BTreeSet;
-
 use crate::dataflow::{binding_split, split_statements};
 use crate::items::FileItems;
 use crate::lexer::{TokKind, Token};
@@ -17,15 +14,6 @@ use crate::lexer::{TokKind, Token};
 /// A candidate finding: (1-based line, message). The caller attaches the
 /// rule name, file path, and scope filtering.
 pub type Candidate = (usize, String);
-
-/// The three failure hooks every `SchedPolicy` impl must define.
-const POLICY_HOOKS: &[&str] = &["worker_down", "worker_up", "feedback"];
-
-/// Identifiers proving a resilient assembly wired invariant checking.
-const INVARIANT_WIRING: &[&str] = &["checker_for", "close_invariants"];
-
-/// Identifiers proving a resilient assembly wired failure detection.
-const DETECTION_WIRING: &[&str] = &["check_health", "on_heartbeat", "heartbeat"];
 
 /// Type identifiers that make a `static` interior-mutable.
 pub(crate) const INTERIOR_MUTABLE: &[&str] = &[
@@ -39,65 +27,6 @@ pub(crate) const INTERIOR_MUTABLE: &[&str] = &[
     "LazyLock",
     "Lazy",
 ];
-
-/// Hook-conformance: `impl SchedPolicy` blocks leaning on default no-op
-/// failure hooks, and resilient assemblies missing invariant/recovery
-/// wiring.
-pub fn hook_conformance(toks: &[Token], items: &FileItems) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    for im in &items.impls {
-        if im.trait_name.as_deref() != Some("SchedPolicy") {
-            continue;
-        }
-        let missing: Vec<&str> = POLICY_HOOKS
-            .iter()
-            .copied()
-            .filter(|h| !im.fns.iter().any(|f| f == h))
-            .collect();
-        if !missing.is_empty() {
-            out.push((
-                im.line,
-                format!(
-                    "impl SchedPolicy for `{}` relies on default no-op failure \
-                     hooks for `{}`; define them explicitly (an empty body \
-                     documents the decision) or waive with a reason",
-                    im.type_name,
-                    missing.join("`, `")
-                ),
-            ));
-        }
-    }
-    // A file assembling a resilient system must wire invariants and a
-    // failure-detection entry point somewhere in the file.
-    let file_idents: BTreeSet<&str> = toks.iter().filter_map(|t| t.kind.ident()).collect();
-    for f in &items.fns {
-        if f.name != "run_resilient_probed" {
-            continue;
-        }
-        let mut gaps = Vec::new();
-        for need in INVARIANT_WIRING {
-            if !file_idents.contains(need) {
-                gaps.push(format!("`{need}`"));
-            }
-        }
-        if !DETECTION_WIRING.iter().any(|d| file_idents.contains(d)) {
-            gaps.push("a failure-detection entry point (`check_health` / heartbeat)".into());
-        }
-        if !gaps.is_empty() {
-            out.push((
-                f.line,
-                format!(
-                    "resilient assembly `run_resilient_probed` does not wire {}; \
-                     a probed run without them cannot detect divergence or \
-                     worker death",
-                    gaps.join(", ")
-                ),
-            ));
-        }
-    }
-    out.sort();
-    out
-}
 
 /// Shard-isolation: process-global mutable state and non-`Send`-shaped
 /// sharing that would couple future shards invisibly.
@@ -264,61 +193,6 @@ mod tests {
         let lexed = lex(src);
         let items = parse_items(&lexed.tokens);
         (lexed.tokens, items)
-    }
-
-    #[test]
-    fn policy_impl_missing_hooks_fires_once_with_all_names() {
-        let src = "\
-impl SchedPolicy for Fcfs {
-    fn init(&mut self) {}
-    fn worker_down(&mut self, now: SimTime, w: usize) {}
-}
-";
-        let (toks, items) = over(src);
-        let out = hook_conformance(&toks, &items);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].0, 1);
-        assert!(out[0].1.contains("`worker_up`, `feedback`"), "{}", out[0].1);
-    }
-
-    #[test]
-    fn conformant_policy_impl_is_clean() {
-        let src = "\
-impl SchedPolicy for Srpt {
-    fn feedback(&mut self, now: SimTime, ev: &FeedbackEvent) {}
-    fn worker_down(&mut self, now: SimTime, w: usize) {}
-    fn worker_up(&mut self, now: SimTime, w: usize) {}
-}
-";
-        let (toks, items) = over(src);
-        assert!(hook_conformance(&toks, &items).is_empty());
-    }
-
-    #[test]
-    fn bare_resilient_assembly_fires() {
-        let src = "\
-fn run_resilient_probed(cfg: &Config) -> Summary {
-    run_plain(cfg)
-}
-";
-        let (toks, items) = over(src);
-        let out = hook_conformance(&toks, &items);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].1.contains("checker_for"), "{}", out[0].1);
-    }
-
-    #[test]
-    fn wired_resilient_assembly_is_clean() {
-        let src = "\
-fn run_resilient_probed(cfg: &Config) -> Summary {
-    let checker = checker_for(cfg);
-    detector.check_health(now);
-    checker.close_invariants();
-    summary
-}
-";
-        let (toks, items) = over(src);
-        assert!(hook_conformance(&toks, &items).is_empty());
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The unified run API: one trait over every server assembly.
 //!
-//! Historically each assembly exposed its own free `run(spec, XConfig)`
-//! function, so sweep drivers and experiments had to be written per
-//! system. [`ServerSystem`] replaces that with a single entry point —
-//! any config type implements it, and [`SystemConfig`] names every
-//! assembly in one enum for table-driven experiment code:
+//! [`ServerSystem`] is the single entry point: every assembly's config
+//! implements it, running through the one harness
+//! [`crate::common::run`], and [`SystemConfig`] names every assembly in
+//! one enum for table-driven experiment code:
 //!
 //! ```
 //! use sim_core::{ProbeConfig, SimDuration};
@@ -22,15 +21,16 @@
 use sim_core::ProbeConfig;
 use workload::{RunMetrics, WorkloadSpec};
 
-use crate::baseline::BaselineConfig;
-use crate::common::ResilienceConfig;
-use crate::offload::OffloadConfig;
-use crate::rpcvalet::RpcValetConfig;
-use crate::shinjuku::ShinjukuConfig;
+use crate::baseline::{Baseline, BaselineConfig};
+use crate::common::{run, Assembly, ResilienceConfig};
+use crate::offload::{Offload, OffloadConfig};
+use crate::rpcvalet::{RpcValet, RpcValetConfig};
+use crate::shinjuku::{Shinjuku, ShinjukuConfig};
 
 /// A complete simulated server that can execute a workload.
 ///
-/// Implemented by every assembly's config type; `probe` selects how much
+/// Implemented by every assembly's config type (through
+/// [`AssemblyConfig`]) and by [`SystemConfig`]; `probe` selects how much
 /// observability to pay for ([`ProbeConfig::disabled()`] is bit-identical
 /// to the un-probed path).
 pub trait ServerSystem {
@@ -50,8 +50,8 @@ pub trait ServerSystem {
     ///
     /// Each assembly honours the subset of `res` that is architecturally
     /// meaningful for it (e.g. baselines have no central dispatcher, so
-    /// admission and staleness fallback are no-ops there); fault and
-    /// retry settings apply everywhere. A Shinjuku scale-out applies
+    /// admission, staleness fallback and recovery are no-ops there); fault
+    /// and retry settings apply everywhere. A Shinjuku scale-out applies
     /// admission, fallback and recovery in every dispatcher group.
     ///
     /// [`run`]: ServerSystem::run
@@ -63,63 +63,32 @@ pub trait ServerSystem {
     ) -> RunMetrics;
 }
 
-impl ServerSystem for OffloadConfig {
-    fn name(&self) -> &'static str {
-        "shinjuku-offload"
-    }
-
-    fn run_resilient(
-        &self,
-        spec: WorkloadSpec,
-        probe: ProbeConfig,
-        res: ResilienceConfig,
-    ) -> RunMetrics {
-        crate::offload::run_resilient_probed(spec, *self, probe, res)
-    }
+/// A config that names the [`Assembly`] it configures. Every such config
+/// is a [`ServerSystem`] that runs through [`crate::common::run`].
+pub trait AssemblyConfig: Copy {
+    /// The assembly this config builds.
+    type Assembly: Assembly<Config = Self>;
 }
 
-impl ServerSystem for ShinjukuConfig {
-    fn name(&self) -> &'static str {
-        if self.groups == 1 {
-            "shinjuku"
-        } else {
-            "multi-shinjuku"
-        }
-    }
-
-    fn run_resilient(
-        &self,
-        spec: WorkloadSpec,
-        probe: ProbeConfig,
-        res: ResilienceConfig,
-    ) -> RunMetrics {
-        crate::shinjuku::run_resilient_probed(spec, *self, probe, res).metrics
-    }
+impl AssemblyConfig for OffloadConfig {
+    type Assembly = Offload;
 }
 
-impl ServerSystem for BaselineConfig {
-    fn name(&self) -> &'static str {
-        match self.kind {
-            crate::baseline::BaselineKind::Rss => "rss",
-            crate::baseline::BaselineKind::RssStealing => "rss-stealing",
-            crate::baseline::BaselineKind::FlowDirector => "flow-director",
-            crate::baseline::BaselineKind::ElasticRss => "elastic-rss",
-        }
-    }
-
-    fn run_resilient(
-        &self,
-        spec: WorkloadSpec,
-        probe: ProbeConfig,
-        res: ResilienceConfig,
-    ) -> RunMetrics {
-        crate::baseline::run_resilient_probed(spec, *self, probe, res)
-    }
+impl AssemblyConfig for ShinjukuConfig {
+    type Assembly = Shinjuku;
 }
 
-impl ServerSystem for RpcValetConfig {
+impl AssemblyConfig for BaselineConfig {
+    type Assembly = Baseline;
+}
+
+impl AssemblyConfig for RpcValetConfig {
+    type Assembly = RpcValet;
+}
+
+impl<C: AssemblyConfig> ServerSystem for C {
     fn name(&self) -> &'static str {
-        "rpcvalet"
+        C::Assembly::name(self)
     }
 
     fn run_resilient(
@@ -128,7 +97,7 @@ impl ServerSystem for RpcValetConfig {
         probe: ProbeConfig,
         res: ResilienceConfig,
     ) -> RunMetrics {
-        crate::rpcvalet::run_resilient_probed(spec, *self, probe, res)
+        run::<C::Assembly>(spec, *self, probe, res).0
     }
 }
 
@@ -152,14 +121,21 @@ pub enum SystemConfig {
     MultiShinjuku(ShinjukuConfig),
 }
 
+impl SystemConfig {
+    /// The config inside, as the system it runs.
+    fn system(&self) -> &dyn ServerSystem {
+        match self {
+            SystemConfig::Offload(c) => c,
+            SystemConfig::Shinjuku(c) | SystemConfig::MultiShinjuku(c) => c,
+            SystemConfig::Baseline(c) => c,
+            SystemConfig::RpcValet(c) => c,
+        }
+    }
+}
+
 impl ServerSystem for SystemConfig {
     fn name(&self) -> &'static str {
-        match self {
-            SystemConfig::Offload(c) => c.name(),
-            SystemConfig::Shinjuku(c) | SystemConfig::MultiShinjuku(c) => c.name(),
-            SystemConfig::Baseline(c) => c.name(),
-            SystemConfig::RpcValet(c) => c.name(),
-        }
+        self.system().name()
     }
 
     fn run_resilient(
@@ -168,14 +144,7 @@ impl ServerSystem for SystemConfig {
         probe: ProbeConfig,
         res: ResilienceConfig,
     ) -> RunMetrics {
-        match self {
-            SystemConfig::Offload(c) => c.run_resilient(spec, probe, res),
-            SystemConfig::Shinjuku(c) | SystemConfig::MultiShinjuku(c) => {
-                c.run_resilient(spec, probe, res)
-            }
-            SystemConfig::Baseline(c) => c.run_resilient(spec, probe, res),
-            SystemConfig::RpcValet(c) => c.run_resilient(spec, probe, res),
-        }
+        self.system().run_resilient(spec, probe, res)
     }
 }
 
@@ -305,18 +274,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "{names:?}");
-    }
-
-    #[test]
-    fn free_functions_match_the_trait() {
-        let spec = quick_spec();
-        let cfg = OffloadConfig::paper(4, 4);
-        let free = crate::offload::run_probed(spec, cfg, ProbeConfig::disabled());
-        let trait_run = cfg.run(spec, ProbeConfig::disabled());
-        assert_eq!(
-            free, trait_run,
-            "free function and trait must agree exactly"
-        );
     }
 
     #[test]

@@ -20,12 +20,12 @@ use net_wire::{FrameSpec, MsgKind, MsgRepr};
 use nic_model::{FlowDirector, FlowKey, IfaceId, NicDevice, QueueSteering, Rss};
 use nicsched::params;
 use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
-use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
+use sim_core::{Ctx, Engine, Model, Probe, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, mean_utilization, scale_duration, AddressPlan, Client, ClientEdge, ClientEv,
-    ResilienceConfig, Wire, FAULT_SEED_SALT,
+    assemble_metrics, mean_utilization, scale_duration, AddressPlan, Assembly, Client, ClientEdge,
+    ClientEv, ResilienceConfig, Wire,
 };
 
 /// Elastic-RSS controller period: "provisions cores for applications on
@@ -57,7 +57,9 @@ pub struct BaselineConfig {
     pub kind: BaselineKind,
 }
 
-enum Ev {
+/// Events of a baseline model.
+#[doc(hidden)]
+pub enum Ev {
     Client(ClientEv),
     WireToNic(FrameSpec),
     WorkerPoll(usize),
@@ -112,7 +114,18 @@ impl Keys {
     }
 }
 
-struct Baseline {
+/// A run-to-completion baseline model; run it through
+/// [`crate::common::run`] or [`ServerSystem`](crate::ServerSystem) on a
+/// [`BaselineConfig`]. Its [`Extra`](Assembly::Extra) is the time-weighted
+/// mean number of provisioned cores (`cfg.workers` for the static kinds).
+///
+/// Baselines have no central dispatcher, so the admission and
+/// staleness-fallback settings of the resilience config are ignored (the
+/// per-worker rings already tail-drop, and hash steering is the fallback
+/// the governor would degrade *to*), and NIC-side recovery is a no-op:
+/// orphaned requests are recovered only by client retries, which is
+/// exactly the contrast the `recovery` experiment measures.
+pub struct Baseline {
     cfg: BaselineConfig,
     client: Client,
     horizon: SimTime,
@@ -138,7 +151,19 @@ struct Baseline {
     keys: Keys,
 }
 
-impl Baseline {
+impl Assembly for Baseline {
+    type Config = BaselineConfig;
+    type Extra = f64;
+
+    fn name(cfg: &BaselineConfig) -> &'static str {
+        match cfg.kind {
+            BaselineKind::Rss => "rss",
+            BaselineKind::RssStealing => "rss-stealing",
+            BaselineKind::FlowDirector => "flow-director",
+            BaselineKind::ElasticRss => "elastic-rss",
+        }
+    }
+
     fn new(
         spec: WorkloadSpec,
         cfg: BaselineConfig,
@@ -209,6 +234,30 @@ impl Baseline {
         }
     }
 
+    fn seed(engine: &mut Engine<Baseline>) {
+        engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
+        // No detection seed: with no dispatcher there is no lease table to
+        // expire and no central queue to re-dispatch from.
+        if engine.model().cfg.kind == BaselineKind::ElasticRss {
+            engine.schedule_at(SimTime::ZERO + ERSS_INTERVAL, Ev::ErssTick);
+        }
+    }
+
+    fn metrics(&self, horizon: SimTime) -> (RunMetrics, f64) {
+        let util = mean_utilization(self.workers.iter().map(|w| &w.core), horizon);
+        let mut metrics = assemble_metrics(&self.client, &self.wire, 0, util);
+        metrics.faults.ring_dropped = self.nic.total_drops();
+        metrics.faults.stranded = self.stranded;
+        let cores = if self.cfg.kind == BaselineKind::ElasticRss {
+            self.active_tw.mean_until(horizon).max(1.0)
+        } else {
+            self.cfg.workers as f64
+        };
+        (metrics, cores)
+    }
+}
+
+impl Baseline {
     /// Elastic-RSS controller (§5.1(1)): observe utilization of the active
     /// cores over the last window and grow/shrink the provisioned set,
     /// then rewrite the indirection table — the operation a programmable
@@ -398,90 +447,15 @@ impl Model for Baseline {
     }
 }
 
-/// Run a run-to-completion baseline with stage-level observability.
-pub fn run_probed(spec: WorkloadSpec, cfg: BaselineConfig, probe: ProbeConfig) -> RunMetrics {
-    run_inner(spec, cfg, probe, ResilienceConfig::default()).0
-}
-
-/// Run a baseline with fault injection and client retries. Baselines
-/// have no central dispatcher: admission and staleness-fallback settings
-/// in `res` are ignored (their per-worker rings already tail-drop, and
-/// hash steering is the fallback the governor would degrade *to*).
-/// NIC-side recovery (`res.recovery`) is likewise a no-op — with no
-/// dispatcher there is no lease table to expire and no central queue to
-/// re-dispatch from; orphaned requests here are recovered only by client
-/// retries, which is exactly the contrast the `recovery` experiment
-/// measures.
-// simlint: allow(hook-conformance, reason=baselines have no dispatcher, so there is no lease table or detector to wire; recovery here is a documented no-op)
-pub fn run_resilient_probed(
-    spec: WorkloadSpec,
-    cfg: BaselineConfig,
-    probe: ProbeConfig,
-    res: ResilienceConfig,
-) -> RunMetrics {
-    run_inner(spec, cfg, probe, res).0
-}
-
-/// Like [`run_probed`] (with probing disabled), also returning the
-/// time-weighted mean number of provisioned cores (equal to
-/// `cfg.workers` for the static kinds).
-pub fn run_with_elastic(spec: WorkloadSpec, cfg: BaselineConfig) -> (RunMetrics, f64) {
-    run_inner(
-        spec,
-        cfg,
-        ProbeConfig::disabled(),
-        ResilienceConfig::default(),
-    )
-}
-
-fn run_inner(
-    spec: WorkloadSpec,
-    cfg: BaselineConfig,
-    probe: ProbeConfig,
-    res: ResilienceConfig,
-) -> (RunMetrics, f64) {
-    let mut recorder = Probe::new(probe);
-    let mut engine = Engine::new(Baseline::new(spec, cfg, res, &mut recorder));
-    engine.set_probe(recorder);
-    engine.set_invariants(crate::common::checker_for(&res));
-    if res.is_active() {
-        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
-    }
-    engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
-    if cfg.kind == BaselineKind::ElasticRss {
-        engine.schedule_at(SimTime::ZERO + ERSS_INTERVAL, Ev::ErssTick);
-    }
-    engine.run_until(spec.horizon());
-    let horizon = spec.horizon();
-    let model = engine.model();
-    let util = mean_utilization(model.workers.iter().map(|w| &w.core), horizon);
-    let mean_active = model.active_tw.mean_until(horizon).max(1.0);
-    let mut metrics = assemble_metrics(&model.client, &model.wire, 0, util);
-    let fm = &mut metrics.faults;
-    fm.ring_dropped = model.nic.total_drops();
-    fm.stranded = model.stranded;
-    metrics.dropped += fm.ring_dropped;
-    if probe.enabled {
-        metrics.stages = Some(engine.probe_mut().report(horizon));
-    }
-    crate::common::close_invariants(engine.take_invariants(), horizon, &metrics);
-    (
-        metrics,
-        if cfg.kind == BaselineKind::ElasticRss {
-            mean_active
-        } else {
-            cfg.workers as f64
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServerSystem;
+    use sim_core::ProbeConfig;
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: BaselineConfig) -> RunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        cfg.run(spec, ProbeConfig::disabled())
     }
 
     fn quick_spec(rps: f64, dist: ServiceDist) -> WorkloadSpec {
@@ -524,12 +498,7 @@ mod tests {
                 kind: BaselineKind::Rss,
             },
         );
-        let shinjuku = crate::shinjuku::run_probed(
-            spec,
-            crate::shinjuku::ShinjukuConfig::paper(4),
-            ProbeConfig::disabled(),
-        )
-        .metrics;
+        let shinjuku = crate::shinjuku::ShinjukuConfig::paper(4).run(spec, ProbeConfig::disabled());
         assert!(
             rss.p99 > shinjuku.p99 * 2,
             "rss p99 {} should dwarf shinjuku p99 {}",
@@ -610,7 +579,19 @@ mod tests {
 #[cfg(test)]
 mod erss_tests {
     use super::*;
+    use crate::ServerSystem;
+    use sim_core::ProbeConfig;
     use workload::ServiceDist;
+
+    /// Run `cfg` on `spec` plainly: its metrics and mean provisioned cores.
+    fn provisioned(spec: WorkloadSpec, cfg: BaselineConfig) -> (RunMetrics, f64) {
+        crate::common::run::<Baseline>(
+            spec,
+            cfg,
+            ProbeConfig::disabled(),
+            ResilienceConfig::default(),
+        )
+    }
 
     fn quick_spec(rps: f64) -> WorkloadSpec {
         WorkloadSpec {
@@ -625,14 +606,14 @@ mod erss_tests {
 
     #[test]
     fn elastic_rss_provisions_fewer_cores_at_light_load() {
-        let (light, active_light) = run_with_elastic(
+        let (light, active_light) = provisioned(
             quick_spec(50_000.0),
             BaselineConfig {
                 workers: 8,
                 kind: BaselineKind::ElasticRss,
             },
         );
-        let (_, active_heavy) = run_with_elastic(
+        let (_, active_heavy) = provisioned(
             quick_spec(1_200_000.0),
             BaselineConfig {
                 workers: 8,
@@ -656,7 +637,7 @@ mod erss_tests {
 
     #[test]
     fn elastic_rss_still_serves_the_load() {
-        let (m, _) = run_with_elastic(
+        let (m, _) = provisioned(
             quick_spec(400_000.0),
             BaselineConfig {
                 workers: 8,
@@ -670,7 +651,7 @@ mod erss_tests {
 
     #[test]
     fn static_kinds_report_full_provisioning() {
-        let (_, active) = run_with_elastic(
+        let (_, active) = provisioned(
             quick_spec(100_000.0),
             BaselineConfig {
                 workers: 6,
@@ -685,12 +666,7 @@ mod erss_tests {
         let spec = quick_spec(300_000.0);
         let res = ResilienceConfig::loss_and_crash(1, SimTime::ZERO + SimDuration::from_millis(10));
         let run = |kind| {
-            run_resilient_probed(
-                spec,
-                BaselineConfig { workers: 4, kind },
-                ProbeConfig::disabled(),
-                res,
-            )
+            (BaselineConfig { workers: 4, kind }).run_resilient(spec, ProbeConfig::disabled(), res)
         };
         for kind in [BaselineKind::Rss, BaselineKind::RssStealing] {
             let m = run(kind);
@@ -731,8 +707,8 @@ mod erss_tests {
             workers: 8,
             kind: BaselineKind::ElasticRss,
         };
-        let (a, aa) = run_with_elastic(quick_spec(300_000.0), cfg);
-        let (b, bb) = run_with_elastic(quick_spec(300_000.0), cfg);
+        let (a, aa) = provisioned(quick_spec(300_000.0), cfg);
+        let (b, bb) = provisioned(quick_spec(300_000.0), cfg);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.p99, b.p99);
         assert_eq!(aa, bb);

@@ -1,9 +1,10 @@
-//! Plumbing shared by every system assembly: addressing conventions, the
-//! open-loop client (with its reliability layer), the resilience
-//! configuration every assembly accepts, the stale-feedback governor, the
-//! lossy client↔server wire with the codec check every frame passes, the
-//! serial [`Stage`] every dispatcher core is built from, the client's side
-//! of every assembly's event loop, and metric assembly.
+//! Plumbing shared by every system assembly: the one run harness
+//! ([`Assembly`] and [`run`]), addressing conventions, the open-loop client
+//! (with its reliability layer), the resilience configuration every
+//! assembly accepts, the stale-feedback governor, the lossy client↔server
+//! wire with the codec check every frame passes, the serial stage every
+//! dispatcher core is built from, the client's side of every assembly's
+//! event loop, and metric assembly.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -17,7 +18,10 @@ use nicsched::{
 };
 use sim_core::faults::FaultConfig;
 use sim_core::probe::{Busy, Counter, Gauge, Hop};
-use sim_core::{Ctx, IdTable, InvariantChecker, InvariantConfig, Probe, Rng, SimDuration, SimTime};
+use sim_core::{
+    Ctx, Engine, FaultPlan, IdTable, InvariantChecker, InvariantConfig, Model, Probe, ProbeConfig,
+    Rng, SimDuration, SimTime,
+};
 use workload::{
     ArrivalGen, ArrivalProcess, FaultMetrics, LatencyRecorder, ReqClass, RetryPolicy, RunMetrics,
     WorkloadSpec,
@@ -65,9 +69,11 @@ impl StalenessPolicy {
 }
 
 /// Cross-assembly fault/reliability configuration, deliberately separate
-/// from each assembly's own config struct so existing call sites stay
-/// untouched: `run_probed` is `run_resilient_probed` with
-/// `ResilienceConfig::default()`.
+/// from each assembly's own config struct: [`ServerSystem::run`] is
+/// [`ServerSystem::run_resilient`] with `ResilienceConfig::default()`.
+///
+/// [`ServerSystem::run`]: crate::ServerSystem::run
+/// [`ServerSystem::run_resilient`]: crate::ServerSystem::run_resilient
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ResilienceConfig {
     /// Timed fault events (loss, bursts, crashes, stalls, blackouts).
@@ -130,17 +136,94 @@ impl ResilienceConfig {
     }
 }
 
-/// Build the engine-resident invariant checker for `res` (disabled unless
-/// the config asks for the invcheck pass).
-pub(crate) fn checker_for(res: &ResilienceConfig) -> InvariantChecker {
-    InvariantChecker::new(res.invariants)
+/// A complete simulated server that the one harness, [`run`], can build,
+/// start and read. Implemented by each assembly's model; its
+/// [`Config`](Assembly::Config) is what callers hold (and run through
+/// [`ServerSystem`](crate::ServerSystem)).
+pub trait Assembly: Model + Sized {
+    /// The assembly's configuration.
+    type Config: Copy;
+    /// What the assembly reports beyond [`RunMetrics`]: Shinjuku's group
+    /// imbalance, a baseline's mean provisioned cores, `()` elsewhere.
+    type Extra;
+
+    /// Short stable name of the assembly `cfg` describes, for tables and
+    /// CSV labels.
+    fn name(cfg: &Self::Config) -> &'static str;
+
+    /// Build the model for `spec` under `cfg` and `res`, registering its
+    /// probe keys on `probe`.
+    fn new(spec: WorkloadSpec, cfg: Self::Config, res: ResilienceConfig, probe: &mut Probe)
+        -> Self;
+
+    /// Schedule the run's first events: the client's first send, then
+    /// whatever keeps failure detection (heartbeats, health ticks) or
+    /// control loops going. An assembly without detection says why here.
+    fn seed(engine: &mut Engine<Self>);
+
+    /// The run's metrics at `horizon`, with the assembly's own fault
+    /// counters filled in, and its [`Extra`](Assembly::Extra).
+    fn metrics(&self, horizon: SimTime) -> (RunMetrics, Self::Extra);
+}
+
+/// Run assembly `A` under `cfg` on `spec`: the one harness every assembly
+/// shares. It builds the probe, engine, invariant checker and fault plan
+/// (with the fault stream salted by [`FAULT_SEED_SALT`]), runs to the
+/// horizon, counts ring drops and sheds as dropped, attaches the stage
+/// report when `probe` is on, and closes the invariant audit.
+pub fn run<A: Assembly>(
+    spec: WorkloadSpec,
+    cfg: A::Config,
+    probe: ProbeConfig,
+    res: ResilienceConfig,
+) -> (RunMetrics, A::Extra) {
+    let mut recorder = Probe::new(probe);
+    let mut engine = Engine::new(A::new(spec, cfg, res, &mut recorder));
+    engine.set_probe(recorder);
+    engine.set_invariants(InvariantChecker::new(res.invariants));
+    if res.is_active() {
+        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
+    }
+    A::seed(&mut engine);
+    let horizon = spec.horizon();
+    engine.run_until(horizon);
+    let (mut metrics, extra) = engine.model().metrics(horizon);
+    metrics.dropped += metrics.faults.ring_dropped + metrics.faults.shed;
+    if probe.enabled {
+        metrics.stages = Some(engine.probe_mut().report(horizon));
+    }
+    close_invariants(engine.take_invariants(), horizon, &metrics);
+    (metrics, extra)
+}
+
+/// Add one dispatcher's sheds and recovery counters, and its staleness
+/// governor's fallback counters, to `fm`. Assemblies with several
+/// dispatchers call it once per dispatcher, so the fields sum.
+pub(crate) fn absorb_dispatcher<P: SchedPolicy, S: CoreSelector>(
+    fm: &mut FaultMetrics,
+    disp: &Dispatcher<P, S>,
+    governor: Option<&FeedbackGovernor>,
+    horizon: SimTime,
+) {
+    fm.shed += disp.stats.shed;
+    if let Some(gov) = governor {
+        fm.fallback_switches += gov.switches;
+        fm.fallback_ns += gov.fallback_ns(horizon);
+        fm.quarantines += gov.quarantines;
+    }
+    if let Some(h) = disp.health() {
+        fm.recovered += disp.stats.recovered;
+        fm.recovery_duplicates += disp.stats.late_duplicates;
+        fm.suspicions += h.stats.suspicions;
+        fm.readmissions += h.stats.readmissions;
+    }
 }
 
 /// End-of-run conservation audit, shared by every assembly: the request
 /// ledger must close (`launched = completed + abandoned + still-open`,
 /// attempts itemised) and the client's bookkeeping must be self-consistent.
 /// Then panic with the accumulated report if the run violated anything.
-pub(crate) fn close_invariants(mut inv: InvariantChecker, at: SimTime, m: &RunMetrics) {
+fn close_invariants(mut inv: InvariantChecker, at: SimTime, m: &RunMetrics) {
     if !inv.is_enabled() {
         return;
     }
@@ -323,8 +406,8 @@ impl FrameCodec {
 /// It counts what it drops and schedules the arrival of what it carries.
 /// Its codec check covers every frame of the assembly: the wire's own,
 /// and the in-machine hops' through `codec`. It also holds the probe keys
-/// of the whole client edge, since [`Client::on_event`] records through
-/// the wire it sends on.
+/// of the whole client edge, since the client's event handler records
+/// through the wire it sends on.
 #[derive(Debug)]
 pub struct Wire {
     to_server: Link,
@@ -536,7 +619,8 @@ impl<T> Stage<T> {
 }
 
 /// The client's three events, the same in every assembly.
-pub(crate) enum ClientEv {
+#[doc(hidden)]
+pub enum ClientEv {
     /// The client emits its next request.
     Send,
     /// A response or NACK frame reaches the client.

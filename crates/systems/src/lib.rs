@@ -2,8 +2,7 @@
 //!
 //! Each module wires the substrates (NIC model, CPU model, wire formats,
 //! workload generation) and the `nicsched` dispatcher into one complete
-//! simulated server, exposing a uniform `run(WorkloadSpec, Config) ->
-//! RunMetrics` entry point:
+//! simulated server, a model implementing [`common::Assembly`]:
 //!
 //! * [`shinjuku`] — Shinjuku: host-resident networker + dispatcher
 //!   hyperthreads, shared-memory queues, worker preemption (the paper's
@@ -20,17 +19,18 @@
 //! * [`rpcvalet`] — RPCValet-style NI-integrated hardware queue (§2.1):
 //!   perfect balance, nanosecond dispatch, no preemption.
 //!
-//! All systems exchange real Ethernet/IPv4/UDP frames on external hops
-//! and are deterministic per seed.
+//! Every hop carries a typed Ethernet/IPv4/UDP frame
+//! ([`net_wire::FrameSpec`]) whose length sets link time; bytes exist
+//! only at the codec edge, where runs with invariant checking on build
+//! each frame and parse it back. All systems are deterministic per seed.
 //!
-//! The preferred entry point is the [`ServerSystem`] trait (see [`api`]):
+//! The entry point is the [`ServerSystem`] trait (see [`api`]):
 //! `cfg.run(spec, ProbeConfig::disabled())` works uniformly across every
 //! assembly, and `ProbeConfig::enabled()` attaches a per-stage
-//! [`sim_core::StageReport`] to the returned metrics. Each module's free
-//! `run_probed` and `run_resilient_probed` functions are the assembly's
-//! own entry points, which the trait implementations call; they also
-//! return assembly-specific metrics (e.g. Shinjuku's per-group
-//! imbalance).
+//! [`sim_core::StageReport`] to the returned metrics. Every config runs
+//! through the one harness [`common::run`], which callers may also use
+//! directly for an assembly's [`Extra`](common::Assembly::Extra) (e.g.
+//! Shinjuku's per-group imbalance).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -38,12 +38,12 @@ use nicsched::{
     PolicySpec, PreemptDecision, RecoveryPolicy, SchedPolicy, SocketAffinity, Task,
 };
 use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
-use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
+use sim_core::{Ctx, Engine, Model, Probe, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, mean_utilization, scale_duration, task_msg, AddressPlan, Client, ClientEdge,
-    ClientEv, FeedbackGovernor, ResilienceConfig, Stage, Wire, FAULT_SEED_SALT,
+    absorb_dispatcher, assemble_metrics, mean_utilization, scale_duration, task_msg, AddressPlan,
+    Assembly, Client, ClientEdge, ClientEv, FeedbackGovernor, ResilienceConfig, Stage, Wire,
 };
 
 /// Configuration of a Shinjuku-Offload instance.
@@ -105,7 +105,8 @@ impl OffloadConfig {
 }
 
 /// Events of the offload model.
-enum Ev {
+#[doc(hidden)]
+pub enum Ev {
     /// The client sends, receives, or times out.
     Client(ClientEv),
     /// A frame from the client link reaches the NIC.
@@ -149,8 +150,9 @@ impl ClientEdge for Ev {
 }
 
 /// Items crossing into the queue-manager core.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-enum QmItem {
+pub enum QmItem {
     NewTask(Task),
     Done {
         worker: usize,
@@ -246,7 +248,9 @@ impl Keys {
     }
 }
 
-struct Offload {
+/// The Shinjuku-Offload model; run it through [`crate::common::run`] or
+/// [`ServerSystem`](crate::ServerSystem) on an [`OffloadConfig`].
+pub struct Offload {
     cfg: OffloadConfig,
     client: Client,
     horizon: SimTime,
@@ -284,7 +288,14 @@ struct Offload {
     keys: Keys,
 }
 
-impl Offload {
+impl Assembly for Offload {
+    type Config = OffloadConfig;
+    type Extra = ();
+
+    fn name(_: &OffloadConfig) -> &'static str {
+        "shinjuku-offload"
+    }
+
     fn new(
         spec: WorkloadSpec,
         cfg: OffloadConfig,
@@ -418,6 +429,28 @@ impl Offload {
         }
     }
 
+    fn seed(engine: &mut Engine<Offload>) {
+        engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
+        let model = engine.model();
+        if model.governor.is_some() || model.recovery.is_some() {
+            for w in 0..model.cfg.workers {
+                engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(w));
+            }
+        }
+    }
+
+    fn metrics(&self, horizon: SimTime) -> (RunMetrics, ()) {
+        let util = mean_utilization(self.workers.iter().map(|w| &w.core), horizon);
+        let mut metrics = assemble_metrics(&self.client, &self.wire, self.preemptions, util);
+        let fm = &mut metrics.faults;
+        fm.ring_dropped = self.nic.total_drops();
+        fm.stranded = self.stranded;
+        absorb_dispatcher(fm, &self.dispatcher, self.governor.as_ref(), horizon);
+        (metrics, ())
+    }
+}
+
+impl Offload {
     /// Route a batch of dispatcher assignments toward the TX core.
     fn emit_assignments(&mut self, mut assignments: Vec<Assignment>, ctx: &mut Ctx<'_, Ev>) {
         for a in assignments.drain(..) {
@@ -913,68 +946,15 @@ impl Model for Offload {
     }
 }
 
-/// Run a Shinjuku-Offload simulation with stage-level observability.
-pub fn run_probed(spec: WorkloadSpec, cfg: OffloadConfig, probe: ProbeConfig) -> RunMetrics {
-    run_resilient_probed(spec, cfg, probe, ResilienceConfig::default())
-}
-
-/// Run a Shinjuku-Offload simulation with fault injection, client
-/// retries, admission control, and the stale-feedback governor layered
-/// over the fault-free assembly.
-pub fn run_resilient_probed(
-    spec: WorkloadSpec,
-    cfg: OffloadConfig,
-    probe: ProbeConfig,
-    res: ResilienceConfig,
-) -> RunMetrics {
-    let mut recorder = Probe::new(probe);
-    let mut engine = Engine::new(Offload::new(spec, cfg, res, &mut recorder));
-    engine.set_probe(recorder);
-    engine.set_invariants(crate::common::checker_for(&res));
-    if res.is_active() {
-        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
-    }
-    engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
-    if engine.model().governor.is_some() || engine.model().recovery.is_some() {
-        for w in 0..cfg.workers {
-            engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(w));
-        }
-    }
-    engine.run_until(spec.horizon());
-    let horizon = spec.horizon();
-    let model = engine.model();
-    let util = mean_utilization(model.workers.iter().map(|w| &w.core), horizon);
-    let mut metrics = assemble_metrics(&model.client, &model.wire, model.preemptions, util);
-    let fm = &mut metrics.faults;
-    fm.ring_dropped = model.nic.total_drops();
-    fm.stranded = model.stranded;
-    fm.shed = model.dispatcher.stats.shed;
-    if let Some(gov) = &model.governor {
-        fm.fallback_switches = gov.switches;
-        fm.fallback_ns = gov.fallback_ns(horizon);
-        fm.quarantines = gov.quarantines;
-    }
-    if let Some(h) = model.dispatcher.health() {
-        fm.recovered = model.dispatcher.stats.recovered;
-        fm.recovery_duplicates = model.dispatcher.stats.late_duplicates;
-        fm.suspicions = h.stats.suspicions;
-        fm.readmissions = h.stats.readmissions;
-    }
-    metrics.dropped += fm.ring_dropped + fm.shed;
-    if probe.enabled {
-        metrics.stages = Some(engine.probe_mut().report(horizon));
-    }
-    crate::common::close_invariants(engine.take_invariants(), horizon, &metrics);
-    metrics
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServerSystem;
+    use sim_core::ProbeConfig;
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: OffloadConfig) -> RunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        cfg.run(spec, ProbeConfig::disabled())
     }
 
     fn quick_spec(rps: f64, dist: ServiceDist) -> WorkloadSpec {
@@ -1119,10 +1099,12 @@ mod tests {
 #[cfg(test)]
 mod socket_tests {
     use super::*;
+    use crate::ServerSystem;
+    use sim_core::ProbeConfig;
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: OffloadConfig) -> RunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        cfg.run(spec, ProbeConfig::disabled())
     }
 
     fn quick_spec(rps: f64) -> WorkloadSpec {
@@ -1219,10 +1201,12 @@ mod socket_tests {
 #[cfg(test)]
 mod jit_tests {
     use super::*;
+    use crate::ServerSystem;
+    use sim_core::ProbeConfig;
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: OffloadConfig) -> RunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        cfg.run(spec, ProbeConfig::disabled())
     }
 
     fn over_capacity_spec() -> WorkloadSpec {
@@ -1295,10 +1279,12 @@ mod jit_tests {
 #[cfg(test)]
 mod robustness_tests {
     use super::*;
+    use crate::ServerSystem;
+    use sim_core::ProbeConfig;
     use workload::{ArrivalProcess, ServiceDist};
 
     fn run(spec: WorkloadSpec, cfg: OffloadConfig) -> RunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        cfg.run(spec, ProbeConfig::disabled())
     }
 
     fn quick_spec(rps: f64) -> WorkloadSpec {
@@ -1352,12 +1338,7 @@ mod robustness_tests {
         // crashing mid-run, with retries and the staleness governor on.
         let spec = quick_spec(300_000.0);
         let res = crate::common::ResilienceConfig::loss_and_crash(1, SimTime::from_millis(10));
-        let m = run_resilient_probed(
-            spec,
-            OffloadConfig::paper(4, 4),
-            ProbeConfig::disabled(),
-            res,
-        );
+        let m = OffloadConfig::paper(4, 4).run_resilient(spec, ProbeConfig::disabled(), res);
         let f = &m.faults;
         assert_eq!(f.unaccounted(), 0, "request ledger must close: {f:?}");
         assert!(f.in_pipe() >= 0, "attempt ledger went negative: {f:?}");
@@ -1384,8 +1365,8 @@ mod robustness_tests {
         let spec = quick_spec(250_000.0);
         let res = crate::common::ResilienceConfig::loss_and_crash(0, SimTime::from_millis(8));
         let cfg = OffloadConfig::paper(4, 4);
-        let a = run_resilient_probed(spec, cfg, ProbeConfig::disabled(), res);
-        let b = run_resilient_probed(spec, cfg, ProbeConfig::disabled(), res);
+        let a = cfg.run_resilient(spec, ProbeConfig::disabled(), res);
+        let b = cfg.run_resilient(spec, ProbeConfig::disabled(), res);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.p99, b.p99);
         assert_eq!(a.faults, b.faults);
@@ -1402,12 +1383,7 @@ mod robustness_tests {
             fallback: Some(crate::common::StalenessPolicy::paper_default()),
             ..Default::default()
         };
-        let m = run_resilient_probed(
-            spec,
-            OffloadConfig::paper(4, 4),
-            ProbeConfig::disabled(),
-            res,
-        );
+        let m = OffloadConfig::paper(4, 4).run_resilient(spec, ProbeConfig::disabled(), res);
         let f = &m.faults;
         assert!(
             f.fallback_switches >= 1,
@@ -1435,18 +1411,16 @@ mod robustness_tests {
             retry: Some(workload::RetryPolicy::paper_default()),
             ..Default::default()
         };
-        let silent = run_resilient_probed(
+        let silent = OffloadConfig::paper(4, 4).run_resilient(
             spec,
-            OffloadConfig::paper(4, 4),
             ProbeConfig::disabled(),
             crate::common::ResilienceConfig {
                 admission: AdmissionPolicy::TailDrop { cap: 64 },
                 ..base
             },
         );
-        let nacked = run_resilient_probed(
+        let nacked = OffloadConfig::paper(4, 4).run_resilient(
             spec,
-            OffloadConfig::paper(4, 4),
             ProbeConfig::disabled(),
             crate::common::ResilienceConfig {
                 admission: AdmissionPolicy::NackShed { cap: 64 },

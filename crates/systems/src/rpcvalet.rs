@@ -20,12 +20,12 @@ use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
 use net_wire::{FrameSpec, MsgKind, MsgRepr};
 use nicsched::{params, Dispatcher, Fcfs, LeastOutstanding, RecoveryPolicy, Task};
 use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
-use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
+use sim_core::{Ctx, Engine, Model, Probe, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, mean_utilization, scale_duration, task_msg, AddressPlan, Client, ClientEdge,
-    ClientEv, ResilienceConfig, Wire, FAULT_SEED_SALT,
+    absorb_dispatcher, assemble_metrics, mean_utilization, scale_duration, task_msg, AddressPlan,
+    Assembly, Client, ClientEdge, ClientEv, ResilienceConfig, Wire,
 };
 
 /// Configuration of an RPCValet-style system.
@@ -44,7 +44,9 @@ const HW_DISPATCH: SimDuration = SimDuration::from_nanos(8);
 /// no PCIe crossing ("putting the NIC 'close' to the cores", §2.1).
 const NI_TO_CORE: SimDuration = SimDuration::from_nanos(40);
 
-enum Ev {
+/// Events of the RPCValet model.
+#[doc(hidden)]
+pub enum Ev {
     Client(ClientEv),
     /// A request frame arrives at the integrated NI fabric.
     NiArrive(FrameSpec),
@@ -107,7 +109,13 @@ impl Keys {
     }
 }
 
-struct RpcValet {
+/// The RPCValet-style model; run it through [`crate::common::run`] or
+/// [`ServerSystem`](crate::ServerSystem) on an [`RpcValetConfig`]. The
+/// integrated NI has per-nanosecond load knowledge, so the
+/// staleness-fallback settings of the resilience config are ignored (there
+/// is no stale feedback to degrade on), as is the admission policy (the
+/// hardware global queue is lossless).
+pub struct RpcValet {
     client: Client,
     horizon: SimTime,
     wire: Wire,
@@ -123,7 +131,14 @@ struct RpcValet {
     keys: Keys,
 }
 
-impl RpcValet {
+impl Assembly for RpcValet {
+    type Config = RpcValetConfig;
+    type Extra = ();
+
+    fn name(_: &RpcValetConfig) -> &'static str {
+        "rpcvalet"
+    }
+
     fn new(
         spec: WorkloadSpec,
         cfg: RpcValetConfig,
@@ -164,6 +179,23 @@ impl RpcValet {
         }
     }
 
+    fn seed(engine: &mut Engine<RpcValet>) {
+        engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
+        if engine.model().recovery.is_some() {
+            engine.schedule_at(SimTime::ZERO, Ev::HealthTick);
+        }
+    }
+
+    fn metrics(&self, horizon: SimTime) -> (RunMetrics, ()) {
+        let util = mean_utilization(self.workers.iter().map(|w| &w.core), horizon);
+        let mut metrics = assemble_metrics(&self.client, &self.wire, 0, util);
+        metrics.faults.stranded = self.stranded;
+        absorb_dispatcher(&mut metrics.faults, &self.dispatcher, None, horizon);
+        (metrics, ())
+    }
+}
+
+impl RpcValet {
     /// Sample the hardware queue after a dispatcher call, and deliver
     /// the assignments it decided.
     fn emit(&mut self, mut assignments: Vec<nicsched::Assignment>, ctx: &mut Ctx<'_, Ev>) {
@@ -336,60 +368,15 @@ impl Model for RpcValet {
     }
 }
 
-/// Run an RPCValet-style simulation with stage-level observability.
-pub fn run_probed(spec: WorkloadSpec, cfg: RpcValetConfig, probe: ProbeConfig) -> RunMetrics {
-    run_resilient_probed(spec, cfg, probe, ResilienceConfig::default())
-}
-
-/// Run an RPCValet-style simulation with fault injection and client
-/// retries. The integrated NI has per-nanosecond load knowledge, so the
-/// staleness-fallback settings in `res` are ignored (there is no stale
-/// feedback to degrade on), as is the admission policy (the hardware
-/// global queue is lossless).
-pub fn run_resilient_probed(
-    spec: WorkloadSpec,
-    cfg: RpcValetConfig,
-    probe: ProbeConfig,
-    res: ResilienceConfig,
-) -> RunMetrics {
-    let mut recorder = Probe::new(probe);
-    let mut engine = Engine::new(RpcValet::new(spec, cfg, res, &mut recorder));
-    engine.set_probe(recorder);
-    engine.set_invariants(crate::common::checker_for(&res));
-    if res.is_active() {
-        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
-    }
-    engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
-    if engine.model().recovery.is_some() {
-        engine.schedule_at(SimTime::ZERO, Ev::HealthTick);
-    }
-    engine.run_until(spec.horizon());
-    let horizon = spec.horizon();
-    let model = engine.model();
-    let util = mean_utilization(model.workers.iter().map(|w| &w.core), horizon);
-    let mut metrics = assemble_metrics(&model.client, &model.wire, 0, util);
-    let fm = &mut metrics.faults;
-    fm.stranded = model.stranded;
-    if let Some(h) = model.dispatcher.health() {
-        fm.recovered = model.dispatcher.stats.recovered;
-        fm.recovery_duplicates = model.dispatcher.stats.late_duplicates;
-        fm.suspicions = h.stats.suspicions;
-        fm.readmissions = h.stats.readmissions;
-    }
-    if probe.enabled {
-        metrics.stages = Some(engine.probe_mut().report(horizon));
-    }
-    crate::common::close_invariants(engine.take_invariants(), horizon, &metrics);
-    metrics
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServerSystem;
+    use sim_core::ProbeConfig;
     use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: RpcValetConfig) -> RunMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+        cfg.run(spec, ProbeConfig::disabled())
     }
 
     fn quick_spec(rps: f64, dist: ServiceDist) -> WorkloadSpec {
@@ -411,15 +398,11 @@ mod tests {
         // beating host Shinjuku's dispatcher-capped throughput.
         let spec = quick_spec(7_000_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
         let valet = run(spec, RpcValetConfig { workers: 16 });
-        let shinjuku = crate::shinjuku::run_probed(
-            spec,
-            crate::shinjuku::ShinjukuConfig {
-                time_slice: None,
-                ..crate::shinjuku::ShinjukuConfig::paper(16)
-            },
-            ProbeConfig::disabled(),
-        )
-        .metrics;
+        let shinjuku = (crate::shinjuku::ShinjukuConfig {
+            time_slice: None,
+            ..crate::shinjuku::ShinjukuConfig::paper(16)
+        })
+        .run(spec, ProbeConfig::disabled());
         assert!(
             valet.achieved_rps > shinjuku.achieved_rps * 1.4,
             "hardware queue {:.1}M vs software dispatcher {:.1}M",
@@ -439,11 +422,7 @@ mod tests {
         // latency beats every software design in the repository.
         let spec = quick_spec(100_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
         let valet = run(spec, RpcValetConfig { workers: 4 });
-        let offload = crate::offload::run_probed(
-            spec,
-            crate::offload::OffloadConfig::paper(4, 4),
-            ProbeConfig::disabled(),
-        );
+        let offload = crate::offload::OffloadConfig::paper(4, 4).run(spec, ProbeConfig::disabled());
         assert!(valet.p50 < offload.p50, "{} vs {}", valet.p50, offload.p50);
     }
 
@@ -462,11 +441,7 @@ mod tests {
         };
         let spec = quick_spec(280_000.0, dist); // rho ~ 0.83 on 4 workers
         let valet = run(spec, RpcValetConfig { workers: 4 });
-        let offload = crate::offload::run_probed(
-            spec,
-            crate::offload::OffloadConfig::paper(4, 4),
-            ProbeConfig::disabled(),
-        );
+        let offload = crate::offload::OffloadConfig::paper(4, 4).run(spec, ProbeConfig::disabled());
         assert!(
             valet.p99_short > offload.p99_short * 2,
             "short requests stuck behind 200us ones: valet {} vs offload {}",
@@ -489,14 +464,8 @@ mod tests {
     fn loss_and_crash_accounts_for_every_request() {
         let spec = quick_spec(300_000.0, ServiceDist::paper_bimodal());
         let res = ResilienceConfig::loss_and_crash(1, SimTime::ZERO + SimDuration::from_millis(10));
-        let run = || {
-            run_resilient_probed(
-                spec,
-                RpcValetConfig { workers: 4 },
-                ProbeConfig::disabled(),
-                res,
-            )
-        };
+        let run =
+            || (RpcValetConfig { workers: 4 }).run_resilient(spec, ProbeConfig::disabled(), res);
         let m = run();
         let f = &m.faults;
         assert_eq!(f.unaccounted(), 0, "request ledger leaks: {f:?}");

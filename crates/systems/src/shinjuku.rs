@@ -36,12 +36,12 @@ use nicsched::{
     SchedPolicy, Task,
 };
 use sim_core::probe::{Busy, Counter, Family, Gauge, Hop, IntoHandle};
-use sim_core::{Ctx, Engine, FaultPlan, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime};
+use sim_core::{Ctx, Engine, Model, Probe, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, mean_utilization, scale_duration, task_msg, AddressPlan, Client, ClientEdge,
-    ClientEv, FeedbackGovernor, ResilienceConfig, Stage, Wire, FAULT_SEED_SALT,
+    absorb_dispatcher, assemble_metrics, mean_utilization, scale_duration, task_msg, AddressPlan,
+    Assembly, Client, ClientEdge, ClientEv, FeedbackGovernor, ResilienceConfig, Stage, Wire,
 };
 
 /// Configuration of a Shinjuku server with one or more dispatcher groups.
@@ -95,8 +95,9 @@ impl ShinjukuConfig {
 
 /// Items crossing into a group's dispatcher thread. Worker indices are
 /// local to the group.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-enum DispItem {
+pub enum DispItem {
     NewTask(Task),
     Done {
         worker: usize,
@@ -116,7 +117,8 @@ enum DispItem {
 }
 
 /// Events; `(group, worker)` pairs index a group and a worker within it.
-enum Ev {
+#[doc(hidden)]
+pub enum Ev {
     Client(ClientEv),
     WireToNic(FrameSpec),
     NetworkerDone(usize),
@@ -221,7 +223,12 @@ struct Group {
     admitted: u64,
 }
 
-struct Shinjuku {
+/// The Shinjuku model, with one dispatcher group or several; run it
+/// through [`crate::common::run`] or [`ServerSystem`](crate::ServerSystem)
+/// on a [`ShinjukuConfig`]. Its [`Extra`](Assembly::Extra) is the group
+/// imbalance: max/mean admitted requests across groups (1.0 = perfectly
+/// even).
+pub struct Shinjuku {
     cfg: ShinjukuConfig,
     client: Client,
     horizon: SimTime,
@@ -241,7 +248,18 @@ struct Shinjuku {
     keys: Keys,
 }
 
-impl Shinjuku {
+impl Assembly for Shinjuku {
+    type Config = ShinjukuConfig;
+    type Extra = f64;
+
+    fn name(cfg: &ShinjukuConfig) -> &'static str {
+        if cfg.groups == 1 {
+            "shinjuku"
+        } else {
+            "multi-shinjuku"
+        }
+    }
+
     fn new(
         spec: WorkloadSpec,
         cfg: ShinjukuConfig,
@@ -331,6 +349,35 @@ impl Shinjuku {
         }
     }
 
+    fn seed(engine: &mut Engine<Shinjuku>) {
+        engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
+        let model = engine.model();
+        let cfg = model.cfg;
+        if model.groups.iter().any(|g| g.governor.is_some()) || model.recovery.is_some() {
+            for g in 0..cfg.groups {
+                for w in 0..cfg.workers {
+                    engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(g, w));
+                }
+            }
+        }
+    }
+
+    /// Degraded time, switches and quarantines are summed over the groups.
+    fn metrics(&self, horizon: SimTime) -> (RunMetrics, f64) {
+        let workers = self.groups.iter().flat_map(|g| &g.workers);
+        let util = mean_utilization(workers.map(|w| &w.core), horizon);
+        let mut metrics = assemble_metrics(&self.client, &self.wire, self.preemptions, util);
+        let fm = &mut metrics.faults;
+        fm.ring_dropped = self.nic.total_drops();
+        fm.stranded = self.stranded;
+        for group in &self.groups {
+            absorb_dispatcher(fm, &group.dispatcher, group.governor.as_ref(), horizon);
+        }
+        (metrics, self.imbalance())
+    }
+}
+
+impl Shinjuku {
     /// Machine-wide index of group `g`'s worker `w` (fault plans, core ids
     /// and endpoints number workers across groups).
     fn global(&self, g: usize, w: usize) -> usize {
@@ -690,88 +737,25 @@ impl Model for Shinjuku {
     }
 }
 
-/// Outcome of a Shinjuku run: standard metrics plus the group imbalance
-/// ratio (max/mean requests per group; 1.0 = perfectly even).
-#[derive(Debug, Clone)]
-pub struct ShinjukuMetrics {
-    /// Standard run metrics.
-    pub metrics: RunMetrics,
-    /// Max/mean admitted requests across groups.
-    pub imbalance: f64,
-}
-
-/// Run a Shinjuku simulation with stage-level observability (per-group
-/// stages are indexed, e.g. `dispatcher[1]`).
-pub fn run_probed(spec: WorkloadSpec, cfg: ShinjukuConfig, probe: ProbeConfig) -> ShinjukuMetrics {
-    run_resilient_probed(spec, cfg, probe, ResilienceConfig::default())
-}
-
-/// Run a Shinjuku simulation with fault injection, client retries, and
-/// per-group admission control, staleness governor and recovery.
-/// Degraded time, switches and quarantines are summed over the groups.
-pub fn run_resilient_probed(
-    spec: WorkloadSpec,
-    cfg: ShinjukuConfig,
-    probe: ProbeConfig,
-    res: ResilienceConfig,
-) -> ShinjukuMetrics {
-    let mut recorder = Probe::new(probe);
-    let mut engine = Engine::new(Shinjuku::new(spec, cfg, res, &mut recorder));
-    engine.set_probe(recorder);
-    engine.set_invariants(crate::common::checker_for(&res));
-    if res.is_active() {
-        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
-    }
-    engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
-    if res.fallback.is_some() || res.recovery.is_some() {
-        for g in 0..cfg.groups {
-            for w in 0..cfg.workers {
-                engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(g, w));
-            }
-        }
-    }
-    engine.run_until(spec.horizon());
-    let horizon = spec.horizon();
-    let model = engine.model();
-    let workers = model.groups.iter().flat_map(|g| &g.workers);
-    let util = mean_utilization(workers.map(|w| &w.core), horizon);
-    let imbalance = model.imbalance();
-    let mut metrics = assemble_metrics(&model.client, &model.wire, model.preemptions, util);
-    let fm = &mut metrics.faults;
-    fm.ring_dropped = model.nic.total_drops();
-    fm.stranded = model.stranded;
-    for group in &model.groups {
-        fm.shed += group.dispatcher.stats.shed;
-        if let Some(gov) = &group.governor {
-            fm.fallback_switches += gov.switches;
-            fm.fallback_ns += gov.fallback_ns(horizon);
-            fm.quarantines += gov.quarantines;
-        }
-        if let Some(h) = group.dispatcher.health() {
-            fm.recovered += group.dispatcher.stats.recovered;
-            fm.recovery_duplicates += group.dispatcher.stats.late_duplicates;
-            fm.suspicions += h.stats.suspicions;
-            fm.readmissions += h.stats.readmissions;
-        }
-    }
-    metrics.dropped += fm.ring_dropped + fm.shed;
-    if probe.enabled {
-        metrics.stages = Some(engine.probe_mut().report(horizon));
-    }
-    crate::common::close_invariants(engine.take_invariants(), horizon, &metrics);
-    ShinjukuMetrics { metrics, imbalance }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServerSystem;
     use sim_core::faults::FaultConfig;
+    use sim_core::ProbeConfig;
     use workload::{RetryPolicy, ServiceDist};
 
-    use crate::common::StalenessPolicy;
+    use crate::common::{StalenessPolicy, FAULT_SEED_SALT};
+    use sim_core::FaultPlan;
 
-    fn run(spec: WorkloadSpec, cfg: ShinjukuConfig) -> ShinjukuMetrics {
-        run_probed(spec, cfg, ProbeConfig::disabled())
+    /// Run `cfg` on `spec` plainly: its metrics and group imbalance.
+    fn run(spec: WorkloadSpec, cfg: ShinjukuConfig) -> (RunMetrics, f64) {
+        crate::common::run::<Shinjuku>(
+            spec,
+            cfg,
+            ProbeConfig::disabled(),
+            ResilienceConfig::default(),
+        )
     }
 
     fn quick_spec(rps: f64, dist: ServiceDist) -> WorkloadSpec {
@@ -795,7 +779,7 @@ mod tests {
     #[test]
     fn light_load_completes_everything() {
         let spec = quick_spec(50_000.0, ServiceDist::Fixed(SimDuration::from_micros(5)));
-        let m = run(spec, ShinjukuConfig::paper(3)).metrics;
+        let m = run(spec, ShinjukuConfig::paper(3)).0;
         assert!(m.completed > 500);
         assert!(!m.saturated(0.05), "{}", m.row());
         assert_eq!(m.dropped, 0);
@@ -806,12 +790,8 @@ mod tests {
         // Without the 2.56us NIC round trips, host Shinjuku's unloaded
         // latency beats Shinjuku-Offload's.
         let spec = quick_spec(5_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
-        let host = run(spec, ShinjukuConfig::paper(2)).metrics;
-        let offload = crate::offload::run_probed(
-            spec,
-            crate::offload::OffloadConfig::paper(2, 2),
-            ProbeConfig::disabled(),
-        );
+        let host = run(spec, ShinjukuConfig::paper(2)).0;
+        let offload = crate::offload::OffloadConfig::paper(2, 2).run(spec, ProbeConfig::disabled());
         assert!(
             host.p50 < offload.p50,
             "host {} should undercut offload {} at low load",
@@ -824,7 +804,7 @@ mod tests {
     fn saturates_at_worker_capacity() {
         // 3 workers at 5us => 600k rps ceiling.
         let spec = quick_spec(900_000.0, ServiceDist::Fixed(SimDuration::from_micros(5)));
-        let m = run(spec, unsliced(3)).metrics;
+        let m = run(spec, unsliced(3)).0;
         assert!(m.saturated(0.05), "{}", m.row());
         assert!(m.achieved_rps < 650_000.0, "achieved {:.0}", m.achieved_rps);
         // With one request in flight per worker, each completion costs a
@@ -842,7 +822,7 @@ mod tests {
         // 15 workers of 1us work could do 15M, but the dispatcher's 200ns
         // per request caps the system near 5M (§1) — the Figure 6 story.
         let spec = quick_spec(8_000_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
-        let m = run(spec, unsliced(15)).metrics;
+        let m = run(spec, unsliced(15)).0;
         assert!(
             m.achieved_rps < 5_500_000.0,
             "achieved {:.0}",
@@ -860,8 +840,8 @@ mod tests {
         // 1us requests, far beyond one dispatcher's ~4-5M/s: with four
         // dispatcher groups the aggregate scales well past it.
         let spec = quick_spec(9_000_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
-        let one = run(spec, ShinjukuConfig::split(32, 1)).metrics;
-        let four = run(spec, ShinjukuConfig::split(32, 4)).metrics;
+        let one = run(spec, ShinjukuConfig::split(32, 1)).0;
+        let four = run(spec, ShinjukuConfig::split(32, 4)).0;
         assert!(
             four.achieved_rps > one.achieved_rps * 1.3,
             "4 dispatchers ({:.1}M) should outscale 1 ({:.1}M)",
@@ -873,8 +853,8 @@ mod tests {
     #[test]
     fn preemption_bounds_bimodal_tail() {
         let spec = quick_spec(400_000.0, ServiceDist::paper_bimodal());
-        let with = run(spec, ShinjukuConfig::paper(4)).metrics;
-        let without = run(spec, unsliced(4)).metrics;
+        let with = run(spec, ShinjukuConfig::paper(4)).0;
+        let without = run(spec, unsliced(4)).0;
         assert!(with.preemptions > 0);
         assert!(
             with.p99 < without.p99,
@@ -887,17 +867,10 @@ mod tests {
     #[test]
     fn rss_across_groups_creates_imbalance() {
         let spec = quick_spec(500_000.0, ServiceDist::Fixed(SimDuration::from_micros(5)));
-        assert_eq!(run(spec, ShinjukuConfig::paper(3)).imbalance, 1.0);
+        assert_eq!(run(spec, ShinjukuConfig::paper(3)).1, 1.0);
         let m = run(spec, ShinjukuConfig::split(16, 4));
-        assert!(
-            m.imbalance > 1.0,
-            "RSS group shares are never perfectly even"
-        );
-        assert!(
-            m.imbalance < 2.0,
-            "but not catastrophic at uniform flows: {}",
-            m.imbalance
-        );
+        assert!(m.1 > 1.0, "RSS group shares are never perfectly even");
+        assert!(m.1 < 2.0, "but not catastrophic at uniform flows: {}", m.1);
     }
 
     #[test]
@@ -923,8 +896,8 @@ mod tests {
         for cfg in [ShinjukuConfig::paper(3), ShinjukuConfig::split(16, 2)] {
             let a = run(spec, cfg);
             let b = run(spec, cfg);
-            assert_eq!(a.metrics, b.metrics, "{} groups", cfg.groups);
-            assert_eq!(a.imbalance, b.imbalance);
+            assert_eq!(a.0, b.0, "{} groups", cfg.groups);
+            assert_eq!(a.1, b.1);
         }
     }
 
@@ -938,7 +911,7 @@ mod tests {
             (bimodal, ShinjukuConfig::split(16, 2), 7),
         ] {
             let res = ResilienceConfig::loss_and_crash(crashed, SimTime::from_millis(10));
-            let m = run_resilient_probed(spec, cfg, ProbeConfig::disabled(), res).metrics;
+            let m = cfg.run_resilient(spec, ProbeConfig::disabled(), res);
             let f = &m.faults;
             assert_eq!(f.unaccounted(), 0, "request ledger must close: {f:?}");
             assert!(f.in_pipe() >= 0, "attempt ledger went negative: {f:?}");
@@ -948,7 +921,7 @@ mod tests {
             assert!(f.quarantines >= 1, "crashed worker must be quarantined");
             assert!(m.completed > 1000, "completed {}", m.completed);
             // Deterministic under faults.
-            let again = run_resilient_probed(spec, cfg, ProbeConfig::disabled(), res).metrics;
+            let again = cfg.run_resilient(spec, ProbeConfig::disabled(), res);
             assert_eq!(m, again, "{} groups", cfg.groups);
         }
     }
@@ -963,13 +936,7 @@ mod tests {
             fallback: Some(StalenessPolicy::paper_default()),
             ..ResilienceConfig::default()
         };
-        let m = run_resilient_probed(
-            spec,
-            ShinjukuConfig::split(10, 2),
-            ProbeConfig::disabled(),
-            res,
-        )
-        .metrics;
+        let m = ShinjukuConfig::split(10, 2).run_resilient(spec, ProbeConfig::disabled(), res);
         let f = &m.faults;
         assert!(f.fallback_ns > 0, "blackout never degraded a group: {f:?}");
         assert!(

@@ -77,31 +77,6 @@ fn offload_hop_breakdown_reconciles_with_client_sojourn() {
 }
 
 #[test]
-fn disabled_probe_is_bit_identical_to_the_free_functions() {
-    let spec = uniform_chain_spec();
-    let probe = ProbeConfig::disabled();
-    for sys in five_assemblies() {
-        let disabled = sys.run(spec, probe);
-        assert!(disabled.stages.is_none());
-
-        let direct = match sys {
-            SystemConfig::Offload(c) => systems::offload::run_probed(spec, c, probe),
-            SystemConfig::Shinjuku(c) | SystemConfig::MultiShinjuku(c) => {
-                systems::shinjuku::run_probed(spec, c, probe).metrics
-            }
-            SystemConfig::Baseline(c) => systems::baseline::run_probed(spec, c, probe),
-            SystemConfig::RpcValet(c) => systems::rpcvalet::run_probed(spec, c, probe),
-        };
-        assert_eq!(
-            disabled,
-            direct,
-            "{}: trait must be bit-identical to the free function",
-            sys.name()
-        );
-    }
-}
-
-#[test]
 fn every_queue_gauge_reads_near_empty_at_light_load() {
     // At 20k requests/s on 4 workers nothing waits long, so every queue is
     // empty nearly all the time. A gauge sampled only when something

@@ -4,9 +4,12 @@
 //! client's request ledger, the attempt ledger, and the dispatcher's
 //! recovery ledger — must reconcile exactly.
 
+use nicsched::PolicySpec;
 use proptest::prelude::*;
 use sim_core::{FaultConfig, ProbeConfig, SimDuration, SimTime};
+use systems::baseline::{BaselineConfig, BaselineKind};
 use systems::offload::OffloadConfig;
+use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
 use systems::{ResilienceConfig, ServerSystem, SystemConfig};
 use workload::{FaultMetrics, RetryPolicy, ServiceDist, WorkloadSpec};
@@ -108,19 +111,49 @@ proptest! {
     }
 }
 
-/// Deterministic end-to-end check: a mid-run crash with recovery enabled
-/// must actually trip the detector and reclaim the orphans — otherwise
-/// the properties above are vacuous.
+/// Deterministic end-to-end check on every assembly: a mid-run crash with
+/// recovery enabled must trip the detector and reclaim the orphans
+/// wherever there is a dispatcher — otherwise the properties above are
+/// vacuous. RSS has none, so its recovery is a documented no-op: nothing
+/// is suspected and the dead core's work strands until client retries.
 #[test]
 fn crash_trips_the_detector_and_reclaims_orphans() {
     let faults = FaultConfig::default().with_crash(1, SimTime::from_micros(2_000));
     let res = recovery_res(faults);
-    let sys = SystemConfig::Offload(OffloadConfig::paper(4, 4));
-    let m = sys.run_resilient(spec(7, 250_000.0), ProbeConfig::disabled(), res);
-    let f = &m.faults;
-    assert!(f.suspicions > 0, "crashed worker never suspected: {f:?}");
-    assert!(f.recovered > 0, "no orphans reclaimed: {f:?}");
-    assert_eq!(f.unaccounted(), 0, "{f:?}");
+    for sys in [
+        SystemConfig::Offload(OffloadConfig::paper(4, 4)),
+        SystemConfig::Shinjuku(ShinjukuConfig::paper(4)),
+        SystemConfig::Shinjuku(ShinjukuConfig {
+            groups: 2,
+            workers: 2,
+            time_slice: None,
+            policy: PolicySpec::FCFS,
+        }),
+        SystemConfig::RpcValet(RpcValetConfig { workers: 4 }),
+        SystemConfig::Baseline(BaselineConfig {
+            workers: 4,
+            kind: BaselineKind::Rss,
+        }),
+    ] {
+        let m = sys.run_resilient(spec(7, 250_000.0), ProbeConfig::disabled(), res);
+        let f = &m.faults;
+        let name = sys.name();
+        assert_eq!(f.unaccounted(), 0, "{name}: {f:?}");
+        if name == "rss" {
+            assert_eq!(f.suspicions, 0, "{name}: no detector to trip: {f:?}");
+            assert_eq!(f.recovered, 0, "{name}: {f:?}");
+            assert!(
+                f.stranded > 0,
+                "{name}: the dead core stranded nothing: {f:?}"
+            );
+        } else {
+            assert_eq!(
+                f.suspicions, 1,
+                "{name}: crashed worker not suspected once: {f:?}"
+            );
+            assert!(f.recovered > 0, "{name}: no orphans reclaimed: {f:?}");
+        }
+    }
 }
 
 /// A transient stall is the false-positive path: the worker is suspected,

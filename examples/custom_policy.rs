@@ -10,7 +10,7 @@
 
 use std::collections::BinaryHeap;
 
-use mindgap::nicsched::{Dispatcher, LeastOutstanding, SchedPolicy, Task};
+use mindgap::nicsched::{Dispatcher, FeedbackEvent, LeastOutstanding, SchedPolicy, Task};
 use mindgap::sim::{SimDuration, SimTime};
 
 /// Earliest-deadline-first: each request's deadline is its arrival plus a
@@ -81,6 +81,11 @@ impl SchedPolicy for Edf {
     fn dequeue(&mut self, _now: SimTime) -> Option<Task> {
         self.heap.pop().map(|e| e.task)
     }
+    // Deadlines do not depend on worker state, so failure signals change
+    // nothing here; the dispatcher already requeues reclaimed work.
+    fn feedback(&mut self, _now: SimTime, _event: &FeedbackEvent) {}
+    fn worker_down(&mut self, _now: SimTime, _worker: usize) {}
+    fn worker_up(&mut self, _now: SimTime, _worker: usize) {}
     fn len(&self) -> usize {
         self.heap.len()
     }
