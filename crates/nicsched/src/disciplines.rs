@@ -14,6 +14,7 @@ use sim_core::{SimDuration, SimTime};
 
 use crate::policy::{DepthStats, FeedbackEvent, Pick, PreemptDecision, RunningTask, SchedPolicy};
 use crate::select::WorkerView;
+use crate::spec::LaneWeights;
 use crate::task::Task;
 
 /// The RSS-style hash the degraded dispatcher uses; dFCFS uses the same
@@ -481,10 +482,10 @@ pub struct WeightedFair {
 }
 
 impl WeightedFair {
-    /// WFQ over `weights.len()` lanes, each weight at least 1 (as a
-    /// [`LaneWeights`](crate::LaneWeights) guarantees).
-    pub fn new(weights: Vec<u64>) -> WeightedFair {
-        let weights = if weights.is_empty() { vec![1] } else { weights };
+    /// WFQ over one lane per weight; [`LaneWeights`] holds at least one,
+    /// none of them zero.
+    pub fn new(weights: LaneWeights) -> WeightedFair {
+        let weights = weights.as_slice().to_vec();
         let n = weights.len();
         WeightedFair {
             lanes: (0..n).map(|_| VecDeque::new()).collect(),
@@ -627,8 +628,6 @@ mod tests {
         WorkerView {
             worker,
             outstanding: 0,
-            last_req: None,
-            idle_since: Some(SimTime::ZERO),
             health: crate::WorkerHealth::Healthy,
         }
     }
@@ -800,7 +799,7 @@ mod tests {
     #[test]
     fn wfq_shares_by_weight() {
         // Two lanes, 3:1. Lane of id = (0 + id) % 2.
-        let mut q = WeightedFair::new(vec![3, 1]);
+        let mut q = WeightedFair::new(LaneWeights::new(&[3, 1]).unwrap());
         for id in 0..12 {
             q.enqueue(us(0), task(id, 10));
         }
@@ -817,7 +816,7 @@ mod tests {
 
     #[test]
     fn wfq_equal_weights_interleave() {
-        let mut q = WeightedFair::new(vec![1, 1]);
+        let mut q = WeightedFair::new(LaneWeights::new(&[1, 1]).unwrap());
         for id in 0..6 {
             q.enqueue(us(0), task(id, 10));
         }
@@ -892,8 +891,8 @@ mod tests {
     #[test]
     fn wfq_membership_change_rebases_virtual_time() {
         // Weights 3:1; even ids land on lane 0, odd on lane 1.
-        let mut plain = WeightedFair::new(vec![3, 1]);
-        let mut rebased = WeightedFair::new(vec![3, 1]);
+        let mut plain = WeightedFair::new(LaneWeights::new(&[3, 1]).unwrap());
+        let mut rebased = WeightedFair::new(LaneWeights::new(&[3, 1]).unwrap());
         for q in [&mut plain, &mut rebased] {
             for id in 0..7 {
                 q.enqueue(us(0), task(id, 10));

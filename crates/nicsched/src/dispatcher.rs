@@ -92,13 +92,6 @@ pub enum AdmitOutcome {
     },
 }
 
-#[derive(Clone, Copy, Debug)]
-struct WorkerState {
-    outstanding: u32,
-    last_req: Option<u64>,
-    idle_since: Option<SimTime>,
-}
-
 /// A dispatched request the dispatcher is still waiting on: which worker
 /// owns it and the task as last dispatched (so a reclaim can re-queue it
 /// and a completion can report the true service to the policy — the
@@ -135,7 +128,8 @@ struct InFlight {
 pub struct Dispatcher<P, S> {
     policy: P,
     selector: S,
-    workers: Vec<WorkerState>,
+    // Requests outstanding at each worker, as the dispatcher believes.
+    outstanding: Vec<u32>,
     outstanding_cap: u32,
     admission: AdmissionPolicy,
     // Stale-feedback fallback: when set, worker selection ignores the
@@ -179,14 +173,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         Dispatcher {
             policy,
             selector,
-            workers: vec![
-                WorkerState {
-                    outstanding: 0,
-                    last_req: None,
-                    idle_since: Some(SimTime::ZERO)
-                };
-                n_workers
-            ],
+            outstanding: vec![0; n_workers],
             outstanding_cap,
             admission: AdmissionPolicy::Open,
             degraded: false,
@@ -204,7 +191,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
     /// this is called the dispatcher behaves bit-identically to the
     /// pre-recovery code path.
     pub fn enable_recovery(&mut self, policy: RecoveryPolicy) {
-        self.health = Some(HealthTracker::new(self.workers.len(), policy));
+        self.health = Some(HealthTracker::new(self.outstanding.len(), policy));
     }
 
     /// The failure detector, when recovery is armed.
@@ -277,16 +264,9 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         }
         self.note_activity(now, worker);
         self.stats.completions += 1;
-        let w = &mut self.workers[worker];
-        debug_assert!(
-            w.outstanding > 0,
-            "completion from a worker with nothing outstanding"
-        );
-        w.outstanding = w.outstanding.saturating_sub(1);
-        w.last_req = Some(req_id);
-        if w.outstanding == 0 {
-            w.idle_since = Some(now);
-        }
+        let w = &mut self.outstanding[worker];
+        debug_assert!(*w > 0, "completion from a worker with nothing outstanding");
+        *w = w.saturating_sub(1);
         let service = self
             .in_flight
             .remove(req_id)
@@ -312,16 +292,9 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         }
         self.note_activity(now, worker);
         self.stats.requeued += 1;
-        let w = &mut self.workers[worker];
-        debug_assert!(
-            w.outstanding > 0,
-            "preemption from a worker with nothing outstanding"
-        );
-        w.outstanding = w.outstanding.saturating_sub(1);
-        w.last_req = Some(task.req_id);
-        if w.outstanding == 0 {
-            w.idle_since = Some(now);
-        }
+        let w = &mut self.outstanding[worker];
+        debug_assert!(*w > 0, "preemption from a worker with nothing outstanding");
+        *w = w.saturating_sub(1);
         self.in_flight.remove(task.req_id);
         self.policy.feedback(
             now,
@@ -355,8 +328,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         let Some(h) = self.health.as_mut() else {
             return Vec::new();
         };
-        let outstanding: Vec<u32> = self.workers.iter().map(|w| w.outstanding).collect();
-        let suspects = h.check(now, &outstanding);
+        let suspects = h.check(now, &self.outstanding);
         if suspects.is_empty() {
             return Vec::new();
         }
@@ -378,11 +350,8 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
             .collect();
         for id in ids {
             let e = self.in_flight.remove(id).expect("collected above");
-            let w = &mut self.workers[worker];
-            w.outstanding = w.outstanding.saturating_sub(1);
-            if w.outstanding == 0 {
-                w.idle_since = Some(now);
-            }
+            let w = &mut self.outstanding[worker];
+            *w = w.saturating_sub(1);
             *self.reclaimed.entry((id, worker)).or_insert(0) += 1;
             self.stats.recovered += 1;
             self.stats.requeued += 1;
@@ -492,19 +461,15 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
             let (excluded, cap, health) = (&self.excluded, self.outstanding_cap, &self.health);
             self.candidates.clear();
             self.candidates.extend(
-                self.workers
+                self.outstanding
                     .iter()
                     .enumerate()
-                    .filter(|(i, w)| {
-                        !excluded[*i]
-                            && w.outstanding < cap
-                            && health.as_ref().map_or(true, |h| h.selectable(*i))
+                    .filter(|&(i, &n)| {
+                        !excluded[i] && n < cap && health.as_ref().map_or(true, |h| h.selectable(i))
                     })
-                    .map(|(i, w)| WorkerView {
+                    .map(|(i, &outstanding)| WorkerView {
                         worker: i,
-                        outstanding: w.outstanding,
-                        last_req: w.last_req,
-                        idle_since: w.idle_since,
+                        outstanding,
                         health: health
                             .as_ref()
                             .map_or(WorkerHealth::Healthy, |h| h.state_of(i)),
@@ -555,9 +520,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
             );
             let mut task = task;
             task.preempt = decision;
-            let w = &mut self.workers[worker];
-            w.outstanding += 1;
-            w.idle_since = None;
+            self.outstanding[worker] += 1;
             self.stats.assigned += 1;
             if let Some(h) = self.health.as_mut() {
                 // Lease renewal: the worker owes this request back within
@@ -578,17 +541,17 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
 
     /// Outstanding count the dispatcher believes `worker` has.
     pub fn outstanding(&self, worker: usize) -> u32 {
-        self.workers[worker].outstanding
+        self.outstanding[worker]
     }
 
     /// Total outstanding across all workers.
     pub fn total_outstanding(&self) -> u32 {
-        self.workers.iter().map(|w| w.outstanding).sum()
+        self.outstanding.iter().sum()
     }
 
     /// Number of workers.
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.outstanding.len()
     }
 
     /// The configured outstanding cap.
@@ -1027,7 +990,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::policy::{Fcfs, ShortestRemaining};
-    use crate::select::{LeastOutstanding, RoundRobin};
+    use crate::select::LeastOutstanding;
     use crate::spec::PolicySpec;
     use proptest::prelude::*;
     use sim_core::{SimDuration, SimTime};
@@ -1117,12 +1080,7 @@ mod proptests {
 
     fn drive(ops: Vec<u8>, workers: usize, cap: u32, srf: bool) -> Result<(), TestCaseError> {
         if srf {
-            let mut d = Dispatcher::new(
-                workers,
-                cap,
-                ShortestRemaining::new(),
-                RoundRobin::default(),
-            );
+            let mut d = Dispatcher::new(workers, cap, ShortestRemaining::new(), LeastOutstanding);
             check(&ops, &mut d, workers, cap, true)
         } else {
             let mut d = Dispatcher::new(workers, cap, Fcfs::new(), LeastOutstanding);

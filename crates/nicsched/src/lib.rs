@@ -17,8 +17,7 @@
 //!   `"edf:deadline=50us"`, `"wfq:w=4,1,1"`) that configs and CLIs name
 //!   policies by; [`PolicySpec::NAMES`] lists the accepted names.
 //! * [`CoreSelector`] — programmable worker selection
-//!   ([`LeastOutstanding`], [`RoundRobin`], [`Affinity`],
-//!   [`MostRecentlyIdle`]).
+//!   ([`LeastOutstanding`], [`SocketAffinity`]).
 //! * [`Dispatcher`] — the centralized, preemptive dispatcher: queuing,
 //!   selection, and the §3.4.5 outstanding-requests cap ("queuing
 //!   optimization"). The same state machine runs on a host core
@@ -63,9 +62,6 @@ pub use policy::{
 };
 pub use profile::{NicProfile, SchedCompute};
 pub use recovery::{HealthTracker, RecoveryPolicy, RecoveryStats, WorkerHealth};
-pub use select::{
-    Affinity, CoreSelector, LeastOutstanding, MostRecentlyIdle, RoundRobin, SocketAffinity,
-    WorkerView,
-};
+pub use select::{CoreSelector, LeastOutstanding, SocketAffinity, WorkerView};
 pub use spec::{fmt_duration, parse_duration, LaneWeights, PolicyError, PolicySpec};
 pub use task::Task;

@@ -634,8 +634,6 @@ mod tests {
         let views = [WorkerView {
             worker: 2,
             outstanding: 0,
-            last_req: None,
-            idle_since: Some(SimTime::ZERO),
             health: crate::WorkerHealth::Healthy,
         }];
         let pick = q.pick_next(us(1), &views).unwrap();

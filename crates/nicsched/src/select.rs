@@ -4,10 +4,9 @@
 //! request, not just which request runs next. §3.1 sketches the payoff:
 //! feedback could include "performance counter data used to predict the
 //! state of each core's caches and provide good scheduling affinity". The
-//! prototype assigns the head-of-queue request to any available worker;
-//! richer selectors are framework extensions exercised by the ablations.
-
-use sim_core::SimTime;
+//! prototype assigns the head-of-queue request to the least-loaded worker
+//! ([`LeastOutstanding`]); the dual-socket offload configuration prefers
+//! workers on the NIC's socket ([`SocketAffinity`]).
 
 use crate::recovery::WorkerHealth;
 
@@ -19,10 +18,6 @@ pub struct WorkerView {
     /// Requests currently outstanding at the worker (executing + stashed
     /// in its RX queue under the §3.4.5 queuing optimization).
     pub outstanding: u32,
-    /// The last request id this worker executed, if any (for affinity).
-    pub last_req: Option<u64>,
-    /// When the worker last went idle (for LIFO warm-core selection).
-    pub idle_since: Option<SimTime>,
     /// The failure detector's verdict on this worker. Candidates shown to
     /// `pick_next`/`select` are always selectable (`Healthy` or
     /// `Readmitted`); the distinction lets a policy treat a worker on
@@ -36,8 +31,6 @@ pub trait CoreSelector {
     /// Choose among `candidates` (all satisfy the outstanding cap;
     /// non-empty) for `req_id`. Returns an index *into `candidates`*.
     fn select(&mut self, candidates: &[WorkerView], req_id: u64) -> usize;
-    /// Strategy name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Pick the candidate with the fewest outstanding requests, lowest index
@@ -54,70 +47,6 @@ impl CoreSelector for LeastOutstanding {
             }
         }
         best
-    }
-
-    fn name(&self) -> &'static str {
-        "least-outstanding"
-    }
-}
-
-/// Rotate across workers regardless of load.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl CoreSelector for RoundRobin {
-    fn select(&mut self, candidates: &[WorkerView], _req_id: u64) -> usize {
-        let i = self.next % candidates.len();
-        self.next = self.next.wrapping_add(1);
-        i
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Prefer the worker that previously ran this request (its context and
-/// data are cache-warm); fall back to least-outstanding.
-#[derive(Debug, Default)]
-pub struct Affinity {
-    fallback: LeastOutstanding,
-}
-
-impl CoreSelector for Affinity {
-    fn select(&mut self, candidates: &[WorkerView], req_id: u64) -> usize {
-        candidates
-            .iter()
-            .position(|c| c.last_req == Some(req_id))
-            .unwrap_or_else(|| self.fallback.select(candidates, req_id))
-    }
-
-    fn name(&self) -> &'static str {
-        "affinity"
-    }
-}
-
-/// Pick the most-recently-idled worker (LIFO): keeps the working set hot
-/// on few cores and lets the rest idle deeply — the selection policy
-/// centralized schedulers like Shenango use.
-#[derive(Debug, Default)]
-pub struct MostRecentlyIdle;
-
-impl CoreSelector for MostRecentlyIdle {
-    fn select(&mut self, candidates: &[WorkerView], _req_id: u64) -> usize {
-        let mut best = 0;
-        for (i, c) in candidates.iter().enumerate().skip(1) {
-            if c.idle_since > candidates[best].idle_since {
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn name(&self) -> &'static str {
-        "most-recently-idle"
     }
 }
 
@@ -159,19 +88,12 @@ impl CoreSelector for SocketAffinity {
         }
         best.unwrap_or_else(|| self.fallback.select(candidates, req_id))
     }
-
-    fn name(&self) -> &'static str {
-        "socket-affinity"
-    }
 }
 
 // Boxed selectors are selectors, so assemblies can pick one at runtime.
 impl CoreSelector for Box<dyn CoreSelector> {
     fn select(&mut self, candidates: &[WorkerView], req_id: u64) -> usize {
         (**self).select(candidates, req_id)
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
     }
 }
 
@@ -183,8 +105,6 @@ mod tests {
         WorkerView {
             worker,
             outstanding,
-            last_req: None,
-            idle_since: None,
             health: WorkerHealth::Healthy,
         }
     }
@@ -204,37 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_rotates() {
-        let mut s = RoundRobin::default();
-        let c = [view(0, 0), view(1, 0), view(2, 0)];
-        assert_eq!(s.select(&c, 1), 0);
-        assert_eq!(s.select(&c, 2), 1);
-        assert_eq!(s.select(&c, 3), 2);
-        assert_eq!(s.select(&c, 4), 0);
-    }
-
-    #[test]
-    fn affinity_finds_previous_worker() {
-        let mut s = Affinity::default();
-        let mut c = [view(0, 0), view(1, 3), view(2, 0)];
-        c[1].last_req = Some(42);
-        // Affinity outweighs load for the request that ran there before.
-        assert_eq!(s.select(&c, 42), 1);
-        // Other requests fall back to least-outstanding.
-        assert_eq!(s.select(&c, 7), 0);
-    }
-
-    #[test]
-    fn most_recently_idle_is_lifo() {
-        let mut s = MostRecentlyIdle;
-        let mut c = [view(0, 0), view(1, 0), view(2, 0)];
-        c[0].idle_since = Some(SimTime::from_micros(5));
-        c[1].idle_since = Some(SimTime::from_micros(9));
-        c[2].idle_since = Some(SimTime::from_micros(1));
-        assert_eq!(s.select(&c, 1), 1);
-    }
-
-    #[test]
     fn socket_affinity_prefers_nic_socket() {
         // Workers 0-1 on socket 0 (NIC), 2-3 on socket 1.
         let mut s = SocketAffinity::new(vec![0, 0, 1, 1], 0);
@@ -244,23 +133,12 @@ mod tests {
         // With only off-socket candidates, fall back to least-outstanding.
         let off = [view(2, 1), view(3, 0)];
         assert_eq!(s.select(&off, 9), 1);
-        assert_eq!(s.name(), "socket-affinity");
     }
 
     #[test]
     fn boxed_selector_delegates() {
-        let mut s: Box<dyn CoreSelector> = Box::new(RoundRobin::default());
-        let c = [view(0, 0), view(1, 0)];
-        assert_eq!(s.select(&c, 1), 0);
-        assert_eq!(s.select(&c, 2), 1);
-        assert_eq!(s.name(), "round-robin");
-    }
-
-    #[test]
-    fn never_idled_workers_lose_lifo() {
-        let mut s = MostRecentlyIdle;
-        let mut c = [view(0, 0), view(1, 0)];
-        c[1].idle_since = Some(SimTime::ZERO);
-        assert_eq!(s.select(&c, 1), 1, "Some(t) beats None");
+        let mut s: Box<dyn CoreSelector> = Box::new(SocketAffinity::new(vec![1, 0], 0));
+        let c = [view(0, 0), view(1, 2)];
+        assert_eq!(s.select(&c, 1), 1);
     }
 }

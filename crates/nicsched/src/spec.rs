@@ -395,7 +395,7 @@ impl PolicySpec {
             }
             PolicySpec::Edf { deadline, stretch } => Box::new(Edf::with_stretch(deadline, stretch)),
             PolicySpec::ClassPriority { cutoff } => Box::new(ClassPriority::new(cutoff)),
-            PolicySpec::Wfq { weights } => Box::new(WeightedFair::new(weights.as_slice().to_vec())),
+            PolicySpec::Wfq { weights } => Box::new(WeightedFair::new(weights)),
         }
     }
 }

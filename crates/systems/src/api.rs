@@ -230,15 +230,27 @@ mod tests {
     }
 
     #[test]
-    fn default_resilience_is_bit_identical_to_plain_run() {
+    fn inert_resilience_is_bit_identical_to_plain_run() {
+        use sim_core::faults::FaultConfig;
+        use sim_core::SimTime;
+        // Active settings whose fault never fires inside the 6 ms horizon:
+        // the fault plan is installed, and must change nothing.
+        let res = ResilienceConfig {
+            faults: FaultConfig::default().with_crash(0, SimTime::from_millis(60)),
+            ..ResilienceConfig::default()
+        };
+        assert!(res.is_active());
         for sys in all_systems() {
-            let plain = sys.run(quick_spec(), ProbeConfig::disabled());
-            let res = sys.run_resilient(
-                quick_spec(),
-                ProbeConfig::disabled(),
-                ResilienceConfig::default(),
-            );
-            assert_eq!(plain, res, "{}: inert faults perturbed the run", sys.name());
+            for probe in [ProbeConfig::disabled(), ProbeConfig::enabled()] {
+                let plain = sys.run(quick_spec(), probe);
+                let inert = sys.run_resilient(quick_spec(), probe, res);
+                assert_eq!(
+                    plain,
+                    inert,
+                    "{}: inert faults perturbed the run",
+                    sys.name()
+                );
+            }
         }
     }
 

@@ -15,17 +15,16 @@
 //! stealing option — which is exactly the paper's framing: they delegate
 //! scheduling to steering hardware and give up load awareness.
 
-use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
-use net_wire::{FrameSpec, MsgKind, MsgRepr};
+use net_wire::{FrameSpec, MsgKind};
 use nic_model::{FlowDirector, FlowKey, IfaceId, NicDevice, QueueSteering, Rss};
 use nicsched::params;
-use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
+use sim_core::probe::{Counter, Family, Gauge};
 use sim_core::{Ctx, Engine, Model, Probe, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    assemble_metrics, mean_utilization, scale_duration, AddressPlan, Assembly, Client, ClientEdge,
-    ClientEv, ResilienceConfig, Wire,
+    assemble_metrics, msg_task, response_frame, AddressPlan, Assembly, Client, ClientEdge,
+    ClientEv, ResilienceConfig, RunEnd, Wire, Workers,
 };
 
 /// Elastic-RSS controller period: "provisions cores for applications on
@@ -63,7 +62,8 @@ pub enum Ev {
     Client(ClientEv),
     WireToNic(FrameSpec),
     WorkerPoll(usize),
-    WorkerRunEnd(usize),
+    /// A worker's run ends, with its timer generation.
+    WorkerRunEnd(usize, u64),
     /// Elastic-RSS controller tick: re-provision the active core set.
     ErssTick,
 }
@@ -77,25 +77,12 @@ impl ClientEdge for Ev {
     }
 }
 
-struct Worker {
-    core: Core,
-    busy: bool,
-    /// When the worker last went idle (for feedback-gap measurement).
-    idle_since: Option<SimTime>,
-}
-
 /// A baseline's probe keys beyond its client edge, registered once at
 /// construction.
 struct Keys {
     rx_frames: Counter,
     steals: Counter,
-    completed: Counter,
-    stranded: Counter,
     ring: Family<Gauge>,
-    worker: Family<Busy>,
-    idle_gap: Hop,
-    worker_start: Hop,
-    worker_done: Hop,
 }
 
 impl Keys {
@@ -103,13 +90,7 @@ impl Keys {
         Keys {
             rx_frames: probe.counter("nic.rx_frames"),
             steals: probe.counter("worker.steals"),
-            completed: probe.counter("worker.completed"),
-            stranded: probe.counter("worker.stranded"),
             ring: probe.gauge_family("worker.ring", workers),
-            worker: probe.busy_family("worker", workers),
-            idle_gap: probe.hop("worker.idle_gap"),
-            worker_start: probe.hop("path.1_worker_start"),
-            worker_done: probe.hop("path.2_worker_done"),
         }
     }
 }
@@ -132,22 +113,13 @@ pub struct Baseline {
     wire: Wire,
     nic: NicDevice,
     iface: IfaceId,
-    workers: Vec<Worker>,
-    ctx_pool: ContextPool,
-    ctx_costs: ContextCosts,
-    host: CoreSpec,
-    /// Successful steals (ZygOS mode).
-    steals: u64,
-    /// The message each busy worker is executing.
-    pending: Vec<Option<MsgRepr>>,
+    pub(crate) workers: Workers,
     /// Elastic RSS: currently provisioned cores (prefix of the worker set).
     active: usize,
     /// Elastic RSS: busy time per worker at the last controller tick.
     last_busy: Vec<SimDuration>,
     /// Elastic RSS: time-weighted active-core count.
     active_tw: sim_core::stats::TimeWeighted,
-
-    stranded: u64,
     keys: Keys,
 }
 
@@ -205,13 +177,14 @@ impl Assembly for Baseline {
         let iface = nic.add_iface(AddressPlan::dispatcher_mac(), cfg.workers, 1024, steering);
 
         let t0 = SimTime::ZERO;
-        let workers = (0..cfg.workers)
-            .map(|w| Worker {
-                core: Core::new(CoreId(w as u32), CoreSpec::host_x86(), t0),
-                busy: false,
-                idle_since: Some(t0),
-            })
-            .collect();
+        // No preemption: every task runs to completion.
+        let workers = Workers::new(
+            cfg.workers,
+            probe,
+            "path.1_worker_start",
+            "path.2_worker_done",
+        )
+        .with_idle_gaps(probe);
 
         Baseline {
             cfg,
@@ -221,15 +194,9 @@ impl Assembly for Baseline {
             nic,
             iface,
             workers,
-            ctx_pool: ContextPool::new(),
-            ctx_costs: ContextCosts::default(),
-            host: CoreSpec::host_x86(),
-            steals: 0,
-            pending: vec![None; cfg.workers],
             active: cfg.workers,
             last_busy: vec![SimDuration::ZERO; cfg.workers],
             active_tw: sim_core::stats::TimeWeighted::new(t0, cfg.workers as f64),
-            stranded: 0,
             keys: Keys::new(probe, cfg.workers),
         }
     }
@@ -244,10 +211,10 @@ impl Assembly for Baseline {
     }
 
     fn metrics(&self, horizon: SimTime) -> (RunMetrics, f64) {
-        let util = mean_utilization(self.workers.iter().map(|w| &w.core), horizon);
+        let util = self.workers.utilization(horizon);
         let mut metrics = assemble_metrics(&self.client, &self.wire, 0, util);
         metrics.faults.ring_dropped = self.nic.total_drops();
-        metrics.faults.stranded = self.stranded;
+        metrics.faults.stranded = self.workers.stranded;
         let cores = if self.cfg.kind == BaselineKind::ElasticRss {
             self.active_tw.mean_until(horizon).max(1.0)
         } else {
@@ -267,7 +234,7 @@ impl Baseline {
         let window = ERSS_INTERVAL.as_secs_f64();
         let mut busy = 0.0;
         for (w, last) in self.last_busy.iter_mut().enumerate() {
-            let total = self.workers[w].core.busy_time(now);
+            let total = self.workers.busy_time(w, now);
             busy += (total - *last).as_secs_f64();
             *last = total;
         }
@@ -298,7 +265,6 @@ impl Baseline {
             let victim = (0..iface.rx.len())
                 .filter(|&q| q != w && !iface.rx[q].is_empty())
                 .max_by_key(|&q| iface.rx[q].len())?;
-            self.steals += 1;
             (victim, params::WORK_STEAL_COST)
         } else {
             return None;
@@ -309,23 +275,11 @@ impl Baseline {
     }
 
     fn worker_poll(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
-        if self.workers[w].busy {
-            return;
-        }
-        let now = ctx.now();
-        if ctx.faults().worker_crashed(w, now) {
-            return; // dead cores never poll again
-        }
-        if let Some(resume) = ctx.faults().worker_stalled_until(w, now) {
-            ctx.schedule_at(resume, Ev::WorkerPoll(w));
+        if !self.workers.may_take(w, Ev::WorkerPoll(w), ctx) {
             return;
         }
         let Some((spec, steal_cost)) = self.take_work(w, ctx) else {
-            self.workers[w].core.set_idle(ctx.now());
-            ctx.probe().busy(self.keys.worker.at(w), false);
-            if self.workers[w].idle_since.is_none() {
-                self.workers[w].idle_since = Some(ctx.now());
-            }
+            self.workers.idle(w, ctx.now(), ctx);
             return;
         };
         if steal_cost > SimDuration::ZERO {
@@ -336,67 +290,21 @@ impl Baseline {
             ctx.schedule_now(Ev::WorkerPoll(w));
             return;
         }
-        if let Some(idle_at) = self.workers[w].idle_since.take() {
-            let gap = ctx.now().saturating_duration_since(idle_at);
-            ctx.probe().hop(&self.keys.idle_gap, gap);
-        }
-        ctx.probe().mark(msg.req_id, &self.keys.worker_start);
-        ctx.probe().busy(self.keys.worker.at(w), true);
+        let task = msg_task(&msg, ctx.now());
         // Run-to-completion: the worker is its own networking subsystem.
-        let overhead = steal_cost
-            + params::HOST_NET_PER_PACKET
-            + ContextPool::op_cost(self.ctx_pool.begin(msg.req_id), &self.ctx_costs, &self.host);
-        let service = SimDuration::from_nanos(msg.service_ns);
-        // A slowdown window stretches wall time for this execution.
-        let slow = {
-            let now = ctx.now();
-            ctx.faults().worker_slowdown(w, now)
-        };
-        let wall = if slow > 1.0 {
-            scale_duration(overhead + service, slow)
-        } else {
-            overhead + service
-        };
-        let worker = &mut self.workers[w];
-        worker.busy = true;
-        worker.core.set_busy(ctx.now());
-        self.pending[w] = Some(msg);
-        ctx.schedule_in(wall, Ev::WorkerRunEnd(w));
+        let fixed = steal_cost + params::HOST_NET_PER_PACKET;
+        self.workers
+            .start(w, task, fixed, ctx, |gen| Ev::WorkerRunEnd(w, gen));
     }
-}
 
-impl Baseline {
-    fn finish(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
-        let msg = self.pending[w].take().expect("worker had work");
-        {
-            let now = ctx.now();
-            if ctx.faults().worker_crashed(w, now) {
-                // Died mid-request: no response ever leaves this core.
-                self.ctx_pool.discard(msg.req_id);
-                self.stranded += 1;
-                ctx.probe().count(&self.keys.stranded);
-                return;
-            }
-        }
-        ctx.probe().count(&self.keys.completed);
-        ctx.probe().mark(msg.req_id, &self.keys.worker_done);
-        let resp = FrameSpec {
-            src_mac: AddressPlan::dispatcher_mac(),
-            dst_mac: AddressPlan::client_mac(),
-            src: AddressPlan::worker_ep(w),
-            dst: AddressPlan::client_ep(),
-            msg: MsgRepr {
-                kind: MsgKind::Response,
-                remaining_ns: 0,
-                ..msg
-            },
+    fn finish(&mut self, w: usize, gen: u64, ctx: &mut Ctx<'_, Ev>) {
+        // A core that died mid-request sends no response.
+        let Some(RunEnd::Finished(task)) = self.workers.end_run(w, gen, ctx) else {
+            return;
         };
+        let resp = response_frame(AddressPlan::dispatcher_mac(), w, &task);
         let built = ctx.now() + params::WORKER_TX_COST;
         self.wire.response(resp, built + self.nic.dma_latency, ctx);
-        self.ctx_pool.discard(msg.req_id);
-        let worker = &mut self.workers[w];
-        worker.busy = false;
-        worker.core.requests_run += 1;
         ctx.schedule_at(built, Ev::WorkerPoll(w));
     }
 }
@@ -408,6 +316,7 @@ impl Model for Baseline {
         self.nic.check_invariants(now, inv);
         self.client.check_invariants(now, inv);
         self.wire.codec.check_invariants(now, inv);
+        self.workers.check_invariants(now, inv);
     }
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
@@ -416,32 +325,31 @@ impl Model for Baseline {
             Ev::WireToNic(spec) => {
                 if let Some(d) = self.nic.steer(&spec) {
                     ctx.probe().count(&self.keys.rx_frames);
-                    let now = ctx.now();
+                    // Hash-steered to a dead core with nobody to steal it:
+                    // the request is stranded in silicon.
                     if self.cfg.kind != BaselineKind::RssStealing
-                        && ctx.faults().worker_crashed(d.queue, now)
+                        && self
+                            .workers
+                            .strand_if_crashed(d.queue, spec.msg.req_id, ctx)
                     {
-                        // Hash-steered to a dead core with nobody to steal
-                        // it: the request is stranded in silicon.
-                        self.stranded += 1;
-                        ctx.probe().count(&self.keys.stranded);
                         return;
                     }
                     self.nic.iface_mut(d.iface).rx[d.queue].push(ctx.now(), spec);
                     let depth = self.nic.iface(d.iface).rx[d.queue].len();
                     ctx.probe().depth(self.keys.ring.at(d.queue), depth);
-                    if !self.workers[d.queue].busy {
+                    if !self.workers.is_running(d.queue) {
                         ctx.schedule_now(Ev::WorkerPoll(d.queue));
                     } else if self.cfg.kind == BaselineKind::RssStealing {
                         // Any idle worker may steal the new arrival.
-                        if let Some(idle) = (0..self.workers.len()).find(|&i| !self.workers[i].busy)
-                        {
+                        let idle = (0..self.cfg.workers).find(|&i| !self.workers.is_running(i));
+                        if let Some(idle) = idle {
                             ctx.schedule_now(Ev::WorkerPoll(idle));
                         }
                     }
                 }
             }
             Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
-            Ev::WorkerRunEnd(w) => self.finish(w, ctx),
+            Ev::WorkerRunEnd(worker, gen) => self.finish(worker, gen, ctx),
             Ev::ErssTick => self.erss_tick(ctx),
         }
     }

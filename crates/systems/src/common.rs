@@ -3,21 +3,23 @@
 //! (with its reliability layer), the resilience configuration every
 //! assembly accepts, the stale-feedback governor, the lossy client↔server
 //! wire with the codec check every frame passes, the serial stage every
-//! dispatcher core is built from, the client's side of every assembly's
-//! event loop, and metric assembly.
+//! dispatcher core is built from, the host worker cores every assembly runs
+//! requests on and their liveness tick, the client's side of every
+//! assembly's event loop, and metric assembly.
 
 use std::collections::{BTreeSet, VecDeque};
 
-use cpu_model::Core;
+use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec, InterruptPath, OneShotTimer};
 use net_wire::{
     Endpoint, EthernetAddress, FrameHeader, FrameSpec, Ipv4Address, MsgKind, MsgRepr, ParsedFrame,
 };
 use nic_model::{Link, Ring};
 use nicsched::{
-    AdmissionPolicy, CoreFeedback, CoreSelector, Dispatcher, FeedbackChannel, SchedPolicy, Task,
+    AdmissionPolicy, Assignment, CoreFeedback, CoreSelector, Dispatcher, FeedbackChannel,
+    PreemptDecision, RecoveryPolicy, SchedPolicy, Task,
 };
 use sim_core::faults::FaultConfig;
-use sim_core::probe::{Busy, Counter, Gauge, Hop};
+use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
 use sim_core::{
     Ctx, Engine, FaultPlan, IdTable, InvariantChecker, InvariantConfig, Model, Probe, ProbeConfig,
     Rng, SimDuration, SimTime,
@@ -35,7 +37,7 @@ pub const FAULT_SEED_SALT: u64 = 0x5EED_FA17;
 /// multiply wall time while the amount of useful work is unchanged).
 /// Delegates to the canonical float boundary in sim-core rather than
 /// casting here, so simlint's time-float-cast rule has one waiver site.
-pub(crate) fn scale_duration(d: SimDuration, factor: f64) -> SimDuration {
+fn scale_duration(d: SimDuration, factor: f64) -> SimDuration {
     d.mul_f64(factor)
 }
 
@@ -168,22 +170,16 @@ pub trait Assembly: Model + Sized {
 
 /// Run assembly `A` under `cfg` on `spec`: the one harness every assembly
 /// shares. It builds the probe, engine, invariant checker and fault plan
-/// (with the fault stream salted by [`FAULT_SEED_SALT`]), runs to the
-/// horizon, counts ring drops and sheds as dropped, attaches the stage
-/// report when `probe` is on, and closes the invariant audit.
+/// (with the fault stream salted by [`FAULT_SEED_SALT`]), seeds the run,
+/// runs to the horizon, counts ring drops and sheds as dropped, attaches
+/// the stage report when `probe` is on, and closes the invariant audit.
 pub fn run<A: Assembly>(
     spec: WorkloadSpec,
     cfg: A::Config,
     probe: ProbeConfig,
     res: ResilienceConfig,
 ) -> (RunMetrics, A::Extra) {
-    let mut recorder = Probe::new(probe);
-    let mut engine = Engine::new(A::new(spec, cfg, res, &mut recorder));
-    engine.set_probe(recorder);
-    engine.set_invariants(InvariantChecker::new(res.invariants));
-    if res.is_active() {
-        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
-    }
+    let mut engine = engine::<A>(spec, cfg, probe, res);
     A::seed(&mut engine);
     let horizon = spec.horizon();
     engine.run_until(horizon);
@@ -194,6 +190,25 @@ pub fn run<A: Assembly>(
     }
     close_invariants(engine.take_invariants(), horizon, &metrics);
     (metrics, extra)
+}
+
+/// Assembly `A`'s engine under `cfg` on `spec`, not yet seeded: the model
+/// with its probe, invariant checker and fault plan (the fault stream
+/// salted by [`FAULT_SEED_SALT`]).
+pub(crate) fn engine<A: Assembly>(
+    spec: WorkloadSpec,
+    cfg: A::Config,
+    probe: ProbeConfig,
+    res: ResilienceConfig,
+) -> Engine<A> {
+    let mut recorder = Probe::new(probe);
+    let mut engine = Engine::new(A::new(spec, cfg, res, &mut recorder));
+    engine.set_probe(recorder);
+    engine.set_invariants(InvariantChecker::new(res.invariants));
+    if res.is_active() {
+        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
+    }
+    engine
 }
 
 /// Add one dispatcher's sheds and recovery counters, and its staleness
@@ -618,6 +633,384 @@ impl<T> Stage<T> {
     }
 }
 
+/// What became of a run when its run-end event fired.
+pub(crate) enum RunEnd {
+    /// The worker crashed mid-run: no response and no notification. The
+    /// task stays on the dead core, which never polls again.
+    Stranded,
+    /// The task finished; its context is gone.
+    Finished(Task),
+    /// The slice expired: taking the interrupt and saving the context
+    /// frees the core `free_in` from now; `task` carries the rest.
+    Preempted { task: Task, free_in: SimDuration },
+    /// The slice expired, but a retransmitted copy is already saved, which
+    /// owns the request: this copy is killed (saving it would fork the
+    /// request), and taking the interrupt frees the core `free_in` from now.
+    DupKilled { task: Task, free_in: SimDuration },
+}
+
+/// One host worker core.
+struct Worker {
+    core: Core,
+    timer: OneShotTimer,
+    /// The task in execution and the work it runs before its run ends.
+    running: Option<(Task, SimDuration)>,
+    /// When the core last went idle, until it starts its next task.
+    idle_since: Option<SimTime>,
+}
+
+/// An assembly's host worker cores, indexed machine-wide as the fault plan
+/// is, and the one way a core runs a request: the paper holds the workers
+/// fixed and varies only where dispatch runs and how work reaches a core.
+/// They share one context pool, its costs on the host core spec, how a
+/// slice ends, and the count of tasks stranded on crashed workers. The
+/// caller polls, starts and ends runs, and sends what its transport sends.
+pub(crate) struct Workers {
+    cores: Vec<Worker>,
+    contexts: ContextPool,
+    costs: ContextCosts,
+    host: CoreSpec,
+    /// The configured slice a task's grant resolves against.
+    slice: Option<SimDuration>,
+    /// How the slice-end interrupt reaches a core; `None` runs every task
+    /// to completion.
+    interrupt: Option<InterruptPath>,
+    /// Tasks that died with a crashed worker, running or delivered to it.
+    pub stranded: u64,
+    keys: WorkerKeys,
+}
+
+/// The worker cores' probe keys.
+struct WorkerKeys {
+    busy: Family<Busy>,
+    start: Hop,
+    done: Hop,
+    idle_gap: Option<Hop>,
+    stranded: Counter,
+    completed: Counter,
+    preempted: Counter,
+    dup_killed: Counter,
+}
+
+impl Workers {
+    /// `n` idle host cores that run every task to completion, recording a
+    /// task's start and end as the marks `start` and `done` of its path.
+    pub fn new(n: usize, probe: &mut Probe, start: &'static str, done: &'static str) -> Workers {
+        let t0 = SimTime::ZERO;
+        let host = CoreSpec::host_x86();
+        Workers {
+            cores: (0..n)
+                .map(|w| Worker {
+                    core: Core::new(CoreId(w as u32), host, t0),
+                    timer: OneShotTimer::new(),
+                    running: None,
+                    idle_since: Some(t0),
+                })
+                .collect(),
+            contexts: ContextPool::new(),
+            costs: ContextCosts::default(),
+            host,
+            slice: None,
+            interrupt: None,
+            stranded: 0,
+            keys: WorkerKeys {
+                busy: probe.busy_family("worker", n),
+                start: probe.hop(start),
+                done: probe.hop(done),
+                idle_gap: None,
+                stranded: probe.counter("worker.stranded"),
+                completed: probe.counter("worker.completed"),
+                preempted: probe.counter("worker.preempted"),
+                dup_killed: probe.counter("worker.dup_killed"),
+            },
+        }
+    }
+
+    /// These workers, preempting a task when the slice its grant resolves
+    /// to against `slice` ends, by an interrupt on `interrupt`.
+    pub fn preemptive(self, slice: Option<SimDuration>, interrupt: InterruptPath) -> Workers {
+        Workers {
+            slice,
+            interrupt: Some(interrupt),
+            ..self
+        }
+    }
+
+    /// These workers, also recording how long each sat idle before its
+    /// next task as `worker.idle_gap`: the measured feedback gap.
+    pub fn with_idle_gaps(mut self, probe: &mut Probe) -> Workers {
+        self.keys.idle_gap = Some(probe.hop("worker.idle_gap"));
+        self
+    }
+
+    /// Whether worker `w` holds a task (a crashed one keeps the task it
+    /// died running).
+    #[inline]
+    pub fn is_running(&self, w: usize) -> bool {
+        self.cores[w].running.is_some()
+    }
+
+    /// Worker `w`'s busy time up to `now`.
+    pub fn busy_time(&self, w: usize, now: SimTime) -> SimDuration {
+        self.cores[w].core.busy_time(now)
+    }
+
+    /// Mean utilization of the workers over a run ending at `horizon`.
+    pub fn utilization(&self, horizon: SimTime) -> f64 {
+        let sum: f64 = self.cores.iter().map(|w| w.core.utilization(horizon)).sum();
+        sum / self.cores.len() as f64
+    }
+
+    /// Preemptions taken across the workers.
+    pub fn preemptions(&self) -> u64 {
+        self.cores.iter().map(|w| w.core.preemptions).sum()
+    }
+
+    /// Whether worker `w` may take work now. A running or crashed worker
+    /// may not; nor may a stalled one, which gets `wake` when the stall
+    /// ends.
+    #[inline]
+    pub fn may_take<E>(&self, w: usize, wake: E, ctx: &mut Ctx<'_, E>) -> bool {
+        if self.is_running(w) {
+            return false;
+        }
+        let now = ctx.now();
+        if ctx.faults().worker_crashed(w, now) {
+            return false; // dead silicon never polls again
+        }
+        if let Some(resume) = ctx.faults().worker_stalled_until(w, now) {
+            ctx.schedule_at(resume, wake);
+            return false;
+        }
+        true
+    }
+
+    /// Worker `w` found no work: its core is idle from `at` (now, or when
+    /// it finishes sending), the probe sees it idle now, and its idle gap
+    /// starts now unless it already has.
+    #[inline]
+    pub fn idle<E>(&mut self, w: usize, at: SimTime, ctx: &mut Ctx<'_, E>) {
+        let worker = &mut self.cores[w];
+        worker.core.set_idle(at);
+        ctx.probe().busy(self.keys.busy.at(w), false);
+        worker.idle_since.get_or_insert(ctx.now());
+    }
+
+    /// If worker `w` has crashed, `req_id` delivered to it never runs:
+    /// count it stranded, drop any saved context of it (a retransmitted
+    /// copy must start fresh), and return `true`.
+    #[inline]
+    pub fn strand_if_crashed<E>(&mut self, w: usize, req_id: u64, ctx: &mut Ctx<'_, E>) -> bool {
+        let now = ctx.now();
+        if !ctx.faults().worker_crashed(w, now) {
+            return false;
+        }
+        self.strand(req_id, ctx);
+        true
+    }
+
+    /// Drop any saved context of `req_id`: this copy of it never runs.
+    pub fn discard(&mut self, req_id: u64) {
+        self.contexts.discard(req_id);
+    }
+
+    fn strand<E>(&mut self, req_id: u64, ctx: &mut Ctx<'_, E>) {
+        self.discard(req_id);
+        self.stranded += 1;
+        ctx.probe().count(&self.keys.stranded);
+    }
+
+    /// Start `task` on idle worker `w` after `fixed` overhead of the
+    /// caller's own (receive, first touch, steal), plus the context spawn
+    /// or restore and, when the task's grant resolves to a slice, arming a
+    /// local timer. A slowdown window stretches the wall time; the work the
+    /// run does, which decides finish or preemption, is unchanged. The run
+    /// ends with `run_end(generation)`.
+    #[inline]
+    pub fn start<E>(
+        &mut self,
+        w: usize,
+        task: Task,
+        fixed: SimDuration,
+        ctx: &mut Ctx<'_, E>,
+        run_end: impl FnOnce(u64) -> E,
+    ) {
+        let now = ctx.now();
+        let worker = &mut self.cores[w];
+        debug_assert!(worker.running.is_none(), "worker {w} is already running");
+        if let Some(since) = worker.idle_since.take() {
+            if let Some(gap) = &self.keys.idle_gap {
+                ctx.probe().hop(gap, now.saturating_duration_since(since));
+            }
+        }
+        ctx.probe().mark(task.req_id, &self.keys.start);
+        ctx.probe().busy(self.keys.busy.at(w), true);
+        let op = self.contexts.begin(task.req_id);
+        let mut overhead = fixed + ContextPool::op_cost(op, &self.costs, &self.host);
+        let slice = self
+            .interrupt
+            .and_then(|path| Some((task.preempt.resolve(self.slice)?, path)));
+        let run = match slice {
+            Some((slice, path)) => {
+                if let InterruptPath::LocalTimer(mode) = path {
+                    overhead += mode.set_cost(&self.host);
+                }
+                // An interrupt sent from the NIC lands one transport
+                // latency after the slice ends, so the run overruns by that
+                // much: §3.4.4's argument against packet-based preemption.
+                task.remaining.min(slice + path.transport_latency())
+            }
+            None => task.remaining,
+        };
+        let slow = ctx.faults().worker_slowdown(w, now);
+        let wall = if slow > 1.0 {
+            scale_duration(overhead + run, slow)
+        } else {
+            overhead + run
+        };
+        worker.core.set_busy(now);
+        let end = now + wall;
+        let gen = worker.timer.arm(end);
+        worker.running = Some((task, run));
+        ctx.schedule_at(end, run_end(gen));
+    }
+
+    /// Worker `w`'s run-end event of generation `gen` fired: `None` if a
+    /// later start superseded it, else what became of the run.
+    #[inline]
+    pub fn end_run<E>(&mut self, w: usize, gen: u64, ctx: &mut Ctx<'_, E>) -> Option<RunEnd> {
+        let worker = &mut self.cores[w];
+        if !worker.timer.accept(gen) {
+            return None;
+        }
+        let now = ctx.now();
+        if ctx.faults().worker_crashed(w, now) {
+            let (task, _) = worker.running.expect("a started run");
+            self.strand(task.req_id, ctx);
+            return Some(RunEnd::Stranded);
+        }
+        let (task, run) = worker.running.take().expect("a started run");
+        if task.remaining <= run {
+            ctx.probe().count(&self.keys.completed);
+            ctx.probe().mark(task.req_id, &self.keys.done);
+            self.contexts.discard(task.req_id);
+            worker.core.requests_run += 1;
+            return Some(RunEnd::Finished(task));
+        }
+        let task = task.after_preemption(run);
+        let interrupt = (self.interrupt).map_or(SimDuration::ZERO, |i| i.receive_cost(&self.host));
+        if self.contexts.is_saved(task.req_id) {
+            ctx.probe().count(&self.keys.dup_killed);
+            let free_in = interrupt;
+            return Some(RunEnd::DupKilled { task, free_in });
+        }
+        ctx.probe().count(&self.keys.preempted);
+        worker.core.preemptions += 1;
+        self.contexts.save(task.req_id);
+        let free_in = interrupt + self.costs.save(&self.host);
+        Some(RunEnd::Preempted { task, free_in })
+    }
+
+    /// Report any worker that holds a task while still marked idle: its
+    /// idle gap would double-book the time.
+    pub fn check_invariants(&self, now: SimTime, inv: &mut InvariantChecker) {
+        for (w, worker) in self.cores.iter().enumerate() {
+            if worker.running.is_some() && worker.idle_since.is_some() {
+                let what = format!("worker {w} runs a task but is still marked idle");
+                inv.record(now, "worker-state", what);
+            }
+        }
+    }
+}
+
+/// One worker's liveness tick against its dispatcher, run every heartbeat
+/// interval while a staleness governor or lease recovery is on. Each caller
+/// keeps its own renewal transport and its own assignment sink.
+pub(crate) struct Heartbeats {
+    horizon: SimTime,
+    recovery: Option<RecoveryPolicy>,
+    fallback_switch: Counter,
+    redispatch: Counter,
+}
+
+/// What one heartbeat tick asks of its caller, in this order: send a lease
+/// renewal reporting the worker's occupancy, hand out the assignments, and
+/// tick again after `next`.
+#[derive(Default)]
+pub(crate) struct Tick {
+    pub renew: Option<u32>,
+    pub assignments: Vec<Assignment>,
+    pub next: Option<SimDuration>,
+}
+
+impl Heartbeats {
+    /// Ticks for a run ending at `horizon`, renewing leases when `res`
+    /// turns recovery on.
+    pub fn new(horizon: SimTime, res: &ResilienceConfig, probe: &mut Probe) -> Heartbeats {
+        Heartbeats {
+            horizon,
+            recovery: res.recovery,
+            fallback_switch: probe.counter("fallback.switch"),
+            redispatch: probe.counter("recovery.redispatch"),
+        }
+    }
+
+    /// Whether ticks run at all: a governor or recovery is on.
+    pub fn run(&self, governed: bool) -> bool {
+        governed || self.recovery.is_some()
+    }
+
+    /// Dispatcher index `worker`'s tick (`global` in the fault plan;
+    /// `busy` if it holds a task), `None` at the horizon. A worker that is
+    /// down, or cut off by a feedback blackout, neither reports to the
+    /// governor nor renews its lease; that silence is what both detect. The
+    /// governor then re-evaluates staleness and unparks work, and the lease
+    /// table expires and reclaims orphans on the same tick, so detection
+    /// shares the event queue with everything else (no wall clocks).
+    pub fn tick<P: SchedPolicy, S: CoreSelector, E>(
+        &self,
+        worker: usize,
+        global: usize,
+        busy: bool,
+        disp: &mut Dispatcher<P, S>,
+        governor: Option<&mut FeedbackGovernor>,
+        ctx: &mut Ctx<'_, E>,
+    ) -> Option<Tick> {
+        let now = ctx.now();
+        if now >= self.horizon {
+            return None;
+        }
+        let silenced = ctx.faults().worker_down(global, now) || ctx.faults().feedback_blackout(now);
+        let occupancy = disp.outstanding(worker);
+        let mut tick = Tick::default();
+        if let Some(gov) = governor {
+            if !silenced {
+                gov.report(now, worker, occupancy, busy);
+            }
+            let was_degraded = gov.is_degraded();
+            gov.evaluate(now, disp);
+            if gov.is_degraded() != was_degraded {
+                ctx.probe().count(&self.fallback_switch);
+            }
+            tick.assignments = disp.kick(now);
+            tick.next = Some(gov.policy().heartbeat);
+        }
+        if let Some(policy) = self.recovery {
+            if !silenced {
+                tick.renew = Some(occupancy);
+            }
+            let recovered = disp.check_health(now);
+            if !recovered.is_empty() {
+                ctx.probe().count(&self.redispatch);
+            }
+            tick.assignments.extend(recovered);
+            let beat = policy.heartbeat;
+            tick.next = Some(tick.next.map_or(beat, |n| n.min(beat)));
+        }
+        Some(tick)
+    }
+}
+
 /// The client's three events, the same in every assembly.
 #[doc(hidden)]
 pub enum ClientEv {
@@ -713,6 +1106,38 @@ pub(crate) fn task_msg(kind: MsgKind, task: &Task) -> MsgRepr {
         sent_at_ns: task.sent_at.as_nanos(),
         body_len: 0,
         grant_code: 0,
+    }
+}
+
+/// The task `msg` carries, arriving at `arrived_at`, with the remaining
+/// work, body and slice grant the message states (a request's remaining
+/// work is its service time, and its grant byte 0 inherits the slice).
+pub(crate) fn msg_task(msg: &MsgRepr, arrived_at: SimTime) -> Task {
+    Task {
+        req_id: msg.req_id,
+        client_id: msg.client_id,
+        service: SimDuration::from_nanos(msg.service_ns),
+        remaining: SimDuration::from_nanos(msg.remaining_ns),
+        sent_at: SimTime::from_nanos(msg.sent_at_ns),
+        arrived_at,
+        body_len: msg.body_len,
+        preemptions: 0,
+        preempt: PreemptDecision::from_grant_code(msg.grant_code),
+    }
+}
+
+/// Worker `w`'s response frame to the client for `task`, sent from
+/// `src_mac`.
+pub(crate) fn response_frame(src_mac: EthernetAddress, w: usize, task: &Task) -> FrameSpec {
+    FrameSpec {
+        src_mac,
+        dst_mac: AddressPlan::client_mac(),
+        src: AddressPlan::worker_ep(w),
+        dst: AddressPlan::client_ep(),
+        msg: MsgRepr {
+            body_len: task.body_len,
+            ..task_msg(MsgKind::Response, task)
+        },
     }
 }
 
@@ -1115,14 +1540,6 @@ impl Client {
     }
 }
 
-/// Mean utilization of `cores` over a run ending at `horizon`.
-pub(crate) fn mean_utilization<'a>(
-    cores: impl Iterator<Item = &'a Core> + Clone,
-    horizon: SimTime,
-) -> f64 {
-    cores.clone().map(|c| c.utilization(horizon)).sum::<f64>() / cores.count() as f64
-}
-
 /// Assemble [`RunMetrics`] from a client, its wire and system counters;
 /// `dropped` counts the wire's losses, to which an assembly adds its own.
 pub fn assemble_metrics(
@@ -1470,6 +1887,59 @@ mod tests {
         assert!(!disp.is_excluded(1));
         assert_eq!(gov.fallback_ns(us(143)), gov.degraded_ns);
         assert!(gov.degraded_ns >= 13_000, "degraded 130->143us");
+    }
+
+    #[test]
+    fn a_task_delivered_to_a_crashed_worker_drops_its_saved_context() {
+        use crate::offload::{self, Offload, OffloadConfig};
+        use crate::rpcvalet::{self, RpcValet, RpcValetConfig};
+        use crate::shinjuku::{self, Shinjuku, ShinjukuConfig};
+        // Worker 0 is dead from the start, and request 7 has a saved
+        // context (it was preempted). Each assembly delivers it to worker 0
+        // on its own transport: the request strands, and its context must
+        // go, or a retransmitted copy would pay a restore (and be killed as
+        // a duplicate if preempted).
+        fn strands<A: Assembly>(
+            cfg: A::Config,
+            deliver: A::Event,
+            pool: fn(&mut A) -> &mut Workers,
+        ) {
+            let res = ResilienceConfig {
+                faults: FaultConfig::default().with_crash(0, SimTime::ZERO),
+                ..ResilienceConfig::default()
+            };
+            let mut engine = engine::<A>(spec(), cfg, ProbeConfig::disabled(), res);
+            pool(engine.model_mut()).contexts.save(7);
+            engine.schedule_at(SimTime::from_micros(1), deliver);
+            engine.run_until(SimTime::from_micros(2));
+            let workers = pool(engine.model_mut());
+            assert_eq!(workers.stranded, 1, "{}", A::name(&cfg));
+            assert!(!workers.contexts.is_saved(7), "{}", A::name(&cfg));
+        }
+        let t0 = SimTime::ZERO;
+        let task = Task::new(7, 1, SimDuration::from_micros(100), t0, t0, 64);
+        let assign = FrameSpec {
+            src_mac: AddressPlan::dispatcher_mac(),
+            dst_mac: AddressPlan::worker_mac(0),
+            src: AddressPlan::dispatcher_ep(),
+            dst: AddressPlan::worker_ep(0),
+            msg: task_msg(MsgKind::Assign, &task),
+        };
+        strands::<Offload>(
+            OffloadConfig::paper(2, 2),
+            offload::Ev::WorkerFrame(0, assign),
+            |m| &mut m.workers,
+        );
+        strands::<Shinjuku>(
+            ShinjukuConfig::paper(2),
+            shinjuku::Ev::WorkerTask(0, task),
+            |m| &mut m.workers,
+        );
+        strands::<RpcValet>(
+            RpcValetConfig { workers: 2 },
+            rpcvalet::Ev::Deliver(0, task),
+            |m| &mut m.workers,
+        );
     }
 
     #[test]

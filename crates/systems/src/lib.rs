@@ -19,6 +19,10 @@
 //! * [`rpcvalet`] — RPCValet-style NI-integrated hardware queue (§2.1):
 //!   perfect balance, nanosecond dispatch, no preemption.
 //!
+//! All of them run requests on the same host worker cores, written once in
+//! [`common`]; a model adds only how work reaches a core and what a
+//! finished or preempted run sends back.
+//!
 //! Every hop carries a typed Ethernet/IPv4/UDP frame
 //! ([`net_wire::FrameSpec`]) whose length sets link time; bytes exist
 //! only at the codec edge, where runs with invariant checking on build

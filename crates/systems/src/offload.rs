@@ -27,23 +27,21 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use cpu_model::{
-    ContextCosts, ContextPool, Core, CoreId, CoreSpec, InterruptPath, OneShotTimer, Topology,
-    CROSS_SOCKET_PENALTY,
-};
+use cpu_model::{Topology, CROSS_SOCKET_PENALTY};
 use net_wire::{FrameSpec, MsgKind, MsgRepr};
 use nic_model::{packet_lines, Ddio, IfaceId, NicDevice, Placement, QueueSteering};
 use nicsched::{
     params, AdmitOutcome, Assignment, CoreSelector, Dispatcher, LeastOutstanding, NicProfile,
-    PolicySpec, PreemptDecision, RecoveryPolicy, SchedPolicy, SocketAffinity, Task,
+    PolicySpec, SchedPolicy, SocketAffinity, Task,
 };
-use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
+use sim_core::probe::{Counter, Family, Gauge, Hop};
 use sim_core::{Ctx, Engine, Model, Probe, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    absorb_dispatcher, assemble_metrics, mean_utilization, scale_duration, task_msg, AddressPlan,
-    Assembly, Client, ClientEdge, ClientEv, FeedbackGovernor, ResilienceConfig, Stage, Wire,
+    absorb_dispatcher, assemble_metrics, msg_task, response_frame, task_msg, AddressPlan, Assembly,
+    Client, ClientEdge, ClientEv, FeedbackGovernor, Heartbeats, ResilienceConfig, RunEnd, Stage,
+    Wire, Workers,
 };
 
 /// Configuration of a Shinjuku-Offload instance.
@@ -125,13 +123,9 @@ pub enum Ev {
     WorkerFrame(usize, FrameSpec),
     /// A worker polls its ring for work.
     WorkerPoll(usize),
-    /// A worker's current execution ends (finish or slice expiry).
-    WorkerRunEnd {
-        /// Worker index.
-        worker: usize,
-        /// Timer generation guarding against stale firings.
-        gen: u64,
-    },
+    /// A worker's run ends (finish or slice expiry); the timer generation
+    /// guards against stale firings.
+    WorkerRunEnd(usize, u64),
     /// A worker notification frame reaches the ARM RX core.
     RxNotif(FrameSpec),
     /// The RX stage finished parsing one notification.
@@ -168,24 +162,6 @@ pub enum QmItem {
     },
 }
 
-/// Per-worker state.
-struct Worker {
-    core: Core,
-    timer: OneShotTimer,
-    running: Option<Running>,
-    /// DDIO placements for frames queued in this worker's ring, FIFO.
-    pending_placement: VecDeque<Placement>,
-    /// When this worker last went idle (probe-only: measures the feedback
-    /// gap as the idle interval before the next assignment arrives).
-    idle_since: Option<SimTime>,
-}
-
-struct Running {
-    task: Task,
-    /// Time this dispatch will execute before finish/preemption.
-    run: SimDuration,
-}
-
 /// The offload's probe keys beyond its stages and client edge, registered
 /// once at construction.
 struct Keys {
@@ -198,22 +174,12 @@ struct Keys {
     heartbeats: Counter,
     tx_built: Counter,
     notifs: Counter,
-    stranded: Counter,
-    completed: Counter,
-    dup_killed: Counter,
-    preempted: Counter,
     ring_drops: Counter,
-    fallback_switch: Counter,
-    redispatch: Counter,
     central: Gauge,
     ring: Family<Gauge>,
-    worker: Family<Busy>,
-    idle_gap: Hop,
     nic_parse: Hop,
     qm_admit: Hop,
     tx_build: Hop,
-    worker_start: Hop,
-    worker_done: Hop,
 }
 
 impl Keys {
@@ -228,22 +194,12 @@ impl Keys {
             heartbeats: probe.counter("qm.heartbeat"),
             tx_built: probe.counter("tx.built"),
             notifs: probe.counter("rx.notifs"),
-            stranded: probe.counter("worker.stranded"),
-            completed: probe.counter("worker.completed"),
-            dup_killed: probe.counter("worker.dup_killed"),
-            preempted: probe.counter("worker.preempted"),
             ring_drops: probe.counter("worker.ring_drops"),
-            fallback_switch: probe.counter("fallback.switch"),
-            redispatch: probe.counter("recovery.redispatch"),
             central: probe.gauge("qm.central"),
             ring: probe.gauge_family("worker.ring", workers),
-            worker: probe.busy_family("worker", workers),
-            idle_gap: probe.hop("worker.idle_gap"),
             nic_parse: probe.hop("path.1_nic_parse"),
             qm_admit: probe.hop("path.2_qm_admit"),
             tx_build: probe.hop("path.3_tx_build"),
-            worker_start: probe.hop("path.4_worker_start"),
-            worker_done: probe.hop("path.5_worker_done"),
         }
     }
 }
@@ -253,7 +209,6 @@ impl Keys {
 pub struct Offload {
     cfg: OffloadConfig,
     client: Client,
-    horizon: SimTime,
     wire: Wire,
     nic: NicDevice,
     disp_iface: IfaceId,
@@ -271,20 +226,14 @@ pub struct Offload {
     /// time. O(1) per request; any walk is in request-id order.
     task_meta: sim_core::IdTable<SimTime>,
 
-    workers: Vec<Worker>,
-    ctx_pool: ContextPool,
-    ctx_costs: ContextCosts,
+    pub(crate) workers: Workers,
+    /// DDIO placements of the frames queued in each worker's ring, FIFO.
+    placements: Vec<VecDeque<Placement>>,
     ddio: Ddio,
-    host: CoreSpec,
-
-    preemptions: u64,
 
     governor: Option<FeedbackGovernor>,
-    /// NIC-side failure-detection policy, when recovery is enabled. The
-    /// dispatcher owns the tracker; this copy drives the heartbeat cadence.
-    recovery: Option<RecoveryPolicy>,
-    /// Work that died with a crashed worker (running or in its ring).
-    stranded: u64,
+    /// The workers' liveness ticks; the dispatcher owns the lease tracker.
+    heartbeats: Heartbeats,
     keys: Keys,
 }
 
@@ -341,16 +290,14 @@ impl Assembly for Offload {
             worker_by_mac.insert(mac, w);
         }
 
-        let t0 = SimTime::ZERO;
-        let workers = (0..cfg.workers)
-            .map(|w| Worker {
-                core: Core::new(CoreId(w as u32), CoreSpec::host_x86(), t0),
-                timer: OneShotTimer::new(),
-                running: None,
-                pending_placement: VecDeque::new(),
-                idle_since: Some(t0),
-            })
-            .collect();
+        let workers = Workers::new(
+            cfg.workers,
+            probe,
+            "path.4_worker_start",
+            "path.5_worker_done",
+        )
+        .preemptive(cfg.time_slice, cfg.profile.interrupt)
+        .with_idle_gaps(probe);
 
         let topology = if cfg.dual_socket {
             Topology::dual(cfg.workers as u8)
@@ -384,7 +331,6 @@ impl Assembly for Offload {
             dispatcher,
             topology,
             cfg,
-            horizon: spec.horizon(),
             client,
             wire,
             nic,
@@ -413,18 +359,14 @@ impl Assembly for Offload {
             ),
             task_meta: sim_core::IdTable::new(),
             workers,
-            ctx_pool: ContextPool::new(),
-            ctx_costs: ContextCosts::default(),
+            placements: vec![VecDeque::new(); cfg.workers],
             ddio: if cfg.ddio_l1 {
                 Ddio::informed_l1(4096)
             } else {
                 Ddio::classic(4096)
             },
-            host: CoreSpec::host_x86(),
-            preemptions: 0,
             governor,
-            recovery: res.recovery,
-            stranded: 0,
+            heartbeats: Heartbeats::new(spec.horizon(), &res, probe),
             keys: Keys::new(probe, cfg.workers),
         }
     }
@@ -432,7 +374,7 @@ impl Assembly for Offload {
     fn seed(engine: &mut Engine<Offload>) {
         engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
         let model = engine.model();
-        if model.governor.is_some() || model.recovery.is_some() {
+        if model.heartbeats.run(model.governor.is_some()) {
             for w in 0..model.cfg.workers {
                 engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(w));
             }
@@ -440,11 +382,12 @@ impl Assembly for Offload {
     }
 
     fn metrics(&self, horizon: SimTime) -> (RunMetrics, ()) {
-        let util = mean_utilization(self.workers.iter().map(|w| &w.core), horizon);
-        let mut metrics = assemble_metrics(&self.client, &self.wire, self.preemptions, util);
+        let util = self.workers.utilization(horizon);
+        let preemptions = self.workers.preemptions();
+        let mut metrics = assemble_metrics(&self.client, &self.wire, preemptions, util);
         let fm = &mut metrics.faults;
         fm.ring_dropped = self.nic.total_drops();
-        fm.stranded = self.stranded;
+        fm.stranded = self.workers.stranded;
         absorb_dispatcher(fm, &self.dispatcher, self.governor.as_ref(), horizon);
         (metrics, ())
     }
@@ -463,233 +406,102 @@ impl Offload {
 
     /// Start the next stashed request on an idle worker, if any.
     fn worker_poll(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
-        if self.workers[w].running.is_some() {
-            return;
-        }
-        let now = ctx.now();
-        if ctx.faults().worker_crashed(w, now) {
-            return; // dead silicon never polls again
-        }
-        if let Some(resume) = ctx.faults().worker_stalled_until(w, now) {
-            ctx.schedule_at(resume, Ev::WorkerPoll(w));
+        if !self.workers.may_take(w, Ev::WorkerPoll(w), ctx) {
             return;
         }
         let iface = self.worker_iface[w];
         let Some(frame) = self.nic.iface_mut(iface).rx[0].pop() else {
-            self.workers[w].core.set_idle(ctx.now());
-            ctx.probe().busy(self.keys.worker.at(w), false);
-            if self.workers[w].idle_since.is_none() {
-                self.workers[w].idle_since = Some(ctx.now());
-            }
+            self.workers.idle(w, ctx.now(), ctx);
             return;
         };
         let ring_depth = self.nic.iface(iface).rx[0].len();
         ctx.probe().depth(self.keys.ring.at(w), ring_depth);
-        // The measured feedback gap: how long this worker sat idle before
-        // the NIC's (stale) view caught up and delivered more work.
-        if let Some(idle_at) = self.workers[w].idle_since.take() {
-            let gap = ctx.now().saturating_duration_since(idle_at);
-            ctx.probe().hop(&self.keys.idle_gap, gap);
-        }
+        let placement = self.placements[w].pop_front().unwrap_or(Placement::Dram);
         let msg = frame.spec.msg;
         if msg.kind != MsgKind::Assign {
             // Only the TX core addresses this VF, and only with Assign
             // frames; anything else is dropped and the worker keeps polling.
-            self.workers[w].pending_placement.pop_front();
             ctx.schedule_now(Ev::WorkerPoll(w));
             return;
         }
-        let placement = self.workers[w]
-            .pending_placement
-            .pop_front()
-            .unwrap_or(Placement::Dram);
-
-        let task = Task {
-            req_id: msg.req_id,
-            client_id: msg.client_id,
-            service: SimDuration::from_nanos(msg.service_ns),
-            remaining: SimDuration::from_nanos(msg.remaining_ns),
-            sent_at: SimTime::from_nanos(msg.sent_at_ns),
-            arrived_at: ctx.now(),
-            body_len: msg.body_len,
-            preemptions: 0,
-            // The policy's slice grant rode the Assign frame's grant byte.
-            preempt: PreemptDecision::from_grant_code(msg.grant_code),
-        };
-
-        // Overheads before useful work: parse, context spawn/restore,
-        // first touch of the DMA'd payload, timer arming.
-        let ctx_op = self.ctx_pool.begin(task.req_id);
-        // Cross-socket first touch: DDIO homed the packet on socket 0's
-        // LLC; a socket-1 worker pays the interconnect per line (§1).
+        // The policy's slice grant rode the Assign frame's grant byte.
+        let task = msg_task(&msg, ctx.now());
+        // This transport's overheads before useful work: parsing the frame
+        // and the first touch of its DMA'd payload. DDIO homed the packet
+        // on socket 0's LLC; a socket-1 worker pays the interconnect per
+        // line (§1).
         let interconnect = if self.cfg.dual_socket && self.topology.is_remote(w, 0) {
             CROSS_SOCKET_PENALTY
         } else {
             SimDuration::ZERO
         };
-        let mut overhead = params::WORKER_RX_COST
-            + ContextPool::op_cost(ctx_op, &self.ctx_costs, &self.host)
-            + self.ddio.first_touch_from(
-                placement,
-                packet_lines(net_wire::message::HEADER_LEN + task.body_len as usize),
-                interconnect,
-            );
-        self.ddio.release(
-            placement,
-            packet_lines(net_wire::message::HEADER_LEN + task.body_len as usize),
-        );
-
-        // The policy's per-dispatch grant resolves against the configured
-        // slice (`Inherit` — grant byte 0 — reproduces the static timer).
-        let run = match task.preempt.resolve(self.cfg.time_slice) {
-            Some(slice) => {
-                overhead += self.timer_set_cost();
-                // A NIC-initiated interrupt lands one transport latency
-                // after the slice expires, so the request overruns by that
-                // much — §3.4.4's argument against packet-based preemption.
-                let effective = slice + self.cfg.profile.interrupt.transport_latency();
-                task.remaining.min(effective)
-            }
-            None => task.remaining,
-        };
-
-        ctx.probe().mark(task.req_id, &self.keys.worker_start);
-        ctx.probe().busy(self.keys.worker.at(w), true);
-        // A slowdown window stretches wall time; `run` stays in work units
-        // so the finish/preempt decision at run end is unchanged.
-        let slow = {
-            let now = ctx.now();
-            ctx.faults().worker_slowdown(w, now)
-        };
-        let wall = if slow > 1.0 {
-            scale_duration(overhead + run, slow)
-        } else {
-            overhead + run
-        };
-        let worker = &mut self.workers[w];
-        worker.core.set_busy(ctx.now());
-        let end = ctx.now() + wall;
-        let gen = worker.timer.arm(end);
-        worker.running = Some(Running { task, run });
-        ctx.schedule_at(end, Ev::WorkerRunEnd { worker: w, gen });
+        let lines = packet_lines(net_wire::message::HEADER_LEN + task.body_len as usize);
+        let fixed =
+            params::WORKER_RX_COST + self.ddio.first_touch_from(placement, lines, interconnect);
+        self.ddio.release(placement, lines);
+        self.workers
+            .start(w, task, fixed, ctx, |gen| Ev::WorkerRunEnd(w, gen));
     }
 
-    fn timer_set_cost(&self) -> SimDuration {
-        match self.cfg.profile.interrupt {
-            InterruptPath::LocalTimer(mode) => mode.set_cost(&self.host),
-            // NIC-initiated interrupts need no worker-side arming.
-            _ => SimDuration::ZERO,
-        }
-    }
-
-    fn preempt_receive_cost(&self) -> SimDuration {
-        self.cfg.profile.interrupt.receive_cost(&self.host)
-    }
-
-    /// Build the notification frame a worker sends to the dispatcher.
-    fn notif_spec(&self, w: usize, msg: MsgRepr) -> FrameSpec {
-        FrameSpec {
+    /// Send `msg` from worker `w` to the RX core in a notification frame
+    /// built at `built`.
+    fn notify(&mut self, w: usize, built: SimTime, msg: MsgRepr, ctx: &mut Ctx<'_, Ev>) {
+        let spec = FrameSpec {
             src_mac: AddressPlan::worker_mac(w),
             dst_mac: AddressPlan::dispatcher_mac(),
             src: AddressPlan::worker_ep(w),
             dst: AddressPlan::dispatcher_ep(),
             msg,
-        }
+        };
+        ctx.schedule_at(
+            built + self.cfg.profile.from_worker,
+            Ev::RxNotif(self.wire.codec.build(spec)),
+        );
     }
 
     fn worker_run_end(&mut self, w: usize, gen: u64, ctx: &mut Ctx<'_, Ev>) {
-        if !self.workers[w].timer.accept(gen) {
-            return; // stale firing
-        }
-        let Running { task, run } = self.workers[w].running.take().expect("running");
-        let now = ctx.now();
-        if ctx.faults().worker_crashed(w, now) {
-            // The worker died mid-request: no response, no Done. The
-            // dispatcher's outstanding slot leaks until quarantine stops
-            // feeding the corpse.
-            self.ctx_pool.discard(task.req_id);
-            self.stranded += 1;
-            ctx.probe().count(&self.keys.stranded);
+        let Some(end) = self.workers.end_run(w, gen, ctx) else {
             return;
-        }
-        let finished = task.remaining <= run;
-
-        if finished {
-            ctx.probe().count(&self.keys.completed);
-            ctx.probe().mark(task.req_id, &self.keys.worker_done);
-            // Response to the client and Done to the dispatcher: two
-            // packets, built back to back (§3.4.3).
-            let resp_built = now + params::WORKER_TX_COST;
-            let resp = FrameSpec {
-                src_mac: AddressPlan::worker_mac(w),
-                dst_mac: AddressPlan::client_mac(),
-                src: AddressPlan::worker_ep(w),
-                dst: AddressPlan::client_ep(),
-                msg: MsgRepr {
-                    // The NIC sees every departing response; in the §5.2
-                    // co-design it stamps its instantaneous scheduler load
-                    // (queued + in flight) for the client's pacer.
-                    remaining_ns: self.dispatcher.queue_len() as u64
-                        + self.dispatcher.total_outstanding() as u64,
-                    body_len: task.body_len,
-                    ..task_msg(MsgKind::Response, &task)
-                },
-            };
-            let depart = resp_built + self.nic.dma_latency;
-            self.wire.response(resp, depart, ctx);
-
-            let notif_built = resp_built + params::WORKER_TX_COST;
-            let done = self.notif_spec(w, task_msg(MsgKind::Done, &task));
-            ctx.schedule_at(
-                notif_built + self.cfg.profile.from_worker,
-                Ev::RxNotif(self.wire.codec.build(done)),
-            );
-
-            self.ctx_pool.discard(task.req_id);
-            self.workers[w].core.requests_run += 1;
-            // The worker is free once both packets are built; it
-            // immediately pulls the next stashed request (§3.4.5).
-            ctx.schedule_at(notif_built, Ev::WorkerPoll(w));
-        } else {
-            // Slice expiry: take the interrupt, save the context, notify.
-            let after = task.after_preemption(run);
-            if self.ctx_pool.is_saved(after.req_id) {
-                // A retransmitted copy of this request is already suspended
-                // in DRAM: saving a second context would fork the request.
-                // Kill this copy — the saved context owns the request — and
-                // release the worker slot with a Done notification.
-                ctx.probe().count(&self.keys.dup_killed);
-                let free_at = now + self.preempt_receive_cost() + params::WORKER_TX_COST;
-                let done = self.notif_spec(w, task_msg(MsgKind::Done, &after));
-                ctx.schedule_at(
-                    free_at + self.cfg.profile.from_worker,
-                    Ev::RxNotif(self.wire.codec.build(done)),
-                );
-                ctx.schedule_at(free_at, Ev::WorkerPoll(w));
-                return;
+        };
+        let now = ctx.now();
+        let (msg, free_at) = match end {
+            // No response and no Done: the dispatcher's outstanding slot
+            // leaks until quarantine stops feeding the corpse.
+            RunEnd::Stranded => return,
+            RunEnd::Finished(task) => {
+                // Response to the client and Done to the dispatcher: two
+                // packets, built back to back (§3.4.3).
+                let resp_built = now + params::WORKER_TX_COST;
+                let mut resp = response_frame(AddressPlan::worker_mac(w), w, &task);
+                // The NIC sees every departing response; in the §5.2
+                // co-design it stamps its instantaneous scheduler load
+                // (queued + in flight) for the client's pacer.
+                resp.msg.remaining_ns =
+                    self.dispatcher.queue_len() as u64 + self.dispatcher.total_outstanding() as u64;
+                self.wire
+                    .response(resp, resp_built + self.nic.dma_latency, ctx);
+                let notif_built = resp_built + params::WORKER_TX_COST;
+                (task_msg(MsgKind::Done, &task), notif_built)
             }
-            ctx.probe().count(&self.keys.preempted);
-            self.preemptions += 1;
-            self.workers[w].core.preemptions += 1;
-            self.ctx_pool.save(after.req_id);
-            let free_at = now
-                + self.preempt_receive_cost()
-                + self.ctx_costs.save(&self.host)
-                + params::WORKER_TX_COST;
-            let notif = self.notif_spec(
-                w,
-                MsgRepr {
-                    remaining_ns: after.remaining.as_nanos(),
-                    body_len: after.body_len,
-                    ..task_msg(MsgKind::Preempted, &after)
-                },
-            );
-            ctx.schedule_at(
-                free_at + self.cfg.profile.from_worker,
-                Ev::RxNotif(self.wire.codec.build(notif)),
-            );
-            ctx.schedule_at(free_at, Ev::WorkerPoll(w));
-        }
+            // Release the worker slot with a Done notification.
+            RunEnd::DupKilled { task, free_in } => (
+                task_msg(MsgKind::Done, &task),
+                now + free_in + params::WORKER_TX_COST,
+            ),
+            // Slice expiry: hand the remaining work back.
+            RunEnd::Preempted { task, free_in } => {
+                let preempted = MsgRepr {
+                    remaining_ns: task.remaining.as_nanos(),
+                    body_len: task.body_len,
+                    ..task_msg(MsgKind::Preempted, &task)
+                };
+                (preempted, now + free_in + params::WORKER_TX_COST)
+            }
+        };
+        self.notify(w, free_at, msg, ctx);
+        // The worker is free once its packets are built; it immediately
+        // pulls the next stashed request (§3.4.5).
+        ctx.schedule_at(free_at, Ev::WorkerPoll(w));
     }
 }
 
@@ -700,6 +512,7 @@ impl Model for Offload {
         self.nic.check_invariants(now, inv);
         self.client.check_invariants(now, inv);
         self.wire.codec.check_invariants(now, inv);
+        self.workers.check_invariants(now, inv);
     }
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
@@ -722,14 +535,7 @@ impl Model for Offload {
                     let msg = frame.spec.msg;
                     if msg.kind == MsgKind::Request {
                         ctx.probe().mark(msg.req_id, &self.keys.nic_parse);
-                        let task = Task::new(
-                            msg.req_id,
-                            msg.client_id,
-                            SimDuration::from_nanos(msg.service_ns),
-                            SimTime::from_nanos(msg.sent_at_ns),
-                            ctx.now(),
-                            msg.body_len,
-                        );
+                        let task = msg_task(&msg, ctx.now());
                         ctx.schedule_in(
                             self.cfg.profile.stage_hop,
                             Ev::QmPush(QmItem::NewTask(task)),
@@ -808,18 +614,14 @@ impl Model for Offload {
                 self.tx.resume(Ev::TxDone, ctx);
             }
             Ev::WorkerFrame(w, spec) => {
-                let now = ctx.now();
-                if ctx.faults().worker_crashed(w, now) {
-                    // Delivered to a dead worker's ring: nobody will ever
-                    // poll it out.
-                    self.stranded += 1;
-                    ctx.probe().count(&self.keys.stranded);
+                // Delivered to a dead worker's ring: nobody will ever poll
+                // it out.
+                if self.workers.strand_if_crashed(w, spec.msg.req_id, ctx) {
                     return;
                 }
                 // DDIO placement happens at DMA time.
                 let lines = packet_lines(spec.frame_len());
-                let resident: usize = self.workers[w]
-                    .pending_placement
+                let resident: usize = self.placements[w]
                     .iter()
                     .filter(|p| **p == Placement::L1)
                     .count()
@@ -829,8 +631,8 @@ impl Model for Offload {
                 if self.nic.iface_mut(iface).rx[0].push(ctx.now(), spec) {
                     let depth = self.nic.iface(iface).rx[0].len();
                     ctx.probe().depth(self.keys.ring.at(w), depth);
-                    self.workers[w].pending_placement.push_back(placement);
-                    if self.workers[w].running.is_none() {
+                    self.placements[w].push_back(placement);
+                    if !self.workers.is_running(w) {
                         ctx.schedule_now(Ev::WorkerPoll(w));
                     }
                 } else {
@@ -839,7 +641,7 @@ impl Model for Offload {
                 }
             }
             Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
-            Ev::WorkerRunEnd { worker, gen } => self.worker_run_end(worker, gen, ctx),
+            Ev::WorkerRunEnd(worker, gen) => self.worker_run_end(worker, gen, ctx),
             Ev::RxNotif(spec) => self.rx.enqueue(spec, Ev::RxDone, ctx),
             Ev::RxDone => {
                 ctx.probe().count(&self.keys.notifs);
@@ -856,17 +658,7 @@ impl Model for Offload {
                                     self.task_meta.get(msg.req_id).copied().unwrap_or(ctx.now());
                                 Some(QmItem::Preempted {
                                     worker: w,
-                                    task: Task {
-                                        req_id: msg.req_id,
-                                        client_id: msg.client_id,
-                                        service: SimDuration::from_nanos(msg.service_ns),
-                                        remaining: SimDuration::from_nanos(msg.remaining_ns),
-                                        sent_at: SimTime::from_nanos(msg.sent_at_ns),
-                                        arrived_at: arrived,
-                                        body_len: msg.body_len,
-                                        preemptions: 0,
-                                        preempt: PreemptDecision::Inherit,
-                                    },
+                                    task: msg_task(&msg, arrived),
                                 })
                             }
                             MsgKind::Heartbeat => Some(QmItem::Heartbeat { worker: w }),
@@ -880,65 +672,32 @@ impl Model for Offload {
                 self.rx.resume(Ev::RxDone, ctx);
             }
             Ev::Heartbeat(w) => {
-                let now = ctx.now();
-                if now >= self.horizon {
+                let busy = self.workers.is_running(w);
+                let governor = self.governor.as_mut();
+                let Some(tick) =
+                    self.heartbeats
+                        .tick(w, w, busy, &mut self.dispatcher, governor, ctx)
+                else {
                     return;
+                };
+                if let Some(occupancy) = tick.renew {
+                    // Lease renewal rides a real Heartbeat frame over the
+                    // notification wire.
+                    let now = ctx.now();
+                    let beat = MsgRepr {
+                        kind: MsgKind::Heartbeat,
+                        req_id: 0,
+                        client_id: 0,
+                        service_ns: 0,
+                        remaining_ns: u64::from(occupancy),
+                        sent_at_ns: now.as_nanos(),
+                        body_len: 0,
+                        grant_code: 0,
+                    };
+                    self.notify(w, now, beat, ctx);
                 }
-                let silenced =
-                    ctx.faults().worker_down(w, now) || ctx.faults().feedback_blackout(now);
-                let occupancy = self.dispatcher.outstanding(w);
-                let busy = self.workers[w].running.is_some();
-                let mut assignments = Vec::new();
-                let mut next = None;
-                if let Some(gov) = self.governor.as_mut() {
-                    if !silenced {
-                        gov.report(now, w, occupancy, busy);
-                    }
-                    let was_degraded = gov.is_degraded();
-                    gov.evaluate(now, &mut self.dispatcher);
-                    if gov.is_degraded() != was_degraded {
-                        ctx.probe().count(&self.keys.fallback_switch);
-                    }
-                    assignments = self.dispatcher.kick(now);
-                    next = Some(gov.policy().heartbeat);
-                }
-                if let Some(policy) = self.recovery {
-                    // Worker side: lease renewal rides a real Heartbeat
-                    // frame over the notification wire — a silenced worker
-                    // (crashed, stalled, or blacked out) cannot renew.
-                    if !silenced {
-                        let hb = self.notif_spec(
-                            w,
-                            MsgRepr {
-                                kind: MsgKind::Heartbeat,
-                                req_id: 0,
-                                client_id: 0,
-                                service_ns: 0,
-                                remaining_ns: occupancy as u64,
-                                sent_at_ns: now.as_nanos(),
-                                body_len: 0,
-                                grant_code: 0,
-                            },
-                        );
-                        ctx.schedule_at(
-                            now + self.cfg.profile.from_worker,
-                            Ev::RxNotif(self.wire.codec.build(hb)),
-                        );
-                    }
-                    // NIC side: expire leases and re-dispatch orphans on the
-                    // same tick, so detection shares the indexed event queue
-                    // with everything else (no wall clocks).
-                    let recovered = self.dispatcher.check_health(now);
-                    if !recovered.is_empty() {
-                        ctx.probe().count(&self.keys.redispatch);
-                    }
-                    assignments.extend(recovered);
-                    next = Some(
-                        next.map_or(policy.heartbeat, |n: SimDuration| n.min(policy.heartbeat)),
-                    );
-                }
-                self.emit_assignments(assignments, ctx);
-                if let Some(interval) = next {
+                self.emit_assignments(tick.assignments, ctx);
+                if let Some(interval) = tick.next {
                     ctx.schedule_in(interval, Ev::Heartbeat(w));
                 }
             }

@@ -16,16 +16,15 @@
 //! semantics, configured with cap 1; the "hardware" is a compute model
 //! with near-zero stage costs.
 
-use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec};
-use net_wire::{FrameSpec, MsgKind, MsgRepr};
+use net_wire::{FrameSpec, MsgKind};
 use nicsched::{params, Dispatcher, Fcfs, LeastOutstanding, RecoveryPolicy, Task};
-use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
+use sim_core::probe::{Counter, Gauge, Hop};
 use sim_core::{Ctx, Engine, Model, Probe, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    absorb_dispatcher, assemble_metrics, mean_utilization, scale_duration, task_msg, AddressPlan,
-    Assembly, Client, ClientEdge, ClientEv, ResilienceConfig, Wire,
+    absorb_dispatcher, assemble_metrics, msg_task, response_frame, AddressPlan, Assembly, Client,
+    ClientEdge, ClientEv, ResilienceConfig, RunEnd, Wire, Workers,
 };
 
 /// Configuration of an RPCValet-style system.
@@ -52,7 +51,8 @@ pub enum Ev {
     NiArrive(FrameSpec),
     /// The hardware queue issues a task to a core.
     Deliver(usize, Task),
-    WorkerRunEnd(usize),
+    /// A worker's run ends, with its timer generation.
+    WorkerRunEnd(usize, u64),
     /// The integrated NI's periodic failure-detector sweep (recovery
     /// only). Lease renewal is hardware-observed core liveness — no
     /// heartbeat frames cross a wire in this design.
@@ -68,43 +68,24 @@ impl ClientEdge for Ev {
     }
 }
 
-struct Worker {
-    core: Core,
-    running: Option<Task>,
-    /// When the worker last went idle (for feedback-gap measurement).
-    idle_since: Option<SimTime>,
-}
-
 /// RPCValet's probe keys beyond its client edge, registered once at
 /// construction.
 struct Keys {
     requests: Counter,
     zombies: Counter,
-    stranded: Counter,
-    completed: Counter,
     redispatch: Counter,
     queue: Gauge,
-    worker: Family<Busy>,
-    idle_gap: Hop,
     ni_dispatch: Hop,
-    worker_start: Hop,
-    worker_done: Hop,
 }
 
 impl Keys {
-    fn new(probe: &mut Probe, workers: usize) -> Keys {
+    fn new(probe: &mut Probe) -> Keys {
         Keys {
             requests: probe.counter("ni.requests"),
             zombies: probe.counter("worker.zombie_dropped"),
-            stranded: probe.counter("worker.stranded"),
-            completed: probe.counter("worker.completed"),
             redispatch: probe.counter("recovery.redispatch"),
             queue: probe.gauge("ni.queue"),
-            worker: probe.busy_family("worker", workers),
-            idle_gap: probe.hop("worker.idle_gap"),
             ni_dispatch: probe.hop("path.1_ni_dispatch"),
-            worker_start: probe.hop("path.2_worker_start"),
-            worker_done: probe.hop("path.3_worker_done"),
         }
     }
 }
@@ -120,14 +101,10 @@ pub struct RpcValet {
     horizon: SimTime,
     wire: Wire,
     dispatcher: Dispatcher<Fcfs, LeastOutstanding>,
-    workers: Vec<Worker>,
-    ctx_pool: ContextPool,
-    ctx_costs: ContextCosts,
-    host: CoreSpec,
+    pub(crate) workers: Workers,
 
     /// NIC-side failure-detection policy, when recovery is enabled.
     recovery: Option<RecoveryPolicy>,
-    stranded: u64,
     keys: Keys,
 }
 
@@ -151,7 +128,6 @@ impl Assembly for RpcValet {
             client.enable_retries(policy);
         }
         let wire = Wire::new(&res, &mut master, probe, "path.4_response");
-        let t0 = SimTime::ZERO;
         // One request in flight per core: RPCValet's N=1 design point,
         // which its paper shows is optimal for its hardware queue.
         let mut dispatcher = Dispatcher::new(cfg.workers, 1, Fcfs::new(), LeastOutstanding);
@@ -163,19 +139,16 @@ impl Assembly for RpcValet {
             horizon: spec.horizon(),
             client,
             wire,
-            workers: (0..cfg.workers)
-                .map(|w| Worker {
-                    core: Core::new(CoreId(w as u32), CoreSpec::host_x86(), t0),
-                    running: None,
-                    idle_since: Some(t0),
-                })
-                .collect(),
-            ctx_pool: ContextPool::new(),
-            ctx_costs: ContextCosts::default(),
-            host: CoreSpec::host_x86(),
+            // No preemption: every task runs to completion.
+            workers: Workers::new(
+                cfg.workers,
+                probe,
+                "path.2_worker_start",
+                "path.3_worker_done",
+            )
+            .with_idle_gaps(probe),
             recovery: res.recovery,
-            stranded: 0,
-            keys: Keys::new(probe, cfg.workers),
+            keys: Keys::new(probe),
         }
     }
 
@@ -187,9 +160,9 @@ impl Assembly for RpcValet {
     }
 
     fn metrics(&self, horizon: SimTime) -> (RunMetrics, ()) {
-        let util = mean_utilization(self.workers.iter().map(|w| &w.core), horizon);
+        let util = self.workers.utilization(horizon);
         let mut metrics = assemble_metrics(&self.client, &self.wire, 0, util);
-        metrics.faults.stranded = self.stranded;
+        metrics.faults.stranded = self.workers.stranded;
         absorb_dispatcher(&mut metrics.faults, &self.dispatcher, None, horizon);
         (metrics, ())
     }
@@ -214,17 +187,7 @@ impl Model for RpcValet {
     fn check_invariants(&self, now: SimTime, inv: &mut sim_core::InvariantChecker) {
         self.client.check_invariants(now, inv);
         self.wire.codec.check_invariants(now, inv);
-        // Cap-1 hardware dispatch: a worker running a task must not also
-        // be marked idle, or the idle-gap accounting double-books time.
-        for (w, worker) in self.workers.iter().enumerate() {
-            if worker.running.is_some() && worker.idle_since.is_some() {
-                inv.record(
-                    now,
-                    "worker-state",
-                    format!("worker {w} runs a task but is still marked idle"),
-                );
-            }
-        }
+        self.workers.check_invariants(now, inv);
     }
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
@@ -237,14 +200,7 @@ impl Model for RpcValet {
                 }
                 ctx.probe().count(&self.keys.requests);
                 ctx.probe().mark(m.req_id, &self.keys.ni_dispatch);
-                let task = Task::new(
-                    m.req_id,
-                    m.client_id,
-                    SimDuration::from_nanos(m.service_ns),
-                    SimTime::from_nanos(m.sent_at_ns),
-                    ctx.now(),
-                    m.body_len,
-                );
+                let task = msg_task(&m, ctx.now());
                 let assignments = self.dispatcher.on_request(ctx.now(), task);
                 self.emit(assignments, ctx);
             }
@@ -254,84 +210,36 @@ impl Model for RpcValet {
                     // the NI fabric (e.g. across a stall): the queue already
                     // re-dispatched the request, so the hardware drops the
                     // zombie instead of double-running it.
-                    self.ctx_pool.discard(task.req_id);
+                    self.workers.discard(task.req_id);
                     ctx.probe().count(&self.keys.zombies);
                     return;
                 }
-                {
-                    let now = ctx.now();
-                    if ctx.faults().worker_crashed(w, now) {
-                        // Delivered into a dead core. The hardware queue
-                        // never sees a completion, so its cap-1 slot stays
-                        // occupied and no further work lands here.
-                        self.ctx_pool.discard(task.req_id);
-                        self.stranded += 1;
-                        ctx.probe().count(&self.keys.stranded);
-                        return;
-                    }
-                    if let Some(resume) = ctx.faults().worker_stalled_until(w, now) {
-                        ctx.schedule_at(resume, Ev::Deliver(w, task));
-                        return;
-                    }
-                }
-                debug_assert!(self.workers[w].running.is_none(), "cap-1 violated");
-                if let Some(idle_at) = self.workers[w].idle_since.take() {
-                    let gap = ctx.now().saturating_duration_since(idle_at);
-                    ctx.probe().hop(&self.keys.idle_gap, gap);
-                }
-                ctx.probe().mark(task.req_id, &self.keys.worker_start);
-                ctx.probe().busy(self.keys.worker.at(w), true);
-                let overhead = ContextPool::op_cost(
-                    self.ctx_pool.begin(task.req_id),
-                    &self.ctx_costs,
-                    &self.host,
-                );
-                let slow = {
-                    let now = ctx.now();
-                    ctx.faults().worker_slowdown(w, now)
-                };
-                let worker = &mut self.workers[w];
-                worker.core.set_busy(ctx.now());
-                let remaining = task.remaining;
-                worker.running = Some(task);
-                let wall = if slow > 1.0 {
-                    scale_duration(overhead + remaining, slow)
-                } else {
-                    overhead + remaining
-                };
-                ctx.schedule_in(wall, Ev::WorkerRunEnd(w));
-            }
-            Ev::WorkerRunEnd(w) => {
-                let task = self.workers[w].running.take().expect("running");
-                let now = ctx.now();
-                if ctx.faults().worker_crashed(w, now) {
-                    // Died mid-request: no response, no completion signal.
-                    self.ctx_pool.discard(task.req_id);
-                    self.stranded += 1;
-                    ctx.probe().count(&self.keys.stranded);
+                if !self.workers.may_take(w, Ev::Deliver(w, task), ctx) {
+                    // Delivered into a dead core: the hardware queue never
+                    // sees a completion, so its cap-1 slot stays occupied
+                    // and no further work lands here. A stalled core takes
+                    // the task when the stall ends.
+                    let stranded = self.workers.strand_if_crashed(w, task.req_id, ctx);
+                    debug_assert!(stranded || !self.workers.is_running(w), "cap-1 violated");
                     return;
                 }
-                ctx.probe().count(&self.keys.completed);
-                ctx.probe().mark(task.req_id, &self.keys.worker_done);
-                ctx.probe().busy(self.keys.worker.at(w), false);
-                self.workers[w].idle_since = Some(now);
-                let resp_built = now + params::WORKER_TX_COST;
-                let resp = FrameSpec {
-                    src_mac: AddressPlan::dispatcher_mac(),
-                    dst_mac: AddressPlan::client_mac(),
-                    src: AddressPlan::worker_ep(w),
-                    dst: AddressPlan::client_ep(),
-                    msg: MsgRepr {
-                        body_len: task.body_len,
-                        ..task_msg(MsgKind::Response, &task)
-                    },
+                self.workers.start(w, task, SimDuration::ZERO, ctx, |gen| {
+                    Ev::WorkerRunEnd(w, gen)
+                });
+            }
+            Ev::WorkerRunEnd(w, gen) => {
+                // A core that died mid-request sends no response and no
+                // completion signal.
+                let Some(RunEnd::Finished(task)) = self.workers.end_run(w, gen, ctx) else {
+                    return;
                 };
+                let now = ctx.now();
+                let resp_built = now + params::WORKER_TX_COST;
+                // The core goes idle once the response is built.
+                self.workers.idle(w, resp_built, ctx);
+                let resp = response_frame(AddressPlan::dispatcher_mac(), w, &task);
                 // Integrated NI: the response departs without a PCIe hop.
                 self.wire.response(resp, resp_built, ctx);
-                self.ctx_pool.discard(task.req_id);
-                let worker = &mut self.workers[w];
-                worker.core.requests_run += 1;
-                worker.core.set_idle(resp_built);
                 // The hardware queue reacts to the completion within the
                 // NI fabric's delivery delay — the "fine-grained knowledge
                 // of the load on each core" of §2.1.
@@ -351,7 +259,7 @@ impl Model for RpcValet {
                 // its lease for free. Detection then falls entirely on the
                 // cores the hardware cannot see making progress.
                 let mut assignments = Vec::new();
-                for w in 0..self.workers.len() {
+                for w in 0..self.dispatcher.worker_count() {
                     if !ctx.faults().worker_down(w, now) {
                         assignments.extend(self.dispatcher.on_heartbeat(now, w));
                     }

@@ -28,20 +28,20 @@
 
 use std::collections::VecDeque;
 
-use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec, OneShotTimer, TimerMode};
-use net_wire::{FrameSpec, MsgKind, MsgRepr};
+use cpu_model::{InterruptPath, TimerMode};
+use net_wire::{FrameSpec, MsgKind};
 use nic_model::{IfaceId, NicDevice, QueueSteering, Rss};
 use nicsched::{
-    params, AdmitOutcome, Assignment, Dispatcher, LeastOutstanding, PolicySpec, RecoveryPolicy,
-    SchedPolicy, Task,
+    params, AdmitOutcome, Assignment, Dispatcher, LeastOutstanding, PolicySpec, SchedPolicy, Task,
 };
-use sim_core::probe::{Busy, Counter, Family, Gauge, Hop, IntoHandle};
+use sim_core::probe::{Counter, Family, Gauge, Hop, IntoHandle};
 use sim_core::{Ctx, Engine, Model, Probe, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    absorb_dispatcher, assemble_metrics, mean_utilization, scale_duration, task_msg, AddressPlan,
-    Assembly, Client, ClientEdge, ClientEv, FeedbackGovernor, ResilienceConfig, Stage, Wire,
+    absorb_dispatcher, assemble_metrics, msg_task, response_frame, AddressPlan, Assembly, Client,
+    ClientEdge, ClientEv, FeedbackGovernor, Heartbeats, ResilienceConfig, RunEnd, Stage, Wire,
+    Workers,
 };
 
 /// Configuration of a Shinjuku server with one or more dispatcher groups.
@@ -116,7 +116,7 @@ pub enum DispItem {
     },
 }
 
-/// Events; `(group, worker)` pairs index a group and a worker within it.
+/// Events; workers are indexed machine-wide, groups among the groups.
 #[doc(hidden)]
 pub enum Ev {
     Client(ClientEv),
@@ -125,15 +125,12 @@ pub enum Ev {
     DispPush(usize, DispItem),
     DispDone(usize),
     /// A task becomes visible in a worker's shared-memory inbox.
-    WorkerTask(usize, usize, Task),
-    WorkerPoll(usize, usize),
-    WorkerRunEnd {
-        group: usize,
-        worker: usize,
-        gen: u64,
-    },
+    WorkerTask(usize, Task),
+    WorkerPoll(usize),
+    /// A worker's run ends, with its timer generation.
+    WorkerRunEnd(usize, u64),
     /// A worker's periodic liveness heartbeat to its group's dispatcher.
-    Heartbeat(usize, usize),
+    Heartbeat(usize),
 }
 
 impl ClientEdge for Ev {
@@ -143,13 +140,6 @@ impl ClientEdge for Ev {
     fn at_server(spec: FrameSpec) -> Ev {
         Ev::WireToNic(spec)
     }
-}
-
-struct Worker {
-    core: Core,
-    timer: OneShotTimer,
-    inbox: VecDeque<Task>,
-    running: Option<(Task, SimDuration)>,
 }
 
 /// Shinjuku's probe keys beyond its stages and client edge, registered
@@ -165,19 +155,10 @@ struct Keys {
     requeued: Counter,
     assigned: Counter,
     heartbeats: Counter,
-    completed: Counter,
-    dup_killed: Counter,
-    preempted: Counter,
-    stranded: Counter,
-    fallback_switch: Counter,
-    redispatch: Counter,
     central: Family<Gauge>,
     inbox: Family<Gauge>,
-    worker: Family<Busy>,
     host_net: Hop,
     dispatched: Hop,
-    worker_start: Hop,
-    worker_done: Hop,
 }
 
 impl Keys {
@@ -193,19 +174,10 @@ impl Keys {
             requeued: probe.counter("disp.preempt_requeue"),
             assigned: probe.counter("disp.assign"),
             heartbeats: probe.counter("disp.heartbeat"),
-            completed: probe.counter("worker.completed"),
-            dup_killed: probe.counter("worker.dup_killed"),
-            preempted: probe.counter("worker.preempted"),
-            stranded: probe.counter("worker.stranded"),
-            fallback_switch: probe.counter("fallback.switch"),
-            redispatch: probe.counter("recovery.redispatch"),
             central: probe.gauge_family("dispatcher.central", cfg.groups),
             inbox: probe.gauge_family("worker.inbox", workers),
-            worker: probe.busy_family("worker", workers),
             host_net: probe.hop("path.1_host_net"),
             dispatched: probe.hop("path.2_dispatch"),
-            worker_start: probe.hop("path.3_worker_start"),
-            worker_done: probe.hop("path.4_worker_done"),
         }
     }
 }
@@ -218,7 +190,6 @@ struct Group {
     disp_thread: Stage<DispItem>,
     dispatcher: Dispatcher<Box<dyn SchedPolicy>, LeastOutstanding>,
     governor: Option<FeedbackGovernor>,
-    workers: Vec<Worker>,
     /// Requests admitted by this group (imbalance statistics).
     admitted: u64,
 }
@@ -231,20 +202,16 @@ struct Group {
 pub struct Shinjuku {
     cfg: ShinjukuConfig,
     client: Client,
-    horizon: SimTime,
     wire: Wire,
     nic: NicDevice,
     net_iface: IfaceId,
     groups: Vec<Group>,
-    ctx_pool: ContextPool,
-    ctx_costs: ContextCosts,
-    host: CoreSpec,
-    preemptions: u64,
-
-    /// NIC-side failure-detection policy, when recovery is enabled. Each
-    /// group's dispatcher runs its own tracker over its own workers.
-    recovery: Option<RecoveryPolicy>,
-    stranded: u64,
+    pub(crate) workers: Workers,
+    /// Each worker's shared-memory inbox.
+    inboxes: Vec<VecDeque<Task>>,
+    /// The workers' liveness ticks; each group's dispatcher runs its own
+    /// lease tracker over its own workers.
+    heartbeats: Heartbeats,
     keys: Keys,
 }
 
@@ -283,7 +250,7 @@ impl Assembly for Shinjuku {
         };
         let net_iface = nic.add_iface(AddressPlan::dispatcher_mac(), cfg.groups, 1024, steering);
 
-        let t0 = SimTime::ZERO;
+        let n = cfg.groups * cfg.workers;
         let net_busy = probe.busy_family("networker", cfg.groups);
         let net_ring = probe.gauge_family("networker.ring", cfg.groups);
         let disp_busy = probe.busy_family("dispatcher", cfg.groups);
@@ -314,18 +281,6 @@ impl Assembly for Shinjuku {
                     governor: res
                         .fallback
                         .map(|p| FeedbackGovernor::new(cfg.workers, params::HOST_QUEUE_HOP, p)),
-                    workers: (0..cfg.workers)
-                        .map(|w| Worker {
-                            core: Core::new(
-                                CoreId((g * cfg.workers + w) as u32),
-                                CoreSpec::host_x86(),
-                                t0,
-                            ),
-                            timer: OneShotTimer::new(),
-                            inbox: VecDeque::new(),
-                            running: None,
-                        })
-                        .collect(),
                     admitted: 0,
                 }
             })
@@ -333,18 +288,20 @@ impl Assembly for Shinjuku {
 
         Shinjuku {
             cfg,
-            horizon: spec.horizon(),
             client,
             wire,
             nic,
             net_iface,
             groups,
-            ctx_pool: ContextPool::new(),
-            ctx_costs: ContextCosts::default(),
-            host: CoreSpec::host_x86(),
-            preemptions: 0,
-            recovery: res.recovery,
-            stranded: 0,
+            // Dune-mapped APIC timers: the mechanism Shinjuku itself
+            // introduced (§3.4.4 cites its cost numbers).
+            workers: Workers::new(n, probe, "path.3_worker_start", "path.4_worker_done")
+                .preemptive(
+                    cfg.time_slice,
+                    InterruptPath::LocalTimer(TimerMode::DuneMapped),
+                ),
+            inboxes: vec![VecDeque::new(); n],
+            heartbeats: Heartbeats::new(spec.horizon(), &res, probe),
             keys: Keys::new(probe, &cfg),
         }
     }
@@ -352,24 +309,24 @@ impl Assembly for Shinjuku {
     fn seed(engine: &mut Engine<Shinjuku>) {
         engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
         let model = engine.model();
-        let cfg = model.cfg;
-        if model.groups.iter().any(|g| g.governor.is_some()) || model.recovery.is_some() {
-            for g in 0..cfg.groups {
-                for w in 0..cfg.workers {
-                    engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(g, w));
-                }
+        if model
+            .heartbeats
+            .run(model.groups.iter().any(|g| g.governor.is_some()))
+        {
+            for w in 0..model.inboxes.len() {
+                engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(w));
             }
         }
     }
 
     /// Degraded time, switches and quarantines are summed over the groups.
     fn metrics(&self, horizon: SimTime) -> (RunMetrics, f64) {
-        let workers = self.groups.iter().flat_map(|g| &g.workers);
-        let util = mean_utilization(workers.map(|w| &w.core), horizon);
-        let mut metrics = assemble_metrics(&self.client, &self.wire, self.preemptions, util);
+        let util = self.workers.utilization(horizon);
+        let preemptions = self.workers.preemptions();
+        let mut metrics = assemble_metrics(&self.client, &self.wire, preemptions, util);
         let fm = &mut metrics.faults;
         fm.ring_dropped = self.nic.total_drops();
-        fm.stranded = self.stranded;
+        fm.stranded = self.workers.stranded;
         for group in &self.groups {
             absorb_dispatcher(fm, &group.dispatcher, group.governor.as_ref(), horizon);
         }
@@ -378,10 +335,11 @@ impl Assembly for Shinjuku {
 }
 
 impl Shinjuku {
-    /// Machine-wide index of group `g`'s worker `w` (fault plans, core ids
-    /// and endpoints number workers across groups).
-    fn global(&self, g: usize, w: usize) -> usize {
-        g * self.cfg.workers + w
+    /// The group of machine-wide worker `w`, and `w`'s index within it
+    /// (fault plans, core ids and endpoints number workers across groups;
+    /// a group's dispatcher numbers its own).
+    fn local(&self, w: usize) -> (usize, usize) {
+        (w / self.cfg.workers, w % self.cfg.workers)
     }
 
     /// Sample group `g`'s RX ring and start its networker on the head
@@ -436,7 +394,8 @@ impl Shinjuku {
             }
             DispItem::Emit(a) => {
                 ctx.probe().count(&self.keys.assigned);
-                ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::WorkerTask(g, a.worker, a.task));
+                let w = g * self.cfg.workers + a.worker;
+                ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::WorkerTask(w, a.task));
                 Vec::new()
             }
             DispItem::Heartbeat { worker } => {
@@ -446,196 +405,95 @@ impl Shinjuku {
         }
     }
 
-    fn worker_poll(&mut self, g: usize, w: usize, ctx: &mut Ctx<'_, Ev>) {
-        if self.groups[g].workers[w].running.is_some() {
+    fn worker_poll(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
+        if !self.workers.may_take(w, Ev::WorkerPoll(w), ctx) {
             return;
         }
-        let global = self.global(g, w);
-        let now = ctx.now();
-        if ctx.faults().worker_crashed(global, now) {
-            return; // dead cores never poll again
-        }
-        if let Some(resume) = ctx.faults().worker_stalled_until(global, now) {
-            ctx.schedule_at(resume, Ev::WorkerPoll(g, w));
-            return;
-        }
-        let Some(task) = self.groups[g].workers[w].inbox.pop_front() else {
-            self.groups[g].workers[w].core.set_idle(now);
-            ctx.probe().busy(self.keys.worker.at(global), false);
+        let Some(task) = self.inboxes[w].pop_front() else {
+            self.workers.idle(w, ctx.now(), ctx);
             return;
         };
-        let depth = self.groups[g].workers[w].inbox.len();
-        ctx.probe().mark(task.req_id, &self.keys.worker_start);
-        ctx.probe().busy(self.keys.worker.at(global), true);
-        ctx.probe().depth(self.keys.inbox.at(global), depth);
-        let ctx_op = self.ctx_pool.begin(task.req_id);
-        let mut overhead = ContextPool::op_cost(ctx_op, &self.ctx_costs, &self.host);
-        // The policy's per-dispatch grant (carried on the task — the
-        // shared-memory path preserves it exactly) resolves against the
-        // configured slice; `Inherit` reproduces the static timer.
-        let run = match task.preempt.resolve(self.cfg.time_slice) {
-            Some(slice) => {
-                // Dune-mapped APIC timers — the mechanism Shinjuku itself
-                // introduced (§3.4.4 cites its cost numbers).
-                overhead += TimerMode::DuneMapped.set_cost(&self.host);
-                task.remaining.min(slice)
-            }
-            None => task.remaining,
-        };
-        // A slowdown window stretches wall time; `run` stays in work
-        // units so the finish/preempt decision at run end is unchanged.
-        let slow = ctx.faults().worker_slowdown(global, now);
-        let wall = if slow > 1.0 {
-            scale_duration(overhead + run, slow)
-        } else {
-            overhead + run
-        };
-        let worker = &mut self.groups[g].workers[w];
-        worker.core.set_busy(now);
-        let end = now + wall;
-        let gen = worker.timer.arm(end);
-        worker.running = Some((task, run));
-        ctx.schedule_at(
-            end,
-            Ev::WorkerRunEnd {
-                group: g,
-                worker: w,
-                gen,
-            },
-        );
+        ctx.probe()
+            .depth(self.keys.inbox.at(w), self.inboxes[w].len());
+        // The policy's per-dispatch grant rides the task exactly over the
+        // shared-memory path.
+        self.workers.start(w, task, SimDuration::ZERO, ctx, |gen| {
+            Ev::WorkerRunEnd(w, gen)
+        });
     }
 
-    fn worker_run_end(&mut self, g: usize, w: usize, gen: u64, ctx: &mut Ctx<'_, Ev>) {
-        if !self.groups[g].workers[w].timer.accept(gen) {
+    fn worker_run_end(&mut self, w: usize, gen: u64, ctx: &mut Ctx<'_, Ev>) {
+        let Some(end) = self.workers.end_run(w, gen, ctx) else {
             return;
-        }
-        let (task, run) = self.groups[g].workers[w]
-            .running
-            .take()
-            .expect("running task");
+        };
         let now = ctx.now();
-        let global = self.global(g, w);
-        if ctx.faults().worker_crashed(global, now) {
-            // The worker died mid-request: no response, and no Done ever
-            // reaches the dispatcher, so its cap-1 slot stays occupied.
-            self.strand(task, ctx);
-            return;
-        }
-        if task.remaining <= run {
-            ctx.probe().count(&self.keys.completed);
-            ctx.probe().mark(task.req_id, &self.keys.worker_done);
-            // Finished: response straight out the NIC; Done notification is
-            // a shared-memory write visible one queue hop later.
-            let resp_built = now + params::WORKER_TX_COST;
-            let resp = FrameSpec {
-                src_mac: AddressPlan::dispatcher_mac(),
-                dst_mac: AddressPlan::client_mac(),
-                src: AddressPlan::worker_ep(global),
-                dst: AddressPlan::client_ep(),
-                msg: MsgRepr {
-                    body_len: task.body_len,
-                    ..task_msg(MsgKind::Response, &task)
-                },
-            };
-            self.wire
-                .response(resp, resp_built + self.nic.dma_latency, ctx);
-            self.ctx_pool.discard(task.req_id);
-            self.groups[g].workers[w].core.requests_run += 1;
-            let done = DispItem::Done {
-                worker: w,
-                req_id: task.req_id,
-            };
-            ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::DispPush(g, done));
-            ctx.schedule_at(resp_built, Ev::WorkerPoll(g, w));
-            return;
-        }
-        // Slice expiry: posted interrupt, save, hand back via memory.
-        let after = task.after_preemption(run);
-        let (item, free_at) = if self.ctx_pool.is_saved(after.req_id) {
-            // A retransmitted copy of this request is already suspended:
-            // kill this copy and free the worker slot via Done.
-            ctx.probe().count(&self.keys.dup_killed);
-            let done = DispItem::Done {
-                worker: w,
-                req_id: after.req_id,
-            };
-            (done, now + TimerMode::DuneMapped.deliver_cost(&self.host))
-        } else {
-            self.preemptions += 1;
-            ctx.probe().count(&self.keys.preempted);
-            self.ctx_pool.save(after.req_id);
-            let free_at = now
-                + TimerMode::DuneMapped.deliver_cost(&self.host)
-                + self.ctx_costs.save(&self.host);
-            (
-                DispItem::Preempted {
-                    worker: w,
-                    task: after,
-                },
-                free_at,
-            )
+        let (g, local) = self.local(w);
+        let (item, free_at) = match end {
+            // No response, and no Done ever reaches the dispatcher, so its
+            // cap-1 slot stays occupied.
+            RunEnd::Stranded => return,
+            RunEnd::Finished(task) => {
+                // Response straight out the NIC; the Done notification is a
+                // shared-memory write visible one queue hop later.
+                let resp_built = now + params::WORKER_TX_COST;
+                let resp = response_frame(AddressPlan::dispatcher_mac(), w, &task);
+                self.wire
+                    .response(resp, resp_built + self.nic.dma_latency, ctx);
+                let done = DispItem::Done {
+                    worker: local,
+                    req_id: task.req_id,
+                };
+                ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::DispPush(g, done));
+                ctx.schedule_at(resp_built, Ev::WorkerPoll(w));
+                return;
+            }
+            // The slot is freed via Done.
+            RunEnd::DupKilled { task, free_in } => {
+                let done = DispItem::Done {
+                    worker: local,
+                    req_id: task.req_id,
+                };
+                (done, now + free_in)
+            }
+            // The remaining work goes back via memory.
+            RunEnd::Preempted { task, free_in } => {
+                let preempted = DispItem::Preempted {
+                    worker: local,
+                    task,
+                };
+                (preempted, now + free_in)
+            }
         };
         ctx.schedule_at(free_at + params::HOST_QUEUE_HOP, Ev::DispPush(g, item));
-        ctx.schedule_at(free_at, Ev::WorkerPoll(g, w));
+        ctx.schedule_at(free_at, Ev::WorkerPoll(w));
     }
 
-    /// A task died with its worker: it never runs again here, so any saved
-    /// context goes too (a retransmitted copy must start fresh).
-    fn strand(&mut self, task: Task, ctx: &mut Ctx<'_, Ev>) {
-        self.ctx_pool.discard(task.req_id);
-        self.stranded += 1;
-        ctx.probe().count(&self.keys.stranded);
-    }
-
-    /// A worker's heartbeat tick: feed the group's staleness governor and
-    /// health tracker, and emit whatever work that unparks.
-    fn heartbeat(&mut self, g: usize, w: usize, ctx: &mut Ctx<'_, Ev>) {
-        let now = ctx.now();
-        if now >= self.horizon {
-            return;
-        }
-        let global = self.global(g, w);
-        let silenced = ctx.faults().worker_down(global, now) || ctx.faults().feedback_blackout(now);
+    /// Worker `w`'s heartbeat tick: feed its group's staleness governor
+    /// and health tracker, and emit whatever work that unparks.
+    fn heartbeat(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
+        let (g, local) = self.local(w);
+        let busy = self.workers.is_running(w);
         let group = &mut self.groups[g];
-        let mut assignments = Vec::new();
-        let mut next = None;
-        if let Some(gov) = group.governor.as_mut() {
-            if !silenced {
-                let occupancy = group.dispatcher.outstanding(w);
-                gov.report(now, w, occupancy, group.workers[w].running.is_some());
-            }
-            let was_degraded = gov.is_degraded();
-            gov.evaluate(now, &mut group.dispatcher);
-            if gov.is_degraded() != was_degraded {
-                ctx.probe().count(&self.keys.fallback_switch);
-            }
-            assignments = group.dispatcher.kick(now);
-            next = Some(gov.policy().heartbeat);
-        }
-        if let Some(policy) = self.recovery {
-            // Worker side: lease renewal crosses host shared memory like
-            // any other notification — a silenced worker (crashed,
-            // stalled, or blacked out) cannot renew.
-            if !silenced {
-                let beat = DispItem::Heartbeat { worker: w };
-                ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::DispPush(g, beat));
-            }
-            // Dispatcher side: expire leases and re-dispatch orphans on
-            // the same tick.
-            let recovered = group.dispatcher.check_health(now);
-            if !recovered.is_empty() {
-                ctx.probe().count(&self.keys.redispatch);
-            }
-            assignments.extend(recovered);
-            next = Some(next.map_or(policy.heartbeat, |n: SimDuration| n.min(policy.heartbeat)));
+        let governor = group.governor.as_mut();
+        let Some(tick) = self
+            .heartbeats
+            .tick(local, w, busy, &mut group.dispatcher, governor, ctx)
+        else {
+            return;
+        };
+        if tick.renew.is_some() {
+            // Lease renewal crosses host shared memory like any other
+            // notification.
+            let beat = DispItem::Heartbeat { worker: local };
+            ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::DispPush(g, beat));
         }
         // Unparked work still pays the dispatcher's per-assignment cost
         // like any other emission.
-        for a in assignments {
+        for a in tick.assignments {
             ctx.schedule_now(Ev::DispPush(g, DispItem::Emit(a)));
         }
-        if let Some(interval) = next {
-            ctx.schedule_in(interval, Ev::Heartbeat(g, w));
+        if let Some(interval) = tick.next {
+            ctx.schedule_in(interval, Ev::Heartbeat(w));
         }
     }
 
@@ -659,6 +517,7 @@ impl Model for Shinjuku {
         self.nic.check_invariants(now, inv);
         self.client.check_invariants(now, inv);
         self.wire.codec.check_invariants(now, inv);
+        self.workers.check_invariants(now, inv);
     }
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
@@ -680,14 +539,7 @@ impl Model for Shinjuku {
                     let m = frame.spec.msg;
                     if m.kind == MsgKind::Request {
                         ctx.probe().mark(m.req_id, &self.keys.host_net);
-                        let task = Task::new(
-                            m.req_id,
-                            m.client_id,
-                            SimDuration::from_nanos(m.service_ns),
-                            SimTime::from_nanos(m.sent_at_ns),
-                            ctx.now(),
-                            m.body_len,
-                        );
+                        let task = msg_task(&m, ctx.now());
                         ctx.schedule_in(
                             params::HOST_QUEUE_HOP,
                             Ev::DispPush(g, DispItem::NewTask(task)),
@@ -714,25 +566,21 @@ impl Model for Shinjuku {
                 }
                 self.groups[g].disp_thread.resume(Ev::DispDone(g), ctx);
             }
-            Ev::WorkerTask(g, w, task) => {
-                let now = ctx.now();
-                if ctx.faults().worker_crashed(self.global(g, w), now) {
-                    // Delivered to a dead worker's inbox: never executed.
-                    self.strand(task, ctx);
+            Ev::WorkerTask(w, task) => {
+                // Delivered to a dead worker's inbox: never executed.
+                if self.workers.strand_if_crashed(w, task.req_id, ctx) {
                     return;
                 }
-                let worker = &mut self.groups[g].workers[w];
-                worker.inbox.push_back(task);
-                let (depth, idle) = (worker.inbox.len(), worker.running.is_none());
+                self.inboxes[w].push_back(task);
                 ctx.probe()
-                    .depth(self.keys.inbox.at(self.global(g, w)), depth);
-                if idle {
-                    ctx.schedule_now(Ev::WorkerPoll(g, w));
+                    .depth(self.keys.inbox.at(w), self.inboxes[w].len());
+                if !self.workers.is_running(w) {
+                    ctx.schedule_now(Ev::WorkerPoll(w));
                 }
             }
-            Ev::WorkerPoll(g, w) => self.worker_poll(g, w, ctx),
-            Ev::WorkerRunEnd { group, worker, gen } => self.worker_run_end(group, worker, gen, ctx),
-            Ev::Heartbeat(g, w) => self.heartbeat(g, w, ctx),
+            Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
+            Ev::WorkerRunEnd(worker, gen) => self.worker_run_end(worker, gen, ctx),
+            Ev::Heartbeat(w) => self.heartbeat(w, ctx),
         }
     }
 }
@@ -745,8 +593,7 @@ mod tests {
     use sim_core::ProbeConfig;
     use workload::{RetryPolicy, ServiceDist};
 
-    use crate::common::{StalenessPolicy, FAULT_SEED_SALT};
-    use sim_core::FaultPlan;
+    use crate::common::StalenessPolicy;
 
     /// Run `cfg` on `spec` plainly: its metrics and group imbalance.
     fn run(spec: WorkloadSpec, cfg: ShinjukuConfig) -> (RunMetrics, f64) {
@@ -944,35 +791,5 @@ mod tests {
             "blackout never quarantined a worker: {f:?}"
         );
         assert_eq!(f.unaccounted(), 0, "{f:?}");
-    }
-
-    #[test]
-    fn a_task_stranded_on_a_crashed_worker_drops_its_saved_context() {
-        // Worker 0 is dead from the start. A preempted request whose
-        // context is saved gets delivered to it: the context must go, or a
-        // retransmitted copy would be charged a restore (and killed as a
-        // duplicate if preempted).
-        let spec = quick_spec(100_000.0, ServiceDist::paper_bimodal());
-        let res = ResilienceConfig {
-            faults: FaultConfig::default().with_crash(0, SimTime::ZERO),
-            ..ResilienceConfig::default()
-        };
-        let model = Shinjuku::new(spec, ShinjukuConfig::paper(2), res, &mut Probe::default());
-        let mut engine = Engine::new(model);
-        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
-        let req_id = 7;
-        engine.model_mut().ctx_pool.save(req_id);
-        let task = Task::new(
-            req_id,
-            1,
-            SimDuration::from_micros(100),
-            SimTime::ZERO,
-            SimTime::ZERO,
-            64,
-        );
-        engine.schedule_at(SimTime::from_micros(1), Ev::WorkerTask(0, 0, task));
-        engine.run_until(SimTime::from_micros(2));
-        assert_eq!(engine.model().stranded, 1);
-        assert!(!engine.model().ctx_pool.is_saved(req_id));
     }
 }
