@@ -95,8 +95,6 @@ pub struct Core {
     /// Static description.
     pub spec: CoreSpec,
     busy: BusyTracker,
-    /// Requests fully executed on this core.
-    pub requests_run: u64,
     /// Preemptions taken on this core.
     pub preemptions: u64,
 }
@@ -108,7 +106,6 @@ impl Core {
             id,
             spec,
             busy: BusyTracker::new(at),
-            requests_run: 0,
             preemptions: 0,
         }
     }

@@ -6,9 +6,12 @@
 //! host core behind shared-memory queues; `systems::offload` runs it on
 //! the SmartNIC ARM cores behind packet I/O, and, with
 //! [`NicProfile::ideal`](crate::NicProfile::ideal) as its profile, in a
-//! line-rate ASIC model. The scheduling *semantics* are identical —
-//! which is precisely the paper's claim that only the placement and the
-//! feedback path change.
+//! line-rate ASIC model. Both embed it through one wrapper,
+//! `systems::common::DispatchCore`, which also holds the admission and
+//! recovery settings, the staleness governor and the liveness tick, so
+//! the scheduling *semantics* are identical — which is precisely the
+//! paper's claim that only the placement and the feedback path change.
+//! `systems::rpcvalet` embeds it directly as a hardware queue.
 //!
 //! The dispatcher is a pure decision structure: embeddings feed it
 //! arrivals and worker feedback, it returns [`Assignment`]s; the embedding
@@ -369,13 +372,7 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         if !self.is_stale_report(worker, req_id) {
             return false;
         }
-        if let Some(c) = self.reclaimed.get_mut(&(req_id, worker)) {
-            *c -= 1;
-            if *c == 0 {
-                self.reclaimed.remove(&(req_id, worker));
-            }
-        }
-        self.stats.late_duplicates += 1;
+        self.consume_reclaim(worker, req_id);
         true
     }
 
@@ -395,6 +392,17 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
     /// double-complete. The report is still proof of life — the suspicion
     /// was a false positive — so the worker is readmitted.
     fn absorb_stale_report(&mut self, now: SimTime, worker: usize, req_id: u64) -> Vec<Assignment> {
+        self.consume_reclaim(worker, req_id);
+        if self.note_activity(now, worker) {
+            self.drain(now)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Count a zombie copy of `req_id` on `worker` as a late duplicate,
+    /// consuming one of its reclaim markers.
+    fn consume_reclaim(&mut self, worker: usize, req_id: u64) {
         if let Some(c) = self.reclaimed.get_mut(&(req_id, worker)) {
             *c -= 1;
             if *c == 0 {
@@ -402,11 +410,6 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
             }
         }
         self.stats.late_duplicates += 1;
-        if self.note_activity(now, worker) {
-            self.drain(now)
-        } else {
-            Vec::new()
-        }
     }
 
     /// Record proof of life; fires `worker_up` and returns `true` on

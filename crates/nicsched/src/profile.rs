@@ -114,11 +114,6 @@ impl NicProfile {
             ..NicProfile::stingray()
         }
     }
-
-    /// Round-trip dispatcher↔worker latency (excluding compute).
-    pub fn round_trip(&self) -> SimDuration {
-        self.to_worker + self.from_worker
-    }
 }
 
 #[cfg(test)]

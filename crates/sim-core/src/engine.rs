@@ -242,11 +242,6 @@ impl<M: Model> Engine<M> {
         &mut self.probe
     }
 
-    /// Remove the probe, leaving a disabled one in its place.
-    pub fn take_probe(&mut self) -> Probe {
-        std::mem::take(&mut self.probe)
-    }
-
     /// Install a fault plan (usually `FaultPlan::new(cfg, seed)`).
     pub fn set_faults(&mut self, faults: FaultPlan) {
         *self.faults = faults;

@@ -211,10 +211,8 @@ impl Assembly for Baseline {
     }
 
     fn metrics(&self, horizon: SimTime) -> (RunMetrics, f64) {
-        let util = self.workers.utilization(horizon);
-        let mut metrics = assemble_metrics(&self.client, &self.wire, 0, util);
+        let mut metrics = assemble_metrics(&self.client, &self.wire, &self.workers, horizon);
         metrics.faults.ring_dropped = self.nic.total_drops();
-        metrics.faults.stranded = self.workers.stranded;
         let cores = if self.cfg.kind == BaselineKind::ElasticRss {
             self.active_tw.mean_until(horizon).max(1.0)
         } else {

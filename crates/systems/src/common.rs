@@ -4,8 +4,10 @@
 //! assembly accepts, the stale-feedback governor, the lossy client↔server
 //! wire with the codec check every frame passes, the serial stage every
 //! dispatcher core is built from, the host worker cores every assembly runs
-//! requests on and their liveness tick, the client's side of every
-//! assembly's event loop, and metric assembly.
+//! requests on, the centralized dispatcher core Shinjuku and
+//! Shinjuku-Offload share (with its admission, staleness governor and
+//! liveness tick), the client's side of every assembly's event loop, and
+//! metric assembly.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -15,8 +17,8 @@ use net_wire::{
 };
 use nic_model::{Link, Ring};
 use nicsched::{
-    AdmissionPolicy, Assignment, CoreFeedback, CoreSelector, Dispatcher, FeedbackChannel,
-    PreemptDecision, RecoveryPolicy, SchedPolicy, Task,
+    AdmissionPolicy, AdmitOutcome, Assignment, CoreFeedback, CoreSelector, Dispatcher,
+    FeedbackChannel, PreemptDecision, SchedPolicy, Task,
 };
 use sim_core::faults::FaultConfig;
 use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
@@ -32,14 +34,6 @@ use workload::{
 /// Seed salt for the fault plan's private random stream, so fault
 /// decisions never perturb the workload's own streams.
 pub const FAULT_SEED_SALT: u64 = 0x5EED_FA17;
-
-/// Stretch a duration by a slowdown factor (thermal-throttle windows
-/// multiply wall time while the amount of useful work is unchanged).
-/// Delegates to the canonical float boundary in sim-core rather than
-/// casting here, so simlint's time-float-cast rule has one waiver site.
-fn scale_duration(d: SimDuration, factor: f64) -> SimDuration {
-    d.mul_f64(factor)
-}
 
 /// When the dispatcher's view of workers goes stale enough to be dead
 /// data, stop steering on it: degrade to RSS-style hashing, and
@@ -118,10 +112,8 @@ impl ResilienceConfig {
                 .with_wire_loss(0.01)
                 .with_crash(worker, at),
             retry: Some(RetryPolicy::paper_default()),
-            admission: AdmissionPolicy::Open,
             fallback: Some(StalenessPolicy::paper_default()),
-            recovery: None,
-            invariants: InvariantConfig::disabled(),
+            ..ResilienceConfig::default()
         }
     }
 
@@ -211,9 +203,8 @@ pub(crate) fn engine<A: Assembly>(
     engine
 }
 
-/// Add one dispatcher's sheds and recovery counters, and its staleness
-/// governor's fallback counters, to `fm`. Assemblies with several
-/// dispatchers call it once per dispatcher, so the fields sum.
+/// Add one dispatcher's sheds and recovery counters, and its governor's
+/// fallback counters, to `fm`; over several dispatchers the fields sum.
 pub(crate) fn absorb_dispatcher<P: SchedPolicy, S: CoreSelector>(
     fm: &mut FaultMetrics,
     disp: &Dispatcher<P, S>,
@@ -257,13 +248,13 @@ fn close_invariants(mut inv: InvariantChecker, at: SimTime, m: &RunMetrics) {
 
 /// The stale-feedback governor: watches per-worker report staleness
 /// through a [`FeedbackChannel`] and drives the dispatcher's degraded /
-/// quarantine switches. Owned by the informed assemblies; baselines are
+/// quarantine switches. Owned by a [`DispatchCore`]; baselines are
 /// already hash-steered and need none of this.
 #[derive(Debug)]
-pub struct FeedbackGovernor {
+pub(crate) struct FeedbackGovernor {
     channel: FeedbackChannel,
     policy: StalenessPolicy,
-    degraded: bool,
+    /// When the current degraded interval began; `None` while informed.
     degraded_since: Option<SimTime>,
     quarantined: Vec<bool>,
     /// Informed→hashed transitions taken.
@@ -285,18 +276,12 @@ impl FeedbackGovernor {
         FeedbackGovernor {
             channel: FeedbackChannel::new(n_workers, latency),
             policy,
-            degraded: false,
             degraded_since: None,
             quarantined: vec![false; n_workers],
             switches: 0,
             degraded_ns: 0,
             quarantines: 0,
         }
-    }
-
-    /// The governor's staleness policy.
-    pub fn policy(&self) -> StalenessPolicy {
-        self.policy
     }
 
     /// Worker side: a liveness report at `now` (suppressed by the caller
@@ -342,21 +327,20 @@ impl FeedbackGovernor {
             }
         }
         let degraded = stale * 2 > n;
-        if degraded != self.degraded {
+        if degraded != self.is_degraded() {
             if degraded {
                 self.switches += 1;
                 self.degraded_since = Some(now);
             } else if let Some(since) = self.degraded_since.take() {
                 self.degraded_ns += now.saturating_duration_since(since).as_nanos();
             }
-            self.degraded = degraded;
             disp.set_degraded(degraded);
         }
     }
 
     /// Whether the governor currently holds the dispatcher degraded.
     pub fn is_degraded(&self) -> bool {
-        self.degraded
+        self.degraded_since.is_some()
     }
 
     /// Total nanoseconds spent degraded, closing any open interval at
@@ -863,8 +847,9 @@ impl Workers {
             None => task.remaining,
         };
         let slow = ctx.faults().worker_slowdown(w, now);
+        // A slowdown window stretches wall time, not the work done.
         let wall = if slow > 1.0 {
-            scale_duration(overhead + run, slow)
+            (overhead + run).mul_f64(slow)
         } else {
             overhead + run
         };
@@ -894,7 +879,6 @@ impl Workers {
             ctx.probe().count(&self.keys.completed);
             ctx.probe().mark(task.req_id, &self.keys.done);
             self.contexts.discard(task.req_id);
-            worker.core.requests_run += 1;
             return Some(RunEnd::Finished(task));
         }
         let task = task.after_preemption(run);
@@ -923,91 +907,209 @@ impl Workers {
     }
 }
 
-/// One worker's liveness tick against its dispatcher, run every heartbeat
-/// interval while a staleness governor or lease recovery is on. Each caller
-/// keeps its own renewal transport and its own assignment sink.
-pub(crate) struct Heartbeats {
-    horizon: SimTime,
-    recovery: Option<RecoveryPolicy>,
+/// What a dispatcher core consumes: a request its networker parsed, or a
+/// worker's report (worker indices are the dispatcher's own).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub enum Notice {
+    NewTask(Task),
+    /// The worker finished `req_id`, or killed a duplicate copy of it.
+    Done {
+        worker: usize,
+        req_id: u64,
+    },
+    /// The worker's slice expired; `task` carries the remaining work.
+    Preempted {
+        worker: usize,
+        task: Task,
+    },
+    /// A lease renewal (recovery only).
+    Heartbeat {
+        worker: usize,
+    },
+}
+
+/// A dispatcher core's probe keys, registered once per assembly and shared
+/// by its dispatcher cores.
+#[derive(Clone, Copy)]
+pub(crate) struct DispatchKeys {
+    enqueued: Counter,
+    shed: Counter,
+    nacks: Counter,
+    done: Counter,
+    requeued: Counter,
+    heartbeats: Counter,
     fallback_switch: Counter,
     redispatch: Counter,
+    admit: Hop,
 }
 
-/// What one heartbeat tick asks of its caller, in this order: send a lease
-/// renewal reporting the worker's occupancy, hand out the assignments, and
-/// tick again after `next`.
-#[derive(Default)]
-pub(crate) struct Tick {
-    pub renew: Option<u32>,
-    pub assignments: Vec<Assignment>,
-    pub next: Option<SimDuration>,
-}
-
-impl Heartbeats {
-    /// Ticks for a run ending at `horizon`, renewing leases when `res`
-    /// turns recovery on.
-    pub fn new(horizon: SimTime, res: &ResilienceConfig, probe: &mut Probe) -> Heartbeats {
-        Heartbeats {
-            horizon,
-            recovery: res.recovery,
+impl DispatchKeys {
+    /// Register an assembly's counters of admitted, shed, NACKed, done,
+    /// re-queued and heartbeat notices, in that order, the mark `admit` an
+    /// admitted or re-queued request reaches, and the governor's and
+    /// recovery's counters.
+    pub fn new(probe: &mut Probe, counters: [&'static str; 6], admit: &'static str) -> Self {
+        let [enqueued, shed, nacks, done, requeued, heartbeats] =
+            counters.map(|name| probe.counter(name));
+        DispatchKeys {
+            enqueued,
+            shed,
+            nacks,
+            done,
+            requeued,
+            heartbeats,
             fallback_switch: probe.counter("fallback.switch"),
             redispatch: probe.counter("recovery.redispatch"),
+            admit: probe.hop(admit),
+        }
+    }
+}
+
+/// A centralized dispatcher and everything around it that does not depend
+/// on where it runs: the [`Dispatcher`] under the run's admission and
+/// recovery policies, the staleness governor, the workers' liveness tick,
+/// the notices it consumes and the fault metrics it adds. The offload's
+/// queue-manager core runs one, as does each Shinjuku group's dispatcher
+/// thread; each keeps its own transport for notices, renewals and
+/// assignments.
+pub(crate) struct DispatchCore<S> {
+    pub dispatcher: Dispatcher<Box<dyn SchedPolicy>, S>,
+    governor: Option<FeedbackGovernor>,
+    /// The liveness tick's interval; `None` when neither the governor nor
+    /// recovery is on, and no tick runs (a running one starts at time
+    /// zero for every worker).
+    pub heartbeat: Option<SimDuration>,
+    horizon: SimTime,
+    keys: DispatchKeys,
+    central: Gauge,
+}
+
+impl<S: CoreSelector> DispatchCore<S> {
+    /// `dispatcher` under `res`, whose governor sees worker feedback
+    /// `feedback` late, for a run ending at `horizon`; it samples its
+    /// central queue's depth on `central`.
+    pub fn new(
+        mut dispatcher: Dispatcher<Box<dyn SchedPolicy>, S>,
+        feedback: SimDuration,
+        horizon: SimTime,
+        res: &ResilienceConfig,
+        keys: DispatchKeys,
+        central: Gauge,
+    ) -> DispatchCore<S> {
+        dispatcher.set_admission(res.admission);
+        if let Some(policy) = res.recovery {
+            dispatcher.enable_recovery(policy);
+        }
+        let n = dispatcher.worker_count();
+        let governor = res.fallback.map(|p| FeedbackGovernor::new(n, feedback, p));
+        let beats = [
+            res.fallback.map(|p| p.heartbeat),
+            res.recovery.map(|p| p.heartbeat),
+        ];
+        DispatchCore {
+            dispatcher,
+            governor,
+            heartbeat: beats.into_iter().flatten().min(),
+            horizon,
+            keys,
+            central,
         }
     }
 
-    /// Whether ticks run at all: a governor or recovery is on.
-    pub fn run(&self, governed: bool) -> bool {
-        governed || self.recovery.is_some()
+    /// Apply `notice` and sample the central queue: the assignments it
+    /// decided, or `None` if admission shed its request (NACKed on `wire`,
+    /// leaving `dma` from now, when the policy says so).
+    #[inline]
+    pub fn apply<E: ClientEdge>(
+        &mut self,
+        notice: Notice,
+        wire: &mut Wire,
+        dma: SimDuration,
+        ctx: &mut Ctx<'_, E>,
+    ) -> Option<Vec<Assignment>> {
+        let now = ctx.now();
+        let (keys, disp) = (&self.keys, &mut self.dispatcher);
+        let assignments = match notice {
+            Notice::NewTask(task) => match disp.offer(now, task) {
+                AdmitOutcome::Admitted(assignments) => {
+                    ctx.probe().count(&keys.enqueued);
+                    ctx.probe().mark(task.req_id, &keys.admit);
+                    Some(assignments)
+                }
+                AdmitOutcome::Shed { nack } => {
+                    ctx.probe().count(&keys.shed);
+                    if nack {
+                        ctx.probe().count(&keys.nacks);
+                        wire.nack(&task, now + dma, ctx);
+                    }
+                    None
+                }
+            },
+            Notice::Done { worker, req_id } => {
+                ctx.probe().count(&keys.done);
+                Some(disp.on_done(now, worker, req_id))
+            }
+            Notice::Preempted { worker, task } => {
+                ctx.probe().count(&keys.requeued);
+                ctx.probe().mark(task.req_id, &keys.admit);
+                Some(disp.on_preempted(now, worker, task))
+            }
+            Notice::Heartbeat { worker } => {
+                ctx.probe().count(&keys.heartbeats);
+                Some(disp.on_heartbeat(now, worker))
+            }
+        };
+        ctx.probe().depth(&self.central, disp.queue_len());
+        assignments
     }
 
-    /// Dispatcher index `worker`'s tick (`global` in the fault plan;
-    /// `busy` if it holds a task), `None` at the horizon. A worker that is
-    /// down, or cut off by a feedback blackout, neither reports to the
-    /// governor nor renews its lease; that silence is what both detect. The
-    /// governor then re-evaluates staleness and unparks work, and the lease
-    /// table expires and reclaims orphans on the same tick, so detection
-    /// shares the event queue with everything else (no wall clocks).
-    pub fn tick<P: SchedPolicy, S: CoreSelector, E>(
-        &self,
+    /// Dispatcher index `worker`'s liveness tick (`global` in the fault
+    /// plan; `busy` if it holds a task), `None` at the horizon. A worker
+    /// that is down or blacked out neither reports to the governor nor
+    /// renews its lease; that silence is what both detect, on this tick.
+    /// Returns the occupancy a renewal reports (`None` when silenced or
+    /// recovery is off), the assignments decided and the interval to the
+    /// next tick; the caller sends the renewal, hands out the assignments
+    /// and ticks again, in that order.
+    pub fn tick<E>(
+        &mut self,
         worker: usize,
         global: usize,
         busy: bool,
-        disp: &mut Dispatcher<P, S>,
-        governor: Option<&mut FeedbackGovernor>,
         ctx: &mut Ctx<'_, E>,
-    ) -> Option<Tick> {
+    ) -> Option<(Option<u32>, Vec<Assignment>, SimDuration)> {
         let now = ctx.now();
-        if now >= self.horizon {
-            return None;
-        }
+        let next = self.heartbeat.filter(|_| now < self.horizon)?;
         let silenced = ctx.faults().worker_down(global, now) || ctx.faults().feedback_blackout(now);
+        let disp = &mut self.dispatcher;
         let occupancy = disp.outstanding(worker);
-        let mut tick = Tick::default();
-        if let Some(gov) = governor {
+        let mut assignments = Vec::new();
+        if let Some(gov) = self.governor.as_mut() {
             if !silenced {
                 gov.report(now, worker, occupancy, busy);
             }
             let was_degraded = gov.is_degraded();
             gov.evaluate(now, disp);
             if gov.is_degraded() != was_degraded {
-                ctx.probe().count(&self.fallback_switch);
+                ctx.probe().count(&self.keys.fallback_switch);
             }
-            tick.assignments = disp.kick(now);
-            tick.next = Some(gov.policy().heartbeat);
+            assignments = disp.kick(now);
         }
-        if let Some(policy) = self.recovery {
-            if !silenced {
-                tick.renew = Some(occupancy);
-            }
-            let recovered = disp.check_health(now);
-            if !recovered.is_empty() {
-                ctx.probe().count(&self.redispatch);
-            }
-            tick.assignments.extend(recovered);
-            let beat = policy.heartbeat;
-            tick.next = Some(tick.next.map_or(beat, |n| n.min(beat)));
+        // A no-op unless recovery is on.
+        let recovered = disp.check_health(now);
+        if !recovered.is_empty() {
+            ctx.probe().count(&self.keys.redispatch);
         }
-        Some(tick)
+        assignments.extend(recovered);
+        let renew = disp.recovery_enabled() && !silenced;
+        ctx.probe().depth(&self.central, disp.queue_len());
+        Some((renew.then_some(occupancy), assignments, next))
+    }
+
+    /// Add this core's sheds, recovery and fallback counters to `fm`.
+    pub fn absorb(&self, fm: &mut FaultMetrics, horizon: SimTime) {
+        absorb_dispatcher(fm, &self.dispatcher, self.governor.as_ref(), horizon);
     }
 }
 
@@ -1302,23 +1404,6 @@ impl Client {
         self.retry = Some(policy);
     }
 
-    /// The retry policy, if reliability is armed.
-    pub fn retry_policy(&self) -> Option<RetryPolicy> {
-        self.retry
-    }
-
-    /// The workload being generated.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
-    }
-
-    /// Replace the arrival process (e.g. a bursty MMPP instead of the
-    /// default Poisson at `spec.offered_rps`), keeping determinism by
-    /// forking the stream from `master`.
-    pub fn override_arrivals(&mut self, process: ArrivalProcess, master: &mut Rng) {
-        self.arrivals = ArrivalGen::new(process, master.fork());
-    }
-
     /// Gap until the first/next request (stretched by JIT pacing when
     /// enabled).
     pub fn next_gap(&mut self) -> SimDuration {
@@ -1336,9 +1421,6 @@ impl Client {
         self.next_id += 1;
         self.sent += 1;
         self.port_cursor = self.port_cursor.wrapping_add(1);
-        let mut src = AddressPlan::client_ep();
-        // 1024 distinct source ports → plenty of flows for RSS.
-        src.port = 7000 + (self.port_cursor % 1024);
         let msg = MsgRepr::request(
             id,
             self.client_id,
@@ -1347,13 +1429,7 @@ impl Client {
             self.spec.body_len,
         );
         self.outstanding.insert(id, PendingReq { msg, attempt: 1 });
-        FrameSpec {
-            src_mac: AddressPlan::client_mac(),
-            dst_mac: AddressPlan::dispatcher_mac(),
-            src,
-            dst: AddressPlan::dispatcher_ep(),
-            msg,
-        }
+        Client::request_frame(u64::from(self.port_cursor), msg)
     }
 
     /// The timeout to arm right after transmitting `req_id` (`None` when
@@ -1367,14 +1443,12 @@ impl Client {
         Some((pending.attempt, policy.timeout_for(pending.attempt)))
     }
 
-    /// Rebuild the wire frame for a retransmission of `req_id`. The
-    /// message is byte-identical to the original (same id, service time
-    /// and send timestamp — latency is measured from the *first*
-    /// transmission); only the source port is re-derived so the flow
-    /// stays stable for RSS.
-    fn rebuild_frame(&self, msg: MsgRepr) -> FrameSpec {
+    /// The frame carrying `msg` to the service from client port
+    /// `7000 + port % 1024`: 1024 distinct source ports make plenty of
+    /// flows for RSS.
+    fn request_frame(port: u64, msg: MsgRepr) -> FrameSpec {
         let mut src = AddressPlan::client_ep();
-        src.port = 7000 + (msg.req_id % 1024) as u16;
+        src.port = 7000 + (port % 1024) as u16;
         FrameSpec {
             src_mac: AddressPlan::client_mac(),
             dst_mac: AddressPlan::dispatcher_mac(),
@@ -1404,7 +1478,11 @@ impl Client {
         let msg = pending.msg;
         self.retries += 1;
         TimeoutOutcome::Retry {
-            frame: self.rebuild_frame(msg),
+            // The message is byte-identical to the original (same id,
+            // service time and send timestamp: latency is measured from the
+            // first transmission); only the source port is re-derived, from
+            // the id, so the flow stays stable for RSS.
+            frame: Client::request_frame(msg.req_id, msg),
             attempt,
             timeout: policy.timeout_for(attempt),
         }
@@ -1540,17 +1618,18 @@ impl Client {
     }
 }
 
-/// Assemble [`RunMetrics`] from a client, its wire and system counters;
-/// `dropped` counts the wire's losses, to which an assembly adds its own.
-pub fn assemble_metrics(
+/// Assemble [`RunMetrics`] at `horizon` from a client, its wire and the
+/// worker cores; `dropped` counts the wire's losses, to which an assembly
+/// adds its own.
+pub(crate) fn assemble_metrics(
     client: &Client,
     wire: &Wire,
-    preemptions: u64,
-    worker_utilization: f64,
+    workers: &Workers,
+    horizon: SimTime,
 ) -> RunMetrics {
     let rec = &client.recorder;
     RunMetrics {
-        offered_rps: client.spec().offered_rps,
+        offered_rps: client.spec.offered_rps,
         achieved_rps: rec.achieved_rps(),
         p50: rec.p50().unwrap_or(SimDuration::ZERO),
         p99: rec.p99().unwrap_or(SimDuration::ZERO),
@@ -1568,13 +1647,14 @@ pub fn assemble_metrics(
         mean: rec.mean().unwrap_or(SimDuration::ZERO),
         completed: rec.completed,
         dropped: wire.req_lost + wire.resp_lost,
-        preemptions,
-        worker_utilization,
+        preemptions: workers.preemptions(),
+        worker_utilization: workers.utilization(horizon),
         stages: None,
         faults: FaultMetrics {
             req_link_lost: wire.req_lost,
             resp_link_lost: wire.resp_lost,
             nacks: wire.nacks,
+            stranded: workers.stranded,
             ..client.fault_metrics()
         },
     }
@@ -1890,6 +1970,63 @@ mod tests {
     }
 
     #[test]
+    fn nack_shedding_beats_silent_drops_on_reaction_time() {
+        use crate::offload::OffloadConfig;
+        use crate::shinjuku::ShinjukuConfig;
+        use crate::ServerSystem;
+        // Overload every assembly built on a dispatcher core so admission
+        // control actually bites: 4 workers of 5 µs requests, 1.2M/s.
+        let spec = WorkloadSpec {
+            offered_rps: 1_200_000.0,
+            dist: ServiceDist::Fixed(SimDuration::from_micros(5)),
+            body_len: 64,
+            warmup: SimDuration::from_millis(2),
+            measure: SimDuration::from_millis(25),
+            seed: 42,
+        };
+        let two_groups = ShinjukuConfig {
+            groups: 2,
+            ..ShinjukuConfig::paper(2)
+        };
+        let cases: [(&dyn ServerSystem, &str, &str); 3] = [
+            (&OffloadConfig::paper(4, 4), "qm.shed", "qm.nack"),
+            (&ShinjukuConfig::paper(4), "disp.shed", "disp.nack"),
+            (&two_groups, "disp.shed", "disp.nack"),
+        ];
+        for (sys, shed, nack) in cases {
+            let name = sys.name();
+            let run = |admission| {
+                let res = ResilienceConfig {
+                    retry: Some(RetryPolicy::paper_default()),
+                    admission,
+                    ..ResilienceConfig::default()
+                };
+                let m = sys.run_resilient(spec, ProbeConfig::enabled(), res);
+                // The probe counts every shed and NACK the metrics do.
+                let stages = m.stages.as_ref().expect("a probed run reports stages");
+                assert_eq!(stages.counter(shed), m.faults.shed, "{name}: {shed}");
+                assert_eq!(stages.counter(nack), m.faults.nacks, "{name}: {nack}");
+                m
+            };
+            let silent = run(AdmissionPolicy::TailDrop { cap: 64 });
+            let nacked = run(AdmissionPolicy::NackShed { cap: 64 });
+            assert!(silent.faults.shed > 0 && nacked.faults.shed > 0, "{name}");
+            assert_eq!(silent.faults.nacks, 0, "{name}");
+            assert!(nacked.faults.nacks > 0, "{name}: NACK frames must be sent");
+            // NACKs tell the client immediately; silent shedding burns the
+            // full timeout per drop, so clients learn late and time out more.
+            assert!(
+                nacked.faults.timeouts < silent.faults.timeouts,
+                "{name}: early NACKs should pre-empt timeouts: {} vs {}",
+                nacked.faults.timeouts,
+                silent.faults.timeouts
+            );
+            assert_eq!(silent.faults.unaccounted(), 0, "{name}");
+            assert_eq!(nacked.faults.unaccounted(), 0, "{name}");
+        }
+    }
+
+    #[test]
     fn a_task_delivered_to_a_crashed_worker_drops_its_saved_context() {
         use crate::offload::{self, Offload, OffloadConfig};
         use crate::rpcvalet::{self, RpcValet, RpcValetConfig};
@@ -1958,16 +2095,22 @@ mod tests {
         )
         .unwrap();
         client.on_response(SimTime::from_micros(15), &resp);
+        let mut probe = Probe::default();
         let wire = Wire::new(
             &ResilienceConfig::default(),
             &mut master,
-            &mut Probe::default(),
+            &mut probe,
             "path.1_response",
         );
-        let m = assemble_metrics(&client, &wire, 3, 0.5);
+        let mut workers = Workers::new(2, &mut probe, "path.s", "path.d");
+        workers.cores[1].core.preemptions = 3;
+        workers.stranded = 2;
+        let m = assemble_metrics(&client, &wire, &workers, SimTime::from_micros(20));
         assert_eq!(m.completed, 1);
         assert_eq!(m.dropped, 0);
         assert_eq!(m.preemptions, 3);
+        assert_eq!(m.faults.stranded, 2);
+        assert_eq!(m.worker_utilization, 0.0);
         assert_eq!(m.p99, SimDuration::from_micros(15));
     }
 }

@@ -21,7 +21,10 @@
 //!
 //! All of them run requests on the same host worker cores, written once in
 //! [`common`]; a model adds only how work reaches a core and what a
-//! finished or preempted run sends back.
+//! finished or preempted run sends back. Shinjuku and Shinjuku-Offload
+//! also share one dispatcher core there: the centralized dispatcher with
+//! its admission control, staleness governor and liveness tick. They
+//! differ only in where it runs and how notices and assignments travel.
 //!
 //! Every hop carries a typed Ethernet/IPv4/UDP frame
 //! ([`net_wire::FrameSpec`]) whose length sets link time; bytes exist
@@ -54,7 +57,5 @@ pub mod multi_shinjuku {
 }
 
 pub use api::{ServerSystem, SystemConfig};
-pub use common::{
-    FeedbackGovernor, ResilienceConfig, ResponseOutcome, StalenessPolicy, TimeoutOutcome,
-};
+pub use common::{ResilienceConfig, ResponseOutcome, StalenessPolicy, TimeoutOutcome};
 pub use sim_core::ProbeConfig;

@@ -31,16 +31,16 @@ use cpu_model::{Topology, CROSS_SOCKET_PENALTY};
 use net_wire::{FrameSpec, MsgKind, MsgRepr};
 use nic_model::{packet_lines, Ddio, IfaceId, NicDevice, Placement, QueueSteering};
 use nicsched::{
-    params, AdmitOutcome, Assignment, CoreSelector, Dispatcher, LeastOutstanding, NicProfile,
-    PolicySpec, SchedPolicy, SocketAffinity, Task,
+    params, Assignment, CoreSelector, Dispatcher, LeastOutstanding, NicProfile, PolicySpec,
+    SocketAffinity,
 };
 use sim_core::probe::{Counter, Family, Gauge, Hop};
 use sim_core::{Ctx, Engine, Model, Probe, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    absorb_dispatcher, assemble_metrics, msg_task, response_frame, task_msg, AddressPlan, Assembly,
-    Client, ClientEdge, ClientEv, FeedbackGovernor, Heartbeats, ResilienceConfig, RunEnd, Stage,
+    assemble_metrics, msg_task, response_frame, task_msg, AddressPlan, Assembly, Client,
+    ClientEdge, ClientEv, DispatchCore, DispatchKeys, Notice, ResilienceConfig, RunEnd, Stage,
     Wire, Workers,
 };
 
@@ -74,13 +74,6 @@ pub struct OffloadConfig {
     /// load into responses and the client paces itself toward this queue
     /// depth. `None` = the paper's pure open loop.
     pub jit_target_depth: Option<u64>,
-    /// Per-frame corruption probability on the client↔server wire
-    /// (request and response frames only — the in-machine dispatcher paths
-    /// are PCIe, not a lossy cable). 0.0 = pristine.
-    pub wire_loss: f64,
-    /// Override the client's arrival process (default: Poisson at
-    /// `spec.offered_rps`). Lets experiments drive bursty MMPP arrivals.
-    pub arrivals: Option<workload::ArrivalProcess>,
 }
 
 impl OffloadConfig {
@@ -96,8 +89,6 @@ impl OffloadConfig {
             dual_socket: false,
             socket_aware: false,
             jit_target_depth: None,
-            wire_loss: 0.0,
-            arrivals: None,
         }
     }
 }
@@ -111,8 +102,8 @@ pub enum Ev {
     WireToNic(FrameSpec),
     /// The networker stage finished parsing one frame.
     NetworkerDone,
-    /// An item crosses ARM shared memory into the queue manager.
-    QmPush(QmItem),
+    /// A notice crosses ARM shared memory into the queue manager.
+    QmPush(Notice),
     /// The queue-manager stage finished one item.
     QmDone,
     /// An assignment crosses ARM shared memory into the TX core.
@@ -143,42 +134,16 @@ impl ClientEdge for Ev {
     }
 }
 
-/// Items crossing into the queue-manager core.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy)]
-pub enum QmItem {
-    NewTask(Task),
-    Done {
-        worker: usize,
-        req_id: u64,
-    },
-    Preempted {
-        worker: usize,
-        task: Task,
-    },
-    /// A lease-renewal heartbeat frame from a worker (recovery only).
-    Heartbeat {
-        worker: usize,
-    },
-}
-
-/// The offload's probe keys beyond its stages and client edge, registered
-/// once at construction.
+/// The offload's probe keys beyond its stages, dispatcher core and client
+/// edge, registered once at construction.
 struct Keys {
     rx_frames: Counter,
     parsed: Counter,
-    enqueued: Counter,
-    shed: Counter,
-    done: Counter,
-    requeued: Counter,
-    heartbeats: Counter,
     tx_built: Counter,
     notifs: Counter,
     ring_drops: Counter,
-    central: Gauge,
     ring: Family<Gauge>,
     nic_parse: Hop,
-    qm_admit: Hop,
     tx_build: Hop,
 }
 
@@ -187,18 +152,11 @@ impl Keys {
         Keys {
             rx_frames: probe.counter("nic.rx_frames"),
             parsed: probe.counter("networker.parsed"),
-            enqueued: probe.counter("qm.enqueue"),
-            shed: probe.counter("qm.shed"),
-            done: probe.counter("qm.done"),
-            requeued: probe.counter("qm.preempt_requeue"),
-            heartbeats: probe.counter("qm.heartbeat"),
             tx_built: probe.counter("tx.built"),
             notifs: probe.counter("rx.notifs"),
             ring_drops: probe.counter("worker.ring_drops"),
-            central: probe.gauge("qm.central"),
             ring: probe.gauge_family("worker.ring", workers),
             nic_parse: probe.hop("path.1_nic_parse"),
-            qm_admit: probe.hop("path.2_qm_admit"),
             tx_build: probe.hop("path.3_tx_build"),
         }
     }
@@ -216,11 +174,12 @@ pub struct Offload {
     worker_by_mac: BTreeMap<net_wire::EthernetAddress, usize>,
 
     networker: Stage<()>,
-    qm: Stage<QmItem>,
+    qm: Stage<Notice>,
     tx: Stage<Assignment>,
     rx: Stage<FrameSpec>,
 
-    dispatcher: Dispatcher<Box<dyn SchedPolicy>, Box<dyn CoreSelector>>,
+    /// The dispatcher the queue-manager core runs.
+    core: DispatchCore<Box<dyn CoreSelector>>,
     topology: Topology,
     /// First-arrival instants, so re-queued tasks keep their admission
     /// time. O(1) per request; any walk is in request-id order.
@@ -230,10 +189,6 @@ pub struct Offload {
     /// DDIO placements of the frames queued in each worker's ring, FIFO.
     placements: Vec<VecDeque<Placement>>,
     ddio: Ddio,
-
-    governor: Option<FeedbackGovernor>,
-    /// The workers' liveness ticks; the dispatcher owns the lease tracker.
-    heartbeats: Heartbeats,
     keys: Keys,
 }
 
@@ -256,24 +211,10 @@ impl Assembly for Offload {
         if let Some(target) = cfg.jit_target_depth {
             client.pacing = Some(crate::common::JitPacing::new(target));
         }
-        if let Some(process) = cfg.arrivals {
-            client.override_arrivals(process, &mut master);
-        }
         if let Some(policy) = res.retry {
             client.enable_retries(policy);
         }
-        // The resilience plan's loss rate overrides the per-config knob.
-        let faults = if res.faults.wire_loss > 0.0 {
-            res.faults
-        } else {
-            res.faults.with_wire_loss(cfg.wire_loss)
-        };
-        let wire = Wire::new(
-            &ResilienceConfig { faults, ..res },
-            &mut master,
-            probe,
-            "path.6_response",
-        );
+        let wire = Wire::new(&res, &mut master, probe, "path.6_response");
 
         let mut nic = NicDevice::new(params::PCIE_DMA);
         let disp_iface = nic.add_iface(
@@ -311,24 +252,25 @@ impl Assembly for Offload {
             Box::new(LeastOutstanding)
         };
 
-        let mut dispatcher = Dispatcher::new(
-            cfg.workers,
-            cfg.outstanding_cap,
-            cfg.policy.build(),
-            selector,
-        );
-        dispatcher.set_admission(res.admission);
-        if let Some(policy) = res.recovery {
-            dispatcher.enable_recovery(policy);
-        }
-        let governor = res
-            .fallback
-            .map(|p| FeedbackGovernor::new(cfg.workers, cfg.profile.from_worker, p));
+        let policy = cfg.policy.build();
+        let dispatcher = Dispatcher::new(cfg.workers, cfg.outstanding_cap, policy, selector);
+        let counters = [
+            "qm.enqueue",
+            "qm.shed",
+            "qm.nack",
+            "qm.done",
+            "qm.preempt_requeue",
+            "qm.heartbeat",
+        ];
+        let keys = DispatchKeys::new(probe, counters, "path.2_qm_admit");
+        let central = probe.gauge("qm.central");
+        let latency = cfg.profile.from_worker;
+        let core = DispatchCore::new(dispatcher, latency, spec.horizon(), &res, keys, central);
         // Each ARM stage's per-item compute cost under the profile.
         let arm = |host_cycles| cfg.profile.compute.stage_cost(host_cycles);
 
         Offload {
-            dispatcher,
+            core,
             topology,
             cfg,
             client,
@@ -365,8 +307,6 @@ impl Assembly for Offload {
             } else {
                 Ddio::classic(4096)
             },
-            governor,
-            heartbeats: Heartbeats::new(spec.horizon(), &res, probe),
             keys: Keys::new(probe, cfg.workers),
         }
     }
@@ -374,7 +314,7 @@ impl Assembly for Offload {
     fn seed(engine: &mut Engine<Offload>) {
         engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
         let model = engine.model();
-        if model.heartbeats.run(model.governor.is_some()) {
+        if model.core.heartbeat.is_some() {
             for w in 0..model.cfg.workers {
                 engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(w));
             }
@@ -382,13 +322,9 @@ impl Assembly for Offload {
     }
 
     fn metrics(&self, horizon: SimTime) -> (RunMetrics, ()) {
-        let util = self.workers.utilization(horizon);
-        let preemptions = self.workers.preemptions();
-        let mut metrics = assemble_metrics(&self.client, &self.wire, preemptions, util);
-        let fm = &mut metrics.faults;
-        fm.ring_dropped = self.nic.total_drops();
-        fm.stranded = self.workers.stranded;
-        absorb_dispatcher(fm, &self.dispatcher, self.governor.as_ref(), horizon);
+        let mut metrics = assemble_metrics(&self.client, &self.wire, &self.workers, horizon);
+        metrics.faults.ring_dropped = self.nic.total_drops();
+        self.core.absorb(&mut metrics.faults, horizon);
         (metrics, ())
     }
 }
@@ -399,7 +335,7 @@ impl Offload {
         for a in assignments.drain(..) {
             ctx.schedule_in(self.cfg.profile.stage_hop, Ev::TxPush(a));
         }
-        self.dispatcher.recycle(assignments);
+        self.core.dispatcher.recycle(assignments);
     }
 
     // ---- worker helpers -------------------------------------------------
@@ -418,12 +354,8 @@ impl Offload {
         ctx.probe().depth(self.keys.ring.at(w), ring_depth);
         let placement = self.placements[w].pop_front().unwrap_or(Placement::Dram);
         let msg = frame.spec.msg;
-        if msg.kind != MsgKind::Assign {
-            // Only the TX core addresses this VF, and only with Assign
-            // frames; anything else is dropped and the worker keeps polling.
-            ctx.schedule_now(Ev::WorkerPoll(w));
-            return;
-        }
+        // Only the TX core addresses this VF, and only with Assign frames.
+        debug_assert_eq!(msg.kind, MsgKind::Assign);
         // The policy's slice grant rode the Assign frame's grant byte.
         let task = msg_task(&msg, ctx.now());
         // This transport's overheads before useful work: parsing the frame
@@ -476,8 +408,8 @@ impl Offload {
                 // The NIC sees every departing response; in the §5.2
                 // co-design it stamps its instantaneous scheduler load
                 // (queued + in flight) for the client's pacer.
-                resp.msg.remaining_ns =
-                    self.dispatcher.queue_len() as u64 + self.dispatcher.total_outstanding() as u64;
+                let disp = &self.core.dispatcher;
+                resp.msg.remaining_ns = disp.queue_len() as u64 + disp.total_outstanding() as u64;
                 self.wire
                     .response(resp, resp_built + self.nic.dma_latency, ctx);
                 let notif_built = resp_built + params::WORKER_TX_COST;
@@ -538,51 +470,26 @@ impl Model for Offload {
                         let task = msg_task(&msg, ctx.now());
                         ctx.schedule_in(
                             self.cfg.profile.stage_hop,
-                            Ev::QmPush(QmItem::NewTask(task)),
+                            Ev::QmPush(Notice::NewTask(task)),
                         );
                     }
                 }
                 let ring = &self.nic.iface(self.disp_iface).rx[0];
                 self.networker.poll(ring, Ev::NetworkerDone, ctx);
             }
-            Ev::QmPush(item) => self.qm.enqueue(item, Ev::QmDone, ctx),
+            Ev::QmPush(notice) => self.qm.enqueue(notice, Ev::QmDone, ctx),
             Ev::QmDone => {
-                if let Some(item) = self.qm.complete(ctx) {
-                    let now = ctx.now();
-                    let assignments = match item {
-                        QmItem::NewTask(task) => match self.dispatcher.offer(now, task) {
-                            AdmitOutcome::Admitted(assignments) => {
-                                ctx.probe().count(&self.keys.enqueued);
-                                ctx.probe().mark(task.req_id, &self.keys.qm_admit);
-                                self.task_meta.insert(task.req_id, task.arrived_at);
-                                assignments
-                            }
-                            AdmitOutcome::Shed { nack } => {
-                                ctx.probe().count(&self.keys.shed);
-                                if nack {
-                                    self.wire.nack(&task, now + self.nic.dma_latency, ctx);
-                                }
-                                Vec::new()
-                            }
-                        },
-                        QmItem::Done { worker, req_id } => {
-                            ctx.probe().count(&self.keys.done);
-                            self.task_meta.remove(req_id);
-                            self.dispatcher.on_done(now, worker, req_id)
+                if let Some(notice) = self.qm.complete(ctx) {
+                    if let Notice::Done { req_id, .. } = notice {
+                        self.task_meta.remove(req_id);
+                    }
+                    let dma = self.nic.dma_latency;
+                    if let Some(assignments) = self.core.apply(notice, &mut self.wire, dma, ctx) {
+                        if let Notice::NewTask(task) = notice {
+                            self.task_meta.insert(task.req_id, task.arrived_at);
                         }
-                        QmItem::Preempted { worker, task } => {
-                            ctx.probe().count(&self.keys.requeued);
-                            ctx.probe().mark(task.req_id, &self.keys.qm_admit);
-                            self.dispatcher.on_preempted(now, worker, task)
-                        }
-                        QmItem::Heartbeat { worker } => {
-                            ctx.probe().count(&self.keys.heartbeats);
-                            self.dispatcher.on_heartbeat(now, worker)
-                        }
-                    };
-                    ctx.probe()
-                        .depth(&self.keys.central, self.dispatcher.queue_len());
-                    self.emit_assignments(assignments, ctx);
+                        self.emit_assignments(assignments, ctx);
+                    }
                 }
                 self.qm.resume(Ev::QmDone, ctx);
             }
@@ -648,24 +555,24 @@ impl Model for Offload {
                 if let Some(spec) = self.rx.complete(ctx) {
                     if let Some(&w) = self.worker_by_mac.get(&spec.src_mac) {
                         let msg = spec.msg;
-                        let item = match msg.kind {
-                            MsgKind::Done => Some(QmItem::Done {
+                        let notice = match msg.kind {
+                            MsgKind::Done => Some(Notice::Done {
                                 worker: w,
                                 req_id: msg.req_id,
                             }),
                             MsgKind::Preempted => {
                                 let arrived =
                                     self.task_meta.get(msg.req_id).copied().unwrap_or(ctx.now());
-                                Some(QmItem::Preempted {
+                                Some(Notice::Preempted {
                                     worker: w,
                                     task: msg_task(&msg, arrived),
                                 })
                             }
-                            MsgKind::Heartbeat => Some(QmItem::Heartbeat { worker: w }),
+                            MsgKind::Heartbeat => Some(Notice::Heartbeat { worker: w }),
                             _ => None,
                         };
-                        if let Some(item) = item {
-                            ctx.schedule_in(self.cfg.profile.stage_hop, Ev::QmPush(item));
+                        if let Some(notice) = notice {
+                            ctx.schedule_in(self.cfg.profile.stage_hop, Ev::QmPush(notice));
                         }
                     }
                 }
@@ -673,33 +580,21 @@ impl Model for Offload {
             }
             Ev::Heartbeat(w) => {
                 let busy = self.workers.is_running(w);
-                let governor = self.governor.as_mut();
-                let Some(tick) =
-                    self.heartbeats
-                        .tick(w, w, busy, &mut self.dispatcher, governor, ctx)
-                else {
+                let Some((renew, assignments, next)) = self.core.tick(w, w, busy, ctx) else {
                     return;
                 };
-                if let Some(occupancy) = tick.renew {
+                if let Some(occupancy) = renew {
                     // Lease renewal rides a real Heartbeat frame over the
                     // notification wire.
                     let now = ctx.now();
                     let beat = MsgRepr {
-                        kind: MsgKind::Heartbeat,
-                        req_id: 0,
-                        client_id: 0,
-                        service_ns: 0,
                         remaining_ns: u64::from(occupancy),
-                        sent_at_ns: now.as_nanos(),
-                        body_len: 0,
-                        grant_code: 0,
+                        ..MsgRepr::request(0, 0, 0, now.as_nanos(), 0).with_kind(MsgKind::Heartbeat)
                     };
                     self.notify(w, now, beat, ctx);
                 }
-                self.emit_assignments(tick.assignments, ctx);
-                if let Some(interval) = tick.next {
-                    ctx.schedule_in(interval, Ev::Heartbeat(w));
-                }
+                self.emit_assignments(assignments, ctx);
+                ctx.schedule_in(next, Ev::Heartbeat(w));
             }
         }
     }
@@ -1039,11 +934,22 @@ mod jit_tests {
 mod robustness_tests {
     use super::*;
     use crate::ServerSystem;
+    use sim_core::faults::FaultConfig;
     use sim_core::ProbeConfig;
-    use workload::{ArrivalProcess, ServiceDist};
+    use workload::ServiceDist;
 
     fn run(spec: WorkloadSpec, cfg: OffloadConfig) -> RunMetrics {
         cfg.run(spec, ProbeConfig::disabled())
+    }
+
+    /// Run the paper's 4-worker offload on `spec` over a client↔server
+    /// wire that loses each frame with probability `loss`.
+    fn run_lossy(spec: WorkloadSpec, loss: f64) -> RunMetrics {
+        let res = ResilienceConfig {
+            faults: FaultConfig::default().with_wire_loss(loss),
+            ..ResilienceConfig::default()
+        };
+        OffloadConfig::paper(4, 4).run_resilient(spec, ProbeConfig::disabled(), res)
     }
 
     fn quick_spec(rps: f64) -> WorkloadSpec {
@@ -1062,13 +968,7 @@ mod robustness_tests {
         // Requests and responses each cross a 1%-lossy wire: expect ~2%
         // of round trips to fail — and nothing to wedge.
         let clean = run(quick_spec(300_000.0), OffloadConfig::paper(4, 4));
-        let lossy = run(
-            quick_spec(300_000.0),
-            OffloadConfig {
-                wire_loss: 0.01,
-                ..OffloadConfig::paper(4, 4)
-            },
-        );
+        let lossy = run_lossy(quick_spec(300_000.0), 0.01);
         let ratio = lossy.achieved_rps / clean.achieved_rps;
         assert!(
             (0.955..0.995).contains(&ratio),
@@ -1081,12 +981,8 @@ mod robustness_tests {
 
     #[test]
     fn lossy_run_is_deterministic() {
-        let cfg = OffloadConfig {
-            wire_loss: 0.02,
-            ..OffloadConfig::paper(4, 4)
-        };
-        let a = run(quick_spec(200_000.0), cfg);
-        let b = run(quick_spec(200_000.0), cfg);
+        let a = run_lossy(quick_spec(200_000.0), 0.02);
+        let b = run_lossy(quick_spec(200_000.0), 0.02);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.p99, b.p99);
     }
@@ -1133,7 +1029,6 @@ mod robustness_tests {
 
     #[test]
     fn feedback_blackout_degrades_then_recovers() {
-        use sim_core::faults::FaultConfig;
         let spec = quick_spec(200_000.0);
         let res = crate::common::ResilienceConfig {
             faults: FaultConfig::default()
@@ -1159,80 +1054,5 @@ mod robustness_tests {
             f.fallback_ns
         );
         assert_eq!(f.unaccounted(), 0);
-    }
-
-    #[test]
-    fn nack_shedding_beats_silent_drops_on_reaction_time() {
-        use nicsched::AdmissionPolicy;
-        // Overload the system so admission control actually bites.
-        let spec = quick_spec(1_200_000.0);
-        let base = crate::common::ResilienceConfig {
-            retry: Some(workload::RetryPolicy::paper_default()),
-            ..Default::default()
-        };
-        let silent = OffloadConfig::paper(4, 4).run_resilient(
-            spec,
-            ProbeConfig::disabled(),
-            crate::common::ResilienceConfig {
-                admission: AdmissionPolicy::TailDrop { cap: 64 },
-                ..base
-            },
-        );
-        let nacked = OffloadConfig::paper(4, 4).run_resilient(
-            spec,
-            ProbeConfig::disabled(),
-            crate::common::ResilienceConfig {
-                admission: AdmissionPolicy::NackShed { cap: 64 },
-                ..base
-            },
-        );
-        assert!(silent.faults.shed > 0 && nacked.faults.shed > 0);
-        assert_eq!(silent.faults.nacks, 0);
-        assert!(nacked.faults.nacks > 0, "NACK frames must be sent");
-        // NACKs tell the client immediately; silent shedding burns the
-        // full timeout per drop, so clients learn late and time out more.
-        assert!(
-            nacked.faults.timeouts < silent.faults.timeouts,
-            "early NACKs should pre-empt timeouts: {} vs {}",
-            nacked.faults.timeouts,
-            silent.faults.timeouts
-        );
-        assert_eq!(silent.faults.unaccounted(), 0);
-        assert_eq!(nacked.faults.unaccounted(), 0);
-    }
-
-    #[test]
-    fn bursty_arrivals_inflate_the_tail_at_equal_mean_load() {
-        let mean_rate = 400_000.0;
-        let poisson = run(quick_spec(mean_rate), OffloadConfig::paper(4, 4));
-        let bursty = run(
-            quick_spec(mean_rate),
-            OffloadConfig {
-                // Short dwells so the 25ms window averages many
-                // calm/burst cycles; bursts run near the 4-worker
-                // capacity (800k) while the long-run mean stays 400k.
-                arrivals: Some(ArrivalProcess::Bursty {
-                    calm_rps: 100_000.0,
-                    burst_rps: 700_000.0,
-                    calm_dwell: SimDuration::from_micros(200),
-                    burst_dwell: SimDuration::from_micros(200),
-                }),
-                ..OffloadConfig::paper(4, 4)
-            },
-        );
-        // Same long-run rate...
-        assert!(
-            (bursty.achieved_rps / poisson.achieved_rps - 1.0).abs() < 0.1,
-            "{:.0} vs {:.0}",
-            bursty.achieved_rps,
-            poisson.achieved_rps
-        );
-        // ...but bursts above capacity back the queue up.
-        assert!(
-            bursty.p99 > poisson.p99,
-            "bursts must inflate the tail: {} vs {}",
-            bursty.p99,
-            poisson.p99
-        );
     }
 }

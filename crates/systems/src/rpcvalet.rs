@@ -160,9 +160,7 @@ impl Assembly for RpcValet {
     }
 
     fn metrics(&self, horizon: SimTime) -> (RunMetrics, ()) {
-        let util = self.workers.utilization(horizon);
-        let mut metrics = assemble_metrics(&self.client, &self.wire, 0, util);
-        metrics.faults.stranded = self.workers.stranded;
+        let mut metrics = assemble_metrics(&self.client, &self.wire, &self.workers, horizon);
         absorb_dispatcher(&mut metrics.faults, &self.dispatcher, None, horizon);
         (metrics, ())
     }

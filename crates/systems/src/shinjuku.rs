@@ -11,8 +11,9 @@
 //!
 //! The scheduling semantics — centralized FIFO, preemption at the slice,
 //! re-enqueue at the tail — are byte-identical to the offloaded system:
-//! both embed [`nicsched::Dispatcher`]. Only placement and transport
-//! differ, which is the paper's point.
+//! both run the same dispatcher core around [`nicsched::Dispatcher`], with
+//! the same admission control, staleness governor and liveness tick. Only
+//! placement and transport differ, which is the paper's point.
 //!
 //! "The dispatcher can only scale to 5M requests … so multiple dispatchers
 //! need to be instantiated. RSS can be used to route packets from the NIC
@@ -31,17 +32,14 @@ use std::collections::VecDeque;
 use cpu_model::{InterruptPath, TimerMode};
 use net_wire::{FrameSpec, MsgKind};
 use nic_model::{IfaceId, NicDevice, QueueSteering, Rss};
-use nicsched::{
-    params, AdmitOutcome, Assignment, Dispatcher, LeastOutstanding, PolicySpec, SchedPolicy, Task,
-};
+use nicsched::{params, Assignment, Dispatcher, LeastOutstanding, PolicySpec, Task};
 use sim_core::probe::{Counter, Family, Gauge, Hop, IntoHandle};
 use sim_core::{Ctx, Engine, Model, Probe, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
-    absorb_dispatcher, assemble_metrics, msg_task, response_frame, AddressPlan, Assembly, Client,
-    ClientEdge, ClientEv, FeedbackGovernor, Heartbeats, ResilienceConfig, RunEnd, Stage, Wire,
-    Workers,
+    assemble_metrics, msg_task, response_frame, AddressPlan, Assembly, Client, ClientEdge,
+    ClientEv, DispatchCore, DispatchKeys, Notice, ResilienceConfig, RunEnd, Stage, Wire, Workers,
 };
 
 /// Configuration of a Shinjuku server with one or more dispatcher groups.
@@ -98,22 +96,11 @@ impl ShinjukuConfig {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
 pub enum DispItem {
-    NewTask(Task),
-    Done {
-        worker: usize,
-        req_id: u64,
-    },
-    Preempted {
-        worker: usize,
-        task: Task,
-    },
+    /// A notice for the group's dispatcher core.
+    Notice(Notice),
     /// A decided assignment being written to a worker queue (charged
     /// separately so dispatcher busy-time scales with fan-out).
     Emit(Assignment),
-    /// A lease-renewal heartbeat from a worker (recovery only).
-    Heartbeat {
-        worker: usize,
-    },
 }
 
 /// Events; workers are indexed machine-wide, groups among the groups.
@@ -142,42 +129,25 @@ impl ClientEdge for Ev {
     }
 }
 
-/// Shinjuku's probe keys beyond its stages and client edge, registered
-/// once at construction. Workers are indexed machine-wide, groups by
-/// group.
+/// Shinjuku's probe keys beyond its stages, dispatcher cores and client
+/// edge, registered once at construction. Workers are indexed
+/// machine-wide.
 struct Keys {
     rx_frames: Counter,
     parsed: Counter,
-    enqueued: Counter,
-    shed: Counter,
-    nacks: Counter,
-    done: Counter,
-    requeued: Counter,
     assigned: Counter,
-    heartbeats: Counter,
-    central: Family<Gauge>,
     inbox: Family<Gauge>,
     host_net: Hop,
-    dispatched: Hop,
 }
 
 impl Keys {
-    fn new(probe: &mut Probe, cfg: &ShinjukuConfig) -> Keys {
-        let workers = cfg.groups * cfg.workers;
+    fn new(probe: &mut Probe, workers: usize) -> Keys {
         Keys {
             rx_frames: probe.counter("nic.rx_frames"),
             parsed: probe.counter("networker.parsed"),
-            enqueued: probe.counter("disp.enqueue"),
-            shed: probe.counter("disp.shed"),
-            nacks: probe.counter("disp.nack"),
-            done: probe.counter("disp.done"),
-            requeued: probe.counter("disp.preempt_requeue"),
             assigned: probe.counter("disp.assign"),
-            heartbeats: probe.counter("disp.heartbeat"),
-            central: probe.gauge_family("dispatcher.central", cfg.groups),
             inbox: probe.gauge_family("worker.inbox", workers),
             host_net: probe.hop("path.1_host_net"),
-            dispatched: probe.hop("path.2_dispatch"),
         }
     }
 }
@@ -188,10 +158,8 @@ struct Group {
     networker: Stage<()>,
     /// The dispatcher thread and its shared-memory inbox.
     disp_thread: Stage<DispItem>,
-    dispatcher: Dispatcher<Box<dyn SchedPolicy>, LeastOutstanding>,
-    governor: Option<FeedbackGovernor>,
-    /// Requests admitted by this group (imbalance statistics).
-    admitted: u64,
+    /// The dispatcher the thread runs, over the group's workers.
+    core: DispatchCore<LeastOutstanding>,
 }
 
 /// The Shinjuku model, with one dispatcher group or several; run it
@@ -209,9 +177,6 @@ pub struct Shinjuku {
     pub(crate) workers: Workers,
     /// Each worker's shared-memory inbox.
     inboxes: Vec<VecDeque<Task>>,
-    /// The workers' liveness ticks; each group's dispatcher runs its own
-    /// lease tracker over its own workers.
-    heartbeats: Heartbeats,
     keys: Keys,
 }
 
@@ -255,16 +220,23 @@ impl Assembly for Shinjuku {
         let net_ring = probe.gauge_family("networker.ring", cfg.groups);
         let disp_busy = probe.busy_family("dispatcher", cfg.groups);
         let disp_inbox = probe.gauge_family("dispatcher.inbox", cfg.groups);
+        let central = probe.gauge_family("dispatcher.central", cfg.groups);
+        // One set of dispatcher keys, shared by every group.
+        let counters = [
+            "disp.enqueue",
+            "disp.shed",
+            "disp.nack",
+            "disp.done",
+            "disp.preempt_requeue",
+            "disp.heartbeat",
+        ];
+        let keys = DispatchKeys::new(probe, counters, "path.2_dispatch");
         let groups = (0..cfg.groups)
             .map(|g| {
                 // Shinjuku keeps exactly one request in flight per worker:
                 // the dispatcher assigns to *idle* workers only (§2.1).
-                let mut dispatcher =
+                let dispatcher =
                     Dispatcher::new(cfg.workers, 1, cfg.policy.build(), LeastOutstanding);
-                dispatcher.set_admission(res.admission);
-                if let Some(policy) = res.recovery {
-                    dispatcher.enable_recovery(policy);
-                }
                 Group {
                     networker: Stage::new(
                         net_busy.at(g).into_handle(),
@@ -277,11 +249,14 @@ impl Assembly for Shinjuku {
                         SimDuration::ZERO,
                     )
                     .priced(Shinjuku::disp_item_cost),
-                    dispatcher,
-                    governor: res
-                        .fallback
-                        .map(|p| FeedbackGovernor::new(cfg.workers, params::HOST_QUEUE_HOP, p)),
-                    admitted: 0,
+                    core: DispatchCore::new(
+                        dispatcher,
+                        params::HOST_QUEUE_HOP,
+                        spec.horizon(),
+                        &res,
+                        keys,
+                        central.at(g).into_handle(),
+                    ),
                 }
             })
             .collect();
@@ -301,18 +276,15 @@ impl Assembly for Shinjuku {
                     InterruptPath::LocalTimer(TimerMode::DuneMapped),
                 ),
             inboxes: vec![VecDeque::new(); n],
-            heartbeats: Heartbeats::new(spec.horizon(), &res, probe),
-            keys: Keys::new(probe, &cfg),
+            keys: Keys::new(probe, n),
         }
     }
 
     fn seed(engine: &mut Engine<Shinjuku>) {
         engine.schedule_at(SimTime::ZERO, Ev::Client(ClientEv::Send));
         let model = engine.model();
-        if model
-            .heartbeats
-            .run(model.groups.iter().any(|g| g.governor.is_some()))
-        {
+        // Every group runs under the same resilience settings.
+        if model.groups[0].core.heartbeat.is_some() {
             for w in 0..model.inboxes.len() {
                 engine.schedule_at(SimTime::ZERO, Ev::Heartbeat(w));
             }
@@ -321,14 +293,10 @@ impl Assembly for Shinjuku {
 
     /// Degraded time, switches and quarantines are summed over the groups.
     fn metrics(&self, horizon: SimTime) -> (RunMetrics, f64) {
-        let util = self.workers.utilization(horizon);
-        let preemptions = self.workers.preemptions();
-        let mut metrics = assemble_metrics(&self.client, &self.wire, preemptions, util);
-        let fm = &mut metrics.faults;
-        fm.ring_dropped = self.nic.total_drops();
-        fm.stranded = self.workers.stranded;
+        let mut metrics = assemble_metrics(&self.client, &self.wire, &self.workers, horizon);
+        metrics.faults.ring_dropped = self.nic.total_drops();
         for group in &self.groups {
-            absorb_dispatcher(fm, &group.dispatcher, group.governor.as_ref(), horizon);
+            group.core.absorb(&mut metrics.faults, horizon);
         }
         (metrics, self.imbalance())
     }
@@ -353,55 +321,11 @@ impl Shinjuku {
 
     fn disp_item_cost(item: &DispItem) -> SimDuration {
         match item {
-            DispItem::NewTask(_) => params::HOST_DISPATCH_ENQUEUE,
-            DispItem::Done { .. } | DispItem::Preempted { .. } => params::HOST_DISPATCH_COMPLETE,
-            DispItem::Emit(_) => params::HOST_DISPATCH_ASSIGN,
+            DispItem::Notice(Notice::NewTask(_)) => params::HOST_DISPATCH_ENQUEUE,
             // A heartbeat is a single timestamp store on the tracker: charge
             // it like a completion notification (queue-op scale).
-            DispItem::Heartbeat { .. } => params::HOST_DISPATCH_COMPLETE,
-        }
-    }
-
-    /// Run one dispatcher item of group `g`, returning the assignments it
-    /// decided.
-    fn dispatch(&mut self, g: usize, item: DispItem, ctx: &mut Ctx<'_, Ev>) -> Vec<Assignment> {
-        let now = ctx.now();
-        match item {
-            DispItem::NewTask(task) => match self.groups[g].dispatcher.offer(now, task) {
-                AdmitOutcome::Admitted(assignments) => {
-                    self.groups[g].admitted += 1;
-                    ctx.probe().count(&self.keys.enqueued);
-                    ctx.probe().mark(task.req_id, &self.keys.dispatched);
-                    assignments
-                }
-                AdmitOutcome::Shed { nack } => {
-                    ctx.probe().count(&self.keys.shed);
-                    if nack {
-                        ctx.probe().count(&self.keys.nacks);
-                        self.wire.nack(&task, now + self.nic.dma_latency, ctx);
-                    }
-                    Vec::new()
-                }
-            },
-            DispItem::Done { worker, req_id } => {
-                ctx.probe().count(&self.keys.done);
-                self.groups[g].dispatcher.on_done(now, worker, req_id)
-            }
-            DispItem::Preempted { worker, task } => {
-                ctx.probe().count(&self.keys.requeued);
-                ctx.probe().mark(task.req_id, &self.keys.dispatched);
-                self.groups[g].dispatcher.on_preempted(now, worker, task)
-            }
-            DispItem::Emit(a) => {
-                ctx.probe().count(&self.keys.assigned);
-                let w = g * self.cfg.workers + a.worker;
-                ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::WorkerTask(w, a.task));
-                Vec::new()
-            }
-            DispItem::Heartbeat { worker } => {
-                ctx.probe().count(&self.keys.heartbeats);
-                self.groups[g].dispatcher.on_heartbeat(now, worker)
-            }
+            DispItem::Notice(_) => params::HOST_DISPATCH_COMPLETE,
+            DispItem::Emit(_) => params::HOST_DISPATCH_ASSIGN,
         }
     }
 
@@ -428,43 +352,43 @@ impl Shinjuku {
         };
         let now = ctx.now();
         let (g, local) = self.local(w);
-        let (item, free_at) = match end {
+        // The notice, when the worker writes it, and when the worker is free.
+        let (notice, written, free_at) = match end {
             // No response, and no Done ever reaches the dispatcher, so its
             // cap-1 slot stays occupied.
             RunEnd::Stranded => return,
+            // Response straight out the NIC, and a Done notice.
             RunEnd::Finished(task) => {
-                // Response straight out the NIC; the Done notification is a
-                // shared-memory write visible one queue hop later.
                 let resp_built = now + params::WORKER_TX_COST;
                 let resp = response_frame(AddressPlan::dispatcher_mac(), w, &task);
                 self.wire
                     .response(resp, resp_built + self.nic.dma_latency, ctx);
-                let done = DispItem::Done {
+                let done = Notice::Done {
                     worker: local,
                     req_id: task.req_id,
                 };
-                ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::DispPush(g, done));
-                ctx.schedule_at(resp_built, Ev::WorkerPoll(w));
-                return;
+                (done, now, resp_built)
             }
             // The slot is freed via Done.
             RunEnd::DupKilled { task, free_in } => {
-                let done = DispItem::Done {
+                let done = Notice::Done {
                     worker: local,
                     req_id: task.req_id,
                 };
-                (done, now + free_in)
+                (done, now + free_in, now + free_in)
             }
             // The remaining work goes back via memory.
             RunEnd::Preempted { task, free_in } => {
-                let preempted = DispItem::Preempted {
+                let preempted = Notice::Preempted {
                     worker: local,
                     task,
                 };
-                (preempted, now + free_in)
+                (preempted, now + free_in, now + free_in)
             }
         };
-        ctx.schedule_at(free_at + params::HOST_QUEUE_HOP, Ev::DispPush(g, item));
+        // A notice is a shared-memory write, visible one queue hop later.
+        let item = DispItem::Notice(notice);
+        ctx.schedule_at(written + params::HOST_QUEUE_HOP, Ev::DispPush(g, item));
         ctx.schedule_at(free_at, Ev::WorkerPoll(w));
     }
 
@@ -473,35 +397,29 @@ impl Shinjuku {
     fn heartbeat(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
         let (g, local) = self.local(w);
         let busy = self.workers.is_running(w);
-        let group = &mut self.groups[g];
-        let governor = group.governor.as_mut();
-        let Some(tick) = self
-            .heartbeats
-            .tick(local, w, busy, &mut group.dispatcher, governor, ctx)
-        else {
+        let core = &mut self.groups[g].core;
+        let Some((renew, assignments, next)) = core.tick(local, w, busy, ctx) else {
             return;
         };
-        if tick.renew.is_some() {
+        if renew.is_some() {
             // Lease renewal crosses host shared memory like any other
             // notification.
-            let beat = DispItem::Heartbeat { worker: local };
+            let beat = DispItem::Notice(Notice::Heartbeat { worker: local });
             ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::DispPush(g, beat));
         }
         // Unparked work still pays the dispatcher's per-assignment cost
         // like any other emission.
-        for a in tick.assignments {
+        for a in assignments {
             ctx.schedule_now(Ev::DispPush(g, DispItem::Emit(a)));
         }
-        if let Some(interval) = tick.next {
-            ctx.schedule_in(interval, Ev::Heartbeat(w));
-        }
+        ctx.schedule_in(next, Ev::Heartbeat(w));
     }
 
     /// Imbalance across groups: max/mean admitted requests.
     fn imbalance(&self) -> f64 {
-        let max = self.groups.iter().map(|g| g.admitted).max().unwrap_or(0) as f64;
-        let mean =
-            self.groups.iter().map(|g| g.admitted).sum::<u64>() as f64 / self.groups.len() as f64;
+        let admitted = self.groups.iter().map(|g| g.core.dispatcher.stats.admitted);
+        let max = admitted.clone().max().unwrap_or(0) as f64;
+        let mean = admitted.sum::<u64>() as f64 / self.groups.len() as f64;
         if mean == 0.0 {
             1.0
         } else {
@@ -540,10 +458,8 @@ impl Model for Shinjuku {
                     if m.kind == MsgKind::Request {
                         ctx.probe().mark(m.req_id, &self.keys.host_net);
                         let task = msg_task(&m, ctx.now());
-                        ctx.schedule_in(
-                            params::HOST_QUEUE_HOP,
-                            Ev::DispPush(g, DispItem::NewTask(task)),
-                        );
+                        let item = DispItem::Notice(Notice::NewTask(task));
+                        ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::DispPush(g, item));
                     }
                 }
                 self.poll_networker(g, ctx);
@@ -552,19 +468,30 @@ impl Model for Shinjuku {
                 .disp_thread
                 .enqueue(item, Ev::DispDone(g), ctx),
             Ev::DispDone(g) => {
-                if let Some(item) = self.groups[g].disp_thread.complete(ctx) {
-                    let mut assignments = self.dispatch(g, item, ctx);
-                    // Decided assignments go to the head of the inbox, in
-                    // order; the emptied buffer goes back for reuse.
-                    let group = &mut self.groups[g];
-                    for a in assignments.drain(..).rev() {
-                        group.disp_thread.push_front(DispItem::Emit(a));
+                let group = &mut self.groups[g];
+                match group.disp_thread.complete(ctx) {
+                    Some(DispItem::Notice(notice)) => {
+                        let dma = self.nic.dma_latency;
+                        if let Some(mut assignments) =
+                            group.core.apply(notice, &mut self.wire, dma, ctx)
+                        {
+                            // Decided assignments go to the head of the
+                            // inbox, in order; the emptied buffer goes back
+                            // for reuse.
+                            for a in assignments.drain(..).rev() {
+                                group.disp_thread.push_front(DispItem::Emit(a));
+                            }
+                            group.core.dispatcher.recycle(assignments);
+                        }
                     }
-                    group.dispatcher.recycle(assignments);
-                    let central = group.dispatcher.queue_len();
-                    ctx.probe().depth(self.keys.central.at(g), central);
+                    Some(DispItem::Emit(a)) => {
+                        ctx.probe().count(&self.keys.assigned);
+                        let w = g * self.cfg.workers + a.worker;
+                        ctx.schedule_in(params::HOST_QUEUE_HOP, Ev::WorkerTask(w, a.task));
+                    }
+                    None => {}
                 }
-                self.groups[g].disp_thread.resume(Ev::DispDone(g), ctx);
+                group.disp_thread.resume(Ev::DispDone(g), ctx);
             }
             Ev::WorkerTask(w, task) => {
                 // Delivered to a dead worker's inbox: never executed.

@@ -3,9 +3,7 @@
 //! The paper drives both systems with "an open loop load generator similar
 //! to mutilate that transmits requests over UDP" (§4). Open-loop means
 //! arrivals do not wait for responses — exactly what makes overload visible
-//! as unbounded queueing. Poisson arrivals are the standard model; we also
-//! provide deterministic (uniform) spacing and a two-state bursty (MMPP-
-//! style) process for the extension experiments.
+//! as unbounded queueing. Poisson arrivals are the standard model.
 
 use sim_core::{Rng, SimDuration};
 
@@ -17,43 +15,6 @@ pub enum ArrivalProcess {
         /// Mean arrival rate, requests per second.
         rate_rps: f64,
     },
-    /// Deterministic arrivals every `1/rate_rps` seconds.
-    Uniform {
-        /// Arrival rate, requests per second.
-        rate_rps: f64,
-    },
-    /// Two-state Markov-modulated Poisson process: alternates between a
-    /// calm state and a burst state with different rates; state holding
-    /// times are exponential.
-    Bursty {
-        /// Rate in the calm state.
-        calm_rps: f64,
-        /// Rate in the burst state.
-        burst_rps: f64,
-        /// Mean dwell time in the calm state.
-        calm_dwell: SimDuration,
-        /// Mean dwell time in the burst state.
-        burst_dwell: SimDuration,
-    },
-}
-
-impl ArrivalProcess {
-    /// Long-run average rate in requests/second.
-    pub fn mean_rate(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_rps } | ArrivalProcess::Uniform { rate_rps } => rate_rps,
-            ArrivalProcess::Bursty {
-                calm_rps,
-                burst_rps,
-                calm_dwell,
-                burst_dwell,
-            } => {
-                let tc = calm_dwell.as_secs_f64();
-                let tb = burst_dwell.as_secs_f64();
-                (calm_rps * tc + burst_rps * tb) / (tc + tb)
-            }
-        }
-    }
 }
 
 /// Stateful gap generator for one client.
@@ -61,25 +22,12 @@ impl ArrivalProcess {
 pub struct ArrivalGen {
     process: ArrivalProcess,
     rng: Rng,
-    /// For `Bursty`: are we currently in the burst state, and when does the
-    /// current state end (in seconds of accumulated arrival time)?
-    bursting: bool,
-    state_left: f64,
 }
 
 impl ArrivalGen {
     /// Create a generator over `process` drawing from `rng`.
     pub fn new(process: ArrivalProcess, rng: Rng) -> ArrivalGen {
-        let mut gen = ArrivalGen {
-            process,
-            rng,
-            bursting: false,
-            state_left: 0.0,
-        };
-        if let ArrivalProcess::Bursty { calm_dwell, .. } = process {
-            gen.state_left = gen.rng.exponential(calm_dwell.as_secs_f64());
-        }
-        gen
+        ArrivalGen { process, rng }
     }
 
     /// The gap until the next arrival.
@@ -87,27 +35,6 @@ impl ArrivalGen {
         match self.process {
             ArrivalProcess::Poisson { rate_rps } => {
                 SimDuration::from_secs_f64(self.rng.exponential(1.0 / rate_rps))
-            }
-            ArrivalProcess::Uniform { rate_rps } => SimDuration::from_secs_f64(1.0 / rate_rps),
-            ArrivalProcess::Bursty {
-                calm_rps,
-                burst_rps,
-                calm_dwell,
-                burst_dwell,
-            } => {
-                let rate = if self.bursting { burst_rps } else { calm_rps };
-                let gap = self.rng.exponential(1.0 / rate);
-                self.state_left -= gap;
-                if self.state_left <= 0.0 {
-                    self.bursting = !self.bursting;
-                    let dwell = if self.bursting {
-                        burst_dwell
-                    } else {
-                        calm_dwell
-                    };
-                    self.state_left = self.rng.exponential(dwell.as_secs_f64());
-                }
-                SimDuration::from_secs_f64(gap)
             }
         }
     }
@@ -133,32 +60,6 @@ mod tests {
             1,
         );
         assert!((r - 500_000.0).abs() < 10_000.0, "rate {r}");
-    }
-
-    #[test]
-    fn uniform_gaps_are_exact() {
-        let mut gen = ArrivalGen::new(
-            ArrivalProcess::Uniform {
-                rate_rps: 1_000_000.0,
-            },
-            Rng::new(2),
-        );
-        for _ in 0..100 {
-            assert_eq!(gen.next_gap(), SimDuration::from_micros(1));
-        }
-    }
-
-    #[test]
-    fn bursty_long_run_rate_matches_mean() {
-        let p = ArrivalProcess::Bursty {
-            calm_rps: 100_000.0,
-            burst_rps: 900_000.0,
-            calm_dwell: SimDuration::from_millis(1),
-            burst_dwell: SimDuration::from_millis(1),
-        };
-        assert!((p.mean_rate() - 500_000.0).abs() < 1.0);
-        let r = empirical_rate(p, 400_000, 3);
-        assert!((r - 500_000.0).abs() < 50_000.0, "rate {r}");
     }
 
     #[test]
