@@ -62,13 +62,11 @@ struct GapModel {
 
 impl GapModel {
     fn report(&mut self, now: SimTime, w: usize) {
-        let occupancy = self.depth[w];
         self.channel.send(
             now,
             CoreFeedback {
                 worker: w,
-                occupancy,
-                busy: occupancy > 0,
+                occupancy: self.depth[w],
                 reported_at: now,
             },
         );

@@ -17,9 +17,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use sim_core::stats::Summary;
 use systems::ServerSystem;
-use workload::{FaultMetrics, RunMetrics, WorkloadSpec};
+use workload::{RunMetrics, WorkloadSpec};
 
 use crate::report::Curve;
 
@@ -198,76 +197,6 @@ pub fn run_grid(xs: &[f64], base: WorkloadSpec, curves: Vec<GridCurve<'_>>) -> V
         .collect()
 }
 
-/// Replication across seeds: run `f` on `spec` under `n_seeds` distinct
-/// seeds (derived from `spec.seed`), returning the seed-averaged metrics
-/// plus the coefficient of variation of the p99 — the error bar a careful
-/// reproduction reports. Percentile averaging across replicas is the
-/// standard display convention; the CV tells you when it is hiding
-/// variance.
-pub fn replicate<F>(spec: WorkloadSpec, n_seeds: u64, f: F) -> (RunMetrics, f64)
-where
-    F: Fn(WorkloadSpec) -> RunMetrics + Sync,
-{
-    assert!(n_seeds >= 1, "need at least one replica");
-    let seeds: Vec<f64> = (0..n_seeds).map(|i| i as f64).collect();
-    let runs = sweep(&seeds, |i| {
-        let mut s = spec;
-        s.seed = spec
-            .seed
-            .wrapping_add(i as u64)
-            .wrapping_mul(0x9E37_79B9)
-            .max(1);
-        f(s)
-    });
-    let mut achieved = Summary::new();
-    let mut p50 = Summary::new();
-    let mut p99 = Summary::new();
-    let mut p999 = Summary::new();
-    let mut mean_l = Summary::new();
-    let mut util = Summary::new();
-    let mut completed = 0u64;
-    let mut dropped = 0u64;
-    let mut preemptions = 0u64;
-    let mut faults = FaultMetrics::default();
-    for m in &runs {
-        faults.absorb(&m.faults);
-        achieved.record(m.achieved_rps);
-        p50.record(m.p50.as_nanos() as f64);
-        p99.record(m.p99.as_nanos() as f64);
-        p999.record(m.p999.as_nanos() as f64);
-        mean_l.record(m.mean.as_nanos() as f64);
-        util.record(m.worker_utilization);
-        completed += m.completed;
-        dropped += m.dropped;
-        preemptions += m.preemptions;
-    }
-    let d = |s: &Summary| sim_core::SimDuration::from_nanos(s.mean() as u64);
-    let cv = if p99.mean() > 0.0 {
-        p99.std_dev() / p99.mean()
-    } else {
-        0.0
-    };
-    (
-        RunMetrics {
-            offered_rps: spec.offered_rps,
-            achieved_rps: achieved.mean(),
-            p50: d(&p50),
-            p99: d(&p99),
-            p999: d(&p999),
-            p99_short: runs[0].p99_short,
-            p99_long: runs[0].p99_long,
-            mean: d(&mean_l),
-            completed,
-            dropped,
-            preemptions,
-            worker_utilization: util.mean(),
-            stages: None,
-            faults,
-        },
-        cv,
-    )
-}
-
 /// Evenly spaced loads from `lo` to `hi` inclusive, `n >= 2` points.
 pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     assert!(n >= 2, "need at least two points");
@@ -313,7 +242,7 @@ mod tests {
             preemptions: 0,
             worker_utilization: 0.5,
             stages: None,
-            faults: FaultMetrics::default(),
+            faults: workload::FaultMetrics::default(),
         }
     }
 
@@ -384,35 +313,5 @@ mod tests {
     #[should_panic(expected = "two points")]
     fn linspace_rejects_degenerate() {
         let _ = linspace(0.0, 1.0, 1);
-    }
-
-    #[test]
-    fn replication_averages_and_reports_cv() {
-        use sim_core::SimDuration;
-        use systems::{ProbeConfig, ServerSystem};
-        use workload::ServiceDist;
-        let spec = WorkloadSpec {
-            offered_rps: 150_000.0,
-            dist: ServiceDist::paper_bimodal(),
-            body_len: 64,
-            warmup: SimDuration::from_millis(1),
-            measure: SimDuration::from_millis(8),
-            seed: 5,
-        };
-        let (m, cv) = replicate(spec, 4, |s| {
-            systems::offload::OffloadConfig::paper(4, 4).run(s, ProbeConfig::disabled())
-        });
-        assert!(m.completed > 3000, "all replicas contribute completions");
-        assert!(!m.saturated(0.05), "{}", m.row());
-        assert!(
-            (0.0..0.5).contains(&cv),
-            "p99 CV {cv} should be modest at light load"
-        );
-        // Replication is itself deterministic.
-        let (m2, cv2) = replicate(spec, 4, |s| {
-            systems::offload::OffloadConfig::paper(4, 4).run(s, ProbeConfig::disabled())
-        });
-        assert_eq!(m.p99, m2.p99);
-        assert_eq!(cv, cv2);
     }
 }

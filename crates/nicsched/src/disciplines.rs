@@ -12,7 +12,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use sim_core::{SimDuration, SimTime};
 
-use crate::policy::{DepthStats, FeedbackEvent, Pick, PreemptDecision, RunningTask, SchedPolicy};
+use crate::policy::{FeedbackEvent, Pick, PreemptDecision, RunningTask, SchedPolicy};
 use crate::select::WorkerView;
 use crate::spec::LaneWeights;
 use crate::task::Task;
@@ -38,7 +38,6 @@ pub struct Dfcfs {
     down: Vec<bool>,
     seq: u64,
     queued: usize,
-    depth: DepthStats,
 }
 
 impl Dfcfs {
@@ -50,7 +49,6 @@ impl Dfcfs {
             down: Vec::new(),
             seq: 0,
             queued: 0,
-            depth: DepthStats::new(),
         }
     }
 
@@ -69,7 +67,7 @@ impl Dfcfs {
             .unwrap_or(home)
     }
 
-    fn push(&mut self, now: SimTime, task: Task) {
+    fn push(&mut self, task: Task) {
         if self.queues.is_empty() {
             // Standalone use without init(): behave as one shared queue.
             self.queues.push(VecDeque::new());
@@ -79,13 +77,11 @@ impl Dfcfs {
         self.seq += 1;
         self.queues[home].push_back((seq, task));
         self.queued += 1;
-        self.depth.set(now, self.queued);
     }
 
-    fn pop_from(&mut self, now: SimTime, queue: usize) -> Option<Task> {
+    fn pop_from(&mut self, queue: usize) -> Option<Task> {
         let (_, t) = self.queues[queue].pop_front()?;
         self.queued -= 1;
-        self.depth.set(now, self.queued);
         Some(t)
     }
 
@@ -126,27 +122,27 @@ impl SchedPolicy for Dfcfs {
         self.down = vec![false; self.queues.len()];
     }
 
-    fn enqueue(&mut self, now: SimTime, task: Task) {
-        self.push(now, task);
+    fn enqueue(&mut self, _now: SimTime, task: Task) {
+        self.push(task);
     }
 
-    fn requeue(&mut self, now: SimTime, task: Task) {
+    fn requeue(&mut self, _now: SimTime, task: Task) {
         // Preempted work returns to the tail of its home queue; the hash
         // is stable in req_id so the home does not move.
-        self.push(now, task);
+        self.push(task);
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<Task> {
+    fn dequeue(&mut self, _now: SimTime) -> Option<Task> {
         let q = self.earliest_head(None)?;
-        self.pop_from(now, q)
+        self.pop_from(q)
     }
 
-    fn pick_next(&mut self, now: SimTime, candidates: &[WorkerView]) -> Option<Pick> {
+    fn pick_next(&mut self, _now: SimTime, candidates: &[WorkerView]) -> Option<Pick> {
         // Only home queues of dispatchable workers may serve; a queued
         // request whose home worker is busy waits even if others idle —
         // the head-of-line blocking the paper pins on d-FCFS (§2.1).
         let q = self.earliest_head(Some(candidates))?;
-        let t = self.pop_from(now, q)?;
+        let t = self.pop_from(q)?;
         Some(Pick::on(t, q))
     }
 
@@ -184,14 +180,6 @@ impl SchedPolicy for Dfcfs {
     fn len(&self) -> usize {
         self.queued
     }
-
-    fn mean_depth(&self, now: SimTime) -> f64 {
-        self.depth.tw.mean_until(now)
-    }
-
-    fn peak_depth(&self) -> usize {
-        self.depth.peak
-    }
 }
 
 /// Min-heap entry keyed on `(key, seq)` — smallest key first, FIFO within
@@ -221,35 +209,34 @@ impl Ord for KeyedEntry {
     }
 }
 
+/// The queue of every policy that orders by one integer key: smallest
+/// key first, arrival order among equal keys.
 #[derive(Debug)]
-struct KeyedQueue {
+pub(crate) struct KeyedQueue {
     heap: BinaryHeap<KeyedEntry>,
     seq: u64,
-    depth: DepthStats,
 }
 
 impl KeyedQueue {
-    fn new() -> KeyedQueue {
+    pub(crate) fn new() -> KeyedQueue {
         KeyedQueue {
             heap: BinaryHeap::new(),
             seq: 0,
-            depth: DepthStats::new(),
         }
     }
 
-    fn push(&mut self, now: SimTime, key: u64, task: Task) {
+    pub(crate) fn push(&mut self, key: u64, task: Task) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(KeyedEntry { key, seq, task });
-        self.depth.set(now, self.heap.len());
     }
 
-    fn pop(&mut self, now: SimTime) -> Option<Task> {
-        let t = self.heap.pop().map(|e| e.task);
-        if t.is_some() {
-            self.depth.set(now, self.heap.len());
-        }
-        t
+    pub(crate) fn pop(&mut self) -> Option<Task> {
+        self.heap.pop().map(|e| e.task)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
     }
 }
 
@@ -292,12 +279,18 @@ impl Srpt {
     }
 
     /// SRPT with explicit EWMA gain, budget percentage, and budget floor.
+    ///
+    /// # Panics
+    ///
+    /// If `gain` is zero (the EWMA divides by it; the spec grammar
+    /// rejects `srpt:gain=0` before building).
     pub fn with_params(gain: u64, boost: u64, floor: SimDuration) -> Srpt {
+        assert!(gain >= 1, "SRPT gain must be >= 1");
         Srpt {
             queue: KeyedQueue::new(),
             est_ns: 0,
             samples: 0,
-            gain: gain.max(1),
+            gain,
             boost,
             floor,
             fast: 0,
@@ -335,21 +328,20 @@ impl Default for Srpt {
 }
 
 impl SchedPolicy for Srpt {
-    fn enqueue(&mut self, now: SimTime, task: Task) {
+    fn enqueue(&mut self, _now: SimTime, task: Task) {
         // Fresh request: size unknown, rank by the learned estimate. All
         // fresh requests share the key, so they run FIFO among themselves
         // but sort against preempted tasks' known remaining work.
-        let key = self.est_ns;
-        self.queue.push(now, key, task);
+        self.queue.push(self.est_ns, task);
     }
 
-    fn requeue(&mut self, now: SimTime, task: Task) {
+    fn requeue(&mut self, _now: SimTime, task: Task) {
         // Preempted request: remaining work is now known exactly.
-        self.queue.push(now, task.remaining.as_nanos(), task);
+        self.queue.push(task.remaining.as_nanos(), task);
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<Task> {
-        self.queue.pop(now)
+    fn dequeue(&mut self, _now: SimTime) -> Option<Task> {
+        self.queue.pop()
     }
 
     fn feedback(&mut self, _now: SimTime, event: &FeedbackEvent) {
@@ -362,7 +354,8 @@ impl SchedPolicy for Srpt {
         if self.samples == 0 {
             return PreemptDecision::Inherit;
         }
-        let budget = SimDuration::from_nanos(self.est_ns / 100 * self.boost);
+        // Saturates: an arbitrary `boost` must not wrap into a tiny budget.
+        let budget = SimDuration::from_nanos((self.est_ns / 100).saturating_mul(self.boost));
         PreemptDecision::Budget(budget.max(self.floor))
     }
 
@@ -379,15 +372,7 @@ impl SchedPolicy for Srpt {
     }
 
     fn len(&self) -> usize {
-        self.queue.heap.len()
-    }
-
-    fn mean_depth(&self, now: SimTime) -> f64 {
-        self.queue.depth.tw.mean_until(now)
-    }
-
-    fn peak_depth(&self) -> usize {
-        self.queue.depth.peak
+        self.queue.len()
     }
 }
 
@@ -418,40 +403,33 @@ impl Edf {
         }
     }
 
+    /// Saturates: with an arbitrary `deadline` or `stretch` a deadline
+    /// past the end of time ranks last instead of wrapping to the front.
     fn absolute_deadline(&self, task: &Task) -> u64 {
-        task.arrived_at.as_nanos()
-            + self.deadline.as_nanos()
-            + task.service.as_nanos() * self.stretch
+        task.arrived_at
+            .as_nanos()
+            .saturating_add(self.deadline.as_nanos())
+            .saturating_add(task.service.as_nanos().saturating_mul(self.stretch))
     }
 }
 
 impl SchedPolicy for Edf {
-    fn enqueue(&mut self, now: SimTime, task: Task) {
-        let d = self.absolute_deadline(&task);
-        self.queue.push(now, d, task);
+    fn enqueue(&mut self, _now: SimTime, task: Task) {
+        self.queue.push(self.absolute_deadline(&task), task);
     }
 
-    fn requeue(&mut self, now: SimTime, task: Task) {
+    fn requeue(&mut self, _now: SimTime, task: Task) {
         // arrived_at and service survive preemption, so this recomputes
         // the same deadline the request was admitted with.
-        let d = self.absolute_deadline(&task);
-        self.queue.push(now, d, task);
+        self.queue.push(self.absolute_deadline(&task), task);
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<Task> {
-        self.queue.pop(now)
+    fn dequeue(&mut self, _now: SimTime) -> Option<Task> {
+        self.queue.pop()
     }
 
     fn len(&self) -> usize {
-        self.queue.heap.len()
-    }
-
-    fn mean_depth(&self, now: SimTime) -> f64 {
-        self.queue.depth.tw.mean_until(now)
-    }
-
-    fn peak_depth(&self) -> usize {
-        self.queue.depth.peak
+        self.queue.len()
     }
 
     // Failure hooks, explicitly no-ops: deadlines are computed from
@@ -478,7 +456,6 @@ pub struct WeightedFair {
     finish: Vec<u128>,
     vtime: u128,
     queued: usize,
-    depth: DepthStats,
 }
 
 impl WeightedFair {
@@ -493,7 +470,6 @@ impl WeightedFair {
             finish: vec![0; n],
             vtime: 0,
             queued: 0,
-            depth: DepthStats::new(),
         }
     }
 
@@ -505,7 +481,7 @@ impl WeightedFair {
         task.remaining.as_nanos() as u128 * WFQ_SCALE / self.weights[lane] as u128
     }
 
-    fn push(&mut self, now: SimTime, task: Task) {
+    fn push(&mut self, task: Task) {
         let lane = self.lane_of(&task);
         if self.lanes[lane].is_empty() {
             // Lane becomes backlogged: its head finishes one weighted
@@ -516,7 +492,6 @@ impl WeightedFair {
         }
         self.lanes[lane].push_back(task);
         self.queued += 1;
-        self.depth.set(now, self.queued);
     }
 
     /// Fairness is epoch-scoped to the worker membership: when the
@@ -536,15 +511,15 @@ impl WeightedFair {
 }
 
 impl SchedPolicy for WeightedFair {
-    fn enqueue(&mut self, now: SimTime, task: Task) {
-        self.push(now, task);
+    fn enqueue(&mut self, _now: SimTime, task: Task) {
+        self.push(task);
     }
 
-    fn requeue(&mut self, now: SimTime, task: Task) {
-        self.push(now, task);
+    fn requeue(&mut self, _now: SimTime, task: Task) {
+        self.push(task);
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<Task> {
+    fn dequeue(&mut self, _now: SimTime) -> Option<Task> {
         // Serve the backlogged lane with the earliest virtual finish;
         // ties break on lane index.
         let lane = (0..self.lanes.len())
@@ -559,7 +534,6 @@ impl SchedPolicy for WeightedFair {
             self.finish[lane] += self.charge(lane, &next);
         }
         self.queued -= 1;
-        self.depth.set(now, self.queued);
         Some(task)
     }
 
@@ -577,14 +551,6 @@ impl SchedPolicy for WeightedFair {
 
     fn len(&self) -> usize {
         self.queued
-    }
-
-    fn mean_depth(&self, now: SimTime) -> f64 {
-        self.depth.tw.mean_until(now)
-    }
-
-    fn peak_depth(&self) -> usize {
-        self.depth.peak
     }
 }
 
@@ -628,7 +594,6 @@ mod tests {
         WorkerView {
             worker,
             outstanding: 0,
-            health: crate::WorkerHealth::Healthy,
         }
     }
 
@@ -757,6 +722,12 @@ mod tests {
             q.should_preempt(us(0), &r),
             PreemptDecision::Budget(SimDuration::from_micros(10))
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "gain must be >= 1")]
+    fn srpt_rejects_a_zero_gain() {
+        let _ = Srpt::with_params(0, 200, SimDuration::from_micros(1));
     }
 
     #[test]
@@ -921,7 +892,6 @@ mod tests {
             out.sort_unstable();
             assert_eq!(out, (0..40).collect::<Vec<u64>>(), "{spec}");
             assert!(p.is_empty());
-            assert_eq!(p.peak_depth(), 40);
         }
     }
 }

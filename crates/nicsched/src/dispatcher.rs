@@ -20,8 +20,8 @@
 //! Policy hooks: each dispatch goes through the policy's
 //! [`pick_next`](SchedPolicy::pick_next) (which may bind a worker) and
 //! [`should_preempt`](SchedPolicy::should_preempt) (whose grant is stamped
-//! on the assigned task); completions, preemptions, and core-status
-//! reports are mirrored to [`feedback`](SchedPolicy::feedback).
+//! on the assigned task); completions and preemptions are mirrored to
+//! [`feedback`](SchedPolicy::feedback).
 //!
 //! # Failure recovery
 //!
@@ -44,9 +44,8 @@ use std::collections::BTreeMap;
 use sim_core::{IdTable, SimDuration, SimTime};
 
 use crate::admission::{Admission, AdmissionPolicy};
-use crate::feedback::CoreFeedback;
 use crate::policy::{FeedbackEvent, RunningTask, SchedPolicy};
-use crate::recovery::{HealthTracker, RecoveryPolicy, WorkerHealth};
+use crate::recovery::{HealthTracker, RecoveryPolicy};
 use crate::select::{CoreSelector, WorkerView};
 use crate::task::Task;
 
@@ -425,14 +424,6 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         readmitted
     }
 
-    /// A core-status report arrived over the feedback channel; mirror it
-    /// to the policy and re-run assignment (the report may change what the
-    /// policy is willing to dispatch).
-    pub fn on_feedback(&mut self, now: SimTime, report: CoreFeedback) -> Vec<Assignment> {
-        self.policy.feedback(now, &FeedbackEvent::Core(report));
-        self.drain(now)
-    }
-
     /// Re-run assignment after external scheduler-state changes — a
     /// quarantine lift or a degraded-mode flip — that may have unparked
     /// queued work without any request/completion event to trigger a
@@ -473,9 +464,6 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
                     .map(|(i, &outstanding)| WorkerView {
                         worker: i,
                         outstanding,
-                        health: health
-                            .as_ref()
-                            .map_or(WorkerHealth::Healthy, |h| h.state_of(i)),
                     }),
             );
             let candidates = &self.candidates;
@@ -562,7 +550,8 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         self.outstanding_cap
     }
 
-    /// Access the queue policy (e.g. for depth statistics).
+    /// Access the queue policy (e.g. to read what it has learned, like
+    /// [`Srpt::estimate`](crate::Srpt::estimate)).
     pub fn policy(&self) -> &P {
         &self.policy
     }
@@ -851,22 +840,6 @@ mod tests {
             d.policy().estimate(),
             SimDuration::from_micros(5),
             "in-flight map recovered the service time at completion"
-        );
-    }
-
-    #[test]
-    fn core_feedback_reaches_the_policy_and_redrains() {
-        let mut d = disp(1, 1);
-        let report = CoreFeedback {
-            worker: 0,
-            occupancy: 3,
-            busy: true,
-            reported_at: us(5),
-        };
-        let a = d.on_feedback(us(5), report);
-        assert!(
-            a.is_empty(),
-            "nothing queued: feedback alone assigns nothing"
         );
     }
 

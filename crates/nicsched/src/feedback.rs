@@ -20,8 +20,6 @@ pub struct CoreFeedback {
     pub worker: usize,
     /// Requests the worker currently holds (running + stashed).
     pub occupancy: u32,
-    /// Whether the worker is executing right now.
-    pub busy: bool,
     /// When the worker emitted this report.
     pub reported_at: SimTime,
 }
@@ -118,7 +116,6 @@ mod tests {
         CoreFeedback {
             worker,
             occupancy,
-            busy: occupancy > 0,
             reported_at: at,
         }
     }

@@ -24,8 +24,8 @@
 //!    grant the slice budget the worker will honour (the decision the
 //!    embedding's static `time_slice` used to make alone).
 //! 5. [`feedback`](SchedPolicy::feedback) — on every worker report
-//!    (completion, preemption, core-status message), closing the paper's
-//!    feedback loop into the policy itself.
+//!    (completion, preemption), closing the paper's feedback loop into
+//!    the policy itself.
 //! 6. [`worker_down`](SchedPolicy::worker_down) /
 //!    [`worker_up`](SchedPolicy::worker_up) — membership changes from the
 //!    NIC's failure detector (see [`HealthTracker`](crate::HealthTracker)):
@@ -36,21 +36,18 @@
 
 use std::collections::VecDeque;
 
-use sim_core::stats::TimeWeighted;
 use sim_core::{SimDuration, SimTime};
 
-use crate::feedback::CoreFeedback;
+use crate::disciplines::KeyedQueue;
 use crate::select::WorkerView;
 use crate::task::Task;
 
 /// A worker-side event delivered to the policy via
-/// [`SchedPolicy::feedback`] — the fine-grained core-status channel of
-/// §2.3, surfaced to the scheduling policy rather than consumed solely by
-/// the dispatcher's bookkeeping.
+/// [`SchedPolicy::feedback`] — the fine-grained core feedback of §2.3,
+/// surfaced to the scheduling policy rather than consumed solely by the
+/// dispatcher's bookkeeping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FeedbackEvent {
-    /// A core-status report arrived over the feedback channel.
-    Core(CoreFeedback),
     /// `worker` finished `req_id` after `service` total work. The service
     /// time is what an informed NIC learns from completions — policies
     /// like SRPT build their size estimates from it.
@@ -116,7 +113,7 @@ impl PreemptDecision {
             PreemptDecision::Inherit => 0,
             PreemptDecision::RunToCompletion => 255,
             PreemptDecision::Budget(d) => {
-                let us = (d.as_nanos() + 500) / 1_000;
+                let us = d.as_nanos().saturating_add(500) / 1_000;
                 us.clamp(1, 254) as u8
             }
         }
@@ -163,7 +160,7 @@ impl Pick {
 ///
 /// The queue methods ([`enqueue`](SchedPolicy::enqueue),
 /// [`requeue`](SchedPolicy::requeue), [`dequeue`](SchedPolicy::dequeue),
-/// [`len`](SchedPolicy::len), depth stats) and the three failure hooks
+/// [`len`](SchedPolicy::len)) and the three failure hooks
 /// ([`feedback`](SchedPolicy::feedback),
 /// [`worker_down`](SchedPolicy::worker_down),
 /// [`worker_up`](SchedPolicy::worker_up)) are mandatory: a policy that
@@ -197,7 +194,7 @@ pub trait SchedPolicy {
         let _ = candidates;
         self.dequeue(now).map(Pick::any)
     }
-    /// A worker-side event arrived (completion, preemption, core status).
+    /// A worker-side event arrived (completion or preemption).
     fn feedback(&mut self, now: SimTime, event: &FeedbackEvent);
     /// Rule on the slice budget for a dispatch about to start.
     fn should_preempt(&mut self, now: SimTime, running: &RunningTask<'_>) -> PreemptDecision {
@@ -219,10 +216,6 @@ pub trait SchedPolicy {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Time-weighted mean queue depth since creation.
-    fn mean_depth(&self, now: SimTime) -> f64;
-    /// Peak queue depth.
-    fn peak_depth(&self) -> usize;
 }
 
 // Boxed policies are policies, so `Dispatcher<Box<dyn SchedPolicy>, S>`
@@ -263,40 +256,12 @@ impl SchedPolicy for Box<dyn SchedPolicy> {
     fn is_empty(&self) -> bool {
         (**self).is_empty()
     }
-    fn mean_depth(&self, now: SimTime) -> f64 {
-        (**self).mean_depth(now)
-    }
-    fn peak_depth(&self) -> usize {
-        (**self).peak_depth()
-    }
-}
-
-/// Depth-tracking shared by the policy implementations.
-#[derive(Debug)]
-pub(crate) struct DepthStats {
-    pub(crate) tw: TimeWeighted,
-    pub(crate) peak: usize,
-}
-
-impl DepthStats {
-    pub(crate) fn new() -> DepthStats {
-        DepthStats {
-            tw: TimeWeighted::new(SimTime::ZERO, 0.0),
-            peak: 0,
-        }
-    }
-
-    pub(crate) fn set(&mut self, now: SimTime, depth: usize) {
-        self.tw.set(now, depth as f64);
-        self.peak = self.peak.max(depth);
-    }
 }
 
 /// First-come-first-served with tail re-enqueue — the paper's policy.
 #[derive(Debug)]
 pub struct Fcfs {
     queue: VecDeque<Task>,
-    depth: DepthStats,
 }
 
 impl Fcfs {
@@ -304,7 +269,6 @@ impl Fcfs {
     pub fn new() -> Fcfs {
         Fcfs {
             queue: VecDeque::new(),
-            depth: DepthStats::new(),
         }
     }
 }
@@ -316,35 +280,21 @@ impl Default for Fcfs {
 }
 
 impl SchedPolicy for Fcfs {
-    fn enqueue(&mut self, now: SimTime, task: Task) {
+    fn enqueue(&mut self, _now: SimTime, task: Task) {
         self.queue.push_back(task);
-        self.depth.set(now, self.queue.len());
     }
 
-    fn requeue(&mut self, now: SimTime, task: Task) {
+    fn requeue(&mut self, _now: SimTime, task: Task) {
         // Preempted requests go to the tail, exactly as §3.4.1 describes.
         self.queue.push_back(task);
-        self.depth.set(now, self.queue.len());
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<Task> {
-        let t = self.queue.pop_front();
-        if t.is_some() {
-            self.depth.set(now, self.queue.len());
-        }
-        t
+    fn dequeue(&mut self, _now: SimTime) -> Option<Task> {
+        self.queue.pop_front()
     }
 
     fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    fn mean_depth(&self, now: SimTime) -> f64 {
-        self.depth.tw.mean_until(now)
-    }
-
-    fn peak_depth(&self) -> usize {
-        self.depth.peak
     }
 
     // Failure hooks, explicitly no-ops: FCFS keeps no per-worker state,
@@ -361,51 +311,16 @@ impl SchedPolicy for Fcfs {
 /// sizes from worker feedback instead of trusting the wire hint.
 #[derive(Debug)]
 pub struct ShortestRemaining {
-    // Tie-break on (remaining, seq) for deterministic FIFO-within-equal.
-    heap: std::collections::BinaryHeap<SrfEntry>,
-    seq: u64,
-    depth: DepthStats,
-}
-
-#[derive(Debug)]
-struct SrfEntry {
-    task: Task,
-    seq: u64,
-}
-
-impl PartialEq for SrfEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.task.remaining == other.task.remaining && self.seq == other.seq
-    }
-}
-impl Eq for SrfEntry {}
-impl PartialOrd for SrfEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for SrfEntry {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        // Reversed: smallest remaining (then earliest seq) pops first.
-        (other.task.remaining, other.seq).cmp(&(self.task.remaining, self.seq))
-    }
+    // Keyed on remaining work; equal keys pop in arrival order.
+    queue: KeyedQueue,
 }
 
 impl ShortestRemaining {
     /// An empty SRF queue.
     pub fn new() -> ShortestRemaining {
         ShortestRemaining {
-            heap: std::collections::BinaryHeap::new(),
-            seq: 0,
-            depth: DepthStats::new(),
+            queue: KeyedQueue::new(),
         }
-    }
-
-    fn push(&mut self, now: SimTime, task: Task) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(SrfEntry { task, seq });
-        self.depth.set(now, self.heap.len());
     }
 }
 
@@ -416,32 +331,20 @@ impl Default for ShortestRemaining {
 }
 
 impl SchedPolicy for ShortestRemaining {
-    fn enqueue(&mut self, now: SimTime, task: Task) {
-        self.push(now, task);
+    fn enqueue(&mut self, _now: SimTime, task: Task) {
+        self.queue.push(task.remaining.as_nanos(), task);
     }
 
-    fn requeue(&mut self, now: SimTime, task: Task) {
-        self.push(now, task);
+    fn requeue(&mut self, _now: SimTime, task: Task) {
+        self.queue.push(task.remaining.as_nanos(), task);
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<Task> {
-        let t = self.heap.pop().map(|e| e.task);
-        if t.is_some() {
-            self.depth.set(now, self.heap.len());
-        }
-        t
+    fn dequeue(&mut self, _now: SimTime) -> Option<Task> {
+        self.queue.pop()
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn mean_depth(&self, now: SimTime) -> f64 {
-        self.depth.tw.mean_until(now)
-    }
-
-    fn peak_depth(&self) -> usize {
-        self.depth.peak
+        self.queue.len()
     }
 
     // Failure hooks, explicitly no-ops: the heap is keyed by remaining
@@ -460,7 +363,6 @@ pub struct ClassPriority {
     cutoff: SimDuration,
     short: VecDeque<Task>,
     long: VecDeque<Task>,
-    depth: DepthStats,
 }
 
 impl ClassPriority {
@@ -470,47 +372,33 @@ impl ClassPriority {
             cutoff,
             short: VecDeque::new(),
             long: VecDeque::new(),
-            depth: DepthStats::new(),
         }
     }
 
-    fn push(&mut self, now: SimTime, task: Task) {
+    fn push(&mut self, task: Task) {
         if task.service <= self.cutoff {
             self.short.push_back(task);
         } else {
             self.long.push_back(task);
         }
-        self.depth.set(now, self.len());
     }
 }
 
 impl SchedPolicy for ClassPriority {
-    fn enqueue(&mut self, now: SimTime, task: Task) {
-        self.push(now, task);
+    fn enqueue(&mut self, _now: SimTime, task: Task) {
+        self.push(task);
     }
 
-    fn requeue(&mut self, now: SimTime, task: Task) {
-        self.push(now, task);
+    fn requeue(&mut self, _now: SimTime, task: Task) {
+        self.push(task);
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<Task> {
-        let t = self.short.pop_front().or_else(|| self.long.pop_front());
-        if t.is_some() {
-            self.depth.set(now, self.len());
-        }
-        t
+    fn dequeue(&mut self, _now: SimTime) -> Option<Task> {
+        self.short.pop_front().or_else(|| self.long.pop_front())
     }
 
     fn len(&self) -> usize {
         self.short.len() + self.long.len()
-    }
-
-    fn mean_depth(&self, now: SimTime) -> f64 {
-        self.depth.tw.mean_until(now)
-    }
-
-    fn peak_depth(&self) -> usize {
-        self.depth.peak
     }
 
     // Failure hooks, explicitly no-ops: both lanes are worker-agnostic
@@ -523,6 +411,8 @@ impl SchedPolicy for ClassPriority {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolicySpec;
+    use proptest::prelude::*;
 
     fn task(id: u64, service_us: u64) -> Task {
         Task::new(
@@ -611,19 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_statistics_track() {
-        let mut q = Fcfs::new();
-        q.enqueue(us(0), task(1, 5));
-        q.enqueue(us(10), task(2, 5));
-        q.dequeue(us(20));
-        q.dequeue(us(30));
-        assert_eq!(q.peak_depth(), 2);
-        // Depth: 1 on [0,10), 2 on [10,20), 1 on [20,30) -> mean 4/3 over 30us.
-        let mean = q.mean_depth(us(30));
-        assert!((mean - 4.0 / 3.0).abs() < 1e-9, "mean depth {mean}");
-    }
-
-    #[test]
     fn default_hooks_reduce_to_the_paper_dispatcher() {
         // pick_next defaults to dequeue + selector-chosen worker;
         // should_preempt defaults to the embedding's slice; feedback is
@@ -634,7 +511,6 @@ mod tests {
         let views = [WorkerView {
             worker: 2,
             outstanding: 0,
-            health: crate::WorkerHealth::Healthy,
         }];
         let pick = q.pick_next(us(1), &views).unwrap();
         assert_eq!(pick.task.req_id, 1);
@@ -692,5 +568,69 @@ mod tests {
             PreemptDecision::Budget(SimDuration::from_millis(5)).grant_code(),
             254
         );
+    }
+
+    /// A policy's order key for a task it admits.
+    type OrderKey = fn(&Task) -> u64;
+
+    /// The policies that order their queue by one key, with that key: FCFS
+    /// (none), SRF (remaining work), two-class priority (above the cutoff)
+    /// and EDF (absolute deadline).
+    const ORDERED: [(&str, OrderKey); 4] = [
+        ("fcfs", |_| 0),
+        ("srf", |t| t.remaining.as_nanos()),
+        ("class-priority:cutoff=10us", |t| {
+            u64::from(t.service > SimDuration::from_micros(10))
+        }),
+        ("edf:deadline=50us,stretch=2", |t| {
+            t.arrived_at.as_nanos() + 50_000 + 2 * t.service.as_nanos()
+        }),
+    ];
+
+    proptest! {
+        #[test]
+        fn ordered_policies_pop_by_key_then_arrival(
+            ops in proptest::collection::vec((0u8..3, 1u64..40, 0u64..100), 1..200),
+        ) {
+            for (spec, key) in ORDERED {
+                let mut p = PolicySpec::parse(spec).unwrap().build();
+                // The reference: every queued task with its key and
+                // admission number; the next pop is the least pair.
+                let mut model: Vec<(u64, u64, Task)> = Vec::new();
+                let mut running: Vec<Task> = Vec::new();
+                for (i, &(op, size, at)) in ops.iter().enumerate() {
+                    let (seq, now) = (i as u64, us(i as u64));
+                    match op {
+                        0 => {
+                            let t = Task::new(
+                                seq,
+                                0,
+                                SimDuration::from_micros(size),
+                                SimTime::ZERO,
+                                us(at),
+                                0,
+                            );
+                            model.push((key(&t), seq, t));
+                            p.enqueue(now, t);
+                        }
+                        1 => {
+                            if let Some(t) = running.pop() {
+                                let t = t.after_preemption(SimDuration::from_micros(size % 8));
+                                model.push((key(&t), seq, t));
+                                p.requeue(now, t);
+                            }
+                        }
+                        _ => {
+                            let next = (0..model.len()).min_by_key(|&j| (model[j].0, model[j].1));
+                            let want = next.map(|j| model.remove(j).2);
+                            let got = p.dequeue(now);
+                            prop_assert_eq!(got, want, "{}", spec);
+                            running.extend(got);
+                        }
+                    }
+                    prop_assert_eq!(p.len(), model.len(), "{}", spec);
+                }
+            }
+        }
     }
 }

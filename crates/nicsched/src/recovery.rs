@@ -42,8 +42,8 @@
 
 use sim_core::{SimDuration, SimTime};
 
-/// Per-worker liveness verdict, surfaced to policies through
-/// [`WorkerView::health`](crate::WorkerView::health).
+/// Per-worker liveness verdict, read through
+/// [`HealthTracker::state_of`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WorkerHealth {
     /// Lease current (or nothing owed). Selectable.

@@ -8,9 +8,10 @@
 //! ([`LeastOutstanding`]); the dual-socket offload configuration prefers
 //! workers on the NIC's socket ([`SocketAffinity`]).
 
-use crate::recovery::WorkerHealth;
-
-/// What the dispatcher knows about one worker when selecting.
+/// What the dispatcher knows about one worker when selecting. Every
+/// candidate shown to `pick_next`/`select` is below the outstanding cap,
+/// not quarantined, and selectable by the failure detector (when recovery
+/// is on).
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerView {
     /// Worker index (dense, 0-based).
@@ -18,12 +19,6 @@ pub struct WorkerView {
     /// Requests currently outstanding at the worker (executing + stashed
     /// in its RX queue under the §3.4.5 queuing optimization).
     pub outstanding: u32,
-    /// The failure detector's verdict on this worker. Candidates shown to
-    /// `pick_next`/`select` are always selectable (`Healthy` or
-    /// `Readmitted`); the distinction lets a policy treat a worker on
-    /// readmission probation more cautiously. Always `Healthy` when
-    /// recovery is off.
-    pub health: WorkerHealth,
 }
 
 /// A worker-selection strategy.
@@ -105,7 +100,6 @@ mod tests {
         WorkerView {
             worker,
             outstanding,
-            health: WorkerHealth::Healthy,
         }
     }
 

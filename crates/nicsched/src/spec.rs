@@ -456,6 +456,7 @@ impl FromStr for PolicySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{FeedbackEvent, PreemptDecision, RunningTask};
     use proptest::prelude::*;
     use sim_core::SimTime;
 
@@ -662,7 +663,8 @@ mod tests {
         ]
     }
 
-    /// An accepted spec must print to a spelling that parses back to it.
+    /// An accepted spec must print to a spelling that parses back to it,
+    /// and the policy it builds must run.
     fn round_trips(s: &str) -> Result<(), TestCaseError> {
         if let Ok(spec) = PolicySpec::parse(s) {
             let printed = spec.to_string();
@@ -673,7 +675,49 @@ mod tests {
                 s,
                 printed
             );
+            runs_at_the_end_of_time(spec)?;
         }
+        Ok(())
+    }
+
+    /// Build `spec` and drive every queue hook with requests that arrive
+    /// at the end of time and carry the largest sizes: whatever parameters
+    /// the grammar accepts, no key, deadline or budget may overflow, and
+    /// every request comes back out exactly once.
+    fn runs_at_the_end_of_time(spec: PolicySpec) -> Result<(), TestCaseError> {
+        let far = SimTime::MAX;
+        let huge = SimDuration::MAX;
+        let task = |id, service| crate::Task::new(id, 0, service, far, far, 64);
+        let mut p = spec.build();
+        p.init(2);
+        // Learn the largest service, so size-learning policies grant a
+        // budget off the largest estimate.
+        p.feedback(
+            far,
+            &FeedbackEvent::Completed {
+                worker: 0,
+                req_id: 0,
+                service: huge,
+            },
+        );
+        p.enqueue(far, task(1, huge));
+        p.enqueue(far, task(2, SimDuration::from_nanos(1)));
+        p.requeue(
+            far,
+            task(3, huge).after_preemption(SimDuration::from_nanos(1)),
+        );
+        let mut out = Vec::new();
+        while let Some(t) = p.dequeue(far) {
+            let running = RunningTask {
+                worker: 0,
+                task: &t,
+            };
+            let decision = p.should_preempt(far, &running);
+            let _ = PreemptDecision::from_grant_code(decision.grant_code());
+            out.push(t.req_id);
+        }
+        out.sort_unstable();
+        prop_assert_eq!(out, vec![1, 2, 3], "{}", spec);
         Ok(())
     }
 
@@ -722,6 +766,7 @@ mod tests {
             .chain(weights.map(|weights| PolicySpec::Wfq { weights }))
             {
                 prop_assert_eq!(PolicySpec::parse(&spec.to_string()), Ok(spec));
+                runs_at_the_end_of_time(spec)?;
             }
         }
     }

@@ -287,13 +287,12 @@ impl FeedbackGovernor {
     /// Worker side: a liveness report at `now` (suppressed by the caller
     /// during blackouts, stalls and after crashes — that suppression is
     /// exactly what the governor detects).
-    pub fn report(&mut self, now: SimTime, worker: usize, occupancy: u32, busy: bool) {
+    pub fn report(&mut self, now: SimTime, worker: usize, occupancy: u32) {
         self.channel.send(
             now,
             CoreFeedback {
                 worker,
                 occupancy,
-                busy,
                 reported_at: now,
             },
         );
@@ -1065,9 +1064,9 @@ impl<S: CoreSelector> DispatchCore<S> {
     }
 
     /// Dispatcher index `worker`'s liveness tick (`global` in the fault
-    /// plan; `busy` if it holds a task), `None` at the horizon. A worker
-    /// that is down or blacked out neither reports to the governor nor
-    /// renews its lease; that silence is what both detect, on this tick.
+    /// plan), `None` at the horizon. A worker that is down or blacked out
+    /// neither reports to the governor nor renews its lease; that silence
+    /// is what both detect, on this tick.
     /// Returns the occupancy a renewal reports (`None` when silenced or
     /// recovery is off), the assignments decided and the interval to the
     /// next tick; the caller sends the renewal, hands out the assignments
@@ -1076,7 +1075,6 @@ impl<S: CoreSelector> DispatchCore<S> {
         &mut self,
         worker: usize,
         global: usize,
-        busy: bool,
         ctx: &mut Ctx<'_, E>,
     ) -> Option<(Option<u32>, Vec<Assignment>, SimDuration)> {
         let now = ctx.now();
@@ -1087,7 +1085,7 @@ impl<S: CoreSelector> DispatchCore<S> {
         let mut assignments = Vec::new();
         if let Some(gov) = self.governor.as_mut() {
             if !silenced {
-                gov.report(now, worker, occupancy, busy);
+                gov.report(now, worker, occupancy);
             }
             let was_degraded = gov.is_degraded();
             gov.evaluate(now, disp);
@@ -1940,16 +1938,16 @@ mod tests {
         let mut gov = FeedbackGovernor::new(2, SimDuration::from_micros(2), policy);
         let mut disp = Dispatcher::new(2, 1, Fcfs::new(), LeastOutstanding);
         // Both workers report early: healthy.
-        gov.report(us(1), 0, 0, false);
-        gov.report(us(1), 1, 0, false);
+        gov.report(us(1), 0, 0);
+        gov.report(us(1), 1, 0);
         gov.evaluate(us(5), &mut disp);
         assert!(!gov.is_degraded());
         // Worker 1 goes silent; worker 0 keeps reporting. Evaluate after the
         // 2 µs channel latency so the fresh report has actually landed.
-        gov.report(us(30), 0, 0, false);
+        gov.report(us(30), 0, 0);
         gov.evaluate(us(33), &mut disp);
         assert!(!gov.is_degraded(), "one stale of two is not a majority");
-        gov.report(us(80), 0, 0, false);
+        gov.report(us(80), 0, 0);
         gov.evaluate(us(83), &mut disp);
         assert!(disp.is_excluded(1), "silent worker quarantined");
         assert!(!disp.is_excluded(0));
@@ -1960,8 +1958,8 @@ mod tests {
         assert!(disp.is_degraded());
         assert_eq!(gov.switches, 1);
         // Both resume reporting: fallback lifts, quarantine releases.
-        gov.report(us(140), 0, 0, false);
-        gov.report(us(140), 1, 0, false);
+        gov.report(us(140), 0, 0);
+        gov.report(us(140), 1, 0);
         gov.evaluate(us(143), &mut disp);
         assert!(!gov.is_degraded());
         assert!(!disp.is_excluded(1));

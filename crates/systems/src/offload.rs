@@ -579,8 +579,7 @@ impl Model for Offload {
                 self.rx.resume(Ev::RxDone, ctx);
             }
             Ev::Heartbeat(w) => {
-                let busy = self.workers.is_running(w);
-                let Some((renew, assignments, next)) = self.core.tick(w, w, busy, ctx) else {
+                let Some((renew, assignments, next)) = self.core.tick(w, w, ctx) else {
                     return;
                 };
                 if let Some(occupancy) = renew {

@@ -396,9 +396,8 @@ impl Shinjuku {
     /// and health tracker, and emit whatever work that unparks.
     fn heartbeat(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
         let (g, local) = self.local(w);
-        let busy = self.workers.is_running(w);
         let core = &mut self.groups[g].core;
-        let Some((renew, assignments, next)) = core.tick(local, w, busy, ctx) else {
+        let Some((renew, assignments, next)) = core.tick(local, w, ctx) else {
             return;
         };
         if renew.is_some() {

@@ -18,7 +18,6 @@ use mindgap::sim::{SimDuration, SimTime};
 struct Edf {
     heap: BinaryHeap<Entry>,
     seq: u64,
-    peak: usize,
 }
 
 struct Entry {
@@ -50,7 +49,6 @@ impl Edf {
         Edf {
             heap: BinaryHeap::new(),
             seq: 0,
-            peak: 0,
         }
     }
 
@@ -67,7 +65,6 @@ impl Edf {
             seq,
             task,
         });
-        self.peak = self.peak.max(self.heap.len());
     }
 }
 
@@ -88,12 +85,6 @@ impl SchedPolicy for Edf {
     fn worker_up(&mut self, _now: SimTime, _worker: usize) {}
     fn len(&self) -> usize {
         self.heap.len()
-    }
-    fn mean_depth(&self, _now: SimTime) -> f64 {
-        f64::NAN // not tracked in this example
-    }
-    fn peak_depth(&self) -> usize {
-        self.peak
     }
 }
 
@@ -134,7 +125,6 @@ fn main() {
     }
 
     println!("dispatch order under EDF: {order:?}");
-    println!("queue peak depth: {}", dispatcher.policy().peak_depth());
 
     // The shorts (ids 3-5, tight deadlines) jump the queued long (id 2).
     assert_eq!(order, vec![1, 3, 4, 5, 2]);
