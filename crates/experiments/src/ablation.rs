@@ -14,7 +14,7 @@ use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
 use workload::{ServiceDist, WorkloadSpec};
 
-use crate::figures::Scale;
+use crate::figures::{tagged, Scale};
 use crate::report::Figure;
 use crate::sweep::{linspace, run_grid, GridCurve};
 
@@ -23,29 +23,12 @@ fn spec(scale: Scale, offered: f64, dist: ServiceDist) -> WorkloadSpec {
     scale.spec_seeded(offered, dist, 11)
 }
 
-/// Resolve an optional `--policy` override to a concrete spec (the
-/// paper's FCFS when absent) and tag curve labels accordingly.
-fn policy_or_default(policy: Option<PolicySpec>) -> PolicySpec {
-    policy.unwrap_or(PolicySpec::FCFS)
-}
-
-fn tagged(label: &str, policy: Option<PolicySpec>) -> String {
-    match policy {
-        Some(p) => format!("{label} [{p}]"),
-        None => label.to_string(),
-    }
-}
-
 /// **Ablation A (comm-path)** — the Figure 6 workload (fixed 1 µs, 16
 /// workers, cap 5) on three §5.1 design points: the measured Stingray,
 /// Stingray-with-CXL, and the ideal line-rate NIC. Quantifies how much of
-/// the offload bottleneck is transport vs ARM compute.
-pub fn comm_path(scale: Scale) -> Figure {
-    comm_path_with(scale, None)
-}
-
-/// [`comm_path`] with an optional scheduler-policy override.
-pub fn comm_path_with(scale: Scale, policy: Option<PolicySpec>) -> Figure {
+/// the offload bottleneck is transport vs ARM compute. `policy`
+/// (`--policy`) overrides the paper's FCFS and tags the curve labels.
+pub fn comm_path(scale: Scale, policy: Option<PolicySpec>) -> Figure {
     let base = spec(scale, 0.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
     let loads = linspace(
         250_000.0,
@@ -61,7 +44,7 @@ pub fn comm_path_with(scale: Scale, policy: Option<PolicySpec>) -> Figure {
             OffloadConfig {
                 time_slice: None,
                 profile,
-                policy: policy_or_default(policy),
+                policy: policy.unwrap_or(PolicySpec::FCFS),
                 ..OffloadConfig::paper(16, 5)
             },
         )
@@ -83,13 +66,9 @@ pub fn comm_path_with(scale: Scale, policy: Option<PolicySpec>) -> Figure {
 
 /// **Ablation B (preemption path)** — bimodal workload with preemption via
 /// worker-local Dune timers (the prototype) vs NIC-sent interrupt packets
-/// (the design §3.4.4 rejects because of the 2.56 µs path).
-pub fn preempt_path(scale: Scale) -> Figure {
-    preempt_path_with(scale, None)
-}
-
-/// [`preempt_path`] with an optional scheduler-policy override.
-pub fn preempt_path_with(scale: Scale, policy: Option<PolicySpec>) -> Figure {
+/// (the design §3.4.4 rejects because of the 2.56 µs path). `policy` as
+/// in [`comm_path`].
+pub fn preempt_path(scale: Scale, policy: Option<PolicySpec>) -> Figure {
     let base = spec(scale, 0.0, ServiceDist::paper_bimodal());
     let loads = linspace(
         50_000.0,
@@ -104,7 +83,7 @@ pub fn preempt_path_with(scale: Scale, policy: Option<PolicySpec>) -> Figure {
             tagged(label, policy),
             OffloadConfig {
                 profile,
-                policy: policy_or_default(policy),
+                policy: policy.unwrap_or(PolicySpec::FCFS),
                 ..OffloadConfig::paper(4, 4)
             },
         )
@@ -159,13 +138,9 @@ pub fn baselines(scale: Scale) -> Figure {
 }
 
 /// **Ablation C (DDIO, §5.2)** — unloaded latency with classic LLC DDIO vs
-/// the informed-scheduler L1 placement the paper proposes.
-pub fn ddio(scale: Scale) -> Figure {
-    ddio_with(scale, None)
-}
-
-/// [`ddio`] with an optional scheduler-policy override.
-pub fn ddio_with(scale: Scale, policy: Option<PolicySpec>) -> Figure {
+/// the informed-scheduler L1 placement the paper proposes. `policy` as in
+/// [`comm_path`].
+pub fn ddio(scale: Scale, policy: Option<PolicySpec>) -> Figure {
     let base = spec(scale, 0.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
     let loads = linspace(
         50_000.0,
@@ -181,7 +156,7 @@ pub fn ddio_with(scale: Scale, policy: Option<PolicySpec>) -> Figure {
             OffloadConfig {
                 time_slice: None,
                 ddio_l1,
-                policy: policy_or_default(policy),
+                policy: policy.unwrap_or(PolicySpec::FCFS),
                 ..OffloadConfig::paper(4, 2)
             },
         )
@@ -204,7 +179,7 @@ mod tests {
 
     #[test]
     fn comm_path_ordering() {
-        let f = comm_path(Scale::Quick);
+        let f = comm_path(Scale::Quick, None);
         let stingray = peak_throughput(&f.curves[0].points);
         let cxl = peak_throughput(&f.curves[1].points);
         let ideal = peak_throughput(&f.curves[2].points);
@@ -222,7 +197,7 @@ mod tests {
 
     #[test]
     fn packet_preemption_hurts_tail() {
-        let f = preempt_path(Scale::Quick);
+        let f = preempt_path(Scale::Quick, None);
         let local = &f.curves[0].points;
         let packet = &f.curves[1].points;
         // Compare p99 at the highest common unsaturated load.
@@ -255,7 +230,7 @@ mod tests {
 
     #[test]
     fn ddio_l1_is_never_slower() {
-        let f = ddio(Scale::Quick);
+        let f = ddio(Scale::Quick, None);
         for (llc, l1) in f.curves[0].points.iter().zip(&f.curves[1].points) {
             if !llc.saturated(0.05) && !l1.saturated(0.05) {
                 assert!(

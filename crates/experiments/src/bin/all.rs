@@ -1,46 +1,28 @@
 //! Regenerate every experiment in the repository: Figures 2-6, the
-//! microbenchmark table, the ablations and the baseline comparison.
+//! microbenchmark table, the ablations, the baseline comparison and the
+//! extensions.
 
-use experiments::outln;
+use experiments::{outln, report, Scale};
 
 fn main() {
     experiments::sweep::init_jobs_from_args();
     outln!("=== microbenchmarks ===");
-    outln!(
-        "{}",
-        experiments::microbench::table(&experiments::microbench::run())
-    );
+    let rows = experiments::microbench::run();
+    outln!("{}", report::table(experiments::microbench::TITLE, &rows));
     for figure in [
-        experiments::figures::fig2(experiments::Scale::Full),
-        experiments::figures::fig3(experiments::Scale::Full),
-        experiments::figures::fig4(experiments::Scale::Full),
-        experiments::figures::fig5(experiments::Scale::Full),
-        experiments::figures::fig6(experiments::Scale::Full),
-        experiments::ablation::comm_path(experiments::Scale::Full),
-        experiments::ablation::preempt_path(experiments::Scale::Full),
-        experiments::ablation::ddio(experiments::Scale::Full),
-        experiments::ablation::baselines(experiments::Scale::Full),
+        experiments::figures::fig2(Scale::Full, None),
+        experiments::figures::fig3(Scale::Full, None),
+        experiments::figures::fig4(Scale::Full),
+        experiments::figures::fig5(Scale::Full),
+        experiments::figures::fig6(Scale::Full),
+        experiments::ablation::comm_path(Scale::Full, None),
+        experiments::ablation::preempt_path(Scale::Full, None),
+        experiments::ablation::ddio(Scale::Full, None),
+        experiments::ablation::baselines(Scale::Full),
     ] {
         experiments::emit(&figure);
     }
 
     outln!("=== extensions ===");
-    let gap_rows = experiments::feedback_gap::run(experiments::Scale::Full);
-    outln!("{}", experiments::feedback_gap::table(&gap_rows));
-
-    let rows = experiments::extensions::multi_dispatcher(experiments::Scale::Full);
-    outln!("{}", experiments::extensions::multi_dispatcher_table(&rows));
-    let (fig, active) = experiments::extensions::elastic_rss(experiments::Scale::Full);
-    experiments::emit(&fig);
-    outln!("mean provisioned cores per load point: {active:?}\n");
-    for fig in [
-        experiments::extensions::slice_sweep(experiments::Scale::Full),
-        experiments::extensions::policies(experiments::Scale::Full),
-        experiments::extensions::heavy_tail(experiments::Scale::Full),
-        experiments::extensions::dual_socket(experiments::Scale::Full),
-        experiments::extensions::jit_pacing(experiments::Scale::Full),
-        experiments::extensions::worker_scaling(experiments::Scale::Full),
-    ] {
-        experiments::emit(&fig);
-    }
+    experiments::extensions::emit_all(Scale::Full);
 }

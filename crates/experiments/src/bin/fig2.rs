@@ -2,7 +2,10 @@
 //! <spec>` swaps the scheduler on both assemblies (policy spec grammar).
 fn main() {
     experiments::sweep::init_jobs_from_args();
-    let policy = experiments::sweep::init_policy_from_args();
-    let figure = experiments::figures::fig2_with(experiments::Scale::Full, policy);
-    experiments::emit(&figure);
+    let args: Vec<String> = std::env::args().collect();
+    let policy = experiments::sweep::policy_from_args(&args);
+    experiments::emit(&experiments::figures::fig2(
+        experiments::Scale::Full,
+        policy,
+    ));
 }

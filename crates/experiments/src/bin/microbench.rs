@@ -1,8 +1,7 @@
 //! Reproduce the paper's inline microbenchmark numbers.
 
-use experiments::outln;
+use experiments::{microbench, outln, report};
 
 fn main() {
-    let rows = experiments::microbench::run();
-    outln!("{}", experiments::microbench::table(&rows));
+    outln!("{}", report::table(microbench::TITLE, &microbench::run()));
 }

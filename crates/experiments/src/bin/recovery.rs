@@ -10,30 +10,22 @@
 //! `--policy <spec>` replaces the policy list (policy spec grammar, e.g.
 //! `srpt` or `edf:deadline=50us`).
 
-use experiments::outln;
+use experiments::{recovery, Scale};
 
 fn main() {
     experiments::sweep::init_jobs_from_args();
     let args: Vec<String> = std::env::args().collect();
-    let as_json = args.iter().any(|a| a == "--json");
-    let invariants = args.iter().any(|a| a == "--invariants");
+    let has = |flag: &str| args.iter().any(|a| a == flag);
     let policy = experiments::sweep::policy_from_args(&args);
-    let rows = if args.iter().any(|a| a == "--smoke") {
-        experiments::recovery::smoke_checked(invariants)
+    let rows = if has("--smoke") {
+        recovery::smoke(has("--invariants"))
     } else {
-        let scale = if args.iter().any(|a| a == "--quick") {
-            experiments::Scale::Quick
+        let scale = if has("--quick") {
+            Scale::Quick
         } else {
-            experiments::Scale::Full
+            Scale::Full
         };
-        experiments::recovery::run_with(scale, policy)
+        recovery::run(scale, policy)
     };
-    if as_json {
-        outln!("{}", experiments::recovery::json(&rows));
-    } else {
-        outln!("{}", experiments::recovery::table(&rows));
-        let path = experiments::recovery::write_csv(&rows, &experiments::results_dir())
-            .expect("writing recovery CSV");
-        outln!("wrote {}", path.display());
-    }
+    experiments::emit_grid("recovery", recovery::TITLE, &rows);
 }

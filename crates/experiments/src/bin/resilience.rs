@@ -8,30 +8,22 @@
 //! `--policy <spec>` swaps the scheduler on every policy-capable assembly
 //! (policy spec grammar, e.g. `srpt` or `edf:deadline=50us`).
 
-use experiments::outln;
+use experiments::{resilience, Scale};
 
 fn main() {
     experiments::sweep::init_jobs_from_args();
     let args: Vec<String> = std::env::args().collect();
-    let as_json = args.iter().any(|a| a == "--json");
-    let invariants = args.iter().any(|a| a == "--invariants");
+    let has = |flag: &str| args.iter().any(|a| a == flag);
     let policy = experiments::sweep::policy_from_args(&args);
-    let rows = if args.iter().any(|a| a == "--smoke") {
-        experiments::resilience::smoke_checked(invariants)
+    let rows = if has("--smoke") {
+        resilience::smoke(has("--invariants"))
     } else {
-        let scale = if args.iter().any(|a| a == "--quick") {
-            experiments::Scale::Quick
+        let scale = if has("--quick") {
+            Scale::Quick
         } else {
-            experiments::Scale::Full
+            Scale::Full
         };
-        experiments::resilience::run_with(scale, policy)
+        resilience::run(scale, policy)
     };
-    if as_json {
-        outln!("{}", experiments::resilience::json(&rows));
-    } else {
-        outln!("{}", experiments::resilience::table(&rows));
-        let path = experiments::resilience::write_csv(&rows, &experiments::results_dir())
-            .expect("writing resilience CSV");
-        outln!("wrote {}", path.display());
-    }
+    experiments::emit_grid("resilience", resilience::TITLE, &rows);
 }

@@ -146,10 +146,6 @@ fn render_tables(by_req: &BTreeMap<u64, Vec<&TraceEvent>>) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn render_json(by_req: &BTreeMap<u64, Vec<&TraceEvent>>) -> String {
     let mut out = String::from("[");
     let mut first_req = true;
@@ -168,7 +164,7 @@ fn render_json(by_req: &BTreeMap<u64, Vec<&TraceEvent>>) -> String {
             let _ = write!(
                 out,
                 "{{\"stage\":\"{}\",\"at_ns\":{}}}",
-                json_escape(ev.stage),
+                experiments::report::json_escape(ev.stage),
                 ev.at.as_nanos()
             );
         }

@@ -20,7 +20,7 @@ fn main() {
 
     // Figure 2: offload sustains more bimodal load than Shinjuku.
     {
-        let f = experiments::figures::fig2(scale);
+        let f = experiments::figures::fig2(scale, None);
         let slo = SimDuration::from_micros(500);
         let shin = knee_throughput(&f.curves[0].points, slo);
         let off = knee_throughput(&f.curves[1].points, slo);
@@ -33,7 +33,7 @@ fn main() {
 
     // Figure 3: the queuing optimization raises 4-worker throughput a lot.
     {
-        let f = experiments::figures::fig3(scale);
+        let f = experiments::figures::fig3(scale, None);
         let w4 = &f.curves[1].points;
         let first = w4.first().unwrap().achieved_rps;
         let peak = peak_throughput(w4);

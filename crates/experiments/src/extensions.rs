@@ -12,6 +12,8 @@
 //!   shortest-remaining vs class-priority) on the same offloaded hardware.
 //! * [`heavy_tail`] — §2.2(2): dispersion beyond bimodal (lognormal
 //!   service times) across scheduling designs.
+//! * [`worker_scaling`] — §2.2(3)'s scalability claim: saturated
+//!   throughput vs worker count per dispatcher design, one row each.
 
 use nicsched::PolicySpec;
 use sim_core::SimDuration;
@@ -20,12 +22,36 @@ use systems::common::run;
 use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::{Shinjuku, ShinjukuConfig};
-use systems::{ProbeConfig, ResilienceConfig, ServerSystem};
-use workload::{ServiceDist, WorkloadSpec};
+use systems::{ProbeConfig, ResilienceConfig, ServerSystem, SystemConfig};
+use workload::{RunMetrics, ServiceDist, WorkloadSpec};
 
 use crate::figures::Scale;
-use crate::report::{Curve, Figure};
+use crate::report::{self, col, Column, Curve, Figure, Kind, Row};
 use crate::sweep::{linspace, par_map, run_grid, GridCurve};
+use crate::{emit, emit_rows, outln};
+
+/// Run every extension experiment and the feedback-gap isolation
+/// experiment, printing each table and writing each CSV.
+pub fn emit_all(scale: Scale) {
+    let gap = crate::feedback_gap::run(scale);
+    outln!("{}", report::table(crate::feedback_gap::TITLE, &gap));
+    let rows = multi_dispatcher(scale);
+    outln!("{}", report::table(MULTI_DISPATCHER_TITLE, &rows));
+    let (fig, active) = elastic_rss(scale);
+    emit(&fig);
+    outln!("mean provisioned cores per load point: {active:?}\n");
+    for fig in [
+        slice_sweep(scale),
+        policies(scale),
+        heavy_tail(scale),
+        dual_socket(scale),
+        jit_pacing(scale),
+    ] {
+        emit(&fig);
+    }
+    let rows = worker_scaling(scale);
+    emit_rows("ext_worker_scaling", WORKER_SCALING_TITLE, &rows);
+}
 
 /// The extension family's shared base spec: seed 17, and a slightly
 /// shorter Full window (60 ms) than the paper figures — these suites run
@@ -51,6 +77,23 @@ pub struct MultiDispatchRow {
     pub imbalance: f64,
     /// Fraction of cores spent dispatching.
     pub overhead: f64,
+}
+
+/// Title of the multi-dispatcher table.
+pub const MULTI_DISPATCHER_TITLE: &str =
+    "multi_dispatcher — fixed 1us on 32 cores, offered 6.5M RPS (§2.2(3))";
+
+impl Row for MultiDispatchRow {
+    fn columns() -> Vec<Column<Self>> {
+        use Kind::*;
+        vec![
+            col("groups", Int(|r| r.groups as i64)),
+            col("workers_per_group", Int(|r| r.workers_per_group as i64)),
+            col("achieved_rps", Rate(|r| r.achieved_rps)),
+            col("imbalance", Ratio(3, |r| r.imbalance)),
+            col("overhead", Percent(|r| r.overhead)),
+        ]
+    }
 }
 
 /// §2.2(3): sweep dispatcher-group counts on a 32-core box under 1 µs
@@ -79,30 +122,6 @@ pub fn multi_dispatcher(scale: Scale) -> Vec<MultiDispatchRow> {
             overhead: cfg.dispatch_overhead_fraction(),
         }
     })
-}
-
-/// Render the multi-dispatcher rows as an aligned table.
-pub fn multi_dispatcher_table(rows: &[MultiDispatchRow]) -> String {
-    use std::fmt::Write;
-    let mut out =
-        String::from("## multi_dispatcher — fixed 1us on 32 cores, offered 6.5M RPS (§2.2(3))\n");
-    let _ = writeln!(
-        out,
-        "{:>7} {:>9} {:>14} {:>10} {:>10}",
-        "groups", "w/group", "achieved_rps", "imbalance", "overhead"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>7} {:>9} {:>14.0} {:>10.3} {:>9.1}%",
-            r.groups,
-            r.workers_per_group,
-            r.achieved_rps,
-            r.imbalance,
-            r.overhead * 100.0
-        );
-    }
-    out
 }
 
 /// §5.1(1): Elastic RSS vs static RSS over a load sweep; reports the mean
@@ -156,39 +175,34 @@ pub fn elastic_rss(scale: Scale) -> (Figure, Vec<f64>) {
     )
 }
 
-/// §4.1's slice choice: short-class p99 on the bimodal workload as the
-/// preemption slice sweeps from aggressive to off.
+/// §4.1's slice choice: short-class p99 on the bimodal workload at 350k
+/// RPS as the preemption slice sweeps from aggressive to off, one
+/// single-point curve per slice (`Offload slice=2us` … `Offload
+/// slice=off`).
 pub fn slice_sweep(scale: Scale) -> Figure {
-    let dist = ServiceDist::paper_bimodal();
-    let offered = 350_000.0;
-    let slices: Vec<(&str, Option<SimDuration>)> = vec![
-        ("2us", Some(SimDuration::from_micros(2))),
-        ("5us", Some(SimDuration::from_micros(5))),
-        ("10us", Some(SimDuration::from_micros(10))),
-        ("20us", Some(SimDuration::from_micros(20))),
-        ("50us", Some(SimDuration::from_micros(50))),
-        ("off", None),
-    ];
-    let indexed: Vec<(usize, Option<SimDuration>)> = slices
+    let slices = [Some(2), Some(5), Some(10), Some(20), Some(50), None];
+    let curves = slices
         .iter()
-        .enumerate()
-        .map(|(i, (_, s))| (i, *s))
+        .map(|&us| {
+            let label = match us {
+                Some(us) => format!("Offload slice={us}us"),
+                None => "Offload slice=off".to_string(),
+            };
+            let cfg = OffloadConfig {
+                time_slice: us.map(SimDuration::from_micros),
+                ..OffloadConfig::paper(4, 4)
+            };
+            GridCurve::system(label, cfg)
+        })
         .collect();
-    let points = par_map(&indexed, |&(i, slice)| {
-        let mut m = OffloadConfig {
-            time_slice: slice,
-            ..OffloadConfig::paper(4, 4)
-        }
-        .run(spec(scale, offered, dist), ProbeConfig::disabled());
-        // x-axis: slice index (labels in the CSV carry the value).
-        m.offered_rps = i as f64;
-        m
-    });
     Figure {
         id: "ext_slice_sweep".into(),
-        title: "bimodal at 350k RPS, Offload 4w: slice length vs tail (x = slice index: 2/5/10/20/50/off)"
-            .into(),
-        curves: vec![Curve { label: "Offload".into(), points }],
+        title: "bimodal at 350k RPS, Offload 4w: slice length vs tail".into(),
+        curves: run_grid(
+            &[350_000.0],
+            spec(scale, 0.0, ServiceDist::paper_bimodal()),
+            curves,
+        ),
     }
 }
 
@@ -312,67 +326,83 @@ pub fn dual_socket(scale: Scale) -> Figure {
     }
 }
 
-/// §2.2(3)'s scalability claim as a curve: saturated throughput vs worker
-/// count on 1 µs requests. The host Shinjuku dispatcher flattens near its
-/// per-request budget ("the dispatcher can only scale to 5M requests,
-/// i.e., about 11 worker cores"), the offloaded ARM dispatcher flattens
-/// far earlier, and the RPCValet-style hardware queue tracks the workers
-/// until the wire binds.
-pub fn worker_scaling(scale: Scale) -> Figure {
-    let dist = ServiceDist::Fixed(SimDuration::from_micros(1));
-    let workers: Vec<f64> = match scale {
-        Scale::Quick => vec![2.0, 6.0, 10.0, 16.0],
-        Scale::Full => vec![2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 24.0],
-    };
-    let offered = 7_000_000.0; // just under the 10GbE frame rate
-    let base = spec(scale, offered, dist);
-    // x-axis carries the worker count; each point runs at the saturating
-    // offered load and re-labels offered_rps for reporting.
-    let relabel = |mut m: workload::RunMetrics, w: f64| {
-        m.offered_rps = w;
-        m
-    };
-    Figure {
-        id: "ext_worker_scaling".into(),
-        title: "fixed 1us, saturated throughput vs workers (x = workers): host vs ARM dispatcher vs hw queue"
-            .into(),
-        curves: run_grid(
-            &workers,
-            base,
-            vec![
-                GridCurve::new("Shinjuku", move |w, s| {
-                    relabel(
-                        ShinjukuConfig {
-                            workers: w as usize,
-                            time_slice: None,
-                            ..ShinjukuConfig::paper(w as usize)
-                        }
-                        .run(s, ProbeConfig::disabled()),
-                        w,
-                    )
-                }),
-                GridCurve::new("Shinjuku-Offload", move |w, s| {
-                    relabel(
-                        OffloadConfig {
-                            time_slice: None,
-                            ..OffloadConfig::paper(w as usize, 5)
-                        }
-                        .run(s, ProbeConfig::disabled()),
-                        w,
-                    )
-                }),
-                GridCurve::new("RPCValet", move |w, s| {
-                    relabel(
-                        RpcValetConfig {
-                            workers: w as usize,
-                        }
-                        .run(s, ProbeConfig::disabled()),
-                        w,
-                    )
-                }),
-            ],
-        ),
+/// One point of the worker-scaling sweep: one design saturated at one
+/// worker count.
+#[derive(Debug, Clone)]
+pub struct ScalingRow {
+    /// Design label.
+    pub curve: &'static str,
+    /// Workers the design ran with.
+    pub workers: usize,
+    /// The run, at the sweep's saturating offered load.
+    pub metrics: RunMetrics,
+}
+
+/// Title of the worker-scaling table.
+pub const WORKER_SCALING_TITLE: &str =
+    "ext_worker_scaling — fixed 1us offered at 7M RPS: saturated throughput vs workers, host vs ARM dispatcher vs hw queue";
+
+impl Row for ScalingRow {
+    fn columns() -> Vec<Column<Self>> {
+        use Kind::*;
+        vec![
+            col("curve", Text(|r| r.curve.into())),
+            col("workers", Int(|r| r.workers as i64)),
+            col("achieved_rps", Rate(|r| r.metrics.achieved_rps)),
+            col(
+                "per_worker_rps",
+                Rate(|r| r.metrics.achieved_rps / r.workers as f64),
+            ),
+            col("p99", Duration(|r| r.metrics.p99)),
+            col(
+                "worker_utilization",
+                Ratio(4, |r| r.metrics.worker_utilization),
+            ),
+        ]
     }
+}
+
+/// §2.2(3)'s scalability claim: saturated throughput vs worker count on
+/// 1 µs requests offered just under the 10GbE frame rate. The host
+/// Shinjuku dispatcher flattens near its per-request budget ("the
+/// dispatcher can only scale to 5M requests, i.e., about 11 worker
+/// cores"), the offloaded ARM dispatcher flattens far earlier, and the
+/// RPCValet-style hardware queue tracks the workers until the wire binds.
+/// Rows come curve by curve, in worker order.
+pub fn worker_scaling(scale: Scale) -> Vec<ScalingRow> {
+    let base = spec(
+        scale,
+        7_000_000.0,
+        ServiceDist::Fixed(SimDuration::from_micros(1)),
+    );
+    let workers: &[usize] = match scale {
+        Scale::Quick => &[2, 6, 10, 16],
+        Scale::Full => &[2, 4, 6, 8, 10, 12, 16, 20, 24],
+    };
+    let shinjuku = |w| {
+        SystemConfig::Shinjuku(ShinjukuConfig {
+            time_slice: None,
+            ..ShinjukuConfig::paper(w)
+        })
+    };
+    let offload = |w| {
+        SystemConfig::Offload(OffloadConfig {
+            time_slice: None,
+            ..OffloadConfig::paper(w, 5)
+        })
+    };
+    let rpcvalet = |w| SystemConfig::RpcValet(RpcValetConfig { workers: w });
+    let cells: Vec<(&str, usize, SystemConfig)> = workers
+        .iter()
+        .map(|&w| ("Shinjuku", w, shinjuku(w)))
+        .chain(workers.iter().map(|&w| ("Shinjuku-Offload", w, offload(w))))
+        .chain(workers.iter().map(|&w| ("RPCValet", w, rpcvalet(w))))
+        .collect();
+    par_map(&cells, |&(curve, workers, sys)| ScalingRow {
+        curve,
+        workers,
+        metrics: sys.run(base, ProbeConfig::disabled()),
+    })
 }
 
 /// §5.2's congestion-control co-design: open-loop vs JIT-paced clients on
@@ -433,8 +463,6 @@ mod tests {
         assert!(!rows[2].achieved_rps.is_nan());
         // Overhead grows with dispatcher count on a fixed-size box.
         assert!(rows[3].overhead > rows[0].overhead);
-        let table = multi_dispatcher_table(&rows);
-        assert!(table.contains("groups"));
     }
 
     #[test]
@@ -450,8 +478,15 @@ mod tests {
     #[test]
     fn slice_sweep_shows_the_tradeoff() {
         let f = slice_sweep(Scale::Quick);
-        let pts = &f.curves[0].points;
-        // No preemption (last point) must have the worst short-class tail.
+        assert_eq!(f.curves.len(), 6);
+        assert_eq!(f.curves[2].label, "Offload slice=10us");
+        let pts: Vec<&RunMetrics> = f.curves.iter().map(|c| &c.points[0]).collect();
+        for m in &pts {
+            assert_eq!(m.offered_rps, 350_000.0, "every slice runs at 350k RPS");
+            let g = m.goodput_ratio();
+            assert!((0.0..=1.1).contains(&g), "goodput {g} is not a fraction");
+        }
+        // No preemption (last curve) must have the worst short-class tail.
         let off = pts.last().unwrap().p99_short;
         let ten_us = pts[2].p99_short;
         assert!(
@@ -476,10 +511,27 @@ mod tests {
 
     #[test]
     fn worker_scaling_shapes() {
-        let f = worker_scaling(Scale::Quick);
-        let shin = &f.curves[0].points;
-        let off = &f.curves[1].points;
-        let valet = &f.curves[2].points;
+        let rows = worker_scaling(Scale::Quick);
+        for r in &rows {
+            assert_eq!(r.metrics.offered_rps, 7_000_000.0, "{}", r.curve);
+            let g = r.metrics.goodput_ratio();
+            assert!((0.0..=1.1).contains(&g), "goodput {g} is not a fraction");
+        }
+        let curve = |label: &str| -> Vec<&RunMetrics> {
+            rows.iter()
+                .filter(|r| r.curve == label)
+                .map(|r| &r.metrics)
+                .collect()
+        };
+        let (shin, off, valet) = (
+            curve("Shinjuku"),
+            curve("Shinjuku-Offload"),
+            curve("RPCValet"),
+        );
+        assert_eq!(
+            rows.iter().map(|r| r.workers).take(4).collect::<Vec<_>>(),
+            [2, 6, 10, 16]
+        );
         // The offload flattens at the ARM TX cap regardless of workers.
         let last = off.len() - 1;
         assert!(

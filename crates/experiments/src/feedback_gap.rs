@@ -23,6 +23,7 @@ use sim_core::{Ctx, Engine, Model, Probe, ProbeConfig, Rng, SimDuration, SimTime
 use workload::{ArrivalGen, ArrivalProcess};
 
 use crate::figures::Scale;
+use crate::report::{col, Column, Kind, Row};
 
 /// One row of the feedback-gap table.
 #[derive(Debug, Clone)]
@@ -40,6 +41,24 @@ pub struct GapRow {
     /// Mean worst-case staleness of the dispatcher's view at decision
     /// time, measured by the probe layer (≥ the one-way latency).
     pub mean_staleness: SimDuration,
+}
+
+/// Title of the feedback-gap table.
+pub const TITLE: &str =
+    "feedback_gap — 8 workers, fixed 2us, rho 0.8: scheduling quality vs feedback latency";
+
+impl Row for GapRow {
+    fn columns() -> Vec<Column<Self>> {
+        use Kind::*;
+        vec![
+            col("path", Text(|r| r.path.into())),
+            col("latency", Duration(|r| r.latency)),
+            col("mean", Duration(|r| r.mean)),
+            col("p99", Duration(|r| r.p99)),
+            col("peak_worker_queue", Int(|r| r.peak_worker_queue as i64)),
+            col("mean_staleness", Duration(|r| r.mean_staleness)),
+        ]
+    }
 }
 
 enum Ev {
@@ -193,32 +212,6 @@ pub fn run(scale: Scale) -> Vec<GapRow> {
         .collect()
 }
 
-/// Render rows as an aligned table.
-pub fn table(rows: &[GapRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::from(
-        "## feedback_gap — 8 workers, fixed 2us, rho 0.8: scheduling quality vs feedback latency\n",
-    );
-    let _ = writeln!(
-        out,
-        "{:<36} {:>10} {:>10} {:>10} {:>10} {:>12}",
-        "feedback path", "one-way", "mean", "p99", "peak q", "staleness"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<36} {:>10} {:>10} {:>10} {:>10} {:>12}",
-            r.path,
-            r.latency.to_string(),
-            r.mean.to_string(),
-            r.p99.to_string(),
-            r.peak_worker_queue,
-            r.mean_staleness.to_string()
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,13 +263,5 @@ mod tests {
             "near-ideal p99 {}",
             rows[0].p99
         );
-    }
-
-    #[test]
-    fn table_renders() {
-        let rows = run(Scale::Quick);
-        let t = table(&rows);
-        assert!(t.contains("feedback_gap"));
-        assert!(t.contains("2.560us") || t.contains("2.56"));
     }
 }

@@ -63,16 +63,11 @@ impl Scale {
 
 /// **Figure 2** — bimodal 99.5% @ 5 µs / 0.5% @ 100 µs, 10 µs slice;
 /// Shinjuku 3 workers vs Shinjuku-Offload 4 workers (≤ 4 outstanding);
-/// p99 vs throughput up to 600 kRPS.
-pub fn fig2(scale: Scale) -> Figure {
-    fig2_with(scale, None)
-}
-
-/// [`fig2`] with an optional scheduler-policy override (`--policy`) on
-/// both dispatched assemblies. `None` is the paper's FCFS and is
-/// bit-identical to [`fig2`]; an override tags the curve labels with the
-/// policy spec so CSVs stay self-describing.
-pub fn fig2_with(scale: Scale, policy: Option<PolicySpec>) -> Figure {
+/// p99 vs throughput up to 600 kRPS. `policy` (`--policy`) overrides the
+/// scheduler on both dispatched assemblies; `None` is the paper's FCFS,
+/// and an override tags the curve labels with the policy spec so CSVs
+/// stay self-describing.
+pub fn fig2(scale: Scale, policy: Option<PolicySpec>) -> Figure {
     let base = scale.spec(0.0, ServiceDist::paper_bimodal());
     let loads = linspace(50_000.0, 600_000.0, scale.points(12));
     let shinjuku = ShinjukuConfig {
@@ -99,7 +94,7 @@ pub fn fig2_with(scale: Scale, policy: Option<PolicySpec>) -> Figure {
 }
 
 /// Append a policy spec to a curve label when one was overridden.
-fn tagged(label: &str, policy: Option<PolicySpec>) -> String {
+pub(crate) fn tagged(label: &str, policy: Option<PolicySpec>) -> String {
     match policy {
         Some(p) => format!("{label} [{p}]"),
         None => label.to_string(),
@@ -109,14 +104,9 @@ fn tagged(label: &str, policy: Option<PolicySpec>) -> String {
 /// **Figure 3** — fixed 1 µs; Shinjuku-Offload only; throughput as the
 /// outstanding-requests cap sweeps 1..=7, for 4 and 16 workers. The curve
 /// reports the *achieved* throughput under heavy offered load (the
-/// saturation plateau the paper plots).
-pub fn fig3(scale: Scale) -> Figure {
-    fig3_with(scale, None)
-}
-
-/// [`fig3`] with an optional scheduler-policy override; `None` matches
-/// [`fig3`] bit for bit.
-pub fn fig3_with(scale: Scale, policy: Option<PolicySpec>) -> Figure {
+/// saturation plateau the paper plots). `policy` overrides the scheduler
+/// as in [`fig2`].
+pub fn fig3(scale: Scale, policy: Option<PolicySpec>) -> Figure {
     // Offer well beyond any plateau so achieved == capacity.
     let base = scale.spec(2_500_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
     let caps: Vec<f64> = (1..=7).map(f64::from).collect();
@@ -249,7 +239,7 @@ mod tests {
 
     #[test]
     fn fig2_shape_offload_extends_further() {
-        let f = fig2(Scale::Quick);
+        let f = fig2(Scale::Quick, None);
         let slo = SimDuration::from_micros(500);
         let shin = knee_throughput(&f.curves[0].points, slo);
         let off = knee_throughput(&f.curves[1].points, slo);
@@ -261,7 +251,7 @@ mod tests {
 
     #[test]
     fn fig3_shape_throughput_rises_then_plateaus() {
-        let f = fig3(Scale::Quick);
+        let f = fig3(Scale::Quick, None);
         let w16 = &f.curves[0].points;
         let w4 = &f.curves[1].points;
 

@@ -14,9 +14,13 @@
 //!   quality as a pure function of feedback-path latency.
 //! * [`resilience`] — the fault-injection grid: loss rate × fault type
 //!   across every assembly, with request-ledger reconciliation.
+//! * [`recovery`] — NIC-side orphan re-dispatch vs client-retry-only.
 //! * [`policies`] — the policy sweep: every shipped scheduling
 //!   policy × the Fig. 2/3 workloads × every assembly.
-//! * [`sweep`] / [`report`] — the load-sweep driver and table/CSV output.
+//! * [`sweep`] — load sweeps and the parallel cell runner.
+//! * [`report`] — the one renderer: every row type declares its columns
+//!   once ([`report::Row`]), and [`report::table`], [`report::csv`] and
+//!   [`report::json`] write them.
 //!
 //! Each figure has a binary (`cargo run --release -p experiments --bin
 //! fig2` …) that prints the table and writes `results/<id>.csv`; `--bin
@@ -40,6 +44,8 @@ pub mod sweep;
 pub use figures::Scale;
 pub use report::{Curve, Figure};
 
+use report::Row;
+
 /// Default output directory for CSV results, relative to the workspace.
 pub fn results_dir() -> std::path::PathBuf {
     std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -54,11 +60,28 @@ pub fn emit(figure: &Figure) -> std::path::PathBuf {
     if std::env::args().any(|a| a == "--plot") {
         outln!("{}", plot::ascii(figure, 64, 16));
     }
-    let path = figure
-        .write_csv(&results_dir())
-        .expect("writing results CSV");
+    let path =
+        report::write_csv(&figure.rows(), &results_dir(), &figure.id).expect("writing results CSV");
     outln!("wrote {}\n", path.display());
     path
+}
+
+/// Print rows' table under `title` and write them to
+/// `results/<name>.csv`.
+pub fn emit_rows<R: Row>(name: &str, title: &str, rows: &[R]) {
+    outln!("{}", report::table(title, rows));
+    let path = report::write_csv(rows, &results_dir(), name).expect("writing results CSV");
+    outln!("wrote {}\n", path.display());
+}
+
+/// The grid binaries' output: with `--json` in the process arguments,
+/// the rows as JSON on stdout and no CSV; otherwise [`emit_rows`].
+pub fn emit_grid<R: Row>(name: &str, title: &str, rows: &[R]) {
+    if std::env::args().any(|a| a == "--json") {
+        outln!("{}", report::json(rows));
+    } else {
+        emit_rows(name, title, rows);
+    }
 }
 
 /// Write `args` and a newline to stdout. When the reader has closed the

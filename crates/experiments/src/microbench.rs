@@ -16,6 +16,8 @@ use systems::shinjuku::ShinjukuConfig;
 use systems::{ProbeConfig, ServerSystem};
 use workload::{ServiceDist, WorkloadSpec};
 
+use crate::report::{col, Column, Kind, Row};
+
 /// One row of the microbenchmark table.
 #[derive(Debug, Clone)]
 pub struct MicrobenchRow {
@@ -25,6 +27,19 @@ pub struct MicrobenchRow {
     pub paper: String,
     /// What this reproduction measures/encodes.
     pub measured: String,
+}
+
+/// Title of the microbenchmark table.
+pub const TITLE: &str = "microbench — the paper's inline numbers";
+
+impl Row for MicrobenchRow {
+    fn columns() -> Vec<Column<Self>> {
+        vec![
+            col("microbenchmark", Kind::Text(|r| r.name.clone())),
+            col("paper", Kind::Text(|r| r.paper.clone())),
+            col("measured", Kind::Text(|r| r.measured.clone())),
+        ]
+    }
 }
 
 /// Produce every microbenchmark row.
@@ -210,28 +225,6 @@ pub fn run() -> Vec<MicrobenchRow> {
     rows
 }
 
-/// Render rows as an aligned table.
-pub fn table(rows: &[MicrobenchRow]) -> String {
-    use std::fmt::Write;
-    let name_w = rows.iter().map(|r| r.name.len()).max().unwrap_or(10);
-    let paper_w = rows.iter().map(|r| r.paper.len()).max().unwrap_or(10);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:name_w$} | {:paper_w$} | measured",
-        "microbenchmark", "paper"
-    );
-    let _ = writeln!(out, "{:-<name_w$}-+-{:-<paper_w$}-+---------", "", "");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:name_w$} | {:paper_w$} | {}",
-            r.name, r.paper, r.measured
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,7 +233,7 @@ mod tests {
     fn all_rows_present() {
         let rows = run();
         assert_eq!(rows.len(), 13);
-        let t = table(&rows);
+        let t = crate::report::table(TITLE, &rows);
         assert!(t.contains("2.56"));
         assert!(t.contains("Dune"));
     }

@@ -21,10 +21,10 @@ use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
 use systems::{ServerSystem, SystemConfig};
-use workload::{RunMetrics, ServiceDist, WorkloadSpec};
+use workload::{ServiceDist, WorkloadSpec};
 
 use crate::figures::Scale;
-use crate::report::csv_field;
+use crate::report::{col, Column, Format, Kind, Row};
 
 /// One cell of the policy sweep.
 #[derive(Debug, Clone)]
@@ -50,6 +50,33 @@ pub struct PolicyRow {
     pub completed: u64,
     /// Worker preemptions (policies hand out per-dispatch slice grants).
     pub preemptions: u64,
+}
+
+/// Title of the policies table.
+pub const TITLE: &str =
+    "policies — every scheduling policy × the Fig. 2/3 workloads × every assembly";
+
+impl Row for PolicyRow {
+    /// The JSON leads with the policy, the CSV with the workload; the
+    /// table follows the CSV.
+    fn columns() -> Vec<Column<Self>> {
+        use Format::*;
+        use Kind::*;
+        vec![
+            col("policy", Text(|r: &Self| r.policy.clone())).only(&[Json]),
+            col("workload", Text(|r: &Self| r.workload.into())).only(&[Table, Csv]),
+            col("system", Text(|r| r.system.into())),
+            col("workload", Text(|r: &Self| r.workload.into())).only(&[Json]),
+            col("policy", Text(|r: &Self| r.policy.clone())).only(&[Table, Csv]),
+            col("offered_rps", Load(|r| r.offered_rps)),
+            col("achieved_rps", Rate(|r| r.achieved_rps)),
+            col("p50", Duration(|r| r.p50)),
+            col("p99", Duration(|r| r.p99)),
+            col("p99_short", Duration(|r| r.p99_short)),
+            col("completed", Int(|r| r.completed as i64)),
+            col("preemptions", Int(|r| r.preemptions as i64)),
+        ]
+    }
 }
 
 /// The specs the sweep exercises — every name in
@@ -118,26 +145,6 @@ fn controls() -> Vec<SystemConfig> {
     ]
 }
 
-fn row_from(
-    policy: String,
-    system: &'static str,
-    workload: &'static str,
-    m: &RunMetrics,
-) -> PolicyRow {
-    PolicyRow {
-        policy,
-        system,
-        workload,
-        offered_rps: m.offered_rps,
-        achieved_rps: m.achieved_rps,
-        p50: m.p50,
-        p99: m.p99,
-        p99_short: m.p99_short,
-        completed: m.completed,
-        preemptions: m.preemptions,
-    }
-}
-
 /// Run the full policy × workload × assembly grid. Rows come back in
 /// grid order (workload-major, then policy, then assembly, controls
 /// last per workload) regardless of the worker count.
@@ -155,102 +162,19 @@ pub fn run(scale: Scale) -> Vec<PolicyRow> {
     }
     crate::sweep::par_map(&cells, |(policy, sys, wname, wspec)| {
         let m = sys.run(*wspec, ProbeConfig::disabled());
-        row_from(policy.clone(), sys.name(), wname, &m)
-    })
-}
-
-/// Render rows as an aligned table, one block per workload.
-pub fn table(rows: &[PolicyRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let mut current = "";
-    for r in rows {
-        if r.workload != current {
-            current = r.workload;
-            let _ = writeln!(
-                out,
-                "\n## policies — {} @ {:.0} rps\n{:<28} {:<16} {:>12} {:>10} {:>10} {:>10} {:>9} {:>8}",
-                r.workload,
-                r.offered_rps,
-                "policy",
-                "system",
-                "achieved",
-                "p50",
-                "p99",
-                "p99_short",
-                "completed",
-                "preempt"
-            );
+        PolicyRow {
+            policy: policy.clone(),
+            system: sys.name(),
+            workload: wname,
+            offered_rps: m.offered_rps,
+            achieved_rps: m.achieved_rps,
+            p50: m.p50,
+            p99: m.p99,
+            p99_short: m.p99_short,
+            completed: m.completed,
+            preemptions: m.preemptions,
         }
-        let _ = writeln!(
-            out,
-            "{:<28} {:<16} {:>12.0} {:>10} {:>10} {:>10} {:>9} {:>8}",
-            r.policy,
-            r.system,
-            r.achieved_rps,
-            r.p50.to_string(),
-            r.p99.to_string(),
-            r.p99_short.to_string(),
-            r.completed,
-            r.preemptions
-        );
-    }
-    out
-}
-
-/// Render rows as a JSON array (stable key order, no external
-/// serializer; CI diffs this across `--jobs` values).
-pub fn json(rows: &[PolicyRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"policy\":\"{}\",\"system\":\"{}\",\"workload\":\"{}\",\"offered_rps\":{},\"achieved_rps\":{:.3},\"p50_ns\":{},\"p99_ns\":{},\"p99_short_ns\":{},\"completed\":{},\"preemptions\":{}}}",
-            r.policy,
-            r.system,
-            r.workload,
-            r.offered_rps,
-            r.achieved_rps,
-            r.p50.as_nanos(),
-            r.p99.as_nanos(),
-            r.p99_short.as_nanos(),
-            r.completed,
-            r.preemptions
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push(']');
-    out
-}
-
-/// Persist rows as CSV next to the figure outputs; returns the path.
-/// Policy specs carry commas (`wfq:w=4,1,1`), so the column is quoted.
-pub fn write_csv(rows: &[PolicyRow], dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-    use std::fmt::Write;
-    let mut out = String::from(
-        "workload,system,policy,offered_rps,achieved_rps,p50_us,p99_us,p99_short_us,completed,preemptions\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.0},{:.0},{:.3},{:.3},{:.3},{},{}",
-            r.workload,
-            r.system,
-            csv_field(&r.policy),
-            r.offered_rps,
-            r.achieved_rps,
-            r.p50.as_nanos() as f64 / 1e3,
-            r.p99.as_nanos() as f64 / 1e3,
-            r.p99_short.as_nanos() as f64 / 1e3,
-            r.completed,
-            r.preemptions
-        );
-    }
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("policies.csv");
-    std::fs::write(&path, out)?;
-    Ok(path)
+    })
 }
 
 #[cfg(test)]
@@ -311,55 +235,10 @@ mod tests {
         // policy's cells are independent seeded sims, so the
         // fan-out width cannot perturb a single byte of output.
         crate::sweep::set_jobs(1);
-        let serial = json(&run(Scale::Quick));
+        let serial = crate::report::json(&run(Scale::Quick));
         crate::sweep::set_jobs(4);
-        let parallel = json(&run(Scale::Quick));
+        let parallel = crate::report::json(&run(Scale::Quick));
         crate::sweep::set_jobs(0);
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn renderings_carry_every_row() {
-        let rows = vec![
-            row_from(
-                "wfq:w=4,1,1".into(),
-                "shinjuku",
-                "fig2-bimodal",
-                &test_metrics(),
-            ),
-            row_from("-".into(), "rss", "fig2-bimodal", &test_metrics()),
-        ];
-        let t = table(&rows);
-        assert!(t.contains("wfq:w=4,1,1") && t.contains("rss"));
-        let j = json(&rows);
-        assert_eq!(j.matches("\"policy\"").count(), rows.len());
-        let dir = std::env::temp_dir().join("mindgap-policies-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = write_csv(&rows, &dir).unwrap();
-        let csv = std::fs::read_to_string(path).unwrap();
-        assert!(
-            csv.contains("\"wfq:w=4,1,1\""),
-            "comma-bearing policy must be quoted: {csv}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn test_metrics() -> RunMetrics {
-        RunMetrics {
-            offered_rps: 1e5,
-            achieved_rps: 1e5,
-            p50: SimDuration::from_micros(5),
-            p99: SimDuration::from_micros(20),
-            p999: SimDuration::from_micros(40),
-            p99_short: SimDuration::from_micros(18),
-            p99_long: SimDuration::from_micros(40),
-            mean: SimDuration::from_micros(7),
-            completed: 100,
-            dropped: 0,
-            preemptions: 3,
-            worker_utilization: 0.42,
-            stages: None,
-            faults: workload::FaultMetrics::default(),
-        }
     }
 }

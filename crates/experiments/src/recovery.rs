@@ -33,7 +33,7 @@ use systems::{ResilienceConfig, ServerSystem, SystemConfig};
 use workload::{RetryPolicy, RunMetrics, ServiceDist, WorkloadSpec};
 
 use crate::figures::Scale;
-use crate::report::csv_field;
+use crate::report::{col, Column, Kind, Row};
 
 /// Fault type applied to the worker pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,7 +96,8 @@ pub struct RecoveryRow {
     pub mode: &'static str,
     /// Suspicion window in µs (0 for the retry-only arm).
     pub window_us: u64,
-    /// First-completions over launched requests.
+    /// Achieved over offered throughput
+    /// ([`RunMetrics::goodput_ratio`]).
     pub goodput: f64,
     /// p99 sojourn of completed requests.
     pub p99: SimDuration,
@@ -116,6 +117,32 @@ pub struct RecoveryRow {
     pub readmissions: u64,
     /// Request-ledger residue — must be zero.
     pub unaccounted: i64,
+}
+
+/// Title of the recovery table.
+pub const TITLE: &str =
+    "recovery — 250k rps paper bimodal: NIC-side orphan re-dispatch vs client-retry-only";
+
+impl Row for RecoveryRow {
+    fn columns() -> Vec<Column<Self>> {
+        use Kind::*;
+        vec![
+            col("policy", Text(|r| r.policy.to_string())),
+            col("fault", Text(|r| r.fault.into())),
+            col("mode", Text(|r| r.mode.into())),
+            col("window_us", Int(|r| r.window_us as i64)),
+            col("goodput", Ratio(6, |r| r.goodput)),
+            col("p99", Duration(|r| r.p99)),
+            col("retries", Int(|r| r.retries as i64)),
+            col("abandoned", Int(|r| r.abandoned as i64)),
+            col("stranded", Int(|r| r.stranded as i64)),
+            col("recovered", Int(|r| r.recovered as i64)),
+            col("duplicates", Int(|r| r.duplicates as i64)),
+            col("suspicions", Int(|r| r.suspicions as i64)),
+            col("readmissions", Int(|r| r.readmissions as i64)),
+            col("unaccounted", Int(|r| r.unaccounted)),
+        ]
+    }
 }
 
 const WORKERS: usize = 4;
@@ -150,26 +177,31 @@ fn windows(scale: Scale) -> Vec<u64> {
 }
 
 /// The two arms share everything — workload, seed, fault schedule, retry
-/// policy — except the `recovery` field.
+/// policy — except the `recovery` field, set when `window_us` names a
+/// suspicion window.
+fn arm(spec: &WorkloadSpec, fault: Fault, window_us: Option<u64>) -> ResilienceConfig {
+    let res = ResilienceConfig {
+        faults: fault.schedule(spec.horizon(), WORKERS),
+        retry: Some(RetryPolicy::paper_default()),
+        ..ResilienceConfig::default()
+    };
+    match window_us {
+        Some(us) => res.with_recovery(RecoveryPolicy::with_suspicion(SimDuration::from_micros(us))),
+        None => res,
+    }
+}
+
 fn cell(
     policy: PolicySpec,
     fault: Fault,
     window_us: Option<u64>,
     spec: WorkloadSpec,
 ) -> RecoveryRow {
-    let mut res = ResilienceConfig {
-        faults: fault.schedule(spec.horizon(), WORKERS),
-        retry: Some(RetryPolicy::paper_default()),
-        ..ResilienceConfig::default()
-    };
-    if let Some(us) = window_us {
-        res = res.with_recovery(RecoveryPolicy::with_suspicion(SimDuration::from_micros(us)));
-    }
     let sys = SystemConfig::Offload(OffloadConfig {
         policy,
         ..OffloadConfig::paper(WORKERS, 4)
     });
-    let m = sys.run_resilient(spec, ProbeConfig::disabled(), res);
+    let m = sys.run_resilient(spec, ProbeConfig::disabled(), arm(&spec, fault, window_us));
     row_from(policy, fault, window_us, &m)
 }
 
@@ -202,16 +234,11 @@ fn row_from(
     }
 }
 
-/// Run the suspicion-window × fault × policy grid. Cells are independent
-/// seeded runs, so the grid fans out over the sweep pool (`--jobs`) with
-/// rows returned in grid order.
-pub fn run(scale: Scale) -> Vec<RecoveryRow> {
-    run_with(scale, None)
-}
-
-/// [`run`] with an optional policy override replacing the default policy
-/// list (`--policy`); `None` matches [`run`] exactly.
-pub fn run_with(scale: Scale, policy: Option<PolicySpec>) -> Vec<RecoveryRow> {
+/// Run the suspicion-window × fault × policy grid; `policy` (`--policy`)
+/// replaces the default policy list. Cells are independent seeded runs,
+/// so the grid fans out over the sweep pool (`--jobs`) with rows returned
+/// in grid order.
+pub fn run(scale: Scale, policy: Option<PolicySpec>) -> Vec<RecoveryRow> {
     let spec = spec_for(scale);
     let policy_list = match policy {
         Some(p) => vec![p],
@@ -232,28 +259,16 @@ pub fn run_with(scale: Scale, policy: Option<PolicySpec>) -> Vec<RecoveryRow> {
 /// The deterministic CI body: fcfs, both fault types, retry-only versus
 /// one 30µs nic-recovery arm. Asserts the ledgers close and the headline
 /// result — NIC-side re-dispatch strictly beats client-retry-only p99 for
-/// both fault types at equal offered load.
-pub fn smoke() -> Vec<RecoveryRow> {
-    smoke_checked(false)
-}
-
-/// The smoke body with runtime invariant checking optionally enabled.
-/// Rows must be bit-identical either way — CI runs both and diffs.
-pub fn smoke_checked(invariants: bool) -> Vec<RecoveryRow> {
+/// both fault types at equal offered load. With `invariants` the runtime
+/// invariant checker audits every event; the rows must be bit-identical
+/// either way — CI runs both and diffs.
+pub fn smoke(invariants: bool) -> Vec<RecoveryRow> {
     let spec = spec_for(Scale::Quick);
     let mut rows = Vec::new();
     for fault in [Fault::Crash, Fault::Stall] {
         let mut pair = Vec::new();
         for window in [None, Some(30u64)] {
-            let mut res = ResilienceConfig {
-                faults: fault.schedule(spec.horizon(), WORKERS),
-                retry: Some(RetryPolicy::paper_default()),
-                ..ResilienceConfig::default()
-            };
-            if let Some(us) = window {
-                res =
-                    res.with_recovery(RecoveryPolicy::with_suspicion(SimDuration::from_micros(us)));
-            }
+            let mut res = arm(&spec, fault, window);
             if invariants {
                 res = res.with_invariants();
             }
@@ -285,125 +300,13 @@ pub fn smoke_checked(invariants: bool) -> Vec<RecoveryRow> {
     rows
 }
 
-/// Render rows as an aligned table.
-pub fn table(rows: &[RecoveryRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::from(
-        "## recovery — 250k rps paper bimodal: NIC-side orphan re-dispatch vs client-retry-only\n",
-    );
-    let _ = writeln!(
-        out,
-        "{:<6} {:<6} {:<13} {:>7} {:>8} {:>10} {:>8} {:>7} {:>6} {:>6} {:>5} {:>5} {:>6} {:>6}",
-        "policy",
-        "fault",
-        "mode",
-        "win_us",
-        "goodput",
-        "p99",
-        "retries",
-        "abandon",
-        "strand",
-        "recov",
-        "dups",
-        "susp",
-        "readmt",
-        "unacct"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<6} {:<6} {:<13} {:>7} {:>8.4} {:>10} {:>8} {:>7} {:>6} {:>6} {:>5} {:>5} {:>6} {:>6}",
-            r.policy.to_string(),
-            r.fault,
-            r.mode,
-            r.window_us,
-            r.goodput,
-            r.p99.to_string(),
-            r.retries,
-            r.abandoned,
-            r.stranded,
-            r.recovered,
-            r.duplicates,
-            r.suspicions,
-            r.readmissions,
-            r.unaccounted
-        );
-    }
-    out
-}
-
-/// Render rows as a JSON array (no external serializer: every field is a
-/// number or a fixed label, so the encoding is trivial and stable).
-pub fn json(rows: &[RecoveryRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"policy\":\"{}\",\"fault\":\"{}\",\"mode\":\"{}\",\"window_us\":{},\"goodput\":{:.6},\"p99_ns\":{},\"retries\":{},\"abandoned\":{},\"stranded\":{},\"recovered\":{},\"duplicates\":{},\"suspicions\":{},\"readmissions\":{},\"unaccounted\":{}}}",
-            r.policy,
-            r.fault,
-            r.mode,
-            r.window_us,
-            r.goodput,
-            r.p99.as_nanos(),
-            r.retries,
-            r.abandoned,
-            r.stranded,
-            r.recovered,
-            r.duplicates,
-            r.suspicions,
-            r.readmissions,
-            r.unaccounted
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push(']');
-    out
-}
-
-/// Persist rows as CSV next to the figure outputs; returns the path.
-pub fn write_csv(
-    rows: &[RecoveryRow],
-    dir: &std::path::Path,
-) -> std::io::Result<std::path::PathBuf> {
-    use std::fmt::Write;
-    let mut out = String::from(
-        "policy,fault,mode,window_us,goodput,p99_us,retries,abandoned,stranded,recovered,duplicates,suspicions,readmissions,unaccounted\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{:.6},{:.3},{},{},{},{},{},{},{},{}",
-            csv_field(&r.policy.to_string()),
-            r.fault,
-            r.mode,
-            r.window_us,
-            r.goodput,
-            r.p99.as_nanos() as f64 / 1e3,
-            r.retries,
-            r.abandoned,
-            r.stranded,
-            r.recovered,
-            r.duplicates,
-            r.suspicions,
-            r.readmissions,
-            r.unaccounted
-        );
-    }
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("recovery.csv");
-    std::fs::write(&path, out)?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn smoke_proves_the_headline_and_closes_ledgers() {
-        let rows = smoke();
+        let rows = smoke(false);
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert_eq!(r.unaccounted, 0, "{r:?}");
@@ -424,19 +327,8 @@ mod tests {
 
     #[test]
     fn smoke_is_deterministic() {
-        let a = json(&smoke());
-        let b = json(&smoke());
+        let a = crate::report::json(&smoke(false));
+        let b = crate::report::json(&smoke(false));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn table_and_json_render_all_rows() {
-        let rows = smoke();
-        let t = table(&rows);
-        assert!(t.contains("recovery"));
-        assert!(t.contains("nic-recovery"));
-        let j = json(&rows);
-        assert!(j.starts_with('[') && j.ends_with(']'));
-        assert_eq!(j.matches("\"policy\"").count(), rows.len());
     }
 }

@@ -5,7 +5,7 @@
 //! don't. Every system runs the same workload under a grid of wire-loss
 //! rates crossed with fault scenarios (loss only, a mid-run worker crash,
 //! a feedback blackout), with the client retry policy on everywhere. Per
-//! cell we report goodput (first-completions over launched), tail
+//! cell we report goodput (achieved over offered throughput), tail
 //! latency, retry volume, drop decomposition, and — for the informed
 //! dispatchers — the measured fallback time: how long the dispatcher ran
 //! in degraded RSS-hash mode because its feedback was stale.
@@ -23,6 +23,7 @@ use systems::{ResilienceConfig, ServerSystem, StalenessPolicy, SystemConfig};
 use workload::{RetryPolicy, RunMetrics, ServiceDist, WorkloadSpec};
 
 use crate::figures::Scale;
+use crate::report::{col, Column, Kind, Row};
 
 use sim_core::FaultConfig;
 
@@ -72,7 +73,8 @@ pub struct ResilienceRow {
     pub scenario: &'static str,
     /// Random wire-loss probability.
     pub loss: f64,
-    /// First-completions over launched requests.
+    /// Achieved over offered throughput
+    /// ([`RunMetrics::goodput_ratio`]).
     pub goodput: f64,
     /// p99 sojourn of completed requests.
     pub p99: SimDuration,
@@ -92,15 +94,33 @@ pub struct ResilienceRow {
     pub unaccounted: i64,
 }
 
-fn systems_under_test(scale: Scale) -> Vec<SystemConfig> {
-    systems_under_test_with(scale, None)
+/// Title of the resilience table.
+pub const TITLE: &str =
+    "resilience — 250k rps paper bimodal: goodput / tail / recovery under injected faults";
+
+impl Row for ResilienceRow {
+    fn columns() -> Vec<Column<Self>> {
+        use Kind::*;
+        vec![
+            col("system", Text(|r| r.system.into())),
+            col("scenario", Text(|r| r.scenario.into())),
+            col("loss", Percent(|r| r.loss)),
+            col("goodput", Ratio(6, |r| r.goodput)),
+            col("p99", Duration(|r| r.p99)),
+            col("retries", Int(|r| r.retries as i64)),
+            col("abandoned", Int(|r| r.abandoned as i64)),
+            col("link_lost", Int(|r| r.link_lost as i64)),
+            col("dropped", Int(|r| r.dropped as i64)),
+            col("stranded", Int(|r| r.stranded as i64)),
+            col("fallback", Duration(|r| r.fallback)),
+            col("unaccounted", Int(|r| r.unaccounted)),
+        ]
+    }
 }
 
-fn systems_under_test_with(
-    scale: Scale,
-    policy: Option<nicsched::PolicySpec>,
-) -> Vec<SystemConfig> {
-    let _ = scale;
+/// The five assemblies, with `policy` (FCFS when `None`) on every
+/// policy-capable one.
+fn systems_under_test(policy: Option<nicsched::PolicySpec>) -> Vec<SystemConfig> {
     let policy = policy.unwrap_or(nicsched::PolicySpec::FCFS);
     vec![
         SystemConfig::Offload(OffloadConfig {
@@ -145,15 +165,24 @@ fn loss_rates(scale: Scale) -> Vec<f64> {
     }
 }
 
-fn cell(sys: &SystemConfig, spec: WorkloadSpec, scenario: Scenario, loss: f64) -> ResilienceRow {
-    let res = ResilienceConfig {
+/// The fault plan of one cell: `scenario` at `loss` over the run, with
+/// client retries and the paper's staleness fallback on.
+fn cell_config(spec: &WorkloadSpec, scenario: Scenario, loss: f64) -> ResilienceConfig {
+    ResilienceConfig {
         faults: scenario.faults(loss, spec.horizon()),
         retry: Some(RetryPolicy::paper_default()),
         admission: nicsched::AdmissionPolicy::Open,
         fallback: Some(StalenessPolicy::paper_default()),
         ..ResilienceConfig::default()
-    };
-    let m = sys.run_resilient(spec, ProbeConfig::disabled(), res);
+    }
+}
+
+fn cell(sys: &SystemConfig, spec: WorkloadSpec, scenario: Scenario, loss: f64) -> ResilienceRow {
+    let m = sys.run_resilient(
+        spec,
+        ProbeConfig::disabled(),
+        cell_config(&spec, scenario, loss),
+    );
     row_from(sys.name(), scenario, loss, &m)
 }
 
@@ -175,19 +204,14 @@ fn row_from(system: &'static str, scenario: Scenario, loss: f64, m: &RunMetrics)
     }
 }
 
-/// Run the full loss-rate × fault-type grid over every assembly. Cells
-/// are independent seeded runs, so the grid fans out over the sweep pool
-/// (`--jobs`) with rows returned in grid order.
-pub fn run(scale: Scale) -> Vec<ResilienceRow> {
-    run_with(scale, None)
-}
-
-/// [`run`] with an optional scheduler-policy override applied to every
-/// policy-capable assembly (`--policy`); `None` matches [`run`] exactly.
-pub fn run_with(scale: Scale, policy: Option<nicsched::PolicySpec>) -> Vec<ResilienceRow> {
+/// Run the full loss-rate × fault-type grid over every assembly, with an
+/// optional scheduler-policy override (`--policy`) on every policy-capable
+/// one. Cells are independent seeded runs, so the grid fans out over the
+/// sweep pool (`--jobs`) with rows returned in grid order.
+pub fn run(scale: Scale, policy: Option<nicsched::PolicySpec>) -> Vec<ResilienceRow> {
     let spec = spec_for(scale);
     let mut cells = Vec::new();
-    for sys in systems_under_test_with(scale, policy) {
+    for sys in systems_under_test(policy) {
         for scenario in [Scenario::Loss, Scenario::Crash, Scenario::Blackout] {
             for &loss in &loss_rates(scale) {
                 cells.push((sys, scenario, loss));
@@ -200,27 +224,16 @@ pub fn run_with(scale: Scale, policy: Option<nicsched::PolicySpec>) -> Vec<Resil
 }
 
 /// One loss+crash point per system with probing on — the CI smoke body.
-/// Panics if any system leaks a request from its ledger.
-pub fn smoke() -> Vec<ResilienceRow> {
-    smoke_checked(false)
-}
-
-/// The smoke body with runtime invariant checking optionally enabled (the
-/// "invcheck" pass). The rows must be bit-identical either way — CI runs
-/// both and diffs the JSON — but the checked run additionally audits
-/// engine causality, ring bounds and ledger conservation on every event
-/// and panics with a violation report if the model misbehaves.
-pub fn smoke_checked(invariants: bool) -> Vec<ResilienceRow> {
+/// Panics if any system leaks a request from its ledger. With
+/// `invariants` (the "invcheck" pass) the runtime invariant checker also
+/// audits engine causality, ring bounds and ledger conservation on every
+/// event and panics with a violation report if the model misbehaves; the
+/// rows must be bit-identical either way, and CI diffs the JSON.
+pub fn smoke(invariants: bool) -> Vec<ResilienceRow> {
     let spec = spec_for(Scale::Quick);
     let mut rows = Vec::new();
-    for sys in systems_under_test(Scale::Quick) {
-        let mut res = ResilienceConfig {
-            faults: Scenario::Crash.faults(0.01, spec.horizon()),
-            retry: Some(RetryPolicy::paper_default()),
-            admission: nicsched::AdmissionPolicy::Open,
-            fallback: Some(StalenessPolicy::paper_default()),
-            ..ResilienceConfig::default()
-        };
+    for sys in systems_under_test(None) {
+        let mut res = cell_config(&spec, Scenario::Crash, 0.01);
         if invariants {
             res = res.with_invariants();
         }
@@ -243,117 +256,13 @@ pub fn smoke_checked(invariants: bool) -> Vec<ResilienceRow> {
     rows
 }
 
-/// Render rows as an aligned table.
-pub fn table(rows: &[ResilienceRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::from(
-        "## resilience — 250k rps paper bimodal: goodput / tail / recovery under injected faults\n",
-    );
-    let _ = writeln!(
-        out,
-        "{:<16} {:<14} {:>6} {:>8} {:>10} {:>8} {:>7} {:>7} {:>7} {:>6} {:>10} {:>6}",
-        "system",
-        "scenario",
-        "loss%",
-        "goodput",
-        "p99",
-        "retries",
-        "abandon",
-        "lost",
-        "dropped",
-        "strand",
-        "fallback",
-        "unacct"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<16} {:<14} {:>6.2} {:>8.4} {:>10} {:>8} {:>7} {:>7} {:>7} {:>6} {:>10} {:>6}",
-            r.system,
-            r.scenario,
-            r.loss * 100.0,
-            r.goodput,
-            r.p99.to_string(),
-            r.retries,
-            r.abandoned,
-            r.link_lost,
-            r.dropped,
-            r.stranded,
-            r.fallback.to_string(),
-            r.unaccounted
-        );
-    }
-    out
-}
-
-/// Render rows as a JSON array (no external serializer: every field is a
-/// number or a fixed label, so the encoding is trivial and stable).
-pub fn json(rows: &[ResilienceRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"system\":\"{}\",\"scenario\":\"{}\",\"loss\":{},\"goodput\":{:.6},\"p99_ns\":{},\"retries\":{},\"abandoned\":{},\"link_lost\":{},\"dropped\":{},\"stranded\":{},\"fallback_ns\":{},\"unaccounted\":{}}}",
-            r.system,
-            r.scenario,
-            r.loss,
-            r.goodput,
-            r.p99.as_nanos(),
-            r.retries,
-            r.abandoned,
-            r.link_lost,
-            r.dropped,
-            r.stranded,
-            r.fallback.as_nanos(),
-            r.unaccounted
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push(']');
-    out
-}
-
-/// Persist rows as CSV next to the figure outputs; returns the path.
-pub fn write_csv(
-    rows: &[ResilienceRow],
-    dir: &std::path::Path,
-) -> std::io::Result<std::path::PathBuf> {
-    use std::fmt::Write;
-    let mut out = String::from(
-        "system,scenario,loss,goodput,p99_us,retries,abandoned,link_lost,dropped,stranded,fallback_us,unaccounted\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.6},{:.3},{},{},{},{},{},{:.3},{}",
-            r.system,
-            r.scenario,
-            r.loss,
-            r.goodput,
-            r.p99.as_nanos() as f64 / 1e3,
-            r.retries,
-            r.abandoned,
-            r.link_lost,
-            r.dropped,
-            r.stranded,
-            r.fallback.as_nanos() as f64 / 1e3,
-            r.unaccounted
-        );
-    }
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("resilience.csv");
-    std::fs::write(&path, out)?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn smoke_rows_cover_every_system_and_close_ledgers() {
-        let rows = smoke();
+        let rows = smoke(false);
         assert_eq!(rows.len(), 5);
         for r in &rows {
             assert_eq!(r.unaccounted, 0, "{}: {r:?}", r.system);
@@ -366,8 +275,8 @@ mod tests {
 
     #[test]
     fn smoke_is_deterministic() {
-        let a = json(&smoke());
-        let b = json(&smoke());
+        let a = crate::report::json(&smoke(false));
+        let b = crate::report::json(&smoke(false));
         assert_eq!(a, b);
     }
 
@@ -389,16 +298,5 @@ mod tests {
             "fallback {} beyond blackout window {window}: {row:?}",
             row.fallback
         );
-    }
-
-    #[test]
-    fn table_and_json_render_all_rows() {
-        let rows = smoke();
-        let t = table(&rows);
-        assert!(t.contains("resilience"));
-        assert!(t.contains("loss+crash"));
-        let j = json(&rows);
-        assert!(j.starts_with('[') && j.ends_with(']'));
-        assert_eq!(j.matches("\"system\"").count(), rows.len());
     }
 }

@@ -90,12 +90,6 @@ pub fn policy_from_args(args: &[String]) -> Option<nicsched::PolicySpec> {
     found
 }
 
-/// [`policy_from_args`] over this process's own arguments.
-pub fn init_policy_from_args() -> Option<nicsched::PolicySpec> {
-    let args: Vec<String> = std::env::args().collect();
-    policy_from_args(&args)
-}
-
 /// Map `f` over `items` on the sweep pool, returning results in input
 /// order. With an effective job count of 1 (or a single item) this runs
 /// inline on the calling thread; either way the output is identical,
@@ -131,16 +125,6 @@ where
         .into_iter()
         .map(|r| r.expect("all points computed"))
         .collect()
-}
-
-/// Run `f` for every load in `loads_rps`, in parallel, returning results
-/// in input order. Each point is an independent, seeded simulation, so
-/// parallelism does not perturb results.
-pub fn sweep<F>(loads_rps: &[f64], f: F) -> Vec<RunMetrics>
-where
-    F: Fn(f64) -> RunMetrics + Sync,
-{
-    par_map(loads_rps, |&l| f(l))
 }
 
 /// One labelled curve of a [`run_grid`] call: a closure from `(x, base
@@ -247,16 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_preserves_order() {
-        let loads = linspace(100.0, 1000.0, 10);
-        let results = sweep(&loads, fake);
-        assert_eq!(results.len(), 10);
-        for (l, m) in loads.iter().zip(&results) {
-            assert_eq!(m.offered_rps, *l);
-        }
-    }
-
-    #[test]
     fn par_map_is_input_ordered_for_any_job_count() {
         let items: Vec<u64> = (0..97).collect();
         let expect: Vec<u64> = items.iter().map(|i| i * 3 + 1).collect();
@@ -303,7 +277,7 @@ mod tests {
 
     #[test]
     fn peak_and_knee() {
-        let results = sweep(&linspace(100.0, 2000.0, 20), fake);
+        let results: Vec<RunMetrics> = linspace(100.0, 2000.0, 20).into_iter().map(fake).collect();
         assert_eq!(peak_throughput(&results), 1000.0);
         let knee = knee_throughput(&results, SimDuration::from_micros(100));
         assert!(knee <= 800.0 && knee > 0.0, "knee {knee}");

@@ -864,10 +864,7 @@ mod tests {
         assert_eq!(d.outstanding(victim), 0, "charge released at reclaim");
         assert_eq!(d.stats.recovered, 1);
         assert_eq!(d.stats.requeued, 1);
-        assert_eq!(
-            d.health().unwrap().state_of(victim),
-            crate::WorkerHealth::Suspected
-        );
+        assert!(!d.health().unwrap().selectable(victim), "suspected");
         // The healthy copy completes normally: exactly one completion.
         let done = d.on_done(us(45), a[0].worker, 1);
         assert!(done.is_empty());
@@ -907,10 +904,7 @@ mod tests {
             assert!(d.check_health(us(t)).is_empty());
         }
         assert_eq!(d.stats.recovered, 0);
-        assert_eq!(
-            d.health().unwrap().state_of(0),
-            crate::WorkerHealth::Healthy
-        );
+        assert!(d.health().unwrap().selectable(0), "healthy");
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! * [`FeedbackChannel`] — the fine-grained core-status feedback path
 //!   whose latency is the "gap" of the title.
 //! * [`HealthTracker`] / [`RecoveryPolicy`] — NIC-side failure detection:
-//!   a deterministic lease/heartbeat discipline (Healthy → Suspected →
-//!   Dead → Readmitted) that lets the dispatcher reclaim and re-dispatch
+//!   a deterministic lease/heartbeat discipline (a worker is Healthy or
+//!   Suspected; activity readmits) that lets the dispatcher reclaim and re-dispatch
 //!   requests orphaned on a failed worker instead of waiting for the
 //!   client's retry timeout, with exactly-once completion accounting for
 //!   the false-positive case.
@@ -61,7 +61,7 @@ pub use policy::{
     ShortestRemaining,
 };
 pub use profile::{NicProfile, SchedCompute};
-pub use recovery::{HealthTracker, RecoveryPolicy, RecoveryStats, WorkerHealth};
+pub use recovery::{HealthTracker, RecoveryPolicy, RecoveryStats};
 pub use select::{CoreSelector, LeastOutstanding, SocketAffinity, WorkerView};
 pub use spec::{fmt_duration, parse_duration, LaneWeights, PolicyError, PolicySpec};
 pub use task::Task;

@@ -10,28 +10,23 @@
 //! involved and all per-worker state is index-addressed (`Vec`), so the
 //! tracker is bit-deterministic and passes the simlint container rules.
 //!
-//! # State machine
+//! # States
 //!
 //! ```text
-//!            lease expires                 lease expires again
-//! Healthy ───────────────────▶ Suspected ───────────────────▶ Dead
-//!    ▲                            │                            │
-//!    │ clean window               │ any activity               │ any activity
-//!    │                            ▼                            ▼
-//!    └──────────────────────── Readmitted ◀────────────────────┘
+//!            lease expires with work outstanding
+//! Healthy ──────────────────────────────────────▶ Suspected
+//!    ▲                                                │
+//!    └──────────── any activity (readmission) ────────┘
 //! ```
 //!
 //! * **Healthy** — lease current (or nothing owed). Selectable.
 //! * **Suspected** — the lease expired while the worker held outstanding
 //!   work. The dispatcher reclaims its in-flight requests for re-dispatch
-//!   and stops selecting it.
-//! * **Dead** — suspected for a further `dead_after - suspect_after`
-//!   without any sign of life. Terminal for a crashed worker; still
-//!   reversible, because "dead" is a verdict about silence, not hardware.
-//! * **Readmitted** — a suspected/dead worker produced activity (a late
-//!   completion, preemption notice, or heartbeat): the suspicion was a
-//!   false positive. Selectable again immediately; promoted back to
-//!   Healthy after one clean suspicion window.
+//!   and stops selecting it, for as long as the worker stays silent: a
+//!   crashed worker stays suspected for the rest of the run.
+//! * Any activity from a suspected worker (a late completion, preemption
+//!   notice, or heartbeat) proves the suspicion false: the worker is
+//!   readmitted, selectable again at once, and can be suspected again.
 //!
 //! Idle workers owe nothing: suspicion only arms while the worker has
 //! outstanding assignments, so an assembly without a heartbeat channel
@@ -42,29 +37,6 @@
 
 use sim_core::{SimDuration, SimTime};
 
-/// Per-worker liveness verdict, read through
-/// [`HealthTracker::state_of`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WorkerHealth {
-    /// Lease current (or nothing owed). Selectable.
-    #[default]
-    Healthy,
-    /// Lease expired with work outstanding; quarantined, orphans reclaimed.
-    Suspected,
-    /// Suspected and silent past the dead window.
-    Dead,
-    /// Suspicion proven false by late activity; selectable again.
-    Readmitted,
-}
-
-impl WorkerHealth {
-    /// Whether the dispatcher may assign new work to a worker in this
-    /// state.
-    pub fn selectable(self) -> bool {
-        matches!(self, WorkerHealth::Healthy | WorkerHealth::Readmitted)
-    }
-}
-
 /// Timing knobs for the lease discipline. `Copy` so it can ride inside
 /// `ResilienceConfig` through the sweep runners.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,9 +44,6 @@ pub struct RecoveryPolicy {
     /// A worker with outstanding work owing no activity for this long is
     /// suspected and its in-flight requests are reclaimed.
     pub suspect_after: SimDuration,
-    /// A suspected worker silent for this long (measured from its last
-    /// activity) is declared dead. Must exceed `suspect_after`.
-    pub dead_after: SimDuration,
     /// Worker-side heartbeat cadence on the completion path, and the
     /// NIC-side health-check tick. Must be below `suspect_after` or every
     /// lease would expire between renewals.
@@ -83,23 +52,21 @@ pub struct RecoveryPolicy {
 
 impl RecoveryPolicy {
     /// Defaults in paper scale: 5 µs heartbeats (matching the feedback
-    /// cadence), suspicion at 30 µs, death at 120 µs.
+    /// cadence) and suspicion at 30 µs.
     pub fn paper_default() -> RecoveryPolicy {
         RecoveryPolicy {
             suspect_after: SimDuration::from_micros(30),
-            dead_after: SimDuration::from_micros(120),
             heartbeat: SimDuration::from_micros(5),
         }
     }
 
-    /// A policy with the given suspicion window; death at 4× the window,
-    /// heartbeats at the paper cadence (capped at half the window).
+    /// A policy with the given suspicion window and heartbeats at the
+    /// paper cadence (capped at half the window).
     pub fn with_suspicion(window: SimDuration) -> RecoveryPolicy {
         assert!(window > SimDuration::ZERO, "empty suspicion window");
         let paper = RecoveryPolicy::paper_default();
         RecoveryPolicy {
             suspect_after: window,
-            dead_after: SimDuration::from_nanos(window.as_nanos().saturating_mul(4)),
             heartbeat: paper
                 .heartbeat
                 .min(SimDuration::from_nanos((window.as_nanos() / 2).max(1))),
@@ -111,11 +78,9 @@ impl RecoveryPolicy {
 /// assemblies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Healthy/Readmitted → Suspected transitions.
+    /// Healthy → Suspected transitions.
     pub suspicions: u64,
-    /// Suspected → Dead transitions.
-    pub deaths: u64,
-    /// Suspected/Dead → Readmitted transitions (false positives).
+    /// Suspected → Healthy transitions on activity (false positives).
     pub readmissions: u64,
 }
 
@@ -128,7 +93,8 @@ pub struct HealthTracker {
     /// Last proof of life (completion, preemption notice, or heartbeat),
     /// extended by assignments (lease renewal).
     last_seen: Vec<SimTime>,
-    state: Vec<WorkerHealth>,
+    /// Whether each worker is suspected (quarantined) right now.
+    suspected: Vec<bool>,
     /// Transition counters for the recovery ledger.
     pub stats: RecoveryStats,
 }
@@ -136,14 +102,10 @@ pub struct HealthTracker {
 impl HealthTracker {
     /// A tracker for `workers` workers, all Healthy with fresh leases.
     pub fn new(workers: usize, policy: RecoveryPolicy) -> HealthTracker {
-        assert!(
-            policy.dead_after > policy.suspect_after,
-            "dead window must exceed the suspicion window"
-        );
         HealthTracker {
             policy,
             last_seen: vec![SimTime::ZERO; workers],
-            state: vec![WorkerHealth::Healthy; workers],
+            suspected: vec![false; workers],
             stats: RecoveryStats::default(),
         }
     }
@@ -153,25 +115,16 @@ impl HealthTracker {
         self.policy
     }
 
-    /// Current verdict for `worker`.
-    pub fn state_of(&self, worker: usize) -> WorkerHealth {
-        self.state[worker]
-    }
-
     /// Proof of life from `worker` (completion, preemption notice, or
-    /// heartbeat). Returns `true` when this readmits a suspected or dead
-    /// worker — the caller should fire the policy's `worker_up` hook and
-    /// re-drain.
+    /// heartbeat). Returns `true` when this readmits a suspected worker —
+    /// the caller should fire the policy's `worker_up` hook and re-drain.
     pub fn on_activity(&mut self, now: SimTime, worker: usize) -> bool {
         self.last_seen[worker] = self.last_seen[worker].max(now);
-        match self.state[worker] {
-            WorkerHealth::Suspected | WorkerHealth::Dead => {
-                self.state[worker] = WorkerHealth::Readmitted;
-                self.stats.readmissions += 1;
-                true
-            }
-            WorkerHealth::Healthy | WorkerHealth::Readmitted => false,
+        let readmitted = std::mem::take(&mut self.suspected[worker]);
+        if readmitted {
+            self.stats.readmissions += 1;
         }
+        readmitted
     }
 
     /// Lease renewal on assignment: work handed to `worker` at `now` is
@@ -181,32 +134,19 @@ impl HealthTracker {
         self.last_seen[worker] = self.last_seen[worker].max(now);
     }
 
-    /// Advance the state machine to `now`. `outstanding[w]` gates
-    /// suspicion: a worker owing nothing cannot be suspected. Returns the
-    /// workers newly *suspected* this tick, in index order — the caller
-    /// reclaims their in-flight work and fires `worker_down`.
+    /// Suspect every healthy worker whose lease expired at `now`.
+    /// `outstanding[w]` gates suspicion: a worker owing nothing cannot be
+    /// suspected. Returns the workers newly *suspected* this tick, in
+    /// index order — the caller reclaims their in-flight work and fires
+    /// `worker_down`.
     pub fn check(&mut self, now: SimTime, outstanding: &[u32]) -> Vec<usize> {
         let mut newly_suspected = Vec::new();
-        for (w, &owed) in outstanding.iter().enumerate().take(self.state.len()) {
+        for (w, &owed) in outstanding.iter().enumerate().take(self.suspected.len()) {
             let silent_for = now.saturating_duration_since(self.last_seen[w]);
-            match self.state[w] {
-                WorkerHealth::Healthy | WorkerHealth::Readmitted
-                    if owed > 0 && silent_for > self.policy.suspect_after =>
-                {
-                    self.state[w] = WorkerHealth::Suspected;
-                    self.stats.suspicions += 1;
-                    newly_suspected.push(w);
-                }
-                // Probation clears once the worker shows life within the
-                // current window.
-                WorkerHealth::Readmitted if silent_for <= self.policy.suspect_after => {
-                    self.state[w] = WorkerHealth::Healthy;
-                }
-                WorkerHealth::Suspected if silent_for > self.policy.dead_after => {
-                    self.state[w] = WorkerHealth::Dead;
-                    self.stats.deaths += 1;
-                }
-                _ => {}
+            if !self.suspected[w] && owed > 0 && silent_for > self.policy.suspect_after {
+                self.suspected[w] = true;
+                self.stats.suspicions += 1;
+                newly_suspected.push(w);
             }
         }
         newly_suspected
@@ -214,7 +154,7 @@ impl HealthTracker {
 
     /// Whether the dispatcher may assign new work to `worker`.
     pub fn selectable(&self, worker: usize) -> bool {
-        self.state[worker].selectable()
+        !self.suspected[worker]
     }
 }
 
@@ -234,26 +174,25 @@ mod tests {
     fn idle_workers_are_never_suspected() {
         let mut t = tracker();
         assert!(t.check(us(10_000), &[0, 0]).is_empty());
-        assert_eq!(t.state_of(0), WorkerHealth::Healthy);
+        assert!(t.selectable(0));
         assert_eq!(t.stats, RecoveryStats::default());
     }
 
     #[test]
-    fn silence_with_outstanding_work_escalates_to_dead() {
+    fn silence_with_outstanding_work_is_suspected_once() {
         let mut t = tracker();
         t.on_assign(us(10), 0);
         assert!(t.check(us(35), &[1, 0]).is_empty(), "inside the window");
         assert_eq!(t.check(us(41), &[1, 0]), vec![0], "lease expired");
-        assert_eq!(t.state_of(0), WorkerHealth::Suspected);
         assert!(!t.selectable(0));
+        assert!(t.selectable(1));
         assert!(t.check(us(100), &[1, 0]).is_empty(), "no double suspicion");
-        assert!(t.check(us(131), &[1, 0]).is_empty());
-        assert_eq!(t.state_of(0), WorkerHealth::Dead);
+        assert!(t.check(us(10_000), &[1, 0]).is_empty());
+        assert!(!t.selectable(0), "silence keeps the worker suspected");
         assert_eq!(
             t.stats,
             RecoveryStats {
                 suspicions: 1,
-                deaths: 1,
                 readmissions: 0
             }
         );
@@ -263,22 +202,33 @@ mod tests {
     fn activity_renews_the_lease() {
         let mut t = tracker();
         t.on_assign(us(10), 0);
-        t.on_activity(us(30), 0);
+        assert!(
+            !t.on_activity(us(30), 0),
+            "a healthy worker is not readmitted"
+        );
         assert!(t.check(us(55), &[1, 0]).is_empty(), "renewed at 30");
         assert_eq!(t.check(us(61), &[1, 0]), vec![0]);
     }
 
     #[test]
-    fn late_activity_readmits_and_probation_clears() {
+    fn late_activity_readmits() {
         let mut t = tracker();
         t.on_assign(us(0), 1);
         assert_eq!(t.check(us(31), &[0, 1]), vec![1]);
         assert!(t.on_activity(us(40), 1), "late completion readmits");
-        assert_eq!(t.state_of(1), WorkerHealth::Readmitted);
         assert!(t.selectable(1));
-        t.check(us(45), &[0, 0]);
-        assert_eq!(t.state_of(1), WorkerHealth::Healthy, "clean probation");
+        assert!(!t.on_activity(us(41), 1), "readmitted once");
         assert_eq!(t.stats.readmissions, 1);
+    }
+
+    #[test]
+    fn long_silent_worker_readmits_on_activity() {
+        let mut t = tracker();
+        t.on_assign(us(0), 0);
+        t.check(us(31), &[1, 0]);
+        t.check(us(125), &[1, 0]);
+        assert!(t.on_activity(us(130), 0));
+        assert!(t.selectable(0));
     }
 
     #[test]
@@ -288,26 +238,14 @@ mod tests {
         assert_eq!(t.check(us(31), &[1, 0]), vec![0]);
         t.on_activity(us(40), 0);
         t.on_assign(us(41), 0);
-        assert_eq!(t.check(us(75), &[1, 0]), vec![0], "probation violated");
+        assert_eq!(t.check(us(75), &[1, 0]), vec![0], "lease expired again");
         assert_eq!(t.stats.suspicions, 2);
-    }
-
-    #[test]
-    fn dead_worker_readmits_on_activity() {
-        let mut t = tracker();
-        t.on_assign(us(0), 0);
-        t.check(us(31), &[1, 0]);
-        t.check(us(125), &[1, 0]);
-        assert_eq!(t.state_of(0), WorkerHealth::Dead);
-        assert!(t.on_activity(us(130), 0));
-        assert_eq!(t.state_of(0), WorkerHealth::Readmitted);
     }
 
     #[test]
     fn with_suspicion_scales_the_windows() {
         let p = RecoveryPolicy::with_suspicion(SimDuration::from_micros(10));
         assert_eq!(p.suspect_after, SimDuration::from_micros(10));
-        assert_eq!(p.dead_after, SimDuration::from_micros(40));
         assert!(p.heartbeat <= SimDuration::from_micros(5));
         assert!(p.heartbeat < p.suspect_after);
     }
