@@ -80,11 +80,6 @@ impl CoreSpec {
         let hz = self.freq_hz as f64;
         SimDuration::from_nanos_f64(cyc * 1e9 / hz)
     }
-
-    /// Convert a duration into raw cycles on this core.
-    pub fn to_cycles(&self, d: SimDuration) -> u64 {
-        (d.as_secs_f64() * self.freq_hz as f64).round() as u64
-    }
 }
 
 /// Dynamic state of one simulated core: busy/idle tracking and counters.
@@ -164,14 +159,6 @@ mod tests {
     fn raw_cycles_ignore_work_factor() {
         let arm = CoreSpec::nic_arm();
         assert_eq!(arm.raw_cycles(3000), SimDuration::from_micros(1));
-    }
-
-    #[test]
-    fn to_cycles_round_trips() {
-        let host = CoreSpec::host_x86();
-        let d = SimDuration::from_micros(10);
-        assert_eq!(host.to_cycles(d), 23_000);
-        assert_eq!(host.raw_cycles(host.to_cycles(d)), d);
     }
 
     #[test]

@@ -58,16 +58,16 @@ impl InterruptPath {
             }
         }
     }
-
-    /// Total decision-to-handler latency on `spec`.
-    pub fn total_latency(&self, spec: &CoreSpec) -> SimDuration {
-        self.transport_latency() + self.receive_cost(spec)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decision-to-handler latency of `path` on `spec`.
+    fn total_latency(path: InterruptPath, spec: &CoreSpec) -> SimDuration {
+        path.transport_latency() + path.receive_cost(spec)
+    }
 
     #[test]
     fn local_timer_has_no_transport() {
@@ -85,7 +85,7 @@ mod tests {
         assert_eq!(p.transport_latency().as_nanos(), 2_560);
         let host = CoreSpec::host_x86();
         assert!(
-            p.total_latency(&host) > SimDuration::from_micros(3),
+            total_latency(p, &host) > SimDuration::from_micros(3),
             "2.56us + receive"
         );
     }
@@ -99,7 +99,7 @@ mod tests {
         let direct = InterruptPath::DirectFromNic {
             latency: SimDuration::from_nanos(300),
         };
-        assert!(direct.total_latency(&host) * 3 < packet.total_latency(&host));
+        assert!(total_latency(direct, &host) * 3 < total_latency(packet, &host));
     }
 
     #[test]

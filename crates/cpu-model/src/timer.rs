@@ -15,7 +15,7 @@
 //! which is how a worker cancels the slice timer when a request finishes
 //! early (the simulator's event heap does not support removal).
 
-use sim_core::{SimDuration, SimTime};
+use sim_core::SimDuration;
 
 use crate::core::CoreSpec;
 
@@ -60,61 +60,30 @@ impl TimerMode {
 /// A one-shot preemption timer with generation-based cancellation.
 ///
 /// Usage inside a model:
-/// 1. `let gen = timer.arm(now + slice)` and schedule a `TimerFired { core,
-///    gen }` event at `timer.deadline()`.
-/// 2. On request completion call `timer.disarm()`.
-/// 3. When `TimerFired` arrives, `timer.accept(gen)` tells you whether the
-///    firing is still live or was cancelled/superseded.
-#[derive(Debug, Clone)]
+/// 1. `let gen = timer.arm()` and schedule a `TimerFired { core, gen }`
+///    event at the deadline.
+/// 2. When `TimerFired` arrives, `timer.accept(gen)` tells you whether the
+///    firing is still live or was superseded by a later `arm`.
+#[derive(Debug, Clone, Default)]
 pub struct OneShotTimer {
     generation: u64,
-    armed: Option<SimTime>,
-}
-
-impl Default for OneShotTimer {
-    fn default() -> Self {
-        Self::new()
-    }
+    armed: bool,
 }
 
 impl OneShotTimer {
-    /// A disarmed timer.
-    pub fn new() -> OneShotTimer {
-        OneShotTimer {
-            generation: 0,
-            armed: None,
-        }
-    }
-
-    /// Arm (or re-arm) for `deadline`, returning the generation token that
-    /// must accompany the firing event.
-    pub fn arm(&mut self, deadline: SimTime) -> u64 {
+    /// Arm (or re-arm), returning the generation token that must accompany
+    /// the firing event.
+    pub fn arm(&mut self) -> u64 {
         self.generation += 1;
-        self.armed = Some(deadline);
+        self.armed = true;
         self.generation
-    }
-
-    /// Cancel the pending firing, if any.
-    pub fn disarm(&mut self) {
-        self.generation += 1;
-        self.armed = None;
-    }
-
-    /// Whether a firing is pending.
-    pub fn is_armed(&self) -> bool {
-        self.armed.is_some()
-    }
-
-    /// Deadline of the pending firing.
-    pub fn deadline(&self) -> Option<SimTime> {
-        self.armed
     }
 
     /// Validate a firing: true exactly when `gen` is the live generation.
     /// A live firing also disarms the timer.
     pub fn accept(&mut self, gen: u64) -> bool {
-        if self.armed.is_some() && gen == self.generation {
-            self.armed = None;
+        if self.armed && gen == self.generation {
+            self.armed = false;
             true
         } else {
             false
@@ -161,29 +130,17 @@ mod tests {
 
     #[test]
     fn one_shot_lifecycle() {
-        let mut t = OneShotTimer::new();
-        assert!(!t.is_armed());
-        let g1 = t.arm(SimTime::from_micros(10));
-        assert!(t.is_armed());
-        assert_eq!(t.deadline(), Some(SimTime::from_micros(10)));
+        let mut t = OneShotTimer::default();
+        let g1 = t.arm();
         assert!(t.accept(g1), "live firing accepted");
-        assert!(!t.is_armed(), "accepting a firing disarms");
         assert!(!t.accept(g1), "a firing is accepted at most once");
     }
 
     #[test]
-    fn disarm_cancels_inflight_firing() {
-        let mut t = OneShotTimer::new();
-        let g = t.arm(SimTime::from_micros(10));
-        t.disarm();
-        assert!(!t.accept(g), "cancelled firing rejected");
-    }
-
-    #[test]
     fn rearm_supersedes_old_generation() {
-        let mut t = OneShotTimer::new();
-        let g1 = t.arm(SimTime::from_micros(10));
-        let g2 = t.arm(SimTime::from_micros(20));
+        let mut t = OneShotTimer::default();
+        let g1 = t.arm();
+        let g2 = t.arm();
         assert!(!t.accept(g1), "stale firing rejected");
         assert!(t.accept(g2));
     }

@@ -42,11 +42,6 @@ impl Topology {
         ((core / self.cores_per_socket as usize) as u8).min(self.sockets - 1)
     }
 
-    /// Total worker cores.
-    pub fn total_cores(&self) -> usize {
-        self.sockets as usize * self.cores_per_socket as usize
-    }
-
     /// Whether an access from `core` to data homed on `home_socket`
     /// crosses the socket interconnect.
     pub fn is_remote(&self, core: usize, home_socket: u8) -> bool {
@@ -69,7 +64,6 @@ mod tests {
             assert_eq!(t.socket_of(c), 0);
             assert!(!t.is_remote(c, 0));
         }
-        assert_eq!(t.total_cores(), 8);
     }
 
     #[test]

@@ -9,9 +9,10 @@ fn main() {
     outln!("=== microbenchmarks ===");
     let rows = experiments::microbench::run();
     outln!("{}", report::table(experiments::microbench::TITLE, &rows));
+    experiments::emit(&experiments::figures::fig2(Scale::Full, None));
+    let rows = experiments::figures::fig3(Scale::Full, None);
+    experiments::emit_rows("fig3", experiments::figures::FIG3_TITLE, &rows);
     for figure in [
-        experiments::figures::fig2(Scale::Full, None),
-        experiments::figures::fig3(Scale::Full, None),
         experiments::figures::fig4(Scale::Full),
         experiments::figures::fig5(Scale::Full),
         experiments::figures::fig6(Scale::Full),

@@ -4,8 +4,6 @@ fn main() {
     experiments::sweep::init_jobs_from_args();
     let args: Vec<String> = std::env::args().collect();
     let policy = experiments::sweep::policy_from_args(&args);
-    experiments::emit(&experiments::figures::fig3(
-        experiments::Scale::Full,
-        policy,
-    ));
+    let rows = experiments::figures::fig3(experiments::Scale::Full, policy);
+    experiments::emit_rows("fig3", experiments::figures::FIG3_TITLE, &rows);
 }

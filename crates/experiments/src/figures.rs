@@ -1,7 +1,7 @@
 //! The paper's evaluation, experiment by experiment (§4, Figures 2–6).
 //!
 //! Every function regenerates one figure as labelled latency-throughput
-//! curves (or throughput-vs-outstanding for Figure 3) using the same
+//! curves (or throughput-vs-outstanding rows for Figure 3) using the same
 //! workloads, worker counts and outstanding caps as the paper's captions.
 //! `Scale` trades measurement length for runtime so the test suite can
 //! exercise every experiment quickly while binaries run the full version.
@@ -13,8 +13,8 @@ use systems::shinjuku::ShinjukuConfig;
 use systems::{ProbeConfig, ServerSystem};
 use workload::{ServiceDist, WorkloadSpec};
 
-use crate::report::Figure;
-use crate::sweep::{linspace, run_grid, GridCurve};
+use crate::report::{col, Column, Figure, Kind, Row};
+use crate::sweep::{linspace, par_map, run_grid, GridCurve};
 
 /// Measurement scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,37 +101,65 @@ pub(crate) fn tagged(label: &str, policy: Option<PolicySpec>) -> String {
     }
 }
 
+/// One Figure 3 point: a worker count's saturated throughput at one
+/// outstanding cap.
+#[derive(Debug, Clone)]
+pub struct Fig3Row {
+    /// Curve label: the worker count, tagged with an overridden policy.
+    pub curve: String,
+    /// Offload workers.
+    pub workers: usize,
+    /// Outstanding requests allowed per worker.
+    pub cap: u32,
+    /// Achieved throughput at the saturating offered load.
+    pub achieved_rps: f64,
+    /// p99 sojourn at that load.
+    pub p99: SimDuration,
+}
+
+/// Title of the Figure 3 table.
+pub const FIG3_TITLE: &str = "fig3 — fixed 1us; Offload saturated throughput vs outstanding cap";
+
+impl Row for Fig3Row {
+    fn columns() -> Vec<Column<Self>> {
+        use Kind::*;
+        vec![
+            col("curve", Text(|r| r.curve.clone())),
+            col("workers", Int(|r| r.workers as i64)),
+            col("cap", Int(|r| i64::from(r.cap))),
+            col("achieved_rps", Rate(|r| r.achieved_rps)),
+            col("p99", Duration(|r| r.p99)),
+        ]
+    }
+}
+
 /// **Figure 3** — fixed 1 µs; Shinjuku-Offload only; throughput as the
-/// outstanding-requests cap sweeps 1..=7, for 4 and 16 workers. The curve
-/// reports the *achieved* throughput under heavy offered load (the
+/// outstanding-requests cap sweeps 1..=7, for 16 and then 4 workers. Each
+/// row reports the *achieved* throughput under heavy offered load (the
 /// saturation plateau the paper plots). `policy` overrides the scheduler
-/// as in [`fig2`].
-pub fn fig3(scale: Scale, policy: Option<PolicySpec>) -> Figure {
+/// as in [`fig2`]. Rows come curve by curve, in cap order.
+pub fn fig3(scale: Scale, policy: Option<PolicySpec>) -> Vec<Fig3Row> {
     // Offer well beyond any plateau so achieved == capacity.
     let base = scale.spec(2_500_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
-    let caps: Vec<f64> = (1..=7).map(f64::from).collect();
-    let curve_for = |workers: usize| {
-        GridCurve::new(
-            tagged(&format!("{workers} workers"), policy),
-            move |cap, spec| {
-                let cfg = OffloadConfig {
-                    time_slice: None,
-                    policy: policy.unwrap_or(PolicySpec::FCFS),
-                    ..OffloadConfig::paper(workers, cap as u32)
-                };
-                let mut m = cfg.run(spec, ProbeConfig::disabled());
-                // Re-purpose offered_rps to carry the x-axis value
-                // (outstanding requests) for reporting.
-                m.offered_rps = cap;
-                m
-            },
-        )
-    };
-    Figure {
-        id: "fig3".into(),
-        title: "fixed 1us; Offload saturated throughput vs outstanding cap (x = cap)".into(),
-        curves: run_grid(&caps, base, vec![curve_for(16), curve_for(4)]),
-    }
+    let cells: Vec<(usize, u32)> = [16, 4]
+        .into_iter()
+        .flat_map(|workers| (1..=7).map(move |cap| (workers, cap)))
+        .collect();
+    par_map(&cells, |&(workers, cap)| {
+        let cfg = OffloadConfig {
+            time_slice: None,
+            policy: policy.unwrap_or(PolicySpec::FCFS),
+            ..OffloadConfig::paper(workers, cap)
+        };
+        let m = cfg.run(base, ProbeConfig::disabled());
+        Fig3Row {
+            curve: tagged(&format!("{workers} workers"), policy),
+            workers,
+            cap,
+            achieved_rps: m.achieved_rps,
+            p99: m.p99,
+        }
+    })
 }
 
 /// **Figure 4** — fixed 5 µs, preemption off; Shinjuku 3 workers vs
@@ -235,7 +263,6 @@ pub fn fig6(scale: Scale) -> Figure {
 mod tests {
     use super::*;
     use crate::sweep::{knee_throughput, peak_throughput};
-    use workload::RunMetrics;
 
     #[test]
     fn fig2_shape_offload_extends_further() {
@@ -251,21 +278,34 @@ mod tests {
 
     #[test]
     fn fig3_shape_throughput_rises_then_plateaus() {
-        let f = fig3(Scale::Quick, None);
-        let w16 = &f.curves[0].points;
-        let w4 = &f.curves[1].points;
+        let rows = fig3(Scale::Quick, None);
+        // Achieved throughput by cap, for one worker count.
+        let curve = |workers: usize| -> Vec<f64> {
+            let rps: Vec<f64> = rows
+                .iter()
+                .filter(|r| r.workers == workers)
+                .map(|r| r.achieved_rps)
+                .collect();
+            assert_eq!(rps.len(), 7, "{workers} workers: one row per cap");
+            rps
+        };
+        let peak = |rps: &[f64]| rps.iter().copied().fold(0.0, f64::max);
+        let w16 = curve(16);
+        let w4 = curve(4);
+        assert_eq!(rows[0].workers, 16, "16 workers come first");
+        assert!(rows.iter().take(7).map(|r| r.cap).eq(1..=7), "cap order");
 
         // 4 workers: the queuing optimization must raise throughput by a
         // large factor before leveling out (the paper reports +250%; our
         // calibrated round trip gives roughly +150–200%).
-        let first4 = w4.first().unwrap().achieved_rps;
-        let peak4 = peak_throughput(w4);
+        let first4 = w4[0];
+        let peak4 = peak(&w4);
         assert!(
             peak4 > first4 * 1.5,
             "4 workers: cap must raise throughput a lot ({first4:.0} -> {peak4:.0})"
         );
-        let last4 = w4.last().unwrap().achieved_rps;
-        let second_last4 = w4[w4.len() - 2].achieved_rps;
+        let last4 = w4[w4.len() - 1];
+        let second_last4 = w4[w4.len() - 2];
         assert!(
             (last4 - second_last4).abs() / last4 < 0.10,
             "4 workers: should level out ({second_last4:.0} vs {last4:.0})"
@@ -276,11 +316,11 @@ mod tests {
         // requests the 5.1us round trip is already hidden, so the curve
         // starts near the ARM TX plateau. (The paper's +88% implies a much
         // larger effective round trip in the prototype; see EXPERIMENTS.md.)
-        let plateau16 = peak_throughput(w16);
-        let plateau4 = peak_throughput(w4);
+        let plateau16 = peak(&w16);
+        let plateau4 = peak(&w4);
         for pair in w16.windows(2) {
             assert!(
-                pair[1].achieved_rps > pair[0].achieved_rps * 0.93,
+                pair[1] > pair[0] * 0.93,
                 "16 workers: throughput must not collapse as cap grows"
             );
         }
@@ -288,14 +328,10 @@ mod tests {
             (plateau16 - plateau4).abs() / plateau4 < 0.15,
             "both worker counts hit the same ARM dispatcher plateau: {plateau16:.0} vs {plateau4:.0}"
         );
-        let reach = |pts: &[RunMetrics], plateau: f64| {
-            pts.iter()
-                .position(|m| m.achieved_rps >= 0.95 * plateau)
-                .unwrap()
-                + 1
-        };
+        let reach =
+            |rps: &[f64], plateau: f64| rps.iter().position(|&r| r >= 0.95 * plateau).unwrap() + 1;
         assert!(
-            reach(w16, plateau16) <= reach(w4, plateau4),
+            reach(&w16, plateau16) <= reach(&w4, plateau4),
             "16 workers should plateau at a lower cap"
         );
     }

@@ -17,10 +17,10 @@
 //!   Their in-flight requests are gone; the only question is who notices
 //!   first, the NIC's lease table or the client's timer.
 //! - `stall`: a storm of transient per-worker stalls (GC pause, SMI)
-//!   sweeps the pool. This is the false-positive gauntlet: a reclaimed
-//!   request's zombie copy finishes anyway when the worker wakes, and
-//!   the exactly-once filter must absorb it while the detector readmits
-//!   the worker.
+//!   sweeps the pool, up to [`sim_core::MAX_FAULT_EVENTS`] of them. This
+//!   is the false-positive gauntlet: a reclaimed request's zombie copy
+//!   finishes anyway when the worker wakes, and the exactly-once filter
+//!   must absorb it while the detector readmits the worker.
 //!
 //! Every row closes the request ledger, and the smoke body asserts the
 //! headline result: NIC recovery strictly beats retry-only p99 for both
@@ -54,35 +54,44 @@ impl Fault {
     }
 
     /// The fault schedule, scaled to the run horizon. Workers 1 and 3
-    /// crash at 40% and 55% of the run; the stall storm parks one worker
-    /// at a time for 250µs, round-robin, through the measure window.
+    /// crash at 40% and 55% of the run; the stall storm is
+    /// [`stall_storm`].
     fn schedule(&self, horizon: SimTime, workers: usize) -> FaultConfig {
         let h = horizon.as_nanos();
         match self {
             Fault::Crash => FaultConfig::default()
                 .with_crash(1, SimTime::from_nanos(h * 2 / 5))
                 .with_crash(3, SimTime::from_nanos(h * 11 / 20)),
-            Fault::Stall => {
-                let mut f = FaultConfig::default();
-                let stall = 250_000u64; // 250µs outage
-                let gap = 400_000u64; // storm period
-                let mut start = h * 3 / 10;
-                let mut w = 0usize;
-                let mut slots = 0;
-                while start + stall < h && slots < sim_core::MAX_FAULT_EVENTS {
-                    f = f.with_stall(
-                        w,
-                        SimTime::from_nanos(start),
-                        SimTime::from_nanos(start + stall),
-                    );
-                    start += gap;
-                    w = (w + 1) % workers;
-                    slots += 1;
-                }
-                f
-            }
+            Fault::Stall => stall_storm(horizon, workers)
+                .into_iter()
+                .fold(FaultConfig::default(), |f, (w, start, end)| {
+                    f.with_stall(w, start, end)
+                }),
         }
     }
+}
+
+/// The stall storm's windows `(worker, start, end)`: one worker at a time
+/// parked for 250µs, round-robin, every 400µs from 30% of the run, until
+/// a stall would reach the horizon or [`sim_core::MAX_FAULT_EVENTS`]
+/// stalls are scheduled, whichever comes first. At `Scale::Quick` (6 ms)
+/// that is 10 stalls ending at 5.65 ms. At `Scale::Full` (22 ms) the cap
+/// ends the storm after 16 stalls at 12.85 ms, so the last ~9 ms of the
+/// run are stall-free.
+fn stall_storm(horizon: SimTime, workers: usize) -> Vec<(usize, SimTime, SimTime)> {
+    let h = horizon.as_nanos();
+    let stall = 250_000u64; // 250µs outage
+    let gap = 400_000u64; // storm period
+    (0u64..)
+        .map(|k| h * 3 / 10 + k * gap)
+        .take_while(|&start| start + stall < h)
+        .take(sim_core::MAX_FAULT_EVENTS)
+        .enumerate()
+        .map(|(i, start)| {
+            let end = SimTime::from_nanos(start + stall);
+            (i % workers, SimTime::from_nanos(start), end)
+        })
+        .collect()
 }
 
 /// One cell of the recovery grid.
@@ -323,6 +332,32 @@ mod tests {
             .find(|r| r.fault == "stall" && r.mode == "nic-recovery")
             .expect("stall nic arm");
         assert!(stall_nic.readmissions > 0, "{stall_nic:?}");
+    }
+
+    #[test]
+    fn stall_storm_runs_uncapped_at_quick_and_capped_at_full() {
+        let cases = [(Scale::Quick, 10, 5_650), (Scale::Full, 16, 12_850)];
+        for (scale, stalls, last_end_us) in cases {
+            let horizon = spec_for(scale).horizon();
+            let storm = stall_storm(horizon, WORKERS);
+            assert_eq!(storm.len(), stalls, "{scale:?}: stall count");
+            let &(w, last_start, end) = storm.last().expect("a storm");
+            assert_eq!(end, SimTime::from_micros(last_end_us), "{scale:?}: end");
+            // Capped exactly when the horizon had room for another stall.
+            let next_end = last_start + SimDuration::from_micros(400 + 250);
+            let capped = stalls == sim_core::MAX_FAULT_EVENTS;
+            assert_eq!(next_end < horizon, capped, "{scale:?}: cap");
+            // The schedule holds these windows: the last stall is live
+            // just before its end, and no worker stalls after it.
+            let faults = Fault::Stall.schedule(horizon, WORKERS);
+            let before = SimTime::from_nanos(end.as_nanos() - 1);
+            assert_eq!(faults.worker_stalled_until(w, before), Some(end));
+            for t in (end.as_nanos()..horizon.as_nanos()).step_by(50_000) {
+                let t = SimTime::from_nanos(t);
+                let down = (0..WORKERS).any(|w| faults.worker_down(w, t));
+                assert!(!down, "{scale:?}: a worker stalls at {t}");
+            }
+        }
     }
 
     #[test]

@@ -165,7 +165,7 @@ fn loss_rates(scale: Scale) -> Vec<f64> {
     }
 }
 
-/// The fault plan of one cell: `scenario` at `loss` over the run, with
+/// The resilience settings of one cell: `scenario` at `loss` over the run, with
 /// client retries and the paper's staleness fallback on.
 fn cell_config(spec: &WorkloadSpec, scenario: Scenario, loss: f64) -> ResilienceConfig {
     ResilienceConfig {

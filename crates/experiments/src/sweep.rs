@@ -127,34 +127,25 @@ where
         .collect()
 }
 
-/// One labelled curve of a [`run_grid`] call: a closure from `(x, base
-/// spec)` to metrics.
+/// One labelled curve of a [`run_grid`] call: a closure from `(offered
+/// load, base spec)` to metrics.
 pub struct GridCurve<'a> {
     /// Curve label for tables and CSV.
     pub label: String,
-    /// Per-point runner; receives the grid x-value and the figure's
+    /// Per-point runner; receives the grid's offered load and the figure's
     /// shared base spec.
     pub run: Box<dyn Fn(f64, WorkloadSpec) -> RunMetrics + Sync + 'a>,
 }
 
 impl<'a> GridCurve<'a> {
-    /// A curve from an arbitrary per-point closure (for grids whose x
-    /// axis is not offered load, e.g. Figure 3's outstanding cap).
-    pub fn new<F>(label: impl Into<String>, run: F) -> Self
-    where
-        F: Fn(f64, WorkloadSpec) -> RunMetrics + Sync + 'a,
-    {
+    /// One assembly, probes off, run at each offered load.
+    pub fn system(label: impl Into<String>, sys: impl ServerSystem + Sync + 'a) -> Self {
         GridCurve {
             label: label.into(),
-            run: Box::new(run),
+            run: Box::new(move |rps, base: WorkloadSpec| {
+                sys.run(base.at(rps), sim_core::ProbeConfig::disabled())
+            }),
         }
-    }
-
-    /// The common case: one assembly, probes off, x = offered load.
-    pub fn system(label: impl Into<String>, sys: impl ServerSystem + Sync + 'a) -> Self {
-        GridCurve::new(label, move |rps, base: WorkloadSpec| {
-            sys.run(base.at(rps), sim_core::ProbeConfig::disabled())
-        })
     }
 }
 
@@ -250,14 +241,11 @@ mod tests {
             0.0,
             workload::ServiceDist::Fixed(SimDuration::from_micros(1)),
         );
-        let curves = run_grid(
-            &xs,
-            base,
-            vec![
-                GridCurve::new("a", |x, _| fake(x)),
-                GridCurve::new("b", |x, _| fake(x * 2.0)),
-            ],
-        );
+        let curve = |label: &str, scale: f64| GridCurve {
+            label: label.into(),
+            run: Box::new(move |x, _| fake(x * scale)),
+        };
+        let curves = run_grid(&xs, base, vec![curve("a", 1.0), curve("b", 2.0)]);
         assert_eq!(curves.len(), 2);
         assert_eq!(curves[0].label, "a");
         assert_eq!(curves[1].label, "b");

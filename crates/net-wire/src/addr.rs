@@ -15,9 +15,6 @@ use crate::WireError;
 pub struct EthernetAddress(pub [u8; 6]);
 
 impl EthernetAddress {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: EthernetAddress = EthernetAddress([0xff; 6]);
-
     /// Construct from raw octets.
     pub const fn new(a: u8, b: u8, c: u8, d: u8, e: u8, f: u8) -> Self {
         EthernetAddress([a, b, c, d, e, f])
@@ -33,26 +30,6 @@ impl EthernetAddress {
     /// The octets of the address.
     pub const fn as_bytes(&self) -> &[u8] {
         &self.0
-    }
-
-    /// True for the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True for group (multicast) addresses, broadcast included.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
-    /// True for a unicast, non-zero address.
-    pub fn is_unicast(&self) -> bool {
-        !self.is_multicast() && self.0 != [0; 6]
-    }
-
-    /// True if the locally-administered bit is set.
-    pub fn is_local(&self) -> bool {
-        self.0[0] & 0x02 != 0
     }
 }
 
@@ -95,11 +72,6 @@ impl FromStr for EthernetAddress {
 pub struct Ipv4Address(pub [u8; 4]);
 
 impl Ipv4Address {
-    /// The unspecified address `0.0.0.0`.
-    pub const UNSPECIFIED: Ipv4Address = Ipv4Address([0; 4]);
-    /// The limited-broadcast address `255.255.255.255`.
-    pub const BROADCAST: Ipv4Address = Ipv4Address([0xff; 4]);
-
     /// Construct from dotted-quad octets.
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
         Ipv4Address([a, b, c, d])
@@ -115,31 +87,6 @@ impl Ipv4Address {
     /// The octets of the address.
     pub const fn as_bytes(&self) -> &[u8] {
         &self.0
-    }
-
-    /// Big-endian numeric value — handy as RSS hash input.
-    pub fn to_u32(&self) -> u32 {
-        u32::from_be_bytes(self.0)
-    }
-
-    /// True for the limited-broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True for class-D multicast addresses.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0xf0 == 0xe0
-    }
-
-    /// True for `0.0.0.0`.
-    pub fn is_unspecified(&self) -> bool {
-        *self == Self::UNSPECIFIED
-    }
-
-    /// True for addresses usable as a unicast source/destination.
-    pub fn is_unicast(&self) -> bool {
-        !self.is_broadcast() && !self.is_multicast() && !self.is_unspecified()
     }
 }
 
@@ -211,20 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn mac_classification() {
-        assert!(EthernetAddress::BROADCAST.is_broadcast());
-        assert!(EthernetAddress::BROADCAST.is_multicast());
-        let uni = EthernetAddress::new(0x02, 0, 0, 0, 0, 1);
-        assert!(uni.is_unicast());
-        assert!(uni.is_local());
-        assert!(!uni.is_multicast());
-        let multi = EthernetAddress::new(0x01, 0, 0x5e, 0, 0, 1);
-        assert!(multi.is_multicast());
-        assert!(!multi.is_unicast());
-        assert!(!EthernetAddress::default().is_unicast());
-    }
-
-    #[test]
     fn mac_parse_rejects_garbage() {
         assert!("".parse::<EthernetAddress>().is_err());
         assert!("1:2:3".parse::<EthernetAddress>().is_err());
@@ -237,16 +170,6 @@ mod tests {
         let ip = Ipv4Address::new(10, 1, 2, 3);
         assert_eq!(ip.to_string(), "10.1.2.3");
         assert_eq!("10.1.2.3".parse::<Ipv4Address>().unwrap(), ip);
-        assert_eq!(ip.to_u32(), 0x0a010203);
-    }
-
-    #[test]
-    fn ipv4_classification() {
-        assert!(Ipv4Address::BROADCAST.is_broadcast());
-        assert!(Ipv4Address::new(224, 0, 0, 1).is_multicast());
-        assert!(Ipv4Address::UNSPECIFIED.is_unspecified());
-        assert!(Ipv4Address::new(192, 168, 0, 1).is_unicast());
-        assert!(!Ipv4Address::new(239, 255, 255, 255).is_unicast());
     }
 
     #[test]

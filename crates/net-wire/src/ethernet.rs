@@ -76,11 +76,6 @@ impl<T: AsRef<[u8]>> Frame<T> {
         }
     }
 
-    /// Recover the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Destination MAC address.
     pub fn dst_addr(&self) -> EthernetAddress {
         EthernetAddress::from_bytes(&self.buffer.as_ref()[field::DST])

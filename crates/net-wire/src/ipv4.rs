@@ -83,11 +83,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ok(())
     }
 
-    /// Recover the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// IP version field (must be 4).
     pub fn version(&self) -> u8 {
         self.buffer.as_ref()[field::VER_IHL] >> 4
@@ -112,12 +107,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
     /// Payload protocol.
     pub fn protocol(&self) -> Protocol {
         Protocol::from(self.buffer.as_ref()[field::PROTOCOL])
-    }
-
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        let raw = &self.buffer.as_ref()[field::CHECKSUM];
-        u16::from_be_bytes([raw[0], raw[1]])
     }
 
     /// Source address.
@@ -393,7 +382,7 @@ mod proptests {
         let _ = Repr::parse(&Packet::new_unchecked(data));
         if let Ok(packet) = Packet::new_checked(data) {
             let _ = (packet.version(), packet.ttl(), packet.protocol());
-            let _ = (packet.header_checksum(), packet.verify_checksum());
+            let _ = packet.verify_checksum();
             let _ = (packet.src_addr(), packet.dst_addr());
             let payload = packet.payload().len();
             prop_assert_eq!(packet.header_len() + payload, packet.total_len() as usize);

@@ -161,11 +161,6 @@ impl NicDevice {
         &mut self.ifaces[id.0 as usize]
     }
 
-    /// Number of interfaces.
-    pub fn iface_count(&self) -> usize {
-        self.ifaces.len()
-    }
-
     /// Audit every RX ring of every interface (occupancy bounds and frame
     /// conservation), reporting violations through `inv`. Called from
     /// [`sim_core::Model::check_invariants`] implementations on invcheck
@@ -218,7 +213,6 @@ mod tests {
         let b = dev.add_iface(mac(2), 1, 64, QueueSteering::Single);
         assert_eq!(dev.steer(&frame_to(mac(1), 5)).unwrap().iface, a);
         assert_eq!(dev.steer(&frame_to(mac(2), 5)).unwrap().iface, b);
-        assert_eq!(dev.iface_count(), 2);
     }
 
     #[test]

@@ -41,4 +41,4 @@ pub use device::{Iface, IfaceId, NicDevice, QueueSteering, SteerDecision};
 pub use flow_director::{FlowDirector, FlowKey, InstallResult};
 pub use link::Link;
 pub use ring::{Ring, RxFrame};
-pub use rss::{four_tuple_input, toeplitz_hash, two_tuple_input, Rss, DEFAULT_KEY};
+pub use rss::{four_tuple_input, toeplitz_hash, Rss, DEFAULT_KEY};

@@ -102,11 +102,6 @@ impl Link {
         Some(arrival)
     }
 
-    /// The instant the transmitter becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.next_free
-    }
-
     /// Link utilization over `[0, now]`.
     pub fn utilization(&self, now: SimTime) -> f64 {
         if now == SimTime::ZERO {

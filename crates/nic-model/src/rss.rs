@@ -51,14 +51,6 @@ pub fn four_tuple_input(src: [u8; 4], dst: [u8; 4], src_port: u16, dst_port: u16
     input
 }
 
-/// The hash input for IPv4 without ports (the "2-tuple" configuration).
-pub fn two_tuple_input(src: [u8; 4], dst: [u8; 4]) -> [u8; 8] {
-    let mut input = [0u8; 8];
-    input[0..4].copy_from_slice(&src);
-    input[4..8].copy_from_slice(&dst);
-    input
-}
-
 /// An RSS engine: key + indirection table mapping hash → RX queue.
 #[derive(Debug, Clone)]
 pub struct Rss {
@@ -216,7 +208,8 @@ mod tests {
             ([153, 39, 163, 191], [202, 188, 127, 2], 0x5d18_09c5),
         ];
         for &(src, dst, expect) in cases {
-            let h = toeplitz_hash(&DEFAULT_KEY, &two_tuple_input(src, dst));
+            // The 2-tuple input is the two addresses, big-endian.
+            let h = toeplitz_hash(&DEFAULT_KEY, &[src, dst].concat());
             assert_eq!(h, expect, "src {src:?} dst {dst:?}");
         }
     }

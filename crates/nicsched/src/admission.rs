@@ -62,11 +62,6 @@ impl AdmissionPolicy {
             }
         }
     }
-
-    /// Whether this policy never sheds.
-    pub fn is_open(&self) -> bool {
-        matches!(self, AdmissionPolicy::Open)
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +71,6 @@ mod tests {
     #[test]
     fn open_always_accepts() {
         assert_eq!(AdmissionPolicy::Open.admit(usize::MAX), Admission::Accept);
-        assert!(AdmissionPolicy::Open.is_open());
     }
 
     #[test]
@@ -84,7 +78,6 @@ mod tests {
         let p = AdmissionPolicy::TailDrop { cap: 4 };
         assert_eq!(p.admit(3), Admission::Accept);
         assert_eq!(p.admit(4), Admission::ShedSilent);
-        assert!(!p.is_open());
     }
 
     #[test]

@@ -545,11 +545,6 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         self.outstanding.len()
     }
 
-    /// The configured outstanding cap.
-    pub fn outstanding_cap(&self) -> u32 {
-        self.outstanding_cap
-    }
-
     /// Access the queue policy (e.g. to read what it has learned, like
     /// [`Srpt::estimate`](crate::Srpt::estimate)).
     pub fn policy(&self) -> &P {

@@ -64,16 +64,6 @@ impl Task {
         self.preemptions += 1;
         self
     }
-
-    /// True when no work remains.
-    pub fn is_finished(&self) -> bool {
-        self.remaining.is_zero()
-    }
-
-    /// Work already completed.
-    pub fn progress(&self) -> SimDuration {
-        self.service - self.remaining
-    }
 }
 
 #[cfg(test)]
@@ -95,8 +85,6 @@ mod tests {
     fn fresh_task_owes_everything() {
         let t = task();
         assert_eq!(t.remaining, t.service);
-        assert_eq!(t.progress(), SimDuration::ZERO);
-        assert!(!t.is_finished());
         assert_eq!(t.preemptions, 0);
     }
 
@@ -104,7 +92,6 @@ mod tests {
     fn preemption_subtracts_and_counts() {
         let t = task().after_preemption(SimDuration::from_micros(10));
         assert_eq!(t.remaining, SimDuration::from_micros(15));
-        assert_eq!(t.progress(), SimDuration::from_micros(10));
         assert_eq!(t.preemptions, 1);
         let t = t.after_preemption(SimDuration::from_micros(10));
         assert_eq!(t.remaining, SimDuration::from_micros(5));
@@ -114,7 +101,6 @@ mod tests {
     #[test]
     fn over_run_saturates() {
         let t = task().after_preemption(SimDuration::from_micros(100));
-        assert!(t.is_finished());
         assert_eq!(t.remaining, SimDuration::ZERO);
     }
 

@@ -26,7 +26,7 @@
 //! firings still works, but the handle API is cheaper — a cancelled event
 //! is dropped inside the queue and never reaches the model.
 
-use crate::faults::FaultPlan;
+use crate::faults::FaultConfig;
 use crate::invariants::InvariantChecker;
 use crate::probe::{Probe, ProbeHandle};
 use crate::queue::{EventQueue, TimerHandle};
@@ -53,13 +53,14 @@ pub trait Model {
 }
 
 /// Handler-side view of the engine: the clock plus direct access to the
-/// event queue, probe and fault plan for the duration of one event.
+/// event queue, probe and fault configuration for the duration of one
+/// event.
 pub struct Ctx<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
     stop: bool,
     probe: &'a mut Probe,
-    faults: &'a mut FaultPlan,
+    faults: &'a FaultConfig,
 }
 
 impl<E> Ctx<'_, E> {
@@ -76,11 +77,10 @@ impl<E> Ctx<'_, E> {
         ProbeHandle::new(self.now, enabled.then_some(&mut *self.probe))
     }
 
-    /// The fault-injection oracle at the current instant. Every engine
-    /// carries a (default fault-free) [`FaultPlan`], so models can consult
-    /// it unconditionally; install a real plan with
-    /// [`Engine::set_faults`].
-    pub fn faults(&mut self) -> &mut FaultPlan {
+    /// The run's fault schedule. Every engine carries a (default
+    /// fault-free) [`FaultConfig`], so models can consult it
+    /// unconditionally; install a real one with [`Engine::set_faults`].
+    pub fn faults(&self) -> &FaultConfig {
         self.faults
     }
 
@@ -183,8 +183,8 @@ pub struct Engine<M: Model> {
     // Boxed so the engine stays cheap to move; handlers borrow it through
     // their `Ctx`, no moves per event.
     probe: Box<Probe>,
-    // Same lifecycle as `probe`: a fault-free plan unless one is installed.
-    faults: Box<FaultPlan>,
+    // Same lifecycle as `probe`: fault-free unless a schedule is installed.
+    faults: Box<FaultConfig>,
     // A disabled checker unless one is installed; stays engine-resident
     // (models see it only through `Model::check_invariants`).
     invariants: Box<InvariantChecker>,
@@ -242,14 +242,9 @@ impl<M: Model> Engine<M> {
         &mut self.probe
     }
 
-    /// Install a fault plan (usually `FaultPlan::new(cfg, seed)`).
-    pub fn set_faults(&mut self, faults: FaultPlan) {
+    /// Install the run's fault schedule.
+    pub fn set_faults(&mut self, faults: FaultConfig) {
         *self.faults = faults;
-    }
-
-    /// Shared access to the fault plan (e.g. to read its loss counters).
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
     }
 
     /// Current simulated instant (the time of the last event processed).
@@ -342,7 +337,7 @@ impl<M: Model> Engine<M> {
             queue: &mut self.queue,
             stop: false,
             probe: &mut self.probe,
-            faults: &mut self.faults,
+            faults: &self.faults,
         };
         self.model.handle(event, &mut ctx);
         if ctx.stop {

@@ -73,7 +73,7 @@ impl fmt::Display for Violation {
 /// The engine-resident invariant checker.
 ///
 /// Lives inside the [`Engine`](crate::Engine) next to the probe and the
-/// fault plan; install one with
+/// fault schedule; install one with
 /// [`Engine::set_invariants`](crate::Engine::set_invariants).
 #[derive(Debug, Default)]
 pub struct InvariantChecker {

@@ -59,7 +59,7 @@ mod time;
 mod wheel;
 
 pub use engine::{Ctx, Engine, Model, RunOutcome};
-pub use faults::{FaultConfig, FaultPlan, FaultStats, MAX_FAULT_EVENTS};
+pub use faults::{FaultConfig, MAX_FAULT_EVENTS};
 pub use idtable::IdTable;
 pub use invariants::{InvariantChecker, InvariantConfig, Violation};
 pub use probe::{Probe, ProbeConfig, ProbeHandle, StageReport, TraceEvent};

@@ -419,11 +419,6 @@ impl Probe {
         self.cfg.enabled
     }
 
-    /// The configuration this probe was built with.
-    pub fn config(&self) -> ProbeConfig {
-        self.cfg
-    }
-
     /// Register counter `name`. Its row appears on its first count.
     pub fn counter(&mut self, name: &'static str) -> Counter {
         Counter(Key {

@@ -94,14 +94,6 @@ impl Rng {
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
     }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -192,20 +184,5 @@ mod tests {
         let hits = (0..100_000).filter(|_| rng.chance(0.005)).count();
         // 500 expected; allow generous slack.
         assert!((300..=700).contains(&hits), "hits {hits}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::new(21);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            xs,
-            (0..100).collect::<Vec<_>>(),
-            "astronomically unlikely identity"
-        );
     }
 }

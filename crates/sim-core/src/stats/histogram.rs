@@ -174,10 +174,6 @@ impl Histogram {
     pub fn p50(&self) -> Option<u64> {
         self.value_at_quantile(0.50)
     }
-    /// 90th percentile.
-    pub fn p90(&self) -> Option<u64> {
-        self.value_at_quantile(0.90)
-    }
     /// 99th percentile — the paper's "tail latency".
     pub fn p99(&self) -> Option<u64> {
         self.value_at_quantile(0.99)
@@ -185,30 +181,6 @@ impl Histogram {
     /// 99.9th percentile.
     pub fn p999(&self) -> Option<u64> {
         self.value_at_quantile(0.999)
-    }
-
-    /// Merge another histogram recorded with the same precision.
-    ///
-    /// # Panics
-    /// Panics if precisions differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.precision, other.precision,
-            "histogram precision mismatch"
-        );
-        if other.total == 0 {
-            return;
-        }
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
     }
 
     /// Reset to empty, keeping the allocation.
@@ -304,35 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_combined_stream() {
-        let mut whole = Histogram::new(7);
-        let mut a = Histogram::new(7);
-        let mut b = Histogram::new(7);
-        for i in 0..5_000u64 {
-            let v = (i * 7919) % 1_000_000;
-            whole.record(v);
-            if i % 2 == 0 {
-                a.record(v)
-            } else {
-                b.record(v)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.p99(), whole.p99());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    #[should_panic(expected = "precision mismatch")]
-    fn merge_rejects_mixed_precision() {
-        let mut a = Histogram::new(7);
-        let b = Histogram::new(8);
-        a.merge(&b);
-    }
-
-    #[test]
     fn clear_resets() {
         let mut h = Histogram::latency();
         h.record(5);
@@ -392,23 +335,6 @@ mod proptests {
             prop_assert_eq!(h.max(), values.iter().copied().max());
             let mean = values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64;
             prop_assert!((h.mean() - mean).abs() < 1e-6 * mean.max(1.0));
-        }
-
-        /// Merging two histograms equals recording the concatenated stream.
-        #[test]
-        fn merge_is_concat(xs in proptest::collection::vec(0u64..1_000_000, 0..200),
-                           ys in proptest::collection::vec(0u64..1_000_000, 0..200)) {
-            let mut a = Histogram::new(6);
-            let mut b = Histogram::new(6);
-            let mut whole = Histogram::new(6);
-            for &x in &xs { a.record(x); whole.record(x); }
-            for &y in &ys { b.record(y); whole.record(y); }
-            a.merge(&b);
-            prop_assert_eq!(a.count(), whole.count());
-            prop_assert_eq!(a.p50(), whole.p50());
-            prop_assert_eq!(a.p99(), whole.p99());
-            prop_assert_eq!(a.min(), whole.min());
-            prop_assert_eq!(a.max(), whole.max());
         }
     }
 }

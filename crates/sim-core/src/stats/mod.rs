@@ -1,10 +1,8 @@
-//! Measurement primitives: streaming moments, latency histograms, and
-//! time-weighted state tracking.
+//! Measurement primitives: latency histograms and time-weighted state
+//! tracking.
 
 mod histogram;
-mod summary;
 mod timeweighted;
 
 pub use histogram::Histogram;
-pub use summary::Summary;
 pub use timeweighted::{BusyTracker, TimeWeighted};

@@ -158,12 +158,6 @@ impl SimDuration {
         self.0 as f64 / 1_000_000_000.0
     }
 
-    /// The ratio of two spans, as a float (`self / rhs`). The lossless
-    /// replacement for ad-hoc `as f64` division at call sites.
-    pub fn div_duration_f64(self, rhs: SimDuration) -> f64 {
-        self.0 as f64 / rhs.0 as f64
-    }
-
     /// True if this span is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

@@ -12,6 +12,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec, InterruptPath, OneShotTimer};
+use net_wire::ethernet::HEADER_LEN;
 use net_wire::{
     Endpoint, EthernetAddress, FrameHeader, FrameSpec, Ipv4Address, MsgKind, MsgRepr, ParsedFrame,
 };
@@ -23,17 +24,13 @@ use nicsched::{
 use sim_core::faults::FaultConfig;
 use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
 use sim_core::{
-    Ctx, Engine, FaultPlan, IdTable, InvariantChecker, InvariantConfig, Model, Probe, ProbeConfig,
-    Rng, SimDuration, SimTime,
+    Ctx, Engine, IdTable, InvariantChecker, InvariantConfig, Model, Probe, ProbeConfig, Rng,
+    SimDuration, SimTime,
 };
 use workload::{
     ArrivalGen, ArrivalProcess, FaultMetrics, LatencyRecorder, ReqClass, RetryPolicy, RunMetrics,
     WorkloadSpec,
 };
-
-/// Seed salt for the fault plan's private random stream, so fault
-/// decisions never perturb the workload's own streams.
-pub const FAULT_SEED_SALT: u64 = 0x5EED_FA17;
 
 /// When the dispatcher's view of workers goes stale enough to be dead
 /// data, stop steering on it: degrade to RSS-style hashing, and
@@ -72,7 +69,7 @@ impl StalenessPolicy {
 /// [`ServerSystem::run_resilient`]: crate::ServerSystem::run_resilient
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ResilienceConfig {
-    /// Timed fault events (loss, bursts, crashes, stalls, blackouts).
+    /// Timed fault events (loss, crashes, stalls, blackouts).
     pub faults: FaultConfig,
     /// Client-side timeout/retry policy (`None` = fire-and-forget).
     pub retry: Option<RetryPolicy>,
@@ -95,15 +92,6 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// Whether anything here deviates from the legacy fault-free path.
-    pub fn is_active(&self) -> bool {
-        !self.faults.is_none()
-            || self.retry.is_some()
-            || !self.admission.is_open()
-            || self.fallback.is_some()
-            || self.recovery.is_some()
-    }
-
     /// The ISSUE-2 acceptance scenario: 1% wire loss plus a mid-run crash
     /// of `worker` at `at`, with retries and the staleness fallback on.
     pub fn loss_and_crash(worker: usize, at: SimTime) -> ResilienceConfig {
@@ -161,10 +149,10 @@ pub trait Assembly: Model + Sized {
 }
 
 /// Run assembly `A` under `cfg` on `spec`: the one harness every assembly
-/// shares. It builds the probe, engine, invariant checker and fault plan
-/// (with the fault stream salted by [`FAULT_SEED_SALT`]), seeds the run,
-/// runs to the horizon, counts ring drops and sheds as dropped, attaches
-/// the stage report when `probe` is on, and closes the invariant audit.
+/// shares. It builds the probe, engine, invariant checker and fault
+/// schedule, seeds the run, runs to the horizon, counts ring drops and
+/// sheds as dropped, attaches the stage report when `probe` is on, and
+/// closes the invariant audit.
 pub fn run<A: Assembly>(
     spec: WorkloadSpec,
     cfg: A::Config,
@@ -185,8 +173,7 @@ pub fn run<A: Assembly>(
 }
 
 /// Assembly `A`'s engine under `cfg` on `spec`, not yet seeded: the model
-/// with its probe, invariant checker and fault plan (the fault stream
-/// salted by [`FAULT_SEED_SALT`]).
+/// with its probe, invariant checker and fault schedule.
 pub(crate) fn engine<A: Assembly>(
     spec: WorkloadSpec,
     cfg: A::Config,
@@ -197,9 +184,7 @@ pub(crate) fn engine<A: Assembly>(
     let mut engine = Engine::new(A::new(spec, cfg, res, &mut recorder));
     engine.set_probe(recorder);
     engine.set_invariants(InvariantChecker::new(res.invariants));
-    if res.is_active() {
-        engine.set_faults(FaultPlan::new(res.faults, spec.seed ^ FAULT_SEED_SALT));
-    }
+    engine.set_faults(res.faults);
     engine
 }
 
@@ -400,7 +385,7 @@ impl FrameCodec {
 }
 
 /// The client↔server Ethernet every assembly shares: a 10 GbE link each
-/// way, lossy at the fault plan's i.i.d. rate, plus the plan's burst loss.
+/// way, lossy at the fault schedule's i.i.d. rate.
 /// It counts what it drops and schedules the arrival of what it carries.
 /// Its codec check covers every frame of the assembly: the wire's own,
 /// and the in-machine hops' through `codec`. It also holds the probe keys
@@ -413,7 +398,7 @@ pub struct Wire {
     /// The codec check of the assembly's frames.
     pub(crate) codec: FrameCodec,
     keys: EdgeKeys,
-    /// Request frames lost on the client→server wire (i.i.d. + burst).
+    /// Request frames lost on the client→server wire.
     pub req_lost: u64,
     /// Response/NACK frames lost on the server→client wire.
     pub resp_lost: u64,
@@ -478,7 +463,8 @@ impl Wire {
     /// server, unless the wire loses it.
     pub(crate) fn request<E: ClientEdge>(&mut self, spec: FrameSpec, ctx: &mut Ctx<'_, E>) {
         let spec = self.codec.build(spec);
-        match transmit(&mut self.to_server, spec, ctx.now(), ctx) {
+        let len = spec.frame_len() - HEADER_LEN;
+        match self.to_server.transmit_lossy(ctx.now(), len) {
             Some(at) => ctx.schedule_at(at, E::at_server(spec)),
             None => {
                 self.req_lost += 1;
@@ -497,7 +483,8 @@ impl Wire {
         ctx: &mut Ctx<'_, E>,
     ) {
         let spec = self.codec.build(spec);
-        match transmit(&mut self.to_client, spec, depart, ctx) {
+        let len = spec.frame_len() - HEADER_LEN;
+        match self.to_client.transmit_lossy(depart, len) {
             Some(at) => ctx.schedule_at(at, E::client(ClientEv::Response(spec))),
             None => {
                 self.resp_lost += 1;
@@ -642,9 +629,10 @@ struct Worker {
     idle_since: Option<SimTime>,
 }
 
-/// An assembly's host worker cores, indexed machine-wide as the fault plan
-/// is, and the one way a core runs a request: the paper holds the workers
-/// fixed and varies only where dispatch runs and how work reaches a core.
+/// An assembly's host worker cores, indexed machine-wide as the fault
+/// schedule is, and the one way a core runs a request: the paper holds the
+/// workers fixed and varies only where dispatch runs and how work reaches a
+/// core.
 /// They share one context pool, its costs on the host core spec, how a
 /// slice ends, and the count of tasks stranded on crashed workers. The
 /// caller polls, starts and ends runs, and sends what its transport sends.
@@ -685,7 +673,7 @@ impl Workers {
             cores: (0..n)
                 .map(|w| Worker {
                     core: Core::new(CoreId(w as u32), host, t0),
-                    timer: OneShotTimer::new(),
+                    timer: OneShotTimer::default(),
                     running: None,
                     idle_since: Some(t0),
                 })
@@ -806,9 +794,7 @@ impl Workers {
     /// Start `task` on idle worker `w` after `fixed` overhead of the
     /// caller's own (receive, first touch, steal), plus the context spawn
     /// or restore and, when the task's grant resolves to a slice, arming a
-    /// local timer. A slowdown window stretches the wall time; the work the
-    /// run does, which decides finish or preemption, is unchanged. The run
-    /// ends with `run_end(generation)`.
+    /// local timer. The run ends with `run_end(generation)`.
     #[inline]
     pub fn start<E>(
         &mut self,
@@ -845,16 +831,9 @@ impl Workers {
             }
             None => task.remaining,
         };
-        let slow = ctx.faults().worker_slowdown(w, now);
-        // A slowdown window stretches wall time, not the work done.
-        let wall = if slow > 1.0 {
-            (overhead + run).mul_f64(slow)
-        } else {
-            overhead + run
-        };
         worker.core.set_busy(now);
-        let end = now + wall;
-        let gen = worker.timer.arm(end);
+        let end = now + overhead + run;
+        let gen = worker.timer.arm();
         worker.running = Some((task, run));
         ctx.schedule_at(end, run_end(gen));
     }
@@ -1064,7 +1043,7 @@ impl<S: CoreSelector> DispatchCore<S> {
     }
 
     /// Dispatcher index `worker`'s liveness tick (`global` in the fault
-    /// plan), `None` at the horizon. A worker that is down or blacked out
+    /// schedule), `None` at the horizon. A worker that is down or blacked out
     /// neither reports to the governor nor renews its lease; that silence
     /// is what both detect, on this tick.
     /// Returns the occupancy a renewal reports (`None` when silenced or
@@ -1135,20 +1114,6 @@ pub(crate) trait ClientEdge: Sized {
     fn client(ev: ClientEv) -> Self;
     /// A request frame reaching the server.
     fn at_server(spec: FrameSpec) -> Self;
-}
-
-/// Apply burst loss, then the link's own loss, to a frame of the spec's
-/// wire length: its arrival time, or `None` if it was lost.
-fn transmit<E>(
-    link: &mut Link,
-    spec: FrameSpec,
-    at: SimTime,
-    ctx: &mut Ctx<'_, E>,
-) -> Option<SimTime> {
-    if ctx.faults().burst_frame_lost(at) {
-        return None;
-    }
-    link.transmit_lossy(at, spec.frame_len() - net_wire::ethernet::HEADER_LEN)
 }
 
 /// Deterministic MAC/IP addressing plan for a simulated testbed.

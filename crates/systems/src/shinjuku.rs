@@ -304,7 +304,7 @@ impl Assembly for Shinjuku {
 
 impl Shinjuku {
     /// The group of machine-wide worker `w`, and `w`'s index within it
-    /// (fault plans, core ids and endpoints number workers across groups;
+    /// (fault schedules, core ids and endpoints number workers across groups;
     /// a group's dispatcher numbers its own).
     fn local(&self, w: usize) -> (usize, usize) {
         (w / self.cfg.workers, w % self.cfg.workers)

@@ -3,8 +3,8 @@
 //! The paper reports "the 99th percentile latency as the tail latency" (§4)
 //! of the client-observed sojourn time, after a warmup. [`LatencyRecorder`]
 //! tracks overall and per-class histograms (short vs long requests in the
-//! bimodal workload), completion counts for goodput, and slowdown (sojourn
-//! divided by service time), with warmup samples discarded.
+//! bimodal workload) and completion counts for goodput, with warmup samples
+//! discarded.
 
 use sim_core::stats::Histogram;
 use sim_core::{SimDuration, SimTime};
@@ -26,7 +26,6 @@ pub struct LatencyRecorder {
     all: Histogram,
     short: Histogram,
     long: Histogram,
-    slowdown_x1000: Histogram,
     /// Completions recorded (post-warmup).
     pub completed: u64,
     /// Completions ignored because they finished during warmup.
@@ -43,7 +42,6 @@ impl LatencyRecorder {
             all: Histogram::latency(),
             short: Histogram::latency(),
             long: Histogram::latency(),
-            slowdown_x1000: Histogram::latency(),
             completed: 0,
             warmup_discarded: 0,
             first_recorded: None,
@@ -52,12 +50,13 @@ impl LatencyRecorder {
     }
 
     /// Record a completion observed at `now` for a request sent at
-    /// `sent_at` with intrinsic service time `service` and class `class`.
+    /// `sent_at` with class `class`. The request's intrinsic service time
+    /// is accepted but not used.
     pub fn record(
         &mut self,
         now: SimTime,
         sent_at: SimTime,
-        service: SimDuration,
+        _service: SimDuration,
         class: ReqClass,
     ) {
         if now < self.warmup_until {
@@ -69,10 +68,6 @@ impl LatencyRecorder {
         match class {
             ReqClass::Short => self.short.record(sojourn.as_nanos()),
             ReqClass::Long => self.long.record(sojourn.as_nanos()),
-        }
-        if !service.is_zero() {
-            let slowdown = sojourn.div_duration_f64(service);
-            self.slowdown_x1000.record((slowdown * 1000.0) as u64);
         }
         self.completed += 1;
         if self.first_recorded.is_none() {
@@ -112,11 +107,6 @@ impl LatencyRecorder {
     /// Mean sojourn.
     pub fn mean(&self) -> Option<SimDuration> {
         (self.completed > 0).then(|| SimDuration::from_nanos_f64_trunc(self.all.mean()))
-    }
-
-    /// p99 of the slowdown (sojourn / service).
-    pub fn p99_slowdown(&self) -> Option<f64> {
-        self.slowdown_x1000.p99().map(|v| v as f64 / 1000.0)
     }
 
     /// Achieved goodput over the measurement span, requests/second.
@@ -180,15 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_tracks_ratio() {
-        let mut rec = LatencyRecorder::new(SimTime::ZERO);
-        // 20us sojourn on a 5us request = 4x slowdown.
-        rec.record(us(20), us(0), SimDuration::from_micros(5), ReqClass::Short);
-        let s = rec.p99_slowdown().unwrap();
-        assert!((s - 4.0).abs() < 0.05, "slowdown {s}");
-    }
-
-    #[test]
     fn achieved_rps_spans_measurement_window() {
         let mut rec = LatencyRecorder::new(SimTime::ZERO);
         // 11 completions, 1 per 10us, spanning 100us -> 100k rps.
@@ -210,13 +191,5 @@ mod tests {
         assert_eq!(rec.p99(), None);
         assert_eq!(rec.mean(), None);
         assert_eq!(rec.achieved_rps(), 0.0);
-    }
-
-    #[test]
-    fn zero_service_time_does_not_divide_by_zero() {
-        let mut rec = LatencyRecorder::new(SimTime::ZERO);
-        rec.record(us(5), us(0), SimDuration::ZERO, ReqClass::Short);
-        assert_eq!(rec.completed, 1);
-        assert_eq!(rec.p99_slowdown(), None);
     }
 }

@@ -61,11 +61,6 @@ impl WorkloadSpec {
         SimTime::ZERO + self.warmup
     }
 
-    /// Expected number of requests over the horizon.
-    pub fn expected_requests(&self) -> u64 {
-        (self.offered_rps * (self.warmup + self.measure).as_secs_f64()) as u64
-    }
-
     /// Classify a sampled service time against this distribution: for
     /// bimodal workloads a request of the long mode is [`ReqClass::Long`];
     /// for other shapes, anything above 4× the mean counts as long.
@@ -304,7 +299,6 @@ mod tests {
         let w = WorkloadSpec::new(100_000.0, ServiceDist::Fixed(SimDuration::from_micros(1)));
         assert_eq!(w.warmup_until(), SimTime::from_millis(10));
         assert_eq!(w.horizon(), SimTime::from_millis(110));
-        assert_eq!(w.expected_requests(), 11_000);
     }
 
     #[test]
