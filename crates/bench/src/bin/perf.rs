@@ -9,9 +9,9 @@
 //!
 //! * **engine** — events/second of the indexed [`EventQueue`] against the
 //!   pre-existing [`LegacyHeap`] (kept as the executable specification)
-//!   on a bundle of workload shapes that mirror the simulator's real
-//!   traffic (timer chains, schedule_now handoff cascades, NIC fan-outs
-//!   over a standing timer population, sparse far-future timer wheels,
+//!   on a bundle of workload shapes, each over a standing population of
+//!   64 or more events (timer chains, schedule_now handoff cascades, NIC
+//!   fan-outs over a standing timer population, sparse far-future timers,
 //!   cancel-heavy RPC-timeout traffic, reschedule-heavy deadline
 //!   extension), plus the full [`Engine`] loop. The headline is
 //!   `normalized_throughput`: the geometric mean of the per-shape
@@ -99,11 +99,13 @@ impl Q for LegacyHeap<Payload> {
 fn drive<T: Q>(q: &mut T, shape: &Shape, n_events: u64) -> (u64, u64) {
     let mut checksum = 0u64;
     let mut processed = 0u64;
-    // Standing far-future timers: retransmit timeouts, connection
-    // expiries, periodic telemetry. Real runs always carry a population
-    // of these, so hot-path events pay the sift depth they induce. They
-    // only drain at the end (which is inside the timed region, but is
-    // `backlog` pops against `n_events` — noise).
+    // Standing far-future timers, like the one 200 µs retry timeout per
+    // in-flight request of the resilience and recovery grids. Model runs
+    // without retries keep no such population (at most 24 events pending);
+    // with one, hot-path events pay whatever cost it induces, which is
+    // what the queue's wheel is for. They only drain at the end (which is
+    // inside the timed region, but is `backlog` pops against `n_events` —
+    // noise).
     const FAR: u64 = 1 << 40;
     let backlog = match *shape {
         Shape::Chains { backlog, .. }
@@ -301,11 +303,13 @@ struct EngineRow {
 }
 
 fn bench_queues(n_events: u64, handicap: u64) -> Vec<EngineRow> {
-    // The bundle mirrors how the models in this repository actually use
-    // the queue (see crates/systems): scattered completion/arrival timers
-    // at two scales, schedule_now handoff cascades, and NIC fan-out
-    // bursts — the latter two over a standing timer population, which is
-    // where every real run spends its time.
+    // The bundle builds on the idioms the models in this repository use
+    // (see crates/systems): scattered completion/arrival timers at two
+    // scales, schedule_now handoff cascades, and NIC fan-out bursts — the
+    // latter two over a standing timer population. Every shape keeps 64
+    // or more events pending, above the population bound at which the
+    // queue engages its timer wheel, so these measure the wheel path;
+    // model runs, which keep at most 24 pending, never take it.
     let shapes: [(&'static str, Shape); 8] = [
         (
             "timer_chain_64",
@@ -596,8 +600,18 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    experiments::sweep::init_jobs_from_args();
+    let args = experiments::args(
+        "",
+        &[
+            "--smoke",
+            "--out <path>",
+            "--compare <path>",
+            "--tolerance <f>",
+            "--floor <f>",
+            "--jobs N",
+            "--handicap N",
+        ],
+    );
     let smoke = args.iter().any(|a| a == "--smoke");
     let handicap: u64 = flag_value(&args, "--handicap")
         .and_then(|v| v.parse().ok())

@@ -3,8 +3,7 @@
 use experiments::{ablation, Scale};
 
 fn main() {
-    experiments::sweep::init_jobs_from_args();
-    let args: Vec<String> = std::env::args().collect();
+    let args = experiments::args("", &["--jobs N", "--policy <spec>", "--plot"]);
     let policy = experiments::sweep::policy_from_args(&args);
     for figure in [
         ablation::comm_path(Scale::Full, policy),

@@ -5,7 +5,7 @@
 use experiments::{outln, report, Scale};
 
 fn main() {
-    experiments::sweep::init_jobs_from_args();
+    experiments::args("", &["--jobs N", "--plot"]);
     outln!("=== microbenchmarks ===");
     let rows = experiments::microbench::run();
     outln!("{}", report::table(experiments::microbench::TITLE, &rows));

@@ -1,6 +1,6 @@
 //! The §2.1/§2.2 baseline comparison on the dispersion workload.
 fn main() {
-    experiments::sweep::init_jobs_from_args();
+    experiments::args("", &["--jobs N", "--plot"]);
     let figure = experiments::ablation::baselines(experiments::Scale::Full);
     experiments::emit(&figure);
 }

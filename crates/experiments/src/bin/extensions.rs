@@ -3,6 +3,6 @@
 //! dual socket, JIT pacing and worker scaling.
 
 fn main() {
-    experiments::sweep::init_jobs_from_args();
+    experiments::args("", &["--jobs N", "--plot"]);
     experiments::extensions::emit_all(experiments::Scale::Full);
 }

@@ -1,8 +1,7 @@
 //! Regenerate the paper's Fig2 (see experiments::figures). `--policy
 //! <spec>` swaps the scheduler on both assemblies (policy spec grammar).
 fn main() {
-    experiments::sweep::init_jobs_from_args();
-    let args: Vec<String> = std::env::args().collect();
+    let args = experiments::args("", &["--jobs N", "--policy <spec>", "--plot"]);
     let policy = experiments::sweep::policy_from_args(&args);
     experiments::emit(&experiments::figures::fig2(
         experiments::Scale::Full,

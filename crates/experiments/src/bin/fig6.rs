@@ -1,6 +1,6 @@
 //! Regenerate the paper's Fig6 (see experiments::figures).
 fn main() {
-    experiments::sweep::init_jobs_from_args();
+    experiments::args("", &["--jobs N", "--plot"]);
     let figure = experiments::figures::fig6(experiments::Scale::Full);
     experiments::emit(&figure);
 }

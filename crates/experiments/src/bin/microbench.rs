@@ -3,5 +3,6 @@
 use experiments::{microbench, outln, report};
 
 fn main() {
+    experiments::args("", &[]);
     outln!("{}", report::table(microbench::TITLE, &microbench::run()));
 }

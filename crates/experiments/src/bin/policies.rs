@@ -10,8 +10,7 @@
 use experiments::{policies, Scale};
 
 fn main() {
-    experiments::sweep::init_jobs_from_args();
-    let args: Vec<String> = std::env::args().collect();
+    let args = experiments::args("", &["--jobs N", "--smoke", "--quick", "--json"]);
     let scale = if args.iter().any(|a| a == "--smoke" || a == "--quick") {
         Scale::Quick
     } else {

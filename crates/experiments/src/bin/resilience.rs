@@ -11,8 +11,17 @@
 use experiments::{resilience, Scale};
 
 fn main() {
-    experiments::sweep::init_jobs_from_args();
-    let args: Vec<String> = std::env::args().collect();
+    let args = experiments::args(
+        "",
+        &[
+            "--jobs N",
+            "--smoke",
+            "--quick",
+            "--invariants",
+            "--json",
+            "--policy <spec>",
+        ],
+    );
     let has = |flag: &str| args.iter().any(|a| a == flag);
     let policy = experiments::sweep::policy_from_args(&args);
     let rows = if has("--smoke") {

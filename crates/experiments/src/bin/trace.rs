@@ -175,7 +175,7 @@ fn render_json(by_req: &BTreeMap<u64, Vec<&TraceEvent>>) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = experiments::args("[system] [rps]", &["--json", "--policy <spec>"]);
     let json = args.iter().any(|a| a == "--json");
     let mut sys = system_from_args(&args);
     if let Some(spec) = experiments::sweep::policy_from_args(&args) {

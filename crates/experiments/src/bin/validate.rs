@@ -14,7 +14,7 @@ struct Check {
 }
 
 fn main() {
-    experiments::sweep::init_jobs_from_args();
+    experiments::args("", &["--jobs N"]);
     let scale = Scale::Quick;
     let mut checks: Vec<Check> = Vec::new();
 

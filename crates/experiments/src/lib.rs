@@ -24,7 +24,9 @@
 //!
 //! Each figure has a binary (`cargo run --release -p experiments --bin
 //! fig2` …) that prints the table and writes `results/<id>.csv`; `--bin
-//! all` regenerates everything.
+//! all` regenerates everything. Every binary checks its arguments with
+//! [`args`] before it runs: `--help` prints its usage line, and an unknown
+//! argument exits with status 2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -108,4 +110,112 @@ macro_rules! outln {
     ($($arg:tt)*) => {
         $crate::print_line(format_args!($($arg)*))
     };
+}
+
+/// The process arguments after the program name, checked against what the
+/// binary accepts before anything runs. `flags` lists its options; an
+/// entry with a placeholder (`"--policy <spec>"`) takes a value, as the
+/// next argument or after `=`. `operands` names the positional words the
+/// binary takes (`""` for none) for the usage line. `--help` prints that
+/// line and exits 0; an unknown argument prints it to stderr and exits 2.
+/// A `--jobs N` among accepted flags sets the sweep worker count.
+pub fn args(operands: &str, flags: &[&str]) -> Vec<String> {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    let verdict = check_args(&args, !operands.is_empty(), flags);
+    if verdict == Ok(true) {
+        outln!("{}", usage(&program, operands, flags));
+        std::process::exit(0);
+    }
+    if let Err(e) = verdict {
+        eprintln!("{e}");
+        eprintln!("{}", usage(&program, operands, flags));
+        std::process::exit(2);
+    }
+    sweep::init_jobs_from_args(&args);
+    args
+}
+
+/// `Ok(true)` when `args` ask for help, `Ok(false)` when they are all
+/// accepted, and the first offending argument otherwise.
+fn check_args(args: &[String], operands: bool, flags: &[&str]) -> Result<bool, String> {
+    let mut words = args.iter();
+    while let Some(a) = words.next() {
+        if a == "--help" || a == "-h" {
+            return Ok(true);
+        }
+        if operands && !a.starts_with('-') {
+            continue;
+        }
+        let (name, inline) = a
+            .split_once('=')
+            .map_or((a.as_str(), false), |(n, _)| (n, true));
+        match flags.iter().find(|f| f.split(' ').next() == Some(name)) {
+            Some(f) if f.contains(' ') => {
+                if !inline && words.next().is_none() {
+                    return Err(format!("{name} needs a value"));
+                }
+            }
+            Some(_) if !inline => {}
+            _ => return Err(format!("unknown argument {a:?}")),
+        }
+    }
+    Ok(false)
+}
+
+fn usage(program: &str, operands: &str, flags: &[&str]) -> String {
+    let name = std::path::Path::new(program)
+        .file_name()
+        .map_or(program.into(), |n| n.to_string_lossy());
+    let mut line = format!("usage: {name}");
+    if !operands.is_empty() {
+        line += &format!(" {operands}");
+    }
+    for flag in flags {
+        line += &format!(" [{flag}]");
+    }
+    line
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(line: &str, operands: bool) -> Result<bool, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        check_args(&args, operands, &["--jobs N", "--smoke", "--policy <spec>"])
+    }
+
+    #[test]
+    fn known_flags_and_values_pass() {
+        assert_eq!(check("", false), Ok(false));
+        assert_eq!(check("--smoke --jobs 2 --policy=srpt", false), Ok(false));
+        assert_eq!(
+            check("--jobs=4 --policy edf:deadline=50us", false),
+            Ok(false)
+        );
+        assert_eq!(check("rss 4000 --smoke", true), Ok(false));
+    }
+
+    #[test]
+    fn help_wins_and_unknown_arguments_fail() {
+        assert_eq!(check("--smoke --help", false), Ok(true));
+        assert_eq!(check("-h", false), Ok(true));
+        assert!(check("--bogus", false).is_err());
+        assert!(check("--smoke=1", false).is_err());
+        assert!(check("rss", false).is_err());
+        assert!(
+            check("--smoke --jobs", false).is_err(),
+            "a value is missing"
+        );
+    }
+
+    #[test]
+    fn usage_lists_operands_then_flags() {
+        assert_eq!(
+            usage("/x/trace", "[system] [rps]", &["--json", "--policy <spec>"]),
+            "usage: trace [system] [rps] [--json] [--policy <spec>]"
+        );
+    }
 }

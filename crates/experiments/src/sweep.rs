@@ -10,7 +10,7 @@
 //! cursor hands out point indices, results land in their input slot, and
 //! output order is always input order. The worker count is process-global
 //! (every figure function funnels through [`par_map`]), set by the
-//! `--jobs N` flag on each experiment binary via [`init_jobs_from_args`]:
+//! `--jobs N` flag on each experiment binary via [`crate::args`]:
 //! `--jobs 1` runs inline on the calling thread — no pool at all — and by
 //! construction produces byte-identical output to any other `--jobs`
 //! value; the default is the host's available parallelism.
@@ -41,13 +41,12 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Parse `--jobs N` / `--jobs=N` from the process arguments and install
-/// it via [`set_jobs`]; returns the effective worker count. Every
-/// experiment binary calls this first. Unparsable values are ignored
-/// (auto remains in effect) rather than aborting a long sweep over a
-/// typo'd flag nobody needs for correctness.
-pub fn init_jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
+/// Parse `--jobs N` / `--jobs=N` from `args` and install it via
+/// [`set_jobs`]. [`crate::args`] calls this on the arguments it checked,
+/// before any sweep runs. Unparsable values are ignored (auto remains in
+/// effect) rather than aborting a long sweep over a typo'd flag nobody
+/// needs for correctness.
+pub(crate) fn init_jobs_from_args(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let val = if a == "--jobs" {
@@ -59,7 +58,6 @@ pub fn init_jobs_from_args() -> usize {
             set_jobs(n);
         }
     }
-    jobs()
 }
 
 /// Parse `--policy <spec>` / `--policy=<spec>` from `args` using the

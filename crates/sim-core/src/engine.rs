@@ -2,9 +2,9 @@
 //!
 //! Following the event-driven style of poll-based network stacks, the engine
 //! owns a single *model* (the whole simulated system as one state machine)
-//! and a time-ordered event queue (the three-lane indexed [`EventQueue`] —
-//! see [`crate::queue`] for the lane layout and why it is faster than the
-//! naive heap it replaced). There are no threads, no async runtime and
+//! and a time-ordered event queue (the indexed [`EventQueue`] — see
+//! [`crate::queue`] for its lanes and why it is faster than the naive heap
+//! it replaced). There are no threads, no async runtime and
 //! no shared-state cells: a handler receives `&mut self` on the model plus a
 //! [`Ctx`] through which it posts future events — the `Ctx` borrows the
 //! engine's queue directly, so scheduling is one queue insert with no
@@ -321,6 +321,13 @@ impl<M: Model> Engine<M> {
         let Some((at, seq, event)) = self.queue.pop() else {
             return false;
         };
+        self.dispatch(at, seq, event);
+        true
+    }
+
+    /// Advance the clock to a popped event and hand it to the model.
+    #[inline]
+    fn dispatch(&mut self, at: SimTime, seq: u64, event: M::Event) {
         if self.invariants.is_enabled() {
             self.invariants.observe_pop(self.now, at, seq);
             // Even on a causality violation (possible only through the
@@ -346,7 +353,6 @@ impl<M: Model> Engine<M> {
         if self.invariants.is_enabled() {
             self.model.check_invariants(self.now, &mut self.invariants);
         }
-        true
     }
 
     /// Seed an event with no causality check — deliberately able to put
@@ -376,19 +382,15 @@ impl<M: Model> Engine<M> {
             if self.stopped {
                 return RunOutcome::Stopped;
             }
-            match self.queue.peek_at() {
-                None => {
+            let Some((at, seq, event)) = self.queue.pop_due(horizon) else {
+                if self.queue.is_empty() {
                     self.audit_drained();
                     return RunOutcome::Drained;
                 }
-                Some(at) if at > horizon => {
-                    self.now = horizon.max(self.now);
-                    return RunOutcome::Horizon;
-                }
-                Some(_) => {
-                    self.step();
-                }
-            }
+                self.now = horizon.max(self.now);
+                return RunOutcome::Horizon;
+            };
+            self.dispatch(at, seq, event);
         }
     }
 

@@ -116,11 +116,13 @@ impl FaultConfig {
         self
     }
 
-    /// Whether `worker` has crashed by `now`.
+    /// Whether `worker` has crashed by `now`. Slots fill in insertion
+    /// order and are never cleared, so the scan stops at the first empty
+    /// one: a fault-free run reads a single slot.
     pub fn worker_crashed(&self, worker: usize, now: SimTime) -> bool {
         self.crashes
             .iter()
-            .flatten()
+            .map_while(Option::as_ref)
             .any(|c| c.worker == worker && now >= c.at)
     }
 
@@ -129,7 +131,7 @@ impl FaultConfig {
     pub fn worker_stalled_until(&self, worker: usize, now: SimTime) -> Option<SimTime> {
         self.stalls
             .iter()
-            .flatten()
+            .map_while(Option::as_ref)
             .filter(|s| s.worker == worker && now >= s.start && now < s.end)
             .map(|s| s.end)
             .max()
@@ -209,6 +211,48 @@ mod tests {
             .with_stall(0, us(15), us(30));
         assert_eq!(f.worker_stalled_until(0, us(16)), Some(us(30)));
         assert_eq!(f.worker_stalled_until(0, us(12)), Some(us(20)));
+    }
+
+    #[test]
+    fn scans_stopping_at_the_first_empty_slot_see_every_fault() {
+        // The same queries over every slot, empty ones skipped.
+        let crashed = |f: &FaultConfig, w: usize, now: SimTime| {
+            f.crashes
+                .iter()
+                .flatten()
+                .any(|c| c.worker == w && now >= c.at)
+        };
+        let stalled = |f: &FaultConfig, w: usize, now: SimTime| {
+            f.stalls
+                .iter()
+                .flatten()
+                .filter(|s| s.worker == w && now >= s.start && now < s.end)
+                .map(|s| s.end)
+                .max()
+        };
+        let f = (0..5).fold(FaultConfig::default(), |f, i| {
+            f.with_crash(i % 3, us(100 * i as u64 + 50)).with_stall(
+                i % 2,
+                us(40 * i as u64),
+                us(40 * i as u64 + 60),
+            )
+        });
+        let mut instants = Vec::new();
+        for i in 0..5u64 {
+            for edge in [100 * i + 50, 40 * i, 40 * i + 60] {
+                instants.extend([edge.saturating_sub(1), edge, edge + 1]);
+            }
+        }
+        for now in instants.into_iter().map(us) {
+            for w in 0..4 {
+                assert_eq!(f.worker_crashed(w, now), crashed(&f, w, now));
+                assert_eq!(f.worker_stalled_until(w, now), stalled(&f, w, now));
+                assert_eq!(
+                    f.worker_down(w, now),
+                    crashed(&f, w, now) || stalled(&f, w, now).is_some()
+                );
+            }
+        }
     }
 
     #[test]

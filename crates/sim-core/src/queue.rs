@@ -1,8 +1,8 @@
-//! The engine's event queue: a three-lane indexed priority queue that is
+//! The engine's event queue: an indexed priority queue that is
 //! bit-for-bit order-identical to the naive `BinaryHeap<(time, seq,
-//! event)>` it replaced, but cheaper on the hot path — including under
-//! the standing far-future timer populations and cancel-heavy timeout
-//! traffic real NIC models generate.
+//! event)>` it replaced, but cheaper on the hot path — for the small
+//! populations the models keep pending, and for the standing far-future
+//! timer populations and cancel-heavy timeout traffic of retry-heavy runs.
 //!
 //! # Why not `BinaryHeap<Entry<E>>`?
 //!
@@ -13,8 +13,19 @@
 //! On the hottest loop in the repository that is pure overhead: ordering
 //! only ever depends on `(time, seq)`.
 //!
-//! [`EventQueue`] splits event storage from event ordering, and splits
-//! ordering itself across three lanes by firing distance:
+//! # The traffic it serves
+//!
+//! Model runs keep few events pending: event streams recorded from all
+//! five assemblies hold 3.5–12 on average and 24 at most, and schedule no
+//! cancellable timers. Most of their pushes land tens of nanoseconds to
+//! microseconds ahead. Standing populations of far-future events come
+//! only from client retries (one 200 µs timeout per in-flight request in
+//! the resilience and recovery grids) and from the synthetic shapes of the
+//! `perf` bench; those are what the timer wheel is for.
+//!
+//! [`EventQueue`] splits event storage from event ordering, and serves
+//! ordering from a lane and a heap, adding a wheel only past a population
+//! bound:
 //!
 //! * **Slab arena with validated handles.** Events live in a free-list
 //!   slab; they are written once on push and taken once on pop or cancel.
@@ -24,24 +35,27 @@
 //!   validated in O(1) forever — cancelling an already-fired timer, or a
 //!   handle whose slot has been recycled, is a safe no-op rather than a
 //!   use-after-free of someone else's event.
-//! * **Same-instant lane (batched pop).** Discrete-event models burst: a
-//!   NIC hop fires, and a run of events lands at the *same* nanosecond
-//!   (`schedule_now` chains, simultaneous ring slots). When a pop opens
-//!   instant `t`, every other pending key at `t` is drained — in sequence
-//!   order — into a FIFO lane, and *new* pushes at `t` append to the lane
-//!   in O(1), bypassing the heap entirely.
-//! * **Near heap.** Events due inside the wheel's open bucket (`at <=
-//!   horizon`) sit in a plain `Vec` of `Copy` keys `(at, seq, slot)` with
-//!   hand-rolled 4-ary sift-up/sift-down — no allocation per push, no
-//!   comparator indirection, and the population stays tiny because
-//!   everything farther out lives in the wheel.
-//! * **Far wheel.** Events beyond the horizon land in a hierarchical
-//!   timer wheel (the private `wheel` module): O(1) insert into a time
-//!   bucket. When the near lanes drain, the next occupied bucket is
-//!   promoted as a *sorted run* — sorted once, served off its tail in
-//!   O(1) per pop — so a promoted key never pays heap sifts at all. A standing backlog
-//!   of 100k retransmit timers costs the hot path nothing — it is not in
-//!   the heap being sifted over.
+//! * **Same-instant lane.** Discrete-event models burst: a NIC hop fires,
+//!   and a run of events lands at the *same* nanosecond (`schedule_now`
+//!   chains, simultaneous ring slots). A pop that finds the lane empty
+//!   re-targets it to the instant it opened, and later pushes at that
+//!   instant append to the lane in O(1), bypassing the heap entirely.
+//! * **Key heap.** Every other pending key sits in a plain `Vec` of `Copy`
+//!   keys `(at, seq, slot)` with hand-rolled 4-ary sift-up/sift-down — no
+//!   allocation per push and no comparator indirection. While the wheel is
+//!   idle the heap takes keys at any distance, and a pop is one compare
+//!   between the lane head and the heap top.
+//! * **Far wheel, past a population bound.** A push beyond the lane's
+//!   64 ns bucket that arrives while the heap already holds 32 keys (a
+//!   private bound, above the 24 any model reaches) engages a hierarchical
+//!   timer wheel (the private `wheel` module): the queue opens the bucket
+//!   of the lane's instant and moves the heap's keys beyond it into the
+//!   wheel, and from then on the heap takes only keys inside the open
+//!   bucket. When the lane and heap drain, the next occupied bucket is
+//!   promoted as a *sorted run* — sorted once, served off its tail in O(1)
+//!   per pop. A standing backlog of 100k retransmit timers costs the hot
+//!   path nothing — it is not in the heap being sifted over. Once the
+//!   wheel and the run drain, the queue is back to lane and heap.
 //!
 //! # Cancellation: eager payload free, lazy index removal
 //!
@@ -60,15 +74,20 @@
 //! `BinaryHeap` implementation alive as the executable specification: the
 //! property tests below drive both queues through identical (and
 //! adversarial — past-scheduled, far-future, cancel- and
-//! reschedule-heavy) interleavings and demand identical pop sequences,
-//! and the `perf` bench binary reports the measured speedup of new over
-//! old on every shape.
+//! reschedule-heavy, and bound-crossing) interleavings and demand
+//! identical pop sequences, and the `perf` bench binary reports the
+//! measured speedup of new over old on every shape.
 
 use core::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 use crate::wheel::{Wheel, GRANULARITY};
+
+/// Keys the heap may hold before a far push engages the wheel. Model runs
+/// peak at 24 pending events; the smallest standing population of the
+/// `perf` shapes is 64.
+const WHEEL_BOUND: usize = 32;
 
 /// A compact, `Copy` ordering key: everything a sift needs to move.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -114,11 +133,21 @@ struct Slot<E> {
     ev: Option<E>,
 }
 
+/// Which ordered stream holds the minimum pending key.
+#[derive(Clone, Copy)]
+enum Source {
+    Lane,
+    Run,
+    Heap,
+}
+
 /// The engine's indexed event queue. Pops strictly in `(time, seq)`
 /// order, where `seq` is the queue-assigned insertion number — i.e.
 /// time order with FIFO tie-breaking, exactly like the legacy heap.
 pub struct EventQueue<E> {
-    /// Min-heap of near keys, hand-sifted on `(at, seq)`.
+    /// Min-heap of keys, hand-sifted on `(at, seq)`. Takes keys at any
+    /// distance while the wheel is idle, and only keys at or before
+    /// `horizon` while it is engaged.
     heap: Vec<Key>,
     /// Payload arena; `Key::slot` indexes here.
     slab: Vec<Slot<E>>,
@@ -128,25 +157,26 @@ pub struct EventQueue<E> {
     /// strictly increasing `seq` order.
     lane: VecDeque<(u64, u32)>,
     /// The instant the lane serves. Pushes at exactly this time append to
-    /// the lane instead of the heap.
+    /// the lane instead of the heap. While the wheel is engaged it lies at
+    /// or before `horizon`.
     lane_at: u64,
     /// Far-future lane: hierarchical timer wheel holding every pending
-    /// key with `at > horizon`.
+    /// key with `at > horizon` while engaged; empty while idle.
     wheel: Wheel,
-    /// Start of the wheel's open level-0 bucket; always a multiple of the
-    /// wheel granularity, and never moves backwards.
+    /// Start of the wheel's open level-0 bucket; a multiple of the wheel
+    /// granularity. Meaningful only while the wheel is engaged, during
+    /// which it never moves backwards.
     floor: u64,
-    /// Last instant (inclusive) served by the near lanes: `floor +
-    /// granularity - 1`. Pushes at or before it go to the lane or heap;
-    /// later pushes go to the wheel.
+    /// Last instant (inclusive) served by the lane and heap: `floor +
+    /// granularity - 1` while the wheel is engaged, unbounded while it is
+    /// idle. Pushes at or before it go to the lane or heap; later pushes go
+    /// to the wheel.
     horizon: u64,
     /// The promoted wheel bucket currently being served: keys sorted
     /// *descending* by `(at, seq)` so the minimum pops off the tail in
     /// O(1). A bucket is sorted once at promotion — far cheaper than
-    /// sifting every key through the heap and back out — and the heap
-    /// only ever holds keys pushed *after* that promotion, so every run
-    /// key orders before any equal-instant heap key by construction.
-    /// Drained before the next refill; its capacity is recycled.
+    /// sifting every key through the heap and back out. Drained before the
+    /// next refill; its capacity is recycled.
     run: Vec<Key>,
     /// Cancelled index entries still resident in some lane. Kept global
     /// so the no-cancellation fast path pays one branch, not one handle
@@ -172,12 +202,10 @@ impl<E> EventQueue<E> {
             slab: Vec::new(),
             free: Vec::new(),
             lane: VecDeque::new(),
-            // u64::MAX exceeds any horizon, so no push can match the
-            // unopened lane: routing checks the horizon first.
-            lane_at: u64::MAX,
+            lane_at: 0,
             wheel: Wheel::new(),
             floor: 0,
-            horizon: GRANULARITY - 1,
+            horizon: u64::MAX,
             run: Vec::new(),
             stale: 0,
             seq: 0,
@@ -207,25 +235,10 @@ impl<E> EventQueue<E> {
 
     /// The instant of the next event to pop, if any. Takes `&mut self`:
     /// answering may require dropping cancelled entries and promoting the
-    /// next wheel bucket into the near heap (state motion, never
-    /// order-visible).
+    /// next wheel bucket (state motion, never order-visible).
+    #[inline]
     pub fn peek_at(&mut self) -> Option<SimTime> {
-        if !self.settle() {
-            return None;
-        }
-        let lane = self.lane.front().map(|&(seq, _)| (self.lane_at, seq));
-        let near = match (
-            self.run.last().map(|k| k.rank()),
-            self.heap.first().map(|k| k.rank()),
-        ) {
-            (Some(r), Some(h)) => Some(r.min(h)),
-            (r, h) => r.or(h),
-        };
-        match (lane, near) {
-            (None, None) => None,
-            (Some((at, _)), None) | (None, Some((at, _))) => Some(SimTime::from_nanos(at)),
-            (Some(l), Some(h)) => Some(SimTime::from_nanos(l.min(h).0)),
-        }
+        self.locate().map(|(_, at)| SimTime::from_nanos(at))
     }
 
     /// Insert `event` at instant `at`, after everything already queued for
@@ -238,21 +251,30 @@ impl<E> EventQueue<E> {
     /// reschedule the event in O(1).
     ///
     /// [`push`]: EventQueue::push
+    #[inline]
     pub fn push_handle(&mut self, at: SimTime, event: E) -> TimerHandle {
         let seq = self.seq;
         self.seq += 1;
         let slot = self.alloc(seq, event);
-        let at = at.as_nanos();
-        if at <= self.horizon {
-            if at == self.lane_at {
-                // Same instant as the open lane: sequence numbers only
-                // grow, so appending keeps the lane sorted. O(1).
-                self.lane.push_back((seq, slot));
-            } else {
-                self.heap_push(Key { at, seq, slot });
-            }
+        let key = Key {
+            at: at.as_nanos(),
+            seq,
+            slot,
+        };
+        if key.at == self.lane_at {
+            // Same instant as the lane: sequence numbers only grow, so
+            // appending keeps the lane sorted. O(1).
+            self.lane.push_back((seq, slot));
+        } else if key.at > self.horizon {
+            self.wheel.schedule_far(self.floor, key);
+        } else if self.heap.len() >= WHEEL_BOUND
+            && self.wheel_idle()
+            && key.at > self.lane_at | (GRANULARITY - 1)
+        {
+            self.engage_wheel();
+            self.wheel.schedule_far(self.floor, key);
         } else {
-            self.wheel.schedule_far(self.floor, Key { at, seq, slot });
+            self.heap_push(key);
         }
         self.len += 1;
         TimerHandle { slot, seq }
@@ -286,70 +308,111 @@ impl<E> EventQueue<E> {
     }
 
     /// Remove and return the earliest event as `(time, seq, event)`.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        if !self.settle() {
+        self.pop_through(u64::MAX)
+    }
+
+    /// [`pop`], but only if the earliest event is due at or before
+    /// `horizon`. Otherwise nothing is removed and `None` comes back, as it
+    /// does on an empty queue; [`is_empty`] tells the two apart. A bounded
+    /// run inspects the queue once per event this way, not twice.
+    ///
+    /// [`pop`]: EventQueue::pop
+    /// [`is_empty`]: EventQueue::is_empty
+    #[inline]
+    pub fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, u64, E)> {
+        self.pop_through(horizon.as_nanos())
+    }
+
+    #[inline]
+    fn pop_through(&mut self, limit: u64) -> Option<(SimTime, u64, E)> {
+        let (source, at) = self.locate()?;
+        if at > limit {
             return None;
         }
-        let lane_rank = self.lane.front().map(|&(seq, _)| (self.lane_at, seq));
-        let run_rank = self.run.last().map(|k| k.rank());
-        let heap_rank = self.heap.first().map(|k| k.rank());
-        // The three streams never share a `(time, seq)` — `<=` merely
-        // keeps the decisions total.
-        let run_first = match (run_rank, heap_rank) {
-            (Some(r), Some(h)) => r <= h,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let key_rank = if run_first { run_rank } else { heap_rank };
-        let from_lane = match (lane_rank, key_rank) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(l), Some(k)) => l <= k,
-        };
         self.len -= 1;
-        if from_lane {
-            let (seq, slot) = self.lane.pop_front().expect("lane checked non-empty");
-            let ev = self.take(slot);
-            return Some((SimTime::from_nanos(self.lane_at), seq, ev));
-        }
-        let k = if run_first {
-            self.run.pop().expect("run checked non-empty")
-        } else {
-            self.heap_pop().expect("heap checked non-empty")
+        let k = match source {
+            Source::Lane => {
+                let (seq, slot) = self.lane.pop_front().expect("lane holds the minimum");
+                return Some((SimTime::from_nanos(at), seq, self.take(slot)));
+            }
+            Source::Run => self.run_pop().expect("run holds the minimum"),
+            Source::Heap => self.heap_pop().expect("heap holds the minimum"),
         };
-        // Batched pop: opening instant `k.at` drains the equal-timestamp
-        // keys into the lane in seq order — run keys first (each run key
-        // predates every heap key, so its seq is smaller), then heap pops,
-        // which come out seq-ordered at equal time — and re-targets the
-        // lane so follow-up pushes at this instant skip the heap. Drained
-        // keys are *not* validated here — a cancelled one is dropped by
-        // `settle` when it reaches the lane head. Only a *clean* lane may
-        // be re-targeted: a non-empty lane still holds a different instant
-        // (reachable only through past-scheduled events, i.e. the
-        // invariant checker's test hook) and must keep competing through
-        // the key comparison above.
+        // A clean lane re-targets to the instant just opened, so follow-up
+        // pushes at it skip the heap. A non-empty lane still holds an
+        // earlier-pushed, later instant (reachable only through
+        // past-scheduled events, i.e. the invariant checker's test hook)
+        // and keeps competing through the key comparison.
         if self.lane.is_empty() {
             self.lane_at = k.at;
-            while self.run.last().is_some_and(|n| n.at == k.at) {
-                let n = self.run.pop().expect("peeked entry pops");
-                self.lane.push_back((n.seq, n.slot));
-            }
-            while self.heap.first().is_some_and(|n| n.at == k.at) {
-                let n = self.heap_pop().expect("peeked entry pops");
-                self.lane.push_back((n.seq, n.slot));
-            }
         }
         Some((SimTime::from_nanos(k.at), k.seq, self.take(k.slot)))
     }
 
-    /// Establish "the near minimum is live": drop cancelled entries from
-    /// whichever near lane currently holds the minimum, and promote wheel
-    /// buckets whenever the near lanes run dry while events remain.
-    /// Returns false when no live event is pending. On the cancel-free
-    /// fast path this is one counter branch plus one emptiness check.
+    /// True while neither the wheel nor a promoted run holds keys, so the
+    /// lane and the heap hold every pending key.
+    fn wheel_idle(&self) -> bool {
+        self.run.is_empty() && self.wheel.count() == 0
+    }
+
+    /// Leave the wheel idle: an unbounded horizon routes every push to the
+    /// lane or the heap.
+    fn disengage(&mut self) {
+        debug_assert!(self.wheel_idle());
+        self.horizon = u64::MAX;
+    }
+
+    /// Pop the run's tail, going idle once the run and the wheel are both
+    /// empty.
+    fn run_pop(&mut self) -> Option<Key> {
+        let k = self.run.pop();
+        if self.wheel_idle() {
+            self.disengage();
+        }
+        k
+    }
+
+    /// Where the minimum pending key sits, and its instant; `None` when
+    /// nothing is pending. With nothing cancelled this is a compare between
+    /// the lane head and the heap top, plus the run's tail while the wheel
+    /// is engaged.
     #[inline]
-    fn settle(&mut self) -> bool {
+    fn locate(&mut self) -> Option<(Source, u64)> {
+        if self.stale == 0 {
+            if let Some((source, (at, _), _)) = self.head() {
+                return Some((source, at));
+            }
+        }
+        self.locate_slow()
+    }
+
+    /// The lowest-ranked head among the lane, the heap and the run, with
+    /// its rank and slot. The three streams never share a `(time, seq)`.
+    #[inline]
+    fn head(&self) -> Option<(Source, (u64, u64), u32)> {
+        let mut best = self
+            .lane
+            .front()
+            .map(|&(seq, slot)| (Source::Lane, (self.lane_at, seq), slot));
+        for (source, k) in [
+            (Source::Heap, self.heap.first()),
+            (Source::Run, self.run.last()),
+        ] {
+            if let Some(k) = k {
+                if best.map_or(true, |(_, r, _)| k.rank() < r) {
+                    best = Some((source, k.rank(), k.slot));
+                }
+            }
+        }
+        best
+    }
+
+    /// [`locate`](Self::locate) with cancelled keys outstanding or the
+    /// lane, run and heap all dry: drop cancelled keys as they reach the
+    /// minimum, and promote wheel buckets while events remain.
+    fn locate_slow(&mut self) -> Option<(Source, u64)> {
         // Index-entry conservation: every pending or cancelled-but-unswept
         // event sits in exactly one lane.
         debug_assert_eq!(
@@ -358,62 +421,52 @@ impl<E> EventQueue<E> {
             "index entries out of conservation"
         );
         if self.len == 0 {
-            return false;
+            return None;
         }
         loop {
-            if self.stale == 0 {
-                // Every resident entry is live; just make sure the near
-                // lanes are fed.
-                if self.lane.is_empty() && self.heap.is_empty() && self.run.is_empty() {
-                    self.refill();
-                }
-                debug_assert!(
-                    !self.lane.is_empty() || !self.heap.is_empty() || !self.run.is_empty()
-                );
-                return true;
-            }
-            let lane_rank = self.lane.front().map(|&(seq, _)| (self.lane_at, seq));
-            let run_rank = self.run.last().map(|k| k.rank());
-            let heap_rank = self.heap.first().map(|k| k.rank());
-            let run_first = match (run_rank, heap_rank) {
-                (Some(r), Some(h)) => r <= h,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            let key_rank = if run_first { run_rank } else { heap_rank };
-            let from_lane = match (lane_rank, key_rank) {
-                (None, None) => {
-                    self.refill();
-                    continue;
-                }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(l), Some(k)) => l <= k,
+            let Some((source, (at, seq), slot)) = self.head() else {
+                self.refill();
+                continue;
             };
             // Validate the minimum — the entry the next pop would take.
-            // Anything stale deeper in a lane is harmless until it
-            // becomes the minimum itself.
-            if from_lane {
-                let &(seq, slot) = self.lane.front().expect("checked non-empty");
-                if self.is_live(slot, seq) {
-                    return true;
+            // Anything stale deeper in a lane is harmless until it becomes
+            // the minimum itself.
+            if self.stale == 0 || self.is_live(slot, seq) {
+                return Some((source, at));
+            }
+            match source {
+                Source::Lane => {
+                    self.lane.pop_front();
                 }
-                self.lane.pop_front();
-            } else if run_first {
-                let k = *self.run.last().expect("checked non-empty");
-                if self.is_live(k.slot, k.seq) {
-                    return true;
+                Source::Run => {
+                    self.run_pop();
                 }
-                self.run.pop();
-            } else {
-                let k = *self.heap.first().expect("checked non-empty");
-                if self.is_live(k.slot, k.seq) {
-                    return true;
+                Source::Heap => {
+                    self.heap_pop();
                 }
-                self.heap_pop();
             }
             self.stale -= 1;
         }
+    }
+
+    /// Engage the wheel: open the bucket of the lane's instant and move the
+    /// heap's keys beyond it into the wheel. Every lane entry sits at the
+    /// lane's instant, so the lane and the keys left in the heap lie at or
+    /// before the new horizon and every wheel key after it — the partition
+    /// the minimum search relies on.
+    #[cold]
+    fn engage_wheel(&mut self) {
+        self.floor = self.lane_at & !(GRANULARITY - 1);
+        self.horizon = self.floor | (GRANULARITY - 1);
+        let (floor, horizon, wheel) = (self.floor, self.horizon, &mut self.wheel);
+        self.heap.retain(|&k| {
+            k.at <= horizon || {
+                wheel.schedule_far(floor, k);
+                false
+            }
+        });
+        // An ascending array is a valid min-heap.
+        self.heap.sort_unstable_by_key(|k| k.rank());
     }
 
     /// Promote the next occupied wheel bucket into the sorted run,
@@ -425,6 +478,8 @@ impl<E> EventQueue<E> {
         debug_assert!(self.run.is_empty(), "refill with an unserved run");
         loop {
             let Some(new_floor) = self.wheel.open_next(self.floor, &mut self.run) else {
+                // Only cancelled keys were left in the wheel.
+                self.disengage();
                 return;
             };
             debug_assert!(new_floor > self.floor || self.floor == 0);
@@ -451,6 +506,7 @@ impl<E> EventQueue<E> {
         s.seq == seq && s.ev.is_some()
     }
 
+    #[inline]
     fn alloc(&mut self, seq: u64, event: E) -> u32 {
         match self.free.pop() {
             Some(slot) => {
@@ -472,6 +528,7 @@ impl<E> EventQueue<E> {
         }
     }
 
+    #[inline]
     fn take(&mut self, slot: u32) -> E {
         let ev = self.slab[slot as usize].ev.take().expect("slot is live");
         self.free.push(slot);
@@ -487,6 +544,7 @@ impl<E> EventQueue<E> {
 
     /// Hole-based insertion: the new key rides a "hole" up the tree, so
     /// each level costs one parent move instead of a three-move swap.
+    #[inline]
     fn heap_push(&mut self, k: Key) {
         self.heap.push(k);
         let mut i = self.heap.len() - 1;
@@ -503,6 +561,7 @@ impl<E> EventQueue<E> {
 
     /// Hole-based removal: the displaced last leaf rides a hole down from
     /// the root along the smallest-child path until it fits.
+    #[inline]
     fn heap_pop(&mut self) -> Option<Key> {
         let top = *self.heap.first()?;
         let last = self.heap.pop().expect("checked non-empty");
@@ -718,9 +777,23 @@ mod tests {
         assert_eq!(q.peek_at(), Some(SimTime::from_nanos(40)));
     }
 
+    /// Engage the wheel at instant 0, so a test's far pushes land in it:
+    /// one push past the bound moves the heap's far keys into the wheel.
+    /// The filler is cancelled at once and never pops.
+    fn engage<E: Clone>(q: &mut EventQueue<E>, filler: E) {
+        let handles: Vec<_> = (0..=WHEEL_BOUND as u64)
+            .map(|i| q.push_handle(SimTime::from_nanos((1 << 50) + i), filler.clone()))
+            .collect();
+        assert!(!q.wheel_idle());
+        for h in handles {
+            q.cancel(h);
+        }
+    }
+
     #[test]
     fn far_future_events_pop_in_order_across_wheel_levels() {
         let mut q = EventQueue::new();
+        engage(&mut q, 0);
         // One event per wheel level, pushed out of order, plus a near one.
         let times = [
             1u64 << 40,
@@ -789,15 +862,17 @@ mod tests {
     #[test]
     fn cancel_works_in_every_lane() {
         let mut q = EventQueue::new();
-        // Lane: open instant 5 by popping the first of two events there.
-        q.push(SimTime::from_nanos(5), 0u32);
-        let laned = q.push_handle(SimTime::from_nanos(5), 1);
+        engage(&mut q, 9);
         // Heap (near, same open bucket): instant 6.
+        q.push(SimTime::from_nanos(5), 0u32);
         let heaped = q.push_handle(SimTime::from_nanos(6), 2);
         // Wheel: far future.
         let wheeled = q.push_handle(SimTime::from_nanos(1 << 20), 3);
         let survivor = q.push_handle(SimTime::from_nanos(1 << 21), 4);
+        // Lane: popping the event at 5 opens that instant.
         assert_eq!(q.pop().map(|(_, _, e)| e), Some(0));
+        let laned = q.push_handle(SimTime::from_nanos(5), 1);
+        assert_eq!((q.lane.len(), q.heap.len()), (1, 1));
         assert_eq!(q.cancel(laned), Some(1));
         assert_eq!(q.cancel(heaped), Some(2));
         assert_eq!(q.cancel(wheeled), Some(3));
@@ -812,6 +887,7 @@ mod tests {
     #[test]
     fn reschedule_moves_events_across_the_horizon_boundary() {
         let mut q = EventQueue::new();
+        engage(&mut q, 9);
         q.push(SimTime::from_nanos(100), 0u32);
         // Far timer pulled near (decrease-key across the boundary).
         let far = q.push_handle(SimTime::from_nanos(1 << 30), 1);
@@ -953,6 +1029,254 @@ mod tests {
             assert_eq!(fast.live_payloads(), 0, "seed {seed}: slab leaked");
         }
     }
+
+    /// Drives the indexed queue and the legacy heap through the same
+    /// operations, checking after each that they agree. Instants are
+    /// derived from the latest one popped, the way a model schedules; the
+    /// counts record how often the wheel engages and goes idle again.
+    pub(super) struct Differential {
+        fast: EventQueue<u32>,
+        slow: LegacyHeap<u32>,
+        /// Recent handles, live or dead: cancels and reschedules pick
+        /// among them, so both kinds are exercised.
+        issued: Vec<(TimerHandle, u32)>,
+        now: u64,
+        label: u32,
+        pub(super) engaged: u32,
+        pub(super) released: u32,
+    }
+
+    impl Differential {
+        pub(super) fn new() -> Self {
+            Differential {
+                fast: EventQueue::new(),
+                slow: LegacyHeap::new(),
+                issued: Vec::new(),
+                now: 0,
+                label: 0,
+                engaged: 0,
+                released: 0,
+            }
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.slow.len()
+        }
+
+        /// An instant drawn from `r`: mostly the current one, inside its
+        /// wheel bucket, or microseconds ahead (beyond it), with a dash of
+        /// retry-timeout distances and of past-scheduled instants.
+        pub(super) fn instant(&self, r: u64) -> SimTime {
+            let x = r >> 8;
+            SimTime::from_nanos(match r % 16 {
+                0..=3 => self.now,
+                4..=6 => self.now + x % GRANULARITY,
+                7..=12 => self.now + GRANULARITY + x % 20_000,
+                13 => self.now + x % 200_000,
+                _ => self.now.saturating_sub(x % 300),
+            })
+        }
+
+        fn handle(&self, raw: usize) -> Option<(TimerHandle, u32)> {
+            let n = self.issued.len().min(64);
+            (n > 0).then(|| self.issued[self.issued.len() - 1 - raw % n])
+        }
+
+        pub(super) fn push(&mut self, at: SimTime) {
+            let idle = self.fast.wheel_idle();
+            self.label += 1;
+            let h = self.fast.push_handle(at, self.label);
+            assert_eq!(h.seq(), self.slow.push(at, self.label), "seq diverged");
+            self.issued.push((h, self.label));
+            self.check(idle);
+        }
+
+        pub(super) fn pop(&mut self) {
+            let idle = self.fast.wheel_idle();
+            let got = self.fast.pop();
+            assert_eq!(got, self.slow.pop(), "pop diverged");
+            if let Some((at, _, _)) = got {
+                self.now = at.as_nanos();
+            }
+            self.check(idle);
+        }
+
+        /// Pop only an event due within `ahead` of the current instant.
+        pub(super) fn pop_due(&mut self, ahead: u64) {
+            let idle = self.fast.wheel_idle();
+            let horizon = SimTime::from_nanos(self.now + ahead);
+            let got = self.fast.pop_due(horizon);
+            let want = match self.slow.peek_at() {
+                Some(at) if at <= horizon => self.slow.pop(),
+                _ => None,
+            };
+            assert_eq!(got, want, "pop_due diverged");
+            if let Some((at, _, _)) = got {
+                self.now = at.as_nanos();
+            }
+            self.check(idle);
+        }
+
+        pub(super) fn cancel(&mut self, raw: usize) {
+            let Some((h, _)) = self.handle(raw) else {
+                return;
+            };
+            let idle = self.fast.wheel_idle();
+            let live = self.fast.cancel(h).is_some();
+            assert_eq!(live, self.slow.cancel(h.seq()), "cancel liveness diverged");
+            self.check(idle);
+        }
+
+        pub(super) fn reschedule(&mut self, raw: usize, at: SimTime) {
+            let Some((h, label)) = self.handle(raw) else {
+                return;
+            };
+            let idle = self.fast.wheel_idle();
+            let moved = self.fast.reschedule(h, at);
+            if self.slow.cancel(h.seq()) {
+                let seq = self.slow.push(at, label);
+                let moved = moved.expect("reschedule liveness diverged");
+                assert_eq!(moved.seq(), seq, "reschedule seq diverged");
+                self.issued.push((moved, label));
+            } else {
+                assert!(moved.is_none(), "reschedule liveness diverged");
+            }
+            self.check(idle);
+        }
+
+        fn check(&mut self, was_idle: bool) {
+            assert_eq!(self.fast.len(), self.slow.len(), "len diverged");
+            assert_eq!(self.fast.peek_at(), self.slow.peek_at(), "peek diverged");
+            match (was_idle, self.fast.wheel_idle()) {
+                (true, false) => self.engaged += 1,
+                (false, true) => self.released += 1,
+                _ => {}
+            }
+        }
+
+        /// Drain everything, then after a quiet spell one event past every
+        /// cancelled key still filed in the wheel, which lets it go idle.
+        pub(super) fn quiet(&mut self) {
+            while !self.slow.is_empty() {
+                self.pop();
+            }
+            self.push(SimTime::from_nanos(self.now + (1 << 20)));
+            self.pop();
+        }
+
+        /// Drain both queues and check nothing leaked.
+        pub(super) fn finish(mut self) {
+            while !self.slow.is_empty() {
+                self.pop();
+            }
+            assert_eq!(self.fast.pop(), None);
+            assert_eq!(self.fast.live_payloads(), 0, "slab leaked");
+        }
+    }
+
+    #[test]
+    fn matches_legacy_heap_as_the_population_crosses_the_wheel_bound() {
+        for seed in 1..=20u64 {
+            let mut s = seed.wrapping_mul(0xD1B5_4A32_D192_ED03);
+            let mut d = Differential::new();
+            // Alternate between growing well past the bound and shrinking
+            // to a model-sized population, or to nothing every other time.
+            let (mut grow, mut target) = (true, 40);
+            for _ in 0..4000 {
+                let r = xorshift(&mut s);
+                if grow && d.len() >= target {
+                    grow = false;
+                    target = if r % 2 == 0 {
+                        0
+                    } else {
+                        (r >> 1) as usize % 24
+                    };
+                } else if !grow && d.len() <= target {
+                    grow = true;
+                    target = 40 + (r >> 1) as usize % 40;
+                    if d.len() == 0 {
+                        d.quiet();
+                    }
+                }
+                let pushes = if grow { 6 } else { 2 };
+                let op = (r >> 5) % 10;
+                let r2 = xorshift(&mut s);
+                if op < pushes {
+                    d.push(d.instant(r2));
+                } else {
+                    match op % 4 {
+                        0 => d.pop(),
+                        1 => d.pop_due(r2 % 4096),
+                        2 => d.cancel(r2 as usize),
+                        _ => d.reschedule(r2 as usize, d.instant(r2 >> 3)),
+                    }
+                }
+            }
+            assert!(
+                d.engaged > 1 && d.released > 1,
+                "seed {seed}: bound crossed {} times up, {} down",
+                d.engaged,
+                d.released
+            );
+            d.finish();
+        }
+    }
+
+    #[test]
+    fn model_sized_populations_never_allocate_wheel_buckets() {
+        // A model-like stream: at most 24 pending events, each pop
+        // scheduling successors at the same instant, inside its bucket or
+        // up to 50 µs ahead.
+        let mut q = EventQueue::new();
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        q.push(SimTime::ZERO, 0u32);
+        let mut peak = 0;
+        for _ in 0..100_000 {
+            let (at, _, e) = q.pop().expect("the stream never drains");
+            let successors = if q.len() < 12 {
+                2
+            } else {
+                1 + usize::from(q.len() < 23)
+            };
+            for _ in 0..successors {
+                let r = xorshift(&mut s);
+                let gap = match r % 4 {
+                    0 => 0,
+                    1 => r >> 8 & (GRANULARITY - 1),
+                    _ => GRANULARITY + (r >> 8) % 50_000,
+                };
+                q.push(at + crate::time::SimDuration::from_nanos(gap), e);
+            }
+            peak = peak.max(q.len());
+        }
+        assert_eq!(peak, 24);
+        assert!(q.wheel_idle());
+        assert!(!q.wheel.is_allocated(), "model traffic reached the wheel");
+    }
+
+    #[test]
+    fn a_far_push_past_the_bound_engages_the_wheel_until_it_drains() {
+        let mut q = EventQueue::new();
+        let far = |i: u64| SimTime::from_nanos(1_000 + i * 100);
+        for i in 0..WHEEL_BOUND as u64 {
+            q.push(far(i), i);
+        }
+        assert!(q.wheel_idle() && !q.wheel.is_allocated());
+        // Inside the lane's bucket the heap just grows.
+        q.push(SimTime::from_nanos(GRANULARITY - 1), 99);
+        assert!(q.wheel_idle());
+        q.push(far(WHEEL_BOUND as u64), WHEEL_BOUND as u64);
+        assert!(
+            !q.wheel_idle(),
+            "a far push past the bound engages the wheel"
+        );
+        assert_eq!(q.heap.len(), 1, "only the key inside the open bucket stays");
+        assert_eq!(q.pop().map(|(_, _, e)| e), Some(99));
+        for i in 0..=WHEEL_BOUND as u64 {
+            assert_eq!(q.pop().map(|(t, _, e)| (t, e)), Some((far(i), i)));
+        }
+        assert!(q.wheel_idle() && q.is_empty());
+    }
 }
 
 #[cfg(test)]
@@ -989,7 +1313,61 @@ mod proptests {
         })
     }
 
+    /// One step of the bound-crossing drive: bursts of pushes and of pops
+    /// large enough to carry the population across the wheel bound in
+    /// both directions. Draws feed [`Differential::instant`].
+    #[derive(Debug, Clone)]
+    enum Swing {
+        Burst(u64, u64),
+        Drain(u64),
+        PopDue(u64),
+        Cancel(usize),
+        Reschedule(usize, u64),
+        Quiet,
+    }
+
+    fn swing_strategy() -> impl Strategy<Value = Swing> {
+        (0u64..9, 0u64..48, any::<u64>()).prop_map(|(sel, n, r)| match sel {
+            0..=2 => Swing::Burst(n, r),
+            3 | 4 => Swing::Drain(n),
+            5 => Swing::PopDue(r % 4096),
+            6 => Swing::Cancel(r as usize),
+            7 => Swing::Reschedule(r as usize, r >> 7),
+            _ => Swing::Quiet,
+        })
+    }
+
     proptest! {
+        /// Populations swinging across the wheel bound, with cancels,
+        /// reschedules and past-scheduled pushes, stay pop-identical to
+        /// the legacy heap.
+        #[test]
+        fn bound_crossing_populations_are_pop_identical_to_legacy_heap(
+            ops in proptest::collection::vec(swing_strategy(), 1..120)
+        ) {
+            let mut d = super::tests::Differential::new();
+            for op in ops {
+                match op {
+                    Swing::Burst(n, mut r) => {
+                        for _ in 0..n {
+                            r = r.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+                            d.push(d.instant(r >> 3));
+                        }
+                    }
+                    Swing::Drain(n) => {
+                        for _ in 0..n {
+                            d.pop();
+                        }
+                    }
+                    Swing::PopDue(ahead) => d.pop_due(ahead),
+                    Swing::Cancel(raw) => d.cancel(raw),
+                    Swing::Reschedule(raw, r) => d.reschedule(raw, d.instant(r)),
+                    Swing::Quiet => d.quiet(),
+                }
+            }
+            d.finish();
+        }
+
         /// The indexed queue and the legacy heap produce identical
         /// `(time, seq, event)` pop sequences — FIFO tie-breaks included —
         /// under seeded random event streams with interleaved pops.

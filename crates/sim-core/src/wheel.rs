@@ -1,12 +1,14 @@
 //! The far-future lane of the event queue: a hierarchical timer wheel.
 //!
-//! The indexed heap in [`crate::queue`] is the right structure for events
-//! that fire *soon* — the population is small, the keys are cache-resident
-//! and every operation is a couple of sifts. It is the wrong structure for
-//! the standing population every real run carries: retransmit timeouts,
-//! connection expiries, lease deadlines and periodic telemetry scheduled
-//! microseconds-to-seconds out. Those events inflate the heap, deepen every
-//! sift on the hot path, and then mostly get cancelled before they fire.
+//! The indexed heap in [`crate::queue`] is the right structure for a small
+//! population — the keys are cache-resident and every operation is a
+//! couple of sifts — and model runs keep one: at most 24 events pending.
+//! It is the wrong structure for a standing population of far-future
+//! events: the one 200 µs retry timeout per in-flight request that the
+//! resilience and recovery grids keep, or the standing timers of the
+//! synthetic `perf` shapes. Those inflate the heap and deepen every sift
+//! on the hot path. The queue therefore engages the wheel only once the
+//! heap holds a bound of keys above any model's population.
 //!
 //! The wheel takes that population out of the heap. Time is bucketed in
 //! powers of two: level 0 holds 64 buckets of [`GRANULARITY`] (64 ns) each,
@@ -19,28 +21,28 @@
 //! tokio timer wheels. Insertion is O(1): a `Vec` push plus one bit in the
 //! level's occupancy bitmap.
 //!
-//! Advancing is driven by the queue, not by ticks: when the near lanes
-//! drain, [`Wheel::open_next`] jumps the floor directly to the next
-//! occupied bucket (a `trailing_zeros` on the occupancy bitmaps — empty
-//! spans cost nothing, which is what makes sparse far-future populations
-//! cheap). Opening a level-0 bucket hands its entries back for promotion
-//! into the near heap; opening a higher-level bucket *cascades* — its
-//! entries redistribute into lower levels relative to the new floor, each
-//! entry strictly descending, so an event is touched at most once per
-//! level over its whole life.
+//! Advancing is driven by the queue, not by ticks: when the lane, heap and
+//! promoted run drain, [`Wheel::open_next`] jumps the floor directly to
+//! the next occupied bucket (a `trailing_zeros` on the occupancy bitmaps —
+//! empty spans cost nothing, which is what makes sparse far-future
+//! populations cheap). Opening a level-0 bucket hands its entries back to
+//! the queue, which sorts them into a run; opening a higher-level bucket
+//! *cascades* — its entries redistribute into lower levels relative to
+//! the new floor, each entry strictly descending, so an event is touched
+//! at most once per level over its whole life.
 //!
 //! Ordering correctness does not depend on bucket internals: buckets are
 //! unordered, and the queue re-establishes the total `(time, seq)` order
-//! when it promotes a bucket into the heap. The wheel only has to
-//! guarantee the *partition* invariant — every resident entry fires at or
-//! after the end of the open bucket — which holds because entries land
-//! strictly above the floor's index at their level and the floor only
-//! moves forward.
+//! when it sorts a promoted bucket. The wheel only has to guarantee the
+//! *partition* invariant — every resident entry fires at or after the end
+//! of the open bucket — which holds because entries land strictly above
+//! the floor's index at their level and the floor only moves forward
+//! while the wheel holds entries.
 
 use crate::queue::Key;
 
-/// Log2 of the level-0 bucket width: 64 ns. Gaps shorter than this stay
-/// in the near heap; the paper's service times (1–100 µs) and wire hops
+/// Log2 of the level-0 bucket width: 64 ns. While the wheel is engaged,
+/// gaps shorter than this stay in the heap; the paper's service times (1–100 µs) and wire hops
 /// (≈ 80 ns – 2.56 µs) land in levels 0–3.
 pub(crate) const GRANULARITY_SHIFT: u32 = 6;
 /// Width of a level-0 bucket in nanoseconds.
@@ -82,6 +84,12 @@ impl Wheel {
     /// been swept yet.
     pub(crate) fn count(&self) -> usize {
         self.count
+    }
+
+    /// Whether bucket storage has been allocated.
+    #[cfg(test)]
+    pub(crate) fn is_allocated(&self) -> bool {
+        !self.buckets.is_empty()
     }
 
     /// Level and slot for `at` relative to `floor`. `at` must be beyond
