@@ -19,7 +19,7 @@ use nicsched::PolicySpec;
 use sim_core::SimDuration;
 use systems::baseline::{Baseline, BaselineConfig, BaselineKind};
 use systems::common::run;
-use systems::offload::OffloadConfig;
+use systems::offload::{OffloadConfig, Sockets};
 use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::{Shinjuku, ShinjukuConfig};
 use systems::{ProbeConfig, ResilienceConfig, ServerSystem, SystemConfig};
@@ -299,12 +299,11 @@ pub fn dual_socket(scale: Scale) -> Figure {
             Scale::Full => 8,
         },
     );
-    let with = |label: &str, dual: bool, aware: bool| {
+    let with = |label: &str, sockets: Sockets| {
         GridCurve::system(
             label,
             OffloadConfig {
-                dual_socket: dual,
-                socket_aware: aware,
+                sockets,
                 time_slice: None,
                 ..OffloadConfig::paper(8, 2)
             },
@@ -318,9 +317,9 @@ pub fn dual_socket(scale: Scale) -> Figure {
             &loads,
             base,
             vec![
-                with("Single-socket", false, false),
-                with("Dual-blind", true, false),
-                with("Dual-aware", true, true),
+                with("Single-socket", Sockets::Single),
+                with("Dual-blind", Sockets::Dual),
+                with("Dual-aware", Sockets::DualAware),
             ],
         ),
     }

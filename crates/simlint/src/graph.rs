@@ -123,8 +123,7 @@ pub struct CrateInfo {
     pub deps: Vec<DepEdge>,
     /// Crate-relative path of the declared float-to-time boundary file
     /// (`time_boundary = "src/time.rs"`): the one audited file where the
-    /// canonical `*_f64` conversions may cast between time and floats
-    /// without per-line waivers.
+    /// canonical `*_f64` conversions may cast between time and floats.
     pub time_boundary: Option<String>,
     /// Exactly-once ledger fields (`ledger = ["reclaimed"]`): every
     /// declared field must have matched debit and credit sites somewhere

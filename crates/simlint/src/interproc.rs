@@ -2,8 +2,8 @@
 //! call graph, SCC condensation, and bottom-up taint summaries.
 //!
 //! The per-file half is [`FileFacts`]: a pure function of one file's
-//! source and its crate's manifest metadata, holding the pre-waiver lint
-//! candidates alongside call/taint/static facts. The global half is
+//! source and its crate's manifest metadata, holding the per-file lint
+//! findings alongside call/taint/static facts. The global half is
 //! [`Workspace`]: an index over every file's facts that
 //!
 //! 1. resolves each [`CallFact`] to candidate definitions — same file
@@ -31,7 +31,6 @@ use crate::dataflow::{CallFact, FnTaintFacts, OriginFact};
 use crate::items::FileItems;
 use crate::lexer::{TokKind, Token};
 use crate::rules::semantic::{LedgerSites, INTERIOR_MUTABLE};
-use crate::rules::waivers::WaiverSet;
 use crate::Finding;
 
 /// A mention of an all-caps (static-shaped) identifier in a fn body.
@@ -86,11 +85,8 @@ pub struct FileFacts {
     pub rel: String,
     /// Owning crate name.
     pub crate_name: String,
-    /// Pre-waiver candidates from the per-file passes (token rules and
-    /// semantic rules).
-    pub candidates: Vec<Finding>,
-    /// The file's parsed waivers, applied once at finalize time.
-    pub wset: WaiverSet,
+    /// Findings of the per-file passes (token rules and semantic rules).
+    pub findings: Vec<Finding>,
     /// Per declared ledger field: this file's non-test sites.
     pub ledger: Vec<(String, LedgerSites)>,
     /// `use`-alias bindings: visible name → full path segments.
@@ -273,9 +269,8 @@ pub struct InterFinding {
     pub line: usize,
     /// `{origin} flows into {sink}`.
     pub message: String,
-    /// Chain-root `(file index, line)` of every live origin reaching the
-    /// sink, the reported one first.
-    pub sources: Vec<(usize, usize)>,
+    /// Chain-root `(file index, line)` of the reported origin.
+    pub source: (usize, usize),
 }
 
 /// The workspace call-graph index over every file's facts.
@@ -583,19 +578,18 @@ impl<'a> Workspace<'a> {
             for (xi, fun) in f.fns.iter().enumerate() {
                 let at = FnRef { file: fi, idx: xi };
                 for sink in &fun.taint.sinks {
-                    let live: Vec<Summary> = sink
+                    let Some(s) = sink
                         .origins
                         .iter()
-                        .filter_map(|o| self.resolve_origin(at, o, |t| sums[t.file][t.idx].clone()))
-                        .collect();
-                    let Some(s) = live.first() else {
+                        .find_map(|o| self.resolve_origin(at, o, |t| sums[t.file][t.idx].clone()))
+                    else {
                         continue;
                     };
                     out.push(InterFinding {
                         file: fi,
                         line: sink.line,
                         message: format!("{} flows into {}", s.label, sink.label),
-                        sources: live.iter().map(|l| (l.file, l.line)).collect(),
+                        source: (s.file, s.line),
                     });
                 }
             }
@@ -714,7 +708,7 @@ mod tests {
             "{}",
             found[0].message
         );
-        assert_eq!(found[0].sources, vec![(0, 2)], "{found:?}");
+        assert_eq!(found[0].source, (0, 2), "{found:?}");
     }
 
     #[test]

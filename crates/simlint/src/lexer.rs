@@ -14,9 +14,7 @@
 //!   quote chars (`'\''`, `'"'`) and byte chars `b'x'`,
 //! * raw identifiers `r#type`,
 //! * numeric literals with suffixes (`1_000u64`, `1.0e-9f64`, `0xff`),
-//!   so a suffix never leaks an identifier token,
-//! * doc vs. plain comments (waivers are directives and may only live
-//!   in plain comments; doc text is documentation).
+//!   so a suffix never leaks an identifier token.
 //!
 //! String/char/number *contents* are dropped — rules only care that a
 //! literal occupied the spot — but identifiers keep their text, which is
@@ -84,10 +82,6 @@ impl fmt::Display for TokKind {
 pub struct Lexed {
     /// All code tokens in source order.
     pub tokens: Vec<Token>,
-    /// Plain (non-doc) comment text concatenated per 0-based line index.
-    /// Waiver directives are parsed from this; doc comments are excluded
-    /// so documentation can *show* waiver syntax without enacting it.
-    pub comments: Vec<String>,
     /// Total number of source lines.
     pub lines: usize,
 }
@@ -100,14 +94,12 @@ fn is_ident_cont(c: char) -> bool {
     c == '_' || c.is_alphanumeric()
 }
 
-/// Lex `src` into tokens plus per-line plain-comment text.
+/// Lex `src` into tokens; comments are skipped.
 pub fn lex(src: &str) -> Lexed {
     let chars: Vec<char> = src.chars().collect();
-    let nlines = src.lines().count().max(1);
     let mut out = Lexed {
         tokens: Vec::new(),
-        comments: vec![String::new(); nlines + 1],
-        lines: nlines,
+        lines: src.lines().count().max(1),
     };
     let mut i = 0;
     let mut line = 1usize;
@@ -130,60 +122,30 @@ pub fn lex(src: &str) -> Lexed {
             c if c.is_whitespace() => {
                 i += 1;
             }
-            // Line comment (plain `//` or doc `///` / `//!`).
+            // Line comment, plain or doc: skipped to the end of the line.
             '/' if next == Some('/') => {
-                let mut j = i + 2;
-                let doc = matches!(chars.get(j), Some('/') | Some('!'))
-                    // `////…` is a plain comment again, not doc.
-                    && !(chars.get(j) == Some(&'/') && chars.get(j + 1) == Some(&'/'));
-                let start = j;
-                while j < chars.len() && chars[j] != '\n' {
-                    j += 1;
+                while i < chars.len() && chars[i] != '\n' {
+                    i += 1;
                 }
-                if !doc {
-                    let text: String = chars[start..j].iter().collect();
-                    push_comment(&mut out.comments, line, &text);
-                }
-                i = j;
             }
-            // Block comment, nested. Doc block comments (`/**`, `/*!`) are
-            // excluded from waiver text just like doc line comments.
+            // Block comment, nested.
             '/' if next == Some('*') => {
-                let mut j = i + 2;
-                let doc =
-                    matches!(chars.get(j), Some('*') | Some('!')) && chars.get(j + 1) != Some(&'/'); // `/**/` is empty, not doc
                 let mut depth = 1u32;
-                let mut text = String::new();
-                let mut comment_line = line;
-                while j < chars.len() && depth > 0 {
-                    if chars[j] == '/' && chars.get(j + 1) == Some(&'*') {
+                i += 2;
+                while i < chars.len() && depth > 0 {
+                    if chars[i] == '/' && chars.get(i + 1) == Some(&'*') {
                         depth += 1;
-                        text.push_str("/*");
-                        j += 2;
-                    } else if chars[j] == '*' && chars.get(j + 1) == Some(&'/') {
+                        i += 2;
+                    } else if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
                         depth -= 1;
-                        if depth > 0 {
-                            text.push_str("*/");
-                        }
-                        j += 2;
+                        i += 2;
                     } else {
-                        if chars[j] == '\n' {
-                            if !doc {
-                                push_comment(&mut out.comments, comment_line, &text);
-                            }
-                            text.clear();
+                        if chars[i] == '\n' {
                             line += 1;
-                            comment_line = line;
-                        } else {
-                            text.push(chars[j]);
                         }
-                        j += 1;
+                        i += 1;
                     }
                 }
-                if !doc && !text.is_empty() {
-                    push_comment(&mut out.comments, comment_line, &text);
-                }
-                i = j;
             }
             '"' => {
                 i = skip_string(&chars, i + 1, &mut line);
@@ -346,15 +308,6 @@ pub fn lex(src: &str) -> Lexed {
         }
     }
     out
-}
-
-fn push_comment(comments: &mut [String], line: usize, text: &str) {
-    if let Some(slot) = comments.get_mut(line - 1) {
-        if !slot.is_empty() {
-            slot.push(' ');
-        }
-        slot.push_str(text);
-    }
 }
 
 /// Skip a (non-raw) string body starting just after the opening quote;
@@ -542,26 +495,8 @@ mod tests {
     }
 
     #[test]
-    fn plain_comments_collected_doc_comments_excluded() {
-        let src = "\
-//! doc: simlint: allow(unordered, reason=doc text is not a directive)
-/// also doc
-// simlint: allow(unordered, reason=real)
-/* block directive */ let x = 1; // trailing
-";
-        let lexed = lex(src);
-        assert!(lexed.comments[0].is_empty(), "{:?}", lexed.comments[0]);
-        assert!(lexed.comments[1].is_empty());
-        assert!(lexed.comments[2].contains("simlint: allow(unordered"));
-        assert!(lexed.comments[3].contains("block directive"));
-        assert!(lexed.comments[3].contains("trailing"));
-    }
-
-    #[test]
-    fn strings_never_produce_directive_comments_or_idents() {
+    fn strings_never_produce_idents() {
         let src = "let s = \"// simlint: allow(unordered, reason=nope) HashMap\";\n";
-        let lexed = lex(src);
-        assert!(lexed.comments[0].is_empty());
         assert_eq!(idents(src), vec!["let", "s"]);
     }
 

@@ -11,17 +11,20 @@
 //! resolves every taint flow, and a shard-safety certification pass
 //! ([`shard`]) proves manifest-declared entry points touch only
 //! shard-local state, emitting the checked-in `SHARD_SAFETY.json` gate.
-//! A waiver lifecycle detects its own dead entries ([`rules::waivers`]),
-//! and a checked-in findings baseline ([`report`]) gates CI.
+//!
+//! There is one gate: any finding exits 1, and so does a
+//! `--compare-shard-cert` certificate that differs from the computed one
+//! in any byte. No source comment suppresses a finding; the scope
+//! exceptions live in crate manifest metadata (`layer`, `time_boundary`,
+//! `sched_sinks`, `ledger`, `shard_roots`). A bad command line exits 2.
 //!
 //! CLI:
 //!
 //! ```text
-//! simlint [--root DIR] [--deny-all] [--json] [--out FILE]
-//!         [--annotations] [--sarif FILE] [--compare BASELINE] [--strict]
-//!         [--write-baseline FILE] [--self] [--list-rules]
-//!         [--explain RULE] [--write-rules-doc]
-//!         [--shard-cert FILE] [--compare-shard-cert FILE]
+//! simlint [--root DIR] [--json] [--out FILE] [--annotations]
+//!         [--sarif FILE] [--list-rules] [--explain RULE]
+//!         [--write-rules-doc] [--shard-cert FILE]
+//!         [--compare-shard-cert FILE]
 //! ```
 //!
 #![doc = include_str!("rules/RULES.md")]
@@ -42,7 +45,7 @@ pub mod shard;
 
 use graph::WorkspaceGraph;
 use interproc::{FileFacts, FnFact};
-use report::{Report, WaiverRecord};
+use report::Report;
 use rules::tokens::FileCtx;
 
 /// One lint finding.
@@ -110,13 +113,13 @@ fn rel_to(root: &Path, path: &Path) -> String {
 }
 
 /// Reduce one file to the facts the workspace passes consume: the
-/// pre-waiver candidates of the per-file rules (token rules, then the
-/// semantic rules in model scope), the parsed waivers, the file's ledger
-/// sites, and its per-function call, taint and global facts.
+/// findings of the per-file rules (token rules, then the semantic rules
+/// in model scope), the file's ledger sites, and its per-function call,
+/// taint and global facts.
 ///
-/// `exempt_time_boundary` drops `time-float-cast` candidates: the owning
+/// `exempt_time_boundary` drops `time-float-cast` findings: the owning
 /// crate declared this file as its audited float/time conversion
-/// boundary (`time_boundary` metadata), which replaces per-line waivers.
+/// boundary (`time_boundary` metadata).
 ///
 /// `sched_sinks` extends the taint pass's built-in `schedule*` sink
 /// family with the owning crate's declared scheduling entry points
@@ -132,13 +135,12 @@ pub(crate) fn collect_file_facts(
     exempt_time_boundary: bool,
 ) -> FileFacts {
     let rules::tokens::Scan {
-        mut candidates,
-        wset,
+        mut findings,
         lexed,
         test_lines,
     } = rules::tokens::scan_source(ctx, rel_path, source);
     if exempt_time_boundary {
-        candidates.retain(|f| f.rule != "time-float-cast");
+        findings.retain(|f| f.rule != "time-float-cast");
     }
     let is_test = |line: usize| test_lines.get(line).copied().unwrap_or(false);
     let model_scope = matches!(ctx.layer, graph::Layer::Core | graph::Layer::Model);
@@ -152,7 +154,7 @@ pub(crate) fn collect_file_facts(
                 .map(|(line, message)| (line, "shard-isolation", message)),
         );
     }
-    candidates.extend(
+    findings.extend(
         semantic
             .into_iter()
             .filter(|&(line, _, _)| !is_test(line))
@@ -194,8 +196,7 @@ pub(crate) fn collect_file_facts(
     FileFacts {
         rel: rel_path.to_string(),
         crate_name: crate_name.to_string(),
-        candidates,
-        wset,
+        findings,
         ledger,
         bindings: rules::tokens::collect_bindings(&lexed.tokens),
         fns,
@@ -217,7 +218,7 @@ pub(crate) fn model_facts(crate_name: &str, rel: &str, src: &str, sched: &[Strin
 /// shard-safety certificate.
 #[derive(Debug)]
 pub struct LintOutcome {
-    /// Post-waiver findings and waiver records.
+    /// The findings.
     pub report: Report,
     /// Per-crate shard-safety verdicts (empty when no crate declares
     /// `shard_roots`).
@@ -235,11 +236,9 @@ pub struct LintOutcome {
 ///   resolve every determinism-taint flow, same-file or across files and
 ///   crates, and the shard-safety certificate is computed from
 ///   manifest-declared roots ([`shard::certify`]).
-/// * **Phase C (per file):** taint findings join the file's candidates,
-///   source-side waivers of cross-file flows are credited so they do not
-///   rot into `stale-waiver`, and one waiver application finalizes each
-///   file. Crate-level ledger pairing and the `missing-forbid` check
-///   close out the report.
+/// * **Phase C (assembly):** every file's findings and the taint
+///   findings at their sinks join the report; crate-level ledger pairing
+///   and the `missing-forbid` check close it out, and one sort orders it.
 pub fn lint_workspace(root: &Path) -> io::Result<LintOutcome> {
     let graph = WorkspaceGraph::load(root)?;
     let mut report = Report {
@@ -304,19 +303,16 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintOutcome> {
     let (cert, cert_findings) = shard::certify(&specs, &ws);
     report.findings.extend(cert_findings);
 
-    // Route each taint finding to its sink file. A waiver at the source
-    // line of any cross-file flow into a reported sink is credited, even
-    // when the sink is reported from an earlier origin.
-    let mut taint: Vec<Vec<Finding>> = vec![Vec::new(); files.len()];
-    let mut credits: Vec<Vec<usize>> = vec![Vec::new(); files.len()];
+    // Phase C: every file's findings, then the taint findings at their
+    // sinks. A cross-file flow names its source site.
+    for facts in &mut files {
+        report.findings.append(&mut facts.findings);
+    }
     for f in inter {
         let mut message = f.message;
-        let (sf, sl) = f.sources[0];
+        let (sf, sl) = f.source;
         if sf != f.file {
             message = format!("{message} (source at {}:{})", files[sf].rel, sl);
-        }
-        for &(sf, sl) in f.sources.iter().filter(|s| s.0 != f.file) {
-            credits[sf].push(sl);
         }
         let finding = Finding {
             file: files[f.file].rel.clone(),
@@ -324,33 +320,13 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintOutcome> {
             rule: "determinism-taint",
             message: format!(
                 "{message}; break the flow (ordered container, stable key, \
-                 seeded stream) or waive with a reason"
+                 seeded stream)"
             ),
         };
         // Repeated sinks on one line report one finding.
-        if !taint[f.file].contains(&finding) {
-            taint[f.file].push(finding);
+        if !report.findings.contains(&finding) {
+            report.findings.push(finding);
         }
-    }
-
-    // Phase C: finalize each file once.
-    for ((facts, taint), credits) in files.iter_mut().zip(taint).zip(credits) {
-        let mut candidates = std::mem::take(&mut facts.candidates);
-        candidates.extend(taint);
-        let mut wset = std::mem::take(&mut facts.wset);
-        for line in credits {
-            wset.credit(line, "determinism-taint");
-        }
-        let analysis = rules::tokens::finalize(&facts.rel, candidates, wset);
-        report.findings.extend(analysis.findings);
-        report
-            .waivers
-            .extend(analysis.waivers.into_iter().map(|w| WaiverRecord {
-                file: facts.rel.clone(),
-                line: w.line,
-                rules: w.rules,
-                block: w.block,
-            }));
     }
 
     // Crate-level rules from the aggregated facts.
@@ -427,48 +403,47 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintOutcome> {
             }
         }
     }
-    report
-        .findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    report
-        .waivers
-        .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    report.findings.sort_by(|a, b| {
+        (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
+    });
     Ok(LintOutcome { report, cert })
 }
 
-/// CLI entry point; returns the process exit code.
+/// CLI entry point; returns the process exit code: 0 when the run is
+/// clean, 1 on any finding or certificate mismatch, 2 on a bad command
+/// line or an unreadable or unwritable file.
 pub fn run(args: &[String]) -> i32 {
     let mut root_arg: Option<PathBuf> = None;
     let mut json = false;
     let mut out_file: Option<PathBuf> = None;
     let mut annotations = false;
-    let mut compare_file: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut self_lint = false;
     let mut sarif_file: Option<PathBuf> = None;
-    let mut strict = false;
     let mut shard_cert_file: Option<PathBuf> = None;
     let mut compare_shard_cert: Option<PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
+        let path_slot = match args[i].as_str() {
+            "--root" => Some(&mut root_arg),
+            "--out" => Some(&mut out_file),
+            "--sarif" => Some(&mut sarif_file),
+            "--shard-cert" => Some(&mut shard_cert_file),
+            "--compare-shard-cert" => Some(&mut compare_shard_cert),
+            _ => None,
+        };
+        if let Some(slot) = path_slot {
+            // A following flag is not a path: `--out --json` must not
+            // write a file named `--json` and drop the `--json`.
+            let Some(path) = args.get(i + 1).filter(|p| !p.starts_with("--")) else {
+                eprintln!("simlint: {} needs a path", args[i]);
+                return 2;
+            };
+            *slot = Some(PathBuf::from(path));
+            i += 2;
+            continue;
+        }
         match args[i].as_str() {
-            "--deny-all" => {} // compatibility: findings always fail
             "--json" => json = true,
             "--annotations" => annotations = true,
-            "--self" => self_lint = true,
-            "--strict" => strict = true,
-            "--shard-cert" => {
-                i += 1;
-                shard_cert_file = args.get(i).map(PathBuf::from);
-            }
-            "--compare-shard-cert" => {
-                i += 1;
-                compare_shard_cert = args.get(i).map(PathBuf::from);
-            }
-            "--sarif" => {
-                i += 1;
-                sarif_file = args.get(i).map(PathBuf::from);
-            }
             "--list-rules" => {
                 for r in rules::TABLE {
                     println!("{:<16} {}", r.name, r.fires_on.replace('\n', " "));
@@ -488,25 +463,8 @@ pub fn run(args: &[String]) -> i32 {
                 println!("{}", spec.name);
                 println!("  scope:    {}", spec.scope);
                 println!("  fires on: {}", spec.fires_on.replace('\n', " "));
-                println!("  waivable: {}", if spec.waivable { "yes" } else { "no" });
                 println!("\n{}", spec.detail);
                 return 0;
-            }
-            "--root" => {
-                i += 1;
-                root_arg = args.get(i).map(PathBuf::from);
-            }
-            "--out" => {
-                i += 1;
-                out_file = args.get(i).map(PathBuf::from);
-            }
-            "--compare" => {
-                i += 1;
-                compare_file = args.get(i).map(PathBuf::from);
-            }
-            "--write-baseline" => {
-                i += 1;
-                write_baseline = args.get(i).map(PathBuf::from);
             }
             "--write-rules-doc" => {
                 let root = match resolve_root(root_arg.as_deref()) {
@@ -540,33 +498,13 @@ pub fn run(args: &[String]) -> i32 {
         }
     };
 
-    let LintOutcome { mut report, cert } = match lint_workspace(&root) {
+    let LintOutcome { report, cert } = match lint_workspace(&root) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("simlint: {e}");
             return 2;
         }
     };
-
-    if self_lint {
-        report
-            .findings
-            .retain(|f| f.file.starts_with("crates/simlint/"));
-        report
-            .waivers
-            .retain(|w| w.file.starts_with("crates/simlint/"));
-        if !report.waivers.is_empty() {
-            for w in &report.waivers {
-                eprintln!(
-                    "{}:{}: the linter may not waive its own rules ({})",
-                    w.file,
-                    w.line,
-                    w.rules.join(", ")
-                );
-            }
-            return 1;
-        }
-    }
 
     let mut failed = !report.findings.is_empty();
     for f in &report.findings {
@@ -591,47 +529,6 @@ pub fn run(args: &[String]) -> i32 {
         }
         println!("wrote SARIF {}", path.display());
     }
-    if let Some(path) = write_baseline {
-        if let Err(e) = fs::write(&path, report.to_baseline_json()) {
-            eprintln!("simlint: cannot write {}: {e}", path.display());
-            return 2;
-        }
-        println!("wrote baseline {}", path.display());
-    }
-    if let Some(path) = compare_file {
-        match fs::read_to_string(&path) {
-            Ok(text) => match report::compare(&report, &text) {
-                Ok(notes) if strict && !notes.is_empty() => {
-                    // Under --strict, drift in *either* direction fails:
-                    // unexplained disappearances mean the baseline lies.
-                    for n in notes {
-                        eprintln!("baseline gate (strict): {n}");
-                    }
-                    eprintln!(
-                        "baseline gate (strict): findings disappeared without a \
-                         baseline update; re-ratchet with --write-baseline"
-                    );
-                    failed = true;
-                }
-                Ok(notes) => {
-                    for n in notes {
-                        println!("note: {n}");
-                    }
-                    println!("baseline gate: OK ({})", path.display());
-                }
-                Err(errors) => {
-                    for e in errors {
-                        eprintln!("baseline gate: {e}");
-                    }
-                    failed = true;
-                }
-            },
-            Err(e) => {
-                eprintln!("simlint: cannot read baseline {}: {e}", path.display());
-                return 2;
-            }
-        }
-    }
     if let Some(path) = shard_cert_file {
         if let Err(e) = fs::write(&path, cert.to_json()) {
             eprintln!("simlint: cannot write {}: {e}", path.display());
@@ -641,13 +538,8 @@ pub fn run(args: &[String]) -> i32 {
     }
     if let Some(path) = compare_shard_cert {
         match fs::read_to_string(&path) {
-            Ok(text) => match shard::compare(&cert, &text, strict) {
-                Ok(notes) => {
-                    for n in notes {
-                        println!("note: {n}");
-                    }
-                    println!("shard-safety gate: OK ({})", path.display());
-                }
+            Ok(text) => match shard::compare(&cert, &text) {
+                Ok(()) => println!("shard-safety gate: OK ({})", path.display()),
                 Err(errors) => {
                     for e in errors {
                         eprintln!("shard-safety gate: {e}");
@@ -666,10 +558,9 @@ pub fn run(args: &[String]) -> i32 {
     }
     if !json {
         println!(
-            "simlint: scanned {} files, {} finding(s), {} waiver(s)",
+            "simlint: scanned {} files, {} finding(s)",
             report.files_scanned,
-            report.findings.len(),
-            report.waivers.len()
+            report.findings.len()
         );
     }
     i32::from(failed)

@@ -1,4 +1,4 @@
-//! `cargo run -p simlint -- --deny-all` — fail the build on determinism
+//! `cargo run -p simlint` — fail the build on determinism
 //! hazards anywhere in the workspace sources.
 
 #![forbid(unsafe_code)]

@@ -1,63 +1,23 @@
-//! Report assembly, JSON output, and the findings baseline gate.
-//!
-//! The gate mirrors the perf gate (`BENCH_5.json` + `perf --compare`):
-//! a checked-in `SIMLINT_BASELINE.json` records the accepted standing
-//! findings (normally none) and the per-(file, rule) waiver counts.
-//! `--compare` fails when a (file, rule) pair gains findings or waivers
-//! relative to the baseline — lines may drift, debt may not grow — and
-//! merely notes shrinkage, which `--write-baseline` then locks in. The
-//! ledger ratchets one way.
+//! The findings report and its renderings: the `--json` document, SARIF
+//! 2.1.0 and GitHub Actions annotations.
 //!
 //! Everything here is dependency-free: a hand-rolled JSON emitter with
 //! proper string escaping, and a small recursive-descent JSON parser
-//! (objects, arrays, strings with escapes, numbers, booleans, null) for
-//! reading the baseline back.
+//! (objects, arrays, strings with escapes, numbers, booleans, null) that
+//! reads the checked-in shard certificate back ([`crate::shard`]).
 
 use std::collections::BTreeMap;
 
 use crate::Finding;
-
-/// One well-formed waiver, for the ledger.
-#[derive(Debug, Clone)]
-pub struct WaiverRecord {
-    pub file: String,
-    pub line: usize,
-    pub rules: Vec<String>,
-    pub block: bool,
-}
 
 /// The result of linting a workspace.
 #[derive(Debug, Default)]
 pub struct Report {
     pub files_scanned: usize,
     pub findings: Vec<Finding>,
-    pub waivers: Vec<WaiverRecord>,
 }
 
 impl Report {
-    /// Findings per (file, rule), for line-tolerant baseline comparison.
-    pub fn finding_counts(&self) -> BTreeMap<(String, String), usize> {
-        let mut counts = BTreeMap::new();
-        for f in &self.findings {
-            *counts
-                .entry((f.file.clone(), f.rule.to_string()))
-                .or_insert(0) += 1;
-        }
-        counts
-    }
-
-    /// Waivers per (file, rule): each waiver contributes one per rule it
-    /// names.
-    pub fn waiver_counts(&self) -> BTreeMap<(String, String), usize> {
-        let mut counts = BTreeMap::new();
-        for w in &self.waivers {
-            for rule in &w.rules {
-                *counts.entry((w.file.clone(), rule.clone())).or_insert(0) += 1;
-            }
-        }
-        counts
-    }
-
     /// The full machine-readable report (`--json`).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -73,51 +33,7 @@ impl Report {
                 if i + 1 < self.findings.len() { "," } else { "" }
             ));
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"waivers\": [\n");
-        for (i, w) in self.waivers.iter().enumerate() {
-            let rules: Vec<String> = w.rules.iter().map(|r| json_str(r)).collect();
-            out.push_str(&format!(
-                "    {{\"file\": {}, \"line\": {}, \"rules\": [{}], \"block\": {}}}{}\n",
-                json_str(&w.file),
-                w.line,
-                rules.join(", "),
-                w.block,
-                if i + 1 < self.waivers.len() { "," } else { "" }
-            ));
-        }
         out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// The baseline document (`--write-baseline`): standing findings
-    /// without messages (lines drift; messages churn) plus the waiver
-    /// ledger. `schema: 4` marks the v4 finding vocabulary
-    /// (workspace-interprocedural taint, shard-cert); `compare` ignores
-    /// the key, so v2/v3 baselines still parse.
-    pub fn to_baseline_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": 4,\n  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"file\": {}, \"line\": {}, \"rule\": {}}}{}\n",
-                json_str(&f.file),
-                f.line,
-                json_str(f.rule),
-                if i + 1 < self.findings.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"waiver_counts\": {\n");
-        let counts = self.waiver_counts();
-        let n = counts.len();
-        for (i, ((file, rule), count)) in counts.iter().enumerate() {
-            out.push_str(&format!(
-                "    {}: {}{}\n",
-                json_str(&format!("{file}:{rule}")),
-                count,
-                if i + 1 < n { "," } else { "" }
-            ));
-        }
-        out.push_str("  }\n}\n");
         out
     }
 
@@ -180,87 +96,6 @@ impl Report {
     }
 }
 
-/// Compare a report against baseline JSON text. `Ok` carries notes
-/// (shrinkage worth refreshing), `Err` carries gate failures.
-pub fn compare(report: &Report, baseline_text: &str) -> Result<Vec<String>, Vec<String>> {
-    let value =
-        parse_json(baseline_text).map_err(|e| vec![format!("baseline is not valid JSON: {e}")])?;
-    let mut base_findings: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for item in value
-        .get("findings")
-        .and_then(Value::as_array)
-        .unwrap_or(&[])
-    {
-        let file = item.get("file").and_then(Value::as_str).unwrap_or_default();
-        let rule = item.get("rule").and_then(Value::as_str).unwrap_or_default();
-        *base_findings
-            .entry((file.to_string(), rule.to_string()))
-            .or_insert(0) += 1;
-    }
-    let mut base_waivers: BTreeMap<(String, String), usize> = BTreeMap::new();
-    if let Some(Value::Object(map)) = value.get("waiver_counts") {
-        for (key, count) in map {
-            if let (Some((file, rule)), Some(n)) = (key.rsplit_once(':'), count.as_usize()) {
-                base_waivers.insert((file.to_string(), rule.to_string()), n);
-            }
-        }
-    }
-
-    let mut errors = Vec::new();
-    let mut notes = Vec::new();
-    let cur_findings = report.finding_counts();
-    for ((file, rule), count) in &cur_findings {
-        let base = base_findings
-            .get(&(file.clone(), rule.clone()))
-            .copied()
-            .unwrap_or(0);
-        if *count > base {
-            errors.push(format!(
-                "new findings: {file} has {count} `{rule}` finding(s), baseline allows {base}"
-            ));
-        }
-    }
-    for ((file, rule), base) in &base_findings {
-        let cur = cur_findings
-            .get(&(file.clone(), rule.clone()))
-            .copied()
-            .unwrap_or(0);
-        if cur < *base {
-            notes.push(format!(
-                "{file}: `{rule}` findings dropped {base} -> {cur}; refresh with --write-baseline"
-            ));
-        }
-    }
-    let cur_waivers = report.waiver_counts();
-    for ((file, rule), count) in &cur_waivers {
-        let base = base_waivers
-            .get(&(file.clone(), rule.clone()))
-            .copied()
-            .unwrap_or(0);
-        if *count > base {
-            errors.push(format!(
-                "waiver ledger grew: {file} has {count} `{rule}` waiver(s), baseline allows {base}"
-            ));
-        }
-    }
-    for ((file, rule), base) in &base_waivers {
-        let cur = cur_waivers
-            .get(&(file.clone(), rule.clone()))
-            .copied()
-            .unwrap_or(0);
-        if cur < *base {
-            notes.push(format!(
-                "{file}: `{rule}` waivers dropped {base} -> {cur}; refresh with --write-baseline"
-            ));
-        }
-    }
-    if errors.is_empty() {
-        Ok(notes)
-    } else {
-        Err(errors)
-    }
-}
-
 pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -286,7 +121,7 @@ fn gha_escape(s: &str) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Mini JSON parser (read-side, for the baseline)
+// Mini JSON parser (read-side, for the shard certificate)
 // ---------------------------------------------------------------------------
 
 /// A parsed JSON value.
@@ -492,25 +327,16 @@ mod tests {
         }
     }
 
-    fn report_with(findings: Vec<Finding>, waivers: Vec<WaiverRecord>) -> Report {
+    fn report_with(findings: Vec<Finding>) -> Report {
         Report {
             files_scanned: 3,
             findings,
-            waivers,
         }
     }
 
     #[test]
     fn json_roundtrips_through_own_parser() {
-        let report = report_with(
-            vec![finding("a.rs", 7, "unordered")],
-            vec![WaiverRecord {
-                file: "b.rs".into(),
-                line: 2,
-                rules: vec!["wall-clock".into()],
-                block: true,
-            }],
-        );
+        let report = report_with(vec![finding("a.rs", 7, "unordered")]);
         let value = parse_json(&report.to_json()).expect("valid JSON");
         assert_eq!(
             value.get("files_scanned").and_then(Value::as_usize),
@@ -523,64 +349,11 @@ mod tests {
             f.get("message").and_then(Value::as_str),
             Some("m \"quoted\"\nsecond")
         );
-        let baseline = parse_json(&report.to_baseline_json()).expect("valid baseline");
-        assert_eq!(
-            baseline
-                .get("waiver_counts")
-                .and_then(|v| v.get("b.rs:wall-clock"))
-                .and_then(Value::as_usize),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn compare_passes_on_identical_baseline() {
-        let report = report_with(vec![finding("a.rs", 7, "unordered")], vec![]);
-        let baseline = report.to_baseline_json();
-        assert_eq!(compare(&report, &baseline), Ok(vec![]));
-    }
-
-    #[test]
-    fn compare_fails_on_new_finding() {
-        let clean = report_with(vec![], vec![]);
-        let baseline = clean.to_baseline_json();
-        let dirty = report_with(vec![finding("a.rs", 7, "unordered")], vec![]);
-        let errs = compare(&dirty, &baseline).unwrap_err();
-        assert!(errs[0].contains("new findings"), "{errs:?}");
-    }
-
-    #[test]
-    fn compare_tolerates_line_drift() {
-        let before = report_with(vec![finding("a.rs", 7, "unordered")], vec![]);
-        let baseline = before.to_baseline_json();
-        let after = report_with(vec![finding("a.rs", 9, "unordered")], vec![]);
-        assert!(compare(&after, &baseline).is_ok());
-    }
-
-    #[test]
-    fn compare_fails_on_waiver_growth_and_notes_shrink() {
-        let w = |n: usize| {
-            (0..n)
-                .map(|i| WaiverRecord {
-                    file: "a.rs".into(),
-                    line: i + 1,
-                    rules: vec!["unordered".into()],
-                    block: false,
-                })
-                .collect::<Vec<_>>()
-        };
-        let baseline = report_with(vec![], w(1)).to_baseline_json();
-        let grown = report_with(vec![], w(2));
-        let errs = compare(&grown, &baseline).unwrap_err();
-        assert!(errs[0].contains("waiver ledger grew"), "{errs:?}");
-        let shrunk = report_with(vec![], w(0));
-        let notes = compare(&shrunk, &baseline).unwrap();
-        assert!(notes[0].contains("refresh"), "{notes:?}");
     }
 
     #[test]
     fn annotations_escape_newlines() {
-        let report = report_with(vec![finding("a.rs", 7, "unordered")], vec![]);
+        let report = report_with(vec![finding("a.rs", 7, "unordered")]);
         let ann = report.to_annotations();
         assert!(ann.starts_with("::error file=a.rs,line=7::[unordered]"));
         assert!(ann.contains("%0A"));
@@ -589,7 +362,7 @@ mod tests {
 
     #[test]
     fn sarif_is_valid_json_with_rules_and_results() {
-        let report = report_with(vec![finding("a.rs", 7, "unordered")], vec![]);
+        let report = report_with(vec![finding("a.rs", 7, "unordered")]);
         let value = parse_json(&report.to_sarif()).expect("valid SARIF JSON");
         assert_eq!(value.get("version").and_then(Value::as_str), Some("2.1.0"));
         let run = &value.get("runs").and_then(Value::as_array).unwrap()[0];
@@ -617,13 +390,6 @@ mod tests {
                 .and_then(Value::as_usize),
             Some(7)
         );
-    }
-
-    #[test]
-    fn baseline_declares_schema_4() {
-        let report = report_with(vec![], vec![]);
-        let value = parse_json(&report.to_baseline_json()).unwrap();
-        assert_eq!(value.get("schema").and_then(Value::as_usize), Some(4));
     }
 
     #[test]

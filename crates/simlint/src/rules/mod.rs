@@ -5,18 +5,17 @@
 //! `--list-rules` and `--explain` CLI output, the generated markdown
 //! table in `RULES.md` (included into the crate docs and mirrored in the
 //! repository README between `<!-- simlint-rules:begin/end -->`
-//! markers), and the set of names a waiver may reference. A test
+//! markers), and the SARIF rule list. A test
 //! (`tests/docs_sync.rs`) renders [`TABLE`] to markdown and fails if
 //! `RULES.md` or the README drifted.
 
 pub mod semantic;
 pub mod tokens;
-pub mod waivers;
 
 /// One rule's description, scope, and remediation text.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleSpec {
-    /// Stable rule name, as used in findings and waivers.
+    /// Stable rule name, as used in findings.
     pub name: &'static str,
     /// Where the rule applies, in one phrase.
     pub scope: &'static str,
@@ -25,8 +24,6 @@ pub struct RuleSpec {
     /// The longer story for `--explain`: why the hazard matters and what
     /// to do instead.
     pub detail: &'static str,
-    /// Whether a source-level `allow(...)` waiver may suppress it.
-    pub waivable: bool,
 }
 
 /// Every rule simlint knows, in listing order.
@@ -41,7 +38,6 @@ pub const TABLE: &[RuleSpec] = &[
                  BTreeSet. The token pass resolves `use … as` aliases, so \
                  `use std::collections::HashMap as Fast;` still fires, and a \
                  local type that merely shares the name does not.",
-        waivable: true,
     },
     RuleSpec {
         name: "wall-clock",
@@ -53,7 +49,6 @@ pub const TABLE: &[RuleSpec] = &[
                  builds and are exempt, as is `#[cfg(test)]`-gated code and \
                  `tests/` directories, where timing assertions cannot touch \
                  model state.",
-        waivable: true,
     },
     RuleSpec {
         name: "ambient-rng",
@@ -62,7 +57,6 @@ pub const TABLE: &[RuleSpec] = &[
         detail: "Ambient entropy makes two identically-seeded runs diverge. \
                  All randomness must come from seeded sim_core::Rng streams, \
                  in tests included — a flaky seed is a flaky test.",
-        waivable: true,
     },
     RuleSpec {
         name: "host-thread",
@@ -74,7 +68,6 @@ pub const TABLE: &[RuleSpec] = &[
                  \"harness\"` (experiments, bench) may fan *independent* \
                  simulations across threads. The allowed set is read from \
                  crate metadata, not a hand-maintained path list.",
-        waivable: true,
     },
     RuleSpec {
         name: "float-sort",
@@ -85,7 +78,6 @@ pub const TABLE: &[RuleSpec] = &[
                  (nanoseconds) instead. The token pass matches the whole \
                  argument list, so splitting the closure across lines no \
                  longer hides it.",
-        waivable: true,
     },
     RuleSpec {
         name: "time-float-cast",
@@ -95,7 +87,6 @@ pub const TABLE: &[RuleSpec] = &[
                  precision silently. Go through SimDuration's *_f64 \
                  constructors/accessors, which round explicitly at one \
                  audited boundary.",
-        waivable: true,
     },
     RuleSpec {
         name: "unsafe-code",
@@ -103,7 +94,6 @@ pub const TABLE: &[RuleSpec] = &[
         fires_on: "the `unsafe` keyword",
         detail: "The workspace promises #![forbid(unsafe_code)] everywhere; \
                  the simulation has no business touching raw memory.",
-        waivable: true,
     },
     RuleSpec {
         name: "missing-forbid",
@@ -112,7 +102,6 @@ pub const TABLE: &[RuleSpec] = &[
         detail: "Every crate root must carry the forbid attribute so the \
                  guarantee survives even if the Cargo-level lint table is \
                  edited away.",
-        waivable: false,
     },
     RuleSpec {
         name: "layer-violation",
@@ -126,31 +115,7 @@ pub const TABLE: &[RuleSpec] = &[
                  root app on all of those; the tool layer (simlint) stands \
                  alone. Model crates can never depend on harness crates, the \
                  graph must stay acyclic, and every crate must declare a \
-                 layer. Manifest findings cannot be waived in source.",
-        waivable: false,
-    },
-    RuleSpec {
-        name: "bad-waiver",
-        scope: "everywhere",
-        fires_on: "a malformed waiver: missing `reason=`, unknown or \
-                   unwaivable rule, `lines=0`",
-        detail: "Every exception must say why it is sound. `allow(rule, \
-                 reason=…)` covers its line and the next; `allow-block(rule, \
-                 lines=N, reason=…)` covers its line and the next N (N ≥ 1). \
-                 Waivers naming bad-waiver, stale-waiver, layer-violation or \
-                 missing-forbid are themselves findings.",
-        waivable: false,
-    },
-    RuleSpec {
-        name: "stale-waiver",
-        scope: "everywhere",
-        fires_on: "a waiver whose rule never fires on its covered lines",
-        detail: "A waiver that suppresses nothing is debt pretending to be \
-                 documentation: the hazard it excused is gone, so the waiver \
-                 must go too. This is what lets the waiver ledger only \
-                 shrink — the baseline gate (`--compare`) rejects growth, \
-                 and stale-waiver rejects leftovers.",
-        waivable: false,
+                 layer.",
     },
     RuleSpec {
         name: "determinism-taint",
@@ -169,13 +134,11 @@ pub const TABLE: &[RuleSpec] = &[
                  cross-file, cross-crate call graph with SCC condensation and \
                  bottom-up summaries resolves taint through any call chain \
                  (`use`-aliased paths and impl methods included), and a \
-                 cross-file finding names its source site and is waivable at \
-                 the *sink* line only — the source-side waiver is credited so \
-                 it does not rot into stale-waiver. Unlike the token rules \
+                 cross-file finding is reported at the sink line and names \
+                 its source site. Unlike the token rules \
                  this flags *flows*, not mentions: a HashMap used only for \
                  membership tests is fine; its keys() feeding a sort key is \
                  not.",
-        waivable: true,
     },
     RuleSpec {
         name: "shard-isolation",
@@ -190,7 +153,6 @@ pub const TABLE: &[RuleSpec] = &[
                  partition proof. This rule is the machine-checked \
                  precondition: model state must reach code through `&mut \
                  self`, never through ambient globals.",
-        waivable: true,
     },
     RuleSpec {
         name: "ledger-pairing",
@@ -204,9 +166,7 @@ pub const TABLE: &[RuleSpec] = &[
                  fields in `[package.metadata.simlint] ledger = [\"name\"]`; \
                  the pass finds `+=`/`insert` debits and `-=`/`remove`/\
                  `clear` credits, following `get_mut` aliases within a \
-                 function. Manifest-declared obligations cannot be waived \
-                 at a source site.",
-        waivable: false,
+                 function.",
     },
     RuleSpec {
         name: "shard-cert",
@@ -222,10 +182,7 @@ pub const TABLE: &[RuleSpec] = &[
                  with witness paths in `SHARD_SAFETY.json`, the build-time \
                  gate the future partitioned engine consumes (ROADMAP open \
                  item 2). A root that resolves to nothing certifies \
-                 nothing, so it is a finding on the declaring manifest; \
-                 like every manifest-declared obligation it cannot be \
-                 waived at a source site.",
-        waivable: false,
+                 nothing, so it is a finding on the declaring manifest.",
     },
 ];
 
@@ -240,8 +197,6 @@ pub const RULES: &[&str] = &[
     "unsafe-code",
     "missing-forbid",
     "layer-violation",
-    "bad-waiver",
-    "stale-waiver",
     "determinism-taint",
     "shard-isolation",
     "ledger-pairing",
@@ -251,11 +206,6 @@ pub const RULES: &[&str] = &[
 /// Look up one rule's spec by name.
 pub fn spec(name: &str) -> Option<&'static RuleSpec> {
     TABLE.iter().find(|r| r.name == name)
-}
-
-/// True when `name` is a rule that a source-level waiver may suppress.
-pub fn waivable(name: &str) -> bool {
-    spec(name).is_some_and(|r| r.waivable)
 }
 
 /// Render the rule table as the markdown checked into `RULES.md` and the
@@ -299,18 +249,5 @@ mod tests {
             assert!(!r.detail.is_empty(), "{} has no detail", r.name);
             assert!(spec(r.name).is_some());
         }
-    }
-
-    #[test]
-    fn meta_rules_are_not_waivable() {
-        for name in [
-            "bad-waiver",
-            "stale-waiver",
-            "layer-violation",
-            "missing-forbid",
-        ] {
-            assert!(!waivable(name), "{name} must not be waivable");
-        }
-        assert!(waivable("unordered"));
     }
 }

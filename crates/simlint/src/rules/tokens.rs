@@ -33,7 +33,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::graph::Layer;
 use crate::lexer::{lex, Lexed, TokKind, Token};
-use crate::rules::waivers::{Waiver, WaiverSet};
 use crate::Finding;
 
 /// Per-file lint context, derived from the workspace graph.
@@ -61,46 +60,33 @@ impl FileCtx {
     }
 }
 
-/// The result of analyzing one file.
-#[derive(Debug, Default)]
-pub struct Analysis {
-    /// Findings after waiver suppression, sorted by (line, rule).
-    pub findings: Vec<Finding>,
-    /// Well-formed waivers declared in the file (for the ledger).
-    pub waivers: Vec<Waiver>,
-}
-
-/// Pre-waiver scan state for one file: the token-pass candidate findings
-/// plus everything a later pass (the semantic rules) needs to add its
-/// own candidates before waivers are applied once, at the end.
+/// Token-pass state for one file: its findings plus everything the
+/// later per-file passes (the semantic rules, the taint facts) need.
 pub(crate) struct Scan {
-    /// Candidate findings, pre-waiver, in emission order.
-    pub(crate) candidates: Vec<Finding>,
-    /// Parsed waivers with usage tracking not yet consumed.
-    pub(crate) wset: WaiverSet,
+    /// Findings, in emission order.
+    pub(crate) findings: Vec<Finding>,
     /// The lexed file, for item-level passes.
     pub(crate) lexed: Lexed,
     /// Per-line `#[cfg(test)]` / tests-dir extents (index = 1-based line).
     pub(crate) test_lines: Vec<bool>,
 }
 
-/// Run the token rules, producing pre-waiver candidates.
+/// Run the token rules over one file.
 pub(crate) fn scan_source(ctx: FileCtx, rel_path: &str, source: &str) -> Scan {
     let lexed = lex(source);
     let toks = &lexed.tokens;
-    let wset = WaiverSet::parse(&lexed.comments);
 
     let bindings = collect_bindings(toks);
     let defs = collect_defs(toks);
     let test_lines = collect_test_lines(ctx, toks, lexed.lines);
     let lines = collect_line_info(toks, lexed.lines);
 
-    // Candidate findings keyed for dedupe: (line, rule, display name).
+    // Findings keyed for dedupe: (line, rule, display name).
     let mut seen: BTreeSet<(usize, &'static str, String)> = BTreeSet::new();
-    let mut candidates: Vec<Finding> = Vec::new();
+    let mut findings: Vec<Finding> = Vec::new();
     let mut push = |line: usize, rule: &'static str, name: String, message: String| {
         if seen.insert((line, rule, name)) {
-            candidates.push(Finding {
+            findings.push(Finding {
                 file: rel_path.to_string(),
                 line,
                 rule,
@@ -156,8 +142,7 @@ pub(crate) fn scan_source(ctx: FileCtx, rel_path: &str, source: &str) -> Scan {
                     display(seg),
                     format!(
                         "{} iterates in hasher order, which is not stable across \
-                         runs; use BTreeMap/BTreeSet or waive with \
-                         `// simlint: allow(unordered, reason=...)`",
+                         runs; use BTreeMap/BTreeSet",
                         display(seg)
                     ),
                 );
@@ -310,7 +295,7 @@ pub(crate) fn scan_source(ctx: FileCtx, rel_path: &str, source: &str) -> Scan {
                     "as-cast".into(),
                     "bare `as` cast between u64 time and float loses nanoseconds \
                      silently; go through SimDuration's *_f64 \
-                     constructors/accessors or waive with a reason"
+                     constructors/accessors"
                         .into(),
                 );
             }
@@ -318,41 +303,9 @@ pub(crate) fn scan_source(ctx: FileCtx, rel_path: &str, source: &str) -> Scan {
     }
 
     Scan {
-        candidates,
-        wset,
+        findings,
         lexed,
         test_lines,
-    }
-}
-
-/// Apply waivers to the accumulated candidates and emit bad/stale
-/// waiver findings. Runs once, after every pass contributed candidates,
-/// so a waiver for a semantic rule is never falsely reported stale.
-pub(crate) fn finalize(
-    rel_path: &str,
-    mut candidates: Vec<Finding>,
-    mut wset: WaiverSet,
-) -> Analysis {
-    candidates.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
-    let mut findings: Vec<Finding> = Vec::new();
-    for cand in candidates {
-        if !wset.suppresses(cand.line, cand.rule) {
-            findings.push(cand);
-        }
-    }
-    for (line, msg) in &wset.bad {
-        findings.push(Finding {
-            file: rel_path.to_string(),
-            line: *line,
-            rule: "bad-waiver",
-            message: msg.clone(),
-        });
-    }
-    findings.extend(wset.stale_findings(rel_path));
-    findings.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
-    Analysis {
-        findings,
-        waivers: wset.waivers,
     }
 }
 
@@ -659,9 +612,10 @@ fn match_bracket(toks: &[Token], open_idx: usize, open: char, close: char) -> Op
 mod tests {
     use super::*;
 
-    fn analyze_source(ctx: FileCtx, rel_path: &str, source: &str) -> Analysis {
-        let scan = scan_source(ctx, rel_path, source);
-        finalize(rel_path, scan.candidates, scan.wset)
+    fn findings(ctx: FileCtx, rel_path: &str, source: &str) -> Vec<Finding> {
+        let mut found = scan_source(ctx, rel_path, source).findings;
+        found.sort_by_key(|f| (f.line, f.rule));
+        found
     }
 
     fn ctx_model() -> FileCtx {
@@ -669,8 +623,7 @@ mod tests {
     }
 
     fn run(ctx: FileCtx, src: &str) -> Vec<(usize, &'static str)> {
-        analyze_source(ctx, "crates/systems/src/x.rs", src)
-            .findings
+        findings(ctx, "crates/systems/src/x.rs", src)
             .iter()
             .map(|f| (f.line, f.rule))
             .collect()
@@ -749,9 +702,7 @@ mod tests {
         let in_src = FileCtx::new(Layer::Model, "crates/systems/src/x.rs");
         let in_tests = FileCtx::new(Layer::Model, "crates/systems/tests/x.rs");
         assert_eq!(run(in_src, src), vec![(1, "time-float-cast")]);
-        assert!(analyze_source(in_tests, "crates/systems/tests/x.rs", src)
-            .findings
-            .is_empty());
+        assert!(findings(in_tests, "crates/systems/tests/x.rs", src).is_empty());
     }
 
     #[test]
@@ -786,11 +737,7 @@ fn f() { host::spawn(|| {}); }
         let src = "std::thread::scope(|s| { s.spawn(|| {}); });\n";
         assert_eq!(run(ctx_model(), src), vec![(1, "host-thread")]);
         let harness = FileCtx::new(Layer::Harness, "crates/experiments/src/sweep.rs");
-        assert!(
-            analyze_source(harness, "crates/experiments/src/sweep.rs", src)
-                .findings
-                .is_empty()
-        );
+        assert!(findings(harness, "crates/experiments/src/sweep.rs", src).is_empty());
     }
 
     #[test]
@@ -798,11 +745,9 @@ fn f() { host::spawn(|| {}); }
         let src = "let t = std::time::Instant::now();\n";
         let bin = FileCtx::new(Layer::Harness, "crates/bench/src/bin/perf.rs");
         let lib = FileCtx::new(Layer::Harness, "crates/bench/src/lib.rs");
-        assert!(analyze_source(bin, "crates/bench/src/bin/perf.rs", src)
-            .findings
-            .is_empty());
+        assert!(findings(bin, "crates/bench/src/bin/perf.rs", src).is_empty());
         assert_eq!(
-            analyze_source(lib, "crates/bench/src/lib.rs", src).findings[0].rule,
+            findings(lib, "crates/bench/src/lib.rs", src)[0].rule,
             "wall-clock"
         );
     }
@@ -816,29 +761,6 @@ let s = r#\"HashMap unsafe OsRng\"#;
 let t = \"SystemTime\";
 ";
         assert!(run(ctx_model(), src).is_empty());
-    }
-
-    #[test]
-    fn allow_block_waiver_covers_its_span_and_tracks_usage() {
-        let src = "\
-// simlint: allow-block(unordered, lines=3, reason=fixture table keyed once)
-use std::collections::HashMap;
-fn f() { let a: HashMap<u8, u8> = HashMap::new(); }
-fn g() {}
-use std::collections::HashSet;
-";
-        let f = run(ctx_model(), src);
-        assert_eq!(f, vec![(5, "unordered")]);
-    }
-
-    #[test]
-    fn stale_waiver_fires_when_nothing_is_suppressed() {
-        let src = "\
-// simlint: allow(unordered, reason=nothing here anymore)
-fn clean() {}
-";
-        let f = run(ctx_model(), src);
-        assert_eq!(f, vec![(1, "stale-waiver")]);
     }
 
     #[test]

@@ -30,9 +30,8 @@
 //! Every unsafe reason carries a witness path — the call chain from the
 //! root to the offending function — so the verdict is auditable. The
 //! result serializes to `SHARD_SAFETY.json` (schema 1), which is checked
-//! in and gated exactly like the findings baseline: strict CI compares
-//! byte-for-byte, non-strict compares one-way (regressions fail,
-//! improvements ask for re-certification). A root that does not resolve
+//! in and compared byte for byte: any difference fails, and the failure
+//! says which crate regressed or improved. A root that does not resolve
 //! is a `shard-cert` finding on the declaring manifest — an unresolvable
 //! entry point certifies nothing.
 
@@ -331,19 +330,14 @@ impl ShardCert {
 
 /// Compare the freshly computed certificate against the checked-in one.
 ///
-/// Strict: any byte difference fails (drift in either direction must be
-/// re-certified explicitly, like the findings baseline). Non-strict:
-/// only regressions fail — a crate losing its `safe` verdict, a new
-/// unsafe reason, or a certified crate disappearing; improvements come
-/// back as notes asking for re-certification.
-pub fn compare(
-    current: &ShardCert,
-    baseline_text: &str,
-    strict: bool,
-) -> Result<Vec<String>, Vec<String>> {
+/// Any byte difference fails. Each error says why: a crate losing its
+/// `safe` verdict, a new unsafe reason, a certified crate disappearing,
+/// a crate becoming `safe` or newly declaring roots, and otherwise the
+/// bare byte drift. Every case is fixed the same way, by regenerating
+/// the certificate with `--shard-cert` and reviewing the diff.
+pub fn compare(current: &ShardCert, checked_in: &str) -> Result<(), Vec<String>> {
     let mut errors = Vec::new();
-    let mut notes = Vec::new();
-    let parsed = match parse_json(baseline_text) {
+    let parsed = match parse_json(checked_in) {
         Ok(v) => v,
         Err(e) => return Err(vec![format!("unparsable shard certificate: {e}")]),
     };
@@ -369,8 +363,8 @@ pub fn compare(
             .unwrap_or_default();
         match current.crates.get(name) {
             None => errors.push(format!(
-                "crate `{name}` is certified in the baseline but no longer \
-                 declares shard_roots; re-certify or remove it"
+                "crate `{name}` is certified in the checked-in certificate \
+                 but no longer declares shard_roots; re-certify or remove it"
             )),
             Some(cv) => {
                 if base_safe && !cv.safe {
@@ -393,7 +387,7 @@ pub fn compare(
                     }
                 }
                 if !base_safe && cv.safe {
-                    notes.push(format!(
+                    errors.push(format!(
                         "crate `{name}` is now `safe`; re-certify to record the \
                          improvement"
                     ));
@@ -403,22 +397,22 @@ pub fn compare(
     }
     for name in current.crates.keys() {
         if !base_crates.contains_key(name) {
-            notes.push(format!(
+            errors.push(format!(
                 "crate `{name}` newly declares shard_roots; re-certify to \
                  record it"
             ));
         }
     }
-    if strict && errors.is_empty() && current.to_json() != baseline_text {
+    if errors.is_empty() && current.to_json() != checked_in {
         errors.push(
-            "shard certificate drift (strict): the checked-in SHARD_SAFETY.json \
+            "shard certificate drift: the checked-in SHARD_SAFETY.json \
              does not match the computed certificate byte-for-byte; regenerate \
              with --shard-cert"
                 .into(),
         );
     }
     if errors.is_empty() {
-        Ok(notes)
+        Ok(())
     } else {
         Err(errors)
     }
@@ -538,18 +532,20 @@ mod tests {
         let ws = Workspace::new(&files);
         let (cert, _) = certify(&[spec("core", &["run"])], &ws);
         let text = cert.to_json();
-        assert!(compare(&cert, &text, true).is_ok());
-        // A safe→unsafe regression fails even non-strict.
+        assert_eq!(compare(&cert, &text), Ok(()));
+        // A safe→unsafe regression fails and says so.
         let mut worse = cert.clone();
         worse.crates.get_mut("core").unwrap().safe = false;
         worse.crates.get_mut("core").unwrap().reasons.push(Reason {
             detail: "x".into(),
             witness: vec![],
         });
-        assert!(compare(&worse, &text, false).is_err());
-        // Byte drift without regression fails only under strict.
+        let errors = compare(&worse, &text).unwrap_err();
+        assert!(errors[0].contains("regressed from `safe`"), "{errors:?}");
+        // A certificate that differs only in bytes fails too.
         let shuffled = text.replace("\"notes\": []", "\"notes\": [ ]");
-        assert!(compare(&cert, &shuffled, false).is_ok());
-        assert!(compare(&cert, &shuffled, true).is_err());
+        assert_ne!(shuffled, text, "certificate format changed under the test");
+        let errors = compare(&cert, &shuffled).unwrap_err();
+        assert!(errors[0].contains("byte-for-byte"), "{errors:?}");
     }
 }

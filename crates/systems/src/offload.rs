@@ -44,6 +44,21 @@ use crate::common::{
     Wire, Workers,
 };
 
+/// The host's socket layout, and how the dispatcher picks a worker on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sockets {
+    /// One socket: every worker shares the NIC's LLC.
+    Single,
+    /// Two sockets (§1/§4): workers split across them; DDIO pre-loads
+    /// into socket 0's LLC (where the NIC hangs), so socket-1 workers pay
+    /// a QPI/UPI hop per packet line. Workers are picked load-blind, by
+    /// least outstanding.
+    Dual,
+    /// Two sockets, with the socket-aware selector that prefers
+    /// NIC-socket workers.
+    DualAware,
+}
+
 /// Configuration of a Shinjuku-Offload instance.
 #[derive(Debug, Clone, Copy)]
 pub struct OffloadConfig {
@@ -62,14 +77,8 @@ pub struct OffloadConfig {
     /// the framework makes it programmable, §5.1(4)). Any shipped policy
     /// with its parameters, e.g. `PolicySpec::parse("edf:deadline=50us")`.
     pub policy: PolicySpec,
-    /// Model the dual-socket host (§1/§4): workers split across two
-    /// sockets; DDIO pre-loads into socket 0's LLC (where the NIC hangs),
-    /// so socket-1 workers pay a QPI/UPI hop per packet line.
-    pub dual_socket: bool,
-    /// Use the socket-aware core selector (prefer NIC-socket workers)
-    /// instead of plain least-outstanding. Only meaningful with
-    /// `dual_socket`.
-    pub socket_aware: bool,
+    /// The host's socket layout and worker selection.
+    pub sockets: Sockets,
     /// §5.2 congestion-control co-design: the NIC stamps its scheduler
     /// load into responses and the client paces itself toward this queue
     /// depth. `None` = the paper's pure open loop.
@@ -86,8 +95,7 @@ impl OffloadConfig {
             profile: NicProfile::stingray(),
             ddio_l1: false,
             policy: PolicySpec::FCFS,
-            dual_socket: false,
-            socket_aware: false,
+            sockets: Sockets::Single,
             jit_target_depth: None,
         }
     }
@@ -240,12 +248,11 @@ impl Assembly for Offload {
         .preemptive(cfg.time_slice, cfg.profile.interrupt)
         .with_idle_gaps(probe);
 
-        let topology = if cfg.dual_socket {
-            Topology::dual(cfg.workers as u8)
-        } else {
-            Topology::single(cfg.workers as u8)
+        let topology = match cfg.sockets {
+            Sockets::Single => Topology::single(cfg.workers as u8),
+            Sockets::Dual | Sockets::DualAware => Topology::dual(cfg.workers as u8),
         };
-        let selector: Box<dyn CoreSelector> = if cfg.dual_socket && cfg.socket_aware {
+        let selector: Box<dyn CoreSelector> = if cfg.sockets == Sockets::DualAware {
             let sockets = (0..cfg.workers).map(|w| topology.socket_of(w)).collect();
             Box::new(SocketAffinity::new(sockets, 0))
         } else {
@@ -362,7 +369,7 @@ impl Offload {
         // and the first touch of its DMA'd payload. DDIO homed the packet
         // on socket 0's LLC; a socket-1 worker pays the interconnect per
         // line (§1).
-        let interconnect = if self.cfg.dual_socket && self.topology.is_remote(w, 0) {
+        let interconnect = if self.cfg.sockets != Sockets::Single && self.topology.is_remote(w, 0) {
             CROSS_SOCKET_PENALTY
         } else {
             SimDuration::ZERO
@@ -779,7 +786,7 @@ mod socket_tests {
         let dual = run(
             quick_spec(400_000.0),
             OffloadConfig {
-                dual_socket: true,
+                sockets: Sockets::Dual,
                 ..OffloadConfig::paper(8, 2)
             },
         );
@@ -798,15 +805,14 @@ mod socket_tests {
         let blind = run(
             quick_spec(300_000.0),
             OffloadConfig {
-                dual_socket: true,
+                sockets: Sockets::Dual,
                 ..OffloadConfig::paper(8, 2)
             },
         );
         let aware = run(
             quick_spec(300_000.0),
             OffloadConfig {
-                dual_socket: true,
-                socket_aware: true,
+                sockets: Sockets::DualAware,
                 ..OffloadConfig::paper(8, 2)
             },
         );
@@ -837,8 +843,7 @@ mod socket_tests {
         let m = run(
             spec,
             OffloadConfig {
-                dual_socket: true,
-                socket_aware: true,
+                sockets: Sockets::DualAware,
                 time_slice: None,
                 ..OffloadConfig::paper(8, 2)
             },

@@ -40,6 +40,11 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// `--help` or `-h` anywhere on the command line asks for the usage.
+fn wants_help(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--help" || a == "-h")
+}
+
 const USAGE: &str = "\
 usage: mindgap <system> [options]
 
@@ -144,7 +149,6 @@ fn parse_args(args: &[String]) -> Option<Options> {
             "--body" => opts.body = it.next()?.parse().ok()?,
             "--measure-ms" => opts.measure_ms = it.next()?.parse().ok().filter(|v| *v > 0)?,
             "--seed" => opts.seed = it.next()?.parse().ok()?,
-            "--help" | "-h" => return None,
             s if !s.starts_with('-') && !system_set => {
                 opts.system = s.to_string();
                 system_set = true;
@@ -209,6 +213,10 @@ fn run(opts: &Options) -> Option<RunMetrics> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if wants_help(&args) {
+        print!("{}", USAGE);
+        return;
+    }
     let Some(opts) = parse_args(&args) else {
         usage()
     };
@@ -312,7 +320,10 @@ mod tests {
         assert!(parse_args(&["--rps".into(), "abc".into()]).is_none());
         assert!(parse_args(&["--bogus".into()]).is_none());
         assert!(parse_args(&["--workers".into(), "0".into()]).is_none());
-        assert!(parse_args(&["-h".into()]).is_none());
+        // Help is not a bad argument: main prints the usage and exits 0.
+        assert!(wants_help(&["-h".into()]));
+        assert!(wants_help(&["rss".into(), "--help".into()]));
+        assert!(!wants_help(&["--bogus".into()]));
     }
 
     #[test]
