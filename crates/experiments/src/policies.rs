@@ -20,7 +20,7 @@ use systems::baseline::{BaselineConfig, BaselineKind};
 use systems::offload::OffloadConfig;
 use systems::rpcvalet::RpcValetConfig;
 use systems::shinjuku::ShinjukuConfig;
-use systems::{ServerSystem, SystemConfig};
+use systems::{ResilienceConfig, ServerSystem, SystemConfig};
 use workload::{ServiceDist, WorkloadSpec};
 
 use crate::figures::Scale;
@@ -147,8 +147,10 @@ fn controls() -> Vec<SystemConfig> {
 
 /// Run the full policy × workload × assembly grid. Rows come back in
 /// grid order (workload-major, then policy, then assembly, controls
-/// last per workload) regardless of the worker count.
-pub fn run(scale: Scale) -> Vec<PolicyRow> {
+/// last per workload) regardless of the worker count. With `invariants`
+/// every cell runs under the runtime invariant checker, which panics on
+/// a violation and leaves the rows bit-identical.
+pub fn run(scale: Scale, invariants: bool) -> Vec<PolicyRow> {
     let mut cells: Vec<(String, SystemConfig, &'static str, WorkloadSpec)> = Vec::new();
     for (wname, wspec) in workloads(scale) {
         for policy in sweep_specs() {
@@ -161,7 +163,12 @@ pub fn run(scale: Scale) -> Vec<PolicyRow> {
         }
     }
     crate::sweep::par_map(&cells, |(policy, sys, wname, wspec)| {
-        let m = sys.run(*wspec, ProbeConfig::disabled());
+        let m = if invariants {
+            let res = ResilienceConfig::default().with_invariants();
+            sys.run_resilient(*wspec, ProbeConfig::disabled(), res)
+        } else {
+            sys.run(*wspec, ProbeConfig::disabled())
+        };
         PolicyRow {
             policy: policy.clone(),
             system: sys.name(),
@@ -184,7 +191,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_every_policy_and_every_assembly() {
-        let rows = run(Scale::Quick);
+        let rows = run(Scale::Quick, false);
         let policies: BTreeSet<&str> = rows.iter().map(|r| r.policy.as_str()).collect();
         let systems: BTreeSet<&str> = rows.iter().map(|r| r.system).collect();
         let workloads: BTreeSet<&str> = rows.iter().map(|r| r.workload).collect();
@@ -235,9 +242,9 @@ mod tests {
         // policy's cells are independent seeded sims, so the
         // fan-out width cannot perturb a single byte of output.
         crate::sweep::set_jobs(1);
-        let serial = crate::report::json(&run(Scale::Quick));
+        let serial = crate::report::json(&run(Scale::Quick, false));
         crate::sweep::set_jobs(4);
-        let parallel = crate::report::json(&run(Scale::Quick));
+        let parallel = crate::report::json(&run(Scale::Quick, false));
         crate::sweep::set_jobs(0);
         assert_eq!(serial, parallel);
     }

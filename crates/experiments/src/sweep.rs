@@ -34,6 +34,9 @@ pub fn set_jobs(n: usize) {
 /// The effective sweep worker count.
 pub fn jobs() -> usize {
     match JOBS.load(Ordering::Relaxed) {
+        // The harness pool sizes itself by the host; results never
+        // depend on the worker count.
+        #[allow(clippy::disallowed_methods)]
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4),
@@ -106,6 +109,9 @@ where
     let next = AtomicUsize::new(0);
     let results_mx = std::sync::Mutex::new(&mut results);
 
+    // The harness thread pool: each worker runs whole, independent
+    // simulations, and results land in input order.
+    #[allow(clippy::disallowed_methods)]
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {

@@ -8,7 +8,8 @@
 //! within the configured suspicion window, measured in simulated time
 //! against activity timestamps the dispatcher records. No wall clocks are
 //! involved and all per-worker state is index-addressed (`Vec`), so the
-//! tracker is bit-deterministic and passes the simlint container rules.
+//! tracker is bit-deterministic and needs none of the hash containers
+//! the workspace `clippy.toml` bans.
 //!
 //! # States
 //!

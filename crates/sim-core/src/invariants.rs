@@ -1,5 +1,6 @@
 //! Runtime invariant checking: the engine-resident half of the
-//! correctness tooling (the static half is the `simlint` crate).
+//! correctness tooling (the static half is the root `clippy.toml` and
+//! the `simlint` crate).
 //!
 //! Every claim this reproduction makes rests on runs being bit-for-bit
 //! deterministic and physically sensible: the virtual clock never goes

@@ -13,8 +13,8 @@
 //! ```text
 //!        app      (mindgap root package: binaries + re-exports)
 //!         │
-//!      harness    (experiments, bench — may use std::thread; bins may
-//!         │        read the wall clock: they time real builds)
+//!      harness    (experiments, bench — drive and time the models; the
+//!         │        one thread pool lives here)
 //!       model     (net-wire, nic-model, cpu-model, workload, nicsched,
 //!         │        systems — deterministic simulation state)
 //!        core     (sim-core — depends on no internal crate)
@@ -33,9 +33,9 @@
 //! scanner (no TOML dependency), builds the graph, and emits
 //! `layer-violation` findings for: missing or unknown layer metadata,
 //! forbidden edges (normal, dev, or build dependencies alike), and
-//! cycles. It also *feeds* the token pass: the `host-thread` and
-//! `wall-clock` scopes come from these layers, replacing the
-//! hand-maintained path allowlist of simlint v1.
+//! cycles. The per-file rules read their scope from these layers: the
+//! model-state rules (`time-float-cast`, `determinism-taint`,
+//! `shard-isolation`) apply to core and model crates only.
 
 use std::collections::BTreeMap;
 use std::fs;

@@ -1,7 +1,7 @@
 //! simlint — determinism and architecture lints for the simulation
 //! workspace.
 //!
-//! A dependency-free lexer ([`lexer`]) feeds alias-aware token rules
+//! A dependency-free lexer ([`lexer`]) feeds the token rules
 //! ([`rules::tokens`]) scoped by the workspace dependency graph
 //! ([`graph`]); an item parser ([`items`]) feeds the semantic rules
 //! ([`rules::semantic`]) and a determinism-taint dataflow pass
@@ -11,6 +11,11 @@
 //! resolves every taint flow, and a shard-safety certification pass
 //! ([`shard`]) proves manifest-declared entry points touch only
 //! shard-local state, emitting the checked-in `SHARD_SAFETY.json` gate.
+//!
+//! The names that break reproducibility (hash containers, the wall clock,
+//! host threads, ambient entropy, `unsafe`) are banned by the root
+//! `clippy.toml` and the workspace lint table, not here: simlint checks
+//! what a name ban cannot express.
 //!
 //! There is one gate: any finding exits 1, and so does a
 //! `--compare-shard-cert` certificate that differs from the computed one
@@ -585,10 +590,10 @@ mod tests {
         let f = Finding {
             file: "crates/x/src/lib.rs".into(),
             line: 3,
-            rule: "unordered",
+            rule: "float-sort",
             message: "m".into(),
         };
-        assert_eq!(f.render(), "crates/x/src/lib.rs:3: [unordered] m");
+        assert_eq!(f.render(), "crates/x/src/lib.rs:3: [float-sort] m");
     }
 
     #[test]

@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn json_roundtrips_through_own_parser() {
-        let report = report_with(vec![finding("a.rs", 7, "unordered")]);
+        let report = report_with(vec![finding("a.rs", 7, "float-sort")]);
         let value = parse_json(&report.to_json()).expect("valid JSON");
         assert_eq!(
             value.get("files_scanned").and_then(Value::as_usize),
@@ -353,16 +353,16 @@ mod tests {
 
     #[test]
     fn annotations_escape_newlines() {
-        let report = report_with(vec![finding("a.rs", 7, "unordered")]);
+        let report = report_with(vec![finding("a.rs", 7, "float-sort")]);
         let ann = report.to_annotations();
-        assert!(ann.starts_with("::error file=a.rs,line=7::[unordered]"));
+        assert!(ann.starts_with("::error file=a.rs,line=7::[float-sort]"));
         assert!(ann.contains("%0A"));
         assert!(!ann.trim_end().contains('\n') || ann.lines().count() == 1);
     }
 
     #[test]
     fn sarif_is_valid_json_with_rules_and_results() {
-        let report = report_with(vec![finding("a.rs", 7, "unordered")]);
+        let report = report_with(vec![finding("a.rs", 7, "float-sort")]);
         let value = parse_json(&report.to_sarif()).expect("valid SARIF JSON");
         assert_eq!(value.get("version").and_then(Value::as_str), Some("2.1.0"));
         let run = &value.get("runs").and_then(Value::as_array).unwrap()[0];
@@ -377,7 +377,7 @@ mod tests {
         assert_eq!(results.len(), 1);
         assert_eq!(
             results[0].get("ruleId").and_then(Value::as_str),
-            Some("unordered")
+            Some("float-sort")
         );
         let loc = &results[0]
             .get("locations")

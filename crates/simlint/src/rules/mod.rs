@@ -29,47 +29,6 @@ pub struct RuleSpec {
 /// Every rule simlint knows, in listing order.
 pub const TABLE: &[RuleSpec] = &[
     RuleSpec {
-        name: "unordered",
-        scope: "core + model crates",
-        fires_on: "`HashMap` / `HashSet`, including aliased imports",
-        detail: "Hash containers iterate in hasher order, which is randomized \
-                 per process: any iteration that feeds simulation state or \
-                 output breaks bit-for-bit reproducibility. Use BTreeMap / \
-                 BTreeSet. The token pass resolves `use … as` aliases, so \
-                 `use std::collections::HashMap as Fast;` still fires, and a \
-                 local type that merely shares the name does not.",
-    },
-    RuleSpec {
-        name: "wall-clock",
-        scope: "everywhere but harness `src/bin/`; test-only code exempt",
-        fires_on: "`Instant`, `SystemTime`, `UNIX_EPOCH` (alias-aware)",
-        detail: "The wall clock differs across runs and machines; simulated \
-                 time must come from the engine clock. Harness binaries \
-                 (`crates/*/src/bin/` of a `harness`-layer crate) time real \
-                 builds and are exempt, as is `#[cfg(test)]`-gated code and \
-                 `tests/` directories, where timing assertions cannot touch \
-                 model state.",
-    },
-    RuleSpec {
-        name: "ambient-rng",
-        scope: "everywhere but harness `src/bin/`",
-        fires_on: "`thread_rng`, `rand::random`, `from_entropy`, `OsRng`",
-        detail: "Ambient entropy makes two identically-seeded runs diverge. \
-                 All randomness must come from seeded sim_core::Rng streams, \
-                 in tests included — a flaky seed is a flaky test.",
-    },
-    RuleSpec {
-        name: "host-thread",
-        scope: "every crate whose layer is not `harness`",
-        fires_on: "`std::thread` (alias-aware), `thread::spawn` / `scope`",
-        detail: "One simulation is one deterministic sequential event loop; \
-                 OS threads inside a model would race it. Only crates whose \
-                 manifest declares `[package.metadata.simlint] layer = \
-                 \"harness\"` (experiments, bench) may fan *independent* \
-                 simulations across threads. The allowed set is read from \
-                 crate metadata, not a hand-maintained path list.",
-    },
-    RuleSpec {
         name: "float-sort",
         scope: "everywhere",
         fires_on: "`sort_by*` whose arguments contain `partial_cmp`",
@@ -87,13 +46,6 @@ pub const TABLE: &[RuleSpec] = &[
                  precision silently. Go through SimDuration's *_f64 \
                  constructors/accessors, which round explicitly at one \
                  audited boundary.",
-    },
-    RuleSpec {
-        name: "unsafe-code",
-        scope: "everywhere",
-        fires_on: "the `unsafe` keyword",
-        detail: "The workspace promises #![forbid(unsafe_code)] everywhere; \
-                 the simulation has no business touching raw memory.",
     },
     RuleSpec {
         name: "missing-forbid",
@@ -135,10 +87,10 @@ pub const TABLE: &[RuleSpec] = &[
                  bottom-up summaries resolves taint through any call chain \
                  (`use`-aliased paths and impl methods included), and a \
                  cross-file finding is reported at the sink line and names \
-                 its source site. Unlike the token rules \
-                 this flags *flows*, not mentions: a HashMap used only for \
-                 membership tests is fine; its keys() feeding a sort key is \
-                 not.",
+                 its source site. It flags *flows*, not mentions: a source \
+                 matters only where it reaches a sink. (Naming a hash \
+                 container, the wall clock or ambient entropy at all is \
+                 banned by the workspace clippy.toml.)",
     },
     RuleSpec {
         name: "shard-isolation",
@@ -188,13 +140,8 @@ pub const TABLE: &[RuleSpec] = &[
 
 /// Every rule name, in listing order (derived from [`TABLE`]).
 pub const RULES: &[&str] = &[
-    "unordered",
-    "wall-clock",
-    "ambient-rng",
-    "host-thread",
     "float-sort",
     "time-float-cast",
-    "unsafe-code",
     "missing-forbid",
     "layer-violation",
     "determinism-taint",

@@ -32,7 +32,7 @@ fn fixtures() -> Vec<String> {
 #[test]
 fn every_fixture_matches_its_expected_findings() {
     let names = fixtures();
-    assert!(names.len() >= 19, "corpus shrank: {names:?}");
+    assert!(names.len() >= 15, "corpus shrank: {names:?}");
     let mut mismatches = Vec::new();
     for name in &names {
         let stem = name.trim_end_matches(".rs");

@@ -1,6 +1,6 @@
-// Wall-clock reads inside #[cfg(test)]-gated code are fine: timing
-// assertions in tests cannot touch model state. A line scanner with no
-// item extents cannot know this.
+// The wall-clock ban holds in #[cfg(test)]-gated code too: a test that
+// times itself is flaky on a loaded machine. `--all-targets` compiles
+// the test module, so these reads fire.
 pub fn model_step(x: u64) -> u64 {
     x + 1
 }

@@ -1,5 +1,6 @@
 // A waiver-shaped comment is only a comment: no source comment can
-// silence a finding, so both hash containers below still fire.
+// silence a finding, so both hash containers below still fire. Only a
+// scoped `#[allow(clippy::disallowed_types)]` lifts the ban.
 // simlint: allow(unordered, reason=membership tests only)
 use std::collections::HashMap;
 

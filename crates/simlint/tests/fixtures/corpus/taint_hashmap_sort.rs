@@ -1,5 +1,5 @@
 // Iteration order of a HashMap flowing into a comparator-driven sort:
-// the v2 `unordered` rule flags the mentions, and the v3 dataflow pass
+// the workspace clippy.toml bans the mentions, and the dataflow pass
 // flags the *flow* at the sort call.
 use std::collections::HashMap;
 

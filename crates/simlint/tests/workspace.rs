@@ -121,23 +121,35 @@ fn crate_without_layer_metadata_fails_the_build() {
 
 #[test]
 fn hazardous_model_crate_fails_with_alias_resolution() {
+    // The address cast hides behind a `use … as` rename in another file;
+    // the taint pass resolves the call through the alias to `keys.rs`.
     let ws = scratch_ws(
         "hazard",
         &[(
             "modelcrate",
             "model",
             "",
-            &[(
-                "lib.rs",
-                "#![forbid(unsafe_code)]\nuse std::collections::HashMap as Fast;\n\
-                 pub fn t() -> Fast<u8, u8> { Fast::new() }\n",
-            )],
+            &[
+                (
+                    "lib.rs",
+                    "#![forbid(unsafe_code)]\nmod keys;\nuse keys::addr as stable_key;\n\
+                     pub struct S { q: Q }\n\
+                     impl S { pub fn go(&mut self, t: &u8) { self.q.schedule(stable_key(t)); } }\n",
+                ),
+                (
+                    "keys.rs",
+                    "pub fn addr(t: &u8) -> u64 { t as *const u8 as u64 }\n",
+                ),
+            ],
         )],
     );
     let (code, out, _err) = run_cli(&["--root", ws.to_str().unwrap()]);
     assert_eq!(code, 1, "expected failure, got:\n{out}");
-    assert!(out.contains("unordered"), "{out}");
-    assert!(out.contains("aliasing HashMap"), "{out}");
+    assert!(out.contains("determinism-taint"), "{out}");
+    assert!(
+        out.contains("(source at crates/modelcrate/src/keys.rs:1)"),
+        "{out}"
+    );
     fs::remove_dir_all(&ws).ok();
 }
 
