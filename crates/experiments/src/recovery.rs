@@ -17,10 +17,11 @@
 //!   Their in-flight requests are gone; the only question is who notices
 //!   first, the NIC's lease table or the client's timer.
 //! - `stall`: a storm of transient per-worker stalls (GC pause, SMI)
-//!   sweeps the pool, up to [`sim_core::MAX_FAULT_EVENTS`] of them. This
-//!   is the false-positive gauntlet: a reclaimed request's zombie copy
-//!   finishes anyway when the worker wakes, and the exactly-once filter
-//!   must absorb it while the detector readmits the worker.
+//!   sweeps the pool until the end of the run, up to
+//!   [`sim_core::MAX_FAULT_EVENTS`] of them. This is the false-positive
+//!   gauntlet: a reclaimed request's zombie copy finishes anyway when the
+//!   worker wakes, and the exactly-once filter must absorb it while the
+//!   detector readmits the worker.
 //!
 //! Every row closes the request ledger, and the smoke body asserts the
 //! headline result: NIC recovery strictly beats retry-only p99 for both
@@ -72,18 +73,20 @@ impl Fault {
 }
 
 /// The stall storm's windows `(worker, start, end)`: one worker at a time
-/// parked for 250µs, round-robin, every 400µs from 30% of the run, until
-/// a stall would reach the horizon or [`sim_core::MAX_FAULT_EVENTS`]
-/// stalls are scheduled, whichever comes first. At `Scale::Quick` (6 ms)
-/// that is 10 stalls ending at 5.65 ms. At `Scale::Full` (22 ms) the cap
-/// ends the storm after 16 stalls at 12.85 ms, so the last ~9 ms of the
-/// run are stall-free.
+/// parked for 250µs, round-robin, from 30% of the run, until a stall would
+/// reach the horizon or [`sim_core::MAX_FAULT_EVENTS`] stalls are
+/// scheduled. The period is the larger of 400µs and the storm's span over
+/// that cap, so a long run's storm lasts to its end. At `Scale::Quick`
+/// (6 ms) that is 10 stalls, 400µs apart, ending at 5.65 ms. At
+/// `Scale::Full` (22 ms) it is 16 stalls, 962.5µs apart, ending at
+/// 21.2875 ms.
 fn stall_storm(horizon: SimTime, workers: usize) -> Vec<(usize, SimTime, SimTime)> {
     let h = horizon.as_nanos();
+    let first = h * 3 / 10;
     let stall = 250_000u64; // 250µs outage
-    let gap = 400_000u64; // storm period
+    let gap = ((h - first) / sim_core::MAX_FAULT_EVENTS as u64).max(400_000); // storm period
     (0u64..)
-        .map(|k| h * 3 / 10 + k * gap)
+        .map(|k| first + k * gap)
         .take_while(|&start| start + stall < h)
         .take(sim_core::MAX_FAULT_EVENTS)
         .enumerate()
@@ -336,17 +339,19 @@ mod tests {
 
     #[test]
     fn stall_storm_runs_uncapped_at_quick_and_capped_at_full() {
-        let cases = [(Scale::Quick, 10, 5_650), (Scale::Full, 16, 12_850)];
-        for (scale, stalls, last_end_us) in cases {
+        let cases = [(Scale::Quick, 10, 5_650_000), (Scale::Full, 16, 21_287_500)];
+        for (scale, stalls, last_end_ns) in cases {
             let horizon = spec_for(scale).horizon();
             let storm = stall_storm(horizon, WORKERS);
             assert_eq!(storm.len(), stalls, "{scale:?}: stall count");
+            assert!(stalls <= sim_core::MAX_FAULT_EVENTS, "{scale:?}: cap");
             let &(w, last_start, end) = storm.last().expect("a storm");
-            assert_eq!(end, SimTime::from_micros(last_end_us), "{scale:?}: end");
-            // Capped exactly when the horizon had room for another stall.
-            let next_end = last_start + SimDuration::from_micros(400 + 250);
-            let capped = stalls == sim_core::MAX_FAULT_EVENTS;
-            assert_eq!(next_end < horizon, capped, "{scale:?}: cap");
+            assert_eq!(end, SimTime::from_nanos(last_end_ns), "{scale:?}: end");
+            // The storm spans the run: one more period would carry a stall
+            // past the horizon.
+            let period = storm[1].1 - storm[0].1;
+            let next_end = last_start + period + SimDuration::from_micros(250);
+            assert!(next_end >= horizon, "{scale:?}: storm ends early");
             // The schedule holds these windows: the last stall is live
             // just before its end, and no worker stalls after it.
             let faults = Fault::Stall.schedule(horizon, WORKERS);

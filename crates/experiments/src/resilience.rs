@@ -11,7 +11,7 @@
 //! in degraded RSS-hash mode because its feedback was stale.
 //!
 //! Every run closes the request ledger: `launched = completed + abandoned
-//! + still-open`, with lost/shed/stranded attempts itemised. A nonzero
+//! + still-open`, with lost and stranded attempts itemised. A nonzero
 //! `unaccounted` column is a bug, and the smoke binary asserts it is zero.
 
 use sim_core::{ProbeConfig, SimDuration, SimTime};
@@ -84,7 +84,7 @@ pub struct ResilienceRow {
     pub abandoned: u64,
     /// Frames lost on the wire (both directions).
     pub link_lost: u64,
-    /// Frames dropped at full NIC rings plus shed admissions.
+    /// Frames dropped at full NIC rings.
     pub dropped: u64,
     /// Attempts stranded inside crashed workers.
     pub stranded: u64,
@@ -171,7 +171,6 @@ fn cell_config(spec: &WorkloadSpec, scenario: Scenario, loss: f64) -> Resilience
     ResilienceConfig {
         faults: scenario.faults(loss, spec.horizon()),
         retry: Some(RetryPolicy::paper_default()),
-        admission: nicsched::AdmissionPolicy::Open,
         fallback: Some(StalenessPolicy::paper_default()),
         ..ResilienceConfig::default()
     }
@@ -197,7 +196,7 @@ fn row_from(system: &'static str, scenario: Scenario, loss: f64, m: &RunMetrics)
         retries: f.retries,
         abandoned: f.abandoned,
         link_lost: f.link_lost(),
-        dropped: f.ring_dropped + f.shed,
+        dropped: f.ring_dropped,
         stranded: f.stranded,
         fallback: SimDuration::from_nanos(f.fallback_ns),
         unaccounted: f.unaccounted(),

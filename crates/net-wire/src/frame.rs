@@ -296,8 +296,6 @@ mod proptests {
             Just(MsgKind::Assign),
             Just(MsgKind::Done),
             Just(MsgKind::Preempted),
-            Just(MsgKind::Feedback),
-            Just(MsgKind::Nack),
             Just(MsgKind::Heartbeat),
         ]
     }

@@ -30,13 +30,6 @@ pub enum MsgKind {
     /// Worker → dispatcher: the time slice expired; the request goes back to
     /// the tail of the centralized queue with `remaining_ns` left.
     Preempted,
-    /// Worker → dispatcher: idle heartbeat / load feedback (core-status
-    /// message in the informed-scheduling design, §2.3).
-    Feedback,
-    /// Dispatcher → client: early negative acknowledgement — the request
-    /// was shed by admission control and will never run; retry or give up
-    /// now instead of waiting out the timeout.
-    Nack,
     /// Worker → dispatcher: lease renewal for the failure detector. Only
     /// emitted when NIC-side recovery is enabled; runs without recovery
     /// never put this kind on the wire.
@@ -51,8 +44,6 @@ impl MsgKind {
             MsgKind::Assign => 3,
             MsgKind::Done => 4,
             MsgKind::Preempted => 5,
-            MsgKind::Feedback => 6,
-            MsgKind::Nack => 7,
             MsgKind::Heartbeat => 8,
         }
     }
@@ -64,8 +55,6 @@ impl MsgKind {
             3 => MsgKind::Assign,
             4 => MsgKind::Done,
             5 => MsgKind::Preempted,
-            6 => MsgKind::Feedback,
-            7 => MsgKind::Nack,
             8 => MsgKind::Heartbeat,
             _ => return Err(WireError::Malformed),
         })
@@ -241,8 +230,6 @@ mod tests {
             MsgKind::Assign,
             MsgKind::Done,
             MsgKind::Preempted,
-            MsgKind::Feedback,
-            MsgKind::Nack,
             MsgKind::Heartbeat,
         ] {
             let m = sample().with_kind(kind);
@@ -292,8 +279,15 @@ mod tests {
         let m = sample();
         let mut buf = vec![0u8; m.buffer_len()];
         m.emit(&mut buf);
-        buf[2] = 99;
-        assert_eq!(MsgRepr::parse(&buf).unwrap_err(), WireError::Malformed);
+        // 6 and 7 are retired codes: no kind carries them any more.
+        for code in [6, 7, 99] {
+            buf[2] = code;
+            assert_eq!(
+                MsgRepr::parse(&buf).unwrap_err(),
+                WireError::Malformed,
+                "kind byte {code}"
+            );
+        }
     }
 
     #[test]
@@ -333,8 +327,6 @@ mod proptests {
             Just(MsgKind::Assign),
             Just(MsgKind::Done),
             Just(MsgKind::Preempted),
-            Just(MsgKind::Feedback),
-            Just(MsgKind::Nack),
             Just(MsgKind::Heartbeat),
         ]
     }

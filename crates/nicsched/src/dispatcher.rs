@@ -7,9 +7,9 @@
 //! the SmartNIC ARM cores behind packet I/O, and, with
 //! [`NicProfile::ideal`](crate::NicProfile::ideal) as its profile, in a
 //! line-rate ASIC model. Both embed it through one wrapper,
-//! `systems::common::DispatchCore`, which also holds the admission and
-//! recovery settings, the staleness governor and the liveness tick, so
-//! the scheduling *semantics* are identical — which is precisely the
+//! `systems::common::DispatchCore`, which also holds the recovery setting,
+//! the staleness governor and the liveness tick, so the scheduling
+//! *semantics* are identical — which is precisely the
 //! paper's claim that only the placement and the feedback path change.
 //! `systems::rpcvalet` embeds it directly as a hardware queue.
 //!
@@ -43,7 +43,6 @@ use std::collections::BTreeMap;
 
 use sim_core::{IdTable, SimDuration, SimTime};
 
-use crate::admission::{Admission, AdmissionPolicy};
 use crate::policy::{FeedbackEvent, RunningTask, SchedPolicy};
 use crate::recovery::{HealthTracker, RecoveryPolicy};
 use crate::select::{CoreSelector, WorkerView};
@@ -70,28 +69,12 @@ pub struct DispatchStats {
     pub completions: u64,
     /// Preemption notifications processed (tasks re-queued).
     pub requeued: u64,
-    /// Requests refused by the admission policy.
-    pub shed: u64,
     /// In-flight requests reclaimed from suspected workers and re-queued
     /// for re-dispatch (also counted in `requeued`).
     pub recovered: u64,
     /// Late done/preempt reports from a worker a request was already
     /// reclaimed from, absorbed by the exactly-once filter.
     pub late_duplicates: u64,
-}
-
-/// Outcome of [`Dispatcher::offer`]: either the request was admitted (with
-/// any assignments it unlocked), or the admission policy shed it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AdmitOutcome {
-    /// The request entered the queue; these assignments were issued.
-    Admitted(Vec<Assignment>),
-    /// The request was refused. `nack` says whether the policy wants the
-    /// client notified with an early NACK.
-    Shed {
-        /// Send an early NACK back to the client.
-        nack: bool,
-    },
 }
 
 /// A dispatched request the dispatcher is still waiting on: which worker
@@ -133,7 +116,6 @@ pub struct Dispatcher<P, S> {
     // Requests outstanding at each worker, as the dispatcher believes.
     outstanding: Vec<u32>,
     outstanding_cap: u32,
-    admission: AdmissionPolicy,
     // Stale-feedback fallback: when set, worker selection ignores the
     // configured selector and hashes the request id RSS-style, because the
     // informed state it would steer on is known to be dead.
@@ -177,7 +159,6 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
             selector,
             outstanding: vec![0; n_workers],
             outstanding_cap,
-            admission: AdmissionPolicy::Open,
             degraded: false,
             excluded: vec![false; n_workers],
             in_flight: IdTable::new(),
@@ -206,11 +187,6 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         self.health.is_some()
     }
 
-    /// Replace the admission policy (default: [`AdmissionPolicy::Open`]).
-    pub fn set_admission(&mut self, admission: AdmissionPolicy) {
-        self.admission = admission;
-    }
-
     /// Enter or leave stale-feedback fallback: while degraded, worker
     /// selection hashes the request id over the non-excluded workers
     /// instead of consulting the configured selector.
@@ -235,28 +211,12 @@ impl<P: SchedPolicy, S: CoreSelector> Dispatcher<P, S> {
         self.excluded[worker]
     }
 
-    /// A new request arrived from the networking subsystem. Bypasses
-    /// admission control — the pre-fault-injection entry point, kept for
-    /// embeddings that do their own shedding (or none).
+    /// A new request arrived from the networking subsystem: it joins the
+    /// central queue, bounded only by the per-worker outstanding cap.
     pub fn on_request(&mut self, now: SimTime, task: Task) -> Vec<Assignment> {
         self.policy.enqueue(now, task);
         self.stats.admitted += 1;
         self.drain(now)
-    }
-
-    /// A new request arrived; run it through the admission policy first.
-    pub fn offer(&mut self, now: SimTime, task: Task) -> AdmitOutcome {
-        match self.admission.admit(self.policy.len()) {
-            Admission::Accept => AdmitOutcome::Admitted(self.on_request(now, task)),
-            Admission::ShedSilent => {
-                self.stats.shed += 1;
-                AdmitOutcome::Shed { nack: false }
-            }
-            Admission::ShedNack => {
-                self.stats.shed += 1;
-                AdmitOutcome::Shed { nack: true }
-            }
-        }
     }
 
     /// A worker reported finishing `req_id`.
@@ -679,24 +639,6 @@ mod tests {
                 "queued work while a worker has slack"
             );
         }
-    }
-
-    #[test]
-    fn offer_respects_admission_cap() {
-        let mut d = disp(1, 1);
-        d.set_admission(crate::AdmissionPolicy::NackShed { cap: 2 });
-        // Worker takes the first; the next two queue up to the cap.
-        assert!(matches!(d.offer(us(0), task(1)), AdmitOutcome::Admitted(a) if a.len() == 1));
-        assert!(matches!(d.offer(us(0), task(2)), AdmitOutcome::Admitted(_)));
-        assert!(matches!(d.offer(us(0), task(3)), AdmitOutcome::Admitted(_)));
-        // Queue is at cap 2: the fourth is shed with a NACK.
-        assert_eq!(d.offer(us(0), task(4)), AdmitOutcome::Shed { nack: true });
-        assert_eq!(d.stats.shed, 1);
-        assert_eq!(d.queue_len(), 2);
-        // Silent tail-drop variant sheds without the NACK flag.
-        d.set_admission(crate::AdmissionPolicy::TailDrop { cap: 2 });
-        assert_eq!(d.offer(us(0), task(5)), AdmitOutcome::Shed { nack: false });
-        assert_eq!(d.stats.shed, 2);
     }
 
     #[test]

@@ -40,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod admission;
 mod disciplines;
 mod dispatcher;
 mod feedback;
@@ -52,9 +51,8 @@ mod select;
 mod spec;
 mod task;
 
-pub use admission::{Admission, AdmissionPolicy};
 pub use disciplines::{Dfcfs, Edf, Srpt, WeightedFair};
-pub use dispatcher::{AdmitOutcome, Assignment, DispatchStats, Dispatcher};
+pub use dispatcher::{Assignment, DispatchStats, Dispatcher};
 pub use feedback::{CoreFeedback, FeedbackChannel};
 pub use policy::{
     ClassPriority, Fcfs, FeedbackEvent, Pick, PreemptDecision, RunningTask, SchedPolicy,

@@ -19,8 +19,8 @@
 //!
 //! * **Observation only.** The checker never mutates model state, never
 //!   draws randomness, and never schedules events, so an invcheck-enabled
-//!   run is bit-identical to a plain run (the resilience smoke job in CI
-//!   diffs the two JSON outputs to prove it).
+//!   run is bit-identical to a plain run (CI's grid-smokes job diffs the
+//!   two JSON outputs of each grid smoke to prove it).
 //! * **Collect, then fail.** Violations accumulate in a `Vec`;
 //!   [`InvariantChecker::assert_clean`] panics with the whole report at
 //!   the end of the run. Tests can instead inspect

@@ -60,7 +60,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Stable rule name (one of [`rules::RULES`]).
+    /// Stable rule name (one of [`rules::TABLE`]'s).
     pub rule: &'static str,
     /// Human-readable explanation with remediation.
     pub message: String,

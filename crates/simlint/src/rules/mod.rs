@@ -138,18 +138,6 @@ pub const TABLE: &[RuleSpec] = &[
     },
 ];
 
-/// Every rule name, in listing order (derived from [`TABLE`]).
-pub const RULES: &[&str] = &[
-    "float-sort",
-    "time-float-cast",
-    "missing-forbid",
-    "layer-violation",
-    "determinism-taint",
-    "shard-isolation",
-    "ledger-pairing",
-    "shard-cert",
-];
-
 /// Look up one rule's spec by name.
 pub fn spec(name: &str) -> Option<&'static RuleSpec> {
     TABLE.iter().find(|r| r.name == name)
@@ -183,12 +171,6 @@ pub fn render_rules_doc() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rules_list_matches_table() {
-        let from_table: Vec<&str> = TABLE.iter().map(|r| r.name).collect();
-        assert_eq!(RULES, from_table.as_slice());
-    }
 
     #[test]
     fn every_rule_explains_itself() {

@@ -169,7 +169,7 @@ fn sarif_output_is_written_and_well_formed() {
     let sarif = fs::read_to_string(&path).unwrap();
     assert!(sarif.contains("\"version\": \"2.1.0\""), "{sarif}");
     assert!(sarif.contains("\"name\": \"simlint\""), "{sarif}");
-    for rule in simlint::rules::RULES {
+    for rule in simlint::rules::TABLE.iter().map(|r| r.name) {
         assert!(sarif.contains(rule), "SARIF rules array missing {rule}");
     }
     fs::remove_file(&path).ok();
@@ -179,7 +179,7 @@ fn sarif_output_is_written_and_well_formed() {
 fn list_rules_and_explain_share_one_source_of_truth() {
     let (code, out, _) = run_cli(&["--list-rules"]);
     assert_eq!(code, 0);
-    for rule in simlint::rules::RULES {
+    for rule in simlint::rules::TABLE.iter().map(|r| r.name) {
         assert!(out.contains(rule), "--list-rules missing {rule}");
     }
     let (code, out, _) = run_cli(&["--explain", "determinism-taint"]);

@@ -43,16 +43,16 @@ pub trait ServerSystem {
         self.run_resilient(spec, probe, ResilienceConfig::default())
     }
 
-    /// Simulate `spec` with fault injection, client retries, admission
-    /// control and staleness fallback per `res`. With
+    /// Simulate `spec` with fault injection, client retries, staleness
+    /// fallback and NIC-side recovery per `res`. With
     /// [`ResilienceConfig::default()`] this is bit-identical to [`run`]
     /// (same event order, same RNG streams).
     ///
     /// Each assembly honours the subset of `res` that is architecturally
     /// meaningful for it (e.g. baselines have no central dispatcher, so
-    /// admission, staleness fallback and recovery are no-ops there); fault
-    /// and retry settings apply everywhere. A Shinjuku scale-out applies
-    /// admission, fallback and recovery in every dispatcher group.
+    /// staleness fallback and recovery are no-ops there); fault and retry
+    /// settings apply everywhere. A Shinjuku scale-out applies fallback and
+    /// recovery in every dispatcher group.
     ///
     /// [`run`]: ServerSystem::run
     fn run_resilient(

@@ -100,10 +100,10 @@ impl Keys {
 /// [`BaselineConfig`]. Its [`Extra`](Assembly::Extra) is the time-weighted
 /// mean number of provisioned cores (`cfg.workers` for the static kinds).
 ///
-/// Baselines have no central dispatcher, so the admission and
-/// staleness-fallback settings of the resilience config are ignored (the
-/// per-worker rings already tail-drop, and hash steering is the fallback
-/// the governor would degrade *to*), and NIC-side recovery is a no-op:
+/// Baselines have no central dispatcher, so the staleness-fallback
+/// setting of the resilience config is ignored (hash steering is the
+/// fallback the governor would degrade *to*), and NIC-side recovery is a
+/// no-op:
 /// orphaned requests are recovered only by client retries, which is
 /// exactly the contrast the `recovery` experiment measures.
 pub struct Baseline {

@@ -5,9 +5,8 @@
 //! wire with the codec check every frame passes, the serial stage every
 //! dispatcher core is built from, the host worker cores every assembly runs
 //! requests on, the centralized dispatcher core Shinjuku and
-//! Shinjuku-Offload share (with its admission, staleness governor and
-//! liveness tick), the client's side of every assembly's event loop, and
-//! metric assembly.
+//! Shinjuku-Offload share (with its staleness governor and liveness tick),
+//! the client's side of every assembly's event loop, and metric assembly.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -18,8 +17,8 @@ use net_wire::{
 };
 use nic_model::{Link, Ring};
 use nicsched::{
-    AdmissionPolicy, AdmitOutcome, Assignment, CoreFeedback, CoreSelector, Dispatcher,
-    FeedbackChannel, PreemptDecision, SchedPolicy, Task,
+    Assignment, CoreFeedback, CoreSelector, Dispatcher, FeedbackChannel, PreemptDecision,
+    SchedPolicy, Task,
 };
 use sim_core::faults::FaultConfig;
 use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
@@ -73,9 +72,6 @@ pub struct ResilienceConfig {
     pub faults: FaultConfig,
     /// Client-side timeout/retry policy (`None` = fire-and-forget).
     pub retry: Option<RetryPolicy>,
-    /// Dispatcher admission policy (ignored by assemblies without a
-    /// central dispatcher, where per-worker rings already tail-drop).
-    pub admission: AdmissionPolicy,
     /// Stale-feedback fallback policy for informed dispatchers.
     pub fallback: Option<StalenessPolicy>,
     /// NIC-side failure detection and orphan re-dispatch: the dispatcher
@@ -150,8 +146,8 @@ pub trait Assembly: Model + Sized {
 
 /// Run assembly `A` under `cfg` on `spec`: the one harness every assembly
 /// shares. It builds the probe, engine, invariant checker and fault
-/// schedule, seeds the run, runs to the horizon, counts ring drops and
-/// sheds as dropped, attaches the stage report when `probe` is on, and
+/// schedule, seeds the run, runs to the horizon, counts ring drops as
+/// dropped, attaches the stage report when `probe` is on, and
 /// closes the invariant audit.
 pub fn run<A: Assembly>(
     spec: WorkloadSpec,
@@ -164,7 +160,7 @@ pub fn run<A: Assembly>(
     let horizon = spec.horizon();
     engine.run_until(horizon);
     let (mut metrics, extra) = engine.model().metrics(horizon);
-    metrics.dropped += metrics.faults.ring_dropped + metrics.faults.shed;
+    metrics.dropped += metrics.faults.ring_dropped;
     if probe.enabled {
         metrics.stages = Some(engine.probe_mut().report(horizon));
     }
@@ -188,15 +184,14 @@ pub(crate) fn engine<A: Assembly>(
     engine
 }
 
-/// Add one dispatcher's sheds and recovery counters, and its governor's
-/// fallback counters, to `fm`; over several dispatchers the fields sum.
+/// Add one dispatcher's recovery counters, and its governor's fallback
+/// counters, to `fm`; over several dispatchers the fields sum.
 pub(crate) fn absorb_dispatcher<P: SchedPolicy, S: CoreSelector>(
     fm: &mut FaultMetrics,
     disp: &Dispatcher<P, S>,
     governor: Option<&FeedbackGovernor>,
     horizon: SimTime,
 ) {
-    fm.shed += disp.stats.shed;
     if let Some(gov) = governor {
         fm.fallback_switches += gov.switches;
         fm.fallback_ns += gov.fallback_ns(horizon);
@@ -400,10 +395,8 @@ pub struct Wire {
     keys: EdgeKeys,
     /// Request frames lost on the client→server wire.
     pub req_lost: u64,
-    /// Response/NACK frames lost on the server→client wire.
+    /// Response frames lost on the server→client wire.
     pub resp_lost: u64,
-    /// Early NACK frames sent for shed requests.
-    pub nacks: u64,
 }
 
 /// The client edge's probe keys: the client's and the wire's counters,
@@ -411,7 +404,6 @@ pub struct Wire {
 #[derive(Debug)]
 struct EdgeKeys {
     sent: Counter,
-    nacks: Counter,
     responses: Counter,
     retries: Counter,
     req_lost: Counter,
@@ -445,7 +437,6 @@ impl Wire {
             codec: FrameCodec::new(res),
             keys: EdgeKeys {
                 sent: probe.counter("client.sent"),
-                nacks: probe.counter("client.nacks"),
                 responses: probe.counter("client.responses"),
                 retries: probe.counter("client.retries"),
                 req_lost: probe.counter("wire.req_lost"),
@@ -455,7 +446,6 @@ impl Wire {
             },
             req_lost: 0,
             resp_lost: 0,
-            nacks: 0,
         }
     }
 
@@ -473,8 +463,8 @@ impl Wire {
         }
     }
 
-    /// Transmit a server→client frame (response or NACK) leaving at
-    /// `depart` and schedule its arrival at the client, unless the wire
+    /// Transmit a server→client response frame leaving at `depart` and
+    /// schedule its arrival at the client, unless the wire
     /// loses it.
     pub(crate) fn response<E: ClientEdge>(
         &mut self,
@@ -491,29 +481,6 @@ impl Wire {
                 ctx.probe().count(&self.keys.resp_lost);
             }
         }
-    }
-
-    /// Tell the client, by a NACK frame leaving at `depart`, that the
-    /// dispatcher shed `task`, so it retries without waiting for its
-    /// timeout.
-    pub(crate) fn nack<E: ClientEdge>(
-        &mut self,
-        task: &Task,
-        depart: SimTime,
-        ctx: &mut Ctx<'_, E>,
-    ) {
-        self.nacks += 1;
-        let spec = FrameSpec {
-            src_mac: AddressPlan::dispatcher_mac(),
-            dst_mac: AddressPlan::client_mac(),
-            src: AddressPlan::dispatcher_ep(),
-            dst: AddressPlan::client_ep(),
-            msg: MsgRepr {
-                service_ns: 0,
-                ..task_msg(MsgKind::Nack, task)
-            },
-        };
-        self.response(spec, depart, ctx);
     }
 }
 
@@ -912,8 +879,6 @@ pub enum Notice {
 #[derive(Clone, Copy)]
 pub(crate) struct DispatchKeys {
     enqueued: Counter,
-    shed: Counter,
-    nacks: Counter,
     done: Counter,
     requeued: Counter,
     heartbeats: Counter,
@@ -923,17 +888,14 @@ pub(crate) struct DispatchKeys {
 }
 
 impl DispatchKeys {
-    /// Register an assembly's counters of admitted, shed, NACKed, done,
-    /// re-queued and heartbeat notices, in that order, the mark `admit` an
-    /// admitted or re-queued request reaches, and the governor's and
-    /// recovery's counters.
-    pub fn new(probe: &mut Probe, counters: [&'static str; 6], admit: &'static str) -> Self {
-        let [enqueued, shed, nacks, done, requeued, heartbeats] =
-            counters.map(|name| probe.counter(name));
+    /// Register an assembly's counters of admitted, done, re-queued and
+    /// heartbeat notices, in that order, the mark `admit` an admitted or
+    /// re-queued request reaches, and the governor's and recovery's
+    /// counters.
+    pub fn new(probe: &mut Probe, counters: [&'static str; 4], admit: &'static str) -> Self {
+        let [enqueued, done, requeued, heartbeats] = counters.map(|name| probe.counter(name));
         DispatchKeys {
             enqueued,
-            shed,
-            nacks,
             done,
             requeued,
             heartbeats,
@@ -945,12 +907,11 @@ impl DispatchKeys {
 }
 
 /// A centralized dispatcher and everything around it that does not depend
-/// on where it runs: the [`Dispatcher`] under the run's admission and
-/// recovery policies, the staleness governor, the workers' liveness tick,
-/// the notices it consumes and the fault metrics it adds. The offload's
-/// queue-manager core runs one, as does each Shinjuku group's dispatcher
-/// thread; each keeps its own transport for notices, renewals and
-/// assignments.
+/// on where it runs: the [`Dispatcher`] under the run's recovery policy,
+/// the staleness governor, the workers' liveness tick, the notices it
+/// consumes and the fault metrics it adds. The offload's queue-manager core
+/// runs one, as does each Shinjuku group's dispatcher thread; each keeps
+/// its own transport for notices, renewals and assignments.
 pub(crate) struct DispatchCore<S> {
     pub dispatcher: Dispatcher<Box<dyn SchedPolicy>, S>,
     governor: Option<FeedbackGovernor>,
@@ -975,7 +936,6 @@ impl<S: CoreSelector> DispatchCore<S> {
         keys: DispatchKeys,
         central: Gauge,
     ) -> DispatchCore<S> {
-        dispatcher.set_admission(res.admission);
         if let Some(policy) = res.recovery {
             dispatcher.enable_recovery(policy);
         }
@@ -995,47 +955,30 @@ impl<S: CoreSelector> DispatchCore<S> {
         }
     }
 
-    /// Apply `notice` and sample the central queue: the assignments it
-    /// decided, or `None` if admission shed its request (NACKed on `wire`,
-    /// leaving `dma` from now, when the policy says so).
+    /// Apply `notice`, sample the central queue, and return the assignments
+    /// the notice decided.
     #[inline]
-    pub fn apply<E: ClientEdge>(
-        &mut self,
-        notice: Notice,
-        wire: &mut Wire,
-        dma: SimDuration,
-        ctx: &mut Ctx<'_, E>,
-    ) -> Option<Vec<Assignment>> {
+    pub fn apply<E>(&mut self, notice: Notice, ctx: &mut Ctx<'_, E>) -> Vec<Assignment> {
         let now = ctx.now();
         let (keys, disp) = (&self.keys, &mut self.dispatcher);
         let assignments = match notice {
-            Notice::NewTask(task) => match disp.offer(now, task) {
-                AdmitOutcome::Admitted(assignments) => {
-                    ctx.probe().count(&keys.enqueued);
-                    ctx.probe().mark(task.req_id, &keys.admit);
-                    Some(assignments)
-                }
-                AdmitOutcome::Shed { nack } => {
-                    ctx.probe().count(&keys.shed);
-                    if nack {
-                        ctx.probe().count(&keys.nacks);
-                        wire.nack(&task, now + dma, ctx);
-                    }
-                    None
-                }
-            },
+            Notice::NewTask(task) => {
+                ctx.probe().count(&keys.enqueued);
+                ctx.probe().mark(task.req_id, &keys.admit);
+                disp.on_request(now, task)
+            }
             Notice::Done { worker, req_id } => {
                 ctx.probe().count(&keys.done);
-                Some(disp.on_done(now, worker, req_id))
+                disp.on_done(now, worker, req_id)
             }
             Notice::Preempted { worker, task } => {
                 ctx.probe().count(&keys.requeued);
                 ctx.probe().mark(task.req_id, &keys.admit);
-                Some(disp.on_preempted(now, worker, task))
+                disp.on_preempted(now, worker, task)
             }
             Notice::Heartbeat { worker } => {
                 ctx.probe().count(&keys.heartbeats);
-                Some(disp.on_heartbeat(now, worker))
+                disp.on_heartbeat(now, worker)
             }
         };
         ctx.probe().depth(&self.central, disp.queue_len());
@@ -1084,7 +1027,7 @@ impl<S: CoreSelector> DispatchCore<S> {
         Some((renew.then_some(occupancy), assignments, next))
     }
 
-    /// Add this core's sheds, recovery and fallback counters to `fm`.
+    /// Add this core's recovery and fallback counters to `fm`.
     pub fn absorb(&self, fm: &mut FaultMetrics, horizon: SimTime) {
         absorb_dispatcher(fm, &self.dispatcher, self.governor.as_ref(), horizon);
     }
@@ -1095,7 +1038,7 @@ impl<S: CoreSelector> DispatchCore<S> {
 pub enum ClientEv {
     /// The client emits its next request.
     Send,
-    /// A response or NACK frame reaches the client.
+    /// A response frame reaches the client.
     Response(FrameSpec),
     /// A retransmit timer fires for one attempt of one request.
     Timeout {
@@ -1250,7 +1193,7 @@ pub enum ResponseOutcome {
     Orphaned,
 }
 
-/// What a per-attempt timeout (or early NACK) resolves to.
+/// What a per-attempt timeout resolves to.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TimeoutOutcome {
     /// The attempt already resolved, or a newer attempt superseded it.
@@ -1421,13 +1364,18 @@ impl Client {
         }
     }
 
-    /// Resolve a live attempt that will never get a response: either
-    /// retransmit (bumping the attempt) or abandon the request.
-    fn expire(&mut self, req_id: u64) -> TimeoutOutcome {
-        let Some(policy) = self.retry else {
-            return TimeoutOutcome::Stale;
-        };
+    /// A timeout armed for (`req_id`, `attempt`) fired at `now`: the live
+    /// attempt will never get a response, so either retransmit (bumping
+    /// the attempt) or abandon the request.
+    pub fn on_timeout(&mut self, _now: SimTime, req_id: u64, attempt: u32) -> TimeoutOutcome {
         let Some(pending) = self.outstanding.get_mut(req_id) else {
+            return TimeoutOutcome::Stale; // resolved
+        };
+        if pending.attempt != attempt {
+            return TimeoutOutcome::Stale; // superseded
+        }
+        self.timeouts += 1;
+        let Some(policy) = self.retry else {
             return TimeoutOutcome::Stale;
         };
         if !policy.may_retry(pending.attempt) {
@@ -1449,26 +1397,6 @@ impl Client {
             attempt,
             timeout: policy.timeout_for(attempt),
         }
-    }
-
-    /// A timeout armed for (`req_id`, `attempt`) fired at `now`.
-    pub fn on_timeout(&mut self, _now: SimTime, req_id: u64, attempt: u32) -> TimeoutOutcome {
-        match self.outstanding.get(req_id) {
-            Some(p) if p.attempt == attempt => {}
-            _ => return TimeoutOutcome::Stale, // resolved or superseded
-        }
-        self.timeouts += 1;
-        self.expire(req_id)
-    }
-
-    /// An early NACK for `req_id` arrived at `now`: the dispatcher shed
-    /// the current attempt, so resolve it immediately instead of waiting
-    /// for the timeout.
-    pub fn on_nack(&mut self, _now: SimTime, req_id: u64) -> TimeoutOutcome {
-        if !self.outstanding.contains_key(req_id) {
-            return TimeoutOutcome::Stale;
-        }
-        self.expire(req_id)
     }
 
     /// Absorb a response frame at `now`. In Response messages the
@@ -1500,7 +1428,7 @@ impl Client {
     }
 
     /// Handle one client event: send the next request (until the horizon),
-    /// record a response, or retransmit after a NACK or a timeout.
+    /// record a response, or retransmit after a timeout.
     pub(crate) fn on_event<E: ClientEdge>(
         &mut self,
         ev: ClientEv,
@@ -1524,10 +1452,6 @@ impl Client {
                 let gap = self.next_gap();
                 ctx.schedule_in(gap, E::client(ClientEv::Send));
                 return;
-            }
-            ClientEv::Response(spec) if spec.msg.kind == MsgKind::Nack => {
-                ctx.probe().count(&wire.keys.nacks);
-                self.on_nack(now, spec.msg.req_id)
             }
             ClientEv::Response(spec) => {
                 ctx.probe().count(&wire.keys.responses);
@@ -1564,7 +1488,7 @@ impl Client {
     }
 
     /// The client-side half of the fault ledger (assemblies overlay the
-    /// model-side counters: link losses, ring drops, sheds, strandings).
+    /// model-side counters: link losses, ring drops, strandings).
     pub fn fault_metrics(&self) -> FaultMetrics {
         FaultMetrics {
             attempts: self.sent + self.retries,
@@ -1616,7 +1540,6 @@ pub(crate) fn assemble_metrics(
         faults: FaultMetrics {
             req_link_lost: wire.req_lost,
             resp_link_lost: wire.resp_lost,
-            nacks: wire.nacks,
             stranded: workers.stranded,
             ..client.fault_metrics()
         },
@@ -1876,22 +1799,6 @@ mod tests {
     }
 
     #[test]
-    fn nack_triggers_immediate_retry() {
-        let mut master = Rng::new(5);
-        let mut client = Client::new(spec(), &mut master);
-        client.enable_retries(RetryPolicy::paper_default());
-        let f = client.make_request(SimTime::ZERO);
-        let out = client.on_nack(SimTime::from_micros(5), f.msg.req_id);
-        assert!(matches!(out, TimeoutOutcome::Retry { attempt: 2, .. }));
-        assert_eq!(client.timeouts, 0, "a NACK is not a timeout");
-        assert_eq!(client.retries, 1);
-        assert_eq!(
-            client.on_nack(SimTime::from_micros(5), 999),
-            TimeoutOutcome::Stale
-        );
-    }
-
-    #[test]
     fn governor_degrades_quarantines_and_recovers() {
         use nicsched::{Fcfs, LeastOutstanding};
         let us = SimTime::from_micros;
@@ -1933,59 +1840,43 @@ mod tests {
     }
 
     #[test]
-    fn nack_shedding_beats_silent_drops_on_reaction_time() {
+    fn overloaded_dispatcher_cores_close_their_ledgers_under_retries() {
         use crate::offload::OffloadConfig;
         use crate::shinjuku::ShinjukuConfig;
         use crate::ServerSystem;
-        // Overload every assembly built on a dispatcher core so admission
-        // control actually bites: 4 workers of 5 µs requests, 1.2M/s.
+        // Overload every assembly built on a dispatcher core, about 1.5x
+        // capacity: 4 workers of 5 µs requests at 1.2M/s, with retries and
+        // the invariant checker on. 17 ms is long enough for the backlog to
+        // outgrow every retry timeout.
         let spec = WorkloadSpec {
             offered_rps: 1_200_000.0,
             dist: ServiceDist::Fixed(SimDuration::from_micros(5)),
             body_len: 64,
             warmup: SimDuration::from_millis(2),
-            measure: SimDuration::from_millis(25),
+            measure: SimDuration::from_millis(15),
             seed: 42,
         };
         let two_groups = ShinjukuConfig {
             groups: 2,
             ..ShinjukuConfig::paper(2)
         };
-        let cases: [(&dyn ServerSystem, &str, &str); 3] = [
-            (&OffloadConfig::paper(4, 4), "qm.shed", "qm.nack"),
-            (&ShinjukuConfig::paper(4), "disp.shed", "disp.nack"),
-            (&two_groups, "disp.shed", "disp.nack"),
+        let systems: [&dyn ServerSystem; 3] = [
+            &OffloadConfig::paper(4, 4),
+            &ShinjukuConfig::paper(4),
+            &two_groups,
         ];
-        for (sys, shed, nack) in cases {
+        let res = ResilienceConfig {
+            retry: Some(RetryPolicy::paper_default()),
+            ..ResilienceConfig::default()
+        }
+        .with_invariants();
+        for sys in systems {
             let name = sys.name();
-            let run = |admission| {
-                let res = ResilienceConfig {
-                    retry: Some(RetryPolicy::paper_default()),
-                    admission,
-                    ..ResilienceConfig::default()
-                };
-                let m = sys.run_resilient(spec, ProbeConfig::enabled(), res);
-                // The probe counts every shed and NACK the metrics do.
-                let stages = m.stages.as_ref().expect("a probed run reports stages");
-                assert_eq!(stages.counter(shed), m.faults.shed, "{name}: {shed}");
-                assert_eq!(stages.counter(nack), m.faults.nacks, "{name}: {nack}");
-                m
-            };
-            let silent = run(AdmissionPolicy::TailDrop { cap: 64 });
-            let nacked = run(AdmissionPolicy::NackShed { cap: 64 });
-            assert!(silent.faults.shed > 0 && nacked.faults.shed > 0, "{name}");
-            assert_eq!(silent.faults.nacks, 0, "{name}");
-            assert!(nacked.faults.nacks > 0, "{name}: NACK frames must be sent");
-            // NACKs tell the client immediately; silent shedding burns the
-            // full timeout per drop, so clients learn late and time out more.
-            assert!(
-                nacked.faults.timeouts < silent.faults.timeouts,
-                "{name}: early NACKs should pre-empt timeouts: {} vs {}",
-                nacked.faults.timeouts,
-                silent.faults.timeouts
-            );
-            assert_eq!(silent.faults.unaccounted(), 0, "{name}");
-            assert_eq!(nacked.faults.unaccounted(), 0, "{name}");
+            let m = sys.run_resilient(spec, ProbeConfig::disabled(), res);
+            // The central queue grows without bound, so clients time out
+            // and retry; every request must still be accounted for.
+            assert!(m.faults.timeouts > 0, "{name}: overload must time out");
+            assert_eq!(m.faults.unaccounted(), 0, "{name}: {:?}", m.faults);
         }
     }
 

@@ -23,7 +23,7 @@
 //! [`common`]; a model adds only how work reaches a core and what a
 //! finished or preempted run sends back. Shinjuku and Shinjuku-Offload
 //! also share one dispatcher core there: the centralized dispatcher with
-//! its admission control, staleness governor and liveness tick. They
+//! its staleness governor and liveness tick. They
 //! differ only in where it runs and how notices and assignments travel.
 //!
 //! Every hop carries a typed Ethernet/IPv4/UDP frame

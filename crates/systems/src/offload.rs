@@ -263,8 +263,6 @@ impl Assembly for Offload {
         let dispatcher = Dispatcher::new(cfg.workers, cfg.outstanding_cap, policy, selector);
         let counters = [
             "qm.enqueue",
-            "qm.shed",
-            "qm.nack",
             "qm.done",
             "qm.preempt_requeue",
             "qm.heartbeat",
@@ -487,16 +485,17 @@ impl Model for Offload {
             Ev::QmPush(notice) => self.qm.enqueue(notice, Ev::QmDone, ctx),
             Ev::QmDone => {
                 if let Some(notice) = self.qm.complete(ctx) {
-                    if let Notice::Done { req_id, .. } = notice {
-                        self.task_meta.remove(req_id);
-                    }
-                    let dma = self.nic.dma_latency;
-                    if let Some(assignments) = self.core.apply(notice, &mut self.wire, dma, ctx) {
-                        if let Notice::NewTask(task) = notice {
+                    match notice {
+                        Notice::NewTask(task) => {
                             self.task_meta.insert(task.req_id, task.arrived_at);
                         }
-                        self.emit_assignments(assignments, ctx);
+                        Notice::Done { req_id, .. } => {
+                            self.task_meta.remove(req_id);
+                        }
+                        _ => {}
                     }
+                    let assignments = self.core.apply(notice, ctx);
+                    self.emit_assignments(assignments, ctx);
                 }
                 self.qm.resume(Ev::QmDone, ctx);
             }

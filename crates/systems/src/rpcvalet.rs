@@ -94,8 +94,7 @@ impl Keys {
 /// [`ServerSystem`](crate::ServerSystem) on an [`RpcValetConfig`]. The
 /// integrated NI has per-nanosecond load knowledge, so the
 /// staleness-fallback settings of the resilience config are ignored (there
-/// is no stale feedback to degrade on), as is the admission policy (the
-/// hardware global queue is lossless).
+/// is no stale feedback to degrade on).
 pub struct RpcValet {
     client: Client,
     horizon: SimTime,

@@ -12,8 +12,8 @@
 //! The scheduling semantics — centralized FIFO, preemption at the slice,
 //! re-enqueue at the tail — are byte-identical to the offloaded system:
 //! both run the same dispatcher core around [`nicsched::Dispatcher`], with
-//! the same admission control, staleness governor and liveness tick. Only
-//! placement and transport differ, which is the paper's point.
+//! the same staleness governor and liveness tick. Only placement and
+//! transport differ, which is the paper's point.
 //!
 //! "The dispatcher can only scale to 5M requests … so multiple dispatchers
 //! need to be instantiated. RSS can be used to route packets from the NIC
@@ -224,8 +224,6 @@ impl Assembly for Shinjuku {
         // One set of dispatcher keys, shared by every group.
         let counters = [
             "disp.enqueue",
-            "disp.shed",
-            "disp.nack",
             "disp.done",
             "disp.preempt_requeue",
             "disp.heartbeat",
@@ -470,18 +468,13 @@ impl Model for Shinjuku {
                 let group = &mut self.groups[g];
                 match group.disp_thread.complete(ctx) {
                     Some(DispItem::Notice(notice)) => {
-                        let dma = self.nic.dma_latency;
-                        if let Some(mut assignments) =
-                            group.core.apply(notice, &mut self.wire, dma, ctx)
-                        {
-                            // Decided assignments go to the head of the
-                            // inbox, in order; the emptied buffer goes back
-                            // for reuse.
-                            for a in assignments.drain(..).rev() {
-                                group.disp_thread.push_front(DispItem::Emit(a));
-                            }
-                            group.core.dispatcher.recycle(assignments);
+                        // Decided assignments go to the head of the inbox,
+                        // in order; the emptied buffer goes back for reuse.
+                        let mut assignments = group.core.apply(notice, ctx);
+                        for a in assignments.drain(..).rev() {
+                            group.disp_thread.push_front(DispItem::Emit(a));
                         }
+                        group.core.dispatcher.recycle(assignments);
                     }
                     Some(DispItem::Emit(a)) => {
                         ctx.probe().count(&self.keys.assigned);

@@ -51,8 +51,7 @@ proptest! {
         let base = ResilienceConfig {
             faults: FaultConfig::default().with_wire_loss(loss),
             retry: Some(RetryPolicy::paper_default()),
-            admission: nicsched::AdmissionPolicy::Open,
-            fallback: Some(StalenessPolicy::paper_default()),
+                fallback: Some(StalenessPolicy::paper_default()),
             ..ResilienceConfig::default()
         };
         for sys in all_assemblies() {

@@ -35,8 +35,7 @@ proptest! {
         let res = ResilienceConfig {
             faults: FaultConfig::default().with_wire_loss(loss),
             retry: Some(RetryPolicy::paper_default()),
-            admission: nicsched::AdmissionPolicy::Open,
-            fallback: Some(StalenessPolicy::paper_default()),
+                fallback: Some(StalenessPolicy::paper_default()),
             ..ResilienceConfig::default()
         };
         let sys = SystemConfig::Offload(OffloadConfig::paper(4, 4));

@@ -57,7 +57,7 @@ impl RetryPolicy {
     }
 
     /// Whether a request on `attempt` (1-based) may be retransmitted once
-    /// more after a timeout or NACK.
+    /// more after a timeout.
     pub fn may_retry(&self, attempt: u32) -> bool {
         attempt < self.max_attempts
     }

@@ -95,7 +95,7 @@ impl WorkloadSpec {
 ///   [`unaccounted`](FaultMetrics::unaccounted) must always be zero.
 /// * **Attempt ledger** (bounded): wire attempts either reach a terminal
 ///   fate the model counted (completion, duplicate, orphan, link loss,
-///   ring drop, shed, stranded-on-crashed-worker) or are still in the
+///   ring drop, stranded-on-crashed-worker) or are still in the
 ///   pipeline at the horizon; [`in_pipe`](FaultMetrics::in_pipe) is that
 ///   remainder and must be small and non-negative.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -107,7 +107,7 @@ pub struct FaultMetrics {
     /// Unique completions recorded (including warmup completions, which
     /// the latency histograms discard but the ledger must not).
     pub completed_all: u64,
-    /// Retransmissions sent after a timeout or NACK.
+    /// Retransmissions sent after a timeout.
     pub retries: u64,
     /// Per-attempt timeouts that fired while the attempt was live.
     pub timeouts: u64,
@@ -126,9 +126,11 @@ pub struct FaultMetrics {
     pub resp_link_lost: u64,
     /// Frames tail-dropped by NIC/worker rings.
     pub ring_dropped: u64,
-    /// Requests shed by the dispatcher's admission policy.
+    /// Always zero: no dispatcher sheds requests. Kept because the
+    /// benchmark's run fingerprint names it.
     pub shed: u64,
-    /// Early-NACK frames the dispatcher sent for shed requests.
+    /// Always zero: no dispatcher sends NACK frames. Kept because the
+    /// benchmark's run fingerprint names it.
     pub nacks: u64,
     /// Tasks stranded on a crashed worker (accepted, never finished).
     pub stranded: u64,
@@ -185,7 +187,6 @@ impl FaultMetrics {
             - self.orphaned as i64
             - self.link_lost() as i64
             - self.ring_dropped as i64
-            - self.shed as i64
             - self.stranded as i64
     }
 
@@ -360,15 +361,13 @@ mod tests {
             open_at_horizon: 6,
             req_link_lost: 8,
             resp_link_lost: 2,
-            ring_dropped: 3,
-            shed: 2,
-            nacks: 2,
+            ring_dropped: 5,
             stranded: 1,
             ..FaultMetrics::default()
         };
         assert_eq!(f.unaccounted(), 0, "request ledger closes");
         assert_eq!(f.link_lost(), 10);
-        // 110 - 90 - 1 - 1 - 10 - 3 - 2 - 1 = 2 attempts still in pipes.
+        // 110 - 90 - 1 - 1 - 10 - 5 - 1 = 2 attempts still in pipes.
         assert_eq!(f.in_pipe(), 2);
         f.completed_all += 1;
         assert_eq!(f.unaccounted(), -1, "imbalance is visible");
