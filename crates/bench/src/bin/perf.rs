@@ -17,7 +17,11 @@
 //!   `normalized_throughput`: the geometric mean of the per-shape
 //!   speedups (indexed / legacy, both *measured in the same process*),
 //!   so the number is comparable across machines of different speeds —
-//!   which is what lets CI gate on it.
+//!   which is what lets CI gate on it. No shape holds a model-sized
+//!   population: models keep at most 24 events pending, below the bound
+//!   at which the queue engages its timer wheel, so the path model
+//!   traffic takes (the same-instant lane and the sorted near array
+//!   alone) is measured only end to end, by `simbench`.
 //! * **sweep** — wall-clock of one parallel grid at `--jobs 1` vs
 //!   `--jobs N`, asserting the results are identical either way.
 //!

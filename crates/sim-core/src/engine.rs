@@ -262,6 +262,12 @@ impl<M: Model> Engine<M> {
         self.queue.len()
     }
 
+    /// How many times the event queue has engaged its timer wheel (see
+    /// [`EventQueue::wheel_engagements`]).
+    pub fn wheel_engagements(&self) -> u64 {
+        self.queue.wheel_engagements()
+    }
+
     /// Shared access to the model.
     pub fn model(&self) -> &M {
         &self.model

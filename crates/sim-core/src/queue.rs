@@ -24,48 +24,53 @@
 //! `perf` bench; those are what the timer wheel is for.
 //!
 //! [`EventQueue`] splits event storage from event ordering, and serves
-//! ordering from a lane and a heap, adding a wheel only past a population
-//! bound:
+//! ordering from a lane and one sorted key array, adding a wheel only past
+//! a population bound:
 //!
 //! * **Slab arena with validated handles.** Events live in a free-list
 //!   slab; they are written once on push and taken once on pop or cancel.
-//!   Sifts never touch them. Each slot remembers the insertion sequence
-//!   number of its tenant, and a [`TimerHandle`] is `(slot, seq)`: since
-//!   `seq` is globally unique for the life of the queue, a handle can be
-//!   validated in O(1) forever — cancelling an already-fired timer, or a
-//!   handle whose slot has been recycled, is a safe no-op rather than a
-//!   use-after-free of someone else's event.
+//!   Ordering work never touches them. Each slot remembers the insertion
+//!   sequence number of its tenant, and a [`TimerHandle`] is `(slot,
+//!   seq)`: since `seq` is globally unique for the life of the queue, a
+//!   handle can be validated in O(1) forever — cancelling an already-fired
+//!   timer, or a handle whose slot has been recycled, is a safe no-op
+//!   rather than a use-after-free of someone else's event.
 //! * **Same-instant lane.** Discrete-event models burst: a NIC hop fires,
 //!   and a run of events lands at the *same* nanosecond (`schedule_now`
 //!   chains, simultaneous ring slots). A pop that finds the lane empty
 //!   re-targets it to the instant it opened, and later pushes at that
-//!   instant append to the lane in O(1), bypassing the heap entirely.
-//! * **Key heap.** Every other pending key sits in a plain `Vec` of `Copy`
-//!   keys `(at, seq, slot)` with hand-rolled 4-ary sift-up/sift-down — no
-//!   allocation per push and no comparator indirection. While the wheel is
-//!   idle the heap takes keys at any distance, and a pop is one compare
-//!   between the lane head and the heap top.
+//!   instant append to the lane in O(1), bypassing the sorted array.
+//! * **Near keys, one sorted array.** Every other pending key sits in a
+//!   plain `Vec` of `Copy` keys `(at, seq, slot)`, sorted *descending* by
+//!   `(at, seq)` so the minimum is the tail: a pop is a `Vec::pop`, and a
+//!   push scans from the tail past the keys due before it and inserts
+//!   there. For the handful of keys a model keeps pending that scan is
+//!   shorter than a heap's sift, and a pop does no sift at all. While the
+//!   wheel is idle the array takes keys at any distance, and a pop is one
+//!   compare between the lane head and the array's tail.
 //! * **Far wheel, past a population bound.** A push beyond the lane's
-//!   64 ns bucket that arrives while the heap already holds 32 keys (a
+//!   64 ns bucket that arrives while the array already holds 32 keys (a
 //!   private bound, above the 24 any model reaches) engages a hierarchical
 //!   timer wheel (the private `wheel` module): the queue opens the bucket
-//!   of the lane's instant and moves the heap's keys beyond it into the
-//!   wheel, and from then on the heap takes only keys inside the open
-//!   bucket. When the lane and heap drain, the next occupied bucket is
-//!   promoted as a *sorted run* — sorted once, served off its tail in O(1)
-//!   per pop. A standing backlog of 100k retransmit timers costs the hot
-//!   path nothing — it is not in the heap being sifted over. Once the
-//!   wheel and the run drain, the queue is back to lane and heap.
+//!   of the lane's instant and moves the array's keys beyond it — a
+//!   prefix, since the array is sorted — into the wheel, and from then on
+//!   the array takes only keys inside the open bucket. When the lane and
+//!   the array drain, the next occupied bucket is promoted into the array
+//!   and sorted once. A standing backlog of 100k retransmit timers costs
+//!   the hot path nothing — it is not in the array being searched. Once
+//!   the wheel drains, the queue is back to lane and array.
 //!
 //! # Cancellation: eager payload free, lazy index removal
 //!
 //! [`EventQueue::cancel`] takes the payload out of the slab and recycles
 //! the slot *immediately* — no lane ever holds a live payload hostage, so
 //! slots cannot leak no matter where the index entry sits. The stale key
-//! left behind in the heap, lane or wheel is dropped lazily when it
+//! left behind in the array, lane or wheel is dropped lazily when it
 //! surfaces (its `seq` no longer matches the slot's tenant). A global
 //! count of outstanding stale keys keeps the no-cancellation fast path at
-//! a single predictable branch.
+//! a single predictable branch. Once nothing live is pending, every key
+//! left is stale, so the queue drops them all at once and leaves the
+//! wheel idle.
 //!
 //! # Ordering contract
 //!
@@ -84,12 +89,12 @@ use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use crate::time::SimTime;
 use crate::wheel::{Wheel, GRANULARITY};
 
-/// Keys the heap may hold before a far push engages the wheel. Model runs
-/// peak at 24 pending events; the smallest standing population of the
-/// `perf` shapes is 64.
+/// Keys the near array may hold before a far push engages the wheel.
+/// Model runs peak at 24 pending events; the smallest standing population
+/// of the `perf` shapes is 64.
 const WHEEL_BOUND: usize = 32;
 
-/// A compact, `Copy` ordering key: everything a sift needs to move.
+/// A compact, `Copy` ordering key: everything an insert needs to move.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Key {
     pub(crate) at: u64,
@@ -137,18 +142,18 @@ struct Slot<E> {
 #[derive(Clone, Copy)]
 enum Source {
     Lane,
-    Run,
-    Heap,
+    Near,
 }
 
 /// The engine's indexed event queue. Pops strictly in `(time, seq)`
 /// order, where `seq` is the queue-assigned insertion number — i.e.
 /// time order with FIFO tie-breaking, exactly like the legacy heap.
 pub struct EventQueue<E> {
-    /// Min-heap of keys, hand-sifted on `(at, seq)`. Takes keys at any
-    /// distance while the wheel is idle, and only keys at or before
-    /// `horizon` while it is engaged.
-    heap: Vec<Key>,
+    /// Keys sorted strictly descending by `(at, seq)`, so the minimum
+    /// pops off the tail. Takes keys at any distance while the wheel is
+    /// idle, and only keys at or before `horizon` while it is engaged; a
+    /// promoted wheel bucket lands here, sorted once.
+    near: Vec<Key>,
     /// Payload arena; `Key::slot` indexes here.
     slab: Vec<Slot<E>>,
     /// Recycled slab slots.
@@ -157,8 +162,8 @@ pub struct EventQueue<E> {
     /// strictly increasing `seq` order.
     lane: VecDeque<(u64, u32)>,
     /// The instant the lane serves. Pushes at exactly this time append to
-    /// the lane instead of the heap. While the wheel is engaged it lies at
-    /// or before `horizon`.
+    /// the lane instead of the near array. While the wheel is engaged it
+    /// lies at or before `horizon`.
     lane_at: u64,
     /// Far-future lane: hierarchical timer wheel holding every pending
     /// key with `at > horizon` while engaged; empty while idle.
@@ -167,17 +172,11 @@ pub struct EventQueue<E> {
     /// granularity. Meaningful only while the wheel is engaged, during
     /// which it never moves backwards.
     floor: u64,
-    /// Last instant (inclusive) served by the lane and heap: `floor +
-    /// granularity - 1` while the wheel is engaged, unbounded while it is
-    /// idle. Pushes at or before it go to the lane or heap; later pushes go
-    /// to the wheel.
+    /// Last instant (inclusive) served by the lane and the near array:
+    /// `floor + granularity - 1` while the wheel is engaged, unbounded
+    /// while it is idle. Pushes at or before it go to the lane or the
+    /// array; later pushes go to the wheel.
     horizon: u64,
-    /// The promoted wheel bucket currently being served: keys sorted
-    /// *descending* by `(at, seq)` so the minimum pops off the tail in
-    /// O(1). A bucket is sorted once at promotion — far cheaper than
-    /// sifting every key through the heap and back out. Drained before the
-    /// next refill; its capacity is recycled.
-    run: Vec<Key>,
     /// Cancelled index entries still resident in some lane. Kept global
     /// so the no-cancellation fast path pays one branch, not one handle
     /// validation per pop.
@@ -186,6 +185,8 @@ pub struct EventQueue<E> {
     seq: u64,
     /// Live events (pushed minus popped minus cancelled).
     len: usize,
+    /// Times the wheel has engaged over the queue's life.
+    engagements: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -198,7 +199,7 @@ impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
+            near: Vec::new(),
             slab: Vec::new(),
             free: Vec::new(),
             lane: VecDeque::new(),
@@ -206,10 +207,10 @@ impl<E> EventQueue<E> {
             wheel: Wheel::new(),
             floor: 0,
             horizon: u64::MAX,
-            run: Vec::new(),
             stale: 0,
             seq: 0,
             len: 0,
+            engagements: 0,
         }
     }
 
@@ -221,6 +222,13 @@ impl<E> EventQueue<E> {
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// How many times a far push past the population bound has engaged
+    /// the timer wheel. Model-sized populations never do, so a model run
+    /// that reads non-zero here has outgrown the near array.
+    pub fn wheel_engagements(&self) -> u64 {
+        self.engagements
     }
 
     /// Payloads currently resident in the arena. Equals [`len`] at all
@@ -267,14 +275,14 @@ impl<E> EventQueue<E> {
             self.lane.push_back((seq, slot));
         } else if key.at > self.horizon {
             self.wheel.schedule_far(self.floor, key);
-        } else if self.heap.len() >= WHEEL_BOUND
+        } else if self.near.len() >= WHEEL_BOUND
             && self.wheel_idle()
             && key.at > self.lane_at | (GRANULARITY - 1)
         {
             self.engage_wheel();
             self.wheel.schedule_far(self.floor, key);
         } else {
-            self.heap_push(key);
+            self.near_insert(key);
         }
         self.len += 1;
         TimerHandle { slot, seq }
@@ -283,8 +291,9 @@ impl<E> EventQueue<E> {
     /// Cancel a pending event, returning its payload, or `None` if the
     /// handle is no longer live (already fired, cancelled, or
     /// rescheduled). The arena slot is recycled immediately — cancellation
-    /// never leaks storage — while the index entry left in the heap, lane
-    /// or wheel is dropped lazily when it surfaces.
+    /// never leaks storage — while the index entry left in the near array,
+    /// lane or wheel is dropped lazily when it surfaces, or at once with
+    /// every other stale entry when nothing live is left.
     pub fn cancel(&mut self, handle: TimerHandle) -> Option<E> {
         let slot = self.slab.get_mut(handle.slot as usize)?;
         if slot.seq != handle.seq {
@@ -294,6 +303,9 @@ impl<E> EventQueue<E> {
         self.free.push(handle.slot);
         self.len -= 1;
         self.stale += 1;
+        if self.len == 0 {
+            self.sweep();
+        }
         Some(ev)
     }
 
@@ -332,42 +344,70 @@ impl<E> EventQueue<E> {
             return None;
         }
         self.len -= 1;
-        let k = match source {
-            Source::Lane => {
-                let (seq, slot) = self.lane.pop_front().expect("lane holds the minimum");
-                return Some((SimTime::from_nanos(at), seq, self.take(slot)));
+        let (seq, slot) = match source {
+            Source::Lane => self.lane.pop_front().expect("lane holds the minimum"),
+            Source::Near => {
+                let k = self.near_pop().expect("near array holds the minimum");
+                // A clean lane re-targets to the instant just opened, so
+                // follow-up pushes at it skip the array. A non-empty lane
+                // still holds an earlier-pushed, later instant (reachable
+                // only through past-scheduled events, i.e. the invariant
+                // checker's test hook) and keeps competing through the key
+                // comparison.
+                if self.lane.is_empty() {
+                    self.lane_at = k.at;
+                }
+                (k.seq, k.slot)
             }
-            Source::Run => self.run_pop().expect("run holds the minimum"),
-            Source::Heap => self.heap_pop().expect("heap holds the minimum"),
         };
-        // A clean lane re-targets to the instant just opened, so follow-up
-        // pushes at it skip the heap. A non-empty lane still holds an
-        // earlier-pushed, later instant (reachable only through
-        // past-scheduled events, i.e. the invariant checker's test hook)
-        // and keeps competing through the key comparison.
-        if self.lane.is_empty() {
-            self.lane_at = k.at;
+        if self.stale != 0 && self.len == 0 {
+            self.sweep();
         }
-        Some((SimTime::from_nanos(k.at), k.seq, self.take(k.slot)))
+        Some((SimTime::from_nanos(at), seq, self.take(slot)))
     }
 
-    /// True while neither the wheel nor a promoted run holds keys, so the
-    /// lane and the heap hold every pending key.
+    /// True while the wheel holds no keys, so the lane and the near array
+    /// hold every pending key.
     fn wheel_idle(&self) -> bool {
-        self.run.is_empty() && self.wheel.count() == 0
+        self.wheel.count() == 0
     }
 
     /// Leave the wheel idle: an unbounded horizon routes every push to the
-    /// lane or the heap.
+    /// lane or the near array.
     fn disengage(&mut self) {
         debug_assert!(self.wheel_idle());
         self.horizon = u64::MAX;
     }
 
-    /// Pop the run's tail, going idle once the run and the wheel are both
-    /// empty.
-    fn run_pop(&mut self) -> Option<Key> {
-        let k = self.run.pop();
+    /// Nothing live is pending, so every index entry left is a cancelled
+    /// one: drop them all and leave the wheel idle.
+    #[cold]
+    fn sweep(&mut self) {
+        debug_assert_eq!(self.len, 0);
+        self.lane.clear();
+        self.near.clear();
+        self.wheel.clear();
+        self.stale = 0;
+        self.disengage();
+    }
+
+    /// Insert `k` into the descending near array: scan from the tail past
+    /// every key ranked below it. A fresh key carries the largest `seq`
+    /// yet, so it lands after every key at its instant — FIFO ties need no
+    /// extra case.
+    #[inline]
+    fn near_insert(&mut self, k: Key) {
+        let mut i = self.near.len();
+        while i > 0 && self.near[i - 1].rank() < k.rank() {
+            i -= 1;
+        }
+        self.near.insert(i, k);
+    }
+
+    /// Pop the near array's tail, going idle once the wheel is empty.
+    #[inline]
+    fn near_pop(&mut self) -> Option<Key> {
+        let k = self.near.pop();
         if self.wheel_idle() {
             self.disengage();
         }
@@ -376,8 +416,7 @@ impl<E> EventQueue<E> {
 
     /// Where the minimum pending key sits, and its instant; `None` when
     /// nothing is pending. With nothing cancelled this is a compare between
-    /// the lane head and the heap top, plus the run's tail while the wheel
-    /// is engaged.
+    /// the lane head and the near array's tail.
     #[inline]
     fn locate(&mut self) -> Option<(Source, u64)> {
         if self.stale == 0 {
@@ -388,37 +427,33 @@ impl<E> EventQueue<E> {
         self.locate_slow()
     }
 
-    /// The lowest-ranked head among the lane, the heap and the run, with
-    /// its rank and slot. The three streams never share a `(time, seq)`.
+    /// The lower-ranked head of the lane and the near array, with its rank
+    /// and slot. The two streams never share a `(time, seq)`.
     #[inline]
     fn head(&self) -> Option<(Source, (u64, u64), u32)> {
-        let mut best = self
-            .lane
-            .front()
-            .map(|&(seq, slot)| (Source::Lane, (self.lane_at, seq), slot));
-        for (source, k) in [
-            (Source::Heap, self.heap.first()),
-            (Source::Run, self.run.last()),
-        ] {
-            if let Some(k) = k {
-                if best.map_or(true, |(_, r, _)| k.rank() < r) {
-                    best = Some((source, k.rank(), k.slot));
-                }
+        let near = self.near.last().map(|k| (Source::Near, k.rank(), k.slot));
+        match self.lane.front() {
+            Some(&(seq, slot)) if near.map_or(true, |(_, r, _)| (self.lane_at, seq) < r) => {
+                Some((Source::Lane, (self.lane_at, seq), slot))
             }
+            _ => near,
         }
-        best
     }
 
     /// [`locate`](Self::locate) with cancelled keys outstanding or the
-    /// lane, run and heap all dry: drop cancelled keys as they reach the
-    /// minimum, and promote wheel buckets while events remain.
+    /// lane and the near array both dry: drop cancelled keys as they reach
+    /// the minimum, and promote wheel buckets while events remain.
     fn locate_slow(&mut self) -> Option<(Source, u64)> {
         // Index-entry conservation: every pending or cancelled-but-unswept
-        // event sits in exactly one lane.
+        // event sits in exactly one lane, and the near array is sorted.
         debug_assert_eq!(
-            self.lane.len() + self.heap.len() + self.run.len() + self.wheel.count(),
+            self.lane.len() + self.near.len() + self.wheel.count(),
             self.len + self.stale,
             "index entries out of conservation"
+        );
+        debug_assert!(
+            self.near.windows(2).all(|w| w[0].rank() > w[1].rank()),
+            "near array out of order"
         );
         if self.len == 0 {
             return None;
@@ -438,11 +473,8 @@ impl<E> EventQueue<E> {
                 Source::Lane => {
                     self.lane.pop_front();
                 }
-                Source::Run => {
-                    self.run_pop();
-                }
-                Source::Heap => {
-                    self.heap_pop();
+                Source::Near => {
+                    self.near_pop();
                 }
             }
             self.stale -= 1;
@@ -450,49 +482,45 @@ impl<E> EventQueue<E> {
     }
 
     /// Engage the wheel: open the bucket of the lane's instant and move the
-    /// heap's keys beyond it into the wheel. Every lane entry sits at the
-    /// lane's instant, so the lane and the keys left in the heap lie at or
-    /// before the new horizon and every wheel key after it — the partition
-    /// the minimum search relies on.
+    /// near array's keys beyond it into the wheel. They are a prefix, since
+    /// the array is sorted descending. Every lane entry sits at the lane's
+    /// instant, so the lane and the keys left in the array lie at or before
+    /// the new horizon and every wheel key after it — the partition the
+    /// minimum search relies on.
     #[cold]
     fn engage_wheel(&mut self) {
+        self.engagements += 1;
         self.floor = self.lane_at & !(GRANULARITY - 1);
         self.horizon = self.floor | (GRANULARITY - 1);
-        let (floor, horizon, wheel) = (self.floor, self.horizon, &mut self.wheel);
-        self.heap.retain(|&k| {
-            k.at <= horizon || {
-                wheel.schedule_far(floor, k);
-                false
-            }
-        });
-        // An ascending array is a valid min-heap.
-        self.heap.sort_unstable_by_key(|k| k.rank());
+        let far = self.near.partition_point(|k| k.at > self.horizon);
+        for k in self.near.drain(..far) {
+            self.wheel.schedule_far(self.floor, k);
+        }
     }
 
-    /// Promote the next occupied wheel bucket into the sorted run,
+    /// Promote the next occupied wheel bucket into the near array,
     /// advancing the floor/horizon and dropping cancelled entries on the
-    /// way. One `sort_unstable` over the bucket replaces a heap push *and*
-    /// a full-depth heap pop per key. Leaves the run non-empty unless the
-    /// wheel holds no live entries.
+    /// way. One `sort_unstable` over the bucket replaces an insert per key.
+    /// Runs only with the lane and the array dry and a live key in the
+    /// wheel, and leaves the array non-empty.
     fn refill(&mut self) {
-        debug_assert!(self.run.is_empty(), "refill with an unserved run");
+        debug_assert!(self.near.is_empty(), "refill with keys in the array");
         loop {
-            let Some(new_floor) = self.wheel.open_next(self.floor, &mut self.run) else {
-                // Only cancelled keys were left in the wheel.
-                self.disengage();
-                return;
-            };
+            let new_floor = self
+                .wheel
+                .open_next(self.floor, &mut self.near)
+                .expect("a live key is filed in the wheel");
             debug_assert!(new_floor > self.floor || self.floor == 0);
             self.floor = new_floor;
             self.horizon = new_floor + (GRANULARITY - 1);
-            let before = self.run.len();
+            let before = self.near.len();
             let slab = &self.slab;
-            self.run.retain(|k| {
+            self.near.retain(|k| {
                 slab[k.slot as usize].seq == k.seq && slab[k.slot as usize].ev.is_some()
             });
-            self.stale -= before - self.run.len();
-            if !self.run.is_empty() {
-                self.run
+            self.stale -= before - self.near.len();
+            if !self.near.is_empty() {
+                self.near
                     .sort_unstable_by_key(|k| core::cmp::Reverse(k.rank()));
                 return;
             }
@@ -533,66 +561,6 @@ impl<E> EventQueue<E> {
         let ev = self.slab[slot as usize].ev.take().expect("slot is live");
         self.free.push(slot);
         ev
-    }
-
-    /// Heap arity. A 4-ary layout halves the tree depth of the binary
-    /// heap: pushes sift through half as many levels, pops touch half as
-    /// many cache lines, and the four children of a node share one cache
-    /// line of keys — a well-known discrete-event-queue win that needs no
-    /// unsafe holes to beat `BinaryHeap`'s optimized binary sift.
-    const D: usize = 4;
-
-    /// Hole-based insertion: the new key rides a "hole" up the tree, so
-    /// each level costs one parent move instead of a three-move swap.
-    #[inline]
-    fn heap_push(&mut self, k: Key) {
-        self.heap.push(k);
-        let mut i = self.heap.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / Self::D;
-            if self.heap[parent].rank() <= k.rank() {
-                break;
-            }
-            self.heap[i] = self.heap[parent];
-            i = parent;
-        }
-        self.heap[i] = k;
-    }
-
-    /// Hole-based removal: the displaced last leaf rides a hole down from
-    /// the root along the smallest-child path until it fits.
-    #[inline]
-    fn heap_pop(&mut self) -> Option<Key> {
-        let top = *self.heap.first()?;
-        let last = self.heap.pop().expect("checked non-empty");
-        let n = self.heap.len();
-        if n > 0 {
-            let last_rank = last.rank();
-            let mut i = 0;
-            loop {
-                let first_child = Self::D * i + 1;
-                if first_child >= n {
-                    break;
-                }
-                let mut child = first_child;
-                let mut child_rank = self.heap[child].rank();
-                let fan_end = (first_child + Self::D).min(n);
-                for c in first_child + 1..fan_end {
-                    let r = self.heap[c].rank();
-                    if r < child_rank {
-                        child = c;
-                        child_rank = r;
-                    }
-                }
-                if last_rank <= child_rank {
-                    break;
-                }
-                self.heap[i] = self.heap[child];
-                i = child;
-            }
-            self.heap[i] = last;
-        }
-        Some(top)
     }
 }
 
@@ -778,22 +746,24 @@ mod tests {
     }
 
     /// Engage the wheel at instant 0, so a test's far pushes land in it:
-    /// one push past the bound moves the heap's far keys into the wheel.
-    /// The filler is cancelled at once and never pops.
-    fn engage<E: Clone>(q: &mut EventQueue<E>, filler: E) {
+    /// one push past the bound moves the near array's far keys into the
+    /// wheel. Then push the test's first event, `first` at `at`. The filler
+    /// is cancelled after that and never pops; cancelling it on an
+    /// otherwise empty queue would sweep it and leave the wheel idle.
+    fn engage<E: Clone>(q: &mut EventQueue<E>, filler: E, at: u64, first: E) {
         let handles: Vec<_> = (0..=WHEEL_BOUND as u64)
             .map(|i| q.push_handle(SimTime::from_nanos((1 << 50) + i), filler.clone()))
             .collect();
-        assert!(!q.wheel_idle());
+        q.push(SimTime::from_nanos(at), first);
         for h in handles {
             q.cancel(h);
         }
+        assert!(!q.wheel_idle());
     }
 
     #[test]
     fn far_future_events_pop_in_order_across_wheel_levels() {
         let mut q = EventQueue::new();
-        engage(&mut q, 0);
         // One event per wheel level, pushed out of order, plus a near one.
         let times = [
             1u64 << 40,
@@ -805,7 +775,8 @@ mod tests {
             1 << 32,
             u64::MAX,
         ];
-        for &t in &times {
+        engage(&mut q, 0, times[0], times[0]);
+        for &t in &times[1..] {
             q.push(SimTime::from_nanos(t), t);
         }
         let mut sorted = times.to_vec();
@@ -862,19 +833,18 @@ mod tests {
     #[test]
     fn cancel_works_in_every_lane() {
         let mut q = EventQueue::new();
-        engage(&mut q, 9);
-        // Heap (near, same open bucket): instant 6.
-        q.push(SimTime::from_nanos(5), 0u32);
-        let heaped = q.push_handle(SimTime::from_nanos(6), 2);
+        // Near array (same open bucket): instant 6.
+        engage(&mut q, 9, 5, 0u32);
+        let neared = q.push_handle(SimTime::from_nanos(6), 2);
         // Wheel: far future.
         let wheeled = q.push_handle(SimTime::from_nanos(1 << 20), 3);
         let survivor = q.push_handle(SimTime::from_nanos(1 << 21), 4);
         // Lane: popping the event at 5 opens that instant.
         assert_eq!(q.pop().map(|(_, _, e)| e), Some(0));
         let laned = q.push_handle(SimTime::from_nanos(5), 1);
-        assert_eq!((q.lane.len(), q.heap.len()), (1, 1));
+        assert_eq!((q.lane.len(), q.near.len()), (1, 1));
         assert_eq!(q.cancel(laned), Some(1));
-        assert_eq!(q.cancel(heaped), Some(2));
+        assert_eq!(q.cancel(neared), Some(2));
         assert_eq!(q.cancel(wheeled), Some(3));
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_at(), Some(SimTime::from_nanos(1 << 21)));
@@ -885,10 +855,35 @@ mod tests {
     }
 
     #[test]
+    fn a_queue_left_with_only_cancelled_keys_goes_idle_at_once() {
+        // By cancel: cancelling the last live event sweeps the wheel.
+        let mut q = EventQueue::new();
+        let handles: Vec<_> = (0..=WHEEL_BOUND as u64)
+            .map(|i| q.push_handle(SimTime::from_nanos(1_000 + i), 0u32))
+            .collect();
+        assert!(!q.wheel_idle());
+        for h in handles {
+            q.cancel(h);
+        }
+        assert!(q.wheel_idle() && q.is_empty());
+        assert_eq!((q.stale, q.lane.len(), q.near.len()), (0, 0, 0));
+        // By pop: the last live event popped past cancelled far keys.
+        engage(&mut q, 9, 5, 4);
+        assert!(!q.wheel_idle());
+        assert_eq!(q.pop().map(|(_, _, e)| e), Some(4));
+        assert!(q.wheel_idle() && q.is_empty());
+        assert_eq!(q.stale, 0);
+        // Idle again: a far push goes to the near array.
+        q.push(SimTime::from_nanos(1 << 40), 5);
+        assert_eq!(q.near.len(), 1);
+        assert_eq!(q.pop().map(|(_, _, e)| e), Some(5));
+        assert_eq!(q.live_payloads(), 0);
+    }
+
+    #[test]
     fn reschedule_moves_events_across_the_horizon_boundary() {
         let mut q = EventQueue::new();
-        engage(&mut q, 9);
-        q.push(SimTime::from_nanos(100), 0u32);
+        engage(&mut q, 9, 100, 0u32);
         // Far timer pulled near (decrease-key across the boundary).
         let far = q.push_handle(SimTime::from_nanos(1 << 30), 1);
         let near = q.reschedule(far, SimTime::from_nanos(50)).unwrap();
@@ -1154,14 +1149,16 @@ mod tests {
             }
         }
 
-        /// Drain everything, then after a quiet spell one event past every
-        /// cancelled key still filed in the wheel, which lets it go idle.
+        /// Drain everything: with nothing live left, every cancelled key
+        /// still filed in the wheel is dropped and the wheel goes idle.
         pub(super) fn quiet(&mut self) {
             while !self.slow.is_empty() {
                 self.pop();
             }
-            self.push(SimTime::from_nanos(self.now + (1 << 20)));
-            self.pop();
+            assert!(
+                self.fast.wheel_idle(),
+                "a drained queue left the wheel engaged"
+            );
         }
 
         /// Drain both queues and check nothing leaked.
@@ -1262,7 +1259,7 @@ mod tests {
             q.push(far(i), i);
         }
         assert!(q.wheel_idle() && !q.wheel.is_allocated());
-        // Inside the lane's bucket the heap just grows.
+        // Inside the lane's bucket the near array just grows.
         q.push(SimTime::from_nanos(GRANULARITY - 1), 99);
         assert!(q.wheel_idle());
         q.push(far(WHEEL_BOUND as u64), WHEEL_BOUND as u64);
@@ -1270,7 +1267,7 @@ mod tests {
             !q.wheel_idle(),
             "a far push past the bound engages the wheel"
         );
-        assert_eq!(q.heap.len(), 1, "only the key inside the open bucket stays");
+        assert_eq!(q.near.len(), 1, "only the key inside the open bucket stays");
         assert_eq!(q.pop().map(|(_, _, e)| e), Some(99));
         for i in 0..=WHEEL_BOUND as u64 {
             assert_eq!(q.pop().map(|(t, _, e)| (t, e)), Some((far(i), i)));
@@ -1296,7 +1293,7 @@ mod proptests {
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
-        // Times span the horizon boundary: same-instant ties, near-heap
+        // Times span the horizon boundary: same-instant ties, near-array
         // range, and multi-level wheel territory.
         (0u64..10, 0u64..3, 0u64..(1 << 34), 0u64..(1 << 16)).prop_map(|(sel, band, t, idx)| {
             let at = match band {

@@ -1,16 +1,17 @@
 //! The far-future lane of the event queue: a hierarchical timer wheel.
 //!
-//! The indexed heap in [`crate::queue`] is the right structure for a small
-//! population — the keys are cache-resident and every operation is a
-//! couple of sifts — and model runs keep one: at most 24 events pending.
-//! It is the wrong structure for a standing population of far-future
-//! events: the one 200 µs retry timeout per in-flight request that the
-//! resilience and recovery grids keep, or the standing timers of the
-//! synthetic `perf` shapes. Those inflate the heap and deepen every sift
-//! on the hot path. The queue therefore engages the wheel only once the
-//! heap holds a bound of keys above any model's population.
+//! The sorted near array in [`crate::queue`] is the right structure for a
+//! small population — the keys are cache-resident, a pop takes the tail
+//! and a push scans a few keys from it — and model runs keep one: at most
+//! 24 events pending. It is the wrong structure for a standing population
+//! of far-future events: the one 200 µs retry timeout per in-flight
+//! request that the resilience and recovery grids keep, or the standing
+//! timers of the synthetic `perf` shapes. Those would lengthen the array
+//! every insert shifts on the hot path. The queue therefore engages the
+//! wheel only once the array holds a bound of keys above any model's
+//! population.
 //!
-//! The wheel takes that population out of the heap. Time is bucketed in
+//! The wheel takes that population out of the array. Time is bucketed in
 //! powers of two: level 0 holds 64 buckets of [`GRANULARITY`] (64 ns) each,
 //! level 1 holds 64 buckets of 4.096 µs, and so on — ten levels cover every
 //! representable instant, so there is no overflow path. An event lands in
@@ -21,15 +22,15 @@
 //! tokio timer wheels. Insertion is O(1): a `Vec` push plus one bit in the
 //! level's occupancy bitmap.
 //!
-//! Advancing is driven by the queue, not by ticks: when the lane, heap and
-//! promoted run drain, [`Wheel::open_next`] jumps the floor directly to
-//! the next occupied bucket (a `trailing_zeros` on the occupancy bitmaps —
+//! Advancing is driven by the queue, not by ticks: when the lane and the
+//! near array drain, [`Wheel::open_next`] jumps the floor directly to the
+//! next occupied bucket (a `trailing_zeros` on the occupancy bitmaps —
 //! empty spans cost nothing, which is what makes sparse far-future
 //! populations cheap). Opening a level-0 bucket hands its entries back to
-//! the queue, which sorts them into a run; opening a higher-level bucket
-//! *cascades* — its entries redistribute into lower levels relative to
-//! the new floor, each entry strictly descending, so an event is touched
-//! at most once per level over its whole life.
+//! the queue, which sorts them into the near array; opening a
+//! higher-level bucket *cascades* — its entries redistribute into lower
+//! levels relative to the new floor, each entry strictly descending, so
+//! an event is touched at most once per level over its whole life.
 //!
 //! Ordering correctness does not depend on bucket internals: buckets are
 //! unordered, and the queue re-establishes the total `(time, seq)` order
@@ -42,8 +43,8 @@
 use crate::queue::Key;
 
 /// Log2 of the level-0 bucket width: 64 ns. While the wheel is engaged,
-/// gaps shorter than this stay in the heap; the paper's service times (1–100 µs) and wire hops
-/// (≈ 80 ns – 2.56 µs) land in levels 0–3.
+/// gaps shorter than this stay in the near array; the paper's service
+/// times (1–100 µs) and wire hops (≈ 80 ns – 2.56 µs) land in levels 0–3.
 pub(crate) const GRANULARITY_SHIFT: u32 = 6;
 /// Width of a level-0 bucket in nanoseconds.
 pub(crate) const GRANULARITY: u64 = 1 << GRANULARITY_SHIFT;
@@ -84,6 +85,13 @@ impl Wheel {
     /// been swept yet.
     pub(crate) fn count(&self) -> usize {
         self.count
+    }
+
+    /// Drop every resident entry, keeping the bucket storage.
+    pub(crate) fn clear(&mut self) {
+        self.buckets.iter_mut().for_each(Vec::clear);
+        self.occupied = [0; LEVELS];
+        self.count = 0;
     }
 
     /// Whether bucket storage has been allocated.

@@ -1933,6 +1933,50 @@ mod tests {
         );
     }
 
+    /// The work each assembly does, not only its outputs: the events one
+    /// short, fixed `fig2-bimodal`-like run processes (the paper's bimodal
+    /// mix at 400 k rps on 4 workers per dispatcher, 10 µs slice). A change
+    /// that elides or adds events moves these counts and must update them
+    /// here. None of the runs keeps enough events pending to engage the
+    /// queue's wheel.
+    #[test]
+    fn fig2_bimodal_event_counts_are_pinned() {
+        use crate::baseline::{Baseline, BaselineConfig, BaselineKind};
+        use crate::offload::{Offload, OffloadConfig};
+        use crate::rpcvalet::{RpcValet, RpcValetConfig};
+        use crate::shinjuku::{Shinjuku, ShinjukuConfig};
+        fn events<A: Assembly>(cfg: A::Config) -> u64 {
+            let spec = WorkloadSpec {
+                warmup: SimDuration::from_millis(1),
+                measure: SimDuration::from_millis(4),
+                seed: 0,
+                ..WorkloadSpec::new(400_000.0, ServiceDist::paper_bimodal())
+            };
+            let mut engine = engine::<A>(
+                spec,
+                cfg,
+                ProbeConfig::disabled(),
+                ResilienceConfig::default(),
+            );
+            A::seed(&mut engine);
+            engine.run_until(spec.horizon());
+            assert_eq!(engine.wheel_engagements(), 0, "{}", A::name(&cfg));
+            engine.events_processed()
+        }
+        let counts = [
+            events::<Offload>(OffloadConfig::paper(4, 4)),
+            events::<Shinjuku>(ShinjukuConfig::paper(4)),
+            events::<Baseline>(BaselineConfig {
+                workers: 4,
+                kind: BaselineKind::Rss,
+            }),
+            events::<RpcValet>(RpcValetConfig { workers: 4 }),
+            events::<Shinjuku>(ShinjukuConfig::split(10, 2)),
+        ];
+        // Offload, Shinjuku, RSS, RPCValet, two-group Shinjuku.
+        assert_eq!(counts, [31_580, 26_102, 10_686, 9_918, 26_104]);
+    }
+
     #[test]
     fn metrics_assembly() {
         let mut master = Rng::new(9);
