@@ -622,6 +622,18 @@ impl<'a> ProbeHandle<'a> {
         self.probe.is_some()
     }
 
+    /// This handle's recorder at the earlier instant `at`, for a record an
+    /// event at `at` would have made had it been simulated. A row must
+    /// still see its records in time order.
+    #[inline]
+    pub fn at(&mut self, at: SimTime) -> ProbeHandle<'_> {
+        debug_assert!(at <= self.now, "a probe record from the future");
+        ProbeHandle {
+            now: at,
+            probe: self.probe.as_deref_mut(),
+        }
+    }
+
     /// Increment `counter` by one.
     #[inline]
     pub fn count(&mut self, counter: impl IntoHandle<Counter>) {
@@ -918,6 +930,24 @@ mod tests {
         let s = r.stage("net").unwrap();
         assert!((s.utilization - 0.5).abs() < 1e-9);
         assert_eq!(s.busy_transitions, 2, "one rise and one fall");
+    }
+
+    #[test]
+    fn a_record_at_a_past_instant_is_the_record_made_then() {
+        let record = |p: &mut ProbeHandle<'_>| {
+            p.depth("q", 3);
+            p.busy("q", true);
+            p.count("n");
+        };
+        let mut then = Probe::new(ProbeConfig::enabled());
+        record(&mut ProbeHandle::new(us(4), Some(&mut then)));
+        let mut later = Probe::new(ProbeConfig::enabled());
+        record(&mut ProbeHandle::new(us(9), Some(&mut later)).at(us(4)));
+        let (then, later) = (then.report(us(10)), later.report(us(10)));
+        assert_eq!(later.stages, then.stages);
+        assert_eq!(later.counters, then.counters);
+        let mut off = ProbeHandle::new(us(9), None);
+        assert!(!off.at(us(4)).enabled());
     }
 
     #[test]

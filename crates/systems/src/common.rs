@@ -21,7 +21,7 @@ use nicsched::{
     SchedPolicy, Task,
 };
 use sim_core::faults::FaultConfig;
-use sim_core::probe::{Busy, Counter, Family, Gauge, Hop};
+use sim_core::probe::{Busy, Counter, Family, Gauge, Hop, ProbeHandle};
 use sim_core::{
     Ctx, Engine, IdTable, InvariantChecker, InvariantConfig, Model, Probe, ProbeConfig, Rng,
     SimDuration, SimTime,
@@ -142,12 +142,18 @@ pub trait Assembly: Model + Sized {
     /// The run's metrics at `horizon`, with the assembly's own fault
     /// counters filled in, and its [`Extra`](Assembly::Extra).
     fn metrics(&self, horizon: SimTime) -> (RunMetrics, Self::Extra);
+
+    /// Record what the model still owes `probe` for instants up to
+    /// `horizon` that no event visited (see [`Stage::settle`]), before the
+    /// run's report is drawn. Most assemblies owe nothing.
+    fn settle(&mut self, _horizon: SimTime, _probe: &mut ProbeHandle<'_>) {}
 }
 
 /// Run assembly `A` under `cfg` on `spec`: the one harness every assembly
 /// shares. It builds the probe, engine, invariant checker and fault
 /// schedule, seeds the run, runs to the horizon, counts ring drops as
-/// dropped, attaches the stage report when `probe` is on, and
+/// dropped, settles what the model owes the probe and attaches the stage
+/// report when `probe` is on, and
 /// closes the invariant audit.
 pub fn run<A: Assembly>(
     spec: WorkloadSpec,
@@ -162,7 +168,10 @@ pub fn run<A: Assembly>(
     let (mut metrics, extra) = engine.model().metrics(horizon);
     metrics.dropped += metrics.faults.ring_dropped;
     if probe.enabled {
-        metrics.stages = Some(engine.probe_mut().report(horizon));
+        let mut recorder = std::mem::take(engine.probe_mut());
+        let mut handle = ProbeHandle::new(horizon, Some(&mut recorder));
+        engine.model_mut().settle(horizon, &mut handle);
+        metrics.stages = Some(recorder.report(horizon));
     }
     close_invariants(engine.take_invariants(), horizon, &metrics);
     (metrics, extra)
@@ -486,31 +495,56 @@ impl Wire {
 
 /// A serial core: one of the offload's networker, queue-manager, TX and RX
 /// ARM cores (§3.4.1), or a Shinjuku group's networker or dispatcher
-/// thread. It serves one item at a time from its FIFO inbox, each for
-/// `cost` (or `price` of the item, when set), and reports its busy time and
-/// its queue's depth (on every push and every finished item) to the probe
-/// under `name` and `gauge`. A networker is
-/// fed by a NIC RX ring instead, because ring occupancy decides tail drops:
-/// it leaves its inbox empty and hands the ring to [`Stage::poll`].
+/// thread. It serves one item at a time, FIFO, each for `cost` (or `price`
+/// of the item, when set), and reports its busy time and its queue's depth
+/// (on every arrival and every departure) to the probe under `name` and
+/// `gauge`. There are three ways to drive one:
+///
+/// - **Live** ([`Stage::new`]): a push event [`Stage::enqueue`]s each item
+///   and the stage schedules `done`, whose handler calls
+///   [`Stage::complete`] then [`Stage::resume`]. A networker is fed by a
+///   NIC RX ring instead, because ring occupancy decides tail drops: it
+///   leaves its inbox empty and hands the ring to [`Stage::poll`].
+/// - **Booked** ([`Stage::booked`]): every item arrives from its sender a
+///   fixed hop later, so the sender [`Stage::book`]s it and gets its
+///   departure, `max(arrival, free_at) + cost` (the Lindley recursion), and
+///   schedules the item's done event itself: no push event, no inbox.
+/// - **Holding** ([`Stage::holding`]): live, except that pushes go through
+///   [`Stage::push`], and [`Stage::hold`] keeps the stage busy with pieces
+///   of work whose ends no event visits.
+///
+/// A booked or holding stage owes the probe the records of the instants it
+/// skips. It keeps every record of its rows in a [`Ledger`], replays them in
+/// the engine's order once no later call can add an earlier one, and
+/// replays the rest up to the horizon on [`Stage::settle`], so its rows are
+/// those of a stage that simulated every instant.
 pub(crate) struct Stage<T> {
     inbox: VecDeque<T>,
+    /// An item is in service: its done event is scheduled.
     busy: bool,
+    /// When the last booked item leaves, or the current hold ends.
+    free_at: SimTime,
     cost: SimDuration,
     price: Option<fn(&T) -> SimDuration>,
     name: Busy,
     gauge: Gauge,
+    /// The owed records of a booked or holding stage; `None` for a live
+    /// stage, which records as its events run.
+    owed: Option<Ledger>,
 }
 
 impl<T> Stage<T> {
-    /// An idle stage with an empty inbox whose items each take `cost`.
+    /// An idle live stage with an empty inbox whose items each take `cost`.
     pub fn new(name: Busy, gauge: Gauge, cost: SimDuration) -> Stage<T> {
         Stage {
             inbox: VecDeque::new(),
             busy: false,
+            free_at: SimTime::ZERO,
             cost,
             price: None,
             name,
             gauge,
+            owed: None,
         }
     }
 
@@ -522,51 +556,288 @@ impl<T> Stage<T> {
         }
     }
 
-    /// `item` joins the back of the inbox, then [`Stage::resume`].
+    /// This stage, driven by [`Stage::book`].
+    pub fn booked(self) -> Stage<T> {
+        Stage {
+            owed: Some(Ledger::default()),
+            ..self
+        }
+    }
+
+    /// This stage, driven by [`Stage::push`] and [`Stage::hold`], counting
+    /// each held piece of work on `pieces` when it ends.
+    pub fn holding(self, pieces: Counter) -> Stage<T> {
+        Stage {
+            owed: Some(Ledger {
+                pieces: Some(pieces),
+                ..Ledger::default()
+            }),
+            ..self
+        }
+    }
+
+    /// `item` joins the back of a live stage's inbox, then
+    /// [`Stage::resume`].
     pub fn enqueue<E>(&mut self, item: T, done: E, ctx: &mut Ctx<'_, E>) {
+        debug_assert!(self.owed.is_none(), "a live stage's push");
         self.inbox.push_back(item);
         self.resume(done, ctx);
     }
 
-    /// `item` goes to the head of the inbox, to be served next.
-    pub fn push_front(&mut self, item: T) {
-        self.inbox.push_front(item);
+    /// `item`, sent `hop` ago, joins the back of a holding stage's inbox;
+    /// then [`Stage::resume`]. Only how `hop` compares with an item's cost
+    /// matters: it orders this arrival against a departure at this instant.
+    pub fn push<E>(&mut self, item: T, hop: SimDuration, done: E, ctx: &mut Ctx<'_, E>) {
+        self.inbox.push_back(item);
+        let now = ctx.now();
+        let mut probe = ctx.probe();
+        if let Some(ledger) = self.owed.as_mut().filter(|_| probe.enabled()) {
+            ledger.arrive_now(now, hop, &self.name, &self.gauge, &mut probe);
+        }
+        self.resume(done, ctx);
     }
 
     /// The item in service finished: the stage goes idle and hands it back
     /// (`None` for a stage [`Stage::poll`] feeds). Call [`Stage::resume`]
     /// or [`Stage::poll`] once its work is done.
     pub fn complete<E>(&mut self, ctx: &mut Ctx<'_, E>) -> Option<T> {
-        self.set_busy(false, ctx);
-        self.inbox.pop_front()
+        self.busy = false;
+        let item = self.inbox.pop_front();
+        if self.owed.is_none() {
+            ctx.probe().busy(&self.name, false);
+            return item;
+        }
+        // Its done event was scheduled when its service began. The record
+        // waits: a push at this instant may still come that the engine
+        // would have run first.
+        let departure = Departure::of(ctx.now(), self.cost_of(item.as_ref()));
+        match &mut self.owed {
+            Some(ledger) if ctx.probe().enabled() => ledger.departures.push_back(departure),
+            _ => {}
+        }
+        item
     }
 
-    /// Sample the inbox; an idle stage then starts on its head item and
-    /// schedules `done` for when it finishes.
+    /// The item that just [`complete`](Stage::complete)d leaves `pieces`
+    /// pieces of work behind it, `each` long, back to back: the stage stays
+    /// busy until they end, with no event at any of their ends.
+    pub fn hold<E>(&mut self, pieces: usize, each: SimDuration, ctx: &mut Ctx<'_, E>) {
+        let now = ctx.now();
+        self.free_at = now + each * pieces as u64;
+        if let Some(ledger) = self.ledger(ctx) {
+            let last = ledger.departures.back_mut().expect("a completed item");
+            debug_assert_eq!(last.at, now, "a hold starts as an item completes");
+            last.joins = pieces;
+            if let Some(more) = pieces.checked_sub(1) {
+                let first = Departure {
+                    more,
+                    piece: true,
+                    ..Departure::of(now + each, each)
+                };
+                ledger.departures.push_back(first);
+            }
+        }
+    }
+
+    /// An idle stage starts on its inbox's head, once any hold ends, and
+    /// schedules `done` for when it finishes. A live stage first samples
+    /// its inbox.
     pub fn resume<E>(&mut self, done: E, ctx: &mut Ctx<'_, E>) {
-        let cost = match (self.price, self.inbox.front()) {
-            (Some(price), Some(item)) => price(item),
-            _ => self.cost,
-        };
-        self.serve(self.inbox.len(), cost, done, ctx);
+        let cost = self.cost_of(self.inbox.front());
+        if self.owed.is_none() {
+            self.serve(self.inbox.len(), cost, done, ctx);
+        } else if !self.busy && !self.inbox.is_empty() {
+            self.busy = true;
+            ctx.schedule_at(ctx.now().max(self.free_at) + cost, done);
+        }
     }
 
-    /// [`Stage::resume`] for a stage fed by `ring`.
+    /// [`Stage::resume`] for a live stage fed by `ring`.
     pub fn poll<E>(&mut self, ring: &Ring, done: E, ctx: &mut Ctx<'_, E>) {
         self.serve(ring.len(), self.cost, done, ctx);
+    }
+
+    /// Book an item sent now that arrives `hop` later, and return when it
+    /// leaves; the caller schedules its done event then. A hop equal to the
+    /// stage's cost may replay a same-instant arrival and departure in the
+    /// other order than an engine that simulated both would have run them,
+    /// which only a depth gauge's `peak` can show.
+    pub fn book<E>(&mut self, hop: SimDuration, ctx: &mut Ctx<'_, E>) -> SimTime {
+        let arrive = ctx.now() + hop;
+        self.free_at = arrive.max(self.free_at) + self.cost;
+        let (depart, cost) = (self.free_at, self.cost);
+        if let Some(ledger) = self.ledger(ctx) {
+            ledger.arrivals.push_back((arrive, hop));
+            ledger.departures.push_back(Departure::of(depart, cost));
+        }
+        depart
+    }
+
+    /// Replay what a booked or holding stage still owes the probe, up to
+    /// and including `horizon`: what an engine that ran to `horizon` would
+    /// have recorded. Nothing later is recorded.
+    pub fn settle(&mut self, horizon: SimTime, probe: &mut ProbeHandle<'_>) {
+        if let Some(ledger) = &mut self.owed {
+            ledger.replay(horizon, true, &self.name, &self.gauge, probe);
+        }
+    }
+
+    /// The ledger of a booked or holding stage when the probe is on, with
+    /// every record before now replayed: nothing can still add one there.
+    fn ledger<E>(&mut self, ctx: &mut Ctx<'_, E>) -> Option<&mut Ledger> {
+        let now = ctx.now();
+        let mut probe = ctx.probe();
+        let ledger = self.owed.as_mut().filter(|_| probe.enabled())?;
+        ledger.replay(now, false, &self.name, &self.gauge, &mut probe);
+        Some(ledger)
+    }
+
+    fn cost_of(&self, item: Option<&T>) -> SimDuration {
+        match (self.price, item) {
+            (Some(price), Some(item)) => price(item),
+            _ => self.cost,
+        }
     }
 
     fn serve<E>(&mut self, waiting: usize, cost: SimDuration, done: E, ctx: &mut Ctx<'_, E>) {
         ctx.probe().depth(&self.gauge, waiting);
         if !self.busy && waiting > 0 {
-            self.set_busy(true, ctx);
+            self.busy = true;
+            ctx.probe().busy(&self.name, true);
             ctx.schedule_in(cost, done);
         }
     }
+}
 
-    fn set_busy<E>(&mut self, busy: bool, ctx: &mut Ctx<'_, E>) {
-        self.busy = busy;
-        ctx.probe().busy(&self.name, busy);
+/// The records a booked or holding [`Stage`] owes its probe rows, in the
+/// order a live stage's push and done events would have made them.
+#[derive(Default)]
+struct Ledger {
+    /// Owed arrivals, in arrival order: each one's instant, and how long
+    /// before it the item was sent.
+    arrivals: VecDeque<(SimTime, SimDuration)>,
+    /// Owed departures, in time order.
+    departures: VecDeque<Departure>,
+    /// The stage's depth as its gauge has seen it so far.
+    queued: usize,
+    /// Counted once per held piece of work.
+    pieces: Option<Counter>,
+}
+
+/// One owed departure from a [`Ledger`], or a run of held pieces of work.
+struct Departure {
+    at: SimTime,
+    /// The departing item's cost: its done event was scheduled this long
+    /// before `at`.
+    cost: SimDuration,
+    /// Pieces of work that join the head of the queue as the item leaves.
+    joins: usize,
+    /// Whether this is a held piece of work's end.
+    piece: bool,
+    /// Further pieces, each ending `cost` after the one before.
+    more: usize,
+}
+
+impl Departure {
+    fn of(at: SimTime, cost: SimDuration) -> Departure {
+        Departure {
+            at,
+            cost,
+            joins: 0,
+            piece: false,
+            more: 0,
+        }
+    }
+}
+
+impl Ledger {
+    /// Record every owed arrival and departure before `until` (or at it,
+    /// when `inclusive`), in the order the engine would have run them.
+    fn replay(
+        &mut self,
+        until: SimTime,
+        inclusive: bool,
+        name: &Busy,
+        gauge: &Gauge,
+        probe: &mut ProbeHandle<'_>,
+    ) {
+        loop {
+            // The engine runs same-instant events in the order they were
+            // scheduled: an arrival sent `hop` before and a departure
+            // scheduled `cost` before.
+            let arrival = match (self.arrivals.front(), self.departures.front()) {
+                (Some(&(at, hop)), Some(d)) => at < d.at || (at == d.at && hop > d.cost),
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => return,
+            };
+            let at = match arrival {
+                true => self.arrivals[0].0,
+                false => self.departures[0].at,
+            };
+            if at > until || (at == until && !inclusive) {
+                return;
+            }
+            if arrival {
+                self.arrivals.pop_front();
+                self.arrive(at, name, gauge, probe);
+            } else {
+                self.depart(name, gauge, probe);
+            }
+        }
+    }
+
+    /// An item sent `hop` ago arrives now, at a holding stage: record the
+    /// owed departures the engine would have run before its push event,
+    /// then the arrival.
+    fn arrive_now(
+        &mut self,
+        now: SimTime,
+        hop: SimDuration,
+        name: &Busy,
+        gauge: &Gauge,
+        probe: &mut ProbeHandle<'_>,
+    ) {
+        debug_assert!(self.arrivals.is_empty(), "a booked stage's push");
+        while let Some(d) = self.departures.front() {
+            if d.at > now || (d.at == now && hop > d.cost) {
+                break;
+            }
+            self.depart(name, gauge, probe);
+        }
+        self.arrive(now, name, gauge, probe);
+    }
+
+    /// An arrival samples the depth and wakes an idle stage.
+    fn arrive(&mut self, at: SimTime, name: &Busy, gauge: &Gauge, probe: &mut ProbeHandle<'_>) {
+        let mut p = probe.at(at);
+        self.queued += 1;
+        p.depth(gauge, self.queued);
+        if self.queued == 1 {
+            p.busy(name, true);
+        }
+    }
+
+    /// The first owed departure idles the stage, samples the depth, and
+    /// wakes the stage again if work is left.
+    fn depart(&mut self, name: &Busy, gauge: &Gauge, probe: &mut ProbeHandle<'_>) {
+        let d = self.departures.front_mut().expect("an owed departure");
+        let mut p = probe.at(d.at);
+        p.busy(name, false);
+        self.queued = self.queued - 1 + d.joins;
+        p.depth(gauge, self.queued);
+        if self.queued > 0 {
+            p.busy(name, true);
+        }
+        if let Some(pieces) = self.pieces.as_ref().filter(|_| d.piece) {
+            p.count(pieces);
+        }
+        if d.more > 0 {
+            d.at += d.cost;
+            d.more -= 1;
+        } else {
+            self.departures.pop_front();
+        }
     }
 }
 
@@ -1973,8 +2244,12 @@ mod tests {
             events::<RpcValet>(RpcValetConfig { workers: 4 }),
             events::<Shinjuku>(ShinjukuConfig::split(10, 2)),
         ];
-        // Offload, Shinjuku, RSS, RPCValet, two-group Shinjuku.
-        assert_eq!(counts, [31_580, 26_102, 10_686, 9_918, 26_104]);
+        // Offload, Shinjuku, RSS, RPCValet, two-group Shinjuku. Booking
+        // the queue manager and the TX core took offload from 31,580: 4,007
+        // `QmPush` and 2,030 `TxPush` events went. Holding the dispatcher
+        // thread for the assignments a notice decides took 2,030 `DispDone`s
+        // off each Shinjuku (26,102 and 26,104 before).
+        assert_eq!(counts, [25_543, 24_072, 10_686, 9_918, 24_074]);
     }
 
     #[test]
@@ -2010,5 +2285,344 @@ mod tests {
         assert_eq!(m.faults.stranded, 2);
         assert_eq!(m.worker_utilization, 0.0);
         assert_eq!(m.p99, SimDuration::from_micros(15));
+    }
+
+    /// Differential checks of the booked and holding stages against live
+    /// ones that simulate every push and done event: on seeded arrival
+    /// streams with same-instant arrivals and departures, back-to-back
+    /// busy periods and a horizon that falls inside a busy period, both
+    /// give the same departures and the same stage rows.
+    mod owed {
+        use super::*;
+        use sim_core::StageReport;
+
+        const SENDS: usize = 400;
+
+        /// `SENDS` send instants whose gaps are multiples of 10 ns up to
+        /// `max_gap`, so arrivals often share an instant with each other and
+        /// with a departure.
+        fn sends(rng: &mut Rng, max_gap: u64) -> Vec<SimTime> {
+            let mut at = SimTime::ZERO;
+            (0..SENDS)
+                .map(|_| {
+                    at += SimDuration::from_nanos(10 * (rng.next_u64() % (max_gap / 10 + 1)));
+                    at
+                })
+                .collect()
+        }
+
+        /// A horizon in the second half of the run: usually inside a busy
+        /// period at these loads.
+        fn horizon(rng: &mut Rng, sends: &[SimTime]) -> SimTime {
+            let i = SENDS / 2 + (rng.next_u64() % (SENDS as u64 / 2 - 1)) as usize;
+            sends[i] + SimDuration::from_nanos(rng.next_u64() % 400)
+        }
+
+        /// Run `model` to `horizon` with the probe on, settle what it owes
+        /// the probe, and report.
+        fn report<M: Model>(
+            model: M,
+            seed: impl FnOnce(&mut Engine<M>),
+            horizon: SimTime,
+            settle: impl FnOnce(&mut M, &mut ProbeHandle<'_>),
+        ) -> (M, StageReport) {
+            let mut engine = Engine::new(model);
+            engine.set_probe(Probe::new(ProbeConfig::enabled()));
+            seed(&mut engine);
+            engine.run_until(horizon);
+            let mut recorder = std::mem::take(engine.probe_mut());
+            settle(
+                engine.model_mut(),
+                &mut ProbeHandle::new(horizon, Some(&mut recorder)),
+            );
+            let report = recorder.report(horizon);
+            (engine.into_model(), report)
+        }
+
+        fn stage(probe: &mut Probe, cost: SimDuration) -> Stage<()> {
+            Stage::new(probe.busy("stage"), probe.gauge("stage.inbox"), cost)
+        }
+
+        enum LiveEv {
+            Send,
+            Push,
+            Done,
+        }
+
+        /// Every item pushed `hop` after it is sent, and done by event.
+        struct Live {
+            stage: Stage<()>,
+            hop: SimDuration,
+            departures: Vec<SimTime>,
+        }
+
+        impl Model for Live {
+            type Event = LiveEv;
+            fn handle(&mut self, ev: LiveEv, ctx: &mut Ctx<'_, LiveEv>) {
+                match ev {
+                    LiveEv::Send => ctx.schedule_in(self.hop, LiveEv::Push),
+                    LiveEv::Push => self.stage.enqueue((), LiveEv::Done, ctx),
+                    LiveEv::Done => {
+                        self.stage.complete(ctx);
+                        self.departures.push(ctx.now());
+                        self.stage.resume(LiveEv::Done, ctx);
+                    }
+                }
+            }
+        }
+
+        enum BookedEv {
+            Send,
+            Done,
+        }
+
+        /// The same items, booked by their sender.
+        struct Booked {
+            stage: Stage<()>,
+            hop: SimDuration,
+            departures: Vec<SimTime>,
+            /// Whether an item arrived by the horizon and left after it.
+            straddles: bool,
+            horizon: SimTime,
+        }
+
+        impl Model for Booked {
+            type Event = BookedEv;
+            fn handle(&mut self, ev: BookedEv, ctx: &mut Ctx<'_, BookedEv>) {
+                match ev {
+                    BookedEv::Send => {
+                        let done = self.stage.book(self.hop, ctx);
+                        let arrive = ctx.now() + self.hop;
+                        self.straddles |= arrive <= self.horizon && done > self.horizon;
+                        ctx.schedule_at(done, BookedEv::Done);
+                    }
+                    BookedEv::Done => self.departures.push(ctx.now()),
+                }
+            }
+        }
+
+        #[test]
+        fn a_booked_stage_departs_and_reports_as_a_live_one() {
+            let ns = SimDuration::from_nanos;
+            // Offload's queue manager (hop above cost), its TX core (hop
+            // below cost), and the ideal NIC's zero hop.
+            let shapes = [(ns(250), ns(140)), (ns(250), ns(680)), (ns(0), ns(10))];
+            let mut straddled = 0;
+            for (hop, cost) in shapes {
+                for seed in 0..12 {
+                    let mut rng = Rng::new(seed);
+                    let max_gap = 2 * cost.as_nanos().max(20);
+                    let sends = sends(&mut rng, max_gap);
+                    let horizon = horizon(&mut rng, &sends);
+                    let mut probe = Probe::new(ProbeConfig::enabled());
+                    let live = Live {
+                        stage: stage(&mut probe, cost),
+                        hop,
+                        departures: Vec::new(),
+                    };
+                    let booked = Booked {
+                        stage: stage(&mut probe, cost).booked(),
+                        hop,
+                        departures: Vec::new(),
+                        straddles: false,
+                        horizon,
+                    };
+                    let (live, want) = report(
+                        live,
+                        |e| sends.iter().for_each(|&at| e.schedule_at(at, LiveEv::Send)),
+                        horizon,
+                        |_, _| {},
+                    );
+                    let (booked, got) = report(
+                        booked,
+                        |e| {
+                            sends
+                                .iter()
+                                .for_each(|&at| e.schedule_at(at, BookedEv::Send))
+                        },
+                        horizon,
+                        |m, p| m.stage.settle(horizon, p),
+                    );
+                    let what = format!("hop {hop}, cost {cost}, seed {seed}");
+                    assert_eq!(booked.departures, live.departures, "{what}");
+                    assert!(!want.stages.is_empty(), "{what}");
+                    assert_eq!(got.stages, want.stages, "{what}");
+                    straddled += usize::from(booked.straddles);
+                }
+            }
+            assert!(straddled > 12, "too few horizons inside a busy period");
+        }
+
+        /// A dispatcher thread's inbox: notices that decide `k`
+        /// assignments, and work a heartbeat unparked.
+        #[derive(Clone, Copy)]
+        enum Item {
+            Notice(usize),
+            Unparked,
+            Emit,
+        }
+
+        const ASSIGN: SimDuration = SimDuration::from_nanos(80);
+        const HOP: SimDuration = SimDuration::from_nanos(450);
+
+        fn price(item: &Item) -> SimDuration {
+            match item {
+                Item::Notice(_) => SimDuration::from_nanos(60),
+                Item::Unparked | Item::Emit => ASSIGN,
+            }
+        }
+
+        /// A notice is pushed a queue hop after it is sent; unparked work
+        /// the instant it is.
+        fn hop(item: &Item) -> SimDuration {
+            match item {
+                Item::Notice(_) => HOP,
+                _ => SimDuration::ZERO,
+            }
+        }
+
+        enum ThreadEv {
+            Send(Item),
+            Push(Item),
+            Done,
+        }
+
+        /// Today's dispatcher thread, as a live stage that put a notice's
+        /// assignments at the head of its inbox and served each by event.
+        struct Oracle {
+            inbox: VecDeque<Item>,
+            busy: bool,
+            name: Busy,
+            gauge: Gauge,
+            assigned: Counter,
+            written: Vec<SimTime>,
+        }
+
+        impl Oracle {
+            fn resume(&mut self, ctx: &mut Ctx<'_, ThreadEv>) {
+                ctx.probe().depth(&self.gauge, self.inbox.len());
+                if let Some(head) = self.inbox.front().filter(|_| !self.busy) {
+                    self.busy = true;
+                    ctx.probe().busy(&self.name, true);
+                    ctx.schedule_in(price(head), ThreadEv::Done);
+                }
+            }
+        }
+
+        impl Model for Oracle {
+            type Event = ThreadEv;
+            fn handle(&mut self, ev: ThreadEv, ctx: &mut Ctx<'_, ThreadEv>) {
+                match ev {
+                    ThreadEv::Send(item) => ctx.schedule_in(hop(&item), ThreadEv::Push(item)),
+                    ThreadEv::Push(item) => {
+                        self.inbox.push_back(item);
+                        self.resume(ctx);
+                    }
+                    ThreadEv::Done => {
+                        self.busy = false;
+                        ctx.probe().busy(&self.name, false);
+                        match self.inbox.pop_front().expect("an item in service") {
+                            Item::Notice(k) => {
+                                (0..k).for_each(|_| self.inbox.push_front(Item::Emit))
+                            }
+                            Item::Unparked | Item::Emit => {
+                                ctx.probe().count(&self.assigned);
+                                self.written.push(ctx.now());
+                            }
+                        }
+                        self.resume(ctx);
+                    }
+                }
+            }
+        }
+
+        /// The same thread, holding for a notice's assignments.
+        struct Holding {
+            thread: Stage<Item>,
+            assigned: Counter,
+            written: Vec<SimTime>,
+        }
+
+        impl Model for Holding {
+            type Event = ThreadEv;
+            fn handle(&mut self, ev: ThreadEv, ctx: &mut Ctx<'_, ThreadEv>) {
+                match ev {
+                    ThreadEv::Send(item) => ctx.schedule_in(hop(&item), ThreadEv::Push(item)),
+                    ThreadEv::Push(item) => self.thread.push(item, hop(&item), ThreadEv::Done, ctx),
+                    ThreadEv::Done => {
+                        let now = ctx.now();
+                        match self.thread.complete(ctx).expect("an item in service") {
+                            Item::Notice(k) => {
+                                let ends = (1..=k as u64).map(|i| now + ASSIGN * i);
+                                self.written.extend(ends);
+                                self.thread.hold(k, ASSIGN, ctx);
+                            }
+                            Item::Unparked | Item::Emit => {
+                                ctx.probe().count(&self.assigned);
+                                self.written.push(now);
+                            }
+                        }
+                        self.thread.resume(ThreadEv::Done, ctx);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn a_holding_stage_departs_and_reports_as_a_live_one() {
+            let mut straddled = 0;
+            for seed in 0..40 {
+                let mut rng = Rng::new(seed);
+                let sends = sends(&mut rng, 400);
+                let items: Vec<Item> = (0..SENDS)
+                    .map(|_| match rng.next_u64() % 8 {
+                        0 => Item::Unparked,
+                        k => Item::Notice(k as usize % 5),
+                    })
+                    .collect();
+                let horizon = horizon(&mut rng, &sends);
+                let mut probe = Probe::new(ProbeConfig::enabled());
+                let (name, gauge) = (probe.busy("thread"), probe.gauge("thread.inbox"));
+                let assigned = probe.counter("assigned");
+                let oracle = Oracle {
+                    inbox: VecDeque::new(),
+                    busy: false,
+                    name,
+                    gauge,
+                    assigned,
+                    written: Vec::new(),
+                };
+                let holding = Holding {
+                    thread: Stage::new(name, gauge, ASSIGN)
+                        .priced(price)
+                        .holding(assigned),
+                    assigned,
+                    written: Vec::new(),
+                };
+                fn send<M: Model<Event = ThreadEv>>(
+                    e: &mut Engine<M>,
+                    at: &[SimTime],
+                    items: &[Item],
+                ) {
+                    for (&at, &item) in at.iter().zip(items) {
+                        e.schedule_at(at, ThreadEv::Send(item));
+                    }
+                }
+                let (oracle, want) =
+                    report(oracle, |e| send(e, &sends, &items), horizon, |_, _| {});
+                let (mut holding, got) = report(
+                    holding,
+                    |e| send(e, &sends, &items),
+                    horizon,
+                    |m, p| m.thread.settle(horizon, p),
+                );
+                holding.written.retain(|&at| at <= horizon);
+                straddled += usize::from(holding.thread.free_at > horizon);
+                assert_eq!(holding.written, oracle.written, "seed {seed}");
+                assert_eq!(got.stages, want.stages, "seed {seed}");
+                assert_eq!(got.counters, want.counters, "seed {seed}");
+            }
+            assert!(straddled > 4, "too few horizons inside a hold");
+        }
     }
 }

@@ -35,7 +35,7 @@ use nicsched::{
     SocketAffinity,
 };
 use sim_core::probe::{Counter, Family, Gauge, Hop};
-use sim_core::{Ctx, Engine, Model, Probe, Rng, SimDuration, SimTime};
+use sim_core::{Ctx, Engine, Model, Probe, ProbeHandle, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
@@ -110,14 +110,12 @@ pub enum Ev {
     WireToNic(FrameSpec),
     /// The networker stage finished parsing one frame.
     NetworkerDone,
-    /// A notice crosses ARM shared memory into the queue manager.
-    QmPush(Notice),
-    /// The queue-manager stage finished one item.
-    QmDone,
-    /// An assignment crosses ARM shared memory into the TX core.
-    TxPush(Assignment),
-    /// The TX stage finished building one worker frame.
-    TxDone,
+    /// The queue manager finished a notice that crossed ARM shared memory
+    /// to it (booked by its sender, so nothing marks its arrival).
+    QmDone(Notice),
+    /// The TX core finished building the frame of an assignment that
+    /// crossed ARM shared memory to it (booked by its sender).
+    TxDone(Assignment),
     /// An assignment frame lands in a worker's VF RX ring.
     WorkerFrame(usize, FrameSpec),
     /// A worker polls its ring for work.
@@ -182,8 +180,10 @@ pub struct Offload {
     worker_by_mac: BTreeMap<net_wire::EthernetAddress, usize>,
 
     networker: Stage<()>,
-    qm: Stage<Notice>,
-    tx: Stage<Assignment>,
+    /// Booked: the queue manager and TX core hear from their senders one
+    /// `stage_hop` ahead, so they need no push events.
+    qm: Stage<()>,
+    tx: Stage<()>,
     rx: Stage<FrameSpec>,
 
     /// The dispatcher the queue-manager core runs.
@@ -293,12 +293,14 @@ impl Assembly for Offload {
                 probe.busy("qm"),
                 probe.gauge("qm.inbox"),
                 arm(params::ARM_QUEUE_OP_CYCLES),
-            ),
+            )
+            .booked(),
             tx: Stage::new(
                 probe.busy("tx"),
                 probe.gauge("tx.queue"),
                 arm(params::ARM_TX_BUILD_CYCLES),
-            ),
+            )
+            .booked(),
             rx: Stage::new(
                 probe.busy("rx"),
                 probe.gauge("rx.queue"),
@@ -332,13 +334,25 @@ impl Assembly for Offload {
         self.core.absorb(&mut metrics.faults, horizon);
         (metrics, ())
     }
+
+    fn settle(&mut self, horizon: SimTime, probe: &mut ProbeHandle<'_>) {
+        self.qm.settle(horizon, probe);
+        self.tx.settle(horizon, probe);
+    }
 }
 
 impl Offload {
+    /// Send `notice` to the queue manager, one stage hop away.
+    fn send_to_qm(&mut self, notice: Notice, ctx: &mut Ctx<'_, Ev>) {
+        let done = self.qm.book(self.cfg.profile.stage_hop, ctx);
+        ctx.schedule_at(done, Ev::QmDone(notice));
+    }
+
     /// Route a batch of dispatcher assignments toward the TX core.
     fn emit_assignments(&mut self, mut assignments: Vec<Assignment>, ctx: &mut Ctx<'_, Ev>) {
         for a in assignments.drain(..) {
-            ctx.schedule_in(self.cfg.profile.stage_hop, Ev::TxPush(a));
+            let built = self.tx.book(self.cfg.profile.stage_hop, ctx);
+            ctx.schedule_at(built, Ev::TxDone(a));
         }
         self.core.dispatcher.recycle(assignments);
     }
@@ -473,58 +487,48 @@ impl Model for Offload {
                     if msg.kind == MsgKind::Request {
                         ctx.probe().mark(msg.req_id, &self.keys.nic_parse);
                         let task = msg_task(&msg, ctx.now());
-                        ctx.schedule_in(
-                            self.cfg.profile.stage_hop,
-                            Ev::QmPush(Notice::NewTask(task)),
-                        );
+                        self.send_to_qm(Notice::NewTask(task), ctx);
                     }
                 }
                 let ring = &self.nic.iface(self.disp_iface).rx[0];
                 self.networker.poll(ring, Ev::NetworkerDone, ctx);
             }
-            Ev::QmPush(notice) => self.qm.enqueue(notice, Ev::QmDone, ctx),
-            Ev::QmDone => {
-                if let Some(notice) = self.qm.complete(ctx) {
-                    match notice {
-                        Notice::NewTask(task) => {
-                            self.task_meta.insert(task.req_id, task.arrived_at);
-                        }
-                        Notice::Done { req_id, .. } => {
-                            self.task_meta.remove(req_id);
-                        }
-                        _ => {}
+            // The dispatcher must see each notice at its departure instant.
+            Ev::QmDone(notice) => {
+                match notice {
+                    Notice::NewTask(task) => {
+                        self.task_meta.insert(task.req_id, task.arrived_at);
                     }
-                    let assignments = self.core.apply(notice, ctx);
-                    self.emit_assignments(assignments, ctx);
+                    Notice::Done { req_id, .. } => {
+                        self.task_meta.remove(req_id);
+                    }
+                    _ => {}
                 }
-                self.qm.resume(Ev::QmDone, ctx);
+                let assignments = self.core.apply(notice, ctx);
+                self.emit_assignments(assignments, ctx);
             }
-            Ev::TxPush(a) => self.tx.enqueue(a, Ev::TxDone, ctx),
-            Ev::TxDone => {
+            Ev::TxDone(a) => {
                 ctx.probe().count(&self.keys.tx_built);
-                if let Some(a) = self.tx.complete(ctx) {
-                    ctx.probe().mark(a.task.req_id, &self.keys.tx_build);
-                    let t = a.task;
-                    let spec = FrameSpec {
-                        src_mac: AddressPlan::dispatcher_mac(),
-                        dst_mac: AddressPlan::worker_mac(a.worker),
-                        src: AddressPlan::dispatcher_ep(),
-                        dst: AddressPlan::worker_ep(a.worker),
-                        msg: MsgRepr {
-                            remaining_ns: t.remaining.as_nanos(),
-                            body_len: t.body_len,
-                            // The slice grant must survive the wire: the
-                            // worker rebuilds its Task from this frame.
-                            grant_code: t.preempt.grant_code(),
-                            ..task_msg(MsgKind::Assign, &t)
-                        },
-                    };
-                    ctx.schedule_in(
-                        self.cfg.profile.to_worker,
-                        Ev::WorkerFrame(a.worker, self.wire.codec.build(spec)),
-                    );
-                }
-                self.tx.resume(Ev::TxDone, ctx);
+                ctx.probe().mark(a.task.req_id, &self.keys.tx_build);
+                let t = a.task;
+                let spec = FrameSpec {
+                    src_mac: AddressPlan::dispatcher_mac(),
+                    dst_mac: AddressPlan::worker_mac(a.worker),
+                    src: AddressPlan::dispatcher_ep(),
+                    dst: AddressPlan::worker_ep(a.worker),
+                    msg: MsgRepr {
+                        remaining_ns: t.remaining.as_nanos(),
+                        body_len: t.body_len,
+                        // The slice grant must survive the wire: the
+                        // worker rebuilds its Task from this frame.
+                        grant_code: t.preempt.grant_code(),
+                        ..task_msg(MsgKind::Assign, &t)
+                    },
+                };
+                ctx.schedule_in(
+                    self.cfg.profile.to_worker,
+                    Ev::WorkerFrame(a.worker, self.wire.codec.build(spec)),
+                );
             }
             Ev::WorkerFrame(w, spec) => {
                 // Delivered to a dead worker's ring: nobody will ever poll
@@ -578,7 +582,7 @@ impl Model for Offload {
                             _ => None,
                         };
                         if let Some(notice) = notice {
-                            ctx.schedule_in(self.cfg.profile.stage_hop, Ev::QmPush(notice));
+                            self.send_to_qm(notice, ctx);
                         }
                     }
                 }

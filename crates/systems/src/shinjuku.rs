@@ -34,7 +34,7 @@ use net_wire::{FrameSpec, MsgKind};
 use nic_model::{IfaceId, NicDevice, QueueSteering, Rss};
 use nicsched::{params, Assignment, Dispatcher, LeastOutstanding, PolicySpec, Task};
 use sim_core::probe::{Counter, Family, Gauge, Hop, IntoHandle};
-use sim_core::{Ctx, Engine, Model, Probe, Rng, SimDuration, SimTime};
+use sim_core::{Ctx, Engine, Model, Probe, ProbeHandle, Rng, SimDuration, SimTime};
 use workload::{RunMetrics, WorkloadSpec};
 
 use crate::common::{
@@ -98,7 +98,7 @@ impl ShinjukuConfig {
 pub enum DispItem {
     /// A notice for the group's dispatcher core.
     Notice(Notice),
-    /// A decided assignment being written to a worker queue (charged
+    /// Work a heartbeat unparked, being written to a worker queue (charged
     /// separately so dispatcher busy-time scales with fan-out).
     Emit(Assignment),
 }
@@ -156,7 +156,8 @@ impl Keys {
 struct Group {
     /// The networker thread; its queue is the group's NIC RX ring.
     networker: Stage<()>,
-    /// The dispatcher thread and its shared-memory inbox.
+    /// The dispatcher thread and its shared-memory inbox; it holds for the
+    /// assignments a notice decides.
     disp_thread: Stage<DispItem>,
     /// The dispatcher the thread runs, over the group's workers.
     core: DispatchCore<LeastOutstanding>,
@@ -215,7 +216,6 @@ impl Assembly for Shinjuku {
         };
         let net_iface = nic.add_iface(AddressPlan::dispatcher_mac(), cfg.groups, 1024, steering);
 
-        let n = cfg.groups * cfg.workers;
         let net_busy = probe.busy_family("networker", cfg.groups);
         let net_ring = probe.gauge_family("networker.ring", cfg.groups);
         let disp_busy = probe.busy_family("dispatcher", cfg.groups);
@@ -229,6 +229,8 @@ impl Assembly for Shinjuku {
             "disp.heartbeat",
         ];
         let keys = DispatchKeys::new(probe, counters, "path.2_dispatch");
+        let n = cfg.groups * cfg.workers;
+        let own_keys = Keys::new(probe, n);
         let groups = (0..cfg.groups)
             .map(|g| {
                 // Shinjuku keeps exactly one request in flight per worker:
@@ -246,7 +248,8 @@ impl Assembly for Shinjuku {
                         disp_inbox.at(g).into_handle(),
                         SimDuration::ZERO,
                     )
-                    .priced(Shinjuku::disp_item_cost),
+                    .priced(Shinjuku::disp_item_cost)
+                    .holding(own_keys.assigned),
                     core: DispatchCore::new(
                         dispatcher,
                         params::HOST_QUEUE_HOP,
@@ -274,7 +277,7 @@ impl Assembly for Shinjuku {
                     InterruptPath::LocalTimer(TimerMode::DuneMapped),
                 ),
             inboxes: vec![VecDeque::new(); n],
-            keys: Keys::new(probe, n),
+            keys: own_keys,
         }
     }
 
@@ -298,6 +301,12 @@ impl Assembly for Shinjuku {
         }
         (metrics, self.imbalance())
     }
+
+    fn settle(&mut self, horizon: SimTime, probe: &mut ProbeHandle<'_>) {
+        for group in &mut self.groups {
+            group.disp_thread.settle(horizon, probe);
+        }
+    }
 }
 
 impl Shinjuku {
@@ -315,6 +324,19 @@ impl Shinjuku {
         self.groups[g]
             .networker
             .poll(ring, Ev::NetworkerDone(g), ctx);
+    }
+
+    /// Push `item` into group `g`'s dispatcher inbox. A notice crossed host
+    /// memory, so it was sent at least a queue hop ago; unparked work is
+    /// pushed the instant it is decided.
+    fn disp_push(&mut self, g: usize, item: DispItem, ctx: &mut Ctx<'_, Ev>) {
+        let hop = match item {
+            DispItem::Notice(_) => params::HOST_QUEUE_HOP,
+            DispItem::Emit(_) => SimDuration::ZERO,
+        };
+        self.groups[g]
+            .disp_thread
+            .push(item, hop, Ev::DispDone(g), ctx);
     }
 
     fn disp_item_cost(item: &DispItem) -> SimDuration {
@@ -461,19 +483,25 @@ impl Model for Shinjuku {
                 }
                 self.poll_networker(g, ctx);
             }
-            Ev::DispPush(g, item) => self.groups[g]
-                .disp_thread
-                .enqueue(item, Ev::DispDone(g), ctx),
+            Ev::DispPush(g, item) => self.disp_push(g, item, ctx),
             Ev::DispDone(g) => {
                 let group = &mut self.groups[g];
                 match group.disp_thread.complete(ctx) {
                     Some(DispItem::Notice(notice)) => {
-                        // Decided assignments go to the head of the inbox,
-                        // in order; the emptied buffer goes back for reuse.
-                        let mut assignments = group.core.apply(notice, ctx);
-                        for a in assignments.drain(..).rev() {
-                            group.disp_thread.push_front(DispItem::Emit(a));
+                        // The thread writes the decided assignments to their
+                        // workers' queues next, back to back, each visible
+                        // one queue hop after it is written; the emptied
+                        // buffer goes back for reuse.
+                        let assignments = group.core.apply(notice, ctx);
+                        let each = params::HOST_DISPATCH_ASSIGN;
+                        let mut written = ctx.now();
+                        for a in &assignments {
+                            written += each;
+                            let w = g * self.cfg.workers + a.worker;
+                            let task = Ev::WorkerTask(w, a.task);
+                            ctx.schedule_at(written + params::HOST_QUEUE_HOP, task);
                         }
+                        group.disp_thread.hold(assignments.len(), each, ctx);
                         group.core.dispatcher.recycle(assignments);
                     }
                     Some(DispItem::Emit(a)) => {
