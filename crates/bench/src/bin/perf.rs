@@ -18,7 +18,7 @@
 //!   speedups (indexed / legacy, both *measured in the same process*),
 //!   so the number is comparable across machines of different speeds —
 //!   which is what lets CI gate on it. No shape holds a model-sized
-//!   population: models keep at most 24 events pending, below the bound
+//!   population: models keep at most 38 events pending, below the bound
 //!   at which the queue engages its timer wheel, so the path model
 //!   traffic takes (the same-instant lane and the sorted near array
 //!   alone) is measured only end to end, by `simbench`.
@@ -110,7 +110,7 @@ fn drive<T: Q>(q: &mut T, shape: &Shape, n_events: u64) -> (u64, u64) {
     let mut processed = 0u64;
     // Standing far-future timers, like the one 200 µs retry timeout per
     // in-flight request of the resilience and recovery grids. Model runs
-    // without retries keep no such population (at most 24 events pending);
+    // without retries keep no such population (at most 38 events pending);
     // with one, hot-path events pay whatever cost it induces, which is
     // what the queue's wheel is for. They only drain at the end (which is
     // inside the timed region, but is `backlog` pops against `n_events` —
@@ -318,7 +318,8 @@ fn bench_queues(n_events: u64, handicap: u64) -> Vec<EngineRow> {
     // latter two over a standing timer population. Every shape keeps 64
     // or more events pending, above the population bound at which the
     // queue engages its timer wheel, so these measure the wheel path;
-    // model runs, which keep at most 24 pending, never take it.
+    // model runs with small frames, which keep at most 38 pending, never
+    // take it.
     let shapes: [(&'static str, Shape); 8] = [
         (
             "timer_chain_64",

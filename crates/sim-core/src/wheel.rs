@@ -2,8 +2,8 @@
 //!
 //! The sorted near array in [`crate::queue`] is the right structure for a
 //! small population — the keys are cache-resident, a pop takes the tail
-//! and a push scans a few keys from it — and model runs keep one: at most
-//! 24 events pending. It is the wrong structure for a standing population
+//! and a push scans a few keys from it — and model runs with small frames
+//! keep one: at most 38 events pending. It is the wrong structure for a standing population
 //! of far-future events: the one 200 µs retry timeout per in-flight
 //! request that the resilience and recovery grids keep, or the standing
 //! timers of the synthetic `perf` shapes. Those would lengthen the array

@@ -2252,6 +2252,38 @@ mod tests {
         assert_eq!(counts, [25_543, 24_072, 10_686, 9_918, 24_074]);
     }
 
+    /// Offload's booked queue manager and TX core keep one done event
+    /// pending per queued item, so at 1 M rps of 1 µs requests on 16
+    /// workers it holds up to 38 events. The queue's wheel must stay idle
+    /// on every seed: on the seeds that engaged it, its bucket storage
+    /// (~90 KB) made the run's peak heap depend on the seed.
+    #[test]
+    fn offload_at_a_million_rps_keeps_off_the_wheel() {
+        use crate::offload::{Offload, OffloadConfig};
+        // Seeds that engaged the wheel under the queue's former bound.
+        for seed in [4, 14] {
+            let spec = WorkloadSpec {
+                warmup: SimDuration::from_millis(5),
+                measure: SimDuration::from_millis(95),
+                seed,
+                ..WorkloadSpec::new(1e6, ServiceDist::Fixed(SimDuration::from_micros(1)))
+            };
+            let cfg = OffloadConfig {
+                time_slice: None,
+                ..OffloadConfig::paper(16, 5)
+            };
+            let mut engine = engine::<Offload>(
+                spec,
+                cfg,
+                ProbeConfig::disabled(),
+                ResilienceConfig::default(),
+            );
+            Offload::seed(&mut engine);
+            engine.run_until(spec.horizon());
+            assert_eq!(engine.wheel_engagements(), 0, "seed {seed}");
+        }
+    }
+
     #[test]
     fn metrics_assembly() {
         let mut master = Rng::new(9);
