@@ -10,10 +10,10 @@
 //!   directly, and the interrupt arrives as a low-overhead posted
 //!   interrupt: 40 cycles to set (−93%), 1272 to receive (−70%).
 //!
-//! This module models both cost profiles and the one-shot timer lifecycle
-//! with *generation counters*: re-arming invalidates any in-flight firing,
-//! which is how a worker cancels the slice timer when a request finishes
-//! early (the simulator's event heap does not support removal).
+//! This module models both cost profiles. The timer itself needs no state
+//! here: a worker's run ends in one event, at whichever comes first of the
+//! request finishing and its slice expiring, so a slice timer is never
+//! left armed to be cancelled.
 
 use sim_core::SimDuration;
 
@@ -57,40 +57,6 @@ impl TimerMode {
     }
 }
 
-/// A one-shot preemption timer with generation-based cancellation.
-///
-/// Usage inside a model:
-/// 1. `let gen = timer.arm()` and schedule a `TimerFired { core, gen }`
-///    event at the deadline.
-/// 2. When `TimerFired` arrives, `timer.accept(gen)` tells you whether the
-///    firing is still live or was superseded by a later `arm`.
-#[derive(Debug, Clone, Default)]
-pub struct OneShotTimer {
-    generation: u64,
-    armed: bool,
-}
-
-impl OneShotTimer {
-    /// Arm (or re-arm), returning the generation token that must accompany
-    /// the firing event.
-    pub fn arm(&mut self) -> u64 {
-        self.generation += 1;
-        self.armed = true;
-        self.generation
-    }
-
-    /// Validate a firing: true exactly when `gen` is the live generation.
-    /// A live firing also disarms the timer.
-    pub fn accept(&mut self, gen: u64) -> bool {
-        if self.armed && gen == self.generation {
-            self.armed = false;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,22 +92,5 @@ mod tests {
         assert_eq!(TimerMode::DuneMapped.set_cost(&host).as_nanos(), 17); // 40/2.3
         assert_eq!(TimerMode::DuneMapped.deliver_cost(&host).as_nanos(), 553);
         assert_eq!(TimerMode::LinuxSignal.deliver_cost(&host).as_nanos(), 1823);
-    }
-
-    #[test]
-    fn one_shot_lifecycle() {
-        let mut t = OneShotTimer::default();
-        let g1 = t.arm();
-        assert!(t.accept(g1), "live firing accepted");
-        assert!(!t.accept(g1), "a firing is accepted at most once");
-    }
-
-    #[test]
-    fn rearm_supersedes_old_generation() {
-        let mut t = OneShotTimer::default();
-        let g1 = t.arm();
-        let g2 = t.arm();
-        assert!(!t.accept(g1), "stale firing rejected");
-        assert!(t.accept(g2));
     }
 }

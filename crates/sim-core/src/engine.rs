@@ -11,25 +11,26 @@
 //! intermediate outbox. Two events at the same instant fire in insertion
 //! order, so runs are totally ordered and bit-for-bit reproducible.
 //!
-//! # Cancellation
+//! # Stale events
 //!
-//! Components that need cancellable timers (e.g. a retransmit timeout that
-//! becomes moot when the reply arrives) take a [`TimerHandle`] from
-//! [`Ctx::schedule_timer_in`] / [`Ctx::schedule_timer_at`] and cancel or
-//! reschedule through it in O(1). Handles are validated against the
-//! queue's payload arena — cancelling an already-fired, already-cancelled
-//! or rescheduled timer is a safe no-op — and cancellation frees the
-//! payload slot immediately, so timers never leak storage: the engine
-//! audits the arena when a run drains (debug assert always; a `slab-leak`
-//! invariant violation when a checker is installed). The older pattern of
-//! carrying a generation counter in the payload and ignoring stale
-//! firings still works, but the handle API is cheaper — a cancelled event
-//! is dropped inside the queue and never reaches the model.
+//! The engine schedules and never cancels. The one model event that can
+//! become moot carries what identifies it: the client stamps each
+//! per-attempt timeout with its attempt number and ignores a firing whose
+//! attempt a retransmission has superseded. A worker's preemption slice
+//! cannot go stale: it is a single run-end event at
+//! `min(remaining, slice + overrun)`, and nothing starts the worker again
+//! before it fires. The queue still offers O(1) cancellation through a
+//! [`TimerHandle`](crate::queue::TimerHandle)
+//! ([`EventQueue::push_handle`], [`EventQueue::cancel`],
+//! [`EventQueue::reschedule`]) for code that drives it directly, and a run
+//! that drains audits the queue's payload arena for leaked slots (debug
+//! assert always; a `slab-leak` invariant violation when a checker is
+//! installed).
 
 use crate::faults::FaultConfig;
 use crate::invariants::InvariantChecker;
 use crate::probe::{Probe, ProbeHandle};
-use crate::queue::{EventQueue, TimerHandle};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// A simulated system: one state machine handling its own event alphabet.
@@ -58,7 +59,6 @@ pub trait Model {
 pub struct Ctx<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    stop: bool,
     probe: &'a mut Probe,
     faults: &'a FaultConfig,
 }
@@ -108,69 +108,6 @@ impl<E> Ctx<'_, E> {
     pub fn schedule_now(&mut self, event: E) {
         self.queue.push(self.now, event);
     }
-
-    /// Schedule a cancellable event `delay` after now, returning a handle
-    /// for [`cancel_timer`](Ctx::cancel_timer) /
-    /// [`reschedule_timer`](Ctx::reschedule_timer).
-    pub fn schedule_timer_in(&mut self, delay: SimDuration, event: E) -> TimerHandle {
-        // Saturate so an "effectively never" guard near the end of the
-        // clock clamps to the MAX sentinel rather than wrapping into
-        // the past and firing immediately.
-        self.queue
-            .push_handle(self.now.saturating_add(delay), event)
-    }
-
-    /// Schedule a cancellable event at an absolute instant.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past.
-    pub fn schedule_timer_at(&mut self, at: SimTime, event: E) -> TimerHandle {
-        assert!(
-            at >= self.now,
-            "schedule_timer_at({at}) is before now ({})",
-            self.now
-        );
-        self.queue.push_handle(at, event)
-    }
-
-    /// Cancel a pending timer, returning its payload, or `None` if the
-    /// handle is no longer live (fired, cancelled, or rescheduled). The
-    /// payload slot is freed immediately.
-    pub fn cancel_timer(&mut self, handle: TimerHandle) -> Option<E> {
-        self.queue.cancel(handle)
-    }
-
-    /// Move a pending timer to a new instant, keeping its payload.
-    /// Returns the new handle (the old one is dead), or `None` if the
-    /// timer was no longer live. Ordered as a fresh insertion at `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past.
-    pub fn reschedule_timer(&mut self, handle: TimerHandle, at: SimTime) -> Option<TimerHandle> {
-        assert!(
-            at >= self.now,
-            "reschedule_timer({at}) is before now ({})",
-            self.now
-        );
-        self.queue.reschedule(handle, at)
-    }
-
-    /// Request that the engine stop after the current handler returns.
-    /// Events already scheduled remain in the queue (inspectable, not run).
-    pub fn stop(&mut self) {
-        self.stop = true;
-    }
-}
-
-/// Why [`Engine::run_until`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The event queue drained completely.
-    Drained,
-    /// A handler called [`Ctx::stop`].
-    Stopped,
-    /// The time horizon was reached with events still pending.
-    Horizon,
 }
 
 /// The discrete-event simulation engine.
@@ -179,7 +116,6 @@ pub struct Engine<M: Model> {
     model: M,
     now: SimTime,
     processed: u64,
-    stopped: bool,
     // Boxed so the engine stays cheap to move; handlers borrow it through
     // their `Ctx`, no moves per event.
     probe: Box<Probe>,
@@ -199,7 +135,6 @@ impl<M: Model> Engine<M> {
             model,
             now: SimTime::ZERO,
             processed: 0,
-            stopped: false,
             probe: Box::default(),
             faults: Box::default(),
             invariants: Box::default(),
@@ -214,11 +149,6 @@ impl<M: Model> Engine<M> {
     /// accumulate in the checker instead of panicking.
     pub fn set_invariants(&mut self, inv: InvariantChecker) {
         *self.invariants = inv;
-    }
-
-    /// Shared access to the invariant checker.
-    pub fn invariants(&self) -> &InvariantChecker {
-        &self.invariants
     }
 
     /// Remove the invariant checker (e.g. to assert cleanliness at the
@@ -293,37 +223,8 @@ impl<M: Model> Engine<M> {
         self.queue.push(at, event);
     }
 
-    /// Seed an event `delay` after the current instant.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) {
-        self.queue.push(self.now + delay, event);
-    }
-
-    /// Seed a cancellable event at an absolute instant, returning its
-    /// handle (see [`Ctx::schedule_timer_at`]).
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past.
-    pub fn schedule_timer_at(&mut self, at: SimTime, event: M::Event) -> TimerHandle {
-        assert!(
-            at >= self.now,
-            "schedule_timer_at({at}) is before now ({})",
-            self.now
-        );
-        self.queue.push_handle(at, event)
-    }
-
-    /// Cancel a pending timer from outside a handler (between steps or
-    /// before the run), returning its payload if it was still live.
-    pub fn cancel_timer(&mut self, handle: TimerHandle) -> Option<M::Event> {
-        self.queue.cancel(handle)
-    }
-
-    /// Process a single event. Returns `false` if the queue was empty or
-    /// the engine had been stopped.
+    /// Process a single event. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
-        if self.stopped {
-            return false;
-        }
         let Some((at, seq, event)) = self.queue.pop() else {
             return false;
         };
@@ -348,14 +249,10 @@ impl<M: Model> Engine<M> {
         let mut ctx = Ctx {
             now: self.now,
             queue: &mut self.queue,
-            stop: false,
             probe: &mut self.probe,
             faults: &self.faults,
         };
         self.model.handle(event, &mut ctx);
-        if ctx.stop {
-            self.stopped = true;
-        }
         if self.invariants.is_enabled() {
             self.model.check_invariants(self.now, &mut self.invariants);
         }
@@ -369,34 +266,24 @@ impl<M: Model> Engine<M> {
         self.queue.push(at, event);
     }
 
-    /// Run until the queue drains or a handler stops the engine.
-    pub fn run(&mut self) -> RunOutcome {
+    /// Run until the queue drains.
+    pub fn run(&mut self) {
         while self.step() {}
-        if self.stopped {
-            RunOutcome::Stopped
-        } else {
-            self.audit_drained();
-            RunOutcome::Drained
-        }
+        self.audit_drained();
     }
 
     /// Run until `horizon` (inclusive): every event with `time <= horizon`
-    /// is processed. On [`RunOutcome::Horizon`] the clock is advanced to the
-    /// horizon itself.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        loop {
-            if self.stopped {
-                return RunOutcome::Stopped;
-            }
-            let Some((at, seq, event)) = self.queue.pop_due(horizon) else {
-                if self.queue.is_empty() {
-                    self.audit_drained();
-                    return RunOutcome::Drained;
-                }
-                self.now = horizon.max(self.now);
-                return RunOutcome::Horizon;
-            };
+    /// is processed. If events remain pending past it, the clock is
+    /// advanced to the horizon itself; if the queue drains, the clock stays
+    /// at the last event.
+    pub fn run_until(&mut self, horizon: SimTime) {
+        while let Some((at, seq, event)) = self.queue.pop_due(horizon) {
             self.dispatch(at, seq, event);
+        }
+        if self.queue.is_empty() {
+            self.audit_drained();
+        } else {
+            self.now = horizon.max(self.now);
         }
     }
 
@@ -432,7 +319,6 @@ mod tests {
             remaining: u32,
             gap: SimDuration,
         },
-        StopNow,
     }
 
     impl Model for Recorder {
@@ -457,7 +343,6 @@ mod tests {
                         );
                     }
                 }
-                Ev::StopNow => ctx.stop(),
             }
         }
     }
@@ -472,7 +357,7 @@ mod tests {
         e.schedule_at(SimTime::from_nanos(30), Ev::Mark(3));
         e.schedule_at(SimTime::from_nanos(10), Ev::Mark(1));
         e.schedule_at(SimTime::from_nanos(20), Ev::Mark(2));
-        assert_eq!(e.run(), RunOutcome::Drained);
+        e.run();
         assert_eq!(e.model().seen, vec![(10, 1), (20, 2), (30, 3)]);
         assert_eq!(e.events_processed(), 3);
     }
@@ -541,137 +426,19 @@ mod tests {
         for i in 1..=10 {
             e.schedule_at(SimTime::from_micros(i), Ev::Mark(i as u32));
         }
-        assert_eq!(e.run_until(SimTime::from_micros(4)), RunOutcome::Horizon);
+        e.run_until(SimTime::from_micros(4));
         assert_eq!(e.model().seen.len(), 4);
         assert_eq!(e.now(), SimTime::from_micros(4));
         assert_eq!(e.events_pending(), 6);
         // Continue to the end.
-        assert_eq!(e.run_until(SimTime::from_secs(1)), RunOutcome::Drained);
+        e.run_until(SimTime::from_secs(1));
         assert_eq!(e.model().seen.len(), 10);
-    }
-
-    #[test]
-    fn stop_halts_immediately() {
-        let mut e = engine();
-        e.schedule_at(SimTime::from_nanos(1), Ev::Mark(1));
-        e.schedule_at(SimTime::from_nanos(2), Ev::StopNow);
-        e.schedule_at(SimTime::from_nanos(3), Ev::Mark(3));
-        assert_eq!(e.run(), RunOutcome::Stopped);
-        assert_eq!(e.model().seen, vec![(1, 1)]);
-        assert_eq!(e.events_pending(), 1, "post-stop events remain pending");
-        assert!(!e.step(), "a stopped engine does not step");
-    }
-
-    /// A model exercising the handle-based timer API: each `Arm` event
-    /// schedules a far-future `Timeout` and a nearer `Reply`; the reply
-    /// cancels the timeout, so no timeout may ever fire — and the arena
-    /// must still drain clean.
-    struct TimeoutModel {
-        pending: Vec<TimerHandle>,
-        timeouts_fired: u32,
-        replies: u32,
-    }
-
-    enum TEv {
-        Arm,
-        Reply(usize),
-        Timeout,
-    }
-
-    impl Model for TimeoutModel {
-        type Event = TEv;
-        fn handle(&mut self, ev: TEv, ctx: &mut Ctx<'_, TEv>) {
-            match ev {
-                TEv::Arm => {
-                    // Timeout far in the future (wheel territory), reply
-                    // well before it.
-                    let h = ctx.schedule_timer_in(SimDuration::from_millis(10), TEv::Timeout);
-                    let idx = self.pending.len();
-                    self.pending.push(h);
-                    ctx.schedule_in(SimDuration::from_micros(3), TEv::Reply(idx));
-                }
-                TEv::Reply(idx) => {
-                    self.replies += 1;
-                    let h = self.pending[idx];
-                    assert!(ctx.cancel_timer(h).is_some(), "timeout already dead");
-                    assert!(ctx.cancel_timer(h).is_none(), "double cancel must no-op");
-                }
-                TEv::Timeout => self.timeouts_fired += 1,
-            }
-        }
-    }
-
-    #[test]
-    fn cancelled_timers_never_fire_and_never_leak() {
-        let mut e = Engine::new(TimeoutModel {
-            pending: Vec::new(),
-            timeouts_fired: 0,
-            replies: 0,
-        });
-        for i in 0..50u64 {
-            e.schedule_at(SimTime::from_micros(i * 7), TEv::Arm);
-        }
-        assert_eq!(e.run(), RunOutcome::Drained);
-        assert_eq!(e.model().replies, 50);
-        assert_eq!(e.model().timeouts_fired, 0, "a cancelled timeout fired");
-        // 50 arms + 50 replies; no timeouts.
-        assert_eq!(e.events_processed(), 100);
-    }
-
-    /// Reschedule: a heartbeat timer pushed later every time traffic
-    /// arrives, firing only after a quiet period.
-    struct HeartbeatModel {
-        deadline: Option<TimerHandle>,
-        fired_at: Option<u64>,
-    }
-
-    enum HEv {
-        Traffic,
-        Quiet,
-    }
-
-    impl Model for HeartbeatModel {
-        type Event = HEv;
-        fn handle(&mut self, ev: HEv, ctx: &mut Ctx<'_, HEv>) {
-            match ev {
-                HEv::Traffic => {
-                    let at = ctx.now() + SimDuration::from_micros(100);
-                    self.deadline = Some(match self.deadline.take() {
-                        None => ctx.schedule_timer_at(at, HEv::Quiet),
-                        Some(h) => ctx
-                            .reschedule_timer(h, at)
-                            .expect("deadline timer is pending"),
-                    });
-                }
-                HEv::Quiet => self.fired_at = Some(ctx.now().as_nanos()),
-            }
-        }
-    }
-
-    #[test]
-    fn rescheduled_timer_fires_once_at_the_final_deadline() {
-        let mut e = Engine::new(HeartbeatModel {
-            deadline: None,
-            fired_at: None,
-        });
-        for i in 0..10u64 {
-            e.schedule_at(SimTime::from_micros(i * 10), HEv::Traffic);
-        }
-        assert_eq!(e.run(), RunOutcome::Drained);
-        // Last traffic at 90 µs; quiet deadline 100 µs later.
-        assert_eq!(e.model().fired_at, Some(190_000));
-        assert_eq!(e.events_processed(), 11, "one deadline despite 10 arms");
-    }
-
-    #[test]
-    fn engine_seeded_timer_can_be_cancelled_before_the_run() {
-        let mut e = engine();
-        let h = e.schedule_timer_at(SimTime::from_micros(1), Ev::Mark(1));
-        e.schedule_at(SimTime::from_micros(2), Ev::Mark(2));
-        assert!(e.cancel_timer(h).is_some());
-        assert!(e.cancel_timer(h).is_none());
-        assert_eq!(e.run(), RunOutcome::Drained);
-        assert_eq!(e.model().seen, vec![(2_000, 2)]);
+        assert_eq!(e.events_pending(), 0);
+        assert_eq!(
+            e.now(),
+            SimTime::from_micros(10),
+            "a drained run stays at its last event"
+        );
     }
 
     #[test]
@@ -680,7 +447,7 @@ mod tests {
         let mut e = engine();
         e.set_invariants(InvariantChecker::new(InvariantConfig::enabled()));
         e.schedule_at(SimTime::from_micros(1), Ev::Mark(1));
-        assert_eq!(e.run(), RunOutcome::Drained);
+        e.run();
         let inv = e.take_invariants();
         inv.assert_clean();
         assert!(inv.checks_performed() > 0);
@@ -822,7 +589,7 @@ mod proptests {
                         REv { label: i as u32, children: children.clone() },
                     );
                 }
-                prop_assert_eq!(e.run(), RunOutcome::Drained);
+                e.run();
                 Ok(e.into_model().fired)
             };
             let a = run()?;

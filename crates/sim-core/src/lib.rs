@@ -58,7 +58,7 @@ pub mod stats;
 mod time;
 mod wheel;
 
-pub use engine::{Ctx, Engine, Model, RunOutcome};
+pub use engine::{Ctx, Engine, Model};
 pub use faults::{FaultConfig, MAX_FAULT_EVENTS};
 pub use idtable::IdTable;
 pub use invariants::{InvariantChecker, InvariantConfig, Violation};

@@ -61,16 +61,6 @@ impl SimTime {
         self.0 as f64 / 1_000_000_000.0
     }
 
-    /// `self + rhs`, clamping to [`SimTime::MAX`] instead of overflowing.
-    ///
-    /// Timeout guards are often armed "far in the future" relative to
-    /// now; near the end of the representable clock a plain `+` would
-    /// wrap and schedule the guard in the past. Clamping to the `MAX`
-    /// sentinel keeps the guard strictly after every reachable instant.
-    pub const fn saturating_add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(rhs.0))
-    }
-
     /// The span from `earlier` to `self`.
     ///
     /// # Panics
@@ -310,8 +300,6 @@ mod tests {
         assert_eq!(t1 - t0, SimDuration::from_micros(5));
         assert_eq!(t1.duration_since(t0).as_micros_f64(), 5.0);
         assert_eq!(t0.saturating_duration_since(t1), SimDuration::ZERO);
-        assert_eq!(t0.saturating_add(SimDuration::MAX), SimTime::MAX);
-        assert_eq!(t0.saturating_add(SimDuration::from_micros(5)), t1);
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub enum Ev {
     Client(ClientEv),
     WireToNic(FrameSpec),
     WorkerPoll(usize),
-    /// A worker's run ends, with its timer generation.
-    WorkerRunEnd(usize, u64),
+    /// A worker's run ends (finish or slice expiry).
+    WorkerRunEnd(usize),
     /// Elastic-RSS controller tick: re-provision the active core set.
     ErssTick,
 }
@@ -291,13 +291,12 @@ impl Baseline {
         let task = msg_task(&msg, ctx.now());
         // Run-to-completion: the worker is its own networking subsystem.
         let fixed = steal_cost + params::HOST_NET_PER_PACKET;
-        self.workers
-            .start(w, task, fixed, ctx, |gen| Ev::WorkerRunEnd(w, gen));
+        self.workers.start(w, task, fixed, ctx, Ev::WorkerRunEnd(w));
     }
 
-    fn finish(&mut self, w: usize, gen: u64, ctx: &mut Ctx<'_, Ev>) {
+    fn finish(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
         // A core that died mid-request sends no response.
-        let Some(RunEnd::Finished(task)) = self.workers.end_run(w, gen, ctx) else {
+        let RunEnd::Finished(task) = self.workers.end_run(w, ctx) else {
             return;
         };
         let resp = response_frame(AddressPlan::dispatcher_mac(), w, &task);
@@ -347,7 +346,7 @@ impl Model for Baseline {
                 }
             }
             Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
-            Ev::WorkerRunEnd(worker, gen) => self.finish(worker, gen, ctx),
+            Ev::WorkerRunEnd(worker) => self.finish(worker, ctx),
             Ev::ErssTick => self.erss_tick(ctx),
         }
     }

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec, InterruptPath, OneShotTimer};
+use cpu_model::{ContextCosts, ContextPool, Core, CoreId, CoreSpec, InterruptPath};
 use net_wire::ethernet::HEADER_LEN;
 use net_wire::{
     Endpoint, EthernetAddress, FrameHeader, FrameSpec, Ipv4Address, MsgKind, MsgRepr, ParsedFrame,
@@ -144,7 +144,7 @@ pub trait Assembly: Model + Sized {
     fn metrics(&self, horizon: SimTime) -> (RunMetrics, Self::Extra);
 
     /// Record what the model still owes `probe` for instants up to
-    /// `horizon` that no event visited (see [`Stage::settle`]), before the
+    /// `horizon` that no event visited (see `Stage::settle`), before the
     /// run's report is drawn. Most assemblies owe nothing.
     fn settle(&mut self, _horizon: SimTime, _probe: &mut ProbeHandle<'_>) {}
 }
@@ -842,6 +842,7 @@ impl Ledger {
 }
 
 /// What became of a run when its run-end event fired.
+#[derive(Debug, PartialEq)]
 pub(crate) enum RunEnd {
     /// The worker crashed mid-run: no response and no notification. The
     /// task stays on the dead core, which never polls again.
@@ -860,7 +861,6 @@ pub(crate) enum RunEnd {
 /// One host worker core.
 struct Worker {
     core: Core,
-    timer: OneShotTimer,
     /// The task in execution and the work it runs before its run ends.
     running: Option<(Task, SimDuration)>,
     /// When the core last went idle, until it starts its next task.
@@ -911,7 +911,6 @@ impl Workers {
             cores: (0..n)
                 .map(|w| Worker {
                     core: Core::new(CoreId(w as u32), host, t0),
-                    timer: OneShotTimer::default(),
                     running: None,
                     idle_since: Some(t0),
                 })
@@ -1032,7 +1031,9 @@ impl Workers {
     /// Start `task` on idle worker `w` after `fixed` overhead of the
     /// caller's own (receive, first touch, steal), plus the context spawn
     /// or restore and, when the task's grant resolves to a slice, arming a
-    /// local timer. The run ends with `run_end(generation)`.
+    /// local timer. The run ends with `run_end`, the only run-end event
+    /// pending for `w`: it fires when the task finishes or its slice ends,
+    /// whichever comes first, and `w` starts nothing before it.
     #[inline]
     pub fn start<E>(
         &mut self,
@@ -1040,7 +1041,7 @@ impl Workers {
         task: Task,
         fixed: SimDuration,
         ctx: &mut Ctx<'_, E>,
-        run_end: impl FnOnce(u64) -> E,
+        run_end: E,
     ) {
         let now = ctx.now();
         let worker = &mut self.cores[w];
@@ -1071,44 +1072,39 @@ impl Workers {
         };
         worker.core.set_busy(now);
         let end = now + overhead + run;
-        let gen = worker.timer.arm();
         worker.running = Some((task, run));
-        ctx.schedule_at(end, run_end(gen));
+        ctx.schedule_at(end, run_end);
     }
 
-    /// Worker `w`'s run-end event of generation `gen` fired: `None` if a
-    /// later start superseded it, else what became of the run.
+    /// Worker `w`'s run-end event fired: what became of the run.
     #[inline]
-    pub fn end_run<E>(&mut self, w: usize, gen: u64, ctx: &mut Ctx<'_, E>) -> Option<RunEnd> {
+    pub fn end_run<E>(&mut self, w: usize, ctx: &mut Ctx<'_, E>) -> RunEnd {
         let worker = &mut self.cores[w];
-        if !worker.timer.accept(gen) {
-            return None;
-        }
         let now = ctx.now();
         if ctx.faults().worker_crashed(w, now) {
             let (task, _) = worker.running.expect("a started run");
             self.strand(task.req_id, ctx);
-            return Some(RunEnd::Stranded);
+            return RunEnd::Stranded;
         }
         let (task, run) = worker.running.take().expect("a started run");
         if task.remaining <= run {
             ctx.probe().count(&self.keys.completed);
             ctx.probe().mark(task.req_id, &self.keys.done);
             self.contexts.discard(task.req_id);
-            return Some(RunEnd::Finished(task));
+            return RunEnd::Finished(task);
         }
         let task = task.after_preemption(run);
         let interrupt = (self.interrupt).map_or(SimDuration::ZERO, |i| i.receive_cost(&self.host));
         if self.contexts.is_saved(task.req_id) {
             ctx.probe().count(&self.keys.dup_killed);
             let free_in = interrupt;
-            return Some(RunEnd::DupKilled { task, free_in });
+            return RunEnd::DupKilled { task, free_in };
         }
         ctx.probe().count(&self.keys.preempted);
         worker.core.preemptions += 1;
         self.contexts.save(task.req_id);
         let free_in = interrupt + self.costs.save(&self.host);
-        Some(RunEnd::Preempted { task, free_in })
+        RunEnd::Preempted { task, free_in }
     }
 
     /// Report any worker that holds a task while still marked idle: its
@@ -1612,8 +1608,8 @@ impl Client {
     /// The timeout to arm right after transmitting `req_id` (`None` when
     /// reliability is off or the request already resolved). Returns the
     /// attempt number to stamp into the timeout event, so stale firings
-    /// from superseded attempts can be ignored (the engine's
-    /// generation-counter cancellation idiom).
+    /// from superseded attempts can be ignored (the engine never cancels
+    /// an event).
     pub fn arm_timeout(&self, req_id: u64) -> Option<(u32, SimDuration)> {
         let policy = self.retry?;
         let pending = self.outstanding.get(req_id)?;
@@ -2655,6 +2651,154 @@ mod tests {
                 assert_eq!(got.counters, want.counters, "seed {seed}");
             }
             assert!(straddled > 4, "too few horizons inside a hold");
+        }
+    }
+
+    /// One `Workers` driven directly through `start` and `end_run`.
+    mod workers {
+        use super::*;
+        use cpu_model::TimerMode;
+
+        const SLICE: SimDuration = SimDuration::from_micros(10);
+        const PATH: InterruptPath = InterruptPath::LocalTimer(TimerMode::DuneMapped);
+
+        enum Ev {
+            Start(usize, Task),
+            RunEnd(usize),
+        }
+
+        /// Starts what it is told to and records every run end.
+        struct Driver {
+            workers: Workers,
+            ends: Vec<(SimTime, usize, RunEnd)>,
+        }
+
+        impl Model for Driver {
+            type Event = Ev;
+            fn handle(&mut self, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
+                match ev {
+                    Ev::Start(w, task) => {
+                        let fixed = SimDuration::ZERO;
+                        self.workers.start(w, task, fixed, ctx, Ev::RunEnd(w));
+                    }
+                    Ev::RunEnd(w) => {
+                        let end = self.workers.end_run(w, ctx);
+                        self.ends.push((ctx.now(), w, end));
+                    }
+                }
+            }
+        }
+
+        fn task(req_id: u64, service_us: u64) -> Task {
+            let service = SimDuration::from_micros(service_us);
+            Task::new(req_id, 0, service, SimTime::ZERO, SimTime::ZERO, 64)
+        }
+
+        /// Two preemptive workers under `faults`, given each `(at, worker,
+        /// task)` start, run to the end. Every start must end in exactly
+        /// one run-end event.
+        fn drive(starts: &[(SimTime, usize, Task)], faults: FaultConfig) -> Engine<Driver> {
+            let mut probe = Probe::new(ProbeConfig::enabled());
+            let workers = Workers::new(2, &mut probe, "worker.start", "worker.done")
+                .preemptive(Some(SLICE), PATH);
+            let mut engine = Engine::new(Driver {
+                workers,
+                ends: Vec::new(),
+            });
+            engine.set_probe(probe);
+            engine.set_faults(faults);
+            for &(at, w, task) in starts {
+                engine.schedule_at(at, Ev::Start(w, task));
+            }
+            engine.run();
+            assert_eq!(engine.events_processed(), 2 * starts.len() as u64);
+            assert_eq!(engine.model().ends.len(), starts.len());
+            engine
+        }
+
+        /// When a fresh task started at `at` on an idle core ends `run` later.
+        fn fresh_end(at: SimTime, run: SimDuration) -> SimTime {
+            let host = CoreSpec::host_x86();
+            at + ContextCosts::default().spawn(&host) + TimerMode::DuneMapped.set_cost(&host) + run
+        }
+
+        fn counter(engine: &mut Engine<Driver>, name: &str) -> u64 {
+            let now = engine.now();
+            engine.probe_mut().report(now).counter(name)
+        }
+
+        #[test]
+        fn a_task_shorter_than_its_slice_finishes() {
+            let t = task(1, 5);
+            let mut e = drive(&[(SimTime::ZERO, 0, t)], FaultConfig::default());
+            let end = fresh_end(SimTime::ZERO, t.service);
+            assert_eq!(e.model().ends, vec![(end, 0, RunEnd::Finished(t))]);
+            assert!(!e.model().workers.is_running(0));
+            assert_eq!(e.model().workers.contexts.resident(), 0);
+            assert_eq!(counter(&mut e, "worker.completed"), 1);
+        }
+
+        #[test]
+        fn a_task_longer_than_its_slice_is_preempted_and_saved() {
+            let t = task(2, 25);
+            let mut e = drive(&[(SimTime::ZERO, 1, t)], FaultConfig::default());
+            let host = CoreSpec::host_x86();
+            let left = t.after_preemption(SLICE);
+            assert_eq!(left.remaining, SimDuration::from_micros(15));
+            let free_in = PATH.receive_cost(&host) + ContextCosts::default().save(&host);
+            let end = RunEnd::Preempted {
+                task: left,
+                free_in,
+            };
+            let at = fresh_end(SimTime::ZERO, SLICE);
+            assert_eq!(e.model().ends, vec![(at, 1, end)]);
+            let workers = &e.model().workers;
+            assert!(workers.contexts.is_saved(2), "the context is saved");
+            assert!(!workers.is_running(1));
+            assert_eq!(workers.preemptions(), 1);
+            assert_eq!(counter(&mut e, "worker.preempted"), 1);
+        }
+
+        #[test]
+        fn a_second_copy_of_a_saved_request_is_killed() {
+            // Two copies of request 7 (a retransmission) on two workers:
+            // the first to reach its slice end is saved and owns the
+            // request, so the other is killed rather than saved again.
+            let t = task(7, 25);
+            let later = SimTime::from_micros(1);
+            let mut e = drive(
+                &[(SimTime::ZERO, 0, t), (later, 1, t)],
+                FaultConfig::default(),
+            );
+            let left = t.after_preemption(SLICE);
+            let host = CoreSpec::host_x86();
+            let (at, w, end) = &e.model().ends[1];
+            assert_eq!((*at, *w), (fresh_end(later, SLICE), 1));
+            let free_in = PATH.receive_cost(&host);
+            assert_eq!(
+                *end,
+                RunEnd::DupKilled {
+                    task: left,
+                    free_in
+                }
+            );
+            assert!(matches!(e.model().ends[0].2, RunEnd::Preempted { .. }));
+            assert_eq!(e.model().workers.contexts.resident(), 1, "one saved copy");
+            assert_eq!(e.model().workers.preemptions(), 1);
+            assert_eq!(counter(&mut e, "worker.dup_killed"), 1);
+        }
+
+        #[test]
+        fn a_crash_mid_run_strands_the_task() {
+            let t = task(3, 5);
+            let faults = FaultConfig::default().with_crash(0, SimTime::from_micros(2));
+            let mut e = drive(&[(SimTime::ZERO, 0, t)], faults);
+            let end = fresh_end(SimTime::ZERO, t.service);
+            assert_eq!(e.model().ends, vec![(end, 0, RunEnd::Stranded)]);
+            let workers = &e.model().workers;
+            assert!(workers.is_running(0), "the dead core keeps its task");
+            assert_eq!(workers.stranded, 1);
+            assert_eq!(counter(&mut e, "worker.stranded"), 1);
         }
     }
 }

@@ -120,9 +120,8 @@ pub enum Ev {
     WorkerFrame(usize, FrameSpec),
     /// A worker polls its ring for work.
     WorkerPoll(usize),
-    /// A worker's run ends (finish or slice expiry); the timer generation
-    /// guards against stale firings.
-    WorkerRunEnd(usize, u64),
+    /// A worker's run ends (finish or slice expiry).
+    WorkerRunEnd(usize),
     /// A worker notification frame reaches the ARM RX core.
     RxNotif(FrameSpec),
     /// The RX stage finished parsing one notification.
@@ -390,8 +389,7 @@ impl Offload {
         let fixed =
             params::WORKER_RX_COST + self.ddio.first_touch_from(placement, lines, interconnect);
         self.ddio.release(placement, lines);
-        self.workers
-            .start(w, task, fixed, ctx, |gen| Ev::WorkerRunEnd(w, gen));
+        self.workers.start(w, task, fixed, ctx, Ev::WorkerRunEnd(w));
     }
 
     /// Send `msg` from worker `w` to the RX core in a notification frame
@@ -410,10 +408,8 @@ impl Offload {
         );
     }
 
-    fn worker_run_end(&mut self, w: usize, gen: u64, ctx: &mut Ctx<'_, Ev>) {
-        let Some(end) = self.workers.end_run(w, gen, ctx) else {
-            return;
-        };
+    fn worker_run_end(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
+        let end = self.workers.end_run(w, ctx);
         let now = ctx.now();
         let (msg, free_at) = match end {
             // No response and no Done: the dispatcher's outstanding slot
@@ -558,7 +554,7 @@ impl Model for Offload {
                 }
             }
             Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
-            Ev::WorkerRunEnd(worker, gen) => self.worker_run_end(worker, gen, ctx),
+            Ev::WorkerRunEnd(worker) => self.worker_run_end(worker, ctx),
             Ev::RxNotif(spec) => self.rx.enqueue(spec, Ev::RxDone, ctx),
             Ev::RxDone => {
                 ctx.probe().count(&self.keys.notifs);

@@ -51,8 +51,8 @@ pub enum Ev {
     NiArrive(FrameSpec),
     /// The hardware queue issues a task to a core.
     Deliver(usize, Task),
-    /// A worker's run ends, with its timer generation.
-    WorkerRunEnd(usize, u64),
+    /// A worker's run ends (finish or slice expiry).
+    WorkerRunEnd(usize),
     /// The integrated NI's periodic failure-detector sweep (recovery
     /// only). Lease renewal is hardware-observed core liveness — no
     /// heartbeat frames cross a wire in this design.
@@ -220,14 +220,13 @@ impl Model for RpcValet {
                     debug_assert!(stranded || !self.workers.is_running(w), "cap-1 violated");
                     return;
                 }
-                self.workers.start(w, task, SimDuration::ZERO, ctx, |gen| {
-                    Ev::WorkerRunEnd(w, gen)
-                });
+                self.workers
+                    .start(w, task, SimDuration::ZERO, ctx, Ev::WorkerRunEnd(w));
             }
-            Ev::WorkerRunEnd(w, gen) => {
+            Ev::WorkerRunEnd(w) => {
                 // A core that died mid-request sends no response and no
                 // completion signal.
-                let Some(RunEnd::Finished(task)) = self.workers.end_run(w, gen, ctx) else {
+                let RunEnd::Finished(task) = self.workers.end_run(w, ctx) else {
                     return;
                 };
                 let now = ctx.now();

@@ -114,8 +114,8 @@ pub enum Ev {
     /// A task becomes visible in a worker's shared-memory inbox.
     WorkerTask(usize, Task),
     WorkerPoll(usize),
-    /// A worker's run ends, with its timer generation.
-    WorkerRunEnd(usize, u64),
+    /// A worker's run ends (finish or slice expiry).
+    WorkerRunEnd(usize),
     /// A worker's periodic liveness heartbeat to its group's dispatcher.
     Heartbeat(usize),
 }
@@ -361,15 +361,12 @@ impl Shinjuku {
             .depth(self.keys.inbox.at(w), self.inboxes[w].len());
         // The policy's per-dispatch grant rides the task exactly over the
         // shared-memory path.
-        self.workers.start(w, task, SimDuration::ZERO, ctx, |gen| {
-            Ev::WorkerRunEnd(w, gen)
-        });
+        self.workers
+            .start(w, task, SimDuration::ZERO, ctx, Ev::WorkerRunEnd(w));
     }
 
-    fn worker_run_end(&mut self, w: usize, gen: u64, ctx: &mut Ctx<'_, Ev>) {
-        let Some(end) = self.workers.end_run(w, gen, ctx) else {
-            return;
-        };
+    fn worker_run_end(&mut self, w: usize, ctx: &mut Ctx<'_, Ev>) {
+        let end = self.workers.end_run(w, ctx);
         let now = ctx.now();
         let (g, local) = self.local(w);
         // The notice, when the worker writes it, and when the worker is free.
@@ -526,7 +523,7 @@ impl Model for Shinjuku {
                 }
             }
             Ev::WorkerPoll(w) => self.worker_poll(w, ctx),
-            Ev::WorkerRunEnd(worker, gen) => self.worker_run_end(worker, gen, ctx),
+            Ev::WorkerRunEnd(worker) => self.worker_run_end(worker, ctx),
             Ev::Heartbeat(w) => self.heartbeat(w, ctx),
         }
     }
